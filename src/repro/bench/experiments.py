@@ -380,4 +380,16 @@ def experiment_sec74():
         "cm": histogram.cm,
         "optimize_ms_min": round(min(optimize_times), 3),
         "optimize_ms_max": round(max(optimize_times), 3),
+        "build": [_sec74_build(scaled(base)) for base in
+                  (2000, 4000, 8000, 16000)],
     }
+
+
+def _sec74_build(n: int) -> tuple:
+    """(triples, mean ``Optimizer.rebuild`` seconds over 3 runs, candidate
+    thresholds built, chosen cm) — the statistics-refresh stall."""
+    graph = _wiki(n).graph
+    optimizer = Optimizer(cm=8, lm=8, budget_fraction=0.10)
+    seconds = time_callable(lambda: optimizer.rebuild(graph))
+    histogram = optimizer.statistics.histogram
+    return n, seconds, histogram.candidates_built, histogram.cm

@@ -282,13 +282,19 @@ class RDFTX:
             and self.optimizer is not None
             and self._stats_dirty >= threshold
         ):
-            self.refresh_statistics()
+            reason = "updates"
         elif self.optimizer is not None and self.drift.refresh_due():
             # Sustained estimate drift: the statistics mispredict even
             # though few updates accumulated (skewed writes).  Rebuild
             # early; note_refresh records the trigger before the window
             # is cleared by refresh_statistics.
             self.drift.note_refresh()
+            reason = "drift"
+        else:
+            return
+        # The refresh is compile-time work: the request that pays for it
+        # shows engine.compile -> optimizer.rebuild in its trace.
+        with _trace.span("engine.compile", stats_refresh=reason):
             self.refresh_statistics()
 
     def _encode(self, subject: str, predicate: str, object: str):

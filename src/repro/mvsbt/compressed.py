@@ -33,7 +33,9 @@ exact, the equivalence with the MVSBT that the paper claims.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterator
 
 from .tree import INF
@@ -81,6 +83,27 @@ class CIndexEntry:
 class _CNode:
     is_leaf: bool
     entries: list = field(default_factory=list)
+    #: The entries with ``te == INF``, in ``entries`` order.  Points arrive
+    #: in non-decreasing time, so only these can cover a new one.
+    live: list = field(default_factory=list)
+    #: Leaf nodes: the band-profile segments that end at or before the
+    #: oldest live band.  Only closed entries reach that far back and a
+    #: closed leaf entry never changes, so neither do these.
+    frozen: list = field(default_factory=list)
+    #: Leaf nodes: ``entries[:settled]`` all closed inside ``frozen``.
+    settled: int = 0
+
+    def adopt(self, entries: list) -> None:
+        """Append entries, tracking the live ones."""
+        self.entries.extend(entries)
+        self.live.extend(e for e in entries if e.te == INF)
+
+    def replace_summaries(self, child: "_CNode", summaries: list) -> None:
+        """Index nodes: swap every summary entry of ``child`` for fresh
+        ones."""
+        self.entries = [e for e in self.entries if e.child is not child]
+        self.live = [e for e in self.live if e.child is not child]
+        self.adopt(summaries)
 
 
 class CMVSBT:
@@ -99,9 +122,12 @@ class CMVSBT:
         self.lm = lm
         self._capacity = node_capacity
         self._root = _CNode(is_leaf=True)
-        self._root.entries.append(CLeafEntry(0, INF, 0, INF, km=0, tm=0))
+        self._root.adopt([CLeafEntry(0, INF, 0, INF, km=0, tm=0)])
         self._last_time = 0
         self._count = 0
+        #: Entries touched by insert routing and band profiling — the work
+        #: an insert does beyond its own O(height) updates.
+        self.entries_examined = 0
 
     @property
     def point_count(self) -> int:
@@ -136,11 +162,15 @@ class CMVSBT:
     ) -> "_CNode | None":
         """Record the point in the containing entry; return the child to
         descend into (None at a leaf)."""
-        for entry in node.entries:
+        for examined, entry in enumerate(node.live, 1):
             if entry.covers(key, time):
+                self.entries_examined += examined
                 if node.is_leaf:
                     fresh = self._leaf_entry_insert(entry, key, time, weight)
-                    node.entries.extend(fresh)
+                    if entry.te != INF:
+                        node.live.remove(entry)
+                    if fresh:
+                        node.adopt(fresh)
                     return None
                 child = entry.child
                 self._index_entry_insert(node, entry, key, time, weight)
@@ -254,18 +284,11 @@ class CMVSBT:
     def _refresh_child_summaries(self, node: _CNode, child: "_CNode") -> None:
         """Replace every summary entry for ``child`` with fresh profile
         segments (buffered lists reset)."""
-        kept = []
-        key_low = None
-        key_high = None
-        for entry in node.entries:
-            if isinstance(entry, CIndexEntry) and entry.child is child:
-                key_low = entry.ks if key_low is None else min(key_low, entry.ks)
-                key_high = entry.ke if key_high is None else max(key_high, entry.ke)
-            else:
-                kept.append(entry)
-        node.entries = kept
-        node.entries.extend(
-            self._profile_entries(child, key_low, key_high)
+        own = [entry for entry in node.entries if entry.child is child]
+        key_low = min(entry.ks for entry in own)
+        key_high = max(entry.ke for entry in own)
+        node.replace_summaries(
+            child, self._profile_entries(child, key_low, key_high)
         )
 
     def _profile_entries(
@@ -288,11 +311,23 @@ class CMVSBT:
             for ts, te, base, growth in segments
         ]
 
-    @staticmethod
-    def _band_profile(child: "_CNode") -> list[tuple]:
-        """(ts, te, base, growth) segments of the child's visible mass."""
-        cuts = {0.0, INF}
-        for entry in child.entries:
+    def _band_profile(self, child: "_CNode") -> list[tuple]:
+        """(ts, te, base, growth) segments of the child's visible mass.
+
+        A leaf that cannot key-split accumulates closed bands without
+        bound, so its profile is kept incrementally: the segments in
+        ``child.frozen`` are reused, the entries before ``child.settled``
+        (closed inside them) are skipped, and whatever this call finds
+        behind the oldest live band is frozen in turn.  New entries start
+        at a live entry's ``tm``, so no cut ever appears behind that band.
+        Index children are rewritten on every refresh and stay small; they
+        freeze nothing and are profiled in full.
+        """
+        frozen = child.frozen
+        start = frozen[-1][1] if frozen else 0.0
+        entries = child.entries[child.settled:]
+        cuts = {start, INF}
+        for entry in entries:
             cuts.add(entry.ts)
             cuts.add(entry.te)
             if isinstance(entry, CLeafEntry):
@@ -301,43 +336,57 @@ class CMVSBT:
             else:
                 for _, t0, _ in entry.points:
                     cuts.add(float(t0))
-        ordered = sorted(cuts)
-        segments = []
-        for lo, hi in zip(ordered, ordered[1:]):
-            base = 0.0
-            growth = 0.0
-            for entry in child.entries:
-                if entry.ts > lo or entry.te <= lo:
-                    continue
+        ordered = sorted(cut for cut in cuts if cut >= start)
+        bases = [0.0] * (len(ordered) - 1)
+        growths = [0.0] * (len(ordered) - 1)
+        self.entries_examined += len(entries)
+        # Entry by entry over the segments each one spans: a segment still
+        # sums its entries in ``entries`` order, without visiting the rest.
+        for entry in entries:
+            first = bisect_left(ordered, entry.ts)
+            last = bisect_left(ordered, entry.te)
+            self.entries_examined += last - first
+            for i in range(first, last):
+                lo, hi = ordered[i], ordered[i + 1]
+                base = bases[i]
                 if isinstance(entry, CLeafEntry):
                     base += entry.v
                     if entry.c:
                         # Current points ramp up between ts and tm.
+                        span = entry.tm - entry.ts
                         if entry.tm <= lo:
                             base += entry.c
                         elif entry.tm >= hi:
-                            span = entry.tm - entry.ts
                             if span > 0:
                                 base += entry.c * (lo - entry.ts) / span
-                                growth += entry.c * (hi - lo) / span if hi != INF else 0.0
+                                if hi != INF:
+                                    growths[i] += entry.c * (hi - lo) / span
                         else:
-                            span = entry.tm - entry.ts
                             if span > 0:
                                 base += entry.c * (lo - entry.ts) / span
-                            growth += entry.c  # finishes ramping inside
+                            growths[i] += entry.c  # finishes ramping inside
                 else:
                     base += entry.c
-                    if entry.cr and entry.te not in (INF,) and entry.te > entry.ts:
+                    if entry.cr and entry.te != INF and entry.te > entry.ts:
                         frac_lo = (lo - entry.ts) / (entry.te - entry.ts)
                         base += entry.cr * frac_lo
                         if hi != INF:
                             frac_hi = (hi - entry.ts) / (entry.te - entry.ts)
-                            growth += entry.cr * (frac_hi - frac_lo)
+                            growths[i] += entry.cr * (frac_hi - frac_lo)
                     for _, t0, w in entry.points:
-                        if t0 <= lo:
-                            base += w
-            segments.append((lo, hi, base, growth))
-        return segments
+                        if t0 > lo:
+                            break  # buffered in time order
+                        base += w
+                bases[i] = base
+        segments = list(zip(ordered, ordered[1:], bases, growths))
+        if not child.is_leaf:
+            return segments
+        frontier = min(entry.ts for entry in child.live)
+        settling = sum(1 for segment in segments if segment[1] <= frontier)
+        frozen.extend(segments[:settling])
+        while child.entries[child.settled].te <= frontier:
+            child.settled += 1
+        return frozen + segments[settling:]
 
     def _quantize(self, segments: list[tuple]) -> list[tuple]:
         """Merge adjacent segments down to :attr:`max_segments`.
@@ -345,30 +394,46 @@ class CMVSBT:
         A segment ``(lo, hi, base, growth)`` has value ``base`` at its start
         ramping to ``base + growth`` at its end.  Merging keeps the start
         value of the first and the end value of the second; the pair with
-        the smallest introduced discontinuity is merged first, and the
-        live (unbounded) tail segment is only merged when it is flat
-        against its neighbour.
+        the smallest introduced discontinuity is merged first (the leftmost
+        on ties), and the live (unbounded) tail segment is only merged when
+        it is flat against its neighbour.
+
+        A merge changes only the two pairs that touch it, so the mergeable
+        pairs wait in a heap and just those two are offered again; an item
+        whose segments have since been merged away is recognised by
+        identity and dropped.
         """
-        merged = list(segments)
-        target = self.max_segments
-        while len(merged) > target:
-            best = None
-            for i in range(len(merged) - 1):
-                a, b = merged[i], merged[i + 1]
-                if b[1] == INF and abs(b[2] - (a[2] + a[3])) > 1e-9:
-                    continue  # keep the live tail faithful
-                deviation = abs(b[2] - (a[2] + a[3]))
-                if best is None or deviation < best[1]:
-                    best = (i, deviation)
-            if best is None:
-                break
-            i = best[0]
-            a, b = merged[i], merged[i + 1]
+        merged: list = list(segments)  # None once absorbed into the left
+        after = list(range(1, len(merged) + 1))
+        before = list(range(-1, len(merged) - 1))
+        heap: list[tuple] = []
+
+        def offer(i: int) -> None:
+            a, b = merged[i], merged[after[i]]
+            deviation = abs(b[2] - (a[2] + a[3]))
+            if b[1] == INF and deviation > 1e-9:
+                return  # keep the live tail faithful
+            heappush(heap, (deviation, i, a, b))
+
+        for i in range(len(merged) - 1):
+            offer(i)
+        excess = len(merged) - self.max_segments
+        while excess > 0 and heap:
+            _, i, a, b = heappop(heap)
+            j = after[i]
+            if merged[i] is not a or j == len(merged) or merged[j] is not b:
+                continue
             end_value = b[2] + b[3]
-            merged[i : i + 2] = [
-                (a[0], b[1], a[2], max(end_value - a[2], 0.0))
-            ]
-        return merged
+            merged[i] = (a[0], b[1], a[2], max(end_value - a[2], 0.0))
+            merged[j] = None
+            after[i] = after[j]
+            if after[i] < len(merged):
+                before[after[i]] = i
+                offer(i)
+            if before[i] >= 0:
+                offer(before[i])
+            excess -= 1
+        return [segment for segment in merged if segment is not None]
 
     # ------------------------------------------------------------ structure
 
@@ -391,21 +456,15 @@ class CMVSBT:
                     # Index summaries straddle only when their child does;
                     # drop and re-profile below.
                     continue
+        for half in (left, right):
+            half.live = [e for e in half.entries if e.te == INF]
         key_low = min(e.ks for e in node.entries)
         key_high = max(e.ke for e in node.entries)
-        left_summaries = self._profile_entries(left, key_low, boundary)
-        right_summaries = self._profile_entries(right, boundary, key_high)
+        summaries = self._profile_entries(left, key_low, boundary)
+        summaries += self._profile_entries(right, boundary, key_high)
         if parent is None:
-            new_root = _CNode(is_leaf=False)
-            new_root.entries = left_summaries + right_summaries
-            self._root = new_root
-            return
-        parent.entries = [
-            entry
-            for entry in parent.entries
-            if not (isinstance(entry, CIndexEntry) and entry.child is node)
-        ]
-        parent.entries.extend(left_summaries + right_summaries)
+            parent = self._root = _CNode(is_leaf=False)
+        parent.replace_summaries(node, summaries)
 
     @staticmethod
     def _cut_entry(entry: CLeafEntry, boundary: float) -> CLeafEntry:

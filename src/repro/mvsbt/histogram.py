@@ -72,28 +72,9 @@ class CharacteristicSets:
 class _StatPair:
     """A start/end CMVSBT pair answering windowed range counts."""
 
-    def __init__(self, cm: int, lm: int) -> None:
-        self.starts = CMVSBT(cm=cm, lm=lm)
-        self.ends = CMVSBT(cm=cm, lm=lm)
-        self._start_events: list[tuple[int, int, float]] = []
-        self._end_events: list[tuple[int, int, float]] = []
-
-    def add(self, key: int, start: int, end: int, weight: float = 1.0) -> None:
-        self._start_events.append((start, key, weight))
-        if end != NOW:
-            self._end_events.append((end, key, weight))
-
-    def seal(self) -> None:
-        """Insert buffered events in time order (CMVSBT requirement)."""
-        for events, tree in (
-            (self._start_events, self.starts),
-            (self._end_events, self.ends),
-        ):
-            events.sort(key=lambda e: e[0])
-            for time, key, weight in events:
-                tree.insert(key, time, weight)
-        self._start_events = []
-        self._end_events = []
+    def __init__(self, starts: CMVSBT, ends: CMVSBT) -> None:
+        self.starts = starts
+        self.ends = ends
 
     def count_alive(self, k1: int, k2: int, t1: int, t2: int) -> float:
         """Records with key in (k1, k2] whose interval intersects [t1, t2)."""
@@ -108,6 +89,36 @@ class _StatPair:
         return self.starts.sizeof() + self.ends.sizeof()
 
 
+class _StatEvents:
+    """The start and end points of one statistic's records: collected and
+    time-sorted once per build, replayed into a fresh :class:`_StatPair`
+    for every candidate threshold."""
+
+    def __init__(self) -> None:
+        self._starts: list[tuple[int, int, float]] = []
+        self._ends: list[tuple[int, int, float]] = []
+
+    def add(self, key: int, start: int, end: int, weight: float = 1.0) -> None:
+        self._starts.append((start, key, weight))
+        if end != NOW:
+            self._ends.append((end, key, weight))
+
+    def seal(self) -> None:
+        """Put the points in time order (CMVSBT requirement)."""
+        self._starts.sort(key=lambda e: e[0])
+        self._ends.sort(key=lambda e: e[0])
+
+    def replay(self, cm: int, lm: int) -> _StatPair:
+        pair = _StatPair(CMVSBT(cm=cm, lm=lm), CMVSBT(cm=cm, lm=lm))
+        for events, tree in (
+            (self._starts, pair.starts),
+            (self._ends, pair.ends),
+        ):
+            for time, key, weight in events:
+                tree.insert(key, time, weight)
+        return pair
+
+
 class TemporalHistogram:
     """Temporal statistics for the SPARQLT optimizer.
 
@@ -117,8 +128,9 @@ class TemporalHistogram:
     characteristic-set framework cannot express (O- and PO-bound patterns).
 
     ``budget_fraction`` bounds the histogram at that fraction of the raw data
-    size; when exceeded, the CMVSBT thresholds double and the histogram is
-    rebuilt coarser (equivalent to the paper's entry merging).
+    size; :meth:`build` picks the finest doubling of the constructor's
+    ``cm``/``lm`` that stays inside it (equivalent to the paper's entry
+    merging) and exposes the choice as :attr:`cm`/:attr:`lm`.
     """
 
     def __init__(
@@ -127,6 +139,7 @@ class TemporalHistogram:
         lm: int = 8,
         budget_fraction: float = 0.10,
     ) -> None:
+        self._base = (cm, lm)
         self.cm = cm
         self.lm = lm
         self.budget_fraction = budget_fraction
@@ -138,6 +151,8 @@ class TemporalHistogram:
         self.distinct_objects_of: dict[int, int] = {}
         self.object_frequency: dict[int, int] = {}
         self.predicate_frequency: dict[int, int] = {}
+        #: CMVSBT sets the last :meth:`build` constructed chasing the budget.
+        self.candidates_built = 0
 
     # ---------------------------------------------------------------- build
 
@@ -147,29 +162,40 @@ class TemporalHistogram:
     def build(self, graph: TemporalGraph) -> None:
         """(Re)build the histogram from a temporal graph.
 
-        The thresholds double (coarsening the histogram) until the space
-        budget is met or :data:`MAX_COARSENING_ROUNDS` is exhausted — the
-        schema and side tables put a floor under the size that small graphs
-        cannot compress away.
+        The graph is ingested once; the candidate thresholds — the
+        constructor's ``(cm, lm)`` doubled 0 to
+        :data:`MAX_COARSENING_ROUNDS` times — are then tried from the
+        coarsest down, each a replay of the same sorted events, stopping at
+        the first that misses the space budget and keeping the last that
+        fit.  The coarsest is kept when nothing fits: the schema and side
+        tables put a floor under the size that small graphs cannot compress
+        away.  Coarse builds are the cheap ones, so nothing more than one
+        step finer than the answer is ever built.
         """
+        subjects, occurrences = self._ingest(graph)
         raw = graph.raw_size()
-        for _ in range(self.MAX_COARSENING_ROUNDS):
-            self._build_once(graph)
-            if raw == 0 or self.core_sizeof() <= self.budget_fraction * raw:
-                return
-            self.cm *= 2
-            self.lm *= 2
-        self._build_once(graph)
+        self.candidates_built = 0
+        kept = None
+        for doublings in range(self.MAX_COARSENING_ROUNDS, -1, -1):
+            cm, lm = (threshold << doublings for threshold in self._base)
+            self._subjects = subjects.replay(cm, lm)
+            self._occurrences = occurrences.replay(cm, lm)
+            self.candidates_built += 1
+            fits = raw == 0 or self.core_sizeof() <= self.budget_fraction * raw
+            if fits or kept is None:
+                kept = (cm, lm, self._subjects, self._occurrences)
+            if not fits:
+                break
+        self.cm, self.lm, self._subjects, self._occurrences = kept
 
-    def _build_once(self, graph: TemporalGraph) -> None:
+    def _ingest(self, graph: TemporalGraph) -> tuple[_StatEvents, _StatEvents]:
+        """Set the schema and side tables; return the (subject, occurrence)
+        events every candidate replays."""
         self.charsets = CharacteristicSets.from_graph(graph)
-        max_pred = max(
-            (t.predicate for t in graph), default=0
-        )
-        self._stride = max_pred + 2
-        self._subjects = _StatPair(self.cm, self.lm)
-        self._occurrences = _StatPair(self.cm, self.lm)
+        self._stride = max(self.charsets.with_predicate, default=0) + 2
         self.total_triples = len(graph)
+        subjects = _StatEvents()
+        occurrences = _StatEvents()
 
         lifetime: dict[int, list[int]] = {}
         objects_of: dict[int, set[int]] = defaultdict(set)
@@ -183,7 +209,7 @@ class TemporalHistogram:
                 span[0] = min(span[0], triple.period.start)
                 span[1] = max(span[1], triple.period.end)
             charset_id = self.charsets.of_subject[triple.subject]
-            self._occurrences.add(
+            occurrences.add(
                 self._occ_key(charset_id, triple.predicate),
                 triple.period.start,
                 triple.period.end,
@@ -192,12 +218,13 @@ class TemporalHistogram:
             self.object_frequency[triple.object] += 1
             self.predicate_frequency[triple.predicate] += 1
         for subject, (start, end) in lifetime.items():
-            self._subjects.add(self.charsets.of_subject[subject], start, end)
-        self._subjects.seal()
-        self._occurrences.seal()
+            subjects.add(self.charsets.of_subject[subject], start, end)
+        subjects.seal()
+        occurrences.seal()
         self.distinct_objects_of = {
             pred: len(objs) for pred, objs in objects_of.items()
         }
+        return subjects, occurrences
 
     def _occ_key(self, charset_id: int, predicate_id: int) -> int:
         return charset_id * self._stride + predicate_id

@@ -85,6 +85,7 @@ COUNTER_HELP: dict[str, str] = {
     "optimizer.drift.refreshes":
         "statistics rebuilds triggered by sustained estimate drift",
     "optimizer.drift.samples": "queries profiled by the drift monitor",
+    "optimizer.rebuilds": "temporal-histogram (re)builds, load and refresh",
     "service.cache.evictions": "result-cache entries evicted (LRU)",
     "service.cache.hits": "queries served from the result cache",
     "service.cache.invalidations": "wholesale result-cache clears",
@@ -141,6 +142,8 @@ TIMER_HELP: dict[str, str] = {
 #: register -> its contract.
 HISTOGRAM_HELP: dict[str, str] = {
     "cluster.coordinator.rpc_ms": "coordinator-to-shard RPC latency",
+    "optimizer.rebuild_ms":
+        "statistics (re)build wall time - the stall a refresh imposes",
     "service.server.request_ms": "HTTP request wall time (per request)",
     "service.store.query_ms": "store-level query latency",
     "service.store.update_ms": "store-level durable-update latency",

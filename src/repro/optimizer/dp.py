@@ -13,11 +13,17 @@ order preserves the intended intermediate sizes.
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 
 from ..engine.plan import PlanGraph
+from ..obs import metrics as _metrics
+from ..obs import trace as _trace
 from .cost import SubPlan, join_cardinality, join_step_cost, pattern_estimates
 from .statistics import Statistics
+
+_REBUILDS = _metrics.counter("optimizer.rebuilds")
+_REBUILD_HIST = _metrics.histogram("optimizer.rebuild_ms")
 
 
 class Optimizer:
@@ -37,10 +43,18 @@ class Optimizer:
 
     def rebuild(self, graph) -> None:
         """(Re)build the temporal histogram from the loaded graph."""
-        self.statistics = Statistics.build(
-            graph, cm=self.cm, lm=self.lm,
-            budget_fraction=self.budget_fraction,
-        )
+        started = time.perf_counter()
+        with _trace.span("optimizer.rebuild", triples=len(graph)) as span:
+            self.statistics = Statistics.build(
+                graph, cm=self.cm, lm=self.lm,
+                budget_fraction=self.budget_fraction,
+            )
+            histogram = self.statistics.histogram
+            span.annotate(candidates_built=histogram.candidates_built,
+                          cm=histogram.cm)
+        if _metrics.ENABLED:
+            _REBUILDS.inc()
+            _REBUILD_HIST.observe((time.perf_counter() - started) * 1000.0)
 
     def choose_order(self, graph: PlanGraph) -> list[int]:
         """The cost-optimal join order for a plan graph."""

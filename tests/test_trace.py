@@ -192,6 +192,63 @@ class TestTraceBuffer:
             trace.TraceBuffer(capacity=0)
 
 
+# ------------------------------------------------------- statistics refresh
+
+
+class TestStatisticsRefreshSpan:
+    """The query that trips the update-count refresh pays a histogram
+    rebuild; its trace must say so instead of showing self time."""
+
+    @staticmethod
+    def _engine():
+        from repro.engine import RDFTX
+        from repro.model import TemporalGraph
+        from repro.optimizer import Optimizer
+
+        graph = TemporalGraph()
+        for i in range(40):
+            graph.add(f"s{i % 8}", f"p{i % 3}", f"o{i}", i, i + 5)
+        return RDFTX.from_graph(graph, optimizer=Optimizer(),
+                                stats_refresh_threshold=2)
+
+    def test_rebuild_is_a_child_of_compile(self, buffer):
+        engine = self._engine()
+        rebuilds = metrics.REGISTRY.counter("optimizer.rebuilds")
+        stalls = metrics.REGISTRY.histogram("optimizer.rebuild_ms")
+        before = (rebuilds.value, stalls.count)
+        engine.insert("s1", "p1", "fresh", 100)
+        engine.insert("s2", "p1", "fresher", 101)
+        with trace.start_trace("request", buffer):
+            engine.query("SELECT ?s {?s p1 ?o ?t . ?s p2 ?x ?t}")
+        (tr,) = buffer.recent()
+        compile_span = tr.root.children[0]
+        assert compile_span.name == "engine.compile"
+        assert compile_span.attrs == {"stats_refresh": "updates"}
+        (rebuild,) = compile_span.children
+        assert rebuild.name == "optimizer.rebuild"
+        histogram = engine.optimizer.statistics.histogram
+        assert rebuild.attrs == {
+            "triples": 42,
+            "candidates_built": histogram.candidates_built,
+            "cm": histogram.cm,
+        }
+        assert (rebuilds.value, stalls.count) == (before[0] + 1, before[1] + 1)
+
+    def test_kill_switch_counts_nothing(self, buffer):
+        rebuilds = metrics.REGISTRY.counter("optimizer.rebuilds")
+        stalls = metrics.REGISTRY.histogram("optimizer.rebuild_ms")
+        before = (rebuilds.value, stalls.count)
+        metrics.set_enabled(False)
+        try:
+            with trace.start_trace("request", buffer):
+                engine = self._engine()
+        finally:
+            metrics.set_enabled(True)
+        assert engine.optimizer.statistics is not None
+        assert (rebuilds.value, stalls.count) == before
+        assert len(buffer) == 0
+
+
 # --------------------------------------------------------------- kill switch
 
 
