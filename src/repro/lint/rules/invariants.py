@@ -3,7 +3,7 @@
 The multiversion trees only stay queryable at historical revisions
 because dead entries are immutable: an entry's ``end`` (the paper's
 ``te``) is written exactly once, by the logical-delete helpers, and a
-node's ``death`` exactly once, by the version-split machinery.  Likewise
+node's ``death`` exactly once, by its ``kill``.  Likewise
 the delta-compression byte format has one encoder — ad-hoc header
 construction elsewhere would silently desynchronize encode and decode.
 """
@@ -28,9 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
 END_SETTERS = frozenset({"end_live", "end_child", "__init__", "copy"})
 
 #: Functions allowed to kill a node (set ``.death``).
-DEATH_SETTERS = frozenset({
-    "_restructure", "_check_parent", "shell_from_state", "__init__",
-})
+DEATH_SETTERS = frozenset({"kill", "shell_from_state", "__init__"})
 
 #: Files allowed to name the compressed-leaf store directly: the codec,
 #: its sole consumer, and the package __init__ that re-exports the API.
@@ -101,8 +99,8 @@ class EntryLifetimeMutation(Rule):
                 elif target.attr == "death" and owner not in DEATH_SETTERS:
                     yield self.finding(
                         module, node,
-                        f"`.death` assigned in `{owner}` — only the "
-                        f"version-split machinery may kill a node",
+                        f"`.death` assigned in `{owner}` — only `kill` "
+                        f"may end a node's lifetime",
                     )
 
 

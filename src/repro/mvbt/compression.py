@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..model.time import NOW
 from ..obs import metrics as _metrics
@@ -179,34 +179,222 @@ class CompressionError(ValueError):
     """Raised when an entry cannot be delta-encoded."""
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
+#: Byte-length code by bit length of an unsigned (zigzagged) delta; a
+#: lookup past the end is a delta wider than four bytes.
+_CODE_OF_BITS = (0,) + (1,) * 8 + (2,) * 8 + (3,) * 16
+_BITS_OF_CODE = tuple(8 * width for width in _LEN_CODE_TO_BYTES)
+_MASK_OF_CODE = tuple((1 << bits) - 1 for bits in _BITS_OF_CODE)
 
 
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
+def check_packable(entry: LeafEntry) -> None:
+    """Raise :class:`CompressionError` unless the codec can hold ``entry``
+    (a 3-part key, no payload)."""
+    if entry.payload is not None:
+        raise CompressionError("compressed leaves carry no payloads")
+    if len(entry.key) != 3:
+        raise CompressionError("compressed leaves need 3-part keys")
 
 
-def _len_code(value: int) -> int:
-    """Smallest byte-length code able to hold unsigned ``value``."""
-    if value == 0:
-        return 0
-    if value < 1 << 8:
-        return 1
-    if value < 1 << 16:
-        return 2
-    if value < 1 << 32:
-        return 3
-    raise CompressionError(f"delta too large to encode: {value}")
+def _pack(
+    buf: bytearray,
+    entries: Iterable[LeafEntry],
+    prev: "tuple[Key, int, int] | None",
+    base_v1: int,
+    base_v2: int,
+    base_v3: int,
+    base_ts: int,
+    base_te: int,
+) -> "tuple[Key, int, int] | None":
+    """Delta-encode ``entries`` onto the end of ``buf`` — the one encoder.
+
+    ``prev`` is the ``(key, start, end)`` of the entry the first one
+    follows (``None`` at the head of a buffer); the return value is the
+    same triple for the last entry written, i.e. the append checkpoint.
+    An entry's bytes depend only on itself, its predecessor and the node
+    bases, so building a leaf, appending to it and re-encoding a slice of
+    it (:meth:`CompressedLeafStore.end_live`) are all this loop.  Each
+    record is assembled as one integer and written with a single
+    ``to_bytes``; a failing entry leaves ``buf`` without a partial record.
+    """
+    codes = _CODE_OF_BITS
+    bits = _BITS_OF_CODE
+    if prev is None:
+        have_prev = False
+        p1 = p2 = p3 = pts = pte = 0
+    else:
+        have_prev = True
+        (p1, p2, p3), pts, pte = prev
+    try:
+        for entry in entries:
+            k1, k2, k3 = entry.key
+            ts = entry.start
+            te = entry.end
+            ts_delta = ts - base_ts
+            if ts_delta < 0:
+                raise CompressionError(
+                    "entries must arrive in nondecreasing ts"
+                )
+            if have_prev and k1 == p1 and te == NOW and pte == NOW:
+                # Compact: shares v1 with a live predecessor, itself live.
+                d = k2 - p2
+                d2 = d << 1 if d >= 0 else ~(d << 1)
+                d = k3 - p3
+                d3 = d << 1 if d >= 0 else ~(d << 1)
+                d = ts - pts
+                dts = d << 1 if d >= 0 else ~(d << 1)
+                l2 = codes[d2.bit_length()]
+                l3 = codes[d3.bit_length()]
+                lts = codes[dts.bit_length()]
+                b2 = bits[l2]
+                b3 = bits[l3]
+                bts = bits[lts]
+                record = 0x80 | (l2 << 5) | (l3 << 3) | (lts << 1)
+                record = (((record << b2 | d2) << b3 | d3) << bts) | dts
+                buf += record.to_bytes(1 + ((b2 + b3 + bts) >> 3), "big")
+            else:
+                # Normal: each key part takes the shorter of its delta
+                # against the node base and against the predecessor.
+                d = k1 - base_v1
+                d1 = d << 1 if d >= 0 else ~(d << 1)
+                l1 = codes[d1.bit_length()]
+                d = k2 - base_v2
+                d2 = d << 1 if d >= 0 else ~(d << 1)
+                l2 = codes[d2.bit_length()]
+                d = k3 - base_v3
+                d3 = d << 1 if d >= 0 else ~(d << 1)
+                l3 = codes[d3.bit_length()]
+                header = 0
+                if have_prev:
+                    d = k1 - p1
+                    d = d << 1 if d >= 0 else ~(d << 1)
+                    code = codes[d.bit_length()]
+                    if code < l1:
+                        d1, l1, header = d, code, 0x100
+                    d = k2 - p2
+                    d = d << 1 if d >= 0 else ~(d << 1)
+                    code = codes[d.bit_length()]
+                    if code < l2:
+                        d2, l2, header = d, code, header | 0x8
+                    d = k3 - p3
+                    d = d << 1 if d >= 0 else ~(d << 1)
+                    code = codes[d.bit_length()]
+                    if code < l3:
+                        d3, l3, header = d, code, header | 0x4
+                if te == NOW:
+                    te_value = 0
+                elif te - ts <= SHORT_INTERVAL_LIMIT:
+                    header |= 1
+                    te_value = te - ts
+                else:
+                    header |= 2
+                    d = te - base_te
+                    te_value = d << 1 if d >= 0 else ~(d << 1)
+                lts = codes[ts_delta.bit_length()]
+                lte = codes[te_value.bit_length()]
+                b1 = bits[l1]
+                b2 = bits[l2]
+                b3 = bits[l3]
+                bts = bits[lts]
+                bte = bits[lte]
+                record = (
+                    header | (l1 << 13) | (l2 << 11) | (l3 << 9)
+                    | (lts << 6) | (lte << 4)
+                )
+                record = (
+                    ((((record << b1 | d1) << b2 | d2) << b3 | d3)
+                      << bts | ts_delta) << bte
+                ) | te_value
+                buf += record.to_bytes(
+                    2 + ((b1 + b2 + b3 + bts + bte) >> 3), "big"
+                )
+            have_prev = True
+            p1 = k1
+            p2 = k2
+            p3 = k3
+            pts = ts
+            pte = te
+    except IndexError:
+        raise CompressionError("delta too large to encode") from None
+    return ((p1, p2, p3), pts, pte) if have_prev else None
 
 
-def _emit(buf: bytearray, value: int, code: int) -> None:
-    buf.extend(value.to_bytes(_LEN_CODE_TO_BYTES[code], "big"))
+def _records(
+    buf: bytes,
+    base_v: tuple[int, int, int],
+    base_ts: int,
+    base_te: int,
+) -> Iterator[tuple[int, Key, int, int]]:
+    """Walk a packed buffer, yielding ``(stop, key, start, end)`` per
+    entry, ``stop`` being the offset one past the entry's last byte.
 
-
-def _take(buf: bytes, pos: int, code: int) -> tuple[int, int]:
-    width = _LEN_CODE_TO_BYTES[code]
-    return int.from_bytes(buf[pos : pos + width], "big"), pos + width
+    The store's own decoder — full decodes, the duplicate check and the
+    delete splice all ride it (lazily: a consumer that found its entry
+    stops paying).  Scans use :func:`scan_packed`, which filters inline
+    and never builds a tuple for an entry it rejects.
+    """
+    pos = 0
+    size = len(buf)
+    bits = _BITS_OF_CODE
+    masks = _MASK_OF_CODE
+    base_v1, base_v2, base_v3 = base_v
+    from_bytes = int.from_bytes
+    k1 = k2 = k3 = start = 0
+    while pos < size:
+        # Mirror of the packer: the fields behind the header are read as
+        # one integer and taken apart from the low end.
+        first = buf[pos]
+        if first & 0x80:  # compact: shares v1, live, deltas vs prev
+            c3 = (first >> 3) & 0x3
+            cts = (first >> 1) & 0x3
+            b3 = bits[c3]
+            bts = bits[cts]
+            stop = pos + 1 + ((bits[(first >> 5) & 0x3] + b3 + bts) >> 3)
+            raw = from_bytes(buf[pos + 1 : stop], "big")
+            dts = raw & masks[cts]
+            raw >>= bts
+            d3 = raw & masks[c3]
+            d2 = raw >> b3
+            k2 += (d2 >> 1) ^ -(d2 & 1)
+            k3 += (d3 >> 1) ^ -(d3 & 1)
+            start += (dts >> 1) ^ -(dts & 1)
+            end = NOW
+        else:
+            header = (first << 8) | buf[pos + 1]
+            c2 = (header >> 11) & 0x3
+            c3 = (header >> 9) & 0x3
+            cts = (header >> 6) & 0x3
+            cte = (header >> 4) & 0x3
+            b2 = bits[c2]
+            b3 = bits[c3]
+            bts = bits[cts]
+            bte = bits[cte]
+            stop = pos + 2 + (
+                (bits[(header >> 13) & 0x3] + b2 + b3 + bts + bte) >> 3
+            )
+            raw = from_bytes(buf[pos + 2 : stop], "big")
+            te_raw = raw & masks[cte]
+            raw >>= bte
+            start = base_ts + (raw & masks[cts])
+            raw >>= bts
+            d3 = raw & masks[c3]
+            raw >>= b3
+            d2 = raw & masks[c2]
+            d1 = raw >> b2
+            d1 = (d1 >> 1) ^ -(d1 & 1)
+            d2 = (d2 >> 1) ^ -(d2 & 1)
+            d3 = (d3 >> 1) ^ -(d3 & 1)
+            k1 = (k1 + d1) if header & 0x100 else base_v1 + d1
+            k2 = (k2 + d2) if header & 0x8 else base_v2 + d2
+            k3 = (k3 + d3) if header & 0x4 else base_v3 + d3
+            te_flag = header & 0x3
+            if te_flag == 0:
+                end = NOW
+            elif te_flag == 1:
+                end = start + te_raw
+            else:
+                end = base_te + ((te_raw >> 1) ^ -(te_raw & 1))
+        pos = stop
+        yield pos, (k1, k2, k3), start, end
 
 
 def scan_packed(
@@ -323,116 +511,79 @@ class CompressedLeafStore:
         "_base_ts",
         "_base_te",
         "_checkpoint_ts",
-        "_last_entry",
+        "_last",
         "_decoded",
         "_uses",
         "_memo_charge",
     )
 
     def __init__(self, entries: list[LeafEntry]) -> None:
-        for entry in entries:
-            if entry.payload is not None:
-                raise CompressionError("compressed leaves carry no payloads")
-            if len(entry.key) != 3:
-                raise CompressionError("compressed leaves need 3-part keys")
-        self.count = 0
+        base_v1 = base_v2 = base_v3 = base_ts = base_te = top_ts = 0
         if entries:
-            self._base_v = (
-                min(e.key[0] for e in entries),
-                min(e.key[1] for e in entries),
-                min(e.key[2] for e in entries),
-            )
-            self._base_ts = min(e.start for e in entries)
-            finite = [e.end for e in entries if e.end != NOW]
-            self._base_te = min(finite) if finite else 0
-        else:
-            self._base_v = (0, 0, 0)
-            self._base_ts = 0
-            self._base_te = 0
+            # One pass for the node bases (minima; ``base_te`` over the
+            # finite ends only) and the checkpoint (largest ts).
+            first = entries[0]
+            check_packable(first)
+            base_v1, base_v2, base_v3 = first.key
+            base_ts = top_ts = first.start
+            base_te = NOW
+            for entry in entries:
+                check_packable(entry)
+                k1, k2, k3 = entry.key
+                if k1 < base_v1:
+                    base_v1 = k1
+                if k2 < base_v2:
+                    base_v2 = k2
+                if k3 < base_v3:
+                    base_v3 = k3
+                ts = entry.start
+                if ts < base_ts:
+                    base_ts = ts
+                elif ts > top_ts:
+                    top_ts = ts
+                if entry.end < base_te:
+                    base_te = entry.end
+            if base_te == NOW:
+                base_te = 0
+        self._base_v = (base_v1, base_v2, base_v3)
+        self._base_ts = base_ts
+        self._base_te = base_te
+        self._checkpoint_ts = top_ts
         self._buf = bytearray()
-        self._last_entry: LeafEntry | None = None
-        self._checkpoint_ts = self._base_ts
+        #: ``(key, start, end)`` of the last entry: what the next append
+        #: delta-encodes against.
+        self._last = _pack(
+            self._buf, entries, None,
+            base_v1, base_v2, base_v3, base_ts, base_te,
+        )
+        self.count = len(entries)
         self._decoded: tuple[LeafEntry, ...] | None = None
         self._uses = 0
         self._memo_charge = 0
-        for entry in entries:
-            self.append(entry)
 
     # --------------------------------------------------------------- encode
 
     def append(self, entry: LeafEntry) -> None:
         """Delta-encode ``entry`` against the checkpoint (last) entry."""
-        if entry.payload is not None:
-            raise CompressionError("compressed leaves carry no payloads")
-        self._encode(self._buf, entry, self._last_entry)
-        self._last_entry = entry.copy()
-        self._checkpoint_ts = max(self._checkpoint_ts, entry.start)
+        check_packable(entry)
+        self._last = _pack(
+            self._buf, (entry,), self._last,
+            *self._base_v, self._base_ts, self._base_te,
+        )
+        if entry.start > self._checkpoint_ts:
+            self._checkpoint_ts = entry.start
         self.count += 1
         self._invalidate()
 
-    def _encode(
-        self, buf: bytearray, entry: LeafEntry, prev: LeafEntry | None
-    ) -> None:
-        ts_delta = entry.start - self._base_ts
-        if ts_delta < 0:
-            raise CompressionError("entries must arrive in nondecreasing ts")
-        compact = (
-            prev is not None
-            and entry.key[0] == prev.key[0]
-            and entry.end == NOW
-            and prev.end == NOW
-        )
-        if compact:
-            d2 = _zigzag(entry.key[1] - prev.key[1])
-            d3 = _zigzag(entry.key[2] - prev.key[2])
-            dts = _zigzag(entry.start - prev.start)
-            l2, l3, lts = _len_code(d2), _len_code(d3), _len_code(dts)
-            header = 0x80 | (l2 << 5) | (l3 << 3) | (lts << 1)
-            buf.append(header)
-            _emit(buf, d2, l2)
-            _emit(buf, d3, l3)
-            _emit(buf, dts, lts)
-            return
-        # Normal entry: per-value choice of delta source.
-        deltas: list[int] = []
-        sources: list[int] = []
-        for i in range(3):
-            vs_base = _zigzag(entry.key[i] - self._base_v[i])
-            if prev is not None:
-                vs_prev = _zigzag(entry.key[i] - prev.key[i])
-                if _len_code(vs_prev) < _len_code(vs_base):
-                    deltas.append(vs_prev)
-                    sources.append(1)
-                    continue
-            deltas.append(vs_base)
-            sources.append(0)
-        lens = [_len_code(d) for d in deltas]
-        if entry.end == NOW:
-            te_flag, te_value = 0, 0
-        elif entry.end - entry.start <= SHORT_INTERVAL_LIMIT:
-            te_flag, te_value = 1, entry.end - entry.start
-        else:
-            te_flag, te_value = 2, _zigzag(entry.end - self._base_te)
-        lts = _len_code(ts_delta)
-        lte = _len_code(te_value)
-        header = (
-            (lens[0] << 13)
-            | (lens[1] << 11)
-            | (lens[2] << 9)
-            | (sources[0] << 8)
-            | (lts << 6)
-            | (lte << 4)
-            | (sources[1] << 3)
-            | (sources[2] << 2)
-            | te_flag
-        )
-        buf.extend(header.to_bytes(2, "big"))
-        for delta, code in zip(deltas, lens):
-            _emit(buf, delta, code)
-        _emit(buf, ts_delta, lts)
-        _emit(buf, te_value, lte)
-
     # --------------------------------------------------------------- decode
+
+    def _records(self) -> Iterator[tuple[int, Key, int, int]]:
+        # ``bytes`` indexes and slices measurably faster than a
+        # ``bytearray`` or ``memoryview`` in the decoder's hot loop; the
+        # copy is one memcpy and the buffer is never large.
+        return _records(
+            bytes(self._buf), self._base_v, self._base_ts, self._base_te
+        )
 
     def entries(self) -> tuple[LeafEntry, ...]:
         """Decode the whole buffer back into a **frozen** entry tuple.
@@ -454,71 +605,14 @@ class CompressedLeafStore:
         if self._decoded is not None:
             return self._decoded
         self._uses += 1
-        out: list[LeafEntry] = []
-        buf = self._buf
-        pos = 0
-        size = len(buf)
-        widths = _LEN_CODE_TO_BYTES
-        base_v1, base_v2, base_v3 = self._base_v
-        base_ts = self._base_ts
-        base_te = self._base_te
-        from_bytes = int.from_bytes
-        append = out.append
-        k1 = k2 = k3 = start = 0
-        while pos < size:
-            first = buf[pos]
-            if first & 0x80:  # compact: shares v1, live, deltas vs prev
-                pos += 1
-                w = widths[(first >> 5) & 0x3]
-                d2 = from_bytes(buf[pos : pos + w], "big")
-                pos += w
-                w = widths[(first >> 3) & 0x3]
-                d3 = from_bytes(buf[pos : pos + w], "big")
-                pos += w
-                w = widths[(first >> 1) & 0x3]
-                dts = from_bytes(buf[pos : pos + w], "big")
-                pos += w
-                k2 += (d2 >> 1) ^ -(d2 & 1)
-                k3 += (d3 >> 1) ^ -(d3 & 1)
-                start += (dts >> 1) ^ -(dts & 1)
-                entry = LeafEntry((k1, k2, k3), start, NOW, None)
-            else:
-                header = (first << 8) | buf[pos + 1]
-                pos += 2
-                values = []
-                for code in (
-                    (header >> 13) & 0x3,
-                    (header >> 11) & 0x3,
-                    (header >> 9) & 0x3,
-                ):
-                    w = widths[code]
-                    raw = from_bytes(buf[pos : pos + w], "big")
-                    pos += w
-                    values.append((raw >> 1) ^ -(raw & 1))
-                nk1 = (k1 + values[0]) if header & 0x100 else base_v1 + values[0]
-                nk2 = (k2 + values[1]) if header & 0x8 else base_v2 + values[1]
-                nk3 = (k3 + values[2]) if header & 0x4 else base_v3 + values[2]
-                w = widths[(header >> 6) & 0x3]
-                start = base_ts + from_bytes(buf[pos : pos + w], "big")
-                pos += w
-                w = widths[(header >> 4) & 0x3]
-                te_raw = from_bytes(buf[pos : pos + w], "big")
-                pos += w
-                te_flag = header & 0x3
-                if te_flag == 0:
-                    end = NOW
-                elif te_flag == 1:
-                    end = start + te_raw
-                else:
-                    end = base_te + ((te_raw >> 1) ^ -(te_raw & 1))
-                k1, k2, k3 = nk1, nk2, nk3
-                entry = LeafEntry((k1, k2, k3), start, end, None)
-            append(entry)
-        decoded = tuple(out)
+        decoded = tuple([
+            LeafEntry(key, start, end, None)
+            for _, key, start, end in self._records()
+        ])
         if _metrics.ENABLED:
             _PAGES_DECODED.inc()
-            _ENTRIES_DECODED.inc(len(out))
-            _BYTES_DECODED.inc(size)
+            _ENTRIES_DECODED.inc(len(decoded))
+            _BYTES_DECODED.inc(len(self._buf))
         self._maybe_memoize(decoded)
         return decoded
 
@@ -594,9 +688,7 @@ class CompressedLeafStore:
     ) -> list[tuple[Key, int, int, Any]]:
         """:func:`scan_packed` over this store's buffer and base values."""
         self._uses += 1
-        # ``bytes`` indexes and slices measurably faster than a
-        # ``memoryview`` in the decoder's hot loop; the copy is one
-        # memcpy per scan and the buffer is never large.
+        # ``bytes`` for the same reason as in :meth:`_records`.
         return scan_packed(
             bytes(self._buf), key_low, key_high, t1, t2,
             node_start, node_death,
@@ -605,106 +697,52 @@ class CompressedLeafStore:
 
     # ------------------------------------------------------------- mutation
 
-    def _walk(self) -> Iterator[tuple[int, LeafEntry]]:
-        """Yield ``(byte_offset, entry)`` pairs, decoding incrementally.
-
-        The mutation-path decoder: entries are fresh objects (never the
-        memo), and each pair records where the entry's encoding starts so
-        :meth:`end_live` can splice the buffer tail.
-        """
-        buf = self._buf
-        pos = 0
-        size = len(buf)
-        widths = _LEN_CODE_TO_BYTES
-        base_v1, base_v2, base_v3 = self._base_v
-        base_ts = self._base_ts
-        base_te = self._base_te
-        from_bytes = int.from_bytes
-        k1 = k2 = k3 = start = 0
-        while pos < size:
-            offset = pos
-            first = buf[pos]
-            if first & 0x80:
-                pos += 1
-                w = widths[(first >> 5) & 0x3]
-                d2 = from_bytes(buf[pos : pos + w], "big")
-                pos += w
-                w = widths[(first >> 3) & 0x3]
-                d3 = from_bytes(buf[pos : pos + w], "big")
-                pos += w
-                w = widths[(first >> 1) & 0x3]
-                dts = from_bytes(buf[pos : pos + w], "big")
-                pos += w
-                k2 += (d2 >> 1) ^ -(d2 & 1)
-                k3 += (d3 >> 1) ^ -(d3 & 1)
-                start += (dts >> 1) ^ -(dts & 1)
-                end = NOW
-            else:
-                header = (first << 8) | buf[pos + 1]
-                pos += 2
-                values = []
-                for code in (
-                    (header >> 13) & 0x3,
-                    (header >> 11) & 0x3,
-                    (header >> 9) & 0x3,
-                ):
-                    w = widths[code]
-                    raw = from_bytes(buf[pos : pos + w], "big")
-                    pos += w
-                    values.append((raw >> 1) ^ -(raw & 1))
-                k1 = (k1 + values[0]) if header & 0x100 else base_v1 + values[0]
-                k2 = (k2 + values[1]) if header & 0x8 else base_v2 + values[1]
-                k3 = (k3 + values[2]) if header & 0x4 else base_v3 + values[2]
-                w = widths[(header >> 6) & 0x3]
-                start = base_ts + from_bytes(buf[pos : pos + w], "big")
-                pos += w
-                w = widths[(header >> 4) & 0x3]
-                te_raw = from_bytes(buf[pos : pos + w], "big")
-                pos += w
-                te_flag = header & 0x3
-                if te_flag == 0:
-                    end = NOW
-                elif te_flag == 1:
-                    end = start + te_raw
-                else:
-                    end = base_te + ((te_raw >> 1) ^ -(te_raw & 1))
-            yield offset, LeafEntry((k1, k2, k3), start, end, None)
+    def has_live(self, key: Key) -> bool:
+        """Whether ``key`` has a live entry — a walk over the bytes that
+        builds no entry objects and leaves the read memo and its use
+        count alone (the insert path's duplicate check)."""
+        for _, found, _, end in self._records():
+            if end == NOW and found == key:
+                return True
+        return False
 
     def end_live(self, key: Key, end: int) -> bool:
-        """Set the end version of the live ``key`` entry, re-encoding the
-        buffer **tail** from the modified entry onward (Section 4.2.2).
+        """Set the end version of the live ``key`` entry by re-encoding
+        the two entries that can change and splicing them in
+        (Section 4.2.2).
 
-        Bytes before the modified entry are kept as-is: an entry's
-        encoding depends only on itself, its immediate predecessor, and
-        the node base values, so only the target (whose ``te`` rule
-        changes) and its successor (whose compact-header eligibility may
-        change) can re-encode differently — everything later is
-        re-emitted byte-identically.  The decoded entries are fresh
-        copies from the buffer walk, never the shared memo, so an
-        in-flight reader holding a previously returned tuple keeps
-        seeing the pre-delete state; the memo is invalidated after the
-        splice.
+        An entry's encoding depends only on itself, its immediate
+        predecessor and the node base values, so ending an entry changes
+        its own bytes (the ``te`` rule) and at most its successor's
+        (compact-header eligibility needs a live predecessor); every
+        other byte stays where it is, and the result equals a full
+        re-encode of the post-delete sequence.  The walk decodes into
+        fresh values, never the shared memo, so a reader holding a
+        previously returned tuple keeps seeing the pre-delete state; the
+        memo is invalidated after the splice.
         """
-        offset = None
-        prev: LeafEntry | None = None
-        tail: list[LeafEntry] = []
-        for off, entry in self._walk():
-            if offset is None:
-                if entry.end == NOW and entry.key == key:
-                    offset = off
-                    entry.end = end
-                    tail.append(entry)
-                else:
-                    prev = entry
-            else:
-                tail.append(entry)
-        if offset is None:
+        records = self._records()
+        cut = 0
+        prev = None
+        for stop, found, start, te in records:
+            if te == NOW and found == key:
+                break
+            cut, prev = stop, (found, start, te)
+        else:
             return False
-        del self._buf[offset:]
-        for entry in tail:
-            self._encode(self._buf, entry, prev)
-            prev = entry
-        self._last_entry = prev.copy() if prev is not None else None
+        changed = [LeafEntry(key, start, end, None)]
+        follower = next(records, None)
+        if follower is not None:
+            stop, found, start, te = follower
+            changed.append(LeafEntry(found, start, te, None))
+        patch = bytearray()
+        last = _pack(
+            patch, changed, prev,
+            *self._base_v, self._base_ts, self._base_te,
+        )
+        self._buf[cut:stop] = patch
+        if follower is None:
+            self._last = last
         self._invalidate()
         return True
 
@@ -718,7 +756,6 @@ class CompressedLeafStore:
         """Plain-data state for snapshots: the raw buffer plus the base
         values and append checkpoint, so a restored store encodes future
         appends identically to the original."""
-        last = self._last_entry
         return {
             "buf": bytes(self._buf),
             "count": self.count,
@@ -726,9 +763,7 @@ class CompressedLeafStore:
             "base_ts": self._base_ts,
             "base_te": self._base_te,
             "checkpoint_ts": self._checkpoint_ts,
-            "last_entry": (
-                None if last is None else (last.key, last.start, last.end)
-            ),
+            "last_entry": self._last,
         }
 
     @classmethod
@@ -741,9 +776,8 @@ class CompressedLeafStore:
         store._base_te = state["base_te"]
         store._checkpoint_ts = state["checkpoint_ts"]
         last = state["last_entry"]
-        store._last_entry = (
-            None if last is None
-            else LeafEntry(tuple(last[0]), last[1], last[2], None)
+        store._last = (
+            None if last is None else (tuple(last[0]), last[1], last[2])
         )
         store._decoded = None
         store._uses = 0

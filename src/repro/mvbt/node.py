@@ -8,7 +8,9 @@ period*) — the predecessor chain reconstructs full intervals across splits.
 
 Leaf nodes have two interchangeable storage backends: a plain entry list and
 the delta-compressed byte buffer of Section 4.2 (only leaves are compressed,
-matching the paper's trade-off).
+matching the paper's trade-off).  In a compressed tree a leaf is plain only
+while it is alive and was born from a split; it is packed at load or at
+death (``docs/compression.md``).
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ class _NodeBase:
     @property
     def is_alive(self) -> bool:
         return self.death == NOW
+
+    def kill(self, time: int, pack: bool = False) -> None:
+        """End the node's lifetime at version ``time`` — the one place
+        ``death`` is set.  A dead node never changes again; ``pack`` (the
+        tree is compressed) lets a leaf take its final, packed form."""
+        self.death = time
 
     def lifetime_overlaps(self, t1: int, t2: int) -> bool:
         """Whether the node's lifetime intersects ``[t1, t2)``."""
@@ -134,6 +142,13 @@ class LeafNode(_NodeBase):
         self._store.release_memo()
         self._store = None
 
+    def kill(self, time: int, pack: bool = False) -> None:
+        """Die at ``time``; in a compressed tree, seal: the entry list is
+        encoded once into the byte buffer it keeps from then on."""
+        super().kill(time)
+        if pack:
+            self.compress()
+
     # --------------------------------------------------------------- access
 
     def entries(self) -> Iterator[LeafEntry]:
@@ -200,12 +215,14 @@ class LeafNode(_NodeBase):
     def live_entries(self) -> list[LeafEntry]:
         return [e for e in self.entries() if e.is_live]
 
-    def find_live(self, key: Key) -> LeafEntry | None:
-        """The live entry for ``key``, if any (keys unique per version)."""
-        for entry in self.entries():
-            if entry.is_live and entry.key == key:
-                return entry
-        return None
+    def has_live(self, key: Key) -> bool:
+        """Whether ``key`` is live here (keys are unique per version)."""
+        if self._store is not None:
+            return self._store.has_live(key)
+        for entry in self._entries:
+            if entry.end == NOW and entry.key == key:
+                return True
+        return False
 
     # ------------------------------------------------------------- mutation
 
@@ -225,7 +242,7 @@ class LeafNode(_NodeBase):
         else:
             done = False
             for entry in self._entries:
-                if entry.is_live and entry.key == key:
+                if entry.end == NOW and entry.key == key:
                     entry.end = end
                     done = True
                     break

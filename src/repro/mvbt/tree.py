@@ -25,6 +25,7 @@ from typing import Any, Iterator
 
 from ..model.time import MIN_TIME, NOW
 from ..obs import metrics as _metrics
+from .compression import check_packable
 from .entry import IndexEntry, Key, LeafEntry, MIN_KEY
 from .node import IndexNode, LeafNode, Node, live_partition
 
@@ -99,8 +100,16 @@ class MVBT:
         self._now = MIN_TIME
         self._live_records = 0
         self._total_versions = 0
+        #: Set by :meth:`compress`, cleared by :meth:`decompress`: leaves
+        #: of a packed tree are sealed into byte buffers as they die.
+        self._packed = False
 
     # ------------------------------------------------------------ accessors
+
+    @property
+    def is_packed(self) -> bool:
+        """Whether the tree keeps its history delta-compressed."""
+        return self._packed
 
     @property
     def current_time(self) -> int:
@@ -130,12 +139,17 @@ class MVBT:
 
     def insert(self, key: Key, time: int, payload: Any = None) -> None:
         """Insert ``key`` at version ``time`` (live until deleted)."""
+        entry = LeafEntry(key, time, NOW, payload)
+        if self._packed:
+            # A plain live leaf would take any entry, and sealing the
+            # leaf would fail later, halfway through a version split.
+            check_packable(entry)
         self._advance(time)
         path = self._descend(key)
         leaf: LeafNode = path[-1]
-        if leaf.find_live(key) is not None:
+        if leaf.has_live(key):
             raise DuplicateKeyError(f"key already live: {key!r}")
-        leaf.append(LeafEntry(key, time, NOW, payload))
+        leaf.append(entry)
         self._live_records += 1
         self._total_versions += 1
         if _metrics.ENABLED:
@@ -218,7 +232,7 @@ class MVBT:
         elif new_nodes:
             new_nodes[0].key_high = key_high
         for donor in donors:
-            donor.death = time
+            donor.kill(time, self._packed)
         for fresh in new_nodes:
             fresh.predecessors = list(donors)
 
@@ -324,7 +338,7 @@ class MVBT:
             # staying in the registry for historical descents only.
             child = node.live_entries()[0].child
             node.end_child(child, time)
-            node.death = time
+            node.kill(time)
             self._register_root(child, time)
 
     # -------------------------------------------------------------- queries
@@ -347,12 +361,17 @@ class MVBT:
         return (n for n in self.iter_nodes() if n.is_leaf)
 
     def compress(self) -> None:
-        """Delta-compress every leaf node (Section 4.2)."""
+        """Delta-compress every leaf node (Section 4.2) and keep the
+        history compressed from here on: later version splits seal the
+        leaves they kill, while the leaves they create stay plain for as
+        long as they are written to."""
         for leaf in self.leaf_nodes():
             leaf.compress()
+        self._packed = True
 
     def decompress(self) -> None:
         """Expand every leaf back to the plain entry-list backend."""
+        self._packed = False
         for leaf in self.leaf_nodes():
             leaf.decompress()
 
@@ -397,6 +416,7 @@ class MVBT:
             "root_starts": list(self._root_starts),
             "roots": [node_ids[id(r)] for r in self._roots],
             "nodes": [n.dump_state(node_ids) for n in nodes],
+            "packed": self._packed,
         }
 
     @classmethod
@@ -415,6 +435,12 @@ class MVBT:
         tree._now = state["now"]
         tree._live_records = state["live_records"]
         tree._total_versions = state["total_versions"]
+        # Snapshots written before the key existed: any packed leaf means
+        # the tree was compressed.
+        packed = state.get("packed")
+        if packed is None:
+            packed = any(n.is_leaf and n.is_compressed for n in shells)
+        tree._packed = packed
         return tree
 
     # ----------------------------------------------------------------- audit
@@ -440,6 +466,8 @@ class MVBT:
                 )
             if not node.is_leaf and node.is_alive:
                 self._check_partition(node)
+            if self._packed and node.is_leaf and not node.is_alive:
+                assert node.is_compressed, f"dead leaf left plain: {node!r}"
 
     def _check_partition(self, node: IndexNode) -> None:
         """Live routing entries must partition the key region."""

@@ -13,10 +13,8 @@ class Node:
         entry = self.route(child)
         entry.end = version
 
-
-class Tree:
-    def _restructure(self, node, version):
-        node.death = version
+    def kill(self, version):
+        self.death = version
 
 
 def unrelated(entry):

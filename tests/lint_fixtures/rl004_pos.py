@@ -7,4 +7,4 @@ def expire_entry(entry, version):
 
 class Tree:
     def prune(self, node, version):
-        node.death = version  # only the version-split machinery may kill
+        node.death = version  # only the node's own kill() may

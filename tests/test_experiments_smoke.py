@@ -64,6 +64,9 @@ def test_fig10c_driver():
     rows, n = experiments.experiment_fig10c()
     assert rows[0][0] == "Standard MVBT"
     assert rows[1][0] == "Compressed MVBT"
+    # Sizes before/after the stream: maintenance keeps the index compressed.
+    assert rows[1][3] < rows[0][3] and rows[1][4] < rows[0][4]
+    assert rows[2][4] < 0.6
 
 
 def test_sec74_driver():

@@ -99,15 +99,53 @@ def test_anomaly_live_count_mismatch(engine):
     assert any("disagree" in w for w in warnings)
 
 
-def test_anomaly_partial_compression():
-    engine = RDFTX.from_graph(small_graph(), compress=False)
-    engine.indexes["spo"].compress()
-    # Force a mixed state: recompute on a report with both kinds.
+def churn(engine, updates=500):
+    """Stream inserts and deletes through the engine: enough version
+    splits that most leaves of every index have died."""
+    live = []
+    for i in range(updates):
+        if i % 3 == 2:
+            engine.delete(*live.pop(0), 100 + i)
+        else:
+            fact = (f"n{i % 40}", f"p{i % 5}", f"v{i}")
+            engine.insert(*fact, 100 + i)
+            live.append(fact)
+
+
+def test_updates_leave_no_partial_compression(engine):
+    """Version splits seal the leaves they kill: a store that has taken
+    updates is not "partially compressed"."""
+    churn(engine)
     report = engine_report(engine)
-    report["indexes"]["spo"]["uncompressed_leaves"] = 1
-    report["indexes"]["spo"]["compressed_leaves"] = 1
+    for name, tree in report["indexes"].items():
+        assert tree["packed"]
+        assert tree["sealed_leaves"] > 0, name
+        assert tree["live_plain_leaves"] > 0, name
+        assert tree["dead_plain_leaves"] == 0, name
+        assert tree["uncompressed_leaves"] == tree["live_plain_leaves"]
+        assert tree["compressed_leaves"] >= tree["sealed_leaves"]
+    assert not any("not delta-compressed" in w for w in find_anomalies(report))
+
+
+def test_anomaly_dead_plain_leaf(engine):
+    churn(engine)
+    dead = next(leaf for leaf in engine.indexes["spo"].leaf_nodes()
+                if not leaf.is_alive)
+    dead.decompress()
+    report = engine_report(engine)
+    assert report["indexes"]["spo"]["dead_plain_leaves"] == 1
     warnings = find_anomalies(report)
-    assert any("not delta-compressed" in w for w in warnings)
+    assert sum("not delta-compressed" in w for w in warnings) == 1
+    assert "index spo: 1 dead leaf" in " ".join(warnings)
+
+
+def test_uncompressed_engine_is_not_an_anomaly():
+    engine = RDFTX.from_graph(small_graph(), compress=False)
+    churn(engine, 200)
+    report = engine_report(engine)
+    assert not report["indexes"]["spo"]["packed"]
+    assert report["indexes"]["spo"]["dead_plain_leaves"] > 0
+    assert not any("not delta-compressed" in w for w in find_anomalies(report))
 
 
 def test_anomaly_stale_statistics(engine):

@@ -14,44 +14,128 @@ from repro.mvbt import (
     MVBT,
     MVBTConfig,
     collect_validity,
+    scan_pieces,
 )
+from repro.mvbt import compression as comp
 from repro.mvbt.compression import (
     CompressedLeafStore,
     CompressionError,
+    SHORT_INTERVAL_LIMIT,
     STANDARD_ENTRY_BYTES,
-    _len_code,
-    _unzigzag,
-    _zigzag,
 )
 from repro.mvbt.entry import LeafEntry
+from repro.obs import metrics
 
 SMALL = MVBTConfig(block_capacity=8, weak_min=2, epsilon=1)
 
 
-class TestCodecPrimitives:
-    @given(st.integers(min_value=-(2**31), max_value=2**31))
-    def test_zigzag_roundtrip(self, value):
-        assert _unzigzag(_zigzag(value)) == value
+# ------------------------------------------------- the reference encoder
+#
+# Figure 3(a) written for reading, one entry and one field at a time: the
+# codec the store used before its one-pass packer.  The packer, the
+# two-entry ``end_live`` splice and the seal-at-death path must all
+# produce exactly these bytes.
 
-    def test_zigzag_keeps_small_magnitudes_small(self):
-        assert _zigzag(0) == 0
-        assert _zigzag(-1) == 1
-        assert _zigzag(1) == 2
 
-    def test_len_code_boundaries(self):
-        assert _len_code(0) == 0
-        assert _len_code(255) == 1
-        assert _len_code(256) == 2
-        assert _len_code(65535) == 2
-        assert _len_code(65536) == 3
+def _zigzag(value):
+    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
 
-    def test_len_code_overflow(self):
-        with pytest.raises(CompressionError):
-            _len_code(2**40)
+
+def _len_code(value):
+    for code, limit in enumerate((1, 1 << 8, 1 << 16, 1 << 32)):
+        if value < limit:
+            return code
+    raise CompressionError(f"delta too large to encode: {value}")
+
+
+def reference_encode(entries, base_v, base_ts, base_te):
+    """The bytes of ``entries`` against the given node bases."""
+    widths = (0, 1, 2, 4)
+    buf = bytearray()
+    prev = None
+    for e in entries:
+        if (prev is not None and e.key[0] == prev.key[0]
+                and e.end == NOW and prev.end == NOW):
+            fields = [_zigzag(e.key[1] - prev.key[1]),
+                      _zigzag(e.key[2] - prev.key[2]),
+                      _zigzag(e.start - prev.start)]
+            l2, l3, lts = (_len_code(f) for f in fields)
+            buf.append(0x80 | (l2 << 5) | (l3 << 3) | (lts << 1))
+        else:
+            fields, sources = [], []
+            for i in range(3):
+                delta, source = _zigzag(e.key[i] - base_v[i]), 0
+                if prev is not None:
+                    vs_prev = _zigzag(e.key[i] - prev.key[i])
+                    if _len_code(vs_prev) < _len_code(delta):
+                        delta, source = vs_prev, 1
+                fields.append(delta)
+                sources.append(source)
+            if e.end == NOW:
+                te_flag, te_value = 0, 0
+            elif e.end - e.start <= SHORT_INTERVAL_LIMIT:
+                te_flag, te_value = 1, e.end - e.start
+            else:
+                te_flag, te_value = 2, _zigzag(e.end - base_te)
+            fields += [e.start - base_ts, te_value]
+            l1, l2, l3, lts, lte = (_len_code(f) for f in fields)
+            header = ((l1 << 13) | (l2 << 11) | (l3 << 9) | (sources[0] << 8)
+                      | (lts << 6) | (lte << 4) | (sources[1] << 3)
+                      | (sources[2] << 2) | te_flag)
+            buf += header.to_bytes(2, "big")
+        for f in fields:
+            buf += f.to_bytes(widths[_len_code(f)], "big")
+        prev = e
+    return bytes(buf)
+
+
+def reference_store_bytes(store):
+    """``store``'s current entries re-encoded from scratch against its
+    own bases — what its buffer must equal after any edit."""
+    state = store.to_state()
+    return reference_encode(
+        store.entries(), state["base_v"], state["base_ts"], state["base_te"]
+    )
 
 
 def entry(v1, v2, v3, ts, te=NOW):
     return LeafEntry((v1, v2, v3), ts, te, None)
+
+
+class TestCodecWidths:
+    """Byte-length codes 0/1/2/3 hold 0/1/2/4 bytes; deltas are zigzagged."""
+
+    @pytest.mark.parametrize("delta, width", [
+        (0, 0), (1, 1), (127, 1), (128, 2), (32767, 2), (32768, 4),
+        (2**31 - 1, 4),
+        (-1, 1), (-128, 1), (-129, 2), (-32768, 2), (-32769, 4),
+    ])
+    def test_key_delta_width_boundaries(self, delta, width):
+        # The second entry's v3 is ``delta`` away from both candidates
+        # (node base and predecessor); v1 differs, so it is a normal entry.
+        store = CompressedLeafStore([entry(1, 5, 10, 0)])
+        before = len(store._buf)
+        store.append(entry(2, 5, 10 + delta, 0))
+        # 2 header bytes + 1 byte for v1's delta + the v3 delta
+        assert len(store._buf) - before == 3 + width
+        assert store.entries()[1].key == (2, 5, 10 + delta)
+        assert bytes(store._buf) == reference_store_bytes(store)
+
+    def test_delta_overflow_rejected_without_partial_write(self):
+        store = CompressedLeafStore([entry(1, 2, 3, 5)])
+        before = bytes(store._buf)
+        with pytest.raises(CompressionError):
+            store.append(entry(1, 2, 3 + 2**40, 6))
+        assert bytes(store._buf) == before and store.count == 1
+        with pytest.raises(CompressionError):
+            CompressedLeafStore([entry(1, 2, 3, 5), entry(2**40, 2, 3, 6)])
+
+    def test_short_key_rejected(self):
+        with pytest.raises(CompressionError):
+            CompressedLeafStore([LeafEntry((1, 2), 5, NOW, None)])
+        store = CompressedLeafStore([entry(1, 2, 3, 5)])
+        with pytest.raises(CompressionError):
+            store.append(LeafEntry((1, 2, 3, 4), 6, NOW, None))
 
 
 class TestStoreRoundtrip:
@@ -269,3 +353,232 @@ class TestCompressedTree:
                 tree.compress()
         tree.check_invariants()
         assert collect_validity(tree) == collect_validity(shadow)
+
+
+# ------------------------------------------- maintenance under compression
+#
+# A compressed tree keeps its history compressed: version splits seal the
+# leaves they kill, leaves born from a split stay plain while alive, and
+# none of it may show in the tree's shape or in any answer.
+
+
+@st.composite
+def update_streams(draw):
+    """``(op, key, time)`` events over a small key domain (so keys are
+    re-inserted after deletion and leaves both overflow and underflow)
+    plus the event index at which the packed tree is compressed."""
+    n = draw(st.integers(min_value=20, max_value=160))
+    events = []
+    live = []
+    time = 0
+    for _ in range(n):
+        time += draw(st.integers(min_value=0, max_value=3))
+        if live and draw(st.integers(0, 9)) < 4:
+            key = live.pop(draw(st.integers(0, len(live) - 1)))
+            events.append(("delete", key, time))
+            continue
+        key = (draw(st.integers(0, 6)), draw(st.integers(0, 300)),
+               draw(st.integers(0, 3)))
+        if key not in live:
+            live.append(key)
+            events.append(("insert", key, time))
+    return events, draw(st.integers(0, len(events) // 2))
+
+
+def apply_event(tree, event):
+    op, key, time = event
+    (tree.insert if op == "insert" else tree.delete)(key, time)
+
+
+def shape(tree):
+    """Every node's region, lifetime and entry counts, in walk order:
+    equal shapes mean the same version and key splits happened."""
+    return [
+        (n.is_leaf, n.key_low, n.key_high, n.start, n.death, n.count,
+         n.live_count)
+        for n in tree.iter_nodes()
+    ]
+
+
+@st.composite
+def tree_regions(draw):
+    lo = draw(st.integers(0, 6))
+    key_low = draw(st.sampled_from([MIN_KEY, (lo,), (lo, 150)]))
+    key_high = draw(st.sampled_from([MAX_KEY, (lo + 2,), (lo + 1, 150)]))
+    t1 = draw(st.one_of(st.just(MIN_TIME), st.integers(0, 400)))
+    t2 = draw(st.one_of(st.just(NOW), st.integers(0, 500)))
+    return key_low, key_high, t1, t2
+
+
+@settings(max_examples=60, deadline=None)
+@given(update_streams(), st.lists(tree_regions(), min_size=1, max_size=4))
+def test_packed_tree_matches_plain_twin_under_updates(stream, regions):
+    events, compress_at = stream
+    packed, twin = MVBT(SMALL), MVBT(SMALL)
+    for index, event in enumerate(events):
+        if index == compress_at:
+            packed.compress()
+            loaded = {leaf.uid for leaf in packed.leaf_nodes()}
+        apply_event(packed, event)
+        apply_event(twin, event)
+    packed.check_invariants()
+    assert shape(packed) == shape(twin)
+    sealed = 0
+    for leaf, plain in zip(packed.leaf_nodes(), twin.leaf_nodes()):
+        if leaf.is_alive and leaf.uid not in loaded:
+            assert not leaf.is_compressed  # written to: stays plain
+            continue
+        assert leaf.is_compressed
+        buf = bytes(leaf._store._buf)
+        if leaf.uid in loaded:
+            # Packed at load, edited in place since: the bytes a fresh
+            # encode against the load-time bases would give.
+            assert buf == reference_store_bytes(leaf._store)
+        else:
+            sealed += 1
+            assert buf == bytes(
+                CompressedLeafStore(list(plain.entries()))._buf)
+    if any(not leaf.is_alive and leaf.uid not in loaded
+           for leaf in packed.leaf_nodes()):
+        assert sealed
+    previous = comp.packed_mode()
+    try:
+        for mode in (comp.PACKED_OFF, comp.PACKED_AUTO, comp.PACKED_FORCE):
+            comp.set_packed_mode(mode)
+            for region in regions:
+                assert (scan_pieces(packed, *region)
+                        == scan_pieces(twin, *region)), (mode, region)
+    finally:
+        comp.set_packed_mode(previous)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry_lists(), st.lists(st.integers(0, 39), min_size=1, max_size=5))
+def test_end_live_splice_matches_full_reencode(entries, kills):
+    """Ending an entry rewrites its own bytes and its successor's and
+    nothing else; the buffer must equal a from-scratch encode of the
+    post-delete sequence at every step."""
+    store = CompressedLeafStore(entries)
+    assert bytes(store._buf) == reference_store_bytes(store)
+    horizon = max((e.start for e in entries), default=0)
+    for step, which in enumerate(kills):
+        live = [e for e in store.entries() if e.end == NOW]
+        if not live:
+            break
+        target = live[which % len(live)]
+        # Alternate the three te rules: short, long, and live-range ends.
+        end = horizon + (1, SHORT_INTERVAL_LIMIT + 2, 2**20)[step % 3]
+        assert store.end_live(target.key, end)
+        assert bytes(store._buf) == reference_store_bytes(store)
+        assert not store.has_live(target.key)
+    # The append checkpoint followed the edits.
+    tail = entry(9, 9, 9, horizon + 2**20)
+    store.append(tail)
+    assert bytes(store._buf) == reference_store_bytes(store)
+    assert store.entries()[-1] == tail
+
+
+def test_packed_live_leaf_writes_bypass_the_read_memo():
+    """Duplicate checks and deletes on a packed live leaf walk the bytes:
+    no leaf decode is counted, nothing becomes resident, and the leaf
+    gets no closer to the memo's hot threshold."""
+    tree = MVBT(MVBTConfig(block_capacity=64, weak_min=4, epsilon=8))
+    for i in range(20):
+        tree.insert((1, i, 0), i)
+    tree.compress()
+    leaf = tree.live_root
+    assert leaf.is_leaf and leaf.is_compressed
+    decoded = metrics.REGISTRY.counter("mvbt.compression.leaves_decoded")
+    before = (comp.memo_entries(), decoded.value, leaf._store._uses)
+    for i in range(15):
+        tree.insert((1, 100 + i, 0), 50 + i)
+        with pytest.raises(Exception, match="already live"):
+            tree.insert((1, 100 + i, 0), 50 + i)
+    for i in range(15):
+        tree.delete((1, 100 + i, 0), 80 + i)
+        tree.delete((1, i, 0), 80 + i)
+    assert tree.live_root is leaf  # 50 entries: no split yet
+    assert (comp.memo_entries(), decoded.value, leaf._store._uses) == before
+    assert bytes(leaf._store._buf) == reference_store_bytes(leaf._store)
+    tree.check_invariants()
+
+
+class TestPackedTreeLifecycle:
+    def _tree(self):
+        tree = MVBT(SMALL)
+        for i in range(30):
+            tree.insert((i % 5, i, 0), i)
+        tree.compress()
+        return tree
+
+    def test_compress_and_decompress_set_the_flag(self):
+        tree = self._tree()
+        assert tree.is_packed
+        tree.decompress()
+        assert not tree.is_packed
+        for i in range(30):
+            tree.insert((9, i, 0), 40 + i)
+        assert not any(leaf.is_compressed for leaf in tree.leaf_nodes())
+        tree.check_invariants()
+
+    def test_splits_seal_the_leaves_they_kill(self):
+        tree = self._tree()
+        for i in range(60):
+            tree.insert((9, i, 0), 40 + i)
+            if i % 3 == 0:
+                tree.delete((i // 3 % 5, i // 3, 0), 40 + i)
+        dead = [leaf for leaf in tree.leaf_nodes() if not leaf.is_alive]
+        born_plain = [leaf for leaf in tree.leaf_nodes()
+                      if leaf.is_alive and leaf.start >= 40]
+        assert dead and all(leaf.is_compressed for leaf in dead)
+        assert born_plain
+        assert not any(leaf.is_compressed for leaf in born_plain)
+        tree.check_invariants()
+
+    def test_invariants_flag_a_dead_plain_leaf(self):
+        tree = self._tree()
+        for i in range(30):
+            tree.insert((9, i, 0), 40 + i)
+        next(leaf for leaf in tree.leaf_nodes()
+             if not leaf.is_alive).decompress()
+        with pytest.raises(AssertionError, match="dead leaf left plain"):
+            tree.check_invariants()
+
+    @pytest.mark.parametrize("key, payload", [
+        ((9, 1, 0), "data"), ((9, 1), None), ((9, 1, 0, 0), None),
+    ])
+    def test_unpackable_insert_fails_before_mutating(self, key, payload):
+        """The entry would land on a plain live leaf and only fail when
+        that leaf is sealed, halfway through a version split."""
+        tree = self._tree()
+        for i in range(12):  # the live leaves are now split-born, plain
+            tree.insert((9, 100 + i, 0), 40 + i)
+        before = (shape(tree), tree.live_records, tree.current_time)
+        with pytest.raises(CompressionError):
+            tree.insert(key, 60, payload)
+        assert (shape(tree), tree.live_records, tree.current_time) == before
+        tree.check_invariants()
+        for i in range(30):  # and the tree keeps splitting cleanly
+            tree.insert((9, 200 + i, 0), 60 + i)
+        tree.check_invariants()
+
+    def test_state_roundtrip_keeps_sealing(self):
+        tree = self._tree()
+        state = tree.dump_state()
+        assert state["packed"] is True
+        restored = MVBT.load_state(state)
+        # Snapshots written before the flag existed: inferred.
+        del state["packed"]
+        legacy = MVBT.load_state(state)
+        assert restored.is_packed and legacy.is_packed
+        for i in range(40):
+            for t in (tree, restored, legacy):
+                t.insert((9, i, 0), 40 + i)
+        assert restored.sizeof() == legacy.sizeof() == tree.sizeof()
+        for t in (restored, legacy):
+            t.check_invariants()
+        plain = MVBT(SMALL)
+        plain.insert((1, 1, 1), 1)
+        state = plain.dump_state()
+        del state["packed"]
+        assert not MVBT.load_state(state).is_packed

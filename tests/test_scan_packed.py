@@ -6,8 +6,8 @@ Three layers of pinning:
   over randomized entry sequences — compact and normal headers, all three
   ``te`` flags, negative neighbour deltas, ``end_live`` rewrites mid
   sequence — is element-for-element identical to decode-then-filter;
-* byte-level checks that ``end_live``'s tail splice produces exactly the
-  bytes a full re-encode would;
+* byte-level checks that ``end_live``'s two-entry splice produces exactly
+  the bytes a full re-encode would;
 * a fig9-style golden test that serial and parallel query results are
   byte-identical with the packed path forced on, forced off, and
   adaptive, plus the bounded-memo policy itself.
@@ -163,9 +163,10 @@ def test_scan_packed_after_end_live_rewrites(entries, kills, region):
 
 @settings(max_examples=60, deadline=None)
 @given(entry_lists(), st.integers(0, 29))
-def test_end_live_tail_splice_matches_full_reencode(entries, which):
-    """The tail rebuild must produce byte-identical output to re-encoding
-    the whole (post-delete) sequence against the same node bases."""
+def test_end_live_splice_matches_reappending(entries, which):
+    """The splice must produce byte-identical output to re-appending the
+    whole (post-delete) sequence against the same node bases (the check
+    against an independent encoder is in ``test_mvbt_compression.py``)."""
     store = CompressedLeafStore(entries)
     live = [e for e in store.entries() if e.end == NOW]
     if not live:

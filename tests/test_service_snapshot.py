@@ -13,7 +13,9 @@ from repro.service.snapshot import (
     SnapshotError,
     is_snapshot,
     load_snapshot,
+    restore_engine,
     save_snapshot,
+    serialize_engine,
 )
 
 D = date_to_chronon
@@ -82,6 +84,29 @@ class TestRoundTrip:
         restored.insert("UC", "president", "Michael_Drake", t)
         result = restored.query("SELECT ?o {UC president ?o ?t}")
         assert "Michael_Drake" in result.column("o")
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_restored_engine_keeps_history_compressed(self, engine, legacy):
+        """The trees' packed flag rides the snapshot (and is inferred for
+        snapshots written before it existed): version splits after a
+        restart still seal the leaves they kill."""
+        payload = pickle.loads(pickle.dumps(serialize_engine(engine)))
+        if legacy:
+            for state in payload["indexes"].values():
+                del state["packed"]
+        restored = restore_engine(payload)
+        t = engine.horizon + 10
+        for i in range(80):
+            for target in (engine, restored):
+                target.insert(f"s{i % 9}", "visited", f"o{i}", t + i)
+                if i % 4 == 3:
+                    target.delete(f"s{(i - 2) % 9}", "visited", f"o{i - 2}",
+                                  t + i)
+        for name, tree in restored.indexes.items():
+            tree.check_invariants()
+            dead = [n for n in tree.leaf_nodes() if not n.is_alive]
+            assert dead and all(n.is_compressed for n in dead), name
+            assert tree.sizeof() == engine.indexes[name].sizeof()
 
     def test_statistics_survive_without_rebuild(self, engine, tmp_path):
         engine.query(QUERIES[0])  # force statistics to exist

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.model import TemporalGraph, date_to_chronon
-from repro.mvbt.tree import DuplicateKeyError, TimeOrderError
+from repro.mvbt.tree import DuplicateKeyError, MVBTConfig, TimeOrderError
 from repro.service import StoreError, TemporalStore, read_records
 from repro.service.wal import WAL_MAGIC
 
@@ -76,9 +76,15 @@ def result_fingerprint(store):
     ]
 
 
-def _crash_child(directory, n):
+def small_blocks(capacity):
+    """A block size small enough that a short stream splits leaves."""
+    return MVBTConfig(capacity, 2, 1) if capacity else None
+
+
+def _crash_child(directory, n, capacity=None):
     """Child-process body for the crash test (see TestCrashRecovery)."""
-    store = TemporalStore(directory, group_size=4)
+    store = TemporalStore(directory, group_size=4,
+                          config=small_blocks(capacity))
     store.load_dataset(fixture_graph())
     updates = update_stream(n)
     apply_stream(store, updates[: n // 2])
@@ -185,15 +191,16 @@ class TestValidation:
 
 
 class TestCrashRecovery:
-    def test_sigkill_then_recover_matches_uncrashed_run(self, tmp_path):
-        n = 24
+    @pytest.mark.parametrize("n, capacity", [(24, None), (150, 8)])
+    def test_sigkill_then_recover_matches_uncrashed_run(
+            self, tmp_path, n, capacity):
         crash_dir = tmp_path / "crashed"
         child = subprocess.Popen(
             [
                 sys.executable,
                 "-c",
                 "from test_service_store import _crash_child; "
-                f"_crash_child({str(crash_dir)!r}, {n})",
+                f"_crash_child({str(crash_dir)!r}, {n}, {capacity})",
             ],
             cwd=str(Path(__file__).parent),
             env={
@@ -211,15 +218,23 @@ class TestCrashRecovery:
             child.wait(timeout=30)
 
         # The uncrashed reference run, same deterministic stream.
-        with TemporalStore(tmp_path / "reference") as reference:
+        with TemporalStore(tmp_path / "reference",
+                           config=small_blocks(capacity)) as reference:
             reference.load_dataset(fixture_graph())
             apply_stream(reference, update_stream(n))
             expected = result_fingerprint(reference)
             expected_revision = reference.revision
+            expected_size = reference.engine.sizeof()
 
         with TemporalStore(crash_dir) as recovered:
             assert recovered.revision == expected_revision
             assert result_fingerprint(recovered) == expected
+            # The recovered trees still know they are compressed: the
+            # replayed splits sealed the leaves they killed.
+            assert recovered.engine.sizeof() == expected_size
+            for tree in recovered.storage_report()["indexes"].values():
+                assert tree["packed"] and tree["dead_plain_leaves"] == 0
+                assert capacity is None or tree["sealed_leaves"] > 0
             # The recovered store accepts further updates.
             recovered.insert("after", "the", "crash", D("01/01/2020"))
 
