@@ -12,10 +12,12 @@ def test_fig10b_construction_time(figure):
     rows = figure(experiment_fig10b)
     table = format_table(
         "Figure 10(b) — Index Construction Time (4 MVBTs + compression)",
-        ["Triples", "Seconds"],
+        ["Triples", "Seconds", "us/triple"],
         rows,
     )
     report("fig10b_construction", table)
-    # Approximately linear: per-triple cost within a factor ~3 end to end.
-    per_triple = [seconds / n for n, seconds in rows]
-    assert max(per_triple) < 3.5 * min(per_triple)
+    # Approximately linear: the write path is logarithmic in the tree, so
+    # the per-triple cost grows by a tree level and the GC's share, no more
+    # (1.6-1.8x over this 12x sweep; 2.3x with the linear routing scan).
+    per_triple = [micros for _, _, micros in rows]
+    assert max(per_triple) < 2.1 * min(per_triple)

@@ -298,7 +298,8 @@ def experiment_fig10b():
         def build():
             RDFTX.from_graph(graph, config=BENCH_CONFIG)
 
-        rows.append((n, round(time_callable(build, repeats=1, warmup=0), 3)))
+        seconds = time_callable(build, repeats=3, warmup=0)
+        rows.append((n, round(seconds, 3), round(seconds / n * 1e6, 1)))
     return rows
 
 

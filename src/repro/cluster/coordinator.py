@@ -701,17 +701,28 @@ class ClusterStore:
             raise StoreError("store is closed")
         with self._writer:
             parts = self.planner.partition(graph)
-            for member, part in zip(self._members, parts):
-                rows = [
-                    (t.subject, t.predicate, t.object, t.period.start,
-                     None if t.period.end == NOW else t.period.end)
-                    for t in part.triples()
-                ]
+            # One thread per member, so every worker builds its indexes
+            # at once; the pool's exit joins them all, and only then does
+            # the first failed load raise or any replica resync.
+            with ThreadPoolExecutor(
+                max_workers=len(self._members),
+                thread_name_prefix="repro-load",
+            ) as pool:
+                loads = []
+                for member, part in zip(self._members, parts):
+                    rows = [
+                        (t.subject, t.predicate, t.object, t.period.start,
+                         None if t.period.end == NOW else t.period.end)
+                        for t in part.triples()
+                    ]
+                    loads.append(_trace.submit(
+                        pool, self._rpc_primary, member,
+                        {"op": "load", "rows": rows}, 300.0,
+                    ))
+            for load in loads:
                 # Intentional hold: bulk load is exclusive by contract;
                 # the writer lock stays held across the shard RPCs.
-                self._rpc_primary(  # repro-lint: disable=RL013
-                    member, {"op": "load", "rows": rows}, timeout=300.0
-                )
+                load.result()  # repro-lint: disable=RL013
             for member in self._members:
                 for replica in list(member.replicas):
                     try:

@@ -15,7 +15,7 @@ from typing import Iterable
 from ..cache import LRUCache
 from ..model.graph import TemporalGraph
 from ..model.time import MIN_TIME, NOW, PeriodSet, format_chronon
-from ..mvbt.tree import MVBT, MVBTConfig, bulk_load
+from ..mvbt.tree import MVBT, MVBTConfig, change_events, replay
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs import workload as _workload
@@ -202,28 +202,45 @@ class RDFTX:
         self._graph = graph
         self._stats_dirty = 0
         self._plan_cache.clear()
-        for name in INDEX_ORDERS:
-            records = [
-                (triple.key(name), triple.period.start, triple.period.end)
+        with _trace.span("engine.load", triples=len(graph)) as span:
+            # One change history, derived and ordered once; each index
+            # replays it with the key slots permuted into its own order.
+            events = change_events(
+                (triple.key("spo"), triple.period.start, triple.period.end)
                 for triple in graph
-            ]
-            bulk_load(self.indexes[name], records)
-        if compress:
-            self.compress()
-        if self.optimizer is not None:
-            self.optimizer.rebuild(graph)
+            )
+            span.annotate(events=len(events))
+            for name, tree in self.indexes.items():
+                a, b, c = ("spo".index(slot) for slot in INDEX_ORDERS[name])
+                with _trace.span("mvbt.bulk_load", index=name):
+                    replay(tree, (
+                        (time, kind, (key[a], key[b], key[c]))
+                        for time, kind, key in events
+                    ))
+            if compress:
+                self.compress()
+            if self.optimizer is not None:
+                self.optimizer.rebuild(graph)
 
     def compress(self) -> None:
         """Delta-compress the leaf nodes of every index."""
-        for tree in self.indexes.values():
-            tree.compress()
+        with _trace.span("mvbt.compress"):
+            for tree in self.indexes.values():
+                tree.compress()
 
     # -------------------------------------------------------------- updates
 
     def insert(self, subject: str, predicate: str, object: str,
                time: int) -> None:
-        """Start a new fact at ``time`` (live until deleted)."""
-        _check_update_time(time)
+        """Start a new fact at ``time`` (live until deleted).
+
+        A rejected update (:class:`~repro.mvbt.tree.TimeOrderError`,
+        :class:`~repro.mvbt.tree.DuplicateKeyError`) changes nothing: the
+        time order is checked before any term is interned, a duplicate's
+        terms are all interned already, and the first index refuses it
+        before mutating.
+        """
+        self._check_update_time(time)
         ids = self._encode(subject, predicate, object)
         for name, tree in self.indexes.items():
             tree.insert(_reorder(ids, name), time)
@@ -233,14 +250,35 @@ class RDFTX:
 
     def delete(self, subject: str, predicate: str, object: str,
                time: int) -> None:
-        """End a live fact at ``time``."""
-        _check_update_time(time)
-        ids = self._encode(subject, predicate, object)
+        """End a live fact at ``time``; ``KeyError`` (and no change at
+        all, as for :meth:`insert`) when the fact is not live."""
+        self._check_update_time(time)
+        ids = self._lookup(subject, predicate, object)
+        if ids is None:
+            raise KeyError(
+                f"fact not live: ({subject}, {predicate}, {object})"
+            )
         for name, tree in self.indexes.items():
             tree.delete(_reorder(ids, name), time)
         if self._graph is not None:
             self._graph.end(subject, predicate, object, time)
         self._note_update()
+
+    def _check_update_time(self, time: int) -> None:
+        """Reject update timestamps outside the concrete chronon domain or
+        behind any index's watermark, before anything is touched.
+
+        ``NOW`` is the live-interval sentinel: inserting or deleting *at* it
+        would create an entry that is never alive yet counts as live (and a
+        delete at ``NOW`` would decrement live counts while leaving the entry
+        live), silently corrupting the indices.
+        """
+        if not (MIN_TIME <= time < NOW):
+            raise ValueError(
+                f"update time {time!r} outside [{MIN_TIME}, NOW)"
+            )
+        for tree in self.indexes.values():
+            tree.check_time(time)
 
     def _note_update(self) -> None:
         """Track an applied update.
@@ -307,6 +345,17 @@ class RDFTX:
             "p": self.dictionary.encode(predicate),
             "o": self.dictionary.encode(object),
         }
+
+    def _lookup(self, subject: str, predicate: str,
+                object: str) -> dict | None:
+        """:meth:`_encode` without interning: None when a term is unknown
+        (so it cannot be part of any fact)."""
+        if self.dictionary is None:
+            return None
+        lookup = self.dictionary.lookup
+        ids = {"s": lookup(subject), "p": lookup(predicate),
+               "o": lookup(object)}
+        return None if None in ids.values() else ids
 
     # -------------------------------------------------------------- queries
 
@@ -567,20 +616,6 @@ class RDFTX:
     def check_invariants(self) -> None:
         for tree in self.indexes.values():
             tree.check_invariants()
-
-
-def _check_update_time(time: int) -> None:
-    """Reject update timestamps outside the concrete chronon domain.
-
-    ``NOW`` is the live-interval sentinel: inserting or deleting *at* it
-    would create an entry that is never alive yet counts as live (and a
-    delete at ``NOW`` would decrement live counts while leaving the entry
-    live), silently corrupting the indices.
-    """
-    if not (MIN_TIME <= time < NOW):
-        raise ValueError(
-            f"update time {time!r} outside [{MIN_TIME}, NOW)"
-        )
 
 
 def _reorder(ids: dict, order_name: str):

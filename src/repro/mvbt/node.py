@@ -16,7 +16,9 @@ death (``docs/compression.md``).
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ..model.time import NOW, Period
 from .entry import IndexEntry, Key, LeafEntry
@@ -29,6 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: caches, debug maps) keys on ``node.uid`` instead.  Never serialized:
 #: snapshots rebuild the graph through dense table indices.
 _NODE_UIDS = itertools.count(1)
+
+_ENTRY_KEY = attrgetter("key")
 
 
 class _NodeBase:
@@ -98,7 +102,8 @@ class _NodeBase:
         cls = LeafNode if state["kind"] == "leaf" else IndexNode
         node = cls(state["key_low"], state["start"])
         node.key_high = state["key_high"]
-        node.death = state["death"]
+        if state["death"] != NOW:
+            node.kill(state["death"])
         return node
 
 
@@ -112,6 +117,11 @@ class LeafNode(_NodeBase):
         self._entries: list[LeafEntry] | None = []
         self._store: "CompressedLeafStore | None" = None
         self._live_count = 0
+        #: ``key -> entry`` over the live entries while the leaf is alive
+        #: and plain, i.e. while it is written to; dropped (None) for good
+        #: when it dies or is packed.  Derived from ``_entries``: never
+        #: serialized, not part of :meth:`sizeof`.
+        self._live: dict[Key, LeafEntry] | None = {}
 
     # -------------------------------------------------------------- storage
 
@@ -127,6 +137,7 @@ class LeafNode(_NodeBase):
 
         self._store = CompressedLeafStore(self._entries or [])
         self._entries = None
+        self._live = None
 
     def decompress(self) -> None:
         """Switch back to the plain entry-list backend.
@@ -141,11 +152,14 @@ class LeafNode(_NodeBase):
         self._entries = [e.copy() for e in self._store.entries()]
         self._store.release_memo()
         self._store = None
+        if self.is_alive:
+            self._live = {e.key: e for e in self._entries if e.end == NOW}
 
     def kill(self, time: int, pack: bool = False) -> None:
         """Die at ``time``; in a compressed tree, seal: the entry list is
         encoded once into the byte buffer it keeps from then on."""
         super().kill(time)
+        self._live = None
         if pack:
             self.compress()
 
@@ -216,13 +230,11 @@ class LeafNode(_NodeBase):
         return [e for e in self.entries() if e.is_live]
 
     def has_live(self, key: Key) -> bool:
-        """Whether ``key`` is live here (keys are unique per version)."""
+        """Whether ``key`` is live in this live leaf (keys are unique per
+        version)."""
         if self._store is not None:
             return self._store.has_live(key)
-        for entry in self._entries:
-            if entry.end == NOW and entry.key == key:
-                return True
-        return False
+        return key in self._live
 
     # ------------------------------------------------------------- mutation
 
@@ -232,23 +244,35 @@ class LeafNode(_NodeBase):
             self._store.append(entry)
         else:
             self._entries.append(entry)
-        if entry.is_live:
+        if entry.end == NOW:
             self._live_count += 1
+            if self._live is not None:
+                self._live[entry.key] = entry
 
     def end_live(self, key: Key, end: int) -> bool:
-        """Logically delete: set the end version of the live ``key`` entry."""
+        """Logically delete: set the end version of the live ``key`` entry
+        of this live leaf."""
         if self._store is not None:
             done = self._store.end_live(key, end)
         else:
-            done = False
-            for entry in self._entries:
-                if entry.end == NOW and entry.key == key:
-                    entry.end = end
-                    done = True
-                    break
+            entry = self._live.pop(key, None)
+            done = entry is not None
+            if done:
+                entry.end = end
         if done:
             self._live_count -= 1
         return done
+
+    def check_live_path(self, live: list[LeafEntry]) -> None:
+        """Assert the live map is exactly ``live`` (the live entries
+        recounted from the entry list) — the same objects, since a logical
+        delete writes through the map."""
+        if self._store is not None or not self.is_alive:
+            assert self._live is None, f"live map outlived its leaf: {self!r}"
+            return
+        assert len(self._live) == len(live) and all(
+            self._live.get(e.key) is e for e in live
+        ), f"live entry map drifted: {self!r}"
 
     def sizeof(self) -> int:
         """Storage-layout size in bytes (see ``repro.bench.sizing``)."""
@@ -280,6 +304,7 @@ class LeafNode(_NodeBase):
 
             self._store = CompressedLeafStore.from_state(state["store"])
             self._entries = None
+            self._live = None
             self._live_count = state["live_count"]
             return
         for key, start, end, payload in state["entries"]:
@@ -301,7 +326,12 @@ class IndexNode(_NodeBase):
     def __init__(self, key_low: Key, start: int) -> None:
         super().__init__(key_low, start)
         self._entries: list[IndexEntry] = []
-        self._live_count = 0
+        #: The live routing entries in key order: the node's partition of
+        #: its key region at every chronon from ``_changed`` on.  Derived
+        #: from ``_entries``: never serialized, not part of :meth:`sizeof`.
+        self._live: list[IndexEntry] = []
+        #: Chronon of the last change to the set of live entries.
+        self._changed = start
 
     def entries(self) -> Iterator[IndexEntry]:
         return iter(self._entries)
@@ -312,61 +342,94 @@ class IndexNode(_NodeBase):
 
     @property
     def live_count(self) -> int:
-        return self._live_count
+        return len(self._live)
 
     def live_entries(self) -> list[IndexEntry]:
-        return [e for e in self._entries if e.is_live]
+        """The live routing entries by region lower bound."""
+        return list(self._live)
 
     def append(self, entry: IndexEntry) -> None:
+        """Add a routing entry (an ended one only on snapshot restore)."""
         self._entries.append(entry)
-        if entry.is_live:
-            self._live_count += 1
+        if entry.end == NOW:
+            at = bisect_right(self._live, entry.key, key=_ENTRY_KEY)
+            self._live.insert(at, entry)
+            changed = entry.start
+        else:
+            changed = entry.end
+        if changed > self._changed:
+            self._changed = changed
+
+    def _live_index(self, child: _NodeBase) -> int | None:
+        """Where the live routing entry of ``child`` sits (its key is the
+        child's region lower bound)."""
+        at = bisect_left(self._live, child.key_low, key=_ENTRY_KEY)
+        if at < len(self._live) and self._live[at].child is child:
+            return at
+        return None
 
     def end_child(self, child: _NodeBase, end: int) -> bool:
         """Kill the live routing entry pointing at ``child``."""
-        for entry in self._entries:
-            if entry.is_live and entry.child is child:
-                entry.end = end
-                self._live_count -= 1
-                return True
-        return False
+        at = self._live_index(child)
+        if at is None:
+            return False
+        self._live.pop(at).end = end
+        self._changed = end
+        return True
+
+    def live_sibling(self, child: _NodeBase) -> _NodeBase | None:
+        """The live child adjacent by key region to the live ``child``:
+        the left neighbour, or the right one for the leftmost child."""
+        at = self._live_index(child)
+        if at is None:
+            return None
+        if at > 0:
+            return self._live[at - 1].child
+        if len(self._live) > 1:
+            return self._live[1].child
+        return None
+
+    def _partition(self, chronon: int) -> list[IndexEntry]:
+        """The routing entries alive at ``chronon`` in key order; each
+        child's region runs from its entry's key to the next entry's.
+
+        From the last change on that is the live array as it stands:
+        every live entry started by then and every other entry had ended.
+        Earlier chronons rebuild the partition from the full entry list.
+        """
+        if chronon >= self._changed:
+            return self._live
+        alive = [e for e in self._entries if e.alive_at(chronon)]
+        alive.sort(key=_ENTRY_KEY)
+        return alive
 
     def route(self, key: Key, chronon: int) -> _NodeBase:
         """The child whose region contains ``key`` at version ``chronon``."""
-        best: IndexEntry | None = None
-        for entry in self._entries:
-            if not entry.alive_at(chronon):
-                continue
-            if entry.key <= key and (best is None or entry.key > best.key):
-                best = entry
-        if best is None:
+        alive = self._partition(chronon)
+        at = bisect_right(alive, key, key=_ENTRY_KEY) - 1
+        if at < 0:
             raise LookupError(
                 f"no route for key {key!r} at version {chronon}"
             )
-        return best.child
+        return alive[at].child
 
     def children_overlapping(
         self, key_low: Key, key_high: Key, chronon: int
     ) -> list[_NodeBase]:
         """Children alive at ``chronon`` whose region intersects
-        ``[key_low, key_high)``.
+        ``[key_low, key_high)``, by region lower bound."""
+        alive = self._partition(chronon)
+        first = max(bisect_right(alive, key_low, key=_ENTRY_KEY) - 1, 0)
+        last = bisect_left(alive, key_high, key=_ENTRY_KEY)
+        return [e.child for e in alive[first:last]]
 
-        The live entries at ``chronon`` partition the node's key region; each
-        child's region is ``[entry.key, next_entry.key)``.
-        """
-        alive = sorted(
-            (e for e in self._entries if e.alive_at(chronon)),
-            key=lambda e: e.key,
-        )
-        out: list[_NodeBase] = []
-        for idx, entry in enumerate(alive):
-            upper = alive[idx + 1].key if idx + 1 < len(alive) else None
-            if upper is not None and upper <= key_low:
-                continue
-            if entry.key >= key_high:
-                break
-            out.append(entry.child)
-        return out
+    def check_live_path(self, live: list[IndexEntry]) -> None:
+        """Assert the live array is exactly ``live`` (the live entries
+        recounted from the entry list) in key order, alive node or dead."""
+        live = sorted(live, key=_ENTRY_KEY)
+        assert len(self._live) == len(live) and all(
+            mine is e for mine, e in zip(self._live, live)
+        ), f"live routing array drifted: {self!r}"
 
     def sizeof(self) -> int:
         from .compression import STANDARD_ENTRY_BYTES, NODE_HEADER_BYTES
@@ -396,8 +459,3 @@ class IndexNode(_NodeBase):
 
 
 Node = _NodeBase
-
-
-def live_partition(entries: Iterable[IndexEntry], chronon: int) -> list[IndexEntry]:
-    """Live routing entries at ``chronon`` sorted by region lower bound."""
-    return sorted((e for e in entries if e.alive_at(chronon)), key=lambda e: e.key)

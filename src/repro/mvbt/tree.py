@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..model.time import MIN_TIME, NOW
 from ..obs import metrics as _metrics
 from .compression import check_packable
 from .entry import IndexEntry, Key, LeafEntry, MIN_KEY
-from .node import IndexNode, LeafNode, Node, live_partition
+from .node import IndexNode, LeafNode, Node
 
 # Update-path instrumentation (no-ops under REPRO_OBS=0).
 _INSERTS = _metrics.counter("mvbt.tree.inserts")
@@ -144,11 +144,13 @@ class MVBT:
             # A plain live leaf would take any entry, and sealing the
             # leaf would fail later, halfway through a version split.
             check_packable(entry)
-        self._advance(time)
+        self.check_time(time)
         path = self._descend(key)
         leaf: LeafNode = path[-1]
         if leaf.has_live(key):
             raise DuplicateKeyError(f"key already live: {key!r}")
+        # Nothing above mutates: a rejected insert leaves no trace.
+        self._now = time
         leaf.append(entry)
         self._live_records += 1
         self._total_versions += 1
@@ -159,11 +161,13 @@ class MVBT:
 
     def delete(self, key: Key, time: int) -> None:
         """Logically delete ``key`` at version ``time``."""
-        self._advance(time)
+        self.check_time(time)
         path = self._descend(key)
         leaf: LeafNode = path[-1]
         if not leaf.end_live(key, time):
+            # The watermark has not moved: a rejected delete leaves no trace.
             raise KeyError(f"key not live: {key!r}")
+        self._now = time
         self._live_records -= 1
         if _metrics.ENABLED:
             _DELETES.inc()
@@ -180,12 +184,13 @@ class MVBT:
         if end != NOW:
             self.delete(key, end)
 
-    def _advance(self, time: int) -> None:
+    def check_time(self, time: int) -> None:
+        """Raise :class:`TimeOrderError` for an operation time behind the
+        watermark (operations arrive in nondecreasing time order)."""
         if time < self._now:
             raise TimeOrderError(
                 f"operation at {time} after watermark {self._now}"
             )
-        self._now = time
 
     # ------------------------------------------------------------- descent
 
@@ -209,7 +214,7 @@ class MVBT:
         donors: list[Node] = [node]
         live = self._snapshot_live(node, time)
         if parent is not None and len(live) < cfg.strong_min:
-            sibling = self._find_live_sibling(parent, node)
+            sibling = parent.live_sibling(node)
             if sibling is not None:
                 donors.append(sibling)
                 live.extend(self._snapshot_live(sibling, time))
@@ -276,22 +281,6 @@ class MVBT:
         for entry in live:
             fresh.append(entry)
         return [fresh]
-
-    def _find_live_sibling(
-        self, parent: IndexNode, node: Node
-    ) -> Node | None:
-        """The live child adjacent (by key region) to ``node``."""
-        alive = live_partition(parent.entries(), self._now)
-        idx = next(
-            (i for i, e in enumerate(alive) if e.child is node), None
-        )
-        if idx is None:
-            return None
-        if idx > 0:
-            return alive[idx - 1].child
-        if idx + 1 < len(alive):
-            return alive[idx + 1].child
-        return None
 
     def _replace_root(self, new_nodes: list[Node], time: int) -> None:
         """Register the successor(s) of a split root (Figure 2(a))."""
@@ -458,8 +447,9 @@ class MVBT:
                 f"block overflow left unresolved: {node!r}"
             )
             live = node.live_count
-            recount = len(node.live_entries())
-            assert live == recount, f"live count drifted: {node!r}"
+            recount = [e for e in node.entries() if e.is_live]
+            assert live == len(recount), f"live count drifted: {node!r}"
+            node.check_live_path(recount)
             if node.is_alive and id(node) not in roots:
                 assert live >= cfg.weak_min, (
                     f"weak version condition violated: {node!r}"
@@ -471,7 +461,7 @@ class MVBT:
 
     def _check_partition(self, node: IndexNode) -> None:
         """Live routing entries must partition the key region."""
-        alive = live_partition(node.entries(), self._now)
+        alive = node.live_entries()
         keys = [e.key for e in alive]
         assert keys == sorted(set(keys)), f"routing keys collide: {node!r}"
         for entry in alive:
@@ -480,16 +470,14 @@ class MVBT:
             )
 
 
-def bulk_load(
-    tree: MVBT,
-    records: Iterator[tuple[Key, int, int]] | list[tuple[Key, int, int]],
-) -> None:
-    """Load interval-encoded records ``(key, start, end)`` into ``tree``.
-
-    Each record is decomposed into an insert at ``start`` and (unless live)
-    a delete at ``end``; the event stream is replayed in time order as the
-    paper's transaction-time construction requires (Section 4.1.2).
-    """
+def change_events(
+    records: Iterable[tuple[Key, int, int]],
+) -> list[tuple[int, int, Key]]:
+    """The transaction-time history of interval-encoded records
+    ``(key, start, end)``: one ``(time, kind, key)`` event per insert
+    (kind 0, at ``start``) and per delete (kind 1, at ``end`` unless
+    live), in the order the paper's construction replays them
+    (Section 4.1.2)."""
     events: list[tuple[int, int, Key]] = []
     for key, start, end in records:
         events.append((start, 0, key))
@@ -498,8 +486,20 @@ def bulk_load(
     # Deletes before inserts at the same chronon so a key can be replaced
     # within one chronon without tripping the duplicate check.
     events.sort(key=lambda e: (e[0], e[1] == 0))
+    return events
+
+
+def replay(tree: MVBT, events: Iterable[tuple[int, int, Key]]) -> None:
+    """Apply time-ordered :func:`change_events` to ``tree``."""
+    insert, delete = tree.insert, tree.delete
     for time, kind, key in events:
         if kind == 0:
-            tree.insert(key, time)
+            insert(key, time)
         else:
-            tree.delete(key, time)
+            delete(key, time)
+
+
+def bulk_load(tree: MVBT, records: Iterable[tuple[Key, int, int]]) -> None:
+    """Load interval-encoded records ``(key, start, end)`` into ``tree`` by
+    replaying their change history in time order."""
+    replay(tree, change_events(records))

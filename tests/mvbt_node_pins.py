@@ -1,0 +1,83 @@
+"""MVBT identity pins: the exact trees ``RDFTX.load`` and live updates build
+on three fixed datasets.
+
+``python tests/mvbt_node_pins.py`` prints the pins as JSON;
+``tests/golden/mvbt_node_pins.json`` holds that output from the commit before
+the MVBT write path got its indexed live entries (PR 14), and
+``tests/test_mvbt_routing.py`` re-runs this script under ``PYTHONHASHSEED=0``
+and compares — the write path may get faster, no node may move.  A pin is the
+SHA-256 of an index's ``dump_state()`` (the whole node table: regions,
+lifetimes, links, entries or packed buffers; node uids are never part of it)
+plus its ``sizeof()``, taken after ``load`` and again after 500 mixed inserts
+and deletes.  The synthetic generators iterate string sets, so the pins only
+hold for the recorded string-hash algorithm.
+"""
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+from repro.datasets import govtrack, wikipedia
+from repro.engine import RDFTX
+from repro.io import load_graph
+from repro.model.time import NOW
+
+GOLDEN_DATASET = Path(__file__).parent / "golden" / "cluster_fig9.tnq"
+UPDATES = 500
+
+
+def _index_pins(engine: RDFTX) -> dict:
+    pins = {}
+    for name, tree in engine.indexes.items():
+        state = json.dumps(
+            tree.dump_state(), sort_keys=True, default=bytes.hex
+        )
+        pins[name] = {
+            "sha256": hashlib.sha256(state.encode()).hexdigest(),
+            "sizeof": tree.sizeof(),
+        }
+    return pins
+
+
+def _apply_updates(engine: RDFTX, graph) -> None:
+    """500 seeded updates at rising chronons: ends of live facts, new values
+    for existing (subject, predicate) pairs, and facts on fresh subjects."""
+    rng = random.Random(12)
+    live = [graph.decode(t) for t in graph if t.period.end == NOW]
+    rng.shuffle(live)
+    time = engine.horizon
+    for serial in range(UPDATES):
+        time += rng.randrange(3)
+        if live and rng.random() < 0.45:
+            fact = live.pop()
+            engine.delete(fact.subject, fact.predicate, fact.object, time)
+        elif live and rng.random() < 0.5:
+            fact = rng.choice(live)
+            engine.insert(fact.subject, fact.predicate, f"pin_{serial}", time)
+        else:
+            engine.insert(f"Pin_{serial}", f"pin_p{serial % 5}",
+                          f"pin_{serial % 17}", time)
+
+
+def _pins(graph) -> dict:
+    engine = RDFTX.from_graph(graph)
+    loaded = _index_pins(engine)
+    _apply_updates(engine, graph)
+    engine.check_invariants()
+    return {"load": loaded, "updates": _index_pins(engine)}
+
+
+def compute() -> dict:
+    return {
+        "hash_algorithm": sys.hash_info.algorithm,
+        "fig9_golden": _pins(load_graph(GOLDEN_DATASET)),
+        "wikipedia_4000_seed7": _pins(wikipedia.generate(4000, seed=7).graph),
+        "govtrack_4000_seed7": _pins(govtrack.generate(4000, seed=7).graph),
+    }
+
+
+if __name__ == "__main__":
+    json.dump(compute(), sys.stdout, indent=1)
+    sys.stdout.write("\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -320,6 +321,67 @@ class TestClusterMaintenance:
             wal = cluster._members[0].primary.directory \
                 / TemporalStore.WAL_NAME
             assert len(read_records(wal)) == 2
+
+
+class TestClusterLoad:
+    """``load_dataset`` loads every shard at once: one thread per member,
+    all joined before the replicas resync or an error surfaces."""
+
+    @staticmethod
+    def _log_rpcs(monkeypatch, fail_shard=None):
+        """Log every client RPC's start and end; loads wait for each other
+        at a two-party barrier, which only opens if both are in flight."""
+        from repro.cluster.coordinator import ShardClient
+        from repro.service.store import StoreError
+
+        log = []
+        barrier = threading.Barrier(2)
+        rpc = ShardClient.rpc
+
+        def logged(self, payload, timeout=None):
+            op = payload["op"]
+            log.append(("start", op))
+            try:
+                if op == "load":
+                    barrier.wait(timeout=10)
+                    if self.directory.name == fail_shard:
+                        raise StoreError("load refused")
+                    time.sleep(0.05)  # the failure wins the race
+                return rpc(self, payload, timeout)
+            finally:
+                log.append(("end", op))
+
+        monkeypatch.setattr(ShardClient, "rpc", logged)
+        return log
+
+    def test_loads_overlap_and_finish_before_the_resync(
+        self, tmp_path, graph, query_mix, monkeypatch
+    ):
+        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+                          fsync=False) as cluster:
+            log = self._log_rpcs(monkeypatch)
+            cluster.load_dataset(graph)
+            assert log.count(("end", "load")) == 2
+            assert log.count(("start", "resync")) == 2
+            last_load = max(
+                i for i, e in enumerate(log) if e == ("end", "load"))
+            assert last_load < log.index(("start", "resync"))
+            assert len(cluster.query(query_mix[0]).rows) > 0
+
+    def test_first_error_is_raised_after_every_load_was_joined(
+        self, tmp_path, graph, monkeypatch
+    ):
+        from repro.service.store import StoreError
+
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            log = self._log_rpcs(monkeypatch, fail_shard="shard-0")
+            with pytest.raises(StoreError, match="load refused"):
+                cluster.load_dataset(graph)
+            # shard 1's load ran to completion before the error surfaced
+            assert log.count(("end", "load")) == 2
+            assert cluster._members[1].primary.rpc(
+                {"op": "status"})["live_facts"] > 0
 
 
 def _walk_spans(span):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.engine import RDFTX
 from repro.model import NOW, Period, PeriodSet, TemporalGraph, date_to_chronon
-from repro.mvbt.tree import MVBTConfig
+from repro.mvbt.tree import DuplicateKeyError, MVBTConfig, TimeOrderError
 from repro.optimizer import Optimizer
 
 D = date_to_chronon
@@ -184,6 +184,55 @@ class TestGraphMaintenance:
             engine.insert("a", "b", "c", NOW)
         with pytest.raises(ValueError):
             engine.delete("Org", "founded", "1868", NOW)
+
+
+class TestRejectedUpdateLeavesNoTrace:
+    """A refused insert/delete must not move any index's watermark, intern
+    a term or change an answer (it used to advance the SPO tree alone, so
+    a later valid update failed with TimeOrderError)."""
+
+    @staticmethod
+    def _state(engine):
+        return (
+            [tree.current_time for tree in engine.indexes.values()],
+            engine.horizon,
+            len(engine.dictionary),
+            len(engine._graph),
+            engine.sizeof(),
+            [engine.query(text).rows for text in ORDER_PROBES.values()],
+            engine.query("SELECT ?s ?p ?o ?t {?s ?p ?o ?t}").rows,
+        )
+
+    def test_rejected_updates_change_nothing(self, engine):
+        engine.insert("Org", "leader", "Alice", D("01/01/2015"))
+        before = self._state(engine)
+        late = D("01/01/2030")
+        with pytest.raises(DuplicateKeyError):
+            engine.insert("Org", "leader", "Alice", late)
+        with pytest.raises(KeyError):
+            engine.delete("Org", "leader", "Bob", late)      # ended in 2010
+        with pytest.raises(KeyError):
+            engine.delete("Org", "leader", "Nobody", late)   # unknown term
+        with pytest.raises(KeyError):
+            engine.delete("Nowhere", "leader", "Alice", late)
+        with pytest.raises(TimeOrderError):
+            engine.insert("Fresh", "fresh", "fresh", D("01/01/2014"))
+        with pytest.raises(TimeOrderError):
+            engine.delete("Org", "leader", "Alice", D("01/01/2014"))
+        assert self._state(engine) == before
+        assert engine.statistics_dirty == 1
+        engine.check_invariants()
+        # The watermark stayed in 2015: an update before the rejected
+        # ones' timestamp is still in order.
+        engine.insert("Org", "leader", "Dan", D("01/01/2020"))
+        assert len(set(t.current_time for t in engine.indexes.values())) == 1
+
+    def test_delete_on_an_engine_never_loaded(self):
+        engine = RDFTX()
+        with pytest.raises(KeyError):
+            engine.delete("a", "b", "c", 5)
+        assert engine.dictionary is None
+        assert engine.horizon == 1
 
 
 class TestConcurrentReads:

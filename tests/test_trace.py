@@ -249,6 +249,30 @@ class TestStatisticsRefreshSpan:
         assert len(buffer) == 0
 
 
+# --------------------------------------------------------------------- load
+
+
+class TestLoadSpans:
+    """Set-up is attributable: a traced ``RDFTX.load`` says how long each
+    index replay, the compression and the statistics build took."""
+
+    def test_load_breaks_down_into_replays_compress_and_rebuild(self, buffer):
+        with trace.start_trace("setup", buffer):
+            engine = TestStatisticsRefreshSpan._engine()
+        (tr,) = buffer.recent()
+        (load,) = tr.root.children
+        assert load.name == "engine.load"
+        # 40 facts, every one ended: an insert and a delete each.
+        assert load.attrs == {"triples": 40, "events": 80}
+        assert [(c.name, c.attrs.get("index")) for c in load.children] == [
+            ("mvbt.bulk_load", "spo"), ("mvbt.bulk_load", "sop"),
+            ("mvbt.bulk_load", "pos"), ("mvbt.bulk_load", "ops"),
+            ("mvbt.compress", None), ("optimizer.rebuild", None),
+        ]
+        assert sum(c.duration_ms for c in load.children) <= load.duration_ms
+        assert all(tree.is_packed for tree in engine.indexes.values())
+
+
 # --------------------------------------------------------------- kill switch
 
 
