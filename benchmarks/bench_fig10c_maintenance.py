@@ -3,8 +3,9 @@
 Paper: replaying a 68% insert / 32% delete update stream, updates on the
 compressed index cost only ~5% more than on the standard index — negligible
 against the 76% space saving.  The table also carries both indexes' sizes
-before and after the stream: version splits on the compressed index seal
-the leaves they kill, so the saving Figure 8 reports survives maintenance.
+before and after the stream: version splits on the compressed index
+create their leaves packed and updates edit the packed pages, so the
+saving Figure 8 reports survives maintenance.
 """
 
 from repro.bench.experiments import experiment_fig10c

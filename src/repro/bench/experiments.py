@@ -308,9 +308,10 @@ def experiment_fig10c():
 
     Replays an update stream (68% inserts / 32% deletes, the mix measured
     on the real edit history) against a standard and a compressed index,
-    and records each index's size before and after the stream: the
-    compressed index seals the leaves its version splits kill, so what
-    Figure 8 measures at load is still what is being maintained here.
+    and records each index's size before and after the stream: every leaf
+    of the compressed index is a packed page from birth and is edited in
+    place, so what Figure 8 measures at load is still what is being
+    maintained here.
     """
     n = scaled(16000)
     updates = max(n // 8, 400)

@@ -44,13 +44,20 @@ entry lists are kept only for *hot* leaves, under a process-wide budget (see
 ``docs/compression.md``); the ``REPRO_PACKED_SCAN`` switch selects adaptive
 packed scanning (``1``/``auto``, the default), legacy decode-then-filter
 (``0``), or always-packed (``2``/``force``) for A/B and identity runs.
+
+It is the **edit substrate** too: every leaf of a compressed tree is such a
+buffer from birth, and a live one carries an out-of-band *live index*
+(:class:`CompressedLeafStore`) so the duplicate check is a dict probe and a
+delete steps from the nearest restart mark to its record and rewrites it in
+place instead of decoding the leaf from its first byte.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Iterable, Iterator
+from array import array
+from typing import Any, Iterable
 
 from ..model.time import NOW
 from ..obs import metrics as _metrics
@@ -65,6 +72,11 @@ _BYTES_DECODED = _metrics.counter("mvbt.compression.bytes_decoded")
 # buffer, and the entries those scans filtered out without materializing.
 _PACKED_SCANS = _metrics.counter("mvbt.compression.packed_scans")
 _PACKED_SKIPPED = _metrics.counter("mvbt.compression.packed_entries_skipped")
+# Write-path instrumentation: records an edit of a packed leaf had to look
+# at — one full walk to build the live index of a leaf that was loaded or
+# restored, then at most ``MARK_EVERY + 1`` per delete (headers skipped
+# from the mark, the target, its follower) and none per duplicate check.
+_SEEK_RECORDS = _metrics.counter("mvbt.compression.seek_records")
 
 #: Simulated storage-layout size of an uncompressed entry: five 64-bit values
 #: plus a pointer/flag word (see DESIGN.md; Python heap sizes would distort
@@ -76,6 +88,15 @@ NODE_HEADER_BYTES = 64
 
 #: Interval lengths up to this bound use the "short interval" te rule.
 SHORT_INTERVAL_LIMIT = 0xFFFF
+
+#: A live leaf's index keeps a restart mark (a byte offset) every this
+#: many records, so a delete steps over at most ``MARK_EVERY - 1`` record
+#: headers to reach its target.  A constant, not a knob: the bytes do not
+#: depend on it (marks are out of band).  Of 4, 8 and 16 none is
+#: measurably faster — stepping over a header costs about what moving a
+#: mark does — so the middle one is taken (table in
+#: ``docs/compression.md``).
+MARK_EVERY = 8
 
 _LEN_CODE_TO_BYTES = (0, 1, 2, 4)
 
@@ -186,6 +207,21 @@ _BITS_OF_CODE = tuple(8 * width for width in _LEN_CODE_TO_BYTES)
 _MASK_OF_CODE = tuple((1 << bits) - 1 for bits in _BITS_OF_CODE)
 
 
+#: Record length from the header alone.  By first byte: a compact record's
+#: whole length, or a normal record's two header bytes plus its key block
+#: (both headers keep three length codes in bits 6-1); by a normal record's
+#: second byte: its time block.
+_LEN_BY_FIRST = tuple(
+    (1 if first & 0x80 else 2)
+    + sum(_LEN_CODE_TO_BYTES[(first >> shift) & 0x3] for shift in (5, 3, 1))
+    for first in range(256)
+)
+_LEN_BY_SECOND = tuple(
+    _LEN_CODE_TO_BYTES[second >> 6] + _LEN_CODE_TO_BYTES[(second >> 4) & 0x3]
+    for second in range(256)
+)
+
+
 def check_packable(entry: LeafEntry) -> None:
     """Raise :class:`CompressionError` unless the codec can hold ``entry``
     (a 3-part key, no payload)."""
@@ -193,6 +229,16 @@ def check_packable(entry: LeafEntry) -> None:
         raise CompressionError("compressed leaves carry no payloads")
     if len(entry.key) != 3:
         raise CompressionError("compressed leaves need 3-part keys")
+
+
+def _end_field(start: int, end: int, base_te: int) -> tuple[int, int]:
+    """The ``(te flag, te value)`` of an ended entry: its interval length
+    when that is short, else the zigzagged delta against the node's base
+    end."""
+    if end - start <= SHORT_INTERVAL_LIMIT:
+        return 1, end - start
+    d = end - base_te
+    return 2, d << 1 if d >= 0 else ~(d << 1)
 
 
 def _pack(
@@ -282,13 +328,9 @@ def _pack(
                         d3, l3, header = d, code, header | 0x4
                 if te == NOW:
                     te_value = 0
-                elif te - ts <= SHORT_INTERVAL_LIMIT:
-                    header |= 1
-                    te_value = te - ts
                 else:
-                    header |= 2
-                    d = te - base_te
-                    te_value = d << 1 if d >= 0 else ~(d << 1)
+                    flag, te_value = _end_field(ts, te, base_te)
+                    header |= flag
                 lts = codes[ts_delta.bit_length()]
                 lte = codes[te_value.bit_length()]
                 b1 = bits[l1]
@@ -323,15 +365,16 @@ def _records(
     base_v: tuple[int, int, int],
     base_ts: int,
     base_te: int,
-) -> Iterator[tuple[int, Key, int, int]]:
-    """Walk a packed buffer, yielding ``(stop, key, start, end)`` per
-    entry, ``stop`` being the offset one past the entry's last byte.
+) -> list[tuple[int, Key, int, int]]:
+    """Decode a packed buffer into ``(stop, key, start, end)`` per entry,
+    ``stop`` being the offset one past the entry's last byte.
 
-    The store's own decoder — full decodes, the duplicate check and the
-    delete splice all ride it (lazily: a consumer that found its entry
-    stops paying).  Scans use :func:`scan_packed`, which filters inline
-    and never builds a tuple for an entry it rejects.
+    The store's own decoder: full decodes and the live-index walk ride it.
+    Scans use :func:`scan_packed`, which filters inline and never builds a
+    tuple for an entry it rejects.
     """
+    out = []
+    append = out.append
     pos = 0
     size = len(buf)
     bits = _BITS_OF_CODE
@@ -394,7 +437,42 @@ def _records(
             else:
                 end = base_te + ((te_raw >> 1) ^ -(te_raw & 1))
         pos = stop
-        yield pos, (k1, k2, k3), start, end
+        append((pos, (k1, k2, k3), start, end))
+    return out
+
+
+def _skip(buf: bytes, pos: int, count: int) -> int:
+    """The offset ``count`` records past the record at ``pos``, by header
+    lengths alone: nothing is decoded."""
+    by_first = _LEN_BY_FIRST
+    while count:
+        count -= 1
+        first = buf[pos]
+        if first < 0x80:
+            pos += _LEN_BY_SECOND[buf[pos + 1]]
+        pos += by_first[first]
+    return pos
+
+
+def _compact_deltas(buf: bytes, pos: int) -> tuple[int, int, int, int]:
+    """``(stop, d2, d3, dts)`` of the compact record at ``pos``: where it
+    ends, and its ``v2``, ``v3`` and ``ts`` relative to its predecessor's
+    (it shares ``v1`` and is live)."""
+    first = buf[pos]
+    c3 = (first >> 3) & 0x3
+    cts = (first >> 1) & 0x3
+    stop = pos + _LEN_BY_FIRST[first]
+    raw = int.from_bytes(buf[pos + 1 : stop], "big")
+    dts = raw & _MASK_OF_CODE[cts]
+    raw >>= _BITS_OF_CODE[cts]
+    d3 = raw & _MASK_OF_CODE[c3]
+    d2 = raw >> _BITS_OF_CODE[c3]
+    return (
+        stop,
+        (d2 >> 1) ^ -(d2 & 1),
+        (d3 >> 1) ^ -(d3 & 1),
+        (dts >> 1) ^ -(dts & 1),
+    )
 
 
 def scan_packed(
@@ -502,7 +580,18 @@ def scan_packed(
 
 
 class CompressedLeafStore:
-    """Byte-buffer backend of a compressed MVBT leaf."""
+    """Byte-buffer backend of a compressed MVBT leaf.
+
+    In a packed tree a leaf *is* this buffer.  A live one also carries a
+    **live index** for the write path — ``key -> record ordinal`` of its
+    live entries, every record's start version by ordinal, and a restart
+    mark (a byte offset) every :data:`MARK_EVERY` records — handed over by
+    the split that packed the leaf (:meth:`index`) or built by one decode
+    walk on the first write after a load or restore, kept current by
+    :meth:`append` and :meth:`end_live`, dropped by :meth:`seal`.  The
+    index is derived from the bytes: never serialized, not part of
+    :meth:`sizeof`.
+    """
 
     __slots__ = (
         "_buf",
@@ -515,69 +604,100 @@ class CompressedLeafStore:
         "_decoded",
         "_uses",
         "_memo_charge",
+        "_live",
+        "_starts",
+        "_marks",
     )
 
     def __init__(self, entries: list[LeafEntry]) -> None:
-        base_v1 = base_v2 = base_v3 = base_ts = base_te = top_ts = 0
-        if entries:
-            # One pass for the node bases (minima; ``base_te`` over the
-            # finite ends only) and the checkpoint (largest ts).
-            first = entries[0]
-            check_packable(first)
-            base_v1, base_v2, base_v3 = first.key
-            base_ts = top_ts = first.start
-            base_te = NOW
-            for entry in entries:
-                check_packable(entry)
-                k1, k2, k3 = entry.key
+        self._buf = bytearray()
+        self.count = 0
+        self._decoded: tuple[LeafEntry, ...] | None = None
+        self._uses = 0
+        self._memo_charge = 0
+        #: The live index (all None until a write needs it): ``key ->
+        #: ordinal`` of the live records; the start version of every
+        #: record by ordinal (with the key, all a version split or a
+        #: delete needs of a live entry: no decode); and the byte offset
+        #: of record ``i * MARK_EVERY`` for every ``i`` up to and
+        #: including the block the next append opens.
+        self._live: dict[Key, int] | None = None
+        self._starts: array | None = None
+        self._marks: list[int] | None = None
+        self._rebase(entries)
+        #: ``(key, start, end)`` of the last entry: what the next append
+        #: delta-encodes against.
+        self._last = _pack(
+            self._buf, entries, None,
+            *self._base_v, self._base_ts, self._base_te,
+        )
+        self.count = len(entries)
+
+    def _rebase(self, entries: Iterable[LeafEntry]) -> None:
+        """Take the node bases (minima; ``base_te`` over the finite ends
+        only) and the checkpoint (largest ts) from ``entries``, the first
+        contents of an empty buffer, in one pass."""
+        base_v1 = base_v2 = base_v3 = base_ts = top_ts = 0
+        base_te = NOW
+        first = True
+        for entry in entries:
+            check_packable(entry)
+            k1, k2, k3 = entry.key
+            ts = entry.start
+            if first:
+                first = False
+                base_v1, base_v2, base_v3 = k1, k2, k3
+                base_ts = top_ts = ts
+            else:
                 if k1 < base_v1:
                     base_v1 = k1
                 if k2 < base_v2:
                     base_v2 = k2
                 if k3 < base_v3:
                     base_v3 = k3
-                ts = entry.start
                 if ts < base_ts:
                     base_ts = ts
                 elif ts > top_ts:
                     top_ts = ts
-                if entry.end < base_te:
-                    base_te = entry.end
-            if base_te == NOW:
-                base_te = 0
+            if entry.end < base_te:
+                base_te = entry.end
         self._base_v = (base_v1, base_v2, base_v3)
         self._base_ts = base_ts
-        self._base_te = base_te
+        self._base_te = 0 if base_te == NOW else base_te
         self._checkpoint_ts = top_ts
-        self._buf = bytearray()
-        #: ``(key, start, end)`` of the last entry: what the next append
-        #: delta-encodes against.
-        self._last = _pack(
-            self._buf, entries, None,
-            base_v1, base_v2, base_v3, base_ts, base_te,
-        )
-        self.count = len(entries)
-        self._decoded: tuple[LeafEntry, ...] | None = None
-        self._uses = 0
-        self._memo_charge = 0
 
     # --------------------------------------------------------------- encode
 
     def append(self, entry: LeafEntry) -> None:
-        """Delta-encode ``entry`` against the checkpoint (last) entry."""
-        check_packable(entry)
+        """Delta-encode ``entry`` against the checkpoint (last) entry; the
+        first entry of an empty buffer brings the node bases with it."""
+        count = self.count
+        if count:
+            check_packable(entry)
+        else:
+            self._rebase((entry,))
+        buf = self._buf
         self._last = _pack(
-            self._buf, (entry,), self._last,
+            buf, (entry,), self._last,
             *self._base_v, self._base_ts, self._base_te,
         )
-        if entry.start > self._checkpoint_ts:
-            self._checkpoint_ts = entry.start
-        self.count += 1
-        self._invalidate()
+        start = entry.start
+        if start > self._checkpoint_ts:
+            self._checkpoint_ts = start
+        live = self._live
+        if live is not None:
+            if entry.end == NOW:
+                live[entry.key] = count
+            self._starts.append(start)
+            if (count + 1) % MARK_EVERY == 0:
+                self._marks.append(len(buf))  # where the next block opens
+        self.count = count + 1
+        if self._decoded is not None:
+            self._invalidate()
 
     # --------------------------------------------------------------- decode
 
-    def _records(self) -> Iterator[tuple[int, Key, int, int]]:
+    def _records(self) -> list[tuple[int, Key, int, int]]:
         # ``bytes`` indexes and slices measurably faster than a
         # ``bytearray`` or ``memoryview`` in the decoder's hot loop; the
         # copy is one memcpy and the buffer is never large.
@@ -697,53 +817,162 @@ class CompressedLeafStore:
 
     # ------------------------------------------------------------- mutation
 
+    def index(self, entries: list[LeafEntry]) -> None:
+        """Take the live index from ``entries``, which the buffer was just
+        packed from: a leaf born from a split is written to at once and
+        need not decode what its maker had in hand."""
+        self._set_index([(e.key, e.start, e.end) for e in entries])
+
+    def _set_index(self, rows: list[tuple[Key, int, int]]) -> None:
+        """Build the live index from ``rows``, the ``(key, start, end)``
+        of every record in buffer order."""
+        self._live = {
+            key: ordinal
+            for ordinal, (key, _, end) in enumerate(rows) if end == NOW
+        }
+        self._starts = array("q", [start for _, start, _ in rows])
+        buf = bytes(self._buf)
+        marks = [0]
+        for _ in range(len(rows) // MARK_EVERY):
+            marks.append(_skip(buf, marks[-1], MARK_EVERY))
+        self._marks = marks
+
+    def _walk_index(self) -> dict[Key, int]:
+        """Build the live index by the one full decode walk a loaded or
+        restored leaf pays in a process (none if it is never written)."""
+        self._set_index([row[1:] for row in self._records()])
+        if _metrics.ENABLED:
+            _SEEK_RECORDS.inc(self.count)
+        return self._live
+
+    def seal(self) -> None:
+        """Drop the live index: the leaf died and takes no more writes (a
+        sealed leaf is its byte buffer and nothing else)."""
+        self._live = self._starts = self._marks = None
+
+    def check_index(self, sealed: bool) -> None:
+        """Assert the live index is gone from a ``sealed`` leaf and
+        otherwise, if built, is what a full decode of the bytes gives
+        (``MVBT.check_invariants``)."""
+        if self._live is None:
+            return
+        assert not sealed, "live index outlived its leaf"
+        records = self._records()
+        assert (
+            self._live == {
+                key: ordinal
+                for ordinal, (_, key, _, end) in enumerate(records)
+                if end == NOW
+            }
+            and list(self._starts) == [start for _, _, start, _ in records]
+            and self._marks == [0] + [
+                stop for stop, _, _, _ in records[MARK_EVERY - 1::MARK_EVERY]
+            ]
+        ), "live index drifted from the leaf's bytes"
+
     def has_live(self, key: Key) -> bool:
-        """Whether ``key`` has a live entry — a walk over the bytes that
-        builds no entry objects and leaves the read memo and its use
-        count alone (the insert path's duplicate check)."""
-        for _, found, _, end in self._records():
-            if end == NOW and found == key:
-                return True
-        return False
+        """Whether ``key`` has a live entry (the insert path's duplicate
+        check): a probe of the live index, which leaves the read memo and
+        its use count alone."""
+        live = self._live
+        if live is None:
+            live = self._walk_index()
+        return key in live
+
+    def live_entries(self) -> list[LeafEntry]:
+        """Fresh copies of the live entries in buffer order — what a
+        version split carries over — read off the live index: nothing is
+        decoded again and the read memo is not involved."""
+        live = self._live
+        if live is None:
+            live = self._walk_index()
+        starts = self._starts
+        return [
+            LeafEntry(key, starts[ordinal], NOW, None)
+            for key, ordinal in live.items()
+        ]
 
     def end_live(self, key: Key, end: int) -> bool:
-        """Set the end version of the live ``key`` entry by re-encoding
-        the two entries that can change and splicing them in
-        (Section 4.2.2).
+        """Set the end version of the live ``key`` entry by rewriting the
+        two records that can change and splicing them in (Section 4.2.2).
 
-        An entry's encoding depends only on itself, its immediate
+        The live index names the record and its start version; from the
+        restart mark before it at most ``MARK_EVERY - 1`` headers are
+        stepped over to reach it, and nothing before it is decoded.  An
+        entry's encoding depends only on itself, its immediate
         predecessor and the node base values, so ending an entry changes
-        its own bytes (the ``te`` rule) and at most its successor's
-        (compact-header eligibility needs a live predecessor); every
-        other byte stays where it is, and the result equals a full
-        re-encode of the post-delete sequence.  The walk decodes into
-        fresh values, never the shared memo, so a reader holding a
-        previously returned tuple keeps seeing the pre-delete state; the
-        memo is invalidated after the splice.
+        its own bytes and at most its successor's; every other byte stays
+        where it is, and the result equals a full re-encode of the
+        post-delete sequence:
+
+        * a normal target keeps its key and start bytes and gains the
+          ``te`` field (two header fields and the trailing bytes);
+        * a compact target or follower — compact needs the entry and its
+          predecessor both live — is re-encoded as a normal record.  Its
+          own deltas give all that takes: a compact record shares ``v1``
+          with its predecessor and holds ``v2``, ``v3`` and ``ts``
+          relative to it.
+
+        Later marks move by the change in length.  Nothing is written to
+        the shared memo, so a reader holding a previously returned tuple
+        keeps seeing the pre-delete state; the memo is invalidated after
+        the splice.
         """
-        records = self._records()
-        cut = 0
-        prev = None
-        for stop, found, start, te in records:
-            if te == NOW and found == key:
-                break
-            cut, prev = stop, (found, start, te)
-        else:
+        live = self._live
+        if live is None:
+            live = self._walk_index()
+        ordinal = live.get(key)
+        if ordinal is None:
             return False
-        changed = [LeafEntry(key, start, end, None)]
-        follower = next(records, None)
-        if follower is not None:
-            stop, found, start, te = follower
-            changed.append(LeafEntry(found, start, te, None))
+        buf = bytes(self._buf)
+        base_te = self._base_te
+        start = self._starts[ordinal]
+        mark, skip = divmod(ordinal, MARK_EVERY)
+        at = _skip(buf, self._marks[mark], skip)
+        k1, k2, k3 = key
+        prev = ended = (key, start, end)
         patch = bytearray()
-        last = _pack(
-            patch, changed, prev,
-            *self._base_v, self._base_ts, self._base_te,
-        )
-        self._buf[cut:stop] = patch
-        if follower is None:
-            self._last = last
-        self._invalidate()
+        redo = []
+        if buf[at] & 0x80:
+            stop, d2, d3, _ = _compact_deltas(buf, at)
+            prev = ((k1, k2 - d2, k3 - d3), 0, NOW)
+            redo.append(LeafEntry(key, start, end, None))
+        else:
+            stop = _skip(buf, at, 1)
+            flag, value = _end_field(start, end, base_te)
+            try:
+                code = _CODE_OF_BITS[value.bit_length()]
+            except IndexError:
+                raise CompressionError("delta too large to encode") from None
+            patch += buf[at:stop]
+            patch[1] |= (code << 4) | flag
+            patch += value.to_bytes(_LEN_CODE_TO_BYTES[code], "big")
+        seen = skip + 1
+        last = ordinal + 1 == self.count
+        if not last and buf[stop] & 0x80:
+            seen += 1
+            stop, d2, d3, dts = _compact_deltas(buf, stop)
+            redo.append(
+                LeafEntry((k1, k2 + d2, k3 + d3), start + dts, NOW, None)
+            )
+        if redo:
+            _pack(patch, redo, prev, *self._base_v, self._base_ts, base_te)
+        # Nothing above mutates: an end the codec cannot hold has raised.
+        if last:
+            self._last = ended
+        shift = len(patch) - (stop - at)
+        self._buf[at:stop] = patch
+        marks = self._marks
+        marks[mark + 1:] = [offset + shift for offset in marks[mark + 1:]]
+        if skip + 1 == MARK_EVERY:
+            # The next mark is the follower's: right behind the rewritten
+            # target, wherever the splice as a whole ends.
+            marks[mark + 1] = at + _skip(patch, 0, 1)
+        del live[key]
+        if _metrics.ENABLED:
+            _SEEK_RECORDS.inc(seen)
+        if self._decoded is not None:
+            self._invalidate()
         return True
 
     def sizeof(self) -> int:
@@ -782,4 +1011,5 @@ class CompressedLeafStore:
         store._decoded = None
         store._uses = 0
         store._memo_charge = 0
+        store._live = store._starts = store._marks = None
         return store

@@ -8,9 +8,9 @@ period*) — the predecessor chain reconstructs full intervals across splits.
 
 Leaf nodes have two interchangeable storage backends: a plain entry list and
 the delta-compressed byte buffer of Section 4.2 (only leaves are compressed,
-matching the paper's trade-off).  In a compressed tree a leaf is plain only
-while it is alive and was born from a split; it is packed at load or at
-death (``docs/compression.md``).
+matching the paper's trade-off).  A tree uses one of them throughout: in a
+compressed tree every leaf is its byte buffer from birth to death
+(``docs/compression.md``).
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ class _NodeBase:
     def is_alive(self) -> bool:
         return self.death == NOW
 
-    def kill(self, time: int, pack: bool = False) -> None:
+    def kill(self, time: int) -> None:
         """End the node's lifetime at version ``time`` — the one place
-        ``death`` is set.  A dead node never changes again; ``pack`` (the
-        tree is compressed) lets a leaf take its final, packed form."""
+        ``death`` is set.  A dead node never changes again."""
         self.death = time
 
     def lifetime_overlaps(self, t1: int, t2: int) -> bool:
@@ -118,10 +117,24 @@ class LeafNode(_NodeBase):
         self._store: "CompressedLeafStore | None" = None
         self._live_count = 0
         #: ``key -> entry`` over the live entries while the leaf is alive
-        #: and plain, i.e. while it is written to; dropped (None) for good
-        #: when it dies or is packed.  Derived from ``_entries``: never
-        #: serialized, not part of :meth:`sizeof`.
+        #: and plain; dropped (None) for good when it dies or is packed (a
+        #: packed leaf's store keeps its own live index).  Derived from
+        #: ``_entries``: never serialized, not part of :meth:`sizeof`.
         self._live: dict[Key, LeafEntry] | None = {}
+
+    @classmethod
+    def packed(cls, key_low: Key, start: int,
+               entries: list[LeafEntry]) -> "LeafNode":
+        """A leaf of a compressed tree, packed from birth: ``entries`` (its
+        birth set) are encoded once, bases taken from them, and the store
+        takes its live index from them too — the split that makes a leaf
+        is about to write to it."""
+        leaf = cls(key_low, start)
+        for entry in entries:
+            leaf.append(entry)
+        leaf.compress()
+        leaf._store.index(entries)
+        return leaf
 
     # -------------------------------------------------------------- storage
 
@@ -155,13 +168,13 @@ class LeafNode(_NodeBase):
         if self.is_alive:
             self._live = {e.key: e for e in self._entries if e.end == NOW}
 
-    def kill(self, time: int, pack: bool = False) -> None:
-        """Die at ``time``; in a compressed tree, seal: the entry list is
-        encoded once into the byte buffer it keeps from then on."""
+    def kill(self, time: int) -> None:
+        """Die at ``time``: no more writes, so the write path's live map
+        (plain) or live index (packed) goes."""
         super().kill(time)
         self._live = None
-        if pack:
-            self.compress()
+        if self._store is not None:
+            self._store.seal()
 
     # --------------------------------------------------------------- access
 
@@ -227,14 +240,20 @@ class LeafNode(_NodeBase):
         return self._live_count
 
     def live_entries(self) -> list[LeafEntry]:
+        """The live entries; of a packed live leaf, fresh copies read off
+        its live index (a dead leaf has none: it decodes)."""
+        if self._store is not None and self.death == NOW:
+            return self._store.live_entries()
         return [e for e in self.entries() if e.is_live]
 
     def has_live(self, key: Key) -> bool:
-        """Whether ``key`` is live in this live leaf (keys are unique per
-        version)."""
-        if self._store is not None:
+        """Whether ``key`` has a live entry (keys are unique per version):
+        a probe of the live map or index while the leaf is alive."""
+        if self._live is not None:
+            return key in self._live
+        if self.death == NOW:
             return self._store.has_live(key)
-        return key in self._live
+        return any(e.key == key for e in self.live_entries())
 
     # ------------------------------------------------------------- mutation
 
@@ -266,7 +285,10 @@ class LeafNode(_NodeBase):
     def check_live_path(self, live: list[LeafEntry]) -> None:
         """Assert the live map is exactly ``live`` (the live entries
         recounted from the entry list) — the same objects, since a logical
-        delete writes through the map."""
+        delete writes through the map; a packed leaf's store audits its
+        live index against its own bytes."""
+        if self._store is not None:
+            self._store.check_index(sealed=not self.is_alive)
         if self._store is not None or not self.is_alive:
             assert self._live is None, f"live map outlived its leaf: {self!r}"
             return

@@ -25,7 +25,6 @@ from typing import Any, Iterable, Iterator
 
 from ..model.time import MIN_TIME, NOW
 from ..obs import metrics as _metrics
-from .compression import check_packable
 from .entry import IndexEntry, Key, LeafEntry, MIN_KEY
 from .node import IndexNode, LeafNode, Node
 
@@ -100,8 +99,8 @@ class MVBT:
         self._now = MIN_TIME
         self._live_records = 0
         self._total_versions = 0
-        #: Set by :meth:`compress`, cleared by :meth:`decompress`: leaves
-        #: of a packed tree are sealed into byte buffers as they die.
+        #: Set by :meth:`compress`, cleared by :meth:`decompress`: every
+        #: leaf of a packed tree is a byte buffer, from birth.
         self._packed = False
 
     # ------------------------------------------------------------ accessors
@@ -140,18 +139,15 @@ class MVBT:
     def insert(self, key: Key, time: int, payload: Any = None) -> None:
         """Insert ``key`` at version ``time`` (live until deleted)."""
         entry = LeafEntry(key, time, NOW, payload)
-        if self._packed:
-            # A plain live leaf would take any entry, and sealing the
-            # leaf would fail later, halfway through a version split.
-            check_packable(entry)
         self.check_time(time)
         path = self._descend(key)
         leaf: LeafNode = path[-1]
         if leaf.has_live(key):
             raise DuplicateKeyError(f"key already live: {key!r}")
-        # Nothing above mutates: a rejected insert leaves no trace.
-        self._now = time
+        # A packed leaf refuses what its codec cannot hold before it
+        # changes; nothing above mutates: a rejected insert leaves no trace.
         leaf.append(entry)
+        self._now = time
         self._live_records += 1
         self._total_versions += 1
         if _metrics.ENABLED:
@@ -237,7 +233,7 @@ class MVBT:
         elif new_nodes:
             new_nodes[0].key_high = key_high
         for donor in donors:
-            donor.kill(time, self._packed)
+            donor.kill(time)
         for fresh in new_nodes:
             fresh.predecessors = list(donors)
 
@@ -254,33 +250,31 @@ class MVBT:
         """Copies of the live entries with start clamped to the split time
         never above the raw start (copies keep their raw start; the node
         lifetime clamping at read time reconstructs the pieces)."""
-        copies = []
-        for entry in node.live_entries():
-            copy = entry.copy() if node.is_leaf else IndexEntry(
-                entry.key, entry.start, entry.end, entry.child
-            )
-            copies.append(copy)
-        return copies
+        live = node.live_entries()
+        if not node.is_leaf:
+            return [IndexEntry(e.key, e.start, e.end, e.child) for e in live]
+        if node.is_compressed:
+            return live  # read off the packed bytes: fresh objects already
+        return [e.copy() for e in live]
 
     def _build_nodes(
         self, is_leaf: bool, live: list, key_low: Key, time: int
     ) -> list[Node]:
-        """Pack sorted live entries into one or two strong-condition nodes."""
-        cfg = self.config
-        make = LeafNode if is_leaf else IndexNode
-        if len(live) > cfg.strong_max:
+        """Pack sorted live entries into one or two strong-condition
+        nodes; the leaves of a compressed tree are born packed."""
+        parts = [(key_low, live)]
+        if len(live) > self.config.strong_max:
             mid = len(live) // 2
-            left = make(key_low, time)
-            right = make(live[mid].key, time)
-            for entry in live[:mid]:
-                left.append(entry)
-            for entry in live[mid:]:
-                right.append(entry)
-            return [left, right]
-        fresh = make(key_low, time)
-        for entry in live:
-            fresh.append(entry)
-        return [fresh]
+            parts = [(key_low, live[:mid]), (live[mid].key, live[mid:])]
+        if is_leaf and self._packed:
+            return [LeafNode.packed(low, time, part) for low, part in parts]
+        nodes = []
+        for low, part in parts:
+            fresh = LeafNode(low, time) if is_leaf else IndexNode(low, time)
+            for entry in part:
+                fresh.append(entry)
+            nodes.append(fresh)
+        return nodes
 
     def _replace_root(self, new_nodes: list[Node], time: int) -> None:
         """Register the successor(s) of a split root (Figure 2(a))."""
@@ -351,9 +345,8 @@ class MVBT:
 
     def compress(self) -> None:
         """Delta-compress every leaf node (Section 4.2) and keep the
-        history compressed from here on: later version splits seal the
-        leaves they kill, while the leaves they create stay plain for as
-        long as they are written to."""
+        tree compressed from here on: version splits create their leaves
+        packed, and writes edit the packed bytes."""
         for leaf in self.leaf_nodes():
             leaf.compress()
         self._packed = True
@@ -429,7 +422,10 @@ class MVBT:
         packed = state.get("packed")
         if packed is None:
             packed = any(n.is_leaf and n.is_compressed for n in shells)
-        tree._packed = packed
+        if packed:
+            # Snapshots written while split-born leaves stayed plain
+            # until they died: pack those now (a no-op on a packed leaf).
+            tree.compress()
         return tree
 
     # ----------------------------------------------------------------- audit
@@ -456,8 +452,10 @@ class MVBT:
                 )
             if not node.is_leaf and node.is_alive:
                 self._check_partition(node)
-            if self._packed and node.is_leaf and not node.is_alive:
-                assert node.is_compressed, f"dead leaf left plain: {node!r}"
+            if self._packed and node.is_leaf:
+                assert node.is_compressed, (
+                    f"plain leaf in a packed tree: {node!r}"
+                )
 
     def _check_partition(self, node: IndexNode) -> None:
         """Live routing entries must partition the key region."""

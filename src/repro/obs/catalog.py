@@ -68,6 +68,8 @@ COUNTER_HELP: dict[str, str] = {
     "mvbt.compression.packed_entries_skipped":
         "entries filtered by packed scans without materializing",
     "mvbt.compression.packed_scans": "leaf scans answered over packed bytes",
+    "mvbt.compression.seek_records":
+        "records looked at by packed-leaf edits (live-index walks + seeks)",
     "mvbt.scan.entries_examined": "entries touched by scans",
     "mvbt.scan.entries_emitted": "entries passing scan predicates",
     "mvbt.scan.entries_pruned": "entries skipped by pruning",

@@ -72,8 +72,7 @@ def tree_report(tree) -> dict:
 
     nodes = leaves = index_nodes = live_nodes = 0
     entries = live_entries = 0
-    compressed_leaves = live_leaves = 0
-    sealed_leaves = live_plain_leaves = 0
+    compressed_leaves = live_leaves = sealed_leaves = 0
     live_leaf_entries = 0
     size_bytes = 0
     uncompressed_bytes = 0
@@ -93,8 +92,6 @@ def tree_report(tree) -> dict:
             if node.is_alive:
                 live_leaves += 1
                 live_leaf_entries += node.live_count
-                if not node.is_compressed:
-                    live_plain_leaves += 1
             elif node.is_compressed:
                 sealed_leaves += 1
         else:
@@ -111,16 +108,11 @@ def tree_report(tree) -> dict:
         "live_entries": live_entries,
         "live_ratio": live_entries / entries if entries else 0.0,
         "compressed_leaves": compressed_leaves,
-        "uncompressed_leaves": leaves - compressed_leaves,
-        # A leaf of a packed tree is plain only while it takes writes;
-        # it is packed at load or sealed at death, so a dead plain leaf
-        # there is an anomaly.
+        # Every leaf of a packed tree is a byte buffer from birth (sealed
+        # = dead ones), so a plain leaf there is an anomaly.
         "packed": tree.is_packed,
         "sealed_leaves": sealed_leaves,
-        "live_plain_leaves": live_plain_leaves,
-        "dead_plain_leaves": (
-            leaves - compressed_leaves - live_plain_leaves
-        ),
+        "plain_leaves": leaves - compressed_leaves,
         "live_leaves": live_leaves,
         "live_leaf_fill": (
             live_leaf_entries / (live_leaves * capacity)
@@ -198,9 +190,9 @@ def find_anomalies(report: dict) -> list[str]:
             f"(possible index corruption)"
         )
     for name, tree in indexes.items():
-        if tree["packed"] and tree["dead_plain_leaves"]:
+        if tree["packed"] and tree["plain_leaves"]:
             warnings.append(
-                f"index {name}: {tree['dead_plain_leaves']} dead leaf/leaves "
+                f"index {name}: {tree['plain_leaves']} leaf/leaves "
                 f"not delta-compressed (partial compression)"
             )
         if tree["live_leaves"] and tree["live_leaf_fill"] < LOW_FILL:

@@ -3,7 +3,7 @@
 A snapshot is the durable image the serving layer checkpoints to: the
 dictionary, the four compressed MVBT forests (raw leaf buffers included, so
 restore pays no re-encode, and each tree's packed flag, so the restored
-index keeps sealing the leaves it kills), the maintained temporal graph,
+index keeps creating its leaves packed), the maintained temporal graph,
 and — when an optimizer is attached — its temporal histogram.  Together
 with the WAL (:mod:`repro.service.wal`) it gives crash recovery: load the
 snapshot, replay the log records past the snapshot's ``last_lsn``.

@@ -2,15 +2,16 @@
 on three fixed datasets.
 
 ``python tests/mvbt_node_pins.py`` prints the pins as JSON;
-``tests/golden/mvbt_node_pins.json`` holds that output from the commit before
-the MVBT write path got its indexed live entries (PR 14), and
+``tests/golden/mvbt_node_pins.json`` holds that output and
 ``tests/test_mvbt_routing.py`` re-runs this script under ``PYTHONHASHSEED=0``
 and compares — the write path may get faster, no node may move.  A pin is the
 SHA-256 of an index's ``dump_state()`` (the whole node table: regions,
 lifetimes, links, entries or packed buffers; node uids are never part of it)
 plus its ``sizeof()``, taken after ``load`` and again after 500 mixed inserts
-and deletes.  The synthetic generators iterate string sets, so the pins only
-hold for the recorded string-hash algorithm.
+and deletes; ``logical`` is the same hash over a decompressed copy of the
+tree, i.e. with the leaf representation factored out.  The synthetic
+generators iterate string sets, so the pins only hold for the recorded
+string-hash algorithm.
 """
 
 import hashlib
@@ -23,20 +24,36 @@ from repro.datasets import govtrack, wikipedia
 from repro.engine import RDFTX
 from repro.io import load_graph
 from repro.model.time import NOW
+from repro.mvbt import MVBT
 
 GOLDEN_DATASET = Path(__file__).parent / "golden" / "cluster_fig9.tnq"
 UPDATES = 500
+
+#: Which commit each pin in the golden file was generated at.
+PROVENANCE = (
+    "load.* and every logical pin: generated at the commit before leaves "
+    "were packed from birth (PR 16's parent; load.sha256/sizeof unchanged "
+    "since PR 14's parent).  updates.sha256/sizeof: re-issued by PR 16 — "
+    "split-born leaves are byte buffers from birth, with bases from their "
+    "birth set, so the packed bytes after updates differ while the logical "
+    "trees do not."
+)
+
+
+def _sha256(tree: MVBT) -> str:
+    state = json.dumps(tree.dump_state(), sort_keys=True, default=bytes.hex)
+    return hashlib.sha256(state.encode()).hexdigest()
 
 
 def _index_pins(engine: RDFTX) -> dict:
     pins = {}
     for name, tree in engine.indexes.items():
-        state = json.dumps(
-            tree.dump_state(), sort_keys=True, default=bytes.hex
-        )
+        plain = MVBT.load_state(tree.dump_state())
+        plain.decompress()
         pins[name] = {
-            "sha256": hashlib.sha256(state.encode()).hexdigest(),
+            "sha256": _sha256(tree),
             "sizeof": tree.sizeof(),
+            "logical": _sha256(plain),
         }
     return pins
 
@@ -72,6 +89,7 @@ def _pins(graph) -> dict:
 def compute() -> dict:
     return {
         "hash_algorithm": sys.hash_info.algorithm,
+        "provenance": PROVENANCE,
         "fig9_golden": _pins(load_graph(GOLDEN_DATASET)),
         "wikipedia_4000_seed7": _pins(wikipedia.generate(4000, seed=7).graph),
         "govtrack_4000_seed7": _pins(govtrack.generate(4000, seed=7).graph),

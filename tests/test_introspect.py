@@ -53,7 +53,7 @@ def test_tree_report_structure(engine):
     assert report["nodes"] == report["leaves"] + report["index_nodes"]
     assert 0.0 < report["live_ratio"] <= 1.0
     assert report["entries"] >= report["live_entries"]
-    assert report["compressed_leaves"] + report["uncompressed_leaves"] \
+    assert report["compressed_leaves"] + report["plain_leaves"] \
         == report["leaves"]
     assert 0.0 < report["live_leaf_fill"] <= 1.0
     assert report["size_bytes"] > 0
@@ -113,30 +113,30 @@ def churn(engine, updates=500):
 
 
 def test_updates_leave_no_partial_compression(engine):
-    """Version splits seal the leaves they kill: a store that has taken
+    """Version splits create their leaves packed: a store that has taken
     updates is not "partially compressed"."""
     churn(engine)
     report = engine_report(engine)
     for name, tree in report["indexes"].items():
         assert tree["packed"]
         assert tree["sealed_leaves"] > 0, name
-        assert tree["live_plain_leaves"] > 0, name
-        assert tree["dead_plain_leaves"] == 0, name
-        assert tree["uncompressed_leaves"] == tree["live_plain_leaves"]
-        assert tree["compressed_leaves"] >= tree["sealed_leaves"]
+        assert tree["plain_leaves"] == 0, name
+        assert tree["compressed_leaves"] == tree["leaves"]
+        assert tree["live_leaves"] + tree["sealed_leaves"] == tree["leaves"]
     assert not any("not delta-compressed" in w for w in find_anomalies(report))
 
 
-def test_anomaly_dead_plain_leaf(engine):
+@pytest.mark.parametrize("alive", [True, False])
+def test_anomaly_plain_leaf_in_a_packed_tree(engine, alive):
     churn(engine)
-    dead = next(leaf for leaf in engine.indexes["spo"].leaf_nodes()
-                if not leaf.is_alive)
-    dead.decompress()
+    leaf = next(leaf for leaf in engine.indexes["spo"].leaf_nodes()
+                if leaf.is_alive == alive)
+    leaf.decompress()
     report = engine_report(engine)
-    assert report["indexes"]["spo"]["dead_plain_leaves"] == 1
+    assert report["indexes"]["spo"]["plain_leaves"] == 1
     warnings = find_anomalies(report)
     assert sum("not delta-compressed" in w for w in warnings) == 1
-    assert "index spo: 1 dead leaf" in " ".join(warnings)
+    assert "index spo: 1 leaf" in " ".join(warnings)
 
 
 def test_uncompressed_engine_is_not_an_anomaly():
@@ -144,7 +144,7 @@ def test_uncompressed_engine_is_not_an_anomaly():
     churn(engine, 200)
     report = engine_report(engine)
     assert not report["indexes"]["spo"]["packed"]
-    assert report["indexes"]["spo"]["dead_plain_leaves"] > 0
+    assert report["indexes"]["spo"]["plain_leaves"] > 0
     assert not any("not delta-compressed" in w for w in find_anomalies(report))
 
 

@@ -33,8 +33,8 @@ SMALL = MVBTConfig(block_capacity=8, weak_min=2, epsilon=1)
 #
 # Figure 3(a) written for reading, one entry and one field at a time: the
 # codec the store used before its one-pass packer.  The packer, the
-# two-entry ``end_live`` splice and the seal-at-death path must all
-# produce exactly these bytes.
+# ``end_live`` splice and the packed-from-birth path must all produce
+# exactly these bytes.
 
 
 def _zigzag(value):
@@ -201,6 +201,21 @@ class TestStoreRoundtrip:
         store = CompressedLeafStore([entry(1, 2, 3, 5)])
         assert not store.end_live((9, 9, 9), 7)
 
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_end_live_rejects_before_mutating(self, which):
+        """An end the codec cannot hold raises with the leaf untouched:
+        a normal target, a compact one, and the (compact) last record."""
+        entries = [entry(1, 2, 3 + i, 5 + i) for i in range(3)]
+        store = CompressedLeafStore(entries)
+        assert store.has_live(entries[0].key)  # builds the index
+        before = (bytes(store._buf), store.to_state())
+        with pytest.raises(CompressionError):
+            store.end_live(entries[which].key, 2**40)
+        assert (bytes(store._buf), store.to_state()) == before
+        store.check_index(sealed=False)
+        assert store.end_live(entries[which].key, 50)
+        store.check_index(sealed=False)
+
     def test_payload_rejected(self):
         with pytest.raises(CompressionError):
             CompressedLeafStore([LeafEntry((1, 2, 3), 5, NOW, "data")])
@@ -357,8 +372,8 @@ class TestCompressedTree:
 
 # ------------------------------------------- maintenance under compression
 #
-# A compressed tree keeps its history compressed: version splits seal the
-# leaves they kill, leaves born from a split stay plain while alive, and
+# A compressed tree is compressed throughout: version splits, key splits
+# and merges create their leaves packed, writes edit the packed bytes, and
 # none of it may show in the tree's shape or in any answer.
 
 
@@ -411,36 +426,32 @@ def tree_regions(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(update_streams(), st.lists(tree_regions(), min_size=1, max_size=4))
-def test_packed_tree_matches_plain_twin_under_updates(stream, regions):
+@given(update_streams(), st.lists(tree_regions(), min_size=1, max_size=4),
+       st.booleans())
+def test_packed_tree_matches_plain_twin_under_updates(stream, regions,
+                                                      round_trip):
+    """Packed from ``compress_at`` on — so the splits, key splits and
+    merges after it all create packed leaves — against a twin that is
+    never compressed; optionally through a snapshot round trip halfway
+    down the rest of the stream."""
     events, compress_at = stream
+    reload_at = (compress_at + len(events)) // 2 if round_trip else None
     packed, twin = MVBT(SMALL), MVBT(SMALL)
     for index, event in enumerate(events):
         if index == compress_at:
             packed.compress()
-            loaded = {leaf.uid for leaf in packed.leaf_nodes()}
+        if index == reload_at:
+            packed = MVBT.load_state(packed.dump_state())
         apply_event(packed, event)
         apply_event(twin, event)
     packed.check_invariants()
     assert shape(packed) == shape(twin)
-    sealed = 0
     for leaf, plain in zip(packed.leaf_nodes(), twin.leaf_nodes()):
-        if leaf.is_alive and leaf.uid not in loaded:
-            assert not leaf.is_compressed  # written to: stays plain
-            continue
-        assert leaf.is_compressed
-        buf = bytes(leaf._store._buf)
-        if leaf.uid in loaded:
-            # Packed at load, edited in place since: the bytes a fresh
-            # encode against the load-time bases would give.
-            assert buf == reference_store_bytes(leaf._store)
-        else:
-            sealed += 1
-            assert buf == bytes(
-                CompressedLeafStore(list(plain.entries()))._buf)
-    if any(not leaf.is_alive and leaf.uid not in loaded
-           for leaf in packed.leaf_nodes()):
-        assert sealed
+        assert leaf.is_compressed  # live or dead, loaded or split-born
+        assert list(leaf.entries()) == list(plain.entries())
+        # Packed once and edited in place since: the bytes a fresh encode
+        # against the leaf's own bases would give.
+        assert bytes(leaf._store._buf) == reference_store_bytes(leaf._store)
     previous = comp.packed_mode()
     try:
         for mode in (comp.PACKED_OFF, comp.PACKED_AUTO, comp.PACKED_FORCE):
@@ -450,6 +461,178 @@ def test_packed_tree_matches_plain_twin_under_updates(stream, regions):
                         == scan_pieces(twin, *region)), (mode, region)
     finally:
         comp.set_packed_mode(previous)
+
+
+# --------------------------------------------------- the walking reference
+#
+# What ``has_live``/``end_live``/``append`` did before the live index: look
+# at every record from the first.  Written over a plain entry list with
+# the reference encoder for the bytes, so it shares nothing with the
+# store's decoder, marks or splice.
+
+
+class WalkingLeaf:
+    def __init__(self, store):
+        state = store.to_state()
+        self.bases = (state["base_v"], state["base_ts"], state["base_te"])
+        self.entries = [e.copy() for e in store.entries()]
+
+    def has_live(self, key):
+        return any(e.end == NOW and e.key == key for e in self.entries)
+
+    def end_live(self, key, end):
+        for e in self.entries:
+            if e.end == NOW and e.key == key:
+                e.end = end
+                return True
+        return False
+
+    def append(self, new):
+        self.entries.append(new.copy())
+
+    def bytes(self):
+        return reference_encode(self.entries, *self.bases)
+
+
+def assert_same_leaf(store, walking):
+    assert bytes(store._buf) == walking.bytes()
+    assert store.count == len(walking.entries)
+    store.check_index(sealed=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entry_lists(), st.lists(
+    st.tuples(st.sampled_from(["end", "end", "append", "probe", "miss"]),
+              st.integers(0, 10**6)),
+    min_size=1, max_size=30))
+def test_seek_edits_match_the_walking_reference(entries, steps):
+    """Random kill orders with interleaved appends and duplicate checks:
+    every return value and every byte equals the walking reference's."""
+    if not entries:
+        entries = [entry(5, 5, 5, 0)]  # bases fixed at build, as for a leaf
+    store = CompressedLeafStore(entries)
+    if steps[0][1] % 2:
+        # As a split hands it over; otherwise the first write walks.
+        store.index(entries)
+        store.check_index(sealed=False)
+    walking = WalkingLeaf(store)
+    horizon = max(e.start for e in entries)
+    for step, (op, pick) in enumerate(steps):
+        live = [e.key for e in walking.entries if e.end == NOW]
+        if op == "end" and live:
+            key = live[pick % len(live)]
+            # Alternate the three te rules: short, long, live-range ends.
+            end = horizon + (1, SHORT_INTERVAL_LIMIT + 2, 2**20)[step % 3]
+            assert store.end_live(key, end) is walking.end_live(key, end)
+            assert not store.has_live(key)
+        elif op == "append":
+            horizon += pick % 3
+            new = entry(1 + pick % 7, 1 + pick % 11, 2**30 + step, horizon)
+            store.append(new)
+            walking.append(new)
+        elif op == "probe" and live:
+            key = live[pick % len(live)]
+            assert store.has_live(key) and walking.has_live(key)
+        else:
+            key = (pick, pick, 0)  # v3 = 0: never generated
+            assert store.has_live(key) is walking.has_live(key) is False
+            assert store.end_live(key, horizon + 1) is False
+        assert_same_leaf(store, walking)
+
+
+@pytest.mark.parametrize("count", [
+    comp.MARK_EVERY - 1, comp.MARK_EVERY, comp.MARK_EVERY + 1,
+    3 * comp.MARK_EVERY,
+])
+def test_seek_at_block_boundaries(count):
+    """Every position of a leaf whose length sits on or beside a mark:
+    the last record (no follower), the record before a mark (its follower
+    opens the next block, so the mark sits inside the splice), and the
+    mark itself — each followed by a second delete that has to start from
+    the marks the first one moved."""
+    for shared_v1 in (True, False):  # compact followers, and normal ones
+        for first in range(count):
+            for second in range(count):
+                if first == second:
+                    continue
+                store = CompressedLeafStore([
+                    entry(7 if shared_v1 else 7 + i, 3, i, 100 + i)
+                    for i in range(count)
+                ])
+                walking = WalkingLeaf(store)
+                for step, at in enumerate((first, second)):
+                    key = (7 if shared_v1 else 7 + at, 3, at)
+                    end = 200 + count + step * 2**17
+                    assert store.end_live(key, end)
+                    assert walking.end_live(key, end)
+                    assert_same_leaf(store, walking)
+                tail = entry(9, 9, 9, 300 + count)
+                store.append(tail)
+                walking.append(tail)
+                assert_same_leaf(store, walking)
+
+
+def test_seek_records_counts_not_clocks():
+    """The guard on the write path's decode work, as counts: one full walk
+    builds a loaded leaf's live index, a duplicate check then looks at
+    nothing, a delete at at most ``MARK_EVERY + 1`` records (``+ 2``
+    allowed), no leaf walks twice in a process and a leaf born from a
+    split never walks."""
+    seek = metrics.REGISTRY.counter("mvbt.compression.seek_records")
+    if not metrics.ENABLED:
+        pytest.skip("counters are no-ops under REPRO_OBS=0")
+    n = 61
+    store = CompressedLeafStore(
+        [entry(1 + i // 9, i % 5, i, 10 + i) for i in range(n)])
+    before = seek.value
+    assert store.has_live((1, 0, 0))
+    assert seek.value - before == n  # the one walk
+    for i in range(n):
+        mark = seek.value
+        assert store.has_live((1 + i // 9, i % 5, i))
+        assert not store.has_live((99, i, i))
+        assert seek.value == mark
+    appended = entry(8, 8, 8, 100)
+    store.append(appended)
+    assert seek.value - before == n  # append keeps the index, decodes nothing
+    for i in list(range(0, n, 3)) + [n - 2]:
+        mark = seek.value
+        assert store.end_live((1 + i // 9, i % 5, i), 200 + i)
+        assert 1 <= seek.value - mark <= comp.MARK_EVERY + 2
+    mark = seek.value
+    assert store.end_live(appended.key, 300)
+    assert not store.end_live(appended.key, 301)
+    assert 1 <= seek.value - mark <= comp.MARK_EVERY + 2
+
+    # Tree level: the one leaf that was there when the tree was packed is
+    # walked once; the leaves its splits create take their index from the
+    # split, however many writes and further splits follow.
+    tree = MVBT(SMALL)
+    tree.compress()
+    loaded = tree.live_root._store
+    built = []
+    original = CompressedLeafStore._walk_index
+
+    def counting(self):
+        built.append(id(self))
+        return original(self)
+
+    CompressedLeafStore._walk_index = counting
+    try:
+        rng = random.Random(5)
+        live = []
+        for time in range(600):
+            if live and rng.random() < 0.4:
+                tree.delete(live.pop(rng.randrange(len(live))), time)
+            else:
+                key = (rng.randrange(5), time, 0)
+                live.append(key)
+                tree.insert(key, time)
+        stores = [leaf._store for leaf in tree.leaf_nodes()]
+    finally:
+        CompressedLeafStore._walk_index = original
+    assert len(stores) > 20 and built == [id(loaded)]
+    tree.check_invariants()
 
 
 @settings(max_examples=100, deadline=None)
@@ -521,37 +704,105 @@ class TestPackedTreeLifecycle:
         assert not any(leaf.is_compressed for leaf in tree.leaf_nodes())
         tree.check_invariants()
 
-    def test_splits_seal_the_leaves_they_kill(self):
+    def test_splits_create_packed_leaves(self):
         tree = self._tree()
         for i in range(60):
             tree.insert((9, i, 0), 40 + i)
             if i % 3 == 0:
                 tree.delete((i // 3 % 5, i // 3, 0), 40 + i)
-        dead = [leaf for leaf in tree.leaf_nodes() if not leaf.is_alive]
-        born_plain = [leaf for leaf in tree.leaf_nodes()
-                      if leaf.is_alive and leaf.start >= 40]
-        assert dead and all(leaf.is_compressed for leaf in dead)
-        assert born_plain
-        assert not any(leaf.is_compressed for leaf in born_plain)
+        born = [leaf for leaf in tree.leaf_nodes() if leaf.start >= 40]
+        assert any(leaf.is_alive for leaf in born)
+        assert any(not leaf.is_alive for leaf in born)
+        assert all(leaf.is_compressed for leaf in tree.leaf_nodes())
+        # A dead leaf is its bytes alone: the live index went at the kill.
+        assert all(leaf._store._live is None
+                   for leaf in born if not leaf.is_alive)
         tree.check_invariants()
 
-    def test_invariants_flag_a_dead_plain_leaf(self):
+    def test_empty_root_takes_its_bases_from_the_first_append(self):
+        tree = MVBT(SMALL)
+        tree.compress()
+        tree.insert((70_000, 80_000, 90_000), 15_000)
+        tree.insert((70_000, 80_000, 90_001), 15_001)
+        store = tree.live_root._store
+        assert store.to_state()["base_v"] == (70_000, 80_000, 90_000)
+        assert store.to_state()["base_ts"] == 15_000
+        assert len(store._buf) == 2 + 1 + 2  # a bare header, then compact
+        assert bytes(store._buf) == reference_store_bytes(store)
+        tree.check_invariants()
+
+    def test_reading_a_dead_leaf_leaves_it_sealed(self):
+        """``live_entries``/``has_live`` on a dead packed leaf decode;
+        they do not bring back the index its death dropped."""
+        tree = self._tree()
+        for i in range(60):
+            tree.insert((9, i, 0), 40 + i)
+        dead = [leaf for leaf in tree.leaf_nodes() if not leaf.is_alive]
+        assert dead
+        for leaf in dead:
+            carried = leaf.live_entries()  # what its split carried over
+            assert carried and all(e.is_live for e in carried)
+            assert leaf.has_live(carried[0].key)
+            assert not leaf.has_live((99, 99, 99))
+            assert leaf._store._live is None
+        tree.check_invariants()
+
+    @pytest.mark.parametrize("alive", [True, False])
+    def test_invariants_flag_a_plain_leaf(self, alive):
         tree = self._tree()
         for i in range(30):
             tree.insert((9, i, 0), 40 + i)
         next(leaf for leaf in tree.leaf_nodes()
-             if not leaf.is_alive).decompress()
-        with pytest.raises(AssertionError, match="dead leaf left plain"):
+             if leaf.is_alive == alive).decompress()
+        with pytest.raises(AssertionError, match="plain leaf in a packed"):
             tree.check_invariants()
+
+    def test_invariants_flag_a_drifted_live_index(self):
+        tree = self._tree()
+        tree.insert((9, 1, 0), 40)  # builds the target leaf's index
+        store = next(leaf._store for leaf in tree.leaf_nodes()
+                     if leaf._store._live)
+        store._marks[-1] += 1
+        with pytest.raises(AssertionError, match="live index drifted"):
+            tree.check_invariants()
+
+    def test_snapshot_with_plain_live_leaves_still_opens(self):
+        """What a store directory written before leaves were packed from
+        birth holds: a packed tree whose split-born live leaves are
+        plain.  Restore packs them."""
+        tree = self._tree()
+        twin = self._tree()
+        for i in range(60):
+            for t in (tree, twin):
+                t.insert((9, i, 0), 40 + i)
+        for leaf in tree.leaf_nodes():
+            if leaf.is_alive:
+                leaf.decompress()
+        state = tree.dump_state()
+        assert state["packed"] and any(
+            "entries" in n for n in state["nodes"] if n["kind"] == "leaf")
+        reopened = MVBT.load_state(state)
+        reopened.check_invariants()
+        assert all(leaf.is_compressed for leaf in reopened.leaf_nodes())
+        assert collect_validity(reopened) == collect_validity(twin)
+        # Re-packed leaves take their bases from all they hold, the
+        # twin's from their birth set: within a few bytes per leaf.
+        assert abs(reopened.sizeof() - twin.sizeof()) <= 4 * sum(
+            1 for leaf in twin.leaf_nodes() if leaf.is_alive)
+        for i in range(40):
+            for t in (reopened, twin):
+                t.insert((3, 500 + i, 0), 200 + i)
+                t.delete((9, i, 0), 200 + i)
+        reopened.check_invariants()
+        assert shape(reopened) == shape(twin)
+        assert collect_validity(reopened) == collect_validity(twin)
 
     @pytest.mark.parametrize("key, payload", [
         ((9, 1, 0), "data"), ((9, 1), None), ((9, 1, 0, 0), None),
     ])
     def test_unpackable_insert_fails_before_mutating(self, key, payload):
-        """The entry would land on a plain live leaf and only fail when
-        that leaf is sealed, halfway through a version split."""
         tree = self._tree()
-        for i in range(12):  # the live leaves are now split-born, plain
+        for i in range(12):  # the live leaves are now split-born
             tree.insert((9, 100 + i, 0), 40 + i)
         before = (shape(tree), tree.live_records, tree.current_time)
         with pytest.raises(CompressionError):

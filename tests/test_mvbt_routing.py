@@ -219,8 +219,9 @@ def test_load_never_asks_an_index_entry_whether_it_is_alive(monkeypatch):
 
 def test_trees_are_pinned_to_the_pre_live_path_build():
     """Same node tables (every region, lifetime, link, entry and packed
-    byte) and the same ``sizeof()`` as the commit before the live arrays,
-    after ``load`` and after 500 mixed updates (tests/mvbt_node_pins.py)."""
+    byte) and the same ``sizeof()`` after ``load``, and the same logical
+    trees after ``load`` and after 500 mixed updates, as the commits named
+    in the golden file's ``provenance`` (tests/mvbt_node_pins.py)."""
     golden = json.loads((HERE / "golden" / "mvbt_node_pins.json").read_text())
     if golden["hash_algorithm"] != sys.hash_info.algorithm:
         pytest.skip("pins were recorded under another str hash algorithm")

@@ -230,10 +230,10 @@ class TestCrashRecovery:
             assert recovered.revision == expected_revision
             assert result_fingerprint(recovered) == expected
             # The recovered trees still know they are compressed: the
-            # replayed splits sealed the leaves they killed.
+            # replayed splits created their leaves packed.
             assert recovered.engine.sizeof() == expected_size
             for tree in recovered.storage_report()["indexes"].values():
-                assert tree["packed"] and tree["dead_plain_leaves"] == 0
+                assert tree["packed"] and tree["plain_leaves"] == 0
                 assert capacity is None or tree["sealed_leaves"] > 0
             # The recovered store accepts further updates.
             recovered.insert("after", "the", "crash", D("01/01/2020"))
