@@ -20,37 +20,28 @@ Quickstart::
     print(result.to_table())
 """
 
-from .engine import QueryResult, RDFTX
-from .model import (
-    NOW,
-    Period,
-    PeriodSet,
-    TemporalGraph,
-    TemporalTriple,
-    Triple,
-    date_to_chronon,
-    format_chronon,
-)
-from .mvbt import MVBT, MVBTConfig
-from .optimizer import Optimizer
-from .sparqlt import SparqltError, parse
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MVBT",
-    "MVBTConfig",
-    "NOW",
-    "Optimizer",
-    "Period",
-    "PeriodSet",
-    "QueryResult",
-    "RDFTX",
-    "SparqltError",
-    "TemporalGraph",
-    "TemporalTriple",
-    "Triple",
-    "date_to_chronon",
-    "format_chronon",
-    "parse",
-]
+_EXPORTS = {
+    "MVBT": ".mvbt",
+    "MVBTConfig": ".mvbt",
+    "NOW": ".model",
+    "Optimizer": ".optimizer",
+    "Period": ".model",
+    "PeriodSet": ".model",
+    "QueryResult": ".engine",
+    "RDFTX": ".engine",
+    "SparqltError": ".sparqlt",
+    "TemporalGraph": ".model",
+    "TemporalTriple": ".model",
+    "Triple": ".model",
+    "date_to_chronon": ".model",
+    "format_chronon": ".model",
+    "parse": ".sparqlt",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

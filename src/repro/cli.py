@@ -30,12 +30,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import io as tio
-from .engine import RDFTX
-from .model.time import format_chronon
-from .optimizer import Optimizer
-from .sparqlt import SparqltError
+# Each subcommand imports what it runs, inside its ``cmd_*`` function:
+# ``generate`` writes a text file and ``cluster-status`` reads a URL, and
+# neither should pay for loading the engine.
+if TYPE_CHECKING:
+    from .engine import RDFTX
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,14 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
     doctor.add_argument("--json", action="store_true",
                         help="emit the raw report as JSON")
 
-    from .lint import checker as _lint_checker
-
-    lint = sub.add_parser(
-        "lint",
+    # ``lint`` parses its own arguments (see :func:`main`), so the
+    # analyzer is not imported to build every other command's parser.
+    sub.add_parser(
+        "lint", add_help=False,
         help="project-specific static analysis (lock discipline, MVBT "
              "invariants, metrics hygiene)",
     )
-    _lint_checker.build_parser(lint)
 
     return parser
 
@@ -214,19 +214,27 @@ def _load_engine(path: str, use_optimizer: bool) -> RDFTX:
     Snapshots (detected by magic bytes) skip the parse + bulk-load +
     compress pipeline entirely.
     """
+    from .engine import RDFTX
+    from .io import load_graph
     from .service.snapshot import is_snapshot, load_snapshot
 
     if is_snapshot(path):
         engine, _ = load_snapshot(path, use_optimizer=use_optimizer)
         return engine
-    graph = tio.load_graph(path)
-    optimizer = Optimizer() if use_optimizer else None
+    graph = load_graph(path)
+    optimizer = None
+    if use_optimizer:
+        from .optimizer import Optimizer
+
+        optimizer = Optimizer()
     engine = RDFTX.from_graph(graph, optimizer=optimizer)
     engine._graph = graph  # kept for info reporting
     return engine
 
 
 def cmd_info(args) -> int:
+    from .model.time import format_chronon
+
     engine = _load_engine(args.dataset, use_optimizer=False)
     graph = engine._graph
     predicates = graph.predicate_counts()
@@ -246,6 +254,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from .sparqlt import SparqltError
+
     engine = _load_engine(args.dataset, not args.no_optimizer)
     if args.parallel:
         engine.parallel = True
@@ -280,6 +290,7 @@ def cmd_query(args) -> int:
 def cmd_stats(args) -> int:
     from .obs import REGISTRY
     from .obs import metrics as _obs_metrics
+    from .sparqlt import SparqltError
 
     if not _obs_metrics.ENABLED:
         # Nothing would be recorded: loading and querying with the kill
@@ -312,6 +323,7 @@ def cmd_stats(args) -> int:
 
 def cmd_shell(args) -> int:
     from .obs import metrics as _obs_metrics
+    from .sparqlt import SparqltError
 
     engine = _load_engine(args.dataset, not args.no_optimizer)
     if args.parallel:
@@ -383,15 +395,13 @@ def cmd_shell(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .datasets import govtrack, wikipedia, yago
+    from . import datasets
+    from .io import dump_graph
 
-    if args.kind == "wikipedia":
-        graph = wikipedia.generate(args.triples, seed=args.seed).graph
-    elif args.kind == "govtrack":
-        graph = govtrack.generate(args.triples, seed=args.seed).graph
-    else:
-        graph = yago.generate(args.triples, seed=args.seed).graph
-    count = tio.dump_graph(graph, args.output)
+    # only the chosen generator's module is loaded (lazy package exports)
+    generator = getattr(datasets, args.kind)
+    graph = generator.generate(args.triples, seed=args.seed).graph
+    count = dump_graph(graph, args.output)
     print(f"wrote {count} triples to {args.output}")
     return 0
 
@@ -439,12 +449,10 @@ def cmd_serve(args) -> int:
                       f"empty (revision {store.revision})", file=sys.stderr)
                 return 1
             print(f"loading {args.data} ...")
-            # Adopt a pre-built engine (dataset or snapshot), then
-            # checkpoint so the store directory is self-contained.
-            store.engine = _load_engine(args.data, not args.no_optimizer)
-            if args.parallel:
-                store.engine.parallel = True
-            store.checkpoint()
+            # The store adopts the pre-built engine (dataset or
+            # snapshot) under its own settings and checkpoints, so the
+            # directory is self-contained.
+            store.adopt(_load_engine(args.data, not args.no_optimizer))
             print(f"loaded {store.live_facts} live facts")
         service = serve(
             store, host=args.host, port=args.port,
@@ -471,6 +479,7 @@ def cmd_serve(args) -> int:
 def _serve_cluster(args) -> int:
     """``serve --shards N [--replicas M]``: coordinator + worker fleet."""
     from .cluster import ClusterStore
+    from .io import load_graph
     from .service.server import serve
     from .service.snapshot import is_snapshot
 
@@ -498,7 +507,7 @@ def _serve_cluster(args) -> int:
                       f"empty (revision {store.revision})", file=sys.stderr)
                 return 1
             print(f"loading {args.data} ...")
-            store.load_dataset(tio.load_graph(args.data))
+            store.load_dataset(load_graph(args.data))
             print(f"loaded {store.live_facts} live facts across "
                   f"{args.shards} shard(s)")
         service = serve(
@@ -660,11 +669,16 @@ def cmd_doctor(args) -> int:
 def cmd_lint(args) -> int:
     from .lint import checker as _lint_checker
 
-    return _lint_checker.run_cli(args)
+    return _lint_checker.main(args.lint_argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        args.lint_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     handler = {
         "info": cmd_info,
         "query": cmd_query,

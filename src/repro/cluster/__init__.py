@@ -24,7 +24,14 @@ Replication ships WAL records from each primary to its followers
 serve revision-pinned reads and take over on worker death.
 """
 
-from .coordinator import ClusterStore
-from .planner import ShardPlanner, shard_of
+from .._lazy import lazy_exports
 
-__all__ = ["ClusterStore", "ShardPlanner", "shard_of"]
+_EXPORTS = {
+    "ClusterStore": ".coordinator",
+    "ShardPlanner": ".planner",
+    "shard_of": ".planner",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -39,6 +39,8 @@ import socket
 import threading
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from multiprocessing import connection as _mpc
 from pathlib import Path
 
 from ..engine.engine import QueryResult
@@ -193,6 +195,17 @@ class ShardClient:
         self.alive = False
 
 
+@dataclass
+class _Starting:
+    """A worker between ``Process.start()`` and its ready report."""
+
+    config: WorkerConfig
+    proc: multiprocessing.process.BaseProcess
+    #: the coordinator's end of the ready pipe; hits EOF if the child dies.
+    pipe: _mpc.Connection
+    started: float
+
+
 class _Member:
     """One shard's primary plus its surviving replicas."""
 
@@ -280,8 +293,17 @@ class ClusterStore:
         self._federation_ts = 0.0
         self._federation_stop = threading.Event()
         self._federation_thread: threading.Thread | None = None
-        self._spawn_topology()
-        self._bootstrap_watermarks()
+        try:
+            self._spawn_topology()
+            self._bootstrap_watermarks()
+        except BaseException:
+            # The caller never gets an object to close(): stop whatever
+            # did start.  Nothing has been written yet, so a worker needs
+            # no clean shutdown and is not given time for one.
+            for proc in self._procs:
+                proc.terminate()
+            self.close()
+            raise
         if metrics_refresh and metrics_refresh > 0:
             self._federation_thread = threading.Thread(
                 target=self._federation_loop, args=(metrics_refresh,),
@@ -298,54 +320,136 @@ class ClusterStore:
         return self.directory / f"shard-{shard_id}-replica-{index}"
 
     def _spawn_topology(self) -> None:
-        for shard_id in range(self.planner.shards):
-            member = _Member(shard_id)
-            member.primary = self._spawn_worker(WorkerConfig(
-                shard_id=shard_id, role="shard",
-                directory=str(self._shard_dir(shard_id)),
-                **self._worker_kwargs,
-            ))
-            self._members.append(member)
-        for shard_id, member in enumerate(self._members):
-            for index in range(self.replicas_per_shard):
-                member.replicas.append(self._spawn_worker(WorkerConfig(
-                    shard_id=shard_id, role="replica",
-                    directory=str(self._replica_dir(shard_id, index)),
+        """Bring every worker up, in two concurrent waves.
+
+        All primaries start before any is awaited, so N interpreters
+        import, open their stores (snapshot load + WAL replay over
+        existing directories) and bind their sockets at the same time;
+        the replicas follow as a second wave because each needs its
+        primary's address.
+        """
+        replicas = self.replicas_per_shard
+        with _trace.span("cluster.bringup", shards=self.planner.shards,
+                         replicas=replicas):
+            primaries = self._await_workers([
+                self._start_worker(WorkerConfig(
+                    shard_id=shard_id, role="shard",
+                    directory=str(self._shard_dir(shard_id)),
+                    **self._worker_kwargs,
+                ))
+                for shard_id in range(self.planner.shards)
+            ])
+            for shard_id, primary in enumerate(primaries):
+                member = _Member(shard_id)
+                member.primary = primary
+                self._members.append(member)
+            wave = [
+                self._start_worker(WorkerConfig(
+                    shard_id=member.shard_id, role="replica",
+                    directory=str(self._replica_dir(member.shard_id, index)),
                     primary_address=member.primary.address,
-                    primary_directory=str(self._shard_dir(shard_id)),
+                    primary_directory=str(self._shard_dir(member.shard_id)),
                     replica_index=index,
                     **self._worker_kwargs,
-                )))
+                ))
+                for member in self._members for index in range(replicas)
+            ]
+            for worker, follower in zip(wave, self._await_workers(wave)):
+                self._members[worker.config.shard_id].replicas.append(
+                    follower)
         if _metrics.ENABLED:
             _SHARDS_ALIVE.set(self.planner.shards)
 
-    def _spawn_worker(self, config: WorkerConfig) -> ShardClient:
-        parent, child = self._ctx.Pipe()
+    def _start_worker(self, config: WorkerConfig) -> _Starting:
+        """Start one worker process without waiting for it."""
+        parent, child = self._ctx.Pipe(duplex=False)
         try:
             proc = self._ctx.Process(
                 target=worker_main, args=(config, child), daemon=True,
                 name=f"repro-{config.role}-{config.shard_id}",
             )
             proc.start()
-            if not parent.poll(self._start_timeout):
-                proc.terminate()
-                proc.join(timeout=2.0)
+        except BaseException:
+            parent.close()
+            raise
+        finally:
+            # The started child holds its own duplicate; with ours closed
+            # a dead child reads as EOF on ``parent``.
+            child.close()
+        self._procs.append(proc)
+        _events.EVENTS.record(
+            "cluster.event.worker_started", shard_id=config.shard_id,
+            role=config.role, pid=proc.pid,
+        )
+        return _Starting(config, proc, parent, _time.perf_counter())
+
+    def _await_workers(self, wave: list[_Starting]) -> list[ShardClient]:
+        """Collect one wave's ready reports, in the wave's order.
+
+        Waits on every pending ready pipe *and* process sentinel at once:
+        reports are taken as they arrive, and a worker that dies before
+        reporting fails the bring-up at once instead of after
+        ``start_timeout``.
+        """
+        clients: dict[int, ShardClient] = {}
+        pending = dict(enumerate(wave))
+        deadline = _time.monotonic() + self._start_timeout
+        try:
+            while pending:
+                signalled = _mpc.wait(
+                    [w.pipe for w in pending.values()]
+                    + [w.proc.sentinel for w in pending.values()],
+                    timeout=max(0.0, deadline - _time.monotonic()),
+                )
+                if not signalled:
+                    late = ", ".join(
+                        f"shard {w.config.shard_id} ({w.config.role})"
+                        for w in pending.values()
+                    )
+                    raise StoreError(
+                        f"worker for {late} did not report ready within "
+                        f"{self._start_timeout}s"
+                    )
+                for position, worker in list(pending.items()):
+                    if (worker.pipe in signalled
+                            or worker.proc.sentinel in signalled):
+                        clients[position] = self._worker_ready(worker)
+                        del pending[position]
+        finally:
+            for worker in wave:
+                worker.pipe.close()
+        return [clients[position] for position in range(len(wave))]
+
+    def _worker_ready(self, worker: _Starting) -> ShardClient:
+        """Turn a signalled worker into its client, or raise if it died."""
+        config = worker.config
+        with _trace.span("cluster.worker.ready", shard=config.shard_id,
+                         role=config.role) as span:
+            try:
+                info = worker.pipe.recv()
+            except EOFError:
+                worker.proc.join(timeout=2.0)
                 raise StoreError(
                     f"worker for shard {config.shard_id} ({config.role}) "
-                    f"did not report ready within {self._start_timeout}s"
-                )
-            info = parent.recv()
-        finally:
-            # Both pipe ends close on every exit: the worker holds its
-            # own duplicate of ``child``, and ``parent`` has served its
-            # one ready-handshake message.
-            child.close()
-            parent.close()
-        self._procs.append(proc)
-        return ShardClient(
-            ("127.0.0.1", info["port"]), info["pid"],
-            Path(config.directory), timeout=self._rpc_timeout,
-        )
+                    f"died during start-up (exit code "
+                    f"{worker.proc.exitcode}); its traceback is on stderr"
+                ) from None
+            timings = {
+                "startup_ms": round(
+                    (_time.perf_counter() - worker.started) * 1000.0, 3),
+                "import_ms": info["import_ms"],
+                "open_ms": info["open_ms"],
+                "replayed": info["replayed"],
+            }
+            span.annotate(**timings)
+            _events.EVENTS.record(
+                "cluster.event.worker_ready", shard_id=config.shard_id,
+                role=config.role, pid=info["pid"], **timings,
+            )
+            return ShardClient(
+                ("127.0.0.1", info["port"]), info["pid"],
+                Path(config.directory), timeout=self._rpc_timeout,
+            )
 
     def _bootstrap_watermarks(self) -> None:
         """Adopt revision/time state from pre-existing shard directories.

@@ -26,6 +26,12 @@ recovery paths keep a follower convergent:
 
 from __future__ import annotations
 
+import time as _time
+
+#: stamped before the engine's modules load, so the ready report can say
+#: how much of a worker's start-up was importing this module.
+_IMPORT_STARTED = _time.perf_counter()
+
 import contextlib
 import json
 import os
@@ -33,7 +39,6 @@ import shutil
 import socket
 import socketserver
 import threading
-import time as _time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +70,8 @@ _REPLICATED_BYTES = _metrics.counter("cluster.worker.replicated_bytes")
 _WAL_SHIPPED = _metrics.counter("cluster.worker.wal_shipped")
 _WAL_SHIPPED_BYTES = _metrics.counter("cluster.worker.wal_shipped_bytes")
 _RESYNCS = _metrics.counter("cluster.worker.resyncs")
+
+_IMPORT_MS = round((_time.perf_counter() - _IMPORT_STARTED) * 1000.0, 3)
 
 
 @dataclass
@@ -592,9 +599,14 @@ def worker_main(config: WorkerConfig, ready) -> None:
     """Process entry point (must be importable for the spawn context).
 
     Opens the store, starts the replica tail thread when applicable,
-    binds a loopback socket on an ephemeral port, and reports
-    ``{"port", "pid"}`` over the ``ready`` pipe before serving.
+    binds a loopback socket on an ephemeral port, and reports its
+    ``port`` and ``pid`` over the ``ready`` pipe before serving — plus
+    where its start-up went: ``import_ms`` (this module and what it
+    imports), ``open_ms`` (store open to bound socket: snapshot load,
+    WAL replay, a replica's first resync) and the ``replayed`` record
+    count.
     """
+    entered = _time.perf_counter()
     state = _WorkerState(config)
     if config.role == "replica":
         if (state.store.revision == 0 and state.store.live_facts == 0
@@ -610,7 +622,12 @@ def worker_main(config: WorkerConfig, ready) -> None:
         )
         tail.start()
     server = _WorkerServer(("127.0.0.1", 0), _Handler, state)
-    ready.send({"port": server.server_address[1], "pid": os.getpid()})
+    ready.send({
+        "port": server.server_address[1], "pid": os.getpid(),
+        "import_ms": _IMPORT_MS,
+        "open_ms": round((_time.perf_counter() - entered) * 1000.0, 3),
+        "replayed": state.store.replayed,
+    })
     ready.close()
     try:
         server.serve_forever(poll_interval=0.1)

@@ -1,21 +1,21 @@
 """Synthetic dataset and query-workload generators (paper Section 7.1)."""
 
-from . import govtrack, queries, wikipedia, yago
-from .govtrack import GovTrackDataset
-from .queries import complex_queries, join_queries, selection_queries
-from .wikipedia import WikipediaDataset, table1_statistics
-from .yago import YagoDataset
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GovTrackDataset",
-    "WikipediaDataset",
-    "YagoDataset",
-    "complex_queries",
-    "govtrack",
-    "join_queries",
-    "queries",
-    "selection_queries",
-    "table1_statistics",
-    "wikipedia",
-    "yago",
-]
+_EXPORTS = {
+    "GovTrackDataset": ".govtrack",
+    "WikipediaDataset": ".wikipedia",
+    "YagoDataset": ".yago",
+    "complex_queries": ".queries",
+    "govtrack": ".govtrack",
+    "join_queries": ".queries",
+    "queries": ".queries",
+    "selection_queries": ".queries",
+    "table1_statistics": ".wikipedia",
+    "wikipedia": ".wikipedia",
+    "yago": ".yago",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -38,11 +38,16 @@ class FormatError(ValueError):
 
 
 _BARE_TOKEN = re.compile(r'^[^\s"#]+$')
-_TOKEN = re.compile(
-    r'''\s*(?:
+#: One scan over a line (``finditer`` skips the whitespace between
+#: matches): a quoted term, a bare term, the start of a comment, or — the
+#: only thing left — a quote that opens no well-formed term.
+_SCAN = re.compile(
+    r'''
         "(?P<quoted>(?:[^"\\]|\\.)*)"
       | (?P<bare>[^\s"#]+)
-    )''',
+      | (?P<comment>\#)
+      | (?P<bad>\S)
+    ''',
     re.VERBOSE,
 )
 
@@ -77,20 +82,19 @@ def _parse_time(token: str, line_number: int) -> int:
 
 def _tokenize(line: str, line_number: int) -> list[str]:
     tokens: list[str] = []
-    pos = 0
-    while pos < len(line):
-        rest = line[pos:]
-        if rest.lstrip().startswith("#") or not rest.strip():
-            break
-        match = _TOKEN.match(line, pos)
-        if match is None:
-            raise FormatError(f"cannot tokenize near {rest.strip()!r}",
-                              line_number)
-        if match.group("quoted") is not None:
+    for match in _SCAN.finditer(line):
+        kind = match.lastgroup
+        if kind == "bare":
+            tokens.append(match.group())
+        elif kind == "quoted":
             tokens.append(_unescape(match.group("quoted")))
+        elif kind == "comment":
+            break
         else:
-            tokens.append(match.group("bare"))
-        pos = match.end()
+            raise FormatError(
+                f"cannot tokenize near {line[match.start():].strip()!r}",
+                line_number,
+            )
     return tokens
 
 

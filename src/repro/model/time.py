@@ -26,6 +26,7 @@ NOW: int = 2**31 - 1
 MIN_TIME: int = 0
 
 _EPOCH = _dt.date(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
 
 
 class TimeError(ValueError):
@@ -43,6 +44,14 @@ def date_to_chronon(value: _dt.date | str) -> int:
     text = value.strip()
     if text.lower() == "now":
         return NOW
+    if len(text) == 10 and text[4] == "-" == text[7]:
+        # The padded ISO form every dataset file is written in parses
+        # ~10x faster here than through strptime; the shape check keeps
+        # out what only newer ``fromisoformat``s accept (``20080616``).
+        try:
+            return _dt.date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
+        except ValueError:
+            pass  # strptime's looser grammar decides (``2008-06- 6``)
     for fmt in ("%Y-%m-%d", "%m/%d/%Y"):
         try:
             return (_dt.datetime.strptime(text, fmt).date() - _EPOCH).days

@@ -5,55 +5,39 @@ paths (MVBT scans, joins, the optimizer's cardinality estimates).  The
 environment variable ``REPRO_OBS=0`` turns every probe into a no-op.
 """
 
-from .catalog import ALL_METRICS, is_event, is_registered, is_well_formed
-from .events import EVENTS, EventLog
-from .log import LOGGER, Logger
-from .metrics import (
-    ENABLED,
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    Registry,
-    Timer,
-    TimerStat,
-    counter,
-    enabled,
-    gauge,
-    histogram,
-    set_enabled,
-    timer,
-)
-from .profile import ProfileNode, QueryProfile
-from .trace import Sampler, Span, Trace, TraceBuffer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_METRICS",
-    "is_event",
-    "is_registered",
-    "is_well_formed",
-    "ENABLED",
-    "EVENTS",
-    "EventLog",
-    "LOGGER",
-    "Logger",
-    "REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "ProfileNode",
-    "QueryProfile",
-    "Registry",
-    "Sampler",
-    "Span",
-    "Timer",
-    "TimerStat",
-    "Trace",
-    "TraceBuffer",
-    "counter",
-    "enabled",
-    "gauge",
-    "histogram",
-    "set_enabled",
-    "timer",
-]
+_EXPORTS = {
+    "ALL_METRICS": ".catalog",
+    "is_event": ".catalog",
+    "is_registered": ".catalog",
+    "is_well_formed": ".catalog",
+    "ENABLED": ".metrics",
+    "EVENTS": ".events",
+    "EventLog": ".events",
+    "LOGGER": ".log",
+    "Logger": ".log",
+    "REGISTRY": ".metrics",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "ProfileNode": ".profile",
+    "QueryProfile": ".profile",
+    "Registry": ".metrics",
+    "Sampler": ".trace",
+    "Span": ".trace",
+    "Timer": ".metrics",
+    "TimerStat": ".metrics",
+    "Trace": ".trace",
+    "TraceBuffer": ".trace",
+    "counter": ".metrics",
+    "enabled": ".metrics",
+    "gauge": ".metrics",
+    "histogram": ".metrics",
+    "set_enabled": ".metrics",
+    "timer": ".metrics",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

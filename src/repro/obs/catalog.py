@@ -174,6 +174,10 @@ EVENT_HELP: dict[str, str] = {
     "cluster.event.resync": "a replica completed a full snapshot resync",
     "cluster.event.update_recovered":
         "an update acknowledged via the shipped WAL after a mid-write failover",
+    "cluster.event.worker_ready":
+        "a started worker reported its port (start-up timings attached)",
+    "cluster.event.worker_started":
+        "the coordinator started a worker process and has not awaited it",
 }
 
 #: Sanctioned names per kind (the sets RL009/RL012 check against).

@@ -8,33 +8,27 @@ single-writer/multi-reader store with revision-pinned reads
 admission control (:mod:`~repro.service.server`).
 """
 
-from .locks import ReadWriteLock, requires_writer_lock
-from .snapshot import (
-    SNAPSHOT_MAGIC,
-    SnapshotError,
-    is_snapshot,
-    load_snapshot,
-    save_snapshot,
-)
-from .server import TemporalService, serve
-from .store import StoreError, TemporalStore
-from .wal import WAL_MAGIC, WalError, WalRecord, WriteAheadLog, read_records
+from .._lazy import lazy_exports
 
-__all__ = [
-    "requires_writer_lock",
-    "SNAPSHOT_MAGIC",
-    "SnapshotError",
-    "is_snapshot",
-    "load_snapshot",
-    "save_snapshot",
-    "TemporalService",
-    "serve",
-    "ReadWriteLock",
-    "StoreError",
-    "TemporalStore",
-    "WAL_MAGIC",
-    "WalError",
-    "WalRecord",
-    "WriteAheadLog",
-    "read_records",
-]
+_EXPORTS = {
+    "requires_writer_lock": ".locks",
+    "SNAPSHOT_MAGIC": ".snapshot",
+    "SnapshotError": ".snapshot",
+    "is_snapshot": ".snapshot",
+    "load_snapshot": ".snapshot",
+    "save_snapshot": ".snapshot",
+    "TemporalService": ".server",
+    "serve": ".server",
+    "ReadWriteLock": ".locks",
+    "StoreError": ".store",
+    "TemporalStore": ".store",
+    "WAL_MAGIC": ".wal",
+    "WalError": ".wal",
+    "WalRecord": ".wal",
+    "WriteAheadLog": ".wal",
+    "read_records": ".wal",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -97,6 +97,8 @@ class TemporalStore:
         self._rw = ReadWriteLock()
         self.checkpoint_every = checkpoint_every
         self._since_checkpoint = 0
+        #: WAL records past the snapshot that opening re-applied.
+        self.replayed = 0
         self._closed = False
         #: revision-tagged result cache (None when disabled); hits are
         #: served without the read lock (see :meth:`query`).
@@ -110,13 +112,17 @@ class TemporalStore:
         #: untouched.
         self._append_times: dict[int, float] = {}
 
+        #: engine settings this store owns; :meth:`_install` applies them
+        #: to whichever engine the store ends up serving.
+        self._stats_refresh_threshold = stats_refresh_threshold
+        self._stats_refresh_qerror = stats_refresh_qerror
+        self._parallel = parallel
+
         snapshot_lsn = 0
         if self.snapshot_path.exists():
-            self.engine, meta = load_snapshot(
+            engine, meta = load_snapshot(
                 self.snapshot_path, use_optimizer=use_optimizer
             )
-            self.engine.stats_refresh_threshold = stats_refresh_threshold
-            self.engine.drift.qerror_threshold = stats_refresh_qerror
             snapshot_lsn = meta["last_lsn"]
         else:
             optimizer = None
@@ -124,14 +130,9 @@ class TemporalStore:
                 from ..optimizer import Optimizer
 
                 optimizer = Optimizer()
-            self.engine = RDFTX(
-                config=config, optimizer=optimizer,
-                stats_refresh_threshold=stats_refresh_threshold,
-                stats_refresh_qerror=stats_refresh_qerror,
-            )
-            self.engine.load(TemporalGraph())
-        if parallel is not None:
-            self.engine.parallel = parallel
+            engine = RDFTX(config=config, optimizer=optimizer)
+            engine.load(TemporalGraph())
+        self._install(engine)
         self._revision = snapshot_lsn
 
         self._wal = WriteAheadLog(
@@ -165,12 +166,42 @@ class TemporalStore:
                 if _metrics.ENABLED:
                     _REPLAY_SKIPPED.inc()
             else:
+                self.replayed += 1
                 if _metrics.ENABLED:
                     _REPLAYED.inc()
             self._revision = record.lsn
             self._since_checkpoint += 1
 
     # -------------------------------------------------------------- loading
+
+    @requires_writer_lock
+    def _install(self, engine: RDFTX) -> None:
+        """Serve ``engine`` under this store's own settings — an engine
+        built elsewhere (a snapshot, ``RDFTX.from_graph``) carries the
+        defaults, not what this store was configured with."""
+        engine.stats_refresh_threshold = self._stats_refresh_threshold
+        engine.drift.qerror_threshold = self._stats_refresh_qerror
+        if self._parallel is not None:
+            engine.parallel = self._parallel
+        self.engine = engine
+
+    def adopt(self, engine: RDFTX) -> None:
+        """Serve a pre-built engine from an *empty* store.
+
+        Like :meth:`load_dataset` the hand-over bypasses the WAL and is
+        made durable by an immediate checkpoint.
+        """
+        with self._writer:
+            self._require_empty("adopt")
+            with self._rw.write_locked():
+                self._install(engine)
+            if self._query_cache is not None:
+                self._query_cache.invalidate()
+        self.checkpoint()
+
+    def _require_empty(self, what: str) -> None:
+        if self._revision != 0 or len(self.engine._graph or ()) != 0:
+            raise StoreError(f"{what} requires an empty store")
 
     def load_dataset(self, graph: TemporalGraph,
                      compress: bool = True) -> None:
@@ -181,8 +212,7 @@ class TemporalStore:
         immediate checkpoint.
         """
         with self._writer:
-            if self._revision != 0 or len(self.engine._graph or ()) != 0:
-                raise StoreError("load_dataset requires an empty store")
+            self._require_empty("load_dataset")
             with self._rw.write_locked():
                 self.engine.load(graph, compress=compress)
             if self._query_cache is not None:

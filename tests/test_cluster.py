@@ -27,7 +27,7 @@ from repro.datasets.queries import (
     selection_queries,
 )
 from repro.mvbt.tree import DuplicateKeyError, TimeOrderError
-from repro.service.store import TemporalStore
+from repro.service.store import StoreError, TemporalStore
 
 GOLDEN = Path(__file__).parent / "golden" / "cluster_fig9.json"
 #: The pinned dataset the golden answers were computed on.  Committed as
@@ -531,6 +531,82 @@ class TestClusterObservability:
             "ok": True, "enabled": False, "metrics": {},
             "role": "shard", "revision": 7, "lag_seconds": None,
         }
+
+
+class TestClusterBringUp:
+    def test_dead_worker_fails_at_once_and_nothing_is_left_running(
+            self, tmp_path):
+        """A worker that dies at store open is noticed through its
+        process sentinel, not by waiting out ``start_timeout``; the
+        constructor raises naming the shard and stops the other worker,
+        which did come up."""
+        import multiprocessing
+
+        directory = tmp_path / "clu"
+        directory.mkdir()
+        (directory / "shard-1").write_text("not a directory")
+        started = time.monotonic()
+        with pytest.raises(StoreError, match=r"shard 1 \(shard\) died"):
+            ClusterStore(directory, shards=2, fsync=False,
+                         start_timeout=60.0)
+        assert time.monotonic() - started < 20.0
+        assert multiprocessing.active_children() == []
+
+    def test_failed_bootstrap_stops_every_worker(self, tmp_path,
+                                                 monkeypatch):
+        import multiprocessing
+
+        from repro.cluster import coordinator
+
+        real_rpc = coordinator.ShardClient.rpc
+
+        def rpc(self, payload, timeout=None):
+            if payload.get("op") == "predicates":
+                raise StoreError("inventory unavailable")
+            return real_rpc(self, payload, timeout=timeout)
+
+        monkeypatch.setattr(coordinator.ShardClient, "rpc", rpc)
+        with pytest.raises(StoreError, match="inventory unavailable"):
+            ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+                         fsync=False)
+        assert multiprocessing.active_children() == []
+
+    def test_bringup_span_attributes_each_worker(self, tmp_path):
+        """``cluster.bringup`` holds one ``cluster.worker.ready`` child
+        per worker; on a restart over existing directories the children
+        report what recovery replayed."""
+        from repro.obs import trace as _trace
+
+        def bring_up():
+            with _trace.start_trace("test.bringup") as trace:
+                cluster = ClusterStore(tmp_path / "clu", shards=2,
+                                       replicas=1, fsync=False)
+            (bringup,) = [s for s in _walk_spans(trace.root)
+                          if s.name == "cluster.bringup"]
+            assert bringup.attrs == {"shards": 2, "replicas": 1}
+            ready = bringup.children
+            assert [s.name for s in ready] == ["cluster.worker.ready"] * 4
+            assert sorted((s.attrs["shard"], s.attrs["role"])
+                          for s in ready) == [
+                (0, "replica"), (0, "shard"), (1, "replica"), (1, "shard")]
+            for span in ready:
+                assert span.attrs["import_ms"] > 0
+                assert span.attrs["open_ms"] > 0
+                assert span.attrs["startup_ms"] >= (
+                    span.attrs["import_ms"] + span.attrs["open_ms"])
+            return cluster, ready
+
+        cluster, ready = bring_up()
+        with cluster:
+            assert all(s.attrs["replayed"] == 0 for s in ready)
+            for i in range(6):
+                cluster.insert(f"subj{i}", "p", "v", 1000 + i)
+            watermark = cluster.revision
+        cluster, ready = bring_up()
+        with cluster:
+            assert cluster.revision == watermark
+            assert sum(s.attrs["replayed"] for s in ready
+                       if s.attrs["role"] == "shard") == 6
 
 
 class TestClusterReporting:

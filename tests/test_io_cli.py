@@ -75,6 +75,24 @@ class TestRoundtrip:
         )
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.text(alphabet=' "\\#.ab', min_size=1, max_size=6),
+        min_size=3, max_size=12,
+    ))
+    def test_roundtrip_of_characters_the_format_reserves(self, terms):
+        # spaces, quotes, backslashes, the comment mark and the line
+        # terminator, in every position of every field
+        graph = TemporalGraph()
+        terms += ["now", "."]
+        for index in range(len(terms) - 2):
+            graph.add(*terms[index:index + 3], index, index + 1)
+        restored = loads(dumps(graph))
+        assert sorted(map(str, restored.triples())) == sorted(
+            map(str, graph.triples())
+        )
+
+
 class TestParsing:
     def test_comments_and_blanks(self):
         text = "# a comment\n\nA p B 2010-01-01 now .\n"
@@ -109,6 +127,33 @@ class TestParsing:
         assert triple.subject == "two words"
         assert triple.predicate == 'a "b"'
         assert triple.object == "c\\d"
+
+
+    @pytest.mark.parametrize("text, line_number, message", [
+        ('A p "unterminated 1 2 .\n', 1,
+         "cannot tokenize near '\"unterminated 1 2 .'"),
+        ('A p B 1 2 .\nA p "x 1 2 .\n', 2, "cannot tokenize near '\"x 1 2 .'"),
+        ('A p B 1 2 . "\n', 1, "cannot tokenize near '\"'"),
+        ('"a\\', 1, "cannot tokenize near '\"a\\\\'"),
+        ("A#c\n", 1, "expected 5 fields, found 1"),
+        ('a"b"c d 1 2\n', 1, "expected 5 fields, found 6"),
+        ('  "q" p o 1 2 .\n\n#x\n  A p o 1 x\n', 4, "bad timestamp 'x'"),
+    ])
+    def test_errors_name_the_line_and_the_rest_of_it(
+            self, text, line_number, message):
+        # messages pinned from the tokenizer this one replaced
+        with pytest.raises(FormatError) as err:
+            loads(text)
+        assert err.value.line_number == line_number
+        assert str(err.value) == f"line {line_number}: {message}"
+
+    def test_comment_may_hold_a_quote(self):
+        assert len(loads('A p B 1 2 . # c "\n')) == 1
+
+    def test_terms_need_no_space_between_them(self):
+        triple = next(loads('a"b c"d 1 2\n').triples())
+        assert (triple.subject, triple.predicate, triple.object) == (
+            "a", "b c", "d")
 
 
 class TestCLI:
@@ -170,3 +215,54 @@ class TestCLI:
         assert "[09/30/2013 ... now]" in out
         assert "explain on" in out
         assert "Plan:" in out
+
+
+class TestServeSettings:
+    """``serve`` hands the store's settings to whichever engine it ends
+    up serving — also the one ``--data`` builds outside the store."""
+
+    @pytest.fixture()
+    def served(self, monkeypatch):
+        from repro.service import server
+
+        seen = {}
+
+        class Service:
+            port = 0
+
+            def serve_forever(self):
+                pass
+
+            def shutdown(self):
+                pass
+
+        def fake_serve(store, **options):
+            seen["qerror"] = store.engine.drift.qerror_threshold
+            seen["parallel"] = store.engine.parallel
+            seen["live_facts"] = store.live_facts
+            return Service()
+
+        monkeypatch.setattr(server, "serve", fake_serve)
+        return seen
+
+    @pytest.mark.parametrize("source", ["none", "dataset", "snapshot"])
+    def test_stats_refresh_qerror_reaches_the_served_engine(
+            self, source, served, tmp_path, capsys):
+        argv = ["serve", str(tmp_path / "store"), "--no-fsync",
+                "--stats-refresh-qerror", "4.5", "--parallel"]
+        if source != "none":
+            data = tmp_path / "uc.tnq"
+            dump_graph(sample_graph(), data)
+            if source == "snapshot":
+                assert cli.main(["snapshot", str(data),
+                                 str(tmp_path / "uc.snap")]) == 0
+                data = tmp_path / "uc.snap"
+            argv += ["--data", str(data)]
+        assert cli.main(argv) == 0
+        assert served["qerror"] == 4.5
+        assert served["parallel"] is True
+        assert served["live_facts"] == (0 if source == "none" else 2)
+        # ...and the adopted engine was checkpointed: a restart serves it
+        assert cli.main(argv[:6]) == 0
+        assert served["qerror"] == 4.5
+        assert served["live_facts"] == (0 if source == "none" else 2)

@@ -40,6 +40,28 @@ class TestChronons:
         with pytest.raises(TimeError):
             date_to_chronon("soon")
 
+    @pytest.mark.parametrize("literal, chronon", [
+        ("2008-06-16", 14046), ("1970-01-01", 0), ("1969-12-31", -1),
+        ("2008-02-29", 13938), ("9999-12-31", 2932896),
+        ("2008-6-16", 14046), ("2008-06-1", 14031), ("2008-06- 6", 14036),
+        (" 2008-06-16 ", 14046), ("06/16/2008", 14046),
+        ("6/16/2008", 14046), ("NOW", NOW), (" Now ", NOW),
+    ])
+    def test_accepted_literals(self, literal, chronon):
+        # pinned from the strptime-only parser: the ISO fast path must
+        # accept exactly what that one did
+        assert date_to_chronon(literal) == chronon
+
+    @pytest.mark.parametrize("literal", [
+        "20080616", "2008-W24-1", "2008-06-31", "2008-13-01", "0000-01-01",
+        "2009-02-29", "2008/06/16", "16/06/2008", "2008-06-16T00:00", "",
+        "someday", "\u0662\u0660\u0660\u0668-\u0660\u0666-\u0661\u0666",
+        "2008-06-16x", "+008-06-16", "2008--6-16",
+    ])
+    def test_rejected_literals(self, literal):
+        with pytest.raises(TimeError):
+            date_to_chronon(literal)
+
     def test_roundtrip(self):
         day = date_to_chronon("2013-09-30")
         assert chronon_to_date(day) == datetime.date(2013, 9, 30)
