@@ -61,16 +61,15 @@ ARMS = {
 
 def build_engine():
     graph = wikipedia.generate(N_TRIPLES, seed=DATASET_SEED).graph
-    return RDFTX.from_graph(graph)
+    return graph, RDFTX.from_graph(graph)
 
 
 def run_arm(name, cfg):
     prev_mode = comp.set_packed_mode(cfg["mode"])
     prev_policy = comp.set_memo_policy(cfg["hot_uses"], cfg["budget"])
     memo_base = comp.memo_entries()
-    engine = build_engine()
+    graph, engine = build_engine()
     try:
-        graph = engine._graph
         queries = selection_queries(graph, count=8) + join_queries(
             graph, count=4
         )

@@ -437,7 +437,9 @@ def main() -> int:
                 os.path.join(tmp, "mix"), group_size=64, **kwargs
             )
             with store:
-                requests = _mixed_requests(store.engine._graph, queries)
+                requests = _mixed_requests(
+                    wikipedia.generate(TRIPLES, seed=7).graph, queries
+                )
                 elapsed, ops, median = bench_cached_mix(store, requests)
                 medians[label] = median
                 rows.append((label, ops, elapsed))

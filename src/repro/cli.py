@@ -227,16 +227,17 @@ def _load_engine(path: str, use_optimizer: bool) -> RDFTX:
         from .optimizer import Optimizer
 
         optimizer = Optimizer()
-    engine = RDFTX.from_graph(graph, optimizer=optimizer)
-    engine._graph = graph  # kept for info reporting
-    return engine
+    return RDFTX.from_graph(graph, optimizer=optimizer)
 
 
 def cmd_info(args) -> int:
+    from .model.graph import TemporalGraph
     from .model.time import format_chronon
 
     engine = _load_engine(args.dataset, use_optimizer=False)
-    graph = engine._graph
+    graph = TemporalGraph.from_encoded(
+        engine.dictionary, engine.history_rows()
+    )
     predicates = graph.predicate_counts()
     starts = [t.period.start for t in graph]
     print(f"triples:        {len(graph)}")

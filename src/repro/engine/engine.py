@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..cache import LRUCache
+from ..model.dictionary import Dictionary
 from ..model.graph import TemporalGraph
 from ..model.time import MIN_TIME, NOW, PeriodSet, format_chronon
 from ..mvbt.tree import MVBT, MVBTConfig, change_events, replay
@@ -145,9 +146,6 @@ class RDFTX:
             misses=_PLAN_MISSES,
             evictions=_PLAN_EVICTIONS,
         )
-        #: the loaded graph, kept so statistics can be rebuilt after updates
-        #: (and so updates stay visible to snapshots / ``repro-tx info``).
-        self._graph: TemporalGraph | None = None
         #: updates applied since the optimizer statistics were last built.
         self._stats_dirty = 0
         #: auto-rebuild the statistics once this many updates accumulate
@@ -194,12 +192,11 @@ class RDFTX:
     def load(self, graph: TemporalGraph, compress: bool = True) -> None:
         """Bulk load all four indices from ``graph``.
 
-        The engine keeps a reference to ``graph`` and maintains it across
-        :meth:`insert`/:meth:`delete`, so optimizer statistics can be
-        rebuilt and snapshots stay faithful after live updates.
+        ``graph`` feeds the trees and the first statistics build; the
+        engine keeps only its dictionary.  From here on the indices are
+        the one copy of the history (:meth:`history_rows`).
         """
         self.dictionary = graph.dictionary
-        self._graph = graph
         self._stats_dirty = 0
         self._plan_cache.clear()
         with _trace.span("engine.load", triples=len(graph)) as span:
@@ -217,8 +214,9 @@ class RDFTX:
                         (time, kind, (key[a], key[b], key[c]))
                         for time, kind, key in events
                     ))
-            if compress:
-                self.compress()
+                if compress:  # now: at most one plain tree is resident
+                    with _trace.span("mvbt.compress", index=name):
+                        tree.compress()
             if self.optimizer is not None:
                 self.optimizer.rebuild(graph)
 
@@ -244,8 +242,6 @@ class RDFTX:
         ids = self._encode(subject, predicate, object)
         for name, tree in self.indexes.items():
             tree.insert(_reorder(ids, name), time)
-        if self._graph is not None:
-            self._graph.add(subject, predicate, object, time)
         self._note_update()
 
     def delete(self, subject: str, predicate: str, object: str,
@@ -260,8 +256,6 @@ class RDFTX:
             )
         for name, tree in self.indexes.items():
             tree.delete(_reorder(ids, name), time)
-        if self._graph is not None:
-            self._graph.end(subject, predicate, object, time)
         self._note_update()
 
     def _check_update_time(self, time: int) -> None:
@@ -298,7 +292,7 @@ class RDFTX:
         return self._stats_dirty
 
     def refresh_statistics(self) -> bool:
-        """Rebuild the optimizer statistics from the maintained graph.
+        """Rebuild the optimizer statistics from the indexed history.
 
         Returns ``True`` when a rebuild happened.  Called automatically at
         compile time once :attr:`stats_refresh_threshold` updates have
@@ -307,9 +301,9 @@ class RDFTX:
         """
         self._stats_dirty = 0
         self.drift.reset_window()
-        if self.optimizer is None or self._graph is None:
+        if self.optimizer is None or self.dictionary is None:
             return False
-        self.optimizer.rebuild(self._graph)
+        self.optimizer.rebuild_rows(self.dictionary, self.history_rows())
         self._plan_cache.clear()
         return True
 
@@ -337,8 +331,6 @@ class RDFTX:
 
     def _encode(self, subject: str, predicate: str, object: str):
         if self.dictionary is None:
-            from ..model.dictionary import Dictionary
-
             self.dictionary = Dictionary()
         return {
             "s": self.dictionary.encode(subject),
@@ -356,6 +348,29 @@ class RDFTX:
         ids = {"s": lookup(subject), "p": lookup(predicate),
                "o": lookup(object)}
         return None if None in ids.values() else ids
+
+    # -------------------------------------------------------------- history
+
+    def live_since(self, subject: str, predicate: str,
+                   object: str) -> int | None:
+        """Start chronon of the fact's live interval, or ``None`` when it
+        does not currently hold: an SPO index lookup."""
+        ids = self._lookup(subject, predicate, object)
+        if ids is None:
+            return None
+        return self.indexes["spo"].live_start(_reorder(ids, "spo"))
+
+    def history_rows(self) -> list[tuple[int, int, int, int, int]]:
+        """Every ``(sid, pid, oid, start, end)`` interval of the indexed
+        history, by SPO key, then start — read off the SPO tree's leaves."""
+        with _trace.span("engine.history") as span:
+            rows = [
+                (*key, start, end)
+                for key, start, end in self.indexes["spo"].history()
+            ]
+            rows.sort()
+            span.annotate(rows=len(rows))
+        return rows
 
     # -------------------------------------------------------------- queries
 

@@ -3,16 +3,18 @@
 A :class:`TemporalGraph` is the logical container of a knowledge-base history:
 a set of interval-encoded temporal triples over a shared dictionary.  It is
 the common ingestion format consumed by the RDF-TX engine and by every
-baseline, so all systems index exactly the same data.
+baseline, so all systems index exactly the same data.  It is not engine
+state: a loaded engine keeps the history in its MVBTs alone
+(``RDFTX.history_rows`` reads it back).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .dictionary import Dictionary
-from .time import NOW, Period, PeriodSet, TimeError
+from .time import NOW, Period, PeriodSet
 from .triple import EncodedTriple, TemporalTriple
 
 
@@ -22,10 +24,6 @@ class TemporalGraph:
     def __init__(self) -> None:
         self.dictionary = Dictionary()
         self._triples: list[EncodedTriple] = []
-        #: (sid, pid, oid) -> index of the live triple for that fact, so the
-        #: live-update path (engine inserts/deletes, the serving layer's
-        #: validation) is O(1) instead of a scan.
-        self._live: dict[tuple[int, int, int], int] = {}
 
     # ------------------------------------------------------------------ load
 
@@ -45,10 +43,6 @@ class TemporalGraph:
             Period(start, end),
         )
         self._triples.append(encoded)
-        if encoded.period.is_live:
-            self._live[
-                (encoded.subject, encoded.predicate, encoded.object)
-            ] = len(self._triples) - 1
         return encoded
 
     def add_triple(self, triple: TemporalTriple) -> EncodedTriple:
@@ -66,64 +60,10 @@ class TemporalGraph:
         for triple in triples:
             self.add_triple(triple)
 
-    def end(self, subject: str, predicate: str, object: str,
-            end: int) -> None:
-        """End the live fact ``(s, p, o)`` at chronon ``end``.
-
-        Raises :class:`KeyError` when the fact is not live.  Ending a fact
-        at (or before) its own start leaves a zero-length history, so the
-        triple is dropped entirely — the MVBT's matching entry is likewise
-        never visible at any chronon.
-        """
-        if end >= NOW:
-            raise TimeError("cannot end a fact at NOW")
-        sid = self.dictionary.lookup(subject)
-        pid = self.dictionary.lookup(predicate)
-        oid = self.dictionary.lookup(object)
-        if sid is None or pid is None or oid is None:
-            raise KeyError(f"fact not live: ({subject}, {predicate}, {object})")
-        idx = self._live.pop((sid, pid, oid), None)
-        if idx is None:
-            raise KeyError(f"fact not live: ({subject}, {predicate}, {object})")
-        old = self._triples[idx]
-        if end <= old.period.start:
-            self._remove_at(idx)
-            return
-        self._triples[idx] = EncodedTriple(
-            old.subject, old.predicate, old.object,
-            Period(old.period.start, end),
-        )
-
-    def _remove_at(self, idx: int) -> None:
-        """Remove the triple at ``idx`` (swap-with-last, fix the live map)."""
-        last = self._triples.pop()
-        if idx < len(self._triples):
-            self._triples[idx] = last
-            if last.period.is_live:
-                self._live[(last.subject, last.predicate, last.object)] = idx
-
-    def is_live(self, subject: str, predicate: str, object: str) -> bool:
-        """Whether the fact currently holds (has a live interval)."""
-        return self.live_since(subject, predicate, object) is not None
-
-    def live_since(
-        self, subject: str, predicate: str, object: str
-    ) -> int | None:
-        """Start chronon of the fact's live interval, or ``None``."""
-        sid = self.dictionary.lookup(subject)
-        pid = self.dictionary.lookup(predicate)
-        oid = self.dictionary.lookup(object)
-        if sid is None or pid is None or oid is None:
-            return None
-        idx = self._live.get((sid, pid, oid))
-        if idx is None:
-            return None
-        return self._triples[idx].period.start
-
     # ----------------------------------------------------- (de)serialization
 
     def encoded_rows(self) -> list[tuple[int, int, int, int, int]]:
-        """Flat ``(sid, pid, oid, start, end)`` rows (snapshot payloads)."""
+        """Flat ``(sid, pid, oid, start, end)`` rows."""
         return [
             (t.subject, t.predicate, t.object, t.period.start, t.period.end)
             for t in self._triples
@@ -138,11 +78,10 @@ class TemporalGraph:
         """Rebuild a graph from a dictionary plus encoded rows."""
         graph = cls()
         graph.dictionary = dictionary
-        for sid, pid, oid, start, end in rows:
-            encoded = EncodedTriple(sid, pid, oid, Period(start, end))
-            graph._triples.append(encoded)
-            if end == NOW:
-                graph._live[(sid, pid, oid)] = len(graph._triples) - 1
+        graph._triples = [
+            EncodedTriple(sid, pid, oid, Period(start, end))
+            for sid, pid, oid, start, end in rows
+        ]
         return graph
 
     # ----------------------------------------------------------------- views
@@ -166,12 +105,6 @@ class TemporalGraph:
     def triples(self) -> Iterator[TemporalTriple]:
         """Iterate decoded temporal triples."""
         return (self.decode(t) for t in self._triples)
-
-    def predicates(self) -> list[str]:
-        """Sorted distinct predicate terms across the whole history."""
-        decode = self.dictionary.decode
-        return sorted(decode(pid) for pid in
-                      {t.predicate for t in self._triples})
 
     def history_of(
         self, subject: str, predicate: str | None = None
@@ -245,20 +178,21 @@ class TemporalGraph:
         return len({t.subject for t in self._triples})
 
     def raw_size(self) -> int:
-        """Size of the raw data in bytes, counted as the flat N-Triples-like
-        representation the paper compares index sizes against: the string
-        terms plus two timestamps per fact."""
-        decode = self.dictionary.decode
-        size = 0
-        for t in self._triples:
-            size += len(decode(t.subject).encode())
-            size += len(decode(t.predicate).encode())
-            size += len(decode(t.object).encode())
-            size += 2 * 8  # start / end timestamps
-        return size
+        """Size of the raw data in bytes (:func:`raw_size`)."""
+        return raw_size(self.dictionary, self.encoded_rows())
 
-    def sorted_by(
-        self, key: Callable[[EncodedTriple], tuple[Any, ...]]
-    ) -> list[EncodedTriple]:
-        """Triples sorted by an arbitrary key (used by bulk loaders)."""
-        return sorted(self._triples, key=key)
+
+def raw_size(
+    dictionary: Dictionary, rows: Iterable[tuple[int, int, int, int, int]]
+) -> int:
+    """Bytes of encoded ``(sid, pid, oid, start, end)`` rows as raw data:
+    the flat N-Triples-like representation the paper compares index sizes
+    against, string terms plus two timestamps per fact."""
+    decode = dictionary.decode
+    size = 0
+    for sid, pid, oid, _, _ in rows:
+        size += len(decode(sid).encode())
+        size += len(decode(pid).encode())
+        size += len(decode(oid).encode())
+        size += 2 * 8  # start / end timestamps
+    return size

@@ -837,10 +837,15 @@ class CompressedLeafStore:
             marks.append(_skip(buf, marks[-1], MARK_EVERY))
         self._marks = marks
 
+    def rows(self) -> list[tuple[Key, int, int]]:
+        """``(key, start, end)`` of every record in buffer order, decoded
+        past the read memo: its use count and budget are not involved."""
+        return [row[1:] for row in self._records()]
+
     def _walk_index(self) -> dict[Key, int]:
         """Build the live index by the one full decode walk a loaded or
         restored leaf pays in a process (none if it is never written)."""
-        self._set_index([row[1:] for row in self._records()])
+        self._set_index(self.rows())
         if _metrics.ENABLED:
             _SEEK_RECORDS.inc(self.count)
         return self._live
@@ -878,6 +883,15 @@ class CompressedLeafStore:
         if live is None:
             live = self._walk_index()
         return key in live
+
+    def live_start(self, key: Key) -> int | None:
+        """Start version of the live ``key`` entry, or ``None``: the probe
+        of :meth:`has_live` (the service's update validation)."""
+        live = self._live
+        if live is None:
+            live = self._walk_index()
+        ordinal = live.get(key)
+        return None if ordinal is None else self._starts[ordinal]
 
     def live_entries(self) -> list[LeafEntry]:
         """Fresh copies of the live entries in buffer order — what a

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from ..model.time import NOW, Period
 from .entry import IndexEntry, Key, LeafEntry
@@ -246,6 +246,13 @@ class LeafNode(_NodeBase):
             return self._store.live_entries()
         return [e for e in self.entries() if e.is_live]
 
+    def rows(self) -> Iterable[tuple[Key, int, int]]:
+        """``(key, start, end)`` of every entry, raw (not clamped to the
+        node's lifetime); leaves the read memo of a packed leaf alone."""
+        if self._store is not None:
+            return self._store.rows()
+        return [(e.key, e.start, e.end) for e in self._entries]
+
     def has_live(self, key: Key) -> bool:
         """Whether ``key`` has a live entry (keys are unique per version):
         a probe of the live map or index while the leaf is alive."""
@@ -254,6 +261,13 @@ class LeafNode(_NodeBase):
         if self.death == NOW:
             return self._store.has_live(key)
         return any(e.key == key for e in self.live_entries())
+
+    def live_start(self, key: Key) -> int | None:
+        """Start version of this live leaf's live ``key`` entry, or None."""
+        if self._store is not None:
+            return self._store.live_start(key)
+        entry = self._live.get(key)
+        return None if entry is None else entry.start
 
     # ------------------------------------------------------------- mutation
 

@@ -361,6 +361,28 @@ class MVBT:
         """Storage-layout size of the whole forest in bytes."""
         return sum(node.sizeof() for node in self.iter_nodes())
 
+    def live_start(self, key: Key) -> int | None:
+        """Start version of ``key``'s live entry, or ``None`` when the key
+        is not live: one descent plus the leaf's live-key probe."""
+        return self._descend(key)[-1].live_start(key)
+
+    def history(self) -> Iterator[tuple[Key, int, int]]:
+        """Every ``(key, start, end)`` ever recorded, each exactly once, in
+        one pass over the leaves (no particular order).
+
+        An ended entry sits in the one leaf it was ended in; a live one is
+        copied forward by every version split with its raw start (nothing
+        to coalesce) and counts in the alive leaf only.  Entries ended at
+        their own start version were never visible and are skipped.
+        """
+        for node in self._all_nodes():
+            if not node.is_leaf:
+                continue
+            alive = node.is_alive
+            for key, start, end in node.rows():
+                if end > start and (alive or end != NOW):
+                    yield key, start, end
+
     # -------------------------------------------------------- serialization
 
     def _all_nodes(self) -> list[Node]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..model.graph import TemporalGraph
+from ..model.graph import TemporalGraph, raw_size
 from ..model.time import NOW
 from .compressed import CMVSBT
 
@@ -45,10 +45,11 @@ class CharacteristicSets:
     with_predicate: dict = field(default_factory=dict)
 
     @classmethod
-    def from_graph(cls, graph: TemporalGraph) -> "CharacteristicSets":
+    def from_rows(cls, rows: list[tuple]) -> "CharacteristicSets":
+        """From encoded ``(sid, pid, oid, start, end)`` rows."""
         predicates_of: dict[int, set[int]] = defaultdict(set)
-        for triple in graph:
-            predicates_of[triple.subject].add(triple.predicate)
+        for sid, pid, _, _, _ in rows:
+            predicates_of[sid].add(pid)
         charsets = cls()
         index: dict[frozenset, int] = {}
         for subject, predicates in predicates_of.items():
@@ -160,9 +161,15 @@ class TemporalHistogram:
     MAX_COARSENING_ROUNDS = 6
 
     def build(self, graph: TemporalGraph) -> None:
-        """(Re)build the histogram from a temporal graph.
+        """(Re)build the histogram from a temporal graph."""
+        rows = graph.encoded_rows()
+        self.build_rows(rows, raw_size(graph.dictionary, rows))
 
-        The graph is ingested once; the candidate thresholds — the
+    def build_rows(self, rows: list[tuple], raw: int) -> None:
+        """(Re)build the histogram from encoded ``(sid, pid, oid, start,
+        end)`` rows that take ``raw`` bytes as raw data.
+
+        The rows are ingested once; the candidate thresholds — the
         constructor's ``(cm, lm)`` doubled 0 to
         :data:`MAX_COARSENING_ROUNDS` times — are then tried from the
         coarsest down, each a replay of the same sorted events, stopping at
@@ -172,8 +179,7 @@ class TemporalHistogram:
         away.  Coarse builds are the cheap ones, so nothing more than one
         step finer than the answer is ever built.
         """
-        subjects, occurrences = self._ingest(graph)
-        raw = graph.raw_size()
+        subjects, occurrences = self._ingest(rows)
         self.candidates_built = 0
         kept = None
         for doublings in range(self.MAX_COARSENING_ROUNDS, -1, -1):
@@ -188,12 +194,12 @@ class TemporalHistogram:
                 break
         self.cm, self.lm, self._subjects, self._occurrences = kept
 
-    def _ingest(self, graph: TemporalGraph) -> tuple[_StatEvents, _StatEvents]:
+    def _ingest(self, rows: list[tuple]) -> tuple[_StatEvents, _StatEvents]:
         """Set the schema and side tables; return the (subject, occurrence)
         events every candidate replays."""
-        self.charsets = CharacteristicSets.from_graph(graph)
+        self.charsets = CharacteristicSets.from_rows(rows)
         self._stride = max(self.charsets.with_predicate, default=0) + 2
-        self.total_triples = len(graph)
+        self.total_triples = len(rows)
         subjects = _StatEvents()
         occurrences = _StatEvents()
 
@@ -201,22 +207,18 @@ class TemporalHistogram:
         objects_of: dict[int, set[int]] = defaultdict(set)
         self.object_frequency = defaultdict(int)
         self.predicate_frequency = defaultdict(int)
-        for triple in graph:
-            span = lifetime.get(triple.subject)
+        for sid, pid, oid, start, end in rows:
+            span = lifetime.get(sid)
             if span is None:
-                lifetime[triple.subject] = [triple.period.start, triple.period.end]
+                lifetime[sid] = [start, end]
             else:
-                span[0] = min(span[0], triple.period.start)
-                span[1] = max(span[1], triple.period.end)
-            charset_id = self.charsets.of_subject[triple.subject]
-            occurrences.add(
-                self._occ_key(charset_id, triple.predicate),
-                triple.period.start,
-                triple.period.end,
-            )
-            objects_of[triple.predicate].add(triple.object)
-            self.object_frequency[triple.object] += 1
-            self.predicate_frequency[triple.predicate] += 1
+                span[0] = min(span[0], start)
+                span[1] = max(span[1], end)
+            charset_id = self.charsets.of_subject[sid]
+            occurrences.add(self._occ_key(charset_id, pid), start, end)
+            objects_of[pid].add(oid)
+            self.object_frequency[oid] += 1
+            self.predicate_frequency[pid] += 1
         for subject, (start, end) in lifetime.items():
             subjects.add(self.charsets.of_subject[subject], start, end)
         subjects.seal()

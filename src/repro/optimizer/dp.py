@@ -20,6 +20,8 @@ from ..engine.plan import PlanGraph
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .cost import SubPlan, join_cardinality, join_step_cost, pattern_estimates
+from ..model.graph import raw_size
+from ..mvsbt.histogram import TemporalHistogram
 from .statistics import Statistics
 
 _REBUILDS = _metrics.counter("optimizer.rebuilds")
@@ -42,14 +44,21 @@ class Optimizer:
         self.statistics: Statistics | None = None
 
     def rebuild(self, graph) -> None:
-        """(Re)build the temporal histogram from the loaded graph."""
+        """(Re)build the temporal histogram from a graph (the load path)."""
+        self.rebuild_rows(graph.dictionary, graph.encoded_rows())
+
+    def rebuild_rows(self, dictionary, rows: list[tuple]) -> None:
+        """(Re)build the temporal histogram from encoded ``(sid, pid, oid,
+        start, end)`` rows over ``dictionary`` — a graph's, or the history
+        an engine reads back off its indices."""
         started = time.perf_counter()
-        with _trace.span("optimizer.rebuild", triples=len(graph)) as span:
-            self.statistics = Statistics.build(
-                graph, cm=self.cm, lm=self.lm,
+        with _trace.span("optimizer.rebuild", triples=len(rows)) as span:
+            histogram = TemporalHistogram(
+                cm=self.cm, lm=self.lm,
                 budget_fraction=self.budget_fraction,
             )
-            histogram = self.statistics.histogram
+            histogram.build_rows(rows, raw_size(dictionary, rows))
+            self.statistics = Statistics(histogram, dictionary)
             span.annotate(candidates_built=histogram.candidates_built,
                           cm=histogram.cm)
         if _metrics.ENABLED:

@@ -7,7 +7,6 @@ described at the end of Section 6.3.
 
 from __future__ import annotations
 
-from ..model.graph import TemporalGraph
 from ..mvsbt.histogram import TemporalHistogram
 from ..sparqlt.ast import TermConst, Var
 from ..engine.patterns import PatternPlan
@@ -16,31 +15,10 @@ from ..engine.patterns import PatternPlan
 class Statistics:
     """Cardinality estimation backed by the temporal histogram."""
 
-    def __init__(self, histogram: TemporalHistogram, graph: TemporalGraph) -> None:
+    def __init__(self, histogram: TemporalHistogram, dictionary) -> None:
         self.histogram = histogram
-        self.dictionary = graph.dictionary
+        self.dictionary = dictionary
         self._cache: dict = {}
-
-    @classmethod
-    def build(
-        cls, graph: TemporalGraph, cm: int = 8, lm: int = 8,
-        budget_fraction: float = 0.10,
-    ) -> "Statistics":
-        histogram = TemporalHistogram(cm=cm, lm=lm,
-                                      budget_fraction=budget_fraction)
-        histogram.build(graph)
-        return cls(histogram, graph)
-
-    @classmethod
-    def from_histogram(
-        cls, histogram: TemporalHistogram, dictionary
-    ) -> "Statistics":
-        """Attach an already-built histogram (snapshot restore path)."""
-        stats = cls.__new__(cls)
-        stats.histogram = histogram
-        stats.dictionary = dictionary
-        stats._cache = {}
-        return stats
 
     def clear_cache(self) -> None:
         self._cache = {}

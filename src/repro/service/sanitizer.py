@@ -17,6 +17,7 @@ role                        blocking ok?    guards
 ==========================  ==============  =================================
 ``store.rw``                no              in-memory engine (RW lock)
 ``store.writer``            yes (fsync)     store update/checkpoint mutex
+``wal.handle``              yes (file I/O)  WAL append-handle swap vs. tail reads
 ``cluster.writer``          yes (RPC)       coordinator write serialization
 ``cluster.member.failover``  yes (RPC)      per-shard promote/reroute
 ``cluster.client.pool``     no              shard client socket free-list

@@ -3,8 +3,9 @@
 A snapshot is the durable image the serving layer checkpoints to: the
 dictionary, the four compressed MVBT forests (raw leaf buffers included, so
 restore pays no re-encode, and each tree's packed flag, so the restored
-index keeps creating its leaves packed), the maintained temporal graph,
-and — when an optimizer is attached — its temporal histogram.  Together
+index keeps creating its leaves packed) and — when an optimizer is
+attached — its temporal histogram.  The trees are the history: no row
+list is stored beside them (older files carry one; it is ignored).  Together
 with the WAL (:mod:`repro.service.wal`) it gives crash recovery: load the
 snapshot, replay the log records past the snapshot's ``last_lsn``.
 
@@ -27,7 +28,6 @@ from pathlib import Path
 from ..engine.engine import RDFTX
 from ..engine.patterns import INDEX_ORDERS
 from ..model.dictionary import Dictionary
-from ..model.graph import TemporalGraph
 from ..mvbt.tree import MVBT, MVBTConfig
 from ..obs import metrics as _metrics
 
@@ -59,7 +59,6 @@ def is_snapshot(path: str | Path) -> bool:
 def serialize_engine(engine: RDFTX, *, last_lsn: int = 0) -> dict:
     """The plain-data snapshot payload of an engine."""
     dictionary = engine.dictionary or Dictionary()
-    graph = engine._graph
     cfg = engine.config
     payload: dict = {
         "version": SNAPSHOT_VERSION,
@@ -73,7 +72,7 @@ def serialize_engine(engine: RDFTX, *, last_lsn: int = 0) -> dict:
         "indexes": {
             name: tree.dump_state() for name, tree in engine.indexes.items()
         },
-        "graph": graph.encoded_rows() if graph is not None else None,
+        "graph": None,  # once the rows; older builds index the key
         "statistics": None,
         "optimizer_params": None,
     }
@@ -109,19 +108,15 @@ def restore_engine(payload: dict, *, use_optimizer: bool = True) -> RDFTX:
     engine.dictionary = dictionary
     for name in INDEX_ORDERS:
         engine.indexes[name] = MVBT.load_state(payload["indexes"][name])
-    if payload["graph"] is not None:
-        engine._graph = TemporalGraph.from_encoded(
-            dictionary, payload["graph"]
-        )
     if optimizer is not None:
         if payload["statistics"] is not None:
             from ..optimizer.statistics import Statistics
 
-            optimizer.statistics = Statistics.from_histogram(
+            optimizer.statistics = Statistics(
                 payload["statistics"], dictionary
             )
-        elif engine._graph is not None:
-            optimizer.rebuild(engine._graph)
+        else:
+            engine.refresh_statistics()
     return engine
 
 

@@ -13,8 +13,8 @@ library into a long-running service:
   epoch (the last applied LSN) they started at.  This leans on the MVBT's
   multiversion structure: structure changes never destroy old entries, so
   a reader at revision *r* keeps seeing exactly the state at *r*.
-* **Admission of bad updates** — updates are validated against the
-  maintained graph before logging, so the WAL stays free of no-op records
+* **Admission of bad updates** — updates are validated against the SPO
+  index before logging, so the WAL stays free of no-op records
   (duplicate inserts, deletes of dead facts, time-order violations).
 
 Checkpoints run while readers continue (only writers pause): the engine is
@@ -200,7 +200,7 @@ class TemporalStore:
         self.checkpoint()
 
     def _require_empty(self, what: str) -> None:
-        if self._revision != 0 or len(self.engine._graph or ()) != 0:
+        if self._revision or self.engine.indexes["spo"].total_versions:
             raise StoreError(f"{what} requires an empty store")
 
     def load_dataset(self, graph: TemporalGraph,
@@ -281,11 +281,7 @@ class TemporalStore:
             raise TimeOrderError(
                 f"update at {time} before watermark {watermark}"
             )
-        graph = self.engine._graph
-        live_since = (
-            graph.live_since(subject, predicate, object)
-            if graph is not None else None
-        )
+        live_since = self.engine.live_since(subject, predicate, object)
         if op == "insert":
             if live_since is not None:
                 raise DuplicateKeyError(
@@ -459,11 +455,13 @@ class TemporalStore:
 
         The cluster coordinator rebuilds its predicate routing map from
         this inventory at bootstrap; runs under the read lock so the
-        walk cannot race a concurrent update.
+        walk over the SPO leaves cannot race a concurrent update.
         """
         with self._rw.read_locked():
-            graph = self.engine._graph
-            return graph.predicates() if graph is not None else []
+            pids = {
+                key[1] for key, _, _ in self.engine.indexes["spo"].history()
+            }
+        return sorted(map(self.engine.dictionary.decode, pids))
 
     @property
     def cached_results(self) -> int | None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 import time
 import zlib
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from typing import Iterator
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
+from .sanitizer import sanitized_lock
 
 _APPENDS = _metrics.counter("service.wal.appends")
 _SYNCS = _metrics.counter("service.wal.syncs")
@@ -110,6 +112,11 @@ class WriteAheadLog:
         self._pending = 0
         self.recovered: list[WalRecord] = []
         self._next_lsn = start_lsn
+        #: guards swapping or closing the append handle against the flush
+        #: of a :meth:`read_from` on another thread (it takes no other lock).
+        self._handle_lock = sanitized_lock(
+            threading.Lock(), "wal.handle", allow_blocking=True
+        )
         self._scan_and_repair()
         self._handle = open(self.path, "ab")
 
@@ -117,10 +124,7 @@ class WriteAheadLog:
 
     def _scan_and_repair(self) -> None:
         if not self.path.exists() or self.path.stat().st_size == 0:
-            with open(self.path, "wb") as handle:
-                handle.write(WAL_MAGIC)
-                handle.flush()
-                os.fsync(handle.fileno())
+            _write_empty_log(self.path)
             return
         with open(self.path, "rb") as handle:
             data = handle.read()
@@ -201,13 +205,13 @@ class WriteAheadLog:
         bounded by checkpoint truncation).  An ``lsn`` past the end of the
         log returns an empty list.
         """
-        if not self._handle.closed:
-            self._handle.flush()
-        data = self.path.read_bytes()
-        if data[: len(WAL_MAGIC)] != WAL_MAGIC:
-            raise WalError(f"{self.path}: not a WAL file (bad magic)")
-        records, _ = _parse_frames(data, len(WAL_MAGIC))
-        return [record for record in records if record.lsn > lsn]
+        with self._handle_lock:
+            if not self._handle.closed:
+                self._handle.flush()
+        # Lock-free: the path always names a complete log (see truncate).
+        return [
+            record for record in read_records(self.path) if record.lsn > lsn
+        ]
 
     def tail(self, lsn: int) -> "Iterator[WalRecord]":
         """Iterate the records past ``lsn`` currently in the log.
@@ -223,21 +227,24 @@ class WriteAheadLog:
         """Reset the log to empty (after a checkpoint made it redundant).
 
         The in-memory LSN counter keeps counting, so records written after
-        a truncation still sort after the snapshot's ``last_lsn``.
+        a truncation still sort after the snapshot's ``last_lsn``.  The
+        empty log is written beside the old one and renamed over it, so a
+        concurrent :meth:`read_from` never sees a file without its magic.
         """
         self.sync()
-        self._handle.close()
-        with open(self.path, "wb") as handle:
-            handle.write(WAL_MAGIC)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._handle = open(self.path, "ab")
+        fresh = self.path.with_name(self.path.name + ".tmp")
+        _write_empty_log(fresh)
+        with self._handle_lock:
+            self._handle.close()
+            os.replace(fresh, self.path)
+            self._handle = open(self.path, "ab")
 
     def close(self) -> None:
         if self._handle.closed:
             return
         self.sync()
-        self._handle.close()
+        with self._handle_lock:
+            self._handle.close()
 
     @property
     def size_bytes(self) -> int:
@@ -264,6 +271,14 @@ class WriteAheadLog:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _write_empty_log(path: Path) -> None:
+    """A durable log holding the header and no frame."""
+    with open(path, "wb") as handle:
+        handle.write(WAL_MAGIC)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def _parse_frames(data: bytes, pos: int) -> tuple[list[WalRecord], int]:

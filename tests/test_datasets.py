@@ -62,7 +62,7 @@ class TestWikipediaGenerator:
     def test_categories_form_characteristic_sets(self, dataset):
         from repro.mvsbt.histogram import CharacteristicSets
 
-        charsets = CharacteristicSets.from_graph(dataset.graph)
+        charsets = CharacteristicSets.from_rows(dataset.graph.encoded_rows())
         # Few charsets relative to subjects: category structure captured.
         assert len(charsets) < len(dataset.category_of) / 3
 

@@ -8,6 +8,7 @@ from repro import io as tio
 from repro.cli import main
 from repro.engine import RDFTX
 from repro.model.graph import TemporalGraph
+from repro.model.time import NOW
 from repro.obs.introspect import (
     engine_report,
     find_anomalies,
@@ -22,9 +23,8 @@ from repro.service.store import TemporalStore
 def small_graph(n=60):
     graph = TemporalGraph()
     for i in range(n):
-        graph.add(f"s{i}", f"p{i % 5}", f"o{i}", 1 + i % 7)
-    for i in range(0, n, 3):
-        graph.end(f"s{i}", f"p{i % 5}", f"o{i}", 10 + i % 7)
+        end = NOW if i % 3 else 10 + i % 7
+        graph.add(f"s{i}", f"p{i % 5}", f"o{i}", 1 + i % 7, end)
     return graph
 
 

@@ -169,6 +169,17 @@ class TestCLI:
         assert "triples:        4" in out
         assert "index size:" in out
 
+    def test_info_on_a_snapshot(self, dataset, tmp_path, capsys):
+        """A snapshot holds no row list; ``info`` reads the history off
+        its indices and reports what it reports for the dataset."""
+        assert cli.main(["info", dataset]) == 0
+        expected = capsys.readouterr().out
+        snap = str(tmp_path / "uc.snap")
+        assert cli.main(["snapshot", dataset, snap]) == 0
+        capsys.readouterr()
+        assert cli.main(["info", snap]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_query(self, dataset, capsys):
         code = cli.main(
             ["query", dataset,

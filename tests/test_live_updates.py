@@ -168,16 +168,16 @@ class TestStatisticsStaleness:
         assert engine.statistics_dirty == 0
 
 
-class TestGraphMaintenance:
-    def test_graph_tracks_live_updates(self, engine):
-        graph = engine._graph
-        n = len(graph)
+class TestHistoryTracksUpdates:
+    def test_history_tracks_live_updates(self, engine):
+        n = len(engine.history_rows())
         engine.insert("Org", "leader", "Alice", D("01/01/2015"))
-        assert len(graph) == n + 1
-        assert graph.is_live("Org", "leader", "Alice")
+        assert len(engine.history_rows()) == n + 1
+        assert engine.live_since("Org", "leader", "Alice") == D("01/01/2015")
         engine.delete("Org", "leader", "Alice", D("01/01/2018"))
-        assert len(graph) == n + 1  # the fact remains, with a closed period
-        assert not graph.is_live("Org", "leader", "Alice")
+        # the fact remains, with a closed period
+        assert len(engine.history_rows()) == n + 1
+        assert engine.live_since("Org", "leader", "Alice") is None
 
     def test_update_at_now_rejected(self, engine):
         with pytest.raises(ValueError):
@@ -197,7 +197,7 @@ class TestRejectedUpdateLeavesNoTrace:
             [tree.current_time for tree in engine.indexes.values()],
             engine.horizon,
             len(engine.dictionary),
-            len(engine._graph),
+            engine.history_rows(),
             engine.sizeof(),
             [engine.query(text).rows for text in ORDER_PROBES.values()],
             engine.query("SELECT ?s ?p ?o ?t {?s ?p ?o ?t}").rows,

@@ -207,7 +207,7 @@ def test_load_never_asks_an_index_entry_whether_it_is_alive(monkeypatch):
     # The guard can fire: a scan of a past chronon, before the root's last
     # change, rebuilds that chronon's partition from the entry list.
     tree = engine.indexes["spo"]
-    starts = sorted(t.period.start for t in engine._graph)
+    starts = sorted(row[3] for row in engine.history_rows())
     past = starts[len(starts) // 2]
     assert scan_pieces(tree, t1=past, t2=past + 1)
     assert calls > 0

@@ -19,7 +19,6 @@ from repro.model.time import MIN_TIME, NOW
 from repro.mvsbt.histogram import CharacteristicSets, TemporalHistogram
 from repro.optimizer import (
     Optimizer,
-    Statistics,
     enumerate_orders,
     estimate_order_cost,
     optimize,
@@ -36,7 +35,13 @@ def dataset():
 def stats(dataset):
     # A toy graph cannot reach the paper's 10% space budget (the histogram
     # has a size floor); give it room so estimates stay meaningful.
-    return Statistics.build(dataset.graph, cm=4, lm=4, budget_fraction=2.0)
+    return built_statistics(dataset.graph, cm=4, lm=4, budget_fraction=2.0)
+
+
+def built_statistics(graph, **thresholds):
+    optimizer = Optimizer(**thresholds)
+    optimizer.rebuild(graph)
+    return optimizer.statistics
 
 
 def build_graph(engine_or_graph, text):
@@ -59,7 +64,7 @@ class TestCharacteristicSets:
         g.add("UM", "president", "b", 1, 10)
         g.add("UM", "undergraduate", "y", 1, 10)
         g.add("Lonely", "motto", "z", 1, 10)
-        charsets = CharacteristicSets.from_graph(g)
+        charsets = CharacteristicSets.from_rows(g.encoded_rows())
         assert len(charsets) == 2
         uc = charsets.of_subject[g.dictionary.lookup("UC")]
         um = charsets.of_subject[g.dictionary.lookup("UM")]
@@ -69,7 +74,7 @@ class TestCharacteristicSets:
         g = TemporalGraph()
         g.add("A", "p", "1", 1, 5)
         g.add("B", "q", "1", 1, 5)
-        charsets = CharacteristicSets.from_graph(g)
+        charsets = CharacteristicSets.from_rows(g.encoded_rows())
         pid = g.dictionary.lookup("p")
         assert len(charsets.with_predicate[pid]) == 1
 
@@ -217,7 +222,7 @@ class TestStatistics:
             for copy in range(2 if i < 10 else 1):  # 110 undergrad triples
                 g.add(subject, "undergraduate", f"u{i}_{copy}",
                       1 + copy * 10, 5 + copy * 10)
-        stats = Statistics.build(g, cm=1, lm=1, budget_fraction=10.0)
+        stats = built_statistics(g, cm=1, lm=1, budget_fraction=10.0)
         pid1 = g.dictionary.lookup("president")
         pid2 = g.dictionary.lookup("undergraduate")
         estimate = stats.star_join_cardinality([pid1, pid2], MIN_TIME, NOW)

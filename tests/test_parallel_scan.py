@@ -27,14 +27,17 @@ from repro.optimizer import Optimizer
 
 
 @pytest.fixture(scope="module")
-def engine():
-    graph = wikipedia.generate(1200, seed=11).graph
+def graph():
+    return wikipedia.generate(1200, seed=11).graph
+
+
+@pytest.fixture(scope="module")
+def engine(graph):
     return RDFTX.from_graph(graph, optimizer=Optimizer())
 
 
 @pytest.fixture(scope="module")
-def workload(engine):
-    graph = engine._graph
+def workload(graph):
     by_size = complex_queries(graph, seeds=2, max_patterns=5)
     return (
         selection_queries(graph, count=6)

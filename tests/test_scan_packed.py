@@ -304,16 +304,19 @@ class TestMemoPolicy:
 
 
 @pytest.fixture(scope="module")
-def engine():
-    graph = wikipedia.generate(1000, seed=23).graph
+def graph():
+    return wikipedia.generate(1000, seed=23).graph
+
+
+@pytest.fixture(scope="module")
+def engine(graph):
     return RDFTX.from_graph(graph)
 
 
 @pytest.fixture(scope="module")
-def workload(engine):
+def workload(graph):
     from repro.datasets.queries import join_queries, selection_queries
 
-    graph = engine._graph
     return selection_queries(graph, count=5) + join_queries(graph, count=3)
 
 

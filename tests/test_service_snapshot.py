@@ -75,7 +75,7 @@ class TestRoundTrip:
             assert other.current_time == tree.current_time
             assert other.sizeof() == tree.sizeof()
         assert restored.dictionary.max_id == engine.dictionary.max_id
-        assert len(restored._graph) == len(engine._graph)
+        assert restored.history_rows() == engine.history_rows()
 
     def test_updates_after_reload(self, engine, tmp_path):
         save_snapshot(engine, tmp_path / "e.snap")
@@ -136,6 +136,31 @@ class TestRoundTrip:
         restored.insert("s1", "visited", "after", t + 100)
         restored.delete("s1", "visited", "o1", t + 101)
         restored.check_invariants()
+
+    def test_rows_are_neither_stored_nor_read(self, engine):
+        """The trees are the history.  Version-1 files written while the
+        engine kept a graph beside them carry its rows under ``"graph"``:
+        they still open, to the same engine, and the rows are ignored."""
+        engine.insert("UC", "president", "Michael_Drake", D("08/01/2020"))
+        payload = serialize_engine(engine)
+        assert payload["version"] == 1 and payload["graph"] is None
+        legacy = dict(payload, graph=engine.history_rows() + [(9, 9, 9, 1, 2)])
+        restored = restore_engine(pickle.loads(pickle.dumps(legacy)))
+        assert restored.sizeof() == engine.sizeof()
+        assert restored.history_rows() == engine.history_rows()
+        for text in QUERIES:
+            assert _rows(restored, text) == _rows(engine, text)
+
+    def test_missing_histogram_is_rebuilt_from_the_trees(self, engine):
+        engine.insert("UC", "president", "Michael_Drake", D("08/01/2020"))
+        payload = serialize_engine(engine)
+        payload["statistics"] = None
+        restored = restore_engine(payload)
+        statistics = restored.optimizer.statistics
+        assert statistics.dictionary is restored.dictionary
+        assert statistics.histogram.total_triples == 9
+        assert (restore_engine(payload, use_optimizer=False).optimizer
+                is None)
 
     def test_statistics_survive_without_rebuild(self, engine, tmp_path):
         engine.query(QUERIES[0])  # force statistics to exist

@@ -182,6 +182,50 @@ class TestValidation:
             with pytest.raises(TimeOrderError):
                 store.insert("x", "y", "z", D("01/01/2015"))
 
+    def test_rejections_say_what_they_said_and_leave_no_trace(self,
+                                                               tmp_path):
+        """Validation reads the SPO index (it used to read a maintained
+        copy of the data): same exception types and messages, and a
+        refused update moves neither the revision, the WAL nor the index."""
+        t = D("01/01/2016")
+        with TemporalStore(tmp_path) as store:
+            store.load_dataset(fixture_graph())
+            store.insert("a", "b", "c", t)
+            store.insert("d", "e", "f", t + 5)
+            store.delete("d", "e", "f", t + 6)
+            before = (store.revision, store._wal.size_bytes,
+                      store.engine.sizeof(), store.engine.history_rows())
+            for op, fact, time, error, message in [
+                ("insert", ("a", "b", "c"), t + 9, DuplicateKeyError,
+                 "fact already live: (a, b, c)"),
+                ("insert", ("UC", "budget", "25.46"), t + 9,
+                 DuplicateKeyError, "fact already live: (UC, budget, 25.46)"),
+                ("delete", ("d", "e", "f"), t + 9, KeyError,
+                 "fact not live: (d, e, f)"),
+                ("delete", ("UC", "budget", "22.7"), t + 9, KeyError,
+                 "fact not live: (UC, budget, 22.7)"),
+                ("delete", ("ghost", "b", "c"), t + 9, KeyError,
+                 "fact not live: (ghost, b, c)"),
+                ("insert", ("x", "y", "z"), t + 5, TimeOrderError,
+                 f"update at {t + 5} before watermark {t + 6}"),
+                ("delete", ("a", "b", "c"), t, TimeOrderError,
+                 f"update at {t} before watermark {t + 6}"),
+            ]:
+                with pytest.raises(error) as raised:
+                    getattr(store, op)(*fact, time)
+                assert raised.value.args == (message,)
+            assert before == (store.revision, store._wal.size_bytes,
+                              store.engine.sizeof(),
+                              store.engine.history_rows())
+            # "at or before the live start" is reachable only at the
+            # watermark itself: the fact just inserted, ended at once.
+            store.insert("g", "h", "i", t + 6)
+            with pytest.raises(TimeOrderError) as raised:
+                store.delete("g", "h", "i", t + 6)
+            assert raised.value.args == (
+                f"delete at {t + 6} not after the fact's start {t + 6}",
+            )
+
     def test_update_time_out_of_range(self, tmp_path):
         with TemporalStore(tmp_path) as store:
             with pytest.raises(ValueError):
@@ -287,6 +331,46 @@ class TestConcurrency:
             # Readers observed monotonically growing revisions overall.
             assert revisions
             assert max(revisions) <= store.revision
+
+    def test_wal_since_across_checkpoints_never_sees_a_headerless_log(
+            self, tmp_path):
+        """A replica polls ``wal_since`` without any lock while the
+        primary checkpoints.  Truncation used to reopen the log with
+        ``"wb"``: for a moment the file was 0 bytes and the poll raised
+        ``WalError: bad magic`` (or flushed a handle being closed)."""
+        failures = []
+        done = threading.Event()
+
+        def poll(store):
+            while not done.is_set():
+                try:
+                    assert isinstance(store.wal_since(0), list)
+                except Exception as error:  # the regression: reported below
+                    failures.append(error)
+                    return
+
+        interval = sys.getswitchinterval()
+        with TemporalStore(tmp_path, fsync=False) as store:
+            pollers = [threading.Thread(target=poll, args=(store,))
+                       for _ in range(4)]
+            sys.setswitchinterval(1e-5)
+            try:
+                for poller in pollers:
+                    poller.start()
+                for i in range(200):
+                    store.insert(f"s{i}", "p", "o", D("01/01/2016") + i)
+                    store.checkpoint()
+                    if failures:
+                        break
+            finally:
+                done.set()
+                for poller in pollers:
+                    poller.join(timeout=30)
+                sys.setswitchinterval(interval)
+            assert not any(poller.is_alive() for poller in pollers)
+            assert failures == []
+            assert store.wal_since(0) == []
+            assert store.revision == 200
 
     def test_revision_pins_to_read_epoch(self, tmp_path):
         with TemporalStore(tmp_path) as store:

@@ -224,7 +224,11 @@ class TestStatisticsRefreshSpan:
         compile_span = tr.root.children[0]
         assert compile_span.name == "engine.compile"
         assert compile_span.attrs == {"stats_refresh": "updates"}
-        (rebuild,) = compile_span.children
+        # The engine keeps no copy of the data to rebuild from: the rows
+        # are read back off the SPO tree first, and the trace says so.
+        history, rebuild = compile_span.children
+        assert (history.name, history.attrs) == ("engine.history",
+                                                 {"rows": 42})
         assert rebuild.name == "optimizer.rebuild"
         histogram = engine.optimizer.statistics.histogram
         assert rebuild.attrs == {
@@ -264,11 +268,13 @@ class TestLoadSpans:
         assert load.name == "engine.load"
         # 40 facts, every one ended: an insert and a delete each.
         assert load.attrs == {"triples": 40, "events": 80}
+        # Each tree is packed right behind its own replay, so at most one
+        # plain tree is resident at a time.
         assert [(c.name, c.attrs.get("index")) for c in load.children] == [
-            ("mvbt.bulk_load", "spo"), ("mvbt.bulk_load", "sop"),
-            ("mvbt.bulk_load", "pos"), ("mvbt.bulk_load", "ops"),
-            ("mvbt.compress", None), ("optimizer.rebuild", None),
-        ]
+            (name, index)
+            for index in ("spo", "sop", "pos", "ops")
+            for name in ("mvbt.bulk_load", "mvbt.compress")
+        ] + [("optimizer.rebuild", None)]
         assert sum(c.duration_ms for c in load.children) <= load.duration_ms
         assert all(tree.is_packed for tree in engine.indexes.values())
 
