@@ -8,14 +8,23 @@ up, on one box or many:
 * :mod:`repro.cluster.planner` — hash-partitions triples on subject
   across N shared-nothing shards (predicate fallback for unbound-subject
   patterns), deterministically (``crc32``, never the salted ``hash()``).
+* :mod:`repro.cluster.protocol` — the coordinator <-> worker wire,
+  defined once: length-prefixed JSON frames, one request and one reply
+  dataclass per op, one codec, one ``kind`` <-> exception table.
+* :mod:`repro.cluster.client` — ``ShardClient``, the pooled typed RPC
+  client both ends use (a replica tails its primary through one).
 * :mod:`repro.cluster.worker` — one process per shard (and per replica),
   each running its own full :class:`~repro.service.store.TemporalStore`
-  (engine + WAL + snapshots) behind a length-prefixed socket protocol.
-* :mod:`repro.cluster.coordinator` — the router the HTTP server fronts:
-  scatters pattern scans, gathers and joins partial bindings with the
-  engine's own streaming operators, routes writes to the owning shard
-  under a cluster-wide revision watermark, and promotes replicas when a
-  shard dies.
+  (engine + WAL + snapshots) behind a handler per request class.
+* :mod:`repro.cluster.membership` — bring-up, the per-shard member
+  table, primary / replica RPC paths, and replica promotion when a
+  primary dies.
+* :mod:`repro.cluster.coordinator` — ``ClusterStore``, the router the
+  HTTP server fronts: scatters pattern scans, gathers and joins partial
+  bindings with the engine's own streaming operators, and routes writes
+  to the owning shard under a cluster-wide revision watermark.
+* :mod:`repro.cluster.telemetry` — ``ClusterStore``'s reporting half:
+  per-member health, federated metrics, the merged event log.
 * :mod:`repro.cluster.executor` — the distributed query algebra
   (single-shard fast path vs. per-pattern scatter/gather).
 

@@ -1,15 +1,20 @@
-"""The coordinator <-> worker wire protocol.
+"""The coordinator <-> worker wire protocol, defined once.
 
 Length-prefixed JSON frames over TCP: ``[u32 length][payload]`` where the
-payload is one UTF-8 JSON object.  Requests carry an ``"op"`` plus
-op-specific fields (and optionally the coordinator's ``trace_id`` so the
-worker's spans join the request's trace); responses are
-``{"ok": true, ...}`` or ``{"ok": false, "error": msg, "kind": k}``.
-The ``kind`` maps a worker-side exception back to the coordinator-side
-class, so HTTP status mapping (400/409) behaves exactly as in the
-single-process server.
+payload is one UTF-8 JSON object.  A request is ``{"op": name, ...}``, a
+reply ``{"ok": true, ...}`` or ``{"ok": false, "error": msg, "kind": k}``.
 
-This module also carries the serialization helpers shared by both ends:
+Every op is declared below as a request dataclass parameterised by the
+reply dataclass a worker answers it with; field names are the wire keys.
+One codec (:func:`to_wire` / :func:`from_wire`) serves both ends, and one
+table (:data:`ERRORS`) maps a worker-side exception to its ``kind`` and
+back to the class the coordinator raises, so HTTP status mapping
+(400/409) behaves exactly as in the single-process server.  Senders
+construct messages by keyword and handlers read attributes, so a field
+one side renames is an error at that line rather than a convention to
+police.
+
+This module also carries the serialization helpers the codec calls:
 result rows (temporal bindings as ``[[start, end|null], ...]``, matching
 the HTTP layer), WAL records, and parsed sub-query ASTs (the scatter path
 ships single-pattern :class:`~repro.sparqlt.ast.Query` objects rather
@@ -18,13 +23,19 @@ than re-rendered text).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import socket
 import struct
+from dataclasses import MISSING, dataclass, field, fields
+from typing import (TYPE_CHECKING, Any, Callable, ClassVar, Generic, TypeVar,
+                    get_args)
 
 from ..model.time import NOW, Period, PeriodSet
+from ..mvbt.tree import DuplicateKeyError, TimeOrderError
 from ..service.sanitizer import check_blocking
+from ..service.store import StoreError
 from ..service.wal import WalRecord
 from ..sparqlt.ast import (
     And,
@@ -34,41 +45,47 @@ from ..sparqlt.ast import (
     Literal,
     Not,
     Or,
-    Query,
     QuadPattern,
     TermConst,
     TimeConst,
     Var,
 )
+from ..sparqlt.ast import Query as ParsedQuery
+from ..sparqlt.errors import SparqltError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.trace import Trace
 
 _LEN = struct.Struct(">I")
 
 #: Largest accepted frame (64 MiB), mirroring the HTTP body cap.
 MAX_FRAME = 64 * 1024 * 1024
 
-#: Error kinds a worker reports, mapped to exceptions coordinator-side.
-KIND_BAD_REQUEST = "bad_request"
-KIND_CONFLICT_DUPLICATE = "conflict_duplicate"
-KIND_CONFLICT_MISSING = "conflict_missing"
-KIND_CONFLICT_TIME = "conflict_time"
-KIND_LAGGING = "lagging"
-KIND_INTERNAL = "internal"
-
 
 class ProtocolError(Exception):
     """A malformed or truncated frame on the cluster socket."""
 
 
-def send_message(sock: socket.socket, payload: dict) -> None:
+class FrameTooLarge(StoreError):
+    """A frame over :data:`MAX_FRAME`, refused before a byte is written.
+
+    Not a :class:`ProtocolError`: the connection and the peer are both
+    fine, so the sender reports the size instead of failing over.
+    """
+
+
+def send_message(sock: socket.socket, payload: dict[str, Any]) -> None:
     """Write one length-prefixed JSON frame."""
     check_blocking("protocol.send_message")
     data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     if len(data) > MAX_FRAME:
-        raise ProtocolError(f"frame too large: {len(data)} bytes")
+        raise FrameTooLarge(
+            f"frame too large: {len(data)} bytes (cap {MAX_FRAME})"
+        )
     sock.sendall(_LEN.pack(len(data)) + data)
 
 
-def recv_message(sock: socket.socket) -> dict:
+def recv_message(sock: socket.socket) -> dict[str, Any]:
     """Read one length-prefixed JSON frame (raises on EOF/truncation)."""
     check_blocking("protocol.recv_message")
     header = _recv_exact(sock, _LEN.size)
@@ -100,14 +117,14 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 # ------------------------------------------------------------- result rows
 
 
-def encode_value(value):
+def encode_value(value: Any) -> Any:
     """A binding value -> JSON: PeriodSets as ``[[start, end|null], ...]``."""
     if isinstance(value, PeriodSet):
         return [[p.start, None if p.end == NOW else p.end] for p in value]
     return value
 
 
-def decode_value(value):
+def decode_value(value: Any) -> Any:
     """Inverse of :func:`encode_value` (lists become PeriodSets)."""
     if isinstance(value, list):
         return PeriodSet(
@@ -117,30 +134,27 @@ def decode_value(value):
     return value
 
 
-def encode_row(row: dict) -> dict:
+def encode_row(row: dict[str, Any]) -> dict[str, Any]:
     return {name: encode_value(value) for name, value in row.items()}
 
 
-def decode_row(row: dict) -> dict:
+def decode_row(row: dict[str, Any]) -> dict[str, Any]:
     return {name: decode_value(value) for name, value in row.items()}
 
 
 # --------------------------------------------------------- trace envelopes
 #
-# When a request payload carries the coordinator's ``trace_id``, the
-# worker traces its side of the op and rides the finished, size-bounded
-# span subtree back on the success response under ``TRACE_KEY``.  The
-# coordinator pops the attachment off the reply before anything else
-# sees it and grafts the subtree under its live ``cluster.rpc`` span
-# (see :func:`repro.obs.trace.graft_remote_trace`), which uses the
-# ``recv_ts``/``send_ts`` stamps for the per-hop clock-skew estimate.
-
-#: Reserved response-envelope key carrying a worker's exported spans.
-TRACE_KEY = "trace"
+# When a request carries the coordinator's ``trace_id``, the worker
+# traces its side of the op and rides the finished, size-bounded span
+# subtree back on the success reply's ``trace`` field.  The client takes
+# the attachment off the reply and grafts the subtree under its live
+# ``cluster.rpc`` span (see :func:`repro.obs.trace.graft_remote_trace`),
+# which uses the ``recv_ts``/``send_ts`` stamps for the per-hop
+# clock-skew estimate.
 
 
-def encode_trace_envelope(trace, *, shard_id: int, role: str,
-                          recv_ts: float, send_ts: float) -> dict:
+def encode_trace_envelope(trace: Trace, *, shard_id: int, role: str,
+                          recv_ts: float, send_ts: float) -> dict[str, Any]:
     """Serialize a worker-side finished trace for the response envelope."""
     from ..obs import trace as _trace
 
@@ -159,13 +173,13 @@ def encode_trace_envelope(trace, *, shard_id: int, role: str,
 # ------------------------------------------------------------- WAL records
 
 
-def encode_wal_record(record: WalRecord) -> list:
+def encode_wal_record(record: WalRecord) -> list[Any]:
     return [record.lsn, record.op, record.subject, record.predicate,
             record.object, record.time]
 
 
-def decode_wal_record(fields: list) -> WalRecord:
-    lsn, op, subject, predicate, object_, time = fields
+def decode_wal_record(record: list[Any]) -> WalRecord:
+    lsn, op, subject, predicate, object_, time = record
     return WalRecord(lsn, op, subject, predicate, object_, time)
 
 
@@ -179,7 +193,7 @@ def decode_wal_record(fields: list) -> WalRecord:
 # plain pattern + filter sub-queries.
 
 
-def encode_query(query: Query) -> dict:
+def encode_query(query: ParsedQuery) -> dict[str, Any]:
     return {
         "select": list(query.select),
         "patterns": [_encode_pattern(p) for p in query.patterns],
@@ -187,15 +201,15 @@ def encode_query(query: Query) -> dict:
     }
 
 
-def decode_query(payload: dict) -> Query:
-    return Query(
+def decode_query(payload: dict[str, Any]) -> ParsedQuery:
+    return ParsedQuery(
         select=list(payload["select"]),
         patterns=[_decode_pattern(p) for p in payload["patterns"]],
         filters=[decode_expr(f) for f in payload["filters"]],
     )
 
 
-def _encode_pattern(pattern: QuadPattern) -> dict:
+def _encode_pattern(pattern: QuadPattern) -> dict[str, Any]:
     return {
         "s": _encode_term(pattern.subject),
         "p": _encode_term(pattern.predicate),
@@ -204,7 +218,7 @@ def _encode_pattern(pattern: QuadPattern) -> dict:
     }
 
 
-def _decode_pattern(payload: dict) -> QuadPattern:
+def _decode_pattern(payload: dict[str, Any]) -> QuadPattern:
     return QuadPattern(
         _decode_term(payload["s"]),
         _decode_term(payload["p"]),
@@ -213,7 +227,7 @@ def _decode_pattern(payload: dict) -> QuadPattern:
     )
 
 
-def _encode_term(term) -> dict:
+def _encode_term(term: Var | TermConst | TimeConst) -> dict[str, Any]:
     if isinstance(term, Var):
         return {"var": term.name}
     if isinstance(term, TermConst):
@@ -223,7 +237,7 @@ def _encode_term(term) -> dict:
     raise ProtocolError(f"unencodable pattern term: {term!r}")
 
 
-def _decode_term(payload: dict):
+def _decode_term(payload: dict[str, Any]) -> Any:
     if "var" in payload:
         return Var(payload["var"])
     if "term" in payload:
@@ -233,7 +247,7 @@ def _decode_term(payload: dict):
     raise ProtocolError(f"undecodable pattern term: {payload!r}")
 
 
-def encode_expr(expr: Expr) -> dict:
+def encode_expr(expr: Expr) -> dict[str, Any]:
     if isinstance(expr, Var):
         return {"k": "var", "name": expr.name}
     if isinstance(expr, Literal):
@@ -256,7 +270,7 @@ def encode_expr(expr: Expr) -> dict:
     raise ProtocolError(f"unencodable filter expression: {expr!r}")
 
 
-def decode_expr(payload: dict) -> Expr:
+def decode_expr(payload: dict[str, Any]) -> Expr:
     kind = payload.get("k")
     if kind == "var":
         return Var(payload["name"])
@@ -276,3 +290,357 @@ def decode_expr(payload: dict) -> Expr:
     if kind == "not":
         return Not(decode_expr(payload["operand"]))
     raise ProtocolError(f"undecodable filter expression: {payload!r}")
+
+
+# ----------------------------------------------------------------- messages
+#
+# Field names are the wire keys.  A field with a default is optional on
+# the wire — left off at its default, filled back in on decode — which is
+# how the envelope fields, ``Promote.wal_path``, ``Events.limit`` and
+# ``RevisionReply.already`` travel; every other field must be present,
+# and no key the class does not declare may be.
+
+R = TypeVar("R", bound="Reply")
+M = TypeVar("M", bound="Request[Any] | Reply")
+
+#: op name -> request class, filled in as the classes below are declared.
+REQUESTS: dict[str, type[Request[Any]]] = {}
+
+
+def _each(convert: Callable[[Any], Any]) -> Callable[[Any], list[Any]]:
+    return lambda items: [convert(item) for item in items]
+
+
+def _via(encode: Callable[[Any], Any],
+         decode: Callable[[Any], Any]) -> dict[str, Any]:
+    """Field metadata: the value crosses the wire through these two."""
+    return {"wire": (encode, decode)}
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Reply:
+    """A success reply; the base holds the envelope."""
+
+    #: a traced worker's exported spans (see "trace envelopes" above).
+    trace: dict[str, Any] | None = None
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Request(Generic[R]):
+    """A request, answered with an ``R``; the base holds the envelope."""
+
+    op: ClassVar[str]
+    reply: ClassVar[type[Reply]]
+    #: the coordinator's trace id; the worker then traces its side.
+    trace_id: str | None = None
+    #: reads: a replica that has applied less refuses with ``lagging``.
+    min_lsn: int = 0
+    #: reads: the cluster-wide NOW horizon live periods are clipped at.
+    horizon: int = 0
+
+    def __init_subclass__(cls) -> None:
+        # ``reply`` is the R of the ``Request[R]`` the class names as its
+        # base.  dataclass(slots=True) builds every class twice; the
+        # second, final one replaces the first in the registry.
+        (base,) = cls.__dict__["__orig_bases__"]
+        (cls.reply,) = get_args(base)
+        REQUESTS[cls.op] = cls
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Ack(Reply):
+    """Done; nothing to report."""
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class StatusReply(Reply):
+    """Where a member stands: role, applied LSN, size, horizon, lag."""
+    role: str
+    shard_id: int
+    revision: int
+    live_facts: int
+    horizon: int
+    pid: int
+    #: a replica's seconds behind its primary; None if unknown or primary.
+    lag_seconds: float | None
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class RowsReply(Reply):
+    """A query's bindings, decoded, with the revision they reflect."""
+    variables: list[str]
+    rows: list[dict[str, Any]] = field(
+        metadata=_via(_each(encode_row), _each(decode_row)))
+    revision: int
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class UpdateReply(Reply):
+    """The update's LSN and the member's revision after it."""
+    lsn: int
+    revision: int
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class LoadReply(Reply):
+    """What the bulk load left: live facts and the NOW horizon."""
+    live_facts: int
+    horizon: int
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class WalReply(Reply):
+    """WAL records past the requested LSN, oldest first."""
+    records: list[WalRecord] = field(
+        metadata=_via(_each(encode_wal_record), _each(decode_wal_record)))
+    #: per record, the wall-clock time it became durable on the primary
+    #: (None once pruned from the tracking window).
+    stamps: list[float | None]
+    head_lsn: int
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class RevisionReply(Reply):
+    """Done; the member's applied LSN afterwards."""
+    revision: int
+    #: a promote that found the member already primary.
+    already: bool = False
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class RefreshStatsReply(Reply):
+    """Whether the statistics were rebuilt."""
+    refreshed: bool
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class PredicatesReply(Reply):
+    """Every predicate this member holds a fact for."""
+    predicates: list[str]
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class MetricsReply(Reply):
+    """A metrics registry snapshot plus the replica-lag inputs."""
+    #: False (with empty ``metrics``) under REPRO_OBS=0.
+    enabled: bool
+    metrics: dict[str, Any]
+    role: str
+    revision: int
+    lag_seconds: float | None
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class EventsReply(Reply):
+    """Recent cluster events, newest first."""
+    events: list[dict[str, Any]]
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Ping(Request[Ack]):
+    """Liveness probe."""
+    op: ClassVar[str] = "ping"
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Status(Request[StatusReply]):
+    """Role, applied LSN, live facts, horizon, pid, replica lag."""
+    op: ClassVar[str] = "status"
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Query(Request[RowsReply]):
+    """Evaluate SPARQLT text on this member's full engine."""
+    op: ClassVar[str] = "query"
+    text: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.text, str) or not self.text.strip():
+            raise ValueError("missing 'text' string")
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Scan(Request[RowsReply]):
+    """Evaluate one parsed conjunctive (sub-)query."""
+    op: ClassVar[str] = "scan"
+    query: ParsedQuery = field(metadata=_via(encode_query, decode_query))
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Update(Request[UpdateReply]):
+    """Apply one insert or delete (primaries only)."""
+    op: ClassVar[str] = "update"
+    update: str  # "insert" | "delete"
+    subject: str
+    predicate: str
+    object: str
+    time: int
+
+    def __post_init__(self) -> None:
+        if self.update not in ("insert", "delete"):
+            raise ValueError(f"bad update op: {self.update!r}")
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Load(Request[LoadReply]):
+    """Bulk-load ``[subject, predicate, object, start, end|null]`` rows."""
+    op: ClassVar[str] = "load"
+    rows: list[list[Any]]
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class WalSince(Request[WalReply]):
+    """Ship the WAL records past ``lsn``."""
+    op: ClassVar[str] = "wal_since"
+    lsn: int
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Resync(Request[RevisionReply]):
+    """Rebuild this replica from its primary's snapshot."""
+    op: ClassVar[str] = "resync"
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Promote(Request[RevisionReply]):
+    """Take over as primary, catching up from the dead one's WAL file."""
+    op: ClassVar[str] = "promote"
+    wal_path: str | None = None
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Checkpoint(Request[RevisionReply]):
+    """Snapshot, then truncate the WAL."""
+    op: ClassVar[str] = "checkpoint"
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class RefreshStats(Request[RefreshStatsReply]):
+    """Rebuild the optimizer's statistics now."""
+    op: ClassVar[str] = "refresh_stats"
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Predicates(Request[PredicatesReply]):
+    """This member's predicate inventory (rebuilds the routing map)."""
+    op: ClassVar[str] = "predicates"
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Metrics(Request[MetricsReply]):
+    """This member's metrics registry snapshot."""
+    op: ClassVar[str] = "metrics"
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Events(Request[EventsReply]):
+    """This member's recent cluster events, newest first."""
+    op: ClassVar[str] = "events"
+    limit: int = 100
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class Shutdown(Request[Ack]):
+    """Stop serving once the ack is on the wire."""
+    op: ClassVar[str] = "shutdown"
+
+
+# -------------------------------------------------------------------- codec
+
+
+@functools.cache
+def _layout(
+    cls: type[Request[Any]] | type[Reply],
+) -> tuple[tuple[str, Any, Any, Any], ...]:
+    """``(name, default | MISSING, encode, decode)`` per declared field."""
+    layout = []
+    for spec in fields(cls):
+        encode, decode = spec.metadata.get("wire", (None, None))
+        layout.append((spec.name, spec.default, encode, decode))
+    return tuple(layout)
+
+
+def to_wire(message: Request[Any] | Reply) -> dict[str, Any]:
+    """A message -> its frame payload."""
+    wire: dict[str, Any] = (
+        {"op": message.op} if isinstance(message, Request) else {"ok": True}
+    )
+    for name, default, encode, _ in _layout(type(message)):
+        value = getattr(message, name)
+        if value != default:  # MISSING (no default) equals no value
+            wire[name] = value if encode is None else encode(value)
+    return wire
+
+
+def from_wire(cls: type[M], wire: dict[str, Any]) -> M:
+    """A frame payload -> the ``cls`` it must be, or ``ValueError``.
+
+    Strict both ways: a missing required field, a key ``cls`` does not
+    declare and a value its decoder rejects are all bad requests, so
+    nothing half-formed reaches a handler.
+    """
+    values = {}
+    for name, default, _, decode in _layout(cls):
+        if name in wire:
+            try:
+                values[name] = (
+                    wire[name] if decode is None else decode(wire[name])
+                )
+            except (KeyError, TypeError, ProtocolError) as error:
+                raise ValueError(
+                    f"{cls.__name__}: bad field {name!r}: {error}"
+                ) from error
+        elif default is MISSING:
+            raise ValueError(f"{cls.__name__}: missing field {name!r}")
+    extra = sorted(wire.keys() - values.keys() - {"op", "ok"})
+    if extra:
+        raise ValueError(f"{cls.__name__}: unexpected field(s) {extra}")
+    return cls(**values)
+
+
+def decode_request(wire: dict[str, Any]) -> Request[Any]:
+    """The worker's half of :func:`from_wire`: pick the class by op."""
+    op = wire.get("op")
+    cls = REQUESTS.get(op) if isinstance(op, str) else None
+    if cls is None:
+        raise ValueError(f"unknown op: {op!r}")
+    return from_wire(cls, wire)
+
+
+# ------------------------------------------------------------------- errors
+
+
+class ReplicaLagging(Exception):
+    """A replica refused a read pinned past its applied LSN."""
+
+
+#: ``(kind, raised coordinator-side, reported under it worker-side)``.
+#: A worker answers any exception listed here with an error reply of the
+#: first matching row's kind (TimeError is a ValueError; a
+#: :class:`FrameTooLarge` is a StoreError) and lets anything else
+#: propagate; the coordinator raises the row's class with the same
+#: message, :class:`StoreError` for a kind it does not know.
+ERRORS: tuple[
+    tuple[str, type[Exception], tuple[type[Exception], ...]], ...
+] = (
+    ("bad_request", ValueError, (SparqltError, ValueError)),
+    ("conflict_duplicate", DuplicateKeyError, (DuplicateKeyError,)),
+    ("conflict_time", TimeOrderError, (TimeOrderError,)),
+    ("conflict_missing", KeyError, (KeyError,)),
+    ("lagging", ReplicaLagging, (ReplicaLagging,)),
+    ("internal", StoreError, (StoreError, ProtocolError, OSError)),
+)
+
+#: Every class a worker reports over the wire.
+WIRE_ERRORS = tuple(cls for _, _, caught in ERRORS for cls in caught)
+
+
+def error_to_wire(error: Exception) -> dict[str, Any]:
+    kind = next(k for k, _, caught in ERRORS if isinstance(error, caught))
+    return {"ok": False, "error": str(error), "kind": kind}
+
+
+def error_from_wire(wire: dict[str, Any]) -> Exception:
+    kind = wire.get("kind")
+    raised = next((cls for k, cls, _ in ERRORS if k == kind), StoreError)
+    return raised(wire.get("error", "worker error"))

@@ -39,10 +39,11 @@ import shutil
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from ..model.time import TimeError
+from ..model.graph import TemporalGraph
+from ..model.time import NOW
 from ..mvbt.tree import DuplicateKeyError, TimeOrderError
 from ..obs import events as _events
 from ..obs import metrics as _metrics
@@ -50,16 +51,12 @@ from ..obs import trace as _trace
 from ..service.snapshot import is_snapshot
 from ..service.store import StoreError, TemporalStore
 from ..service.wal import read_records
-from ..sparqlt.errors import SparqltError
 from . import protocol
+from .client import ShardClient
 from .protocol import (
-    KIND_BAD_REQUEST,
-    KIND_CONFLICT_DUPLICATE,
-    KIND_CONFLICT_MISSING,
-    KIND_CONFLICT_TIME,
-    KIND_INTERNAL,
-    KIND_LAGGING,
+    FrameTooLarge,
     ProtocolError,
+    ReplicaLagging,
     recv_message,
     send_message,
 )
@@ -199,60 +196,61 @@ def _resync(state: _WorkerState) -> None:
 def _tail_loop(state: _WorkerState) -> None:
     """Poll the primary for WAL records past our revision and apply them."""
     config = state.config
-    while not state.stopping.is_set() and state.role == "replica":
-        try:
-            response = _point_rpc(
-                config.primary_address,
-                {"op": "wal_since", "lsn": state.store.revision},
-            )
-        except (OSError, ProtocolError):
-            # Primary unreachable (dead, or not yet serving): keep
-            # polling — promotion, if any, arrives from the coordinator.
-            state.stopping.wait(config.poll_interval)
-            continue
-        encoded = response.get("records", []) if response.get("ok") else []
-        records = [protocol.decode_wal_record(fields) for fields in encoded]
-        stamps = response.get("stamps") or []
-        if response.get("ok"):
-            state.primary_head_lsn = response.get("head_lsn")
-        applied = 0
-        applied_bytes = 0
-        for index, record in enumerate(records):
-            if state.stopping.is_set() or state.role != "replica":
-                break
+    primary = ShardClient(config.primary_address, timeout=5.0)
+    try:
+        while not state.stopping.is_set() and state.role == "replica":
             try:
-                state.store.apply_replicated(record)
-                applied += 1
-            except StoreError as error:
-                _events.EVENTS.record(
-                    "cluster.event.replication_gap", level="warning",
-                    **_event_fields(state, lsn=record.lsn,
-                                    error=str(error)),
-                )
-                _resync(state)
-                break
-            except (DuplicateKeyError, TimeOrderError, KeyError,
-                    ValueError) as error:
-                # The record does not apply to our state: we diverged
-                # (e.g. raced a bulk load).  Snap back to the primary's
-                # snapshot rather than guessing.
-                _events.EVENTS.record(
-                    "cluster.event.diverged", level="warning",
-                    **_event_fields(state, lsn=record.lsn,
-                                    error=str(error)),
-                )
-                _resync(state)
-                break
-            stamp = stamps[index] if index < len(stamps) else None
-            if stamp is not None:
-                state.last_applied_stamp = stamp
-            if _metrics.ENABLED:
-                applied_bytes += len(json.dumps(encoded[index]))
-        if applied and _metrics.ENABLED:
-            _REPLICATED.inc(applied)
-            _REPLICATED_BYTES.inc(applied_bytes)
-        if not records:
-            state.stopping.wait(config.poll_interval)
+                shipped = primary.rpc(
+                    protocol.WalSince(lsn=state.store.revision))
+            except (OSError, ProtocolError, StoreError):
+                # Primary unreachable (dead, or not yet serving) or unable
+                # to read its log just now: keep polling — promotion, if
+                # any, arrives from the coordinator.
+                state.stopping.wait(config.poll_interval)
+                continue
+            state.primary_head_lsn = shipped.head_lsn
+            _apply_shipped(state, shipped)
+            if not shipped.records:
+                state.stopping.wait(config.poll_interval)
+    finally:
+        primary.close()
+
+
+def _apply_shipped(state: _WorkerState, shipped: protocol.WalReply) -> None:
+    applied = 0
+    applied_bytes = 0
+    for record, stamp in zip(shipped.records, shipped.stamps):
+        if state.stopping.is_set() or state.role != "replica":
+            break
+        try:
+            state.store.apply_replicated(record)
+            applied += 1
+        except StoreError as error:
+            _events.EVENTS.record(
+                "cluster.event.replication_gap", level="warning",
+                **_event_fields(state, lsn=record.lsn, error=str(error)),
+            )
+            _resync(state)
+            break
+        except (DuplicateKeyError, TimeOrderError, KeyError,
+                ValueError) as error:
+            # The record does not apply to our state: we diverged
+            # (e.g. raced a bulk load).  Snap back to the primary's
+            # snapshot rather than guessing.
+            _events.EVENTS.record(
+                "cluster.event.diverged", level="warning",
+                **_event_fields(state, lsn=record.lsn, error=str(error)),
+            )
+            _resync(state)
+            break
+        if stamp is not None:
+            state.last_applied_stamp = stamp
+        if _metrics.ENABLED:
+            applied_bytes += len(
+                json.dumps(protocol.encode_wal_record(record)))
+    if applied and _metrics.ENABLED:
+        _REPLICATED.inc(applied)
+        _REPLICATED_BYTES.inc(applied_bytes)
 
 
 def _catch_up_from_wal(state: _WorkerState, wal_path: str) -> int:
@@ -299,254 +297,218 @@ def _promote(state: _WorkerState, wal_path: str | None) -> None:
 
 
 # ------------------------------------------------------------------ op impl
+#
+# One handler per request class; ``_dispatch`` decodes the frame first,
+# so a handler only ever sees a well-formed request, and a ``KeyError``
+# out of one can only mean "no such live fact".
 
 
-def _op_ping(state: _WorkerState, payload: dict) -> dict:
-    return {"ok": True}
+def _op_ping(state: _WorkerState, request: protocol.Ping) -> protocol.Ack:
+    return protocol.Ack()
 
 
-def _op_status(state: _WorkerState, payload: dict) -> dict:
+def _op_status(state: _WorkerState,
+               request: protocol.Status) -> protocol.StatusReply:
     store = state.store
-    return {
-        "ok": True,
-        "role": state.role,
-        "shard_id": state.config.shard_id,
-        "revision": store.revision,
-        "live_facts": store.live_facts,
-        "horizon": store.engine.horizon,
-        "pid": os.getpid(),
-        "lag_seconds": _replica_lag_seconds(state),
-    }
+    return protocol.StatusReply(
+        role=state.role,
+        shard_id=state.config.shard_id,
+        revision=store.revision,
+        live_facts=store.live_facts,
+        horizon=store.engine.horizon,
+        pid=os.getpid(),
+        lag_seconds=_replica_lag_seconds(state),
+    )
 
 
-def _check_replica_fresh(state: _WorkerState, payload: dict) -> dict | None:
-    if state.role != "replica":
-        return None
-    min_lsn = payload.get("min_lsn", 0)
-    if state.store.revision < min_lsn:
-        return {
-            "ok": False,
-            "error": (
-                f"replica at LSN {state.store.revision}, "
-                f"needs {min_lsn}"
-            ),
-            "kind": KIND_LAGGING,
-        }
-    return None
-
-
-def _run_query(state: _WorkerState, payload: dict, query) -> dict:
-    lagging = _check_replica_fresh(state, payload)
-    if lagging is not None:
-        return lagging
+def _run_query(state: _WorkerState, request, query) -> protocol.RowsReply:
     store = state.store
-    floor = payload.get("horizon", 0)
-    if floor > store.engine.horizon_floor:
+    if state.role == "replica" and store.revision < request.min_lsn:
+        raise ReplicaLagging(
+            f"replica at LSN {store.revision}, needs {request.min_lsn}"
+        )
+    if request.horizon > store.engine.horizon_floor:
         # Monotonic: the cluster horizon only advances, so concurrent
         # raises from racing requests are order-independent.
-        store.engine.horizon_floor = floor
+        store.engine.horizon_floor = request.horizon
     result = store.query(query)
-    return {
-        "ok": True,
-        "variables": result.variables,
-        "rows": [protocol.encode_row(row) for row in result.rows],
-        "revision": result.revision,
-    }
+    return protocol.RowsReply(
+        variables=result.variables, rows=result.rows,
+        revision=result.revision,
+    )
 
 
-def _op_query(state: _WorkerState, payload: dict) -> dict:
-    text = payload.get("text")
-    if not isinstance(text, str) or not text.strip():
-        raise ValueError("missing 'text' string")
-    return _run_query(state, payload, text)
+def _op_query(state: _WorkerState,
+              request: protocol.Query) -> protocol.RowsReply:
+    return _run_query(state, request, request.text)
 
 
-def _op_scan(state: _WorkerState, payload: dict) -> dict:
-    query = protocol.decode_query(payload["query"])
-    return _run_query(state, payload, query)
+def _op_scan(state: _WorkerState,
+             request: protocol.Scan) -> protocol.RowsReply:
+    return _run_query(state, request, request.query)
 
 
-def _op_update(state: _WorkerState, payload: dict) -> dict:
+def _op_update(state: _WorkerState,
+               request: protocol.Update) -> protocol.UpdateReply:
     if state.role != "shard":
         raise StoreError("replica is read-only")
-    op = payload.get("update")
-    if op not in ("insert", "delete"):
-        raise ValueError(f"bad update op: {op!r}")
-    subject = payload["subject"]
-    predicate = payload["predicate"]
-    object_ = payload["object"]
-    time = payload["time"]
     store = state.store
-    if op == "insert":
-        lsn = store.insert(subject, predicate, object_, time)
-    else:
-        lsn = store.delete(subject, predicate, object_, time)
-    return {"ok": True, "lsn": lsn, "revision": store.revision}
+    apply = store.insert if request.update == "insert" else store.delete
+    lsn = apply(request.subject, request.predicate, request.object,
+                request.time)
+    return protocol.UpdateReply(lsn=lsn, revision=store.revision)
 
 
-def _op_load(state: _WorkerState, payload: dict) -> dict:
-    from ..model.graph import TemporalGraph
-    from ..model.time import NOW
-
+def _op_load(state: _WorkerState,
+             request: protocol.Load) -> protocol.LoadReply:
     graph = TemporalGraph()
-    for subject, predicate, object_, start, end in payload["rows"]:
+    for subject, predicate, object_, start, end in request.rows:
         graph.add(subject, predicate, object_, start,
                   NOW if end is None else end)
     state.store.load_dataset(graph)
-    return {"ok": True, "live_facts": state.store.live_facts,
-            "horizon": state.store.engine.horizon}
+    return protocol.LoadReply(live_facts=state.store.live_facts,
+                              horizon=state.store.engine.horizon)
 
 
-def _op_wal_since(state: _WorkerState, payload: dict) -> dict:
-    records = state.store.wal_since(payload.get("lsn", 0))
-    encoded = [protocol.encode_wal_record(r) for r in records]
+def _op_wal_since(state: _WorkerState,
+                  request: protocol.WalSince) -> protocol.WalReply:
+    records = state.store.wal_since(request.lsn)
     if records and _metrics.ENABLED:
         _WAL_SHIPPED.inc(len(records))
-        _WAL_SHIPPED_BYTES.inc(len(json.dumps(encoded)))
+        _WAL_SHIPPED_BYTES.inc(len(json.dumps(
+            [protocol.encode_wal_record(r) for r in records])))
     # Stamps ride the shipping envelope, not the WAL format: each is the
     # wall-clock time the record became durable here (None once pruned
     # from the tracking window), and head_lsn lets a caught-up follower
     # report zero lag without any stamp arithmetic.
-    return {
-        "ok": True,
-        "records": encoded,
-        "stamps": [state.store.append_walltime(r.lsn) for r in records],
-        "head_lsn": state.store.revision,
-    }
+    return protocol.WalReply(
+        records=records,
+        stamps=[state.store.append_walltime(r.lsn) for r in records],
+        head_lsn=state.store.revision,
+    )
 
 
-def _op_resync(state: _WorkerState, payload: dict) -> dict:
+def _op_resync(state: _WorkerState,
+               request: protocol.Resync) -> protocol.RevisionReply:
     if state.role != "replica":
         raise StoreError("resync only applies to replicas")
     _resync(state)
-    return {"ok": True, "revision": state.store.revision}
+    return protocol.RevisionReply(revision=state.store.revision)
 
 
-def _op_promote(state: _WorkerState, payload: dict) -> dict:
-    if state.role != "replica":
-        return {"ok": True, "revision": state.store.revision,
-                "already": True}
-    _promote(state, payload.get("wal_path"))
-    return {"ok": True, "revision": state.store.revision}
+def _op_promote(state: _WorkerState,
+                request: protocol.Promote) -> protocol.RevisionReply:
+    already = state.role != "replica"
+    if not already:
+        _promote(state, request.wal_path)
+    return protocol.RevisionReply(revision=state.store.revision,
+                                  already=already)
 
 
-def _op_checkpoint(state: _WorkerState, payload: dict) -> dict:
+def _op_checkpoint(state: _WorkerState,
+                   request: protocol.Checkpoint) -> protocol.RevisionReply:
     state.store.checkpoint()
-    return {"ok": True, "revision": state.store.revision}
+    return protocol.RevisionReply(revision=state.store.revision)
 
 
-def _op_refresh_stats(state: _WorkerState, payload: dict) -> dict:
-    return {"ok": True, "refreshed": state.store.refresh_statistics()}
+def _op_refresh_stats(
+        state: _WorkerState,
+        request: protocol.RefreshStats) -> protocol.RefreshStatsReply:
+    return protocol.RefreshStatsReply(
+        refreshed=state.store.refresh_statistics())
 
 
-def _op_predicates(state: _WorkerState, payload: dict) -> dict:
+def _op_predicates(state: _WorkerState,
+                   request: protocol.Predicates) -> protocol.PredicatesReply:
     """This member's predicate inventory (coordinator bootstrap uses it
     to rebuild the planner's routing map over pre-existing data)."""
-    return {"ok": True, "predicates": state.store.predicates()}
+    return protocol.PredicatesReply(predicates=state.store.predicates())
 
 
-def _op_metrics(state: _WorkerState, payload: dict) -> dict:
+def _op_metrics(state: _WorkerState,
+                request: protocol.Metrics) -> protocol.MetricsReply:
     """This member's registry snapshot, for the federation collector.
 
     With observability off the registry holds stale pre-disable values;
     reporting ``enabled: false`` with empty metrics lets the coordinator
     skip this member instead of merging frozen series.
     """
-    if not _metrics.ENABLED:
-        return {
-            "ok": True,
-            "enabled": False,
-            "metrics": {},
-            "role": state.role,
-            "revision": state.store.revision,
-            "lag_seconds": _replica_lag_seconds(state),
-        }
-    return {
-        "ok": True,
-        "enabled": True,
-        "metrics": _metrics.REGISTRY.snapshot(),
-        "role": state.role,
-        "revision": state.store.revision,
-        "lag_seconds": _replica_lag_seconds(state),
-    }
+    enabled = _metrics.ENABLED
+    return protocol.MetricsReply(
+        enabled=enabled,
+        metrics=_metrics.REGISTRY.snapshot() if enabled else {},
+        role=state.role,
+        revision=state.store.revision,
+        lag_seconds=_replica_lag_seconds(state),
+    )
 
 
-def _op_events(state: _WorkerState, payload: dict) -> dict:
+def _op_events(state: _WorkerState,
+               request: protocol.Events) -> protocol.EventsReply:
     """This member's recent cluster events (ring contents, newest first)."""
-    return {
-        "ok": True,
-        "events": _events.EVENTS.recent(payload.get("limit", 100)),
-    }
+    return protocol.EventsReply(events=_events.EVENTS.recent(request.limit))
 
 
-def _op_shutdown(state: _WorkerState, payload: dict) -> dict:
+def _op_shutdown(state: _WorkerState,
+                 request: protocol.Shutdown) -> protocol.Ack:
     state.stopping.set()
-    return {"ok": True}
+    return protocol.Ack()
 
 
-_OPS = {
-    "ping": _op_ping,
-    "status": _op_status,
-    "query": _op_query,
-    "scan": _op_scan,
-    "update": _op_update,
-    "load": _op_load,
-    "wal_since": _op_wal_since,
-    "resync": _op_resync,
-    "promote": _op_promote,
-    "checkpoint": _op_checkpoint,
-    "refresh_stats": _op_refresh_stats,
-    "predicates": _op_predicates,
-    "metrics": _op_metrics,
-    "events": _op_events,
-    "shutdown": _op_shutdown,
+#: request class -> handler: one entry per op :mod:`.protocol` declares.
+_HANDLERS = {
+    protocol.Ping: _op_ping,
+    protocol.Status: _op_status,
+    protocol.Query: _op_query,
+    protocol.Scan: _op_scan,
+    protocol.Update: _op_update,
+    protocol.Load: _op_load,
+    protocol.WalSince: _op_wal_since,
+    protocol.Resync: _op_resync,
+    protocol.Promote: _op_promote,
+    protocol.Checkpoint: _op_checkpoint,
+    protocol.RefreshStats: _op_refresh_stats,
+    protocol.Predicates: _op_predicates,
+    protocol.Metrics: _op_metrics,
+    protocol.Events: _op_events,
+    protocol.Shutdown: _op_shutdown,
 }
 
 
-def _dispatch(state: _WorkerState, payload: dict) -> dict:
+def _dispatch(state: _WorkerState, wire: dict) -> dict:
+    """One request frame -> its reply frame.
+
+    The frame is decoded before any handler runs (unknown op, missing or
+    undeclared field: ``bad_request``); an exception listed in
+    :data:`protocol.ERRORS` becomes an error reply of its kind.
+    """
     recv_ts = _time.time()
-    op = payload.get("op")
     if _metrics.ENABLED:
         _REQUESTS.inc()
-    handler = _OPS.get(op)
-    if handler is None:
-        return {"ok": False, "error": f"unknown op: {op!r}",
-                "kind": KIND_BAD_REQUEST}
-    trace_id = payload.get("trace_id")
-    if trace_id and _metrics.ENABLED:
-        trace_cm = _trace.start_trace(
-            f"cluster.{op}", shard=state.config.shard_id,
-            upstream=trace_id,
-        )
-    else:
-        trace_cm = contextlib.nullcontext()
     try:
+        request = protocol.decode_request(wire)
+        if request.trace_id and _metrics.ENABLED:
+            trace_cm = _trace.start_trace(
+                f"cluster.{request.op}", shard=state.config.shard_id,
+                upstream=request.trace_id,
+            )
+        else:
+            trace_cm = contextlib.nullcontext()
         with trace_cm as opened:
-            response = handler(state, payload)
-        if isinstance(opened, _trace.Trace) and response.get("ok"):
+            reply = _HANDLERS[type(request)](state, request)
+        if isinstance(opened, _trace.Trace):
             # The coordinator asked for tracing (it sent its trace id):
             # ride our finished, bounded span subtree back on the reply
             # so the coordinator can graft it under its cluster.rpc span.
             # Sampling mirrors the coordinator's by construction — an
             # unsampled request never carries a trace_id.
-            response[protocol.TRACE_KEY] = protocol.encode_trace_envelope(
+            reply = replace(reply, trace=protocol.encode_trace_envelope(
                 opened, shard_id=state.config.shard_id, role=state.role,
                 recv_ts=recv_ts, send_ts=_time.time(),
-            )
-        return response
-    except (SparqltError, TimeError, ValueError) as error:
-        return {"ok": False, "error": str(error), "kind": KIND_BAD_REQUEST}
-    except DuplicateKeyError as error:
-        return {"ok": False, "error": str(error),
-                "kind": KIND_CONFLICT_DUPLICATE}
-    except TimeOrderError as error:
-        return {"ok": False, "error": str(error),
-                "kind": KIND_CONFLICT_TIME}
-    except KeyError as error:
-        return {"ok": False, "error": str(error),
-                "kind": KIND_CONFLICT_MISSING}
-    except (StoreError, ProtocolError, OSError) as error:
-        return {"ok": False, "error": str(error), "kind": KIND_INTERNAL}
+            ))
+        return protocol.to_wire(reply)
+    except protocol.WIRE_ERRORS as error:
+        return protocol.error_to_wire(error)
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -561,15 +523,21 @@ class _Handler(socketserver.BaseRequestHandler):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         while not self.server.state.stopping.is_set():
             try:
-                payload = recv_message(sock)
+                wire = recv_message(sock)
             except (ProtocolError, OSError):
                 return  # clean close or dead peer — either way, done
-            response = _dispatch(self.server.state, payload)
+            response = _dispatch(self.server.state, wire)
             try:
-                send_message(sock, response)
+                try:
+                    send_message(sock, response)
+                except FrameTooLarge as error:
+                    # Nothing was written: say so on the same, still
+                    # good connection instead of dropping it (which the
+                    # coordinator would read as a dead worker).
+                    send_message(sock, protocol.error_to_wire(error))
             except OSError:
                 return
-            if payload.get("op") == "shutdown":
+            if wire.get("op") == protocol.Shutdown.op:
                 # Stop accepting *after* the ack is on the wire.
                 threading.Thread(
                     target=self.server.shutdown, daemon=True
@@ -584,15 +552,6 @@ class _WorkerServer(socketserver.ThreadingTCPServer):
     def __init__(self, address, handler, state: _WorkerState) -> None:
         super().__init__(address, handler)
         self.state = state
-
-
-def _point_rpc(address: tuple[str, int], payload: dict,
-               timeout: float = 5.0) -> dict:
-    """One-shot RPC on a fresh connection (the tail loop's primitive —
-    the coordinator uses pooled connections instead)."""
-    with socket.create_connection(tuple(address), timeout=timeout) as sock:
-        send_message(sock, payload)
-        return recv_message(sock)
 
 
 def worker_main(config: WorkerConfig, ready) -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .callgraph import CallSite, FunctionInfo, ProjectIndex
-from .rules.base import dotted_name, path_matches
+from .rules.base import dotted_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from .checker import ModuleInfo
@@ -57,13 +57,14 @@ LOCK_FACTORY_TAILS = frozenset({
     "ReadWriteLock", "sanitized_lock",
 })
 
-#: Modules whose lock attributes participate in the acquisition graph.
-TRACKED_MODULES = (
-    "service/locks.py",
-    "service/store.py",
-    "cluster/coordinator.py",
-    "cluster/worker.py",
-)
+#: Where lock attributes participate in the acquisition graph: two
+#: service files and every module of the cluster package.
+TRACKED_MODULES = ("service/locks.py", "service/store.py", "cluster/")
+
+
+def _tracked(logical_path: str) -> bool:
+    path = "/" + logical_path.replace("\\", "/")
+    return any(f"/{entry}" in path for entry in TRACKED_MODULES)
 
 
 def direct_blocking(site: CallSite) -> str | None:
@@ -169,9 +170,7 @@ class LockFlow:
 
     def _discover_locks(self) -> None:
         for info in self._index.functions.values():
-            if info.cls is None or not path_matches(
-                info.module.logical_path, TRACKED_MODULES
-            ):
+            if info.cls is None or not _tracked(info.module.logical_path):
                 continue
             owner = f"{info.modname}.{info.cls}"
             for node in ast.walk(info.node):

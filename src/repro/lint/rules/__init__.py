@@ -1,7 +1,6 @@
 """Rule registry: one place that knows every rule ID."""
 
 from .base import Finding, ProjectRule, Rule
-from .cluster_protocol import ClusterProtocolConformance
 from .concurrency import BlockingReachableUnderLock, LockOrderCycle
 from .determinism import NondeterministicDurablePath
 from .durability import WalBeforeApply
@@ -31,7 +30,6 @@ ALL_RULES: tuple[Rule, ...] = (
     UncatalogedObsSeries(),
     BlockingReachableUnderLock(),
     LockOrderCycle(),
-    ClusterProtocolConformance(),
     ExceptionPathResourceLeak(),
     UncatalogedEventName(),
 )

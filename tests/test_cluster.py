@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro import io as tio
-from repro.cluster import ClusterStore, shard_of
+from repro.cluster import ClusterStore, protocol, shard_of
+from repro.cluster.client import ShardClient
 from repro.cluster.executor import canonical_sort
 from repro.cluster.protocol import encode_value
 from repro.datasets.queries import (
@@ -224,7 +225,7 @@ class TestClusterFailover:
                     break
                 time.sleep(0.1)
 
-            victim = cluster._members[0].primary
+            victim = cluster._membership.members[0].primary
             os.kill(victim.pid, signal.SIGKILL)
             time.sleep(0.3)
 
@@ -263,20 +264,20 @@ class TestClusterFailover:
         the promoted replica."""
         with ClusterStore(tmp_path / "clu", shards=1, replicas=1,
                           fsync=False) as cluster:
-            member = cluster._members[0]
+            member = cluster._membership.members[0]
             subject = _subject_on_shard(0, 1)
             # Simulate the applied-but-unacknowledged state: write
             # straight to the primary, bypassing the coordinator's
             # bookkeeping (acked_lsn stays 0).
-            member.primary.rpc({
-                "op": "update", "update": "insert", "subject": subject,
-                "predicate": "p", "object": "v", "time": 1000,
-            })
+            member.primary.rpc(protocol.Update(
+                update="insert", subject=subject, predicate="p",
+                object="v", time=1000,
+            ))
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 if member.replicas[0].rpc(
-                    {"op": "status"}
-                )["revision"] >= 1:
+                    protocol.Status()
+                ).revision >= 1:
                     break
                 time.sleep(0.05)
             os.kill(member.primary.pid, signal.SIGKILL)
@@ -296,10 +297,11 @@ class TestClusterFailover:
         not close the freshly promoted primary or consume a replica."""
         with ClusterStore(tmp_path / "clu", shards=1, replicas=1,
                           fsync=False) as cluster:
-            member = cluster._members[0]
+            member = cluster._membership.members[0]
             primary, replicas = member.primary, list(member.replicas)
             stale = object()  # what a losing thread would still hold
-            cluster._failover(member, stale, OSError("stale view"))
+            cluster._membership.failover(
+                member, stale, OSError("stale view"))
             assert member.primary is primary
             assert member.primary.alive
             assert member.replicas == replicas
@@ -318,9 +320,32 @@ class TestClusterMaintenance:
             refreshed = cluster.refresh_statistics()
             assert isinstance(refreshed, bool)
             # a checkpoint would have truncated the primary's WAL
-            wal = cluster._members[0].primary.directory \
+            wal = cluster._membership.members[0].primary.directory \
                 / TemporalStore.WAL_NAME
             assert len(read_records(wal)) == 2
+
+
+    def test_replica_wait_is_bounded_by_the_clock_not_by_sleeps(self):
+        """A replica whose status RPC is slow used to stretch the wait:
+        only the 50 ms sleeps counted towards the bound."""
+        from repro.cluster.membership import Member
+
+        class _SlowReplica:
+            calls = 0
+
+            def rpc(self, request, timeout=None):
+                self.calls += 1
+                time.sleep(0.1)
+                return protocol.StatusReply(
+                    role="replica", shard_id=0, revision=0, live_facts=0,
+                    horizon=1, pid=0, lag_seconds=None)
+
+        member, replica = Member(0, primary=None), _SlowReplica()
+        member.acked_lsn = 1  # never reached
+        started = time.monotonic()
+        ClusterStore._wait_for_replica(None, member, replica, timeout=0.3)
+        assert time.monotonic() - started < 0.6
+        assert replica.calls <= 3
 
 
 class TestClusterLoad:
@@ -331,15 +356,12 @@ class TestClusterLoad:
     def _log_rpcs(monkeypatch, fail_shard=None):
         """Log every client RPC's start and end; loads wait for each other
         at a two-party barrier, which only opens if both are in flight."""
-        from repro.cluster.coordinator import ShardClient
-        from repro.service.store import StoreError
-
         log = []
         barrier = threading.Barrier(2)
         rpc = ShardClient.rpc
 
-        def logged(self, payload, timeout=None):
-            op = payload["op"]
+        def logged(self, request, timeout=None):
+            op = request.op
             log.append(("start", op))
             try:
                 if op == "load":
@@ -347,7 +369,7 @@ class TestClusterLoad:
                     if self.directory.name == fail_shard:
                         raise StoreError("load refused")
                     time.sleep(0.05)  # the failure wins the race
-                return rpc(self, payload, timeout)
+                return rpc(self, request, timeout)
             finally:
                 log.append(("end", op))
 
@@ -380,8 +402,8 @@ class TestClusterLoad:
                 cluster.load_dataset(graph)
             # shard 1's load ran to completion before the error surfaced
             assert log.count(("end", "load")) == 2
-            assert cluster._members[1].primary.rpc(
-                {"op": "status"})["live_facts"] > 0
+            assert cluster._membership.members[1].primary.rpc(
+                protocol.Status()).live_facts > 0
 
 
 def _walk_spans(span):
@@ -435,13 +457,10 @@ class TestClusterObservability:
     def test_untraced_rpc_carries_no_attachment(self, tmp_path):
         """Without a live coordinator trace the request has no trace_id
         and the response envelope must not grow a trace attachment."""
-        from repro.cluster import protocol as _protocol
-
         with ClusterStore(tmp_path / "clu", shards=1,
                           fsync=False) as cluster:
-            member = cluster._members[0]
-            response = member.primary.rpc({"op": "status"})
-            assert _protocol.TRACE_KEY not in response
+            member = cluster._membership.members[0]
+            assert member.primary.rpc(protocol.Status()).trace is None
 
     def test_federated_metrics_members_groups_and_lag(self, tmp_path):
         with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
@@ -524,10 +543,11 @@ class TestClusterObservability:
 
         metrics.set_enabled(False)
         try:
-            response = cluster_worker._op_metrics(_State(), {})
+            response = cluster_worker._op_metrics(
+                _State(), protocol.Metrics())
         finally:
             metrics.set_enabled(True)
-        assert response == {
+        assert protocol.to_wire(response) == {
             "ok": True, "enabled": False, "metrics": {},
             "role": "shard", "revision": 7, "lag_seconds": None,
         }
@@ -556,16 +576,14 @@ class TestClusterBringUp:
                                                  monkeypatch):
         import multiprocessing
 
-        from repro.cluster import coordinator
+        real_rpc = ShardClient.rpc
 
-        real_rpc = coordinator.ShardClient.rpc
-
-        def rpc(self, payload, timeout=None):
-            if payload.get("op") == "predicates":
+        def rpc(self, request, timeout=None):
+            if isinstance(request, protocol.Predicates):
                 raise StoreError("inventory unavailable")
-            return real_rpc(self, payload, timeout=timeout)
+            return real_rpc(self, request, timeout=timeout)
 
-        monkeypatch.setattr(coordinator.ShardClient, "rpc", rpc)
+        monkeypatch.setattr(ShardClient, "rpc", rpc)
         with pytest.raises(StoreError, match="inventory unavailable"):
             ClusterStore(tmp_path / "clu", shards=2, replicas=1,
                          fsync=False)
@@ -624,3 +642,27 @@ class TestClusterReporting:
                 assert len(member["replicas"]) == 1
             assert cluster.storage_report()["cluster"]["shards"] == 2
             assert cluster.live_facts == 1
+
+    def test_status_survives_a_member_answering_with_an_error(
+            self, tmp_path, monkeypatch):
+        """One ``internal`` answer used to take down ``/debug/storage``;
+        it is an ``alive: false`` entry, as in the metrics pull."""
+        real_rpc = ShardClient.rpc
+
+        def rpc(self, request, timeout=None):
+            if (isinstance(request, protocol.Status)
+                    and self.directory.name == "shard-1"):
+                raise StoreError("disk on fire")
+            return real_rpc(self, request, timeout=timeout)
+
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            sick = cluster._membership.members[1].primary
+            monkeypatch.setattr(ShardClient, "rpc", rpc)
+            healthy, failing = cluster.storage_report()["cluster"]["members"]
+            monkeypatch.undo()
+            assert healthy["primary"]["alive"]
+            assert failing["primary"] == {
+                "role": "shard", "pid": sick.pid, "alive": False,
+                "error": "disk on fire",
+            }

@@ -47,6 +47,7 @@ class TestImportSurface:
             "import repro.cluster.worker",
             "http.server", "email", "ssl", "repro.service.server",
             "repro.lint", "repro.cluster.coordinator",
+            "repro.cluster.membership", "repro.cluster.telemetry",
         ) == set()
 
     def test_generate_loads_no_engine(self, tmp_path):

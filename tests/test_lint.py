@@ -75,7 +75,6 @@ POSITIVE_EXPECTATIONS = {
     "RL012": ("rl012_pos.py", 3),  # typo, malformed, dynamic name (bare)
     "RL013": ("rl013_pos.py", 2),  # two-hop chain + direct under member
     "RL014": ("rl014_pos.py", 1),  # writer/maint order cycle
-    "RL015": ("rl015_pos.py", 4),  # unknown op, missing, extra, stale key
     "RL016": ("rl016_pos.py", 2),  # setsockopt-then-return, write-then-close
     "RL017": ("rl017_pos.py", 3),  # typo, malformed, dynamic name
 }
@@ -95,7 +94,6 @@ NEGATIVE_FIXTURES = {
     "RL012": ["rl012_neg.py"],
     "RL013": ["rl013_neg.py"],
     "RL014": ["rl014_neg.py"],
-    "RL015": ["rl015_neg.py"],
     "RL016": ["rl016_neg.py"],
     "RL017": ["rl017_neg.py"],
 }

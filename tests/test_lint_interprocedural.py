@@ -1,14 +1,12 @@
-"""The interprocedural analyses: call graph, lock flow, protocol drift.
+"""The interprocedural analyses: call graph and lock flow.
 
 The fixture corpus in ``test_lint`` proves each rule fires and stays
 silent on canned shapes; these tests pin down the *interprocedural*
-behaviour — witness chains, cycle reports naming both paths, and RL015
-catching a field rename seeded into a copy of the real coordinator and
-worker sources.
+behaviour — witness chains, and cycle reports naming both paths.
+(Protocol drift, once RL015's job, is ``tests/test_cluster_protocol.py``.)
 """
 
 import json
-import shutil
 from pathlib import Path
 
 from repro.lint import RULES_BY_ID, run_lint
@@ -17,8 +15,6 @@ from repro.lint.checker import load_module, main
 from repro.lint.lockflow import BlockingReach, LockFlow, find_cycles
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
-REPO_ROOT = Path(__file__).resolve().parent.parent
-CLUSTER_SRC = REPO_ROOT / "src" / "repro" / "cluster"
 
 
 def _module(path: Path):
@@ -96,49 +92,6 @@ def test_lockflow_discovers_and_orders_locks():
     edges = flow.order_edges()
     cycles = list(find_cycles(edges))
     assert len(cycles) == 1
-
-
-# -------------------------------------------------- RL015 on real sources
-
-
-def _lint_cluster_copy(tmp_path, mutate=None):
-    workdir = tmp_path / "cluster"
-    workdir.mkdir()
-    for name in ("coordinator.py", "worker.py"):
-        shutil.copy(CLUSTER_SRC / name, workdir / name)
-    if mutate:
-        target = workdir / "worker.py"
-        target.write_text(mutate(target.read_text()))
-    return run_lint([str(workdir)], rules=[RULES_BY_ID["RL015"]])
-
-
-def test_real_cluster_sources_conform(tmp_path):
-    assert _lint_cluster_copy(tmp_path) == []
-
-
-def test_seeded_field_rename_is_caught(tmp_path):
-    findings = _lint_cluster_copy(
-        tmp_path,
-        mutate=lambda text: text.replace(
-            'payload["subject"]', 'payload["subject_iri"]'
-        ),
-    )
-    messages = [f.message for f in findings]
-    assert any("subject_iri" in m and "missing" in m for m in messages), messages
-    assert any("subject" in m and "never read" in m for m in messages), messages
-    # Every sender of the drifted op is reported, in the coordinator.
-    assert all(f.path.endswith("coordinator.py") for f in findings)
-
-
-def test_seeded_unknown_op_is_caught(tmp_path):
-    findings = _lint_cluster_copy(
-        tmp_path,
-        mutate=lambda text: text.replace('"checkpoint": ', '"checkpoint2": '),
-    )
-    assert any(
-        "'checkpoint'" in f.message and "not handled" in f.message
-        for f in findings
-    ), [f.message for f in findings]
 
 
 # ---------------------------------------------------------- baseline prune
