@@ -1,13 +1,13 @@
-"""The cluster coordinator: spawn, route, gather, fail over.
+"""The cluster coordinator: launch, route, gather, fail over.
 
 :class:`ClusterStore` duck-types :class:`~repro.service.store.TemporalStore`
 (``query`` / ``insert`` / ``delete`` / ``checkpoint`` / ``revision`` /
 ``live_facts`` / ``storage_report`` / ``close``), so the existing HTTP
 server fronts a cluster without changing a single handler.
 
-Topology: N shard primaries plus M replicas each, all spawned worker
-processes (``spawn`` context — a fork would clone live thread-pool and
-lock state) with directories laid out under the coordinator's own::
+Topology: N shard primaries plus M replicas each, all fresh worker
+interpreters (a fork would clone live thread-pool and lock state; see
+:mod:`.worker`) with directories laid out under the coordinator's own::
 
     dir/shard-0/            primary for shard 0
     dir/shard-0-replica-0/  its first follower

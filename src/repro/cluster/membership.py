@@ -1,9 +1,10 @@
 """Who serves each shard: bring-up, the member table, failover.
 
-A :class:`Membership` owns the spawned worker processes and, per shard,
-a :class:`Member` — the primary's client, the surviving replicas' and the
-last acknowledged LSN.  Everything that can change which process is a
-shard's primary lives here, under the member's failover lock:
+A :class:`Membership` owns the worker processes and, per shard, a
+:class:`Member` — the primary's client, the surviving replicas' and the
+last acknowledged LSN (a worker's three pipes: :mod:`.worker`).
+Everything that can change which process is a shard's primary lives
+here, under the member's failover lock:
 
 * Reads prefer a replica (round-robin) when one is attached, pinned by
   ``min_lsn`` — a follower still behind the shard's acked LSN refuses
@@ -16,16 +17,20 @@ shard's primary lives here, under the member's failover lock:
 
 from __future__ import annotations
 
-import multiprocessing
+import json
+import os
+import selectors
+import subprocess
+import sys
 import threading
 import time as _time
-from dataclasses import dataclass, replace
-from multiprocessing import connection as _mpc
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
+import repro
+
 from ..obs import events as _events
-from ..obs import log as _obslog
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..service.sanitizer import sanitized_lock
@@ -33,7 +38,11 @@ from ..service.store import StoreError, TemporalStore
 from . import protocol
 from .client import ShardClient
 from .protocol import ProtocolError, R, ReplicaLagging, Request
-from .worker import WorkerConfig, worker_main
+from .worker import WorkerConfig
+
+#: put first on a worker's ``PYTHONPATH``, so it imports this ``repro``
+#: whatever path the caller's environment carries.
+_SOURCE_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
 _FAILOVERS = _metrics.counter("cluster.coordinator.failovers")
 _RPC_ERRORS = _metrics.counter("cluster.coordinator.rpc_errors")
@@ -49,12 +58,11 @@ class ShardDown(StoreError):
 
 @dataclass
 class _Starting:
-    """A worker between ``Process.start()`` and its ready report."""
+    """A worker between its launch and its ready report."""
 
     config: WorkerConfig
-    proc: multiprocessing.process.BaseProcess
-    #: the coordinator's end of the ready pipe; hits EOF if the child dies.
-    pipe: _mpc.Connection
+    #: its stdout is the ready pipe, which hits EOF if the child dies.
+    proc: subprocess.Popen
     started: float
 
 
@@ -101,8 +109,7 @@ class Membership:
         self._worker_kwargs = worker_kwargs
         self._rpc_timeout = rpc_timeout
         self._start_timeout = start_timeout
-        self._ctx = multiprocessing.get_context("spawn")
-        self._procs: list = []
+        self._procs: list[subprocess.Popen] = []
         self.members: list[Member] = []
 
     # ------------------------------------------------------------- bring-up
@@ -155,63 +162,64 @@ class Membership:
             _SHARDS_ALIVE.set(self._shards)
 
     def _start_worker(self, config: WorkerConfig) -> _Starting:
-        """Start one worker process without waiting for it."""
-        parent, child = self._ctx.Pipe(duplex=False)
-        try:
-            proc = self._ctx.Process(
-                target=worker_main, args=(config, child), daemon=True,
-                name=f"repro-{config.role}-{config.shard_id}",
-            )
-            proc.start()
-        except BaseException:
-            parent.close()
-            raise
-        finally:
-            # The started child holds its own duplicate; with ours closed
-            # a dead child reads as EOF on ``parent``.
-            child.close()
+        """Launch one worker process without waiting for it.  It inherits
+        the environment and runs the worker module alone."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (_SOURCE_ROOT, env.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "from repro.cluster.worker import main; main()"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+        )
         self._procs.append(proc)
+        started = _time.perf_counter()
+        try:
+            proc.stdin.write(json.dumps(asdict(config)).encode() + b"\n")
+            proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # already dead: its ready pipe reads EOF, reported there
         _events.EVENTS.record(
             "cluster.event.worker_started", shard_id=config.shard_id,
             role=config.role, pid=proc.pid,
         )
-        return _Starting(config, proc, parent, _time.perf_counter())
+        return _Starting(config, proc, started)
 
     def _await_workers(self, wave: list[_Starting]) -> list[ShardClient]:
         """Collect one wave's ready reports, in the wave's order.
 
-        Waits on every pending ready pipe *and* process sentinel at once:
-        reports are taken as they arrive, and a worker that dies before
-        reporting fails the bring-up at once instead of after
+        Waits on every pending ready pipe at once: reports are taken as
+        they arrive, and a worker that dies before reporting closes its
+        pipe, failing the bring-up at once instead of after
         ``start_timeout``.
         """
         clients: dict[int, ShardClient] = {}
-        pending = dict(enumerate(wave))
         deadline = _time.monotonic() + self._start_timeout
         try:
-            while pending:
-                signalled = _mpc.wait(
-                    [w.pipe for w in pending.values()]
-                    + [w.proc.sentinel for w in pending.values()],
-                    timeout=max(0.0, deadline - _time.monotonic()),
-                )
-                if not signalled:
-                    late = ", ".join(
-                        f"shard {w.config.shard_id} ({w.config.role})"
-                        for w in pending.values()
-                    )
-                    raise StoreError(
-                        f"worker for {late} did not report ready within "
-                        f"{self._start_timeout}s"
-                    )
-                for position, worker in list(pending.items()):
-                    if (worker.pipe in signalled
-                            or worker.proc.sentinel in signalled):
-                        clients[position] = self._worker_ready(worker)
-                        del pending[position]
+            with selectors.DefaultSelector() as selector:
+                for position, worker in enumerate(wave):
+                    selector.register(worker.proc.stdout,
+                                      selectors.EVENT_READ, position)
+                while len(clients) < len(wave):
+                    signalled = selector.select(
+                        max(0.0, deadline - _time.monotonic()))
+                    if not signalled:
+                        late = ", ".join(
+                            f"shard {w.config.shard_id} ({w.config.role})"
+                            for position, w in enumerate(wave)
+                            if position not in clients
+                        )
+                        raise StoreError(
+                            f"worker for {late} did not report ready "
+                            f"within {self._start_timeout}s"
+                        )
+                    for key, _ in signalled:
+                        selector.unregister(key.fileobj)
+                        clients[key.data] = self._worker_ready(
+                            wave[key.data])
         finally:
             for worker in wave:
-                worker.pipe.close()
+                worker.proc.stdout.close()
         return [clients[position] for position in range(len(wave))]
 
     def _worker_ready(self, worker: _Starting) -> ShardClient:
@@ -219,15 +227,15 @@ class Membership:
         config = worker.config
         with _trace.span("cluster.worker.ready", shard=config.shard_id,
                          role=config.role) as span:
-            try:
-                info = worker.pipe.recv()
-            except EOFError:
-                worker.proc.join(timeout=2.0)
+            line = worker.proc.stdout.readline()
+            if not line.endswith(b"\n"):
+                worker.proc.wait(timeout=2.0)
                 raise StoreError(
                     f"worker for shard {config.shard_id} ({config.role}) "
                     f"died during start-up (exit code "
-                    f"{worker.proc.exitcode}); its traceback is on stderr"
-                ) from None
+                    f"{worker.proc.returncode}); its traceback is on stderr"
+                )
+            info = json.loads(line)
             timings = {
                 "startup_ms": round(
                     (_time.perf_counter() - worker.started) * 1000.0, 3),
@@ -390,20 +398,16 @@ class Membership:
             proc.terminate()
 
     def close(self) -> None:
-        """Ask every live worker to shut down, then reap the processes."""
+        """Close every client and every lifeline — each worker then stops
+        serving, closes its store and exits, all at once — and reap them."""
         for member in self.members:
             for _, _, client in member.processes():
-                if not client.alive:
-                    continue
-                try:
-                    client.rpc(protocol.Shutdown(), timeout=5.0)
-                except (OSError, ProtocolError) as error:
-                    _obslog.LOGGER.debug(
-                        "cluster_shutdown_rpc_failed", error=str(error)
-                    )
                 client.close()
         for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
+            proc.stdin.close()
+        for proc in self._procs:
+            try:
+                proc.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:
                 proc.terminate()
-                proc.join(timeout=2.0)
+                proc.wait(timeout=2.0)

@@ -539,12 +539,6 @@ class Events(Request[EventsReply]):
     limit: int = 100
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
-class Shutdown(Request[Ack]):
-    """Stop serving once the ack is on the wire."""
-    op: ClassVar[str] = "shutdown"
-
-
 # -------------------------------------------------------------------- codec
 
 

@@ -1,7 +1,9 @@
 """The shard / replica worker process.
 
-One worker per topology member, started with the ``spawn`` context (a
-fork would inherit the coordinator's thread-pool and lock state mid-use).
+One worker per topology member, a plain ``python -c`` subprocess running
+:func:`main` — never the launching script.  Its config arrives as one
+JSON line on stdin, its ready report leaves as one on stdout, and stdin
+stays open as a lifeline: EOF (a closing or dead coordinator) stops it.
 Each worker owns a private directory with a full
 :class:`~repro.service.store.TemporalStore` — engine, WAL, snapshots —
 and answers the :mod:`repro.cluster.protocol` ops on a loopback TCP
@@ -38,6 +40,7 @@ import os
 import shutil
 import socket
 import socketserver
+import sys
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -73,7 +76,7 @@ _IMPORT_MS = round((_time.perf_counter() - _IMPORT_STARTED) * 1000.0, 3)
 
 @dataclass
 class WorkerConfig:
-    """Everything a spawned worker needs (must stay picklable)."""
+    """Everything a launched worker needs (must survive a JSON round-trip)."""
 
     shard_id: int
     role: str  # "shard" | "replica"
@@ -449,12 +452,6 @@ def _op_events(state: _WorkerState,
     return protocol.EventsReply(events=_events.EVENTS.recent(request.limit))
 
 
-def _op_shutdown(state: _WorkerState,
-                 request: protocol.Shutdown) -> protocol.Ack:
-    state.stopping.set()
-    return protocol.Ack()
-
-
 #: request class -> handler: one entry per op :mod:`.protocol` declares.
 _HANDLERS = {
     protocol.Ping: _op_ping,
@@ -471,7 +468,6 @@ _HANDLERS = {
     protocol.Predicates: _op_predicates,
     protocol.Metrics: _op_metrics,
     protocol.Events: _op_events,
-    protocol.Shutdown: _op_shutdown,
 }
 
 
@@ -537,12 +533,6 @@ class _Handler(socketserver.BaseRequestHandler):
                     send_message(sock, protocol.error_to_wire(error))
             except OSError:
                 return
-            if wire.get("op") == protocol.Shutdown.op:
-                # Stop accepting *after* the ack is on the wire.
-                threading.Thread(
-                    target=self.server.shutdown, daemon=True
-                ).start()
-                return
 
 
 class _WorkerServer(socketserver.ThreadingTCPServer):
@@ -554,17 +544,34 @@ class _WorkerServer(socketserver.ThreadingTCPServer):
         self.state = state
 
 
-def worker_main(config: WorkerConfig, ready) -> None:
-    """Process entry point (must be importable for the spawn context).
+def _lifeline(server: _WorkerServer) -> None:
+    """Stop serving at EOF on stdin: the coordinator closed its end, or
+    died (a SIGKILL included).  Reads the raw descriptor, because a
+    thread blocked in the buffered ``sys.stdin`` can abort interpreter
+    shutdown."""
+    while os.read(0, 4096):
+        pass
+    server.shutdown()
 
-    Opens the store, starts the replica tail thread when applicable,
-    binds a loopback socket on an ephemeral port, and reports its
-    ``port`` and ``pid`` over the ``ready`` pipe before serving — plus
-    where its start-up went: ``import_ms`` (this module and what it
-    imports), ``open_ms`` (store open to bound socket: snapshot load,
-    WAL replay, a replica's first resync) and the ``replayed`` record
-    count.
+
+def main() -> None:
+    """Entry point of a launched worker: serve until stdin closes.
+
+    Reads its :class:`WorkerConfig` as one JSON line on stdin, opens the
+    store, starts the replica tail thread when applicable, binds a
+    loopback socket on an ephemeral port, and writes its ``port`` and
+    ``pid`` as one JSON line to stdout before serving — plus where its
+    start-up went: ``import_ms`` (this module and what it imports),
+    ``open_ms`` (store open to bound socket: snapshot load, WAL replay, a
+    replica's first resync) and the ``replayed`` record count.  Stdout
+    carries that line alone; anything else printed goes to stderr.
     """
+    ready = os.dup(1)
+    os.dup2(2, 1)
+    fields = json.loads(sys.stdin.buffer.readline())
+    if fields["primary_address"] is not None:
+        fields["primary_address"] = tuple(fields["primary_address"])
+    config = WorkerConfig(**fields)
     entered = _time.perf_counter()
     state = _WorkerState(config)
     if config.role == "replica":
@@ -581,14 +588,21 @@ def worker_main(config: WorkerConfig, ready) -> None:
         )
         tail.start()
     server = _WorkerServer(("127.0.0.1", 0), _Handler, state)
-    ready.send({
+    report = {
         "port": server.server_address[1], "pid": os.getpid(),
         "import_ms": _IMPORT_MS,
         "open_ms": round((_time.perf_counter() - entered) * 1000.0, 3),
         "replayed": state.store.replayed,
-    })
-    ready.close()
+    }
     try:
+        try:
+            os.write(ready, json.dumps(report).encode() + b"\n")
+        except BrokenPipeError:
+            return  # the coordinator died or gave up on this bring-up
+        finally:
+            os.close(ready)
+        threading.Thread(target=_lifeline, args=(server,), daemon=True,
+                         name="repro-lifeline").start()
         server.serve_forever(poll_interval=0.1)
     finally:
         state.stopping.set()

@@ -34,7 +34,7 @@ RESOURCE_QNAMES = frozenset({
 })
 
 #: Call-name tails accepted when imports cannot resolve the receiver
-#: (``self._ctx.Pipe()`` on a multiprocessing context).
+#: (``ctx.Pipe()`` on a multiprocessing context).
 RESOURCE_TAILS = frozenset({
     "Pipe", "create_connection", "Popen", "fdopen",
 })

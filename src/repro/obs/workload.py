@@ -19,13 +19,13 @@ median above the configured threshold triggers
 :meth:`~repro.engine.engine.RDFTX.refresh_statistics`.
 
 Everything gates on the ``REPRO_OBS`` kill switch: with observability
-off, recording and drift sampling are no-ops.
+off, recording and drift sampling are no-ops.  ``hashlib`` (which maps
+libcrypto) and ``statistics`` (which loads ``decimal``) are imported
+where they are used, so a process that never records pays for neither.
 """
 
 from __future__ import annotations
 
-import hashlib
-import statistics
 import threading
 from collections import deque
 
@@ -75,6 +75,8 @@ def fingerprint(query) -> tuple[str, str]:
     is preserved, so two queries share a shape exactly when they differ
     only in constants, variable names, or whitespace.
     """
+    import hashlib
+
     from ..sparqlt.ast import (
         And, Compare, FuncCall, Literal, Not, Or, TermConst, TimeConst, Var,
     )
@@ -347,6 +349,12 @@ WORKLOAD = WorkloadRegistry()
 # ------------------------------------------------------------ drift monitor
 
 
+def _median(window: list[float]) -> float:
+    import statistics
+
+    return statistics.median(window)
+
+
 class DriftMonitor:
     """Sampled est-vs-actual q-error tracking with optimizer feedback.
 
@@ -385,7 +393,7 @@ class DriftMonitor:
             window = list(self._recent)
         _DRIFT_SAMPLES.inc()
         _DRIFT_MAX.set(max(window))
-        _DRIFT_MEDIAN.set(statistics.median(window))
+        _DRIFT_MEDIAN.set(_median(window))
 
     def refresh_due(self) -> bool:
         """Whether sustained drift warrants a statistics rebuild."""
@@ -395,7 +403,7 @@ class DriftMonitor:
             if len(self._recent) < (self._recent.maxlen or 1):
                 return False
             window = list(self._recent)
-        return statistics.median(window) >= self.qerror_threshold
+        return _median(window) >= self.qerror_threshold
 
     def note_refresh(self) -> None:
         """Record a drift-triggered rebuild and restart the window."""
@@ -419,7 +427,7 @@ class DriftMonitor:
             "threshold": self.qerror_threshold,
             "window_size": self._recent.maxlen,
             "window_fill": len(window),
-            "median_qerror": statistics.median(window) if window else None,
+            "median_qerror": _median(window) if window else None,
             "max_qerror": max(window) if window else None,
             "refreshes": refreshes,
         }

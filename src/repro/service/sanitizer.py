@@ -24,8 +24,8 @@ role                        blocking ok?    guards
 ==========================  ==============  =================================
 
 Everything is a no-op unless the environment variable is ``"1"`` at
-import time (worker processes use the ``spawn`` context and re-import
-with the inherited environment, so the cluster is covered end to end)
+import time (cluster workers are fresh interpreters that inherit the
+environment, so the cluster is covered end to end)
 or a test calls :func:`enable`.  When disabled, :func:`sanitized_lock`
 returns the raw lock unwrapped — zero steady-state overhead.
 

@@ -1,9 +1,9 @@
 """End-to-end cluster tests: correctness, routing, replication, failover.
 
-These boot real worker processes (spawn context), so topologies stay
-small and the dataset tiny; the properties under test — byte-identical
-results across topologies, watermark monotonicity, replica promotion —
-do not depend on scale.
+These boot real worker processes, so topologies stay small and the
+dataset tiny; the properties under test — byte-identical results across
+topologies, watermark monotonicity, replica promotion — do not depend
+on scale.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -28,6 +30,7 @@ from repro.datasets.queries import (
     selection_queries,
 )
 from repro.mvbt.tree import DuplicateKeyError, TimeOrderError
+from repro.obs import events
 from repro.service.store import StoreError, TemporalStore
 
 GOLDEN = Path(__file__).parent / "golden" / "cluster_fig9.json"
@@ -553,29 +556,126 @@ class TestClusterObservability:
         }
 
 
+def _started_pids() -> list[int]:
+    return [e["pid"] for e in events.EVENTS.recent(100)
+            if e["event"] == "cluster.event.worker_started"]
+
+
+def _assert_reaped(pids: list[int]) -> None:
+    """Every pid was one of our children and has been waited for: a
+    worker still running, or exited but unreaped, fails here."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+#: A coordinator script with no ``__main__`` guard: it marks each time
+#: its top level runs, brings a 2-shard cluster up, and prints the
+#: worker pids.  With a third argument it then waits to be killed.
+UNGUARDED_SCRIPT = """
+import sys, time
+from repro.cluster import ClusterStore
+from repro.obs import events
+
+with open(sys.argv[2], "a") as marker:
+    marker.write("top level ran\\n")
+store = ClusterStore(sys.argv[1], shards=2, fsync=False)
+store.insert("a", "p", "v", 1000)
+assert store.query("SELECT ?o {a p ?o ?t}").rows == [{"o": "v"}]
+print(*[e["pid"] for e in events.EVENTS.recent(100)
+        if e["event"] == "cluster.event.worker_started"], flush=True)
+if len(sys.argv) > 3:
+    time.sleep(600)
+store.close()
+"""
+
+
+def _script_env() -> dict:
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_") or k == "REPRO_LOCK_SANITIZER"}
+    env.update(REPRO_OBS="1", PYTHONPATH=str(
+        Path(__file__).resolve().parent.parent / "src"))
+    return env
+
+
 class TestClusterBringUp:
     def test_dead_worker_fails_at_once_and_nothing_is_left_running(
             self, tmp_path):
-        """A worker that dies at store open is noticed through its
-        process sentinel, not by waiting out ``start_timeout``; the
+        """A worker that dies at store open closes its ready pipe, which
+        is noticed at once, not by waiting out ``start_timeout``; the
         constructor raises naming the shard and stops the other worker,
         which did come up."""
-        import multiprocessing
-
         directory = tmp_path / "clu"
         directory.mkdir()
         (directory / "shard-1").write_text("not a directory")
+        events.EVENTS.clear()
         started = time.monotonic()
         with pytest.raises(StoreError, match=r"shard 1 \(shard\) died"):
             ClusterStore(directory, shards=2, fsync=False,
                          start_timeout=60.0)
         assert time.monotonic() - started < 20.0
-        assert multiprocessing.active_children() == []
+        _assert_reaped(_started_pids())
+
+    @pytest.mark.parametrize("launch", ["file", "stdin"])
+    def test_unguarded_script_runs_its_top_level_once(self, tmp_path,
+                                                      launch):
+        """Workers never re-run the launching script: one without an
+        ``if __name__ == "__main__":`` guard, even one read from stdin,
+        brings its cluster up and marks its top level exactly once."""
+        marker = tmp_path / "marker.txt"
+        args = [str(tmp_path / "clu"), str(marker)]
+        if launch == "file":
+            script = tmp_path / "coordinator.py"
+            script.write_text(UNGUARDED_SCRIPT)
+            command, stdin = [sys.executable, str(script), *args], None
+        else:
+            command, stdin = [sys.executable, "-", *args], UNGUARDED_SCRIPT
+        done = subprocess.run(command, input=stdin, env=_script_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.split()) == 2
+        assert marker.read_text().splitlines() == ["top level ran"]
+
+    def test_killed_coordinator_leaves_no_worker_running(self, tmp_path):
+        """SIGKILL runs no exit hook in the coordinator, but it closes
+        every worker's lifeline: each worker sees EOF on stdin and
+        exits, instead of holding its directory, WAL and port."""
+        script = tmp_path / "coordinator.py"
+        script.write_text(UNGUARDED_SCRIPT)
+        coordinator = subprocess.Popen(
+            [sys.executable, str(script), str(tmp_path / "clu"),
+             str(tmp_path / "marker.txt"), "wait"],
+            stdout=subprocess.PIPE, text=True, env=_script_env(),
+        )
+        try:
+            pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+        finally:
+            coordinator.kill()
+            coordinator.wait()
+            coordinator.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while (any(map(_running, pids))
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert [pid for pid in pids if _running(pid)] == []
 
     def test_failed_bootstrap_stops_every_worker(self, tmp_path,
                                                  monkeypatch):
-        import multiprocessing
-
         real_rpc = ShardClient.rpc
 
         def rpc(self, request, timeout=None):
@@ -584,10 +684,11 @@ class TestClusterBringUp:
             return real_rpc(self, request, timeout=timeout)
 
         monkeypatch.setattr(ShardClient, "rpc", rpc)
+        events.EVENTS.clear()
         with pytest.raises(StoreError, match="inventory unavailable"):
             ClusterStore(tmp_path / "clu", shards=2, replicas=1,
                          fsync=False)
-        assert multiprocessing.active_children() == []
+        _assert_reaped(_started_pids())
 
     def test_bringup_span_attributes_each_worker(self, tmp_path):
         """``cluster.bringup`` holds one ``cluster.worker.ready`` child

@@ -62,7 +62,7 @@ def _through_json(wire: dict) -> dict:
 def test_worker_registry_is_exactly_the_declared_requests():
     assert set(worker._HANDLERS) == REQUESTS
     assert set(protocol.REQUESTS.values()) == REQUESTS
-    assert len(protocol.REQUESTS) == len(REQUESTS) == 15  # op names unique
+    assert len(protocol.REQUESTS) == len(REQUESTS) == 14  # op names unique
     assert {cls.reply for cls in REQUESTS} <= REPLIES
 
 
@@ -246,7 +246,6 @@ def _samples(primary_dir: Path) -> list[tuple]:
         (protocol.Events(limit=5), "shard"),
         (protocol.Resync(), "replica"),
         (protocol.Promote(wal_path=str(primary_dir / "store.wal")), "replica"),
-        (protocol.Shutdown(), "shard"),
     ]
 
 
@@ -271,7 +270,6 @@ def test_every_op_crosses_a_real_dispatcher(tmp_path):
             reply = protocol.from_wire(request.reply, _through_json(wire))
             assert type(reply) is request.reply
         assert states["replica"].role == "shard"  # the promote took
-        assert states["shard"].stopping.is_set()  # and the shutdown
     finally:
         for state in states.values():
             state.store.close()

@@ -32,11 +32,12 @@ def run_fresh(code: str, **env: str) -> str:
     return done.stdout
 
 
-def loaded(code: str, *candidates: str) -> set[str]:
+def loaded(code: str, *candidates: str, **env: str) -> set[str]:
     """Which of ``candidates`` are in ``sys.modules`` after ``code``."""
     out = run_fresh(
         f"import sys\n{code}\n"
-        f"print('LOADED', *(m for m in {candidates!r} if m in sys.modules))"
+        f"print('LOADED', *(m for m in {candidates!r} if m in sys.modules))",
+        **env,
     )
     return set(out.rsplit("LOADED", 1)[1].split())
 
@@ -49,6 +50,61 @@ class TestImportSurface:
             "repro.lint", "repro.cluster.coordinator",
             "repro.cluster.membership", "repro.cluster.telemetry",
         ) == set()
+
+    @pytest.mark.parametrize("module", [
+        "repro.cluster.worker", "repro.engine.engine"])
+    def test_untraced_process_loads_no_crypto_decimal_or_multiprocessing(
+            self, module):
+        # hashlib maps libcrypto and statistics loads decimal; only a
+        # process that records observability needs either
+        assert loaded(
+            f"import {module}",
+            "hashlib", "_hashlib", "statistics", "decimal", "multiprocessing",
+            REPRO_OBS="0",
+        ) == set()
+
+    def test_shape_ids_are_pinned_and_hash_on_first_use(self):
+        out = run_fresh(
+            "import sys\n"
+            "from repro.obs.workload import fingerprint_text\n"
+            "assert 'hashlib' not in sys.modules\n"
+            "print(*fingerprint_text('SELECT ?s ?o {?s ?p ?o ?t . "
+            "?s q ?o ?u FILTER(YEAR(?t) = 2001)}'), sep='\\n')",
+            REPRO_OBS="1",
+        )
+        assert out.splitlines() == [
+            "9795dffa9705",
+            "SELECT ?v0 ?v2 { ?v0 ?v1 ?v2 ?v3 . ?v0 <c> ?v2 ?v4 . "
+            "FILTER (YEAR(?v3) = <number>) }",
+        ]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/<pid>/maps")
+    def test_worker_maps_no_tls_library_its_launcher_loaded(self, tmp_path):
+        """A worker runs the worker module only: the launching script's
+        top-level ``import http.client`` maps libssl into the coordinator
+        but not into the worker it starts."""
+        pytest.importorskip("ssl")
+        out = run_fresh(f"""
+import http.client
+from repro.cluster import ClusterStore
+from repro.obs import events
+
+def tls(pid):
+    with open(f"/proc/{{pid}}/maps") as maps:
+        text = maps.read()
+    return [lib for lib in ("libssl", "libcrypto") if lib in text]
+
+with ClusterStore({str(tmp_path / "clu")!r}, shards=1, fsync=False):
+    (pid,) = [e["pid"] for e in events.EVENTS.recent(100)
+              if e["event"] == "cluster.event.worker_ready"]
+    print("COORDINATOR", *tls("self"))
+    print("WORKER", *tls(pid))
+""", REPRO_OBS="1")
+        mapped = {words[0]: words[1:]
+                  for words in map(str.split, out.splitlines())}
+        assert "libssl" in mapped["COORDINATOR"]
+        assert mapped["WORKER"] == []
 
     def test_generate_loads_no_engine(self, tmp_path):
         out = tmp_path / "wiki.tnq"
