@@ -24,8 +24,7 @@ Measured, per arm:
   against the arm's baseline; each arm decompresses its trees on exit
   so the arms never share memo-budget charges).
 
-Byte-identity between the arms — serial and parallel — is asserted, not
-sampled.  Results land in ``bench_results/BENCH_scan_packed.json`` and
+Byte-identity between the arms is asserted, not sampled.  Results land in ``bench_results/BENCH_scan_packed.json`` and
 ``bench_results/scan_packed.txt``.
 
 Run directly (no pytest needed)::
@@ -79,10 +78,9 @@ def run_arm(name, cfg):
         # freshly-built engine: a sweep of one-tick snapshot scans across
         # the history (visited leaves hold many entries whose intervals
         # miss the slice — the low-selectivity case the packed decoder
-        # filters without materializing), then the first serial pass of
+        # filters without materializing), then the first pass of
         # the fig9 selection+join suite.  The legacy arm decodes and
         # memoizes every leaf either workload touches.
-        engine.parallel = False
         emitted = 0
         slices = [
             (t, t + 1) for t in range(1, horizon, max(horizon // 32, 1))
@@ -95,7 +93,7 @@ def run_arm(name, cfg):
         cold_ms = (time.perf_counter() - start) * 1000.0
         cold_resident = comp.memo_entries() - memo_base
 
-        # Phase 2: warm repeated queries (serial).  The untimed pass
+        # Phase 2: warm repeated queries.  The untimed pass
         # (second contact for the query-touched leaves) warms them past
         # ``hot_uses`` in both arms, so the timed loop measures the
         # steady state the memo policy promises not to regress.
@@ -112,18 +110,13 @@ def run_arm(name, cfg):
         warm_ms = min(passes) * 1000.0 / len(queries)
         warm_resident = comp.memo_entries() - memo_base
 
-        # ... and the same workload in parallel mode, for identity.
-        engine.parallel = True
-        parallel_rows = [repr(engine.query(q).rows) for q in queries]
-        engine.parallel = False
-
         return {
             "cold_scan_ms_total": round(cold_ms, 3),
             "cold_pieces_emitted": emitted,
             "cold_entries_resident": cold_resident,
             "warm_ms_per_query": round(warm_ms, 4),
             "warm_entries_resident": warm_resident,
-        }, rows, parallel_rows
+        }, rows
     finally:
         # Release this arm's memo-budget charges before the next arm
         # measures against its own baseline.
@@ -137,10 +130,7 @@ def main():
     results = {}
     identity = {}
     for name, cfg in ARMS.items():
-        results[name], serial_rows, parallel_rows = run_arm(name, cfg)
-        identity[name] = serial_rows
-        if parallel_rows != serial_rows:
-            raise SystemExit(f"{name}: parallel results diverge from serial")
+        results[name], identity[name] = run_arm(name, cfg)
     if identity["legacy"] != identity["packed"]:
         raise SystemExit("packed arm results diverge from legacy arm")
 

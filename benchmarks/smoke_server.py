@@ -11,7 +11,7 @@ Drives the real ``repro-tx serve`` process over HTTP:
    trace id) and ``/debug/storage`` a structural health report,
 3. checkpoint, apply more updates, then SIGKILL the process (no clean
    shutdown),
-4. restart the server (with ``--parallel``) on the same directory and
+4. restart the server on the same directory and
    verify every acknowledged update survived — both the checkpointed ones
    and the WAL-only tail; ``/debug/profile`` must return non-empty
    collapsed stacks while a query loop runs,
@@ -86,10 +86,10 @@ def wait_healthy(deadline=30.0):
     raise SystemExit("server did not become healthy in time")
 
 
-def start_server(directory, data=None, extra=(), env_extra=None):
+def start_server(directory, data=None, env_extra=None):
     argv = [
         sys.executable, "-m", "repro.cli", "serve", directory,
-        "--port", str(PORT), "--group-commit", "8", *extra,
+        "--port", str(PORT), "--group-commit", "8",
     ]
     if data:
         argv += ["--data", data]
@@ -232,9 +232,9 @@ def main() -> int:
                 server.kill()
                 server.wait(timeout=30)
 
-        # Restart with parallel scanning on: recovery answers must be
-        # identical regardless of the scan dispatch mode.
-        server = start_server(storedir, extra=("--parallel",))
+        # Restart on the same directory: recovery answers must be
+        # identical to the pre-crash ones.
+        server = start_server(storedir)
         try:
             health = wait_healthy()
             check("recovered revision",

@@ -61,17 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the cost-based optimizer")
     query.add_argument("--time", action="store_true",
                        help="print execution time")
-    query.add_argument("--parallel", action="store_true",
-                       help="dispatch pattern scans on a thread pool "
-                            "(same as REPRO_PARALLEL=1)")
 
     shell = sub.add_parser("shell", help="interactive SPARQLT shell")
     shell.add_argument("dataset")
     shell.add_argument("--no-optimizer", action="store_true")
     shell.add_argument("--time", action="store_true",
                        help="print per-statement execution time")
-    shell.add_argument("--parallel", action="store_true",
-                       help="dispatch pattern scans on a thread pool")
 
     stats = sub.add_parser(
         "stats",
@@ -87,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--json", action="store_true",
                        help="JSON instead of text rendering")
     stats.add_argument("--no-optimizer", action="store_true")
-    stats.add_argument("--parallel", action="store_true",
-                       help="dispatch pattern scans on a thread pool")
     stats.add_argument("--workload", action="store_true",
                        help="also print the per-shape workload table "
                             "(query fingerprints)")
@@ -134,9 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--query-cache", type=int, default=256, metavar="N",
                        help="revision-tagged result-cache capacity "
                             "(0 disables; default 256)")
-    serve.add_argument("--parallel", action="store_true",
-                       help="dispatch pattern scans on a thread pool "
-                            "(same as REPRO_PARALLEL=1)")
     serve.add_argument("--trace-sample", type=float, default=1.0,
                        metavar="RATE",
                        help="fraction of POST requests recording a full "
@@ -258,8 +248,6 @@ def cmd_query(args) -> int:
     from .sparqlt import SparqltError
 
     engine = _load_engine(args.dataset, not args.no_optimizer)
-    if args.parallel:
-        engine.parallel = True
     try:
         if args.explain:
             print(engine.explain(args.sparqlt))
@@ -300,8 +288,6 @@ def cmd_stats(args) -> int:
               "report; unset REPRO_OBS to collect them")
         return 0
     engine = _load_engine(args.dataset, not args.no_optimizer)
-    if args.parallel:
-        engine.parallel = True
     for text in args.sparqlt:
         try:
             engine.query(text)
@@ -327,8 +313,6 @@ def cmd_shell(args) -> int:
     from .sparqlt import SparqltError
 
     engine = _load_engine(args.dataset, not args.no_optimizer)
-    if args.parallel:
-        engine.parallel = True
     print(f"RDF-TX shell — {args.dataset} loaded "
           f"({sum(t.live_records for t in engine.indexes.values()) // 4} "
           f"live facts). Type .help for commands.")
@@ -440,7 +424,6 @@ def cmd_serve(args) -> int:
         fsync=not args.no_fsync,
         checkpoint_every=args.checkpoint_every,
         query_cache_size=args.query_cache or None,
-        parallel=True if args.parallel else None,
         stats_refresh_qerror=args.stats_refresh_qerror,
     )
     try:
@@ -492,7 +475,6 @@ def _serve_cluster(args) -> int:
         group_size=args.group_commit,
         fsync=not args.no_fsync,
         query_cache_size=args.query_cache or None,
-        parallel=True if args.parallel else None,
         metrics_refresh=args.metrics_refresh or None,
     )
     try:

@@ -84,7 +84,6 @@ class ClusterStore(ClusterTelemetry):
         group_size: int = 32,
         fsync: bool = True,
         query_cache_size: int | None = 256,
-        parallel: bool | None = None,
         rpc_timeout: float = 30.0,
         start_timeout: float = 60.0,
         metrics_refresh: float | None = None,
@@ -104,7 +103,6 @@ class ClusterStore(ClusterTelemetry):
                 group_size=group_size,
                 fsync=fsync,
                 query_cache_size=query_cache_size,
-                parallel=parallel,
             ),
             rpc_timeout, start_timeout,
         )

@@ -4,8 +4,8 @@ Two plans exist, chosen per query:
 
 * **Single-shard fast path** — every pattern's subject is a constant
   hashing to one shard, so the whole query text is forwarded there and
-  evaluated by that shard's full engine (plan cache, optimizer, parallel
-  scans included).  Point lookups and per-entity histories — the dominant
+  evaluated by that shard's full engine (plan cache and optimizer
+  included).  Point lookups and per-entity histories — the dominant
   serving shapes — never pay scatter/gather.
 * **Scatter/gather** — each pattern becomes a single-pattern sub-query
   (filters fully covered by the pattern's variables ride along, so time

@@ -89,7 +89,6 @@ class WorkerConfig:
     group_size: int = 32
     fsync: bool = True
     query_cache_size: int | None = 256
-    parallel: bool | None = None
     poll_interval: float = 0.05
 
 
@@ -153,7 +152,6 @@ def _open_store(config: WorkerConfig) -> TemporalStore:
         group_size=config.group_size,
         fsync=config.fsync,
         query_cache_size=config.query_cache_size,
-        parallel=config.parallel,
     )
 
 

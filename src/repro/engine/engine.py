@@ -24,7 +24,6 @@ from ..obs.profile import ProfileNode, QueryProfile
 from ..sparqlt.ast import Query
 from ..sparqlt.parser import parse
 from .executor import default_order, execute
-from .parallel import parallel_default
 from .patterns import INDEX_ORDERS, PatternPlan, UnknownTermError, translate_pattern
 from .plan import PlanGraph
 
@@ -121,7 +120,6 @@ class RDFTX:
         config: MVBTConfig | None = None,
         optimizer=None,
         stats_refresh_threshold: int | None = 256,
-        parallel: bool | None = None,
         stats_refresh_qerror: float | None = None,
     ) -> None:
         self.config = config or MVBTConfig(block_capacity=64, weak_min=12,
@@ -131,9 +129,6 @@ class RDFTX:
             name: MVBT(self.config) for name in INDEX_ORDERS
         }
         self.optimizer = optimizer
-        #: dispatch independent pattern scans on the shared scan pool
-        #: (:mod:`repro.engine.parallel`); None inherits ``REPRO_PARALLEL``.
-        self.parallel = parallel_default() if parallel is None else parallel
         #: compiled-plan cache (prepared statements).  Plans bake in
         #: dictionary ids (append-only, never reassigned) and the query
         #: text's own time windows — nothing data-dependent — so entries
@@ -473,7 +468,7 @@ class RDFTX:
             )
             rows = execute_group(
                 query.group, self.indexes, self.dictionary, self.horizon,
-                choose, profile=prof_root, parallel=self.parallel,
+                choose, profile=prof_root,
             )
             projected = project(rows, query.select, self.dictionary)
             return self._finish_result(
@@ -503,7 +498,6 @@ class RDFTX:
             rows = execute(
                 graph, self.indexes, self.dictionary, self.horizon, order,
                 profile=prof_root, step_estimates=step_estimates,
-                parallel=self.parallel,
             )
             projected = project(rows, query.select, self.dictionary)
         return self._finish_result(

@@ -15,7 +15,6 @@ import time
 from typing import Callable
 
 from ..model.dictionary import Dictionary
-from ..mvbt.tree import MVBT
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs.profile import ProfileNode
@@ -30,7 +29,6 @@ from .operators import (
     synchronized_join_applicable,
     synchronized_join_rows,
 )
-from .parallel import note_prefetch, parallel_scan_pieces, scan_pool
 from .plan import PlanGraph
 
 #: Index name -> MVBT mapping held by the engine.
@@ -85,14 +83,6 @@ def _scan_detail(plan) -> str:
     return f"{plan.index_order.upper()} {plan.pattern}"
 
 
-def _scan_rows(tree: MVBT, plan) -> list[Row]:
-    """Materialize one pattern scan — the unit of pool work in parallel
-    mode.  The span records on the worker thread, parented to the
-    submitting request's trace (see :func:`repro.obs.trace.submit`)."""
-    with _trace.span("scan.pattern", index=plan.index_order):
-        return list(index_scan(tree, plan))
-
-
 def execute(
     graph: PlanGraph,
     indexes: IndexSet,
@@ -101,7 +91,6 @@ def execute(
     order: list[int] | None = None,
     profile: ProfileNode | None = None,
     step_estimates: dict[frozenset, float] | None = None,
-    parallel: bool = False,
 ) -> list[Row]:
     """Run the plan and return projected result rows.
 
@@ -112,12 +101,6 @@ def execute(
     node; ``step_estimates`` maps frozensets of joined pattern indices to
     the optimizer's estimated output cardinality so join nodes carry
     estimates too (see :func:`repro.optimizer.cost.order_prefix_estimates`).
-
-    ``parallel`` dispatches the plan's independent pattern scans on the
-    shared scan pool (:mod:`repro.engine.parallel`) — the results are
-    consumed in plan order, so output is identical to serial execution.
-    Ignored while profiling, where per-operator timings must reflect the
-    caller thread's own work.
     """
     if order is None:
         order = default_order(graph)
@@ -130,14 +113,8 @@ def execute(
     joined: set[int] = set()
     current: ProfileNode | None = None
     perf = time.perf_counter
-    prefetched: dict[int, object] = {}
 
     def finish(result_rows: list[Row]) -> list[Row]:
-        # An early exit (empty intermediate result) can leave scans
-        # pending; queued ones are dropped, running ones finish harmlessly
-        # (scans are read-only).
-        for future in prefetched.values():
-            future.cancel()
         if profiling and current is not None:
             profile.children.append(current)
         return result_rows
@@ -205,51 +182,12 @@ def execute(
             rows, pending = filter_step(rows, pending, bound)
             if not rows:
                 return finish([])
-    # Parallel mode: with several scans left, prefetch them all on the
-    # pool and consume in plan order; with a single scan left, fan its
-    # work out per leaf instead (pattern-level parallelism has nothing to
-    # overlap).  Workers never submit to the pool themselves, so a
-    # bounded pool cannot deadlock.
-    leaf_parallel = False
-    if parallel and not profiling:
-        if len(order) > 1:
-            pool = scan_pool()
-            for index in order:
-                plan = graph.patterns[index]
-                prefetched[index] = _trace.submit(
-                    pool, _scan_rows, indexes[plan.index_order], plan
-                )
-            note_prefetch(len(prefetched))
-        else:
-            leaf_parallel = True
     for index in order:
         plan = graph.patterns[index]
-        tree: MVBT = indexes[plan.index_order]
-        if index in prefetched:
-            scanned = prefetched.pop(index).result()
-        elif leaf_parallel:
-            # The span wraps the per-leaf fan-out too, so "scan.leaf"
-            # worker spans nest under this pattern's scan span.
-            with _trace.span("scan.pattern", index=plan.index_order):
-                scanned = index_scan(
-                    tree,
-                    plan,
-                    pieces=parallel_scan_pieces(
-                        tree,
-                        plan.key_low,
-                        plan.key_high,
-                        plan.time_range.start,
-                        plan.time_range.end,
-                    ),
-                )
-                if tracing:
-                    scanned = list(scanned)
-        else:
-            scanned = index_scan(tree, plan)
-        if tracing and not isinstance(scanned, list):
-            # Prefetched scans recorded their span on the worker; lazy
-            # serial scans are materialized here so their span covers
-            # the actual scan work rather than a closed generator.
+        scanned = index_scan(indexes[plan.index_order], plan)
+        if tracing:
+            # Materialize the lazy scan here so its span covers the
+            # actual scan work rather than a closed generator.
             with _trace.span("scan.pattern", index=plan.index_order):
                 scanned = list(scanned)
         pattern_vars = plan.pattern.variables()
@@ -336,7 +274,6 @@ def execute_group(
     horizon: int,
     choose_order: "Callable | None" = None,
     profile: ProfileNode | None = None,
-    parallel: bool = False,
 ) -> list[Row]:
     """Evaluate a :class:`~repro.sparqlt.ast.GroupGraphPattern`.
 
@@ -373,7 +310,7 @@ def execute_group(
             else default_order(plan_graph)
         )
         rows = execute(plan_graph, indexes, dictionary, horizon, order,
-                       profile=profile, parallel=parallel)
+                       profile=profile)
         bound = {
             name for pattern in group.patterns
             for name in pattern.variables()
@@ -387,7 +324,7 @@ def execute_group(
         for branch in branches:
             union_rows.extend(
                 execute_group(branch, indexes, dictionary, horizon,
-                              choose_order, parallel=parallel)
+                              choose_order)
             )
             union_vars |= branch.variables()
         if rows is None:
@@ -404,8 +341,7 @@ def execute_group(
 
     for optional in group.optionals:
         optional_rows = execute_group(
-            optional, indexes, dictionary, horizon, choose_order,
-            parallel=parallel
+            optional, indexes, dictionary, horizon, choose_order
         )
         shared = bound & optional.variables()
         rows = list(left_outer_join_rows(rows or [], optional_rows, shared))

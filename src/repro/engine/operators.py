@@ -35,27 +35,17 @@ _FILTER_ROWS_IN = _metrics.counter("engine.filter_rows_in")
 _FILTER_ROWS_OUT = _metrics.counter("engine.filter_rows_out")
 
 
-def index_scan(
-    tree: MVBT,
-    plan: PatternPlan,
-    pieces: list[tuple[tuple, int, int, object]] | None = None,
-) -> Iterator[Row]:
+def index_scan(tree: MVBT, plan: PatternPlan) -> Iterator[Row]:
     """Single graph pattern matching: one MVBT range-interval scan.
 
     Yields one row per matching (s, p, o) binding with the coalesced
-    validity restricted to the scan window.  ``pieces`` optionally injects
-    pre-scanned raw pieces for the plan's region (the parallel scanner's
-    output, element-identical to :func:`~repro.mvbt.scan.scan_pieces`) so
-    the scan itself can run elsewhere.
+    validity restricted to the scan window.
     """
     grouped: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
     window = plan.time_range
     w_start, w_end = window.start, window.end
     equal_slots = plan.equal_slots
-    if pieces is None:
-        pieces = scan_pieces(
-            tree, plan.key_low, plan.key_high, w_start, w_end
-        )
+    pieces = scan_pieces(tree, plan.key_low, plan.key_high, w_start, w_end)
     for key, lo, hi, _ in pieces:
         if equal_slots and any(key[a] != key[b] for a, b in equal_slots):
             continue

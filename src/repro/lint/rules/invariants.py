@@ -38,10 +38,9 @@ COMPRESSION_FILES = ("mvbt/compression.py", "mvbt/node.py",
 #: Calls whose results are scan/read output the caller must not mutate:
 #: compressed leaves hand back frozen decoded tuples (possibly shared by
 #: every reader of a hot leaf), and piece lists feed byte-identity
-#: comparisons between the serial and parallel scanners.
+#: comparisons between the packed and decoded scan paths.
 PIECE_PRODUCERS = frozenset({
     "entries", "live_entries", "scan_pieces", "scan_leaf_pieces",
-    "parallel_scan_pieces",
 })
 
 #: In-place list mutators that would write through a shared decoded

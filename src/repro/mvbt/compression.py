@@ -41,9 +41,10 @@ it directly, evaluating the key-range and clamped-interval predicates on the
 running decoded state and materializing ``(key, lo, hi, payload)`` pieces
 only for survivors — no per-entry objects, no full-leaf expansion.  Decoded
 entry lists are kept only for *hot* leaves, under a process-wide budget (see
-``docs/compression.md``); the ``REPRO_PACKED_SCAN`` switch selects adaptive
-packed scanning (``1``/``auto``, the default), legacy decode-then-filter
-(``0``), or always-packed (``2``/``force``) for A/B and identity runs.
+``docs/compression.md``); the test hook :func:`set_packed_mode` selects
+adaptive packed scanning (``PACKED_AUTO``, the only mode a process starts
+in), legacy decode-then-filter (``PACKED_OFF``), or always-packed
+(``PACKED_FORCE``) for A/B and identity runs.
 
 It is the **edit substrate** too: every leaf of a compressed tree is such a
 buffer from birth, and a live one carries an out-of-band *live index*
@@ -54,7 +55,6 @@ place instead of decoding the leaf from its first byte.
 
 from __future__ import annotations
 
-import os
 import threading
 from array import array
 from typing import Any, Iterable
@@ -100,27 +100,15 @@ MARK_EVERY = 8
 
 _LEN_CODE_TO_BYTES = (0, 1, 2, 4)
 
-# ------------------------------------------------------------ scan switch
+# ------------------------------------------------------------ scan modes
 
-#: ``REPRO_PACKED_SCAN`` modes: never scan packed (legacy decode-then-
-#: filter), adaptive (packed unless the leaf is hot / already decoded),
-#: always packed (ignore any decoded memo).
+#: Packed-scan modes: never scan packed (legacy decode-then-filter),
+#: adaptive (packed unless the leaf is hot / already decoded), always
+#: packed (ignore any decoded memo).  Processes run ``PACKED_AUTO``; the
+#: other two exist for :func:`set_packed_mode` in tests and A/B runs.
 PACKED_OFF, PACKED_AUTO, PACKED_FORCE = 0, 1, 2
 
-
-def _parse_packed_mode(raw: str | None) -> int:
-    if raw is None:
-        return PACKED_AUTO
-    text = raw.strip().lower()
-    if text in ("0", "false", "off", "no"):
-        return PACKED_OFF
-    if text in ("2", "force", "always"):
-        return PACKED_FORCE
-    # "", "1", "on", "auto", ...: packed scanning enabled, adaptive.
-    return PACKED_AUTO
-
-
-_PACKED_MODE = _parse_packed_mode(os.environ.get("REPRO_PACKED_SCAN"))
+_PACKED_MODE = PACKED_AUTO
 
 
 def packed_mode() -> int:
@@ -129,8 +117,8 @@ def packed_mode() -> int:
 
 
 def set_packed_mode(mode: int) -> int:
-    """Override the packed-scan mode at runtime; returns the previous one
-    (tests and A/B benchmarks; servers set ``REPRO_PACKED_SCAN``)."""
+    """Override the packed-scan mode; returns the previous one (tests and
+    A/B benchmarks)."""
     global _PACKED_MODE
     previous = _PACKED_MODE
     _PACKED_MODE = mode
@@ -139,36 +127,21 @@ def set_packed_mode(mode: int) -> int:
 
 # ------------------------------------------------------------- memo policy
 
-#: Default full decodes + packed scans of one leaf before it counts as
-#: *hot* and may keep its decoded entry tuple resident
-#: (``REPRO_LEAF_MEMO_HOT_USES``).  2 means: first touch scans packed
-#: (cold leaves allocate nothing), second touch decodes and memoizes —
+#: Full decodes + packed scans of one leaf before it counts as *hot* and
+#: may keep its decoded entry tuple resident.  2 means: first touch scans
+#: packed (cold leaves allocate nothing), second touch decodes and memoizes —
 #: so repeat-scanned leaves reach the warm decoded path immediately
 #: while single-touch leaves never expand.
 HOT_USES = 2
 
-#: Process-wide ceiling on decoded entries kept resident across all leaves
-#: (``REPRO_LEAF_MEMO_ENTRIES``); cold or over-budget leaves always scan
-#: packed and decode on demand.
-_DEFAULT_MEMO_BUDGET = 1 << 18
-
-
-def _parse_budget(raw: str | None, default: int) -> int:
-    if raw is None:
-        return default
-    try:
-        return max(int(raw.strip()), 0)
-    except ValueError:
-        return default
-
-
-_MEMO_BUDGET = _parse_budget(
-    os.environ.get("REPRO_LEAF_MEMO_ENTRIES"), _DEFAULT_MEMO_BUDGET
-)
-_HOT_USES = _parse_budget(
-    os.environ.get("REPRO_LEAF_MEMO_HOT_USES"), HOT_USES
-)
-_memo_lock = threading.Lock()
+#: Process-wide ceiling on decoded entries kept resident across all
+#: leaves; cold or over-budget leaves always scan packed and decode on
+#: demand.  :func:`set_memo_policy` overrides both in tests.
+_MEMO_BUDGET = 1 << 18
+_HOT_USES = HOT_USES
+#: Reentrant: a collected store returns its charge from ``__del__``,
+#: which the collector may run on a thread that already holds the lock.
+_memo_lock = threading.RLock()
 _memo_entries = 0
 
 
@@ -716,8 +689,8 @@ class CompressedLeafStore:
 
         The decoded form is memoized only for *hot* leaves (``HOT_USES``
         full decodes or packed scans) and only while the process-wide
-        entry budget (``REPRO_LEAF_MEMO_ENTRIES``) has room — cold leaves
-        decode on demand and scans run packed (:func:`scan_packed`), so a
+        entry budget has room — cold leaves decode on demand and scans
+        run packed (:func:`scan_packed`), so a
         large mostly-cold index no longer keeps every leaf expanded into
         Python objects.  Reported index sizes are layout bytes and
         unaffected by the memo.
@@ -765,6 +738,12 @@ class CompressedLeafStore:
         """Drop any resident decoded form and return its budget charge
         (callers that retire a store, e.g. ``LeafNode.decompress``)."""
         self._invalidate()
+
+    def __del__(self) -> None:
+        # A store dropped with its memo (an engine reloaded or replaced)
+        # returns the charge, or the budget shrinks for good.
+        if self._memo_charge:
+            self._invalidate()
 
     def promotable(self) -> bool:
         """Whether the next full decode would memoize (hot + budget room).
@@ -1012,6 +991,9 @@ class CompressedLeafStore:
     @classmethod
     def from_state(cls, state: dict) -> "CompressedLeafStore":
         store = cls.__new__(cls)
+        store._decoded = None
+        store._uses = 0
+        store._memo_charge = 0
         store._buf = bytearray(state["buf"])
         store.count = state["count"]
         store._base_v = tuple(state["base_v"])
@@ -1022,8 +1004,5 @@ class CompressedLeafStore:
         store._last = (
             None if last is None else (tuple(last[0]), last[1], last[2])
         )
-        store._decoded = None
-        store._uses = 0
-        store._memo_charge = 0
         store._live = store._starts = store._marks = None
         return store

@@ -56,11 +56,8 @@ def query_leaves(
 ) -> list[LeafNode]:
     """The leaves a range-interval scan would visit, in visit order.
 
-    This is the batch frontier of the parallel scanner
-    (:mod:`repro.engine.parallel`): each returned leaf is an independent
-    unit of decode work (:func:`scan_leaf_pieces`), and concatenating the
-    per-leaf outputs in this list's order reproduces
-    :func:`scan_pieces` exactly.
+    Concatenating :func:`scan_leaf_pieces` over this list is
+    :func:`scan_pieces`.
     """
     if key_low >= key_high or t1 >= t2:
         return []
@@ -85,23 +82,12 @@ def scan_leaf_pieces(
     compressed leaves evaluate the predicates directly over the packed
     byte buffer (no per-entry objects for filtered entries), plain and
     hot decoded leaves filter entry objects — identical output either
-    way.  Appends into ``out`` when given so the serial scan keeps a
-    single result list.  Publishes no metrics; batch callers aggregate.
+    way.  Appends into ``out`` when given so a scan keeps a single result
+    list.  Publishes no metrics; :func:`scan_pieces` aggregates.
     """
     if out is None:
         out = []
     return leaf.scan_pieces(key_low, key_high, t1, t2, out)
-
-
-def publish_scan_counters(leaves: int, examined: int, emitted: int) -> None:
-    """Publish one scan's aggregated counters (no-op under REPRO_OBS=0)."""
-    if not _metrics.ENABLED:
-        return
-    _SCANS.inc()
-    _LEAVES.inc(leaves)
-    _EXAMINED.inc(examined)
-    _EMITTED.inc(emitted)
-    _PRUNED.inc(examined - emitted)
 
 
 def scan_pieces(
@@ -116,21 +102,17 @@ def scan_pieces(
     Entry intervals are clamped to each node's lifetime inline; no Period
     objects are built (hot loop of every query).
     """
-    if key_low >= key_high or t1 >= t2:
-        return []
-    border = min(t2 - 1, tree.current_time)
-    if border < MIN_TIME:
-        return []
-    obs_on = _metrics.ENABLED
-    leaves = examined = 0
+    leaves = query_leaves(tree, key_low, key_high, t1, t2)
     out: list[tuple[Key, int, int, Any]] = []
-    for leaf in _visit_leaves(tree, key_low, key_high, t1, t2, border):
-        if obs_on:
-            leaves += 1
-            examined += leaf.count
-        scan_leaf_pieces(leaf, key_low, key_high, t1, t2, out)
-    if obs_on:
-        publish_scan_counters(leaves, examined, len(out))
+    for leaf in leaves:
+        leaf.scan_pieces(key_low, key_high, t1, t2, out)
+    if _metrics.ENABLED:
+        examined = sum(leaf.count for leaf in leaves)
+        _SCANS.inc()
+        _LEAVES.inc(len(leaves))
+        _EXAMINED.inc(examined)
+        _EMITTED.inc(len(out))
+        _PRUNED.inc(examined - len(out))
     return out
 
 

@@ -53,9 +53,6 @@ COUNTER_HELP: dict[str, str] = {
     "engine.hash_joins": "hash-join operator executions",
     "engine.index_scan_rows": "rows emitted by index scans",
     "engine.index_scans": "index-scan operator executions",
-    "engine.parallel.leaf_tasks": "per-leaf scan tasks run on the pool",
-    "engine.parallel.prefetches": "pattern scans prefetched on the pool",
-    "engine.parallel.scans": "scans fanned out per leaf",
     "engine.plan_cache.evictions": "compiled plans evicted (LRU)",
     "engine.plan_cache.hits": "compile calls served from cache",
     "engine.plan_cache.misses": "compile calls that planned afresh",

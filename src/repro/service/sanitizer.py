@@ -29,16 +29,16 @@ environment, so the cluster is covered end to end)
 or a test calls :func:`enable`.  When disabled, :func:`sanitized_lock`
 returns the raw lock unwrapped — zero steady-state overhead.
 
-``REPRO_LOCK_SANITIZER_STACK_DEPTH`` (default ``0``) additionally
-captures that many stack frames per first-seen edge for witness reports.
+Each first-seen edge records where it was taken: the thread and its
+innermost :data:`WITNESS_FRAMES` frames outside this module.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
-import traceback
 from dataclasses import dataclass
 
 
@@ -52,13 +52,22 @@ class _Held:
     allow_blocking: bool
 
 
-def _stack_witness() -> str:
-    depth = int(os.environ.get("REPRO_LOCK_SANITIZER_STACK_DEPTH", "0"))
-    if depth <= 0:
-        return ""
-    frames = traceback.extract_stack(limit=depth + 3)[:-3]
-    return " | " + " <- ".join(
-        f"{frame.name}:{frame.lineno}" for frame in reversed(frames)
+#: Caller frames a witness records, innermost first.
+WITNESS_FRAMES = 6
+
+
+def _witness() -> str:
+    """The current thread and its innermost caller frames outside this
+    module — taken only when an edge is new or closes a cycle."""
+    frames: list[str] = []
+    frame = sys._getframe(1)
+    while frame is not None and len(frames) < WITNESS_FRAMES:
+        if frame.f_code.co_filename != __file__:
+            frames.append(f"{frame.f_code.co_name}:{frame.f_lineno}")
+        frame = frame.f_back
+    return (
+        f"thread {threading.current_thread().name!r} | "
+        + " <- ".join(frames)
     )
 
 
@@ -97,13 +106,9 @@ class LockTracker:
         held = self._held()
         if not held:
             return
-        where = (
-            f"thread {threading.current_thread().name!r}"
-            f"{_stack_witness()}"
-        )
         with self._mutex:
             for entry in held:
-                self._add_edge(entry.role, role, where)
+                self._add_edge(entry.role, role)
 
     def acquired(self, role: str, allow_blocking: bool) -> None:
         """Push ``role`` onto the thread's held stack (acquire succeeded)."""
@@ -129,11 +134,11 @@ class LockTracker:
 
     # ------------------------------------------------------- witness graph
 
-    def _add_edge(self, src: str, dst: str, where: str) -> None:
+    def _add_edge(self, src: str, dst: str) -> None:
         if src == dst:
             raise LockSanitizerError(
                 f"recursive acquisition of {src!r} "
-                f"(already held by this thread; {where})"
+                f"(already held by this thread; {_witness()})"
             )
         targets = self._edges.setdefault(src, set())
         if dst in targets:
@@ -142,11 +147,11 @@ class LockTracker:
             back = self._witness_path(dst, src)
             raise LockSanitizerError(
                 f"lock-order cycle: acquiring {dst!r} while holding "
-                f"{src!r} ({where}), but the reverse order was already "
-                f"observed: {back}"
+                f"{src!r} ({_witness()}), but the reverse order was "
+                f"already observed: {back}"
             )
         targets.add(dst)
-        self._witness[(src, dst)] = where
+        self._witness[(src, dst)] = _witness()
 
     def _reaches(self, src: str, dst: str) -> bool:
         frontier = [src]

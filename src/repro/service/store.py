@@ -82,7 +82,6 @@ class TemporalStore:
         stats_refresh_threshold: int | None = 256,
         stats_refresh_qerror: float | None = None,
         query_cache_size: int | None = 256,
-        parallel: bool | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -116,7 +115,6 @@ class TemporalStore:
         #: to whichever engine the store ends up serving.
         self._stats_refresh_threshold = stats_refresh_threshold
         self._stats_refresh_qerror = stats_refresh_qerror
-        self._parallel = parallel
 
         snapshot_lsn = 0
         if self.snapshot_path.exists():
@@ -181,8 +179,6 @@ class TemporalStore:
         defaults, not what this store was configured with."""
         engine.stats_refresh_threshold = self._stats_refresh_threshold
         engine.drift.qerror_threshold = self._stats_refresh_qerror
-        if self._parallel is not None:
-            engine.parallel = self._parallel
         self.engine = engine
 
     def adopt(self, engine: RDFTX) -> None:

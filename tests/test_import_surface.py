@@ -56,10 +56,12 @@ class TestImportSurface:
     def test_untraced_process_loads_no_crypto_decimal_or_multiprocessing(
             self, module):
         # hashlib maps libcrypto and statistics loads decimal; only a
-        # process that records observability needs either
+        # process that records observability needs either.  Reads are
+        # serial, so nothing here needs a thread pool.
         assert loaded(
             f"import {module}",
             "hashlib", "_hashlib", "statistics", "decimal", "multiprocessing",
+            "concurrent.futures",
             REPRO_OBS="0",
         ) == set()
 

@@ -249,7 +249,6 @@ class TestServeSettings:
 
         def fake_serve(store, **options):
             seen["qerror"] = store.engine.drift.qerror_threshold
-            seen["parallel"] = store.engine.parallel
             seen["live_facts"] = store.live_facts
             return Service()
 
@@ -260,7 +259,7 @@ class TestServeSettings:
     def test_stats_refresh_qerror_reaches_the_served_engine(
             self, source, served, tmp_path, capsys):
         argv = ["serve", str(tmp_path / "store"), "--no-fsync",
-                "--stats-refresh-qerror", "4.5", "--parallel"]
+                "--stats-refresh-qerror", "4.5"]
         if source != "none":
             data = tmp_path / "uc.tnq"
             dump_graph(sample_graph(), data)
@@ -271,9 +270,8 @@ class TestServeSettings:
             argv += ["--data", str(data)]
         assert cli.main(argv) == 0
         assert served["qerror"] == 4.5
-        assert served["parallel"] is True
         assert served["live_facts"] == (0 if source == "none" else 2)
         # ...and the adopted engine was checkpointed: a restart serves it
-        assert cli.main(argv[:6]) == 0
+        assert cli.main(argv[:5]) == 0
         assert served["qerror"] == 4.5
         assert served["live_facts"] == (0 if source == "none" else 2)

@@ -105,6 +105,23 @@ def test_cycle_report_names_the_reverse_witness(tracker):
     assert "thread" in message
 
 
+def test_cycle_report_names_the_function_that_took_the_first_leg(tracker):
+    a = _lock("t.a")
+    b = _lock("t.b")
+
+    def take_a_then_b():
+        with a:
+            with b:
+                pass
+
+    take_a_then_b()
+    with b:
+        with pytest.raises(LockSanitizerError) as excinfo:
+            a.acquire()
+    first_leg = str(excinfo.value).split("already observed:")[1]
+    assert "take_a_then_b" in first_leg
+
+
 def test_consistent_order_never_raises(tracker):
     a = _lock("t.a")
     b = _lock("t.b")

@@ -303,13 +303,13 @@ class TestCompressedTree:
                 live.add(k)
         return tree, time
 
-    def test_queries_identical_after_compression(self):
+    def test_queries_identical_after_compression(self, scan_modes):
         tree, _ = self._build()
         before = collect_validity(tree)
         tree.compress()
         assert all(leaf.is_compressed for leaf in tree.leaf_nodes())
-        after = collect_validity(tree)
-        assert before == after
+        for mode in scan_modes():
+            assert collect_validity(tree) == before, mode
 
     def test_decompress_restores(self):
         tree, _ = self._build()
@@ -319,25 +319,30 @@ class TestCompressedTree:
         assert not any(leaf.is_compressed for leaf in tree.leaf_nodes())
         assert collect_validity(tree) == before
 
-    def test_windowed_queries_after_compression(self):
+    def test_windowed_queries_after_compression(self, scan_modes):
         tree, time = self._build(400, seed=9)
         windows = [(0, time // 3), (time // 3, time), (time // 2, time // 2 + 1)]
         expected = {
             w: collect_validity(tree, MIN_KEY, MAX_KEY, *w) for w in windows
         }
         tree.compress()
-        for w in windows:
-            assert collect_validity(tree, MIN_KEY, MAX_KEY, *w) == expected[w]
+        for mode in scan_modes():
+            for w in windows:
+                assert (collect_validity(tree, MIN_KEY, MAX_KEY, *w)
+                        == expected[w]), mode
 
-    def test_updates_on_compressed_tree(self):
+    def test_updates_on_compressed_tree(self, scan_modes):
         """Section 4.2.2: maintenance keeps working after compression."""
         tree, time = self._build()
         tree.compress()
         tree.insert((99, 0, 0), time + 1)
         tree.delete((99, 0, 0), time + 5)
         tree.check_invariants()
-        got = collect_validity(tree, (99,), (100,))
-        assert got == {(99, 0, 0): PeriodSet([Period(time + 1, time + 5)])}
+        for mode in scan_modes():
+            got = collect_validity(tree, (99,), (100,))
+            assert got == {
+                (99, 0, 0): PeriodSet([Period(time + 1, time + 5)])
+            }, mode
 
     def test_compression_saves_space(self):
         tree, _ = self._build(2000, seed=11)
@@ -346,7 +351,7 @@ class TestCompressedTree:
         compressed = tree.sizeof()
         assert compressed < standard * 0.7
 
-    def test_mixed_mode_updates_match_reference(self):
+    def test_mixed_mode_updates_match_reference(self, scan_modes):
         """Interleave compression with updates; match an uncompressed twin."""
         rng = random.Random(21)
         tree = MVBT(SMALL)
@@ -367,7 +372,9 @@ class TestCompressedTree:
             if step in (150, 400):
                 tree.compress()
         tree.check_invariants()
-        assert collect_validity(tree) == collect_validity(shadow)
+        want = collect_validity(shadow)
+        for mode in scan_modes():
+            assert collect_validity(tree) == want, mode
 
 
 # ------------------------------------------- maintenance under compression
@@ -766,7 +773,7 @@ class TestPackedTreeLifecycle:
         with pytest.raises(AssertionError, match="live index drifted"):
             tree.check_invariants()
 
-    def test_snapshot_with_plain_live_leaves_still_opens(self):
+    def test_snapshot_with_plain_live_leaves_still_opens(self, scan_modes):
         """What a store directory written before leaves were packed from
         birth holds: a packed tree whose split-born live leaves are
         plain.  Restore packs them."""
@@ -784,7 +791,8 @@ class TestPackedTreeLifecycle:
         reopened = MVBT.load_state(state)
         reopened.check_invariants()
         assert all(leaf.is_compressed for leaf in reopened.leaf_nodes())
-        assert collect_validity(reopened) == collect_validity(twin)
+        for mode in scan_modes():
+            assert collect_validity(reopened) == collect_validity(twin), mode
         # Re-packed leaves take their bases from all they hold, the
         # twin's from their birth set: within a few bytes per leaf.
         assert abs(reopened.sizeof() - twin.sizeof()) <= 4 * sum(
@@ -795,7 +803,8 @@ class TestPackedTreeLifecycle:
                 t.delete((9, i, 0), 200 + i)
         reopened.check_invariants()
         assert shape(reopened) == shape(twin)
-        assert collect_validity(reopened) == collect_validity(twin)
+        for mode in scan_modes():
+            assert collect_validity(reopened) == collect_validity(twin), mode
 
     @pytest.mark.parametrize("key, payload", [
         ((9, 1, 0), "data"), ((9, 1), None), ((9, 1, 0, 0), None),

@@ -330,33 +330,6 @@ class TestConcurrency:
             # Spans from other requests never leak into this tree.
             assert names.count("store.query") == 1
 
-    def test_parallel_pool_spans_attach_to_right_trace(self, tmp_path):
-        """With parallel scans on, pool workers inherit the submitting
-        request's context: scan spans land under that trace only."""
-        with TemporalStore(tmp_path, parallel=True) as store:
-            store.load_dataset(fixture_graph())
-            svc, thread = _serve(store)
-            try:
-                bodies = [
-                    _json_request(svc, "POST", "/query",
-                                  {"query": JOIN_QUERY})[1],
-                ]
-                # Distinct second query so the result cache cannot serve it.
-                bodies.append(_json_request(svc, "POST", "/query", {
-                    "query": "SELECT ?o ?b {UM president ?o ?t . "
-                             "UC budget ?b ?u}",
-                })[1])
-                for body in bodies:
-                    _, detail = _json_request(
-                        svc, "GET", f"/debug/traces?id={body['trace_id']}"
-                    )
-                    names = _span_names(detail["root"])
-                    assert names.count("scan.pattern") == 2
-                    assert detail["trace_id"] == body["trace_id"]
-            finally:
-                svc.shutdown()
-                thread.join(timeout=10)
-
 
 # ----------------------------------------------------------------- disabled
 

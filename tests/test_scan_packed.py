@@ -8,11 +8,15 @@ Three layers of pinning:
   sequence — is element-for-element identical to decode-then-filter;
 * byte-level checks that ``end_live``'s two-entry splice produces exactly
   the bytes a full re-encode would;
-* a fig9-style golden test that serial and parallel query results are
-  byte-identical with the packed path forced on, forced off, and
-  adaptive, plus the bounded-memo policy itself.
+* a fig9-style golden test that query results are byte-identical with
+  the packed path forced on, forced off, and adaptive, plus the
+  bounded-memo policy itself.
 """
 # repro-lint: disable-file=RL005 — the codec's own tests construct the store
+
+import gc
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -30,14 +34,6 @@ from repro.obs import metrics as _metrics
 
 def entry(v1, v2, v3, ts, te=NOW):
     return LeafEntry((v1, v2, v3), ts, te, None)
-
-
-@pytest.fixture()
-def packed_mode():
-    """Restore the module-global packed mode after a test flips it."""
-    previous = comp.packed_mode()
-    yield comp.set_packed_mode
-    comp.set_packed_mode(previous)
 
 
 @pytest.fixture()
@@ -284,20 +280,65 @@ class TestMemoPolicy:
         assert comp._PACKED_SCANS.value == scans + 1
         assert comp._PACKED_SKIPPED.value == skipped + 2
 
-    def test_switch_parsing(self):
-        assert comp._parse_packed_mode(None) == comp.PACKED_AUTO
-        assert comp._parse_packed_mode("auto") == comp.PACKED_AUTO
-        assert comp._parse_packed_mode("1") == comp.PACKED_AUTO
-        assert comp._parse_packed_mode("on") == comp.PACKED_AUTO
-        assert comp._parse_packed_mode("0") == comp.PACKED_OFF
-        assert comp._parse_packed_mode("off") == comp.PACKED_OFF
-        assert comp._parse_packed_mode("2") == comp.PACKED_FORCE
-        assert comp._parse_packed_mode("force") == comp.PACKED_FORCE
-        default = comp._DEFAULT_MEMO_BUDGET
-        assert comp._parse_budget(None, default) == default
-        assert comp._parse_budget("1024", default) == 1024
-        assert comp._parse_budget("bogus", default) == default
-        assert comp._parse_budget("3", comp.HOT_USES) == 3
+    def test_collected_store_returns_the_charge(self, memo_policy):
+        memo_policy(hot_uses=1)
+        store = CompressedLeafStore([entry(1, 2, 3, 5), entry(1, 2, 4, 6)])
+        resident = comp.memo_entries()
+        store.entries()
+        assert comp.memo_entries() == resident + 2
+        del store
+        gc.collect()
+        assert comp.memo_entries() == resident
+
+    def test_concurrent_charges_and_collections_balance(self, memo_policy):
+        """Threads memoizing and dropping stores (so ``__del__`` returns
+        charges between other threads' charges) lose no update."""
+        memo_policy(hot_uses=1)
+        gc.collect()
+        resident = comp.memo_entries()
+        entries = [entry(1, 2, k, 5) for k in range(8)]
+
+        def churn():
+            for _ in range(300):
+                CompressedLeafStore(entries).entries()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        gc.collect()
+        assert comp.memo_entries() == resident
+
+    def test_dropped_engines_leave_the_budget_whole(self, packed_mode):
+        """Engines built, queried and dropped (a reload, a replaced store)
+        hand every memo charge back: the budget does not shrink with each
+        one, so a long-lived process keeps memoizing."""
+        from repro.datasets.queries import join_queries, selection_queries
+
+        packed_mode(comp.PACKED_AUTO)
+        gc.collect()
+        resident = comp.memo_entries()
+        charged = []
+        for seed in range(3):
+            graph = wikipedia.generate(600, seed=seed).graph
+            engine = RDFTX.from_graph(graph)
+            texts = selection_queries(graph, count=4) + join_queries(
+                graph, count=2)
+            for _ in range(comp.HOT_USES + 1):
+                for text in texts:
+                    engine.query(text)
+            charged.append(comp.memo_entries() - resident)
+            del engine
+            gc.collect()
+            assert comp.memo_entries() == resident
+        assert all(charged), "the workload never memoized a leaf"
 
 
 # -------------------------------------------------- fig9 golden identity
@@ -321,19 +362,14 @@ def workload(graph):
 
 
 class TestFig9GoldenIdentity:
-    def test_serial_and_parallel_identical_across_modes(self, engine,
-                                                        workload,
-                                                        packed_mode):
+    def test_query_results_identical_across_modes(self, engine, workload,
+                                                  scan_modes):
         golden = None
-        for mode in (comp.PACKED_OFF, comp.PACKED_AUTO, comp.PACKED_FORCE):
-            packed_mode(mode)
-            for par in (False, True):
-                engine.parallel = par
-                got = [repr(engine.query(t).rows) for t in workload]
-                engine.parallel = False
-                if golden is None:
-                    golden = got
-                assert got == golden, f"mode={mode} parallel={par}"
+        for mode in scan_modes():
+            got = [repr(engine.query(t).rows) for t in workload]
+            if golden is None:
+                golden = got
+            assert got == golden, f"mode={mode}"
 
     def test_scan_layer_identity_on_tree(self, engine, packed_mode):
         regions = [

@@ -59,12 +59,14 @@ def engine():
 
 
 class TestRoundTrip:
-    def test_queries_identical_after_reload(self, engine, tmp_path):
+    def test_queries_identical_after_reload(self, engine, tmp_path,
+                                            scan_modes):
         path = save_snapshot(engine, tmp_path / "e.snap")
         restored, meta = load_snapshot(path)
         assert meta["version"] == 1
-        for text in QUERIES:
-            assert _rows(restored, text) == _rows(engine, text)
+        for mode in scan_modes():
+            for text in QUERIES:
+                assert _rows(restored, text) == _rows(engine, text), mode
 
     def test_structure_preserved(self, engine, tmp_path):
         save_snapshot(engine, tmp_path / "e.snap")
@@ -77,13 +79,14 @@ class TestRoundTrip:
         assert restored.dictionary.max_id == engine.dictionary.max_id
         assert restored.history_rows() == engine.history_rows()
 
-    def test_updates_after_reload(self, engine, tmp_path):
+    def test_updates_after_reload(self, engine, tmp_path, scan_modes):
         save_snapshot(engine, tmp_path / "e.snap")
         restored, _ = load_snapshot(tmp_path / "e.snap")
         t = restored.horizon + 10
         restored.insert("UC", "president", "Michael_Drake", t)
-        result = restored.query("SELECT ?o {UC president ?o ?t}")
-        assert "Michael_Drake" in result.column("o")
+        for mode in scan_modes():
+            result = restored.query("SELECT ?o {UC president ?o ?t}")
+            assert "Michael_Drake" in result.column("o"), mode
 
     @pytest.mark.parametrize("legacy", [False, True])
     def test_restored_engine_keeps_history_compressed(self, engine, legacy):
@@ -109,7 +112,8 @@ class TestRoundTrip:
             assert tree.sizeof() == engine.indexes[name].sizeof()
 
     def test_snapshot_with_plain_live_leaves_still_opens(self, engine,
-                                                         tmp_path):
+                                                         tmp_path,
+                                                         scan_modes):
         """A snapshot from before leaves were packed from birth: packed
         trees whose split-born live leaves are plain entry lists.
         Restore packs them; answers hold and the size stays compressed."""
@@ -128,8 +132,9 @@ class TestRoundTrip:
         for name, tree in restored.indexes.items():
             tree.check_invariants()
             assert all(n.is_compressed for n in tree.leaf_nodes()), name
-        for text in QUERIES:
-            assert _rows(restored, text) == expected[text]
+        for mode in scan_modes():
+            for text in QUERIES:
+                assert _rows(restored, text) == expected[text], mode
         # Re-packed leaves take their bases from everything they hold,
         # not from a birth set: within a few bytes per leaf of the original.
         assert abs(restored.sizeof() - packed_size) < 0.01 * packed_size
@@ -137,7 +142,7 @@ class TestRoundTrip:
         restored.delete("s1", "visited", "o1", t + 101)
         restored.check_invariants()
 
-    def test_rows_are_neither_stored_nor_read(self, engine):
+    def test_rows_are_neither_stored_nor_read(self, engine, scan_modes):
         """The trees are the history.  Version-1 files written while the
         engine kept a graph beside them carry its rows under ``"graph"``:
         they still open, to the same engine, and the rows are ignored."""
@@ -148,8 +153,9 @@ class TestRoundTrip:
         restored = restore_engine(pickle.loads(pickle.dumps(legacy)))
         assert restored.sizeof() == engine.sizeof()
         assert restored.history_rows() == engine.history_rows()
-        for text in QUERIES:
-            assert _rows(restored, text) == _rows(engine, text)
+        for mode in scan_modes():
+            for text in QUERIES:
+                assert _rows(restored, text) == _rows(engine, text), mode
 
     def test_missing_histogram_is_rebuilt_from_the_trees(self, engine):
         engine.insert("UC", "president", "Michael_Drake", D("08/01/2020"))
@@ -172,27 +178,30 @@ class TestRoundTrip:
         assert (restored.optimizer.statistics.histogram.total_triples
                 == histogram.total_triples)
 
-    def test_no_optimizer_load(self, engine, tmp_path):
+    def test_no_optimizer_load(self, engine, tmp_path, scan_modes):
         save_snapshot(engine, tmp_path / "e.snap")
         restored, _ = load_snapshot(tmp_path / "e.snap",
                                     use_optimizer=False)
         assert restored.optimizer is None
-        assert _rows(restored, QUERIES[2]) == _rows(engine, QUERIES[2])
+        for mode in scan_modes():
+            assert (_rows(restored, QUERIES[2])
+                    == _rows(engine, QUERIES[2])), mode
 
     def test_last_lsn_round_trip(self, engine, tmp_path):
         save_snapshot(engine, tmp_path / "e.snap", last_lsn=42)
         _, meta = load_snapshot(tmp_path / "e.snap")
         assert meta["last_lsn"] == 42
 
-    def test_live_periods_preserved(self, engine, tmp_path):
+    def test_live_periods_preserved(self, engine, tmp_path, scan_modes):
         save_snapshot(engine, tmp_path / "e.snap")
         restored, _ = load_snapshot(tmp_path / "e.snap")
-        result = restored.query(
-            "SELECT ?t {UC president Janet_Napolitano ?t}"
-        )
-        (row,) = result
-        (period,) = list(row["t"])
-        assert period.end == NOW
+        for mode in scan_modes():
+            result = restored.query(
+                "SELECT ?t {UC president Janet_Napolitano ?t}"
+            )
+            (row,) = result
+            (period,) = list(row["t"])
+            assert period.end == NOW, mode
 
 
 class TestFileFormat:
@@ -229,10 +238,11 @@ class TestFileFormat:
         save_snapshot(engine, tmp_path / "e.snap")
         assert list(tmp_path.iterdir()) == [tmp_path / "e.snap"]
 
-    def test_overwrite_previous(self, engine, tmp_path):
+    def test_overwrite_previous(self, engine, tmp_path, scan_modes):
         path = save_snapshot(engine, tmp_path / "e.snap", last_lsn=1)
         engine.insert("UC", "color", "blue", engine.horizon + 1)
         save_snapshot(engine, path, last_lsn=2)
         restored, meta = load_snapshot(path)
         assert meta["last_lsn"] == 2
-        assert restored.query("SELECT ?o {UC color ?o ?t}").rows
+        for mode in scan_modes():
+            assert restored.query("SELECT ?o {UC color ?o ?t}").rows, mode
