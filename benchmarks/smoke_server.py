@@ -20,6 +20,10 @@ Drives the real ``repro-tx serve`` process over HTTP:
    refuse (503), and the obs-on median latency must stay within
    ``SMOKE_OBS_RATIO`` (default 1.5×) of the kill-switch run.
 
+On Linux, both the obs-on and the kill-switch server must map no libssl
+(the server never speaks TLS), and the kill-switch one no libcrypto
+either (with obs on, ``hashlib`` maps it for workload fingerprints).
+
 Run directly (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/smoke_server.py
@@ -125,6 +129,17 @@ def check(name, condition, detail=""):
     print(f"ok {name}")
 
 
+def check_no_tls_mapped(server, obs):
+    if not sys.platform.startswith("linux"):
+        return
+    with open(f"/proc/{server.pid}/maps") as maps:
+        text = maps.read()
+    libs = ["libssl"] if obs else ["libssl", "libcrypto"]
+    mapped = [lib for lib in libs if lib in text]
+    check(f"no {' or '.join(libs)} mapped "
+          f"({'obs on' if obs else 'REPRO_OBS=0'})", mapped == [], mapped)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         dataset = os.path.join(tmp, "data.tnq")
@@ -224,6 +239,7 @@ def main() -> int:
                   and set(storage["indexes"])
                   == {"spo", "sop", "pos", "ops"}
                   and storage["store"]["wal"]["next_lsn"] > 1, status)
+            check_no_tls_mapped(server, obs=True)
 
             os.kill(server.pid, signal.SIGKILL)  # crash, no shutdown
             server.wait(timeout=30)
@@ -317,6 +333,7 @@ def main() -> int:
             status, _ = request_text("GET", "/debug/profile?seconds=0.1")
             check("kill switch refuses profiling", status == 503, status)
             off_median = median_latency(latency_query)
+            check_no_tls_mapped(server, obs=False)
         finally:
             stop_server(server)
 

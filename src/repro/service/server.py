@@ -1,7 +1,26 @@
 """HTTP SPARQLT endpoint over a :class:`~repro.service.store.TemporalStore`.
 
-A stdlib-only serving layer (``http.server.ThreadingHTTPServer``): one
-thread per connection, with admission control layered on top —
+A stdlib-only serving layer: a ``socketserver.ThreadingTCPServer`` with
+one thread per connection, each reading HTTP/1.1 requests off its socket
+in a keep-alive loop.  The loop is written here rather than taken from
+``http.server``, which imports ``http.client`` and through it ``ssl``
+(libssl, libcrypto) and the ``email`` header parser into the serving
+process for nothing: this server never speaks TLS (put a proxy in front
+for that).  What it accepts —
+
+* a request line of at most 64 KiB (longer: **414**), then at most 100
+  header lines of at most 64 KiB each (**431**), ``http.server``'s own
+  limits; a malformed line is **400** and an HTTP version other than
+  1.x is **505**;
+* ``GET`` and ``POST`` only, with a body framed by ``Content-Length``, a
+  decimal of at most 64 MiB (**413** above it); ``Transfer-Encoding``
+  (chunked bodies) and any other method are **501**;
+* ``Expect: 100-continue``, answered before the body is read.
+
+A refused request is answered and its connection closed.  ``Connection:
+close``, or HTTP/1.0 without ``keep-alive``, closes after the response.
+
+Admission control sits on top of the transport —
 
 * a bounded semaphore caps in-flight requests (``max_inflight``); a full
   server answers **503** instead of queueing unboundedly, and
@@ -48,10 +67,11 @@ import json
 import logging
 import os
 import re
+import socketserver
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from urllib.parse import urlparse, parse_qs
 
 from ..model.time import NOW, PeriodSet, TimeError, date_to_chronon
@@ -86,12 +106,31 @@ _LOG = logging.getLogger("repro.service.server")
 #: 500 can be matched to the logged traceback.
 _ERROR_SEQ = itertools.count(1)
 
-#: Largest accepted request body (64 MiB) — guards the u32 length read.
+#: Largest accepted request body (64 MiB).
 _MAX_BODY = 64 * 1024 * 1024
+
+#: Longest request or header line, and most header lines per request —
+#: the limits ``http.server`` applies.
+_MAX_LINE = 64 * 1024
+_MAX_HEADERS = 100
+
+_VERSION_RE = re.compile(r"HTTP/([0-9]{1,9})\.([0-9]{1,9})")
+#: A header name is an RFC 9110 token, so an obsolete folded line (which
+#: starts with whitespace) is malformed too.
+_TOKEN_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 
 
 class ServiceUnavailable(Exception):
     """Raised internally when admission control rejects a request."""
+
+
+class _Refused(Exception):
+    """A request the transport will not serve: answered with ``status``,
+    then its connection is closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _encode_value(value):
@@ -113,10 +152,11 @@ def _parse_time(value) -> int:
     raise ValueError(f"bad time value: {value!r}")
 
 
-class TemporalService(ThreadingHTTPServer):
+class TemporalService(socketserver.ThreadingTCPServer):
     """The HTTP server; owns the store and the admission machinery."""
 
     daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(
         self,
@@ -186,40 +226,113 @@ class TemporalService(ThreadingHTTPServer):
         self._pool.shutdown(wait=False)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _Handler(socketserver.StreamRequestHandler):
     # Nagle + delayed ACK costs ~40 ms per keep-alive round trip; small
     # JSON responses want the segment pushed immediately.
     disable_nagle_algorithm = True
     server: TemporalService
 
-    # --------------------------------------------------------------- plumbing
+    # -------------------------------------------------------------- transport
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        # http.server's ad-hoc lines (connection resets, malformed
-        # requests) go through the structured logger at debug level, so
-        # they are recoverable with --log-level debug instead of lost.
-        _obslog.LOGGER.debug("http_server", message=format % args)
+    def handle(self) -> None:
+        """Serve requests on this connection until either side closes it."""
+        try:
+            while self._read_request():
+                if self.command == "GET":
+                    self.do_GET()
+                else:
+                    self.do_POST()
+                if self.close_connection:
+                    return
+        except _Refused as refused:
+            # Malformed requests go through the structured logger at debug
+            # level, so they are recoverable with --log-level debug.
+            _obslog.LOGGER.debug("http_server", status=refused.status,
+                                 message=str(refused))
+            self.close_connection = True
+            with contextlib.suppress(ConnectionError):
+                self._send_error(refused.status, str(refused))
+        except ConnectionError as error:
+            _obslog.LOGGER.debug("http_server", message=repr(error))
+
+    def _read_request(self) -> bool:
+        """Read one request into ``command``, ``path``, ``headers`` (names
+        lower-cased) and ``body``; False when the client has gone."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _Refused(414, "request line too long")
+        if not line.strip():
+            return False
+        words = line.decode("latin-1").split()
+        if len(words) != 3:
+            raise _Refused(400, f"malformed request line {line[:100]!r}")
+        self.command, self.path, version = words
+        match = _VERSION_RE.fullmatch(version)
+        if match is None:
+            raise _Refused(400, f"malformed HTTP version {version[:100]!r}")
+        if match[1] != "1":
+            raise _Refused(505, f"unsupported HTTP version {version!r}")
+        http_1_0 = int(match[2]) == 0
+
+        self.headers = headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _Refused(431, "header line too long")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not _TOKEN_RE.fullmatch(name):
+                raise _Refused(400, f"malformed header line {line[:100]!r}")
+            name, value = name.lower(), value.strip()
+            # a repeated field is one comma-separated list (RFC 9110 5.3)
+            headers[name] = (f"{headers[name]}, {value}"
+                             if name in headers else value)
+        else:
+            raise _Refused(431, f"more than {_MAX_HEADERS} header lines")
+
+        if "transfer-encoding" in headers:
+            raise _Refused(501, "Transfer-Encoding is not supported; "
+                                "send a Content-Length")
+        if self.command not in ("GET", "POST"):
+            raise _Refused(501, f"unsupported method {self.command[:100]!r}")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _Refused(400, f"bad Content-Length {length[:100]!r}")
+        # digits counted first: int() refuses strings over 4 300 digits
+        if len(length) > len(str(_MAX_BODY)) or int(length) > _MAX_BODY:
+            raise _Refused(413, f"request body over {_MAX_BODY} bytes")
+        length = int(length)
+
+        connection = {token.strip().lower()
+                      for token in headers.get("connection", "").split(",")}
+        self.close_connection = "close" in connection or (
+            http_1_0 and "keep-alive" not in connection)
+        if (not http_1_0
+                and headers.get("expect", "").lower() == "100-continue"):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self.body = self.rfile.read(length) if length else b""
+        return len(self.body) == length
+
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n")
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, "application/json",
+                   json.dumps(payload).encode("utf-8"))
 
     def _send_error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > _MAX_BODY:
-            raise ValueError("request body too large")
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
+        if not self.body:
             raise ValueError("empty request body")
-        payload = json.loads(raw)
+        payload = json.loads(self.body)
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
@@ -262,7 +375,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if rss is not None:
                     _RSS.set(rss)
             query = parse_qs(parsed.query)
-            accept = self.headers.get("Accept", "")
+            accept = self.headers.get("accept", "")
             if query.get("scope") == ["cluster"]:
                 self._handle_cluster_metrics(query, accept)
             elif query.get("format") == ["text"]:
@@ -288,12 +401,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(404, f"no such endpoint: {parsed.path}")
 
     def _send_text(self, body_text: str, status: int = 200) -> None:
-        body = body_text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, "text/plain; charset=utf-8",
+                   body_text.encode("utf-8"))
 
     def _handle_cluster_metrics(self, query: dict, accept: str) -> None:
         """``/metrics?scope=cluster``: the coordinator's federated pull."""

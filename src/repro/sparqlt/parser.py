@@ -45,11 +45,20 @@ _UNIT_DAYS = {"DAY": 1, "MONTH": 30, "YEAR": 365}
 
 _COMPARE_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
+#: Deepest nesting a query may have: ``{}`` groups, and in a FILTER both
+#: the open parentheses, function calls and ``!`` while it is read and the
+#: levels of the expression tree it makes (a chain ``a && b && c`` is two).
+#: Parsing, planning and filter evaluation all recurse over these trees —
+#: the parser five frames per parenthesis — so the cap sits well under
+#: the interpreter's recursion limit of 1000.
+MAX_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # ------------------------------------------------------------- plumbing
 
@@ -78,6 +87,16 @@ class _Parser:
             return self._advance()
         return None
 
+    def _enter(self, token: Token) -> None:
+        """Open one nesting level at ``token``; the caller closes it by
+        decrementing ``_depth`` (a refusal abandons the parse)."""
+        self._depth += 1
+        if self._depth > MAX_DEPTH:
+            raise ParseError(
+                f"nested deeper than {MAX_DEPTH} levels at offset "
+                f"{token.position}"
+            )
+
     # -------------------------------------------------------------- grammar
 
     def parse_query(self) -> Query:
@@ -88,8 +107,7 @@ class _Parser:
         if not select:
             raise ParseError("SELECT needs at least one variable")
         self._accept("KEYWORD", "WHERE")
-        self._expect("PUNCT", "{")
-        group = self._parse_group()
+        group = self._parse_group(self._expect("PUNCT", "{"))
         if not (group.patterns or group.unions):
             raise ParseError("a query needs at least one graph pattern")
         self._expect("EOF")
@@ -100,8 +118,10 @@ class _Parser:
             group=group,
         )
 
-    def _parse_group(self) -> GroupGraphPattern:
-        """Parse group elements until the closing '}' (already consumed)."""
+    def _parse_group(self, brace: Token) -> GroupGraphPattern:
+        """Parse group elements until the closing '}'; ``brace`` is the
+        opening one, already consumed."""
+        self._enter(brace)
         group = GroupGraphPattern()
         while not self._accept("PUNCT", "}"):
             if self._current.kind == "EOF":
@@ -111,19 +131,22 @@ class _Parser:
                 group.filters.append(self.parse_expr())
                 self._expect("PUNCT", ")")
             elif self._accept("KEYWORD", "OPTIONAL"):
-                self._expect("PUNCT", "{")
-                group.optionals.append(self._parse_group())
-            elif self._accept("PUNCT", "{"):
+                group.optionals.append(
+                    self._parse_group(self._expect("PUNCT", "{"))
+                )
+            elif inner := self._accept("PUNCT", "{"):
                 # { A } UNION { B } [UNION { C } ...]; a lone braced group
                 # is a nested group, which joins like a one-branch union.
-                branches = [self._parse_group()]
+                branches = [self._parse_group(inner)]
                 while self._accept("KEYWORD", "UNION"):
-                    self._expect("PUNCT", "{")
-                    branches.append(self._parse_group())
+                    branches.append(
+                        self._parse_group(self._expect("PUNCT", "{"))
+                    )
                 group.unions.append(branches)
             else:
                 group.patterns.append(self._parse_pattern())
             self._accept("PUNCT", ".")
+        self._depth -= 1
         return group
 
     def _parse_pattern(self) -> QuadPattern:
@@ -167,7 +190,18 @@ class _Parser:
     # ---------------------------------------------------------- expressions
 
     def parse_expr(self) -> Expr:
-        return self._parse_or()
+        """A whole FILTER expression, refused when its tree is deeper
+        than :data:`MAX_DEPTH`."""
+        start = self._pos
+        expr = self._parse_or()
+        # every node of the tree took at least one token, so only a long
+        # expression can be a deep one
+        if self._pos - start > MAX_DEPTH and _height(expr) > MAX_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_DEPTH} levels at "
+                f"offset {self._tokens[start].position}"
+            )
+        return expr
 
     def _parse_or(self) -> Expr:
         left = self._parse_and()
@@ -182,8 +216,11 @@ class _Parser:
         return left
 
     def _parse_unary(self) -> Expr:
-        if self._accept("OP", "!"):
-            return Not(self._parse_unary())
+        if bang := self._accept("OP", "!"):
+            self._enter(bang)
+            operand = self._parse_unary()
+            self._depth -= 1
+            return Not(operand)
         left = self._parse_primary()
         token = self._current
         if token.kind == "OP" and token.text in _COMPARE_OPS:
@@ -197,7 +234,9 @@ class _Parser:
         if token.kind == "FUNC":
             self._advance()
             self._expect("PUNCT", "(")
-            arg = self.parse_expr()
+            self._enter(token)
+            arg = self._parse_or()
+            self._depth -= 1
             self._expect("PUNCT", ")")
             return FuncCall(token.text, arg)
         if token.kind == "VAR":
@@ -220,7 +259,9 @@ class _Parser:
             self._advance()
             return Literal(token.text, "string")
         if self._accept("PUNCT", "("):
-            inner = self.parse_expr()
+            self._enter(token)
+            inner = self._parse_or()
+            self._depth -= 1
             self._expect("PUNCT", ")")
             return inner
         raise ParseError(
@@ -237,6 +278,25 @@ class _Parser:
                 self._advance()
                 return token.text
         return None
+
+
+def _height(expr: Expr) -> int:
+    """Levels in an expression tree, counted without recursion."""
+    height, level = 0, [expr]
+    while level:
+        height += 1
+        level = [child for node in level for child in _operands(node)]
+    return height
+
+
+def _operands(expr: Expr) -> tuple:
+    if isinstance(expr, (And, Or, Compare)):
+        return (expr.left, expr.right)
+    if isinstance(expr, FuncCall):
+        return (expr.arg,)
+    if isinstance(expr, Not):
+        return (expr.operand,)
+    return ()
 
 
 def _unquote(text: str) -> str:

@@ -9,7 +9,11 @@ test process has long since imported everything.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -19,13 +23,19 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_fresh(code: str, **env: str) -> str:
-    """Run ``code`` in a new interpreter with only ``src`` on the path."""
+def fresh_env(**env: str) -> dict[str, str]:
+    """This environment with only ``src`` on the path and no ``REPRO_*``
+    setting but the lock sanitizer's and ``env``."""
     environ = {k: v for k, v in os.environ.items()
                if not k.startswith("REPRO_") or k == "REPRO_LOCK_SANITIZER"}
     environ.update(env, PYTHONPATH=SRC)
+    return environ
+
+
+def run_fresh(code: str, **env: str) -> str:
+    """Run ``code`` in a new interpreter with only ``src`` on the path."""
     done = subprocess.run(
-        [sys.executable, "-c", code], env=environ, text=True,
+        [sys.executable, "-c", code], env=fresh_env(**env), text=True,
         capture_output=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -107,6 +117,42 @@ with ClusterStore({str(tmp_path / "clu")!r}, shards=1, fsync=False):
                   for words in map(str.split, out.splitlines())}
         assert "libssl" in mapped["COORDINATOR"]
         assert mapped["WORKER"] == []
+
+    def test_server_loads_no_http_client_email_or_ssl(self):
+        # http.server imports http.client, which imports ssl and email
+        assert loaded(
+            "import repro.service.server",
+            "http.server", "http.client", "email", "ssl", "mimetypes",
+        ) == set()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/<pid>/maps")
+    @pytest.mark.parametrize("obs, unmapped", [
+        ("0", ["libssl", "libcrypto"]),
+        # hashlib maps libcrypto for the workload fingerprints
+        ("1", ["libssl"]),
+    ])
+    def test_serve_maps_no_tls_library(self, tmp_path, obs, unmapped):
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve",
+             str(tmp_path / "store"), "--port", "0"],
+            env=fresh_env(REPRO_OBS=obs), stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            ready = server.stdout.readline()
+            port = int(re.search(r"http://[\d.]+:(\d+)", ready)[1])
+            # one query through the whole request path before looking
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            conn.request("POST", "/query", json.dumps(
+                {"query": "SELECT ?s {?s p ?o ?t}"}))
+            assert conn.getresponse().status == 200
+            conn.close()
+            maps = Path(f"/proc/{server.pid}/maps").read_text()
+        finally:
+            server.send_signal(signal.SIGINT)
+            server.wait(timeout=30)
+            server.stdout.close()
+        assert [lib for lib in unmapped if lib in maps] == []
 
     def test_generate_loads_no_engine(self, tmp_path):
         out = tmp_path / "wiki.tnq"

@@ -1,5 +1,7 @@
 """Tests for the SPARQLT lexer and parser."""
 
+import sys
+
 import pytest
 
 from repro.model.time import date_to_chronon
@@ -19,6 +21,7 @@ from repro.sparqlt import (
     parse_expression,
     tokenize,
 )
+from repro.sparqlt.parser import MAX_DEPTH
 
 
 class TestLexer:
@@ -175,3 +178,53 @@ class TestParser:
             parse("SELECT ?t {UC a b 42}")  # bad time term
         with pytest.raises(ParseError):
             parse("SELECT ?t {UC a b ?t} extra")
+
+
+
+_HEAD = "SELECT ?o {UC president ?o ?t "
+
+
+def _filter(expr: str) -> str:
+    return f"{_HEAD}FILTER({expr})}}"
+
+
+#: Where a FILTER's expression starts, and how many nesting levels are
+#: left for it once the query's own group has taken one.
+_EXPR = len(_HEAD) + len("FILTER(")
+_ROOM = MAX_DEPTH - 1
+
+
+class TestDepth:
+    """Nesting past MAX_DEPTH is a ParseError with an offset, never a
+    RecursionError, whatever builds the depth."""
+
+    @pytest.mark.parametrize("query, offset", [
+        # 400 parentheses, under 1 kB of query: RecursionError before
+        (_filter("(" * 400 + "?o = 1" + ")" * 400), _EXPR + _ROOM),
+        (_filter("!" * 400 + "(?o = 1)"), _EXPR + _ROOM),
+        (_filter("YEAR(" * 400 + "?t" + ")" * 400 + " = 1"),
+         _EXPR + len("YEAR(") * _ROOM),
+        # a left-deep chain recurses only once the tree is walked
+        (_filter(" && ".join(["?o = 1"] * 3000)), _EXPR),
+        (_filter(" || ".join(["?o = 1"] * 65)), _EXPR),
+        ("SELECT ?o {" + "{" * 1000 + "UC president ?o ?t" + "}" * 1000
+         + "}", len("SELECT ?o {") + _ROOM),
+        (_HEAD + "OPTIONAL {" * 100 + "UC b ?o ?t" + "}" * 101,
+         len(_HEAD) + len("OPTIONAL {") * (_ROOM + 1) - 1),
+    ])
+    def test_too_deep_is_a_parse_error_at_an_offset(self, query, offset):
+        with pytest.raises(ParseError) as caught:
+            parse(query)
+        assert str(caught.value).endswith(
+            f"deeper than {MAX_DEPTH} levels at offset {offset}")
+
+    def test_the_cap_itself_parses(self):
+        # one level goes to the query's own group
+        parse(_filter("(" * _ROOM + "?o = 1" + ")" * _ROOM))
+        parse(_filter(" && ".join(["?o = 1"] * _ROOM)))
+        # MAX_DEPTH - 2 negations over a comparison of two leaves
+        assert isinstance(
+            parse_expression("!" * (MAX_DEPTH - 2) + "(?o = 1)"), Not)
+
+    def test_the_cap_is_well_under_the_recursion_limit(self):
+        assert MAX_DEPTH * 5 < sys.getrecursionlimit() // 2
