@@ -3,12 +3,13 @@
 Two arms over byte-identical engines (same dataset seed, same bulk load):
 
 * **legacy** — ``PACKED_OFF`` plus the old unconditional leaf memo
-  (``hot_uses=1``, effectively unbounded budget): every touched leaf is
-  decoded into Python objects on first contact and kept resident forever;
+  (``HOT_USES`` patched to 1, the engine's table given an effectively
+  unbounded budget): every touched leaf is decoded on first contact and
+  kept resident forever;
 * **packed** — the adaptive default (``PACKED_AUTO``, bounded memo):
   cold scans run directly over the delta-compressed byte buffer,
   materializing pieces only for survivors; only repeat-scanned leaves
-  within the process-wide budget keep a decoded tuple.
+  within the engine's budget keep a decoded form.
 
 Measured, per arm:
 
@@ -20,9 +21,8 @@ Measured, per arm:
 * **warm fig9 queries** — selection+join suites repeated warm (the memo
   policy's target: no regression once leaves are hot);
 * **resident footprint** — decoded entries held in leaf memos after the
-  cold pass and after the warm workload (``comp.memo_entries()`` deltas
-  against the arm's baseline; each arm decompresses its trees on exit
-  so the arms never share memo-budget charges).
+  cold pass and after the warm workload (the arm's own engine table,
+  ``engine.memo.entries``: the arms share no budget).
 
 Byte-identity between the arms is asserted, not sampled.  Results land in ``bench_results/BENCH_scan_packed.json`` and
 ``bench_results/scan_packed.txt``.
@@ -53,7 +53,7 @@ ARMS = {
     "packed": {
         "mode": comp.PACKED_AUTO,
         "hot_uses": comp.HOT_USES,
-        "budget": comp.memo_budget(),
+        "budget": comp.MEMO_BUDGET,
     },
 }
 
@@ -65,9 +65,9 @@ def build_engine():
 
 def run_arm(name, cfg):
     prev_mode = comp.set_packed_mode(cfg["mode"])
-    prev_policy = comp.set_memo_policy(cfg["hot_uses"], cfg["budget"])
-    memo_base = comp.memo_entries()
+    prev_hot_uses, comp.HOT_USES = comp.HOT_USES, cfg["hot_uses"]
     graph, engine = build_engine()
+    engine.memo.budget = cfg["budget"]
     try:
         queries = selection_queries(graph, count=8) + join_queries(
             graph, count=4
@@ -91,7 +91,7 @@ def run_arm(name, cfg):
                 emitted += len(scan_pieces(tree, MIN_KEY, MAX_KEY, t1, t2))
         rows = [repr(engine.query(q).rows) for q in queries]
         cold_ms = (time.perf_counter() - start) * 1000.0
-        cold_resident = comp.memo_entries() - memo_base
+        cold_resident = engine.memo.entries
 
         # Phase 2: warm repeated queries.  The untimed pass
         # (second contact for the query-touched leaves) warms them past
@@ -108,7 +108,7 @@ def run_arm(name, cfg):
         # Min-of-N: both arms serve the timed loop from the leaf memo,
         # so the best pass is the steady state and the rest is noise.
         warm_ms = min(passes) * 1000.0 / len(queries)
-        warm_resident = comp.memo_entries() - memo_base
+        warm_resident = engine.memo.entries
 
         return {
             "cold_scan_ms_total": round(cold_ms, 3),
@@ -118,12 +118,8 @@ def run_arm(name, cfg):
             "warm_entries_resident": warm_resident,
         }, rows
     finally:
-        # Release this arm's memo-budget charges before the next arm
-        # measures against its own baseline.
-        for tree in engine.indexes.values():
-            tree.decompress()
         comp.set_packed_mode(prev_mode)
-        comp.set_memo_policy(*prev_policy)
+        comp.HOT_USES = prev_hot_uses
 
 
 def main():

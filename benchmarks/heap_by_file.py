@@ -1,19 +1,25 @@
-"""Where the live heap sits after the ``engine_maintain`` stream, by file.
+"""Where the live heap sits after the suite's engine workloads.
 
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/heap_by_file.py \\
         [--seed S] [--smoke] [--top N]
 
 Replays the benchmark suite's ``engine_maintain`` op list (bulk load, change
 events, probe queries) in this process under ``tracemalloc`` and writes the
-live bytes per source file once the last op has run to
-``bench_results/heap_engine_maintain.txt``, next to the number the suite
-reports as the index size (``RDFTX.sizeof()``, storage-layout bytes).
+live bytes per source file once the last op has run, next to the number the
+suite reports as the index size (``RDFTX.sizeof()``, storage-layout bytes).
+Then, for ``engine_maintain`` and ``engine_fig9_warm`` (one untimed and the
+timed passes of the fig9 mix, with their inserts), a census of what the
+engine holds by structure: the decoded-leaf memo (resident flat forms and
+the intern pool), the live index of packed live leaves, the packed buffers
+and the nodes.  Everything goes to ``bench_results/heap_engine_maintain.txt``.
 
 A breakdown to start a memory change from, not a metric: ``tracemalloc``
-slows the run several-fold and counts Python-level allocations only, so
-nothing here gates and no timing is reported.  What the arm keeps alive
-stays alive here too (the workload with its copy of the base graph, and
-the base graph the engine was loaded from).
+slows the run several-fold and counts Python-level allocations only, and
+the census is ``sys.getsizeof`` with each object charged once, to the
+first structure in that order that reaches it; nothing here gates and no
+timing is reported.  What the arm keeps alive stays alive here too (the
+workload with its copy of the base graph, and the base graph the engine
+was loaded from).
 """
 
 from __future__ import annotations
@@ -27,17 +33,22 @@ REPO = Path(__file__).resolve().parents[1]
 OUT = REPO / "bench_results" / "heap_engine_maintain.txt"
 
 
-def replay(seed: int, smoke: bool) -> tuple:
+def replay(name: str, seed: int, smoke: bool) -> tuple:
     """``(engine, workload, base)`` after the workload's last op: the
     engine plus what the suite's arm still references at that point."""
     import workloads
-    from repro import RDFTX
+    from repro import RDFTX, Optimizer
 
     scale = workloads.Scale.smoke_scale() if smoke else workloads.Scale()
-    workload = workloads.engine_maintain(seed, scale)
-    base, _ = workloads.maintain_history(
-        seed, scale, workloads.maintain_events(scale))
-    engine = RDFTX.from_graph(base)
+    workload = workloads.BUILDERS[name](seed, scale)
+    if name == "engine_maintain":
+        base, _ = workloads.maintain_history(
+            seed, scale, workloads.maintain_events(scale))
+        engine = RDFTX.from_graph(base)
+    else:  # engine_fig9_warm
+        base = workload.graph
+        engine = RDFTX(optimizer=Optimizer())
+        engine.load(base)
     texts = [text for _, text in workload.queries]
     for op in workload.ops:
         if op[0] == "q":
@@ -72,6 +83,66 @@ def table(snapshot, engine, events: int, top: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _charge(roots, seen: set[int]) -> tuple[int, int]:
+    """``(bytes, objects)`` reachable from ``roots`` through containers
+    and entries, skipping (and then marking) objects already charged."""
+    from repro.mvbt.entry import IndexEntry, LeafEntry
+
+    size = count = 0
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        size += sys.getsizeof(obj)
+        count += 1
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (LeafEntry, IndexEntry)):
+            stack.extend((obj.key, obj.start, obj.end))
+    return size, count
+
+
+def census(engine, label: str) -> str:
+    """The engine's heap by structure (see the module docstring)."""
+    nodes = [node for tree in engine.indexes.values()
+             for node in tree._all_nodes()]
+    leaves = [node for node in nodes if node.is_leaf]
+    stores = [leaf._store for leaf in leaves if leaf.is_compressed]
+    memo = engine.memo.report()
+    seen: set[int] = set()
+    rows = [
+        ("decoded memo", _charge(
+            [s._decoded for s in stores] + [engine.memo._pool], seen)),
+        ("live index", _charge(
+            [part for s in stores for part in (s._live, s._starts, s._marks)]
+            + [leaf._live for leaf in leaves], seen)),
+        ("packed buffers", _charge(
+            [part for s in stores for part in (s, s._buf, s._base_v, s._last)],
+            seen)),
+        ("nodes", _charge(
+            [part for node in nodes for part in (node, vars(node))], seen)),
+    ]
+    lines = [
+        f"# {label}: census by structure (sys.getsizeof, each object "
+        f"charged once, top row first)",
+        f"# memo: {memo['entries']} records in {memo['leaves']} of "
+        f"{len(stores)} packed leaves, {memo['interned']} interned "
+        f"objects, budget {memo['budget']}",
+        f"{'structure':<44} {'MB':>8} {'objects':>9} {'B/record':>9}",
+    ]
+    for name, (size, count) in rows:
+        per = (f"{size / memo['entries']:>9.1f}"
+               if name == "decoded memo" and memo["entries"] else "")
+        lines.append(
+            f"{name:<44} {size / 1e6:>8.2f} {count:>9} {per}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -86,11 +157,19 @@ def main(argv: list[str] | None = None) -> int:
     measure.bootstrap()
     tracemalloc.start()
     try:
-        engine, workload, _base = replay(args.seed, args.smoke)
+        engine, workload, _base = replay(
+            "engine_maintain", args.seed, args.smoke)
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    text = table(snapshot, engine, len(workload.updates()), args.top)
+    events = len(workload.updates())
+    text = table(snapshot, engine, events, args.top) + "\n" + census(
+        engine, f"engine_maintain after {events} events")
+    del engine, workload, _base, snapshot
+    engine, workload, _base = replay(
+        "engine_fig9_warm", args.seed, args.smoke)
+    text += "\n" + census(
+        engine, f"engine_fig9_warm after {len(workload.ops)} ops")
     OUT.parent.mkdir(exist_ok=True)
     OUT.write_text(text)
     sys.stdout.write(text)

@@ -16,6 +16,7 @@ from ..cache import LRUCache
 from ..model.dictionary import Dictionary
 from ..model.graph import TemporalGraph
 from ..model.time import MIN_TIME, NOW, PeriodSet, format_chronon
+from ..mvbt.compression import MemoTable
 from ..mvbt.tree import MVBT, MVBTConfig, change_events, replay
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -125,8 +126,11 @@ class RDFTX:
         self.config = config or MVBTConfig(block_capacity=64, weak_min=12,
                                            epsilon=12)
         self.dictionary = None
+        #: the decoded-leaf memo all four indices read through: dropping
+        #: the engine drops it, its intern pool and its budget together.
+        self.memo = MemoTable()
         self.indexes: dict[str, MVBT] = {
-            name: MVBT(self.config) for name in INDEX_ORDERS
+            name: MVBT(self.config, self.memo) for name in INDEX_ORDERS
         }
         self.optimizer = optimizer
         #: compiled-plan cache (prepared statements).  Plans bake in

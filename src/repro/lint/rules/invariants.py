@@ -36,9 +36,9 @@ COMPRESSION_FILES = ("mvbt/compression.py", "mvbt/node.py",
                      "mvbt/__init__.py")
 
 #: Calls whose results are scan/read output the caller must not mutate:
-#: compressed leaves hand back frozen decoded tuples (possibly shared by
-#: every reader of a hot leaf), and piece lists feed byte-identity
-#: comparisons between the packed and decoded scan paths.
+#: plain leaves hand back their own entry objects (shared by every
+#: reader), and piece lists feed byte-identity comparisons between the
+#: packed and decoded scan paths.
 PIECE_PRODUCERS = frozenset({
     "entries", "live_entries", "scan_pieces", "scan_leaf_pieces",
 })
@@ -113,8 +113,8 @@ class CompressionEncapsulation(Rule):
         "The delta format (Section 4.2 headers) has exactly one encoder "
         "and one decoder; constructing stores or poking `._buf` anywhere "
         "else lets the byte layout drift between writer and reader.  "
-        "Scan results are shared: hot compressed leaves hand every "
-        "reader the same frozen decoded tuple, so mutating what "
+        "Scan results are shared: plain leaves hand every reader their "
+        "own entry objects, so mutating what "
         "`entries()`/`scan_pieces()` return corrupts other readers."
     )
 

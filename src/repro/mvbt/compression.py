@@ -39,8 +39,8 @@ entry with the largest ts — lets appends encode without rescanning).
 The packed buffer is also the **scan substrate**: :func:`scan_packed` walks
 it directly, evaluating the key-range and clamped-interval predicates on the
 running decoded state and materializing ``(key, lo, hi, payload)`` pieces
-only for survivors — no per-entry objects, no full-leaf expansion.  Decoded
-entry lists are kept only for *hot* leaves, under a process-wide budget (see
+only for survivors — no per-entry objects, no full-leaf expansion.  Only *hot*
+leaves stay decoded, charged to their engine's :class:`MemoTable` (see
 ``docs/compression.md``); the test hook :func:`set_packed_mode` selects
 adaptive packed scanning (``PACKED_AUTO``, the only mode a process starts
 in), legacy decode-then-filter (``PACKED_OFF``), or always-packed
@@ -56,6 +56,7 @@ place instead of decoding the leaf from its first byte.
 from __future__ import annotations
 
 import threading
+import weakref
 from array import array
 from typing import Any, Iterable
 
@@ -127,46 +128,84 @@ def set_packed_mode(mode: int) -> int:
 
 # ------------------------------------------------------------- memo policy
 
-#: Full decodes + packed scans of one leaf before it counts as *hot* and
-#: may keep its decoded entry tuple resident.  2 means: first touch scans
-#: packed (cold leaves allocate nothing), second touch decodes and memoizes —
-#: so repeat-scanned leaves reach the warm decoded path immediately
-#: while single-touch leaves never expand.
+#: Decodes + packed scans of a leaf before it is *hot* and may stay
+#: decoded: the first touch scans packed (allocating nothing), the second
+#: decodes and memoizes, so single-touch leaves never expand.
 HOT_USES = 2
 
-#: Process-wide ceiling on decoded entries kept resident across all
-#: leaves; cold or over-budget leaves always scan packed and decode on
-#: demand.  :func:`set_memo_policy` overrides both in tests.
-_MEMO_BUDGET = 1 << 18
-_HOT_USES = HOT_USES
-#: Reentrant: a collected store returns its charge from ``__del__``,
-#: which the collector may run on a thread that already holds the lock.
-_memo_lock = threading.RLock()
-_memo_entries = 0
+#: A table's ceiling on resident decoded records, and on the objects its
+#: intern pool holds before it starts over; past it leaves scan packed.
+MEMO_BUDGET = 1 << 18
+
+_TABLES: "weakref.WeakSet[MemoTable]" = weakref.WeakSet()
 
 
 def memo_entries() -> int:
-    """Decoded entries currently held resident across all leaf memos."""
-    return _memo_entries
+    """Decoded records held resident, summed over every live table."""
+    return sum(table.entries for table in list(_TABLES))
 
 
-def memo_budget() -> int:
-    """The process-wide memo ceiling, in entries."""
-    return _MEMO_BUDGET
+class MemoTable:
+    """One engine's decoded-leaf memo: budget, intern pool and lock.
 
+    ``RDFTX`` hands one to its four trees (a standalone ``MVBT`` makes its
+    own).  A hot leaf's resident form is one flat tuple ``(key0, start0,
+    end0, key1, …)`` drawn from the pool, so a key that version splits
+    copied into many leaves, and each id and chronon, exists once per
+    table; dropping the engine drops memo, pool and budget together.
+    """
 
-def set_memo_policy(hot_uses: int | None = None,
-                    budget: int | None = None) -> tuple[int, int]:
-    """Override the hot threshold and/or budget; returns the previous pair
-    (tests and the A/B benchmark; ``hot_uses=1, budget`` huge reproduces
-    the legacy unconditional memo)."""
-    global _HOT_USES, _MEMO_BUDGET
-    previous = (_HOT_USES, _MEMO_BUDGET)
-    if hot_uses is not None:
-        _HOT_USES = hot_uses
-    if budget is not None:
-        _MEMO_BUDGET = budget
-    return previous
+    __slots__ = ("budget", "entries", "leaves", "_pool", "_lock",
+                 "__weakref__")
+
+    def __init__(self) -> None:
+        self.budget = MEMO_BUDGET
+        self.entries = self.leaves = 0  # resident records, their leaves
+        self._pool: dict = {}
+        self._lock = threading.Lock()
+        _TABLES.add(self)
+
+    def has_room(self, count: int) -> bool:
+        return self.entries + count <= self.budget
+
+    def admit(self, store: "CompressedLeafStore",
+              records: list[tuple[int, Key, int, int]]) -> tuple:
+        """The flat form of ``store``'s decoded ``records``, interned;
+        resident on the store if the budget still has room."""
+        pool = self._pool
+        limit = self.budget - 6  # a record adds at most six objects
+        flat: list = []
+        for _, key, start, end in records:
+            if len(pool) > limit:
+                pool.clear()
+            shared = pool.get(key)
+            if shared is None:
+                k1, k2, k3 = key
+                shared = (pool.setdefault(k1, k1), pool.setdefault(k2, k2),
+                          pool.setdefault(k3, k3))
+                pool[shared] = shared
+            flat += (shared, pool.setdefault(start, start),
+                     pool.setdefault(end, end))
+        flat = tuple(flat)
+        with self._lock:
+            if store._decoded is None and self.has_room(len(records)):
+                self.entries += len(records)
+                self.leaves += 1
+                store._decoded = flat
+        return flat
+
+    def release(self, store: "CompressedLeafStore") -> None:
+        """Drop ``store``'s resident form and return its charge."""
+        with self._lock:
+            flat = store._decoded
+            if flat is not None:
+                store._decoded = None
+                self.entries -= len(flat) // 3
+                self.leaves -= 1
+
+    def report(self) -> dict:  # /debug/storage, repro-tx doctor
+        return {"entries": self.entries, "leaves": self.leaves,
+                "interned": len(self._pool), "budget": self.budget}
 
 
 class CompressionError(ValueError):
@@ -563,7 +602,8 @@ class CompressedLeafStore:
     walk on the first write after a load or restore, kept current by
     :meth:`append` and :meth:`end_live`, dropped by :meth:`seal`.  The
     index is derived from the bytes: never serialized, not part of
-    :meth:`sizeof`.
+    :meth:`sizeof`.  A hot store is charged to ``memo``, its tree's
+    :class:`MemoTable` (None: standalone, never memoized).
     """
 
     __slots__ = (
@@ -576,18 +616,19 @@ class CompressedLeafStore:
         "_last",
         "_decoded",
         "_uses",
-        "_memo_charge",
+        "memo",
         "_live",
         "_starts",
         "_marks",
     )
 
-    def __init__(self, entries: list[LeafEntry]) -> None:
+    def __init__(self, entries: list[LeafEntry],
+                 memo: MemoTable | None = None) -> None:
         self._buf = bytearray()
         self.count = 0
-        self._decoded: tuple[LeafEntry, ...] | None = None
+        self._decoded: tuple | None = None  # the resident flat form
         self._uses = 0
-        self._memo_charge = 0
+        self.memo = memo
         #: The live index (all None until a write needs it): ``key ->
         #: ordinal`` of the live records; the start version of every
         #: record by ordinal (with the key, all a version split or a
@@ -665,8 +706,7 @@ class CompressedLeafStore:
             if (count + 1) % MARK_EVERY == 0:
                 self._marks.append(len(buf))  # where the next block opens
         self.count = count + 1
-        if self._decoded is not None:
-            self._invalidate()
+        self.invalidate()
 
     # --------------------------------------------------------------- decode
 
@@ -678,87 +718,43 @@ class CompressedLeafStore:
             bytes(self._buf), self._base_v, self._base_ts, self._base_te
         )
 
-    def entries(self) -> tuple[LeafEntry, ...]:
-        """Decode the whole buffer back into a **frozen** entry tuple.
+    def flat(self) -> tuple:
+        """The records as one flat tuple ``(key0, start0, end0, key1, …)``
+        in buffer order — what scans and joins read when not packed.
 
-        Callers must treat the returned tuple and the entries inside it as
-        immutable: hot leaves hand out their memoized tuple directly, and
-        mutating an element would corrupt every other reader (go through
-        :meth:`append` / :meth:`end_live`; lint rule RL005 flags external
-        mutation).
-
-        The decoded form is memoized only for *hot* leaves (``HOT_USES``
-        full decodes or packed scans) and only while the process-wide
-        entry budget has room — cold leaves decode on demand and scans
-        run packed (:func:`scan_packed`), so a
-        large mostly-cold index no longer keeps every leaf expanded into
-        Python objects.  Reported index sizes are layout bytes and
-        unaffected by the memo.
+        A hot leaf's is resident.  Otherwise the buffer is decoded (a
+        use); at ``HOT_USES`` uses, while its table has room, the decode
+        is interned and kept (:meth:`MemoTable.admit`).  Cold leaves
+        scan packed, so a mostly-cold index keeps nothing expanded; index
+        sizes are layout bytes and exclude the memo.
         """
-        if self._decoded is not None:
-            return self._decoded
+        flat = self._decoded
+        if flat is not None:
+            return flat
         self._uses += 1
-        decoded = tuple([
-            LeafEntry(key, start, end, None)
-            for _, key, start, end in self._records()
-        ])
+        records = self._records()
         if _metrics.ENABLED:
             _PAGES_DECODED.inc()
-            _ENTRIES_DECODED.inc(len(decoded))
+            _ENTRIES_DECODED.inc(len(records))
             _BYTES_DECODED.inc(len(self._buf))
-        self._maybe_memoize(decoded)
-        return decoded
+        memo = self.memo
+        if (memo is not None and self._uses >= HOT_USES
+                and memo.has_room(len(records))):
+            return memo.admit(self, records)
+        return tuple([x for _, key, start, end in records
+                      for x in (key, start, end)])
 
-    def _maybe_memoize(self, decoded: tuple[LeafEntry, ...]) -> None:
-        """Keep ``decoded`` resident iff the leaf is hot and the budget
-        admits it.  The global accounting runs under a lock; the common
-        (cold) path never takes it."""
-        global _memo_entries
-        if self._uses < _HOT_USES:
-            return
-        with _memo_lock:
-            if self._decoded is not None:
-                return
-            if _memo_entries + self.count > _MEMO_BUDGET:
-                return
-            _memo_entries += self.count
-            self._memo_charge = self.count
-            self._decoded = decoded
+    def entries(self) -> tuple[LeafEntry, ...]:
+        """Every record as a fresh :class:`LeafEntry`, read through
+        :meth:`flat`; the entry objects themselves are never kept."""
+        it = iter(self.flat())
+        return tuple([LeafEntry(*row, None) for row in zip(it, it, it)])
 
-    def _invalidate(self) -> None:
-        """Drop the decoded memo (a mutation re-shaped the buffer)."""
-        global _memo_entries
-        if self._memo_charge:
-            with _memo_lock:
-                _memo_entries -= self._memo_charge
-            self._memo_charge = 0
-        self._decoded = None
-
-    def release_memo(self) -> None:
-        """Drop any resident decoded form and return its budget charge
-        (callers that retire a store, e.g. ``LeafNode.decompress``)."""
-        self._invalidate()
-
-    def __del__(self) -> None:
-        # A store dropped with its memo (an engine reloaded or replaced)
-        # returns the charge, or the budget shrinks for good.
-        if self._memo_charge:
-            self._invalidate()
-
-    def promotable(self) -> bool:
-        """Whether the next full decode would memoize (hot + budget room).
-
-        The impending use counts toward the threshold, so with
-        ``HOT_USES = 2`` the first touch scans packed and the *second*
-        decodes and memoizes — repeat-scanned leaves reach the warm
-        decoded path without a third cold pass.  An unlocked pre-check —
-        :meth:`_maybe_memoize` re-validates under the lock, so a lost
-        race only costs one redundant decode.
-        """
-        return (
-            self._uses + 1 >= _HOT_USES
-            and _memo_entries + self.count <= _MEMO_BUDGET
-        )
+    def invalidate(self) -> None:
+        """Drop the resident form and return its charge to the table: the
+        bytes were edited, or the leaf stops being a store."""
+        if self._decoded is not None:
+            self.memo.release(self)
 
     # ----------------------------------------------------------------- scan
 
@@ -767,12 +763,17 @@ class CompressedLeafStore:
 
         ``PACKED_FORCE`` always scans packed, ``PACKED_OFF`` never does;
         in the adaptive default a scan goes packed unless the decoded
-        form is already resident (free to reuse) or the leaf just turned
-        hot (decode once, then reuse).
+        form is resident or the next decode would admit it (the impending
+        use makes the leaf hot and its table has room: an unlocked check
+        that :meth:`MemoTable.admit` repeats).
         """
         mode = _PACKED_MODE
         if mode == PACKED_AUTO:
-            return self._decoded is None and not self.promotable()
+            if self._decoded is not None:
+                return False
+            memo = self.memo
+            return not (memo is not None and self._uses + 1 >= HOT_USES
+                        and memo.has_room(self.count))
         return mode == PACKED_FORCE
 
     def scan_packed(
@@ -907,9 +908,8 @@ class CompressedLeafStore:
           relative to it.
 
         Later marks move by the change in length.  Nothing is written to
-        the shared memo, so a reader holding a previously returned tuple
-        keeps seeing the pre-delete state; the memo is invalidated after
-        the splice.
+        the resident flat tuple, so a reader holding it keeps seeing the
+        pre-delete state; the memo is invalidated after the splice.
         """
         live = self._live
         if live is None:
@@ -964,8 +964,7 @@ class CompressedLeafStore:
         del live[key]
         if _metrics.ENABLED:
             _SEEK_RECORDS.inc(seen)
-        if self._decoded is not None:
-            self._invalidate()
+        self.invalidate()
         return True
 
     def sizeof(self) -> int:
@@ -993,7 +992,7 @@ class CompressedLeafStore:
         store = cls.__new__(cls)
         store._decoded = None
         store._uses = 0
-        store._memo_charge = 0
+        store.memo = None  # the tree attaches its table (MVBT.compress)
         store._buf = bytearray(state["buf"])
         store.count = state["count"]
         store._base_v = tuple(state["base_v"])

@@ -87,10 +87,10 @@ class _LeafCache:
             return found
         self.misses += 1
         decoded = []
-        for entry in leaf.entries():
-            period = leaf.effective_period(entry.start, entry.end)
+        for key, start, end in leaf.records():
+            period = leaf.effective_period(start, end)
             if period is not None:
-                decoded.append((entry.key, period))
+                decoded.append((key, period))
         self._cache[leaf.uid] = decoded
         if len(self._cache) > self._capacity:
             self._cache.popitem(last=False)

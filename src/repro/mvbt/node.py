@@ -24,7 +24,7 @@ from ..model.time import NOW, Period
 from .entry import IndexEntry, Key, LeafEntry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .compression import CompressedLeafStore
+    from .compression import CompressedLeafStore, MemoTable
 
 #: Process-wide node identities.  ``id(node)`` can alias once a node is
 #: collected, so anything that outlives a node reference (decoded-record
@@ -123,8 +123,8 @@ class LeafNode(_NodeBase):
         self._live: dict[Key, LeafEntry] | None = {}
 
     @classmethod
-    def packed(cls, key_low: Key, start: int,
-               entries: list[LeafEntry]) -> "LeafNode":
+    def packed(cls, key_low: Key, start: int, entries: list[LeafEntry],
+               memo: "MemoTable") -> "LeafNode":
         """A leaf of a compressed tree, packed from birth: ``entries`` (its
         birth set) are encoded once, bases taken from them, and the store
         takes its live index from them too — the split that makes a leaf
@@ -132,7 +132,7 @@ class LeafNode(_NodeBase):
         leaf = cls(key_low, start)
         for entry in entries:
             leaf.append(entry)
-        leaf.compress()
+        leaf.compress(memo)
         leaf._store.index(entries)
         return leaf
 
@@ -142,28 +142,30 @@ class LeafNode(_NodeBase):
     def is_compressed(self) -> bool:
         return self._store is not None
 
-    def compress(self) -> None:
-        """Switch to the delta-compressed byte-buffer backend."""
-        if self._store is not None:
-            return
-        from .compression import CompressedLeafStore
+    def compress(self, memo: "MemoTable") -> None:
+        """Switch to the delta-compressed byte-buffer backend, read through
+        the tree's ``memo`` table (a leaf already packed, e.g. restored
+        from a snapshot, is attached to it)."""
+        if self._store is None:
+            from .compression import CompressedLeafStore
 
-        self._store = CompressedLeafStore(self._entries or [])
-        self._entries = None
-        self._live = None
+            self._store = CompressedLeafStore(self._entries or [])
+            self._entries = None
+            self._live = None
+        self._store.memo = memo
 
     def decompress(self) -> None:
-        """Switch back to the plain entry-list backend.
-
-        Entries are copied out of the store's (frozen, possibly shared)
-        decoded tuple: the list backend mutates entries in place on
-        logical delete, which must not be visible through any previously
-        handed-out tuple.
-        """
-        if self._store is None:
+        """Switch back to the plain entry-list backend: the records are
+        decoded past the memo (no use counted, nothing admitted) and any
+        resident form returns its charge."""
+        store = self._store
+        if store is None:
             return
-        self._entries = [e.copy() for e in self._store.entries()]
-        self._store.release_memo()
+        self._entries = [
+            LeafEntry(key, start, end, None)
+            for key, start, end in store.rows()
+        ]
+        store.invalidate()
         self._store = None
         if self.is_alive:
             self._live = {e.key: e for e in self._entries if e.end == NOW}
@@ -181,12 +183,21 @@ class LeafNode(_NodeBase):
     def entries(self) -> Iterator[LeafEntry]:
         """All entries in insertion (nondecreasing start-version) order.
 
-        Treat yielded entries as read-only: compressed leaves yield from
-        a decoded tuple that may be shared between readers.
+        Treat yielded entries as read-only: a plain leaf yields its own
+        entry objects (a compressed one fresh copies).
         """
         if self._store is not None:
             return iter(self._store.entries())
         return iter(self._entries)
+
+    def records(self) -> Iterable[tuple[Key, int, int]]:
+        """``(key, start, end)`` of every entry, read as a scan reads them:
+        a compressed leaf through its flat decoded form (a use toward the
+        hot threshold; the memo when resident)."""
+        if self._store is None:
+            return self.rows()
+        it = iter(self._store.flat())
+        return zip(it, it, it)
 
     def scan_pieces(
         self,
@@ -201,32 +212,46 @@ class LeafNode(_NodeBase):
 
         Compressed leaves evaluate the predicates directly over the
         packed byte buffer (:meth:`CompressedLeafStore.scan_packed`)
-        unless the store's policy prefers the decoded form; plain leaves
-        and hot decoded leaves run the same filter over entry objects.
-        Entry intervals are clamped to the node's lifetime inline; the
-        two paths emit identical pieces in identical order.
+        unless the store's policy prefers the decoded form; hot decoded
+        leaves run the same filter over their flat tuple, plain leaves
+        over their entry objects (each loop is the faster one for its
+        form).  Entry intervals are clamped to the node's lifetime
+        inline; the paths emit identical pieces in identical order.
         """
         store = self._store
         node_start = self.start
         node_death = self.death
-        if store is not None and store.wants_packed():
+        append = out.append
+        if store is None:
+            for entry in self._entries:
+                key = entry.key
+                if key < key_low or key >= key_high:
+                    continue
+                lo = entry.start
+                if node_start > lo:
+                    lo = node_start
+                hi = entry.end
+                if node_death < hi:
+                    hi = node_death
+                if lo >= hi or lo >= t2 or t1 >= hi:
+                    continue
+                append((key, lo, hi, entry.payload))
+            return out
+        if store.wants_packed():
             return store.scan_packed(
                 key_low, key_high, t1, t2, node_start, node_death, out
             )
-        append = out.append
-        for entry in self.entries():
-            key = entry.key
+        it = iter(store.flat())
+        for key, lo, hi in zip(it, it, it):
             if key < key_low or key >= key_high:
                 continue
-            lo = entry.start
             if node_start > lo:
                 lo = node_start
-            hi = entry.end
             if node_death < hi:
                 hi = node_death
             if lo >= hi or lo >= t2 or t1 >= hi:
                 continue
-            append((key, lo, hi, entry.payload))
+            append((key, lo, hi, None))
         return out
 
     @property

@@ -25,6 +25,7 @@ from typing import Any, Iterable, Iterator
 
 from ..model.time import MIN_TIME, NOW
 from ..obs import metrics as _metrics
+from .compression import MemoTable
 from .entry import IndexEntry, Key, LeafEntry, MIN_KEY
 from .node import IndexNode, LeafNode, Node
 
@@ -90,8 +91,12 @@ class MVBTConfig:
 class MVBT:
     """An in-memory Multiversion B+ Tree over tuple keys."""
 
-    def __init__(self, config: MVBTConfig | None = None) -> None:
+    def __init__(self, config: MVBTConfig | None = None,
+                 memo: MemoTable | None = None) -> None:
         self.config = config or MVBTConfig()
+        #: The decoded-leaf memo its packed leaves read through: the
+        #: engine's, shared by its four trees, or the tree's own.
+        self.memo = memo if memo is not None else MemoTable()
         first_root = LeafNode(MIN_KEY, MIN_TIME)
         #: Root registry: parallel arrays of start versions and root nodes.
         self._root_starts: list[int] = [MIN_TIME]
@@ -267,7 +272,8 @@ class MVBT:
             mid = len(live) // 2
             parts = [(key_low, live[:mid]), (live[mid].key, live[mid:])]
         if is_leaf and self._packed:
-            return [LeafNode.packed(low, time, part) for low, part in parts]
+            return [LeafNode.packed(low, time, part, self.memo)
+                    for low, part in parts]
         nodes = []
         for low, part in parts:
             fresh = LeafNode(low, time) if is_leaf else IndexNode(low, time)
@@ -344,11 +350,12 @@ class MVBT:
         return (n for n in self.iter_nodes() if n.is_leaf)
 
     def compress(self) -> None:
-        """Delta-compress every leaf node (Section 4.2) and keep the
-        tree compressed from here on: version splits create their leaves
-        packed, and writes edit the packed bytes."""
+        """Delta-compress every leaf node (Section 4.2), each read through
+        :attr:`memo`, and keep the tree compressed from here on: version
+        splits create their leaves packed, and writes edit the packed
+        bytes."""
         for leaf in self.leaf_nodes():
-            leaf.compress()
+            leaf.compress(self.memo)
         self._packed = True
 
     def decompress(self) -> None:
@@ -424,10 +431,12 @@ class MVBT:
         }
 
     @classmethod
-    def load_state(cls, state: dict) -> "MVBT":
-        """Rebuild a tree from :meth:`dump_state` output."""
+    def load_state(cls, state: dict, memo: MemoTable | None = None) -> "MVBT":
+        """Rebuild a tree from :meth:`dump_state` output, its packed
+        leaves reading through ``memo`` (an engine's table; by default
+        the tree's own)."""
         capacity, weak_min, epsilon = state["config"]
-        tree = cls(MVBTConfig(capacity, weak_min, epsilon))
+        tree = cls(MVBTConfig(capacity, weak_min, epsilon), memo)
         shells = [Node.shell_from_state(s) for s in state["nodes"]]
         for node, node_state in zip(shells, state["nodes"]):
             node.restore_entries(node_state, shells)
@@ -445,8 +454,9 @@ class MVBT:
         if packed is None:
             packed = any(n.is_leaf and n.is_compressed for n in shells)
         if packed:
-            # Snapshots written while split-born leaves stayed plain
-            # until they died: pack those now (a no-op on a packed leaf).
+            # Attaches every restored store to the table; snapshots
+            # written while split-born leaves stayed plain until they
+            # died also get those packed now.
             tree.compress()
         return tree
 

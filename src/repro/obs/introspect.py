@@ -3,8 +3,9 @@
 :func:`engine_report` walks each index's node registry (cheap: node
 counts and cached live counts only — compressed leaves are *not*
 decoded) and reports per-tree depth, node/leaf counts, live-vs-dead
-entry ratios, leaf fill, and compression ratios, plus dictionary and
-plan-cache occupancy.  :meth:`~repro.service.store.TemporalStore.storage_report`
+entry ratios, leaf fill, and compression ratios, plus dictionary,
+plan-cache and decoded-leaf memo occupancy.
+:meth:`~repro.service.store.TemporalStore.storage_report`
 wraps it under the store's read lock and adds WAL and result-cache
 stats; both feed ``GET /debug/storage`` and ``repro-tx doctor``.
 
@@ -164,6 +165,8 @@ def engine_report(engine) -> dict:
             "entries": len(engine._plan_cache),
             "capacity": engine._plan_cache.capacity,
         },
+        # Resident records, memoized leaves, intern-pool objects, budget.
+        "decoded_memo": engine.memo.report(),
         "statistics": {
             "dirty_updates": engine.statistics_dirty,
             "refresh_threshold": engine.stats_refresh_threshold,
@@ -276,6 +279,13 @@ def render_report(report: dict) -> str:
     if plan_cache:
         lines.append(
             f"plan cache: {plan_cache['entries']}/{plan_cache['capacity']}"
+        )
+    memo = report.get("decoded_memo")
+    if memo:
+        lines.append(
+            f"decoded-leaf memo: {memo['entries']}/{memo['budget']} "
+            f"record(s) in {memo['leaves']} leaf/leaves, "
+            f"{memo['interned']} interned object(s)"
         )
     stats = report.get("statistics")
     if stats:

@@ -107,7 +107,9 @@ def restore_engine(payload: dict, *, use_optimizer: bool = True) -> RDFTX:
     )
     engine.dictionary = dictionary
     for name in INDEX_ORDERS:
-        engine.indexes[name] = MVBT.load_state(payload["indexes"][name])
+        engine.indexes[name] = MVBT.load_state(
+            payload["indexes"][name], engine.memo
+        )
     if optimizer is not None:
         if payload["statistics"] is not None:
             from ..optimizer.statistics import Statistics

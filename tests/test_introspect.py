@@ -83,6 +83,27 @@ def test_engine_report_covers_all_components(engine):
     assert report["statistics"]["optimizer"] is False
     assert report["statistics"]["drift"]["refreshes"] == 0
     assert report["total_size_bytes"] == engine.sizeof()
+    assert report["decoded_memo"] == {
+        "entries": 0, "leaves": 0, "interned": 0, "budget": 1 << 18,
+    }
+
+
+def test_engine_report_counts_the_decoded_memo(engine):
+    """Hot reads show up in the engine's own memo block, and only
+    there; an edit of a memoized leaf hands its records back."""
+    other = RDFTX.from_graph(small_graph())
+    for _ in range(3):
+        engine.query("SELECT ?s ?o {?s p1 ?o ?t}")
+    memo = engine_report(engine)["decoded_memo"]
+    assert memo["entries"] > 0 and memo["leaves"] > 0
+    assert memo["interned"] > 0
+    assert memo["entries"] == sum(
+        leaf.count for tree in engine.indexes.values()
+        for leaf in tree.leaf_nodes() if leaf._store._decoded is not None
+    )
+    assert engine_report(other)["decoded_memo"]["entries"] == 0
+    engine.insert("s999", "p1", "o999", 100)
+    assert engine_report(engine)["decoded_memo"]["entries"] < memo["entries"]
 
 
 # ---------------------------------------------------------------- anomalies
@@ -177,6 +198,7 @@ def test_render_report_lists_every_index(engine):
         assert name in text
     assert "dictionary:" in text
     assert "plan cache:" in text
+    assert "decoded-leaf memo: 0/262144 record(s)" in text
 
 
 # ------------------------------------------------------------------- doctor

@@ -319,6 +319,31 @@ class TestCompressedTree:
         assert not any(leaf.is_compressed for leaf in tree.leaf_nodes())
         assert collect_validity(tree) == before
 
+    def test_decompress_reads_past_the_memo(self, packed_mode):
+        """Decompressing decodes with ``rows()``: a hot leaf without a
+        resident form is not decoded as a use (nor admitted, to be
+        released at once), and a memoized leaf hands its charge back to
+        the tree's table."""
+        packed_mode(comp.PACKED_AUTO)
+        decoded = metrics.REGISTRY.counter("mvbt.compression.leaves_decoded")
+        tree, _ = self._build()
+        tree.compress()
+        warm, cold = [leaf for leaf in tree.leaf_nodes()
+                      if leaf.count and leaf.start < leaf.death][:2]
+        collect_validity(tree)  # first touch of every leaf: packed
+        collect_validity(tree)  # second touch: every leaf memoized
+        assert warm._store._decoded is not None
+        cold._store.invalidate()
+        entries, leaves = tree.memo.entries, tree.memo.leaves
+        before = decoded.value
+        for leaf in (warm, cold):
+            rows = leaf.rows()
+            leaf.decompress()
+            assert leaf.rows() == rows
+        assert decoded.value == before
+        assert tree.memo.entries == entries - warm.count
+        assert tree.memo.leaves == leaves - 1
+
     def test_windowed_queries_after_compression(self, scan_modes):
         tree, time = self._build(400, seed=9)
         windows = [(0, time // 3), (time // 3, time), (time // 2, time // 2 + 1)]

@@ -10,13 +10,15 @@ Three layers of pinning:
   the bytes a full re-encode would;
 * a fig9-style golden test that query results are byte-identical with
   the packed path forced on, forced off, and adaptive, plus the
-  bounded-memo policy itself.
+  per-engine memo policy and the resident form of a memoized leaf.
 """
 # repro-lint: disable-file=RL005 — the codec's own tests construct the store
 
 import gc
 import sys
 import threading
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +29,9 @@ from repro.engine import RDFTX
 from repro.model.time import MIN_TIME, NOW
 from repro.mvbt import MAX_KEY, MIN_KEY, scan_pieces
 from repro.mvbt import compression as comp
-from repro.mvbt.compression import CompressedLeafStore
+from repro.mvbt.compression import CompressedLeafStore, MemoTable
 from repro.mvbt.entry import LeafEntry
+from repro.mvbt.scan import scan_leaf_pieces
 from repro.obs import metrics as _metrics
 
 
@@ -36,12 +39,13 @@ def entry(v1, v2, v3, ts, te=NOW):
     return LeafEntry((v1, v2, v3), ts, te, None)
 
 
-@pytest.fixture()
-def memo_policy():
-    """Restore the module-global memo policy after a test tunes it."""
-    previous = comp.set_memo_policy()
-    yield comp.set_memo_policy
-    comp.set_memo_policy(*previous)
+def hot_store(entries, table=None):
+    """A store read ``HOT_USES`` times through ``table`` (a fresh one by
+    default): memoized when the table has room."""
+    store = CompressedLeafStore(entries, table or MemoTable())
+    for _ in range(comp.HOT_USES):
+        store.flat()
+    return store
 
 
 def reference_scan(store, key_low, key_high, t1, t2, node_start, node_death):
@@ -184,11 +188,12 @@ def test_end_live_splice_matches_reappending(entries, which):
 @settings(max_examples=40, deadline=None)
 @given(entry_lists(), st.integers(0, 29))
 def test_end_live_does_not_mutate_handed_out_entries(entries, which):
-    """Readers holding a previously returned entry tuple must keep seeing
-    the pre-delete state (the memo-aliasing bug)."""
-    store = CompressedLeafStore(entries)
-    for _ in range(comp.HOT_USES + 1):
-        before = store.entries()  # hot: memoized and handed out
+    """Readers holding a previously returned entry tuple, or the resident
+    flat form, must keep seeing the pre-delete state (the memo-aliasing
+    bug)."""
+    store = hot_store(entries)
+    flat = store.flat()  # resident and handed out
+    before = store.entries()
     live = [e for e in before if e.end == NOW]
     if not live:
         return
@@ -196,6 +201,8 @@ def test_end_live_does_not_mutate_handed_out_entries(entries, which):
     snapshot = [(e.key, e.start, e.end) for e in before]
     assert store.end_live(target.key, max(e.start for e in entries) + 3)
     assert [(e.key, e.start, e.end) for e in before] == snapshot
+    it = iter(flat)
+    assert list(zip(it, it, it)) == snapshot
     # The store itself sees the rewrite.
     assert any(
         e.key == target.key and e.start == target.start and e.end != NOW
@@ -206,62 +213,113 @@ def test_end_live_does_not_mutate_handed_out_entries(entries, which):
 # ------------------------------------------------------------ memo policy
 
 
+def memoized_leaves(engine):
+    """Every leaf of ``engine`` holding a resident flat form."""
+    return [
+        leaf for tree in engine.indexes.values()
+        for leaf in tree.leaf_nodes() if leaf._store._decoded is not None
+    ]
+
+
+def run_passes(engine, texts, passes=comp.HOT_USES + 1):
+    for _ in range(passes):
+        for text in texts:
+            engine.query(text)
+
+
 class TestMemoPolicy:
     def test_cold_leaf_keeps_nothing_resident(self):
-        store = CompressedLeafStore([entry(1, 2, 3, 5), entry(1, 2, 4, 6)])
-        resident = comp.memo_entries()
+        table = MemoTable()
+        store = CompressedLeafStore([entry(1, 2, 3, 5), entry(1, 2, 4, 6)],
+                                    table)
         first = store.entries()
         assert isinstance(first, tuple)
         assert store._decoded is None  # one use: still cold
-        assert comp.memo_entries() == resident
+        assert table.report() == {"entries": 0, "leaves": 0, "interned": 0,
+                                  "budget": comp.MEMO_BUDGET}
 
-    def test_hot_leaf_memoizes_and_charges_the_budget(self, memo_policy):
-        memo_policy(hot_uses=2)
-        store = CompressedLeafStore([entry(1, 2, 3, 5), entry(1, 2, 4, 6)])
+    def test_hot_leaf_memoizes_and_charges_the_budget(self, packed_mode):
+        """The second touch admits a leaf and charges its own engine's
+        table, not another engine's."""
+        packed_mode(comp.PACKED_AUTO)
+        graph = wikipedia.generate(300, seed=3).graph
+        engine, other = RDFTX.from_graph(graph), RDFTX.from_graph(graph)
+        leaf = next(leaf for leaf in engine.indexes["spo"].leaf_nodes()
+                    if leaf.count)
+        assert all(tree.memo is engine.memo
+                   for tree in engine.indexes.values())
+        assert leaf._store.memo is engine.memo
+        gc.collect()  # tables of engines earlier tests dropped
         resident = comp.memo_entries()
-        store.entries()
-        store.entries()
-        assert store._decoded is not None
-        assert comp.memo_entries() == resident + 2
-        # Mutation invalidates and returns the charge.
+        scan_leaf_pieces(leaf, MIN_KEY, MAX_KEY, MIN_TIME, NOW)
+        assert leaf._store._decoded is None  # first touch: packed
+        scan_leaf_pieces(leaf, MIN_KEY, MAX_KEY, MIN_TIME, NOW)
+        assert leaf._store._decoded is not None
+        assert engine.memo.report()["entries"] == leaf.count
+        assert engine.memo.report()["leaves"] == 1
+        assert other.memo.entries == 0
+        assert comp.memo_entries() == resident + leaf.count
+
+    def test_an_edit_returns_the_charge(self):
+        table = MemoTable()
+        store = hot_store([entry(1, 2, 3, 5), entry(1, 2, 4, 6)], table)
+        assert (table.entries, table.leaves) == (2, 1)
         store.append(entry(1, 2, 5, 9))
         assert store._decoded is None
-        assert comp.memo_entries() == resident
-
-    def test_exhausted_budget_blocks_memoization(self, memo_policy):
-        memo_policy(hot_uses=1, budget=comp.memo_entries())
-        store = CompressedLeafStore([entry(1, 2, 3, 5)])
-        store.entries()
+        assert (table.entries, table.leaves) == (0, 0)
+        for _ in range(comp.HOT_USES):
+            store.flat()
+        assert (table.entries, table.leaves) == (3, 1)
+        assert store.end_live((1, 2, 4), 20)
         assert store._decoded is None
+        assert (table.entries, table.leaves) == (0, 0)
 
-    def test_packed_scans_promote_a_hot_leaf(self, packed_mode, memo_policy):
+    def test_exhausted_budget_blocks_memoization(self, packed_mode):
+        packed_mode(comp.PACKED_AUTO)
+        table = MemoTable()
+        hot_store([entry(1, 2, 3, 5)], table)
+        table.budget = table.entries
+        store = hot_store([entry(4, 5, 6, 7)], table)
+        assert store._decoded is None
+        assert store.wants_packed()  # hot, but no room: stays packed
+        assert table.entries == 1
+
+    def test_two_engines_have_independent_budgets(self):
+        """One engine's full budget does not stop another's admissions."""
+        from repro.datasets.queries import selection_queries
+
+        graph = wikipedia.generate(300, seed=4).graph
+        texts = selection_queries(graph, count=4)
+        full, free = RDFTX.from_graph(graph), RDFTX.from_graph(graph)
+        full.memo.budget = 0
+        run_passes(full, texts)
+        run_passes(free, texts)
+        assert full.memo.entries == 0 and not memoized_leaves(full)
+        assert free.memo.entries > 0
+        assert free.memo.entries == sum(
+            leaf.count for leaf in memoized_leaves(free))
+
+    def test_packed_scans_promote_a_hot_leaf(self, packed_mode):
         packed_mode(comp.PACKED_AUTO)  # pin: asserts adaptive behaviour
-        memo_policy(hot_uses=3)
-        store = CompressedLeafStore([entry(1, 2, 3, 5)])
-        assert store.wants_packed()
-        store.scan_packed(MIN_KEY, MAX_KEY, MIN_TIME, NOW, 0, NOW)
-        store.scan_packed(MIN_KEY, MAX_KEY, MIN_TIME, NOW, 0, NOW)
-        store.scan_packed(MIN_KEY, MAX_KEY, MIN_TIME, NOW, 0, NOW)
+        store = CompressedLeafStore([entry(1, 2, 3, 5)], MemoTable())
+        for _ in range(comp.HOT_USES - 1):
+            assert store.wants_packed()
+            store.scan_packed(MIN_KEY, MAX_KEY, MIN_TIME, NOW, 0, NOW)
         # Hot now: the adaptive mode prefers decoding once and reusing.
         assert not store.wants_packed()
         store.entries()
         assert store._decoded is not None
         assert not store.wants_packed()
 
-    def test_release_memo_returns_the_charge(self, memo_policy):
-        memo_policy(hot_uses=1)
-        store = CompressedLeafStore([entry(1, 2, 3, 5), entry(1, 2, 4, 6)])
-        resident = comp.memo_entries()
-        store.entries()
-        assert comp.memo_entries() == resident + 2
-        store.release_memo()
-        assert comp.memo_entries() == resident
-
-    def test_forced_modes_override_the_policy(self, packed_mode,
-                                              memo_policy):
-        memo_policy(hot_uses=1)
+    def test_standalone_store_is_never_memoized(self, packed_mode):
+        packed_mode(comp.PACKED_AUTO)
         store = CompressedLeafStore([entry(1, 2, 3, 5)])
-        store.entries()
+        for _ in range(comp.HOT_USES + 1):
+            store.entries()
+        assert store._decoded is None and store.wants_packed()
+
+    def test_forced_modes_override_the_policy(self, packed_mode):
+        store = hot_store([entry(1, 2, 3, 5)])
         assert store._decoded is not None
         packed_mode(comp.PACKED_FORCE)
         assert store.wants_packed()
@@ -280,32 +338,44 @@ class TestMemoPolicy:
         assert comp._PACKED_SCANS.value == scans + 1
         assert comp._PACKED_SKIPPED.value == skipped + 2
 
-    def test_collected_store_returns_the_charge(self, memo_policy):
-        memo_policy(hot_uses=1)
-        store = CompressedLeafStore([entry(1, 2, 3, 5), entry(1, 2, 4, 6)])
-        resident = comp.memo_entries()
-        store.entries()
-        assert comp.memo_entries() == resident + 2
-        del store
-        gc.collect()
-        assert comp.memo_entries() == resident
+    def test_dropped_engine_table_is_collected(self, packed_mode):
+        """Nothing process-wide holds a table: dropping the engine frees
+        its memo, intern pool and budget together."""
+        from repro.datasets.queries import selection_queries
 
-    def test_concurrent_charges_and_collections_balance(self, memo_policy):
-        """Threads memoizing and dropping stores (so ``__del__`` returns
-        charges between other threads' charges) lose no update."""
-        memo_policy(hot_uses=1)
+        packed_mode(comp.PACKED_AUTO)
+        graph = wikipedia.generate(300, seed=5).graph
+        engine = RDFTX.from_graph(graph)
+        run_passes(engine, selection_queries(graph, count=4))
+        assert engine.memo.entries and engine.memo.report()["interned"]
+        table = weakref.ref(engine.memo)
+        del engine
         gc.collect()
-        resident = comp.memo_entries()
+        assert table() is None
+
+    def test_concurrent_admissions_and_invalidations_balance(self):
+        """Threads admitting stores to one table and invalidating them by
+        edits (charges and releases interleaved across threads) lose no
+        update."""
+        table = MemoTable()
         entries = [entry(1, 2, k, 5) for k in range(8)]
 
-        def churn():
-            for _ in range(300):
-                CompressedLeafStore(entries).entries()
+        def churn(thread):
+            stores = [CompressedLeafStore(entries, table) for _ in range(8)]
+            for step in range(300):
+                store = stores[step % len(stores)]
+                for _ in range(comp.HOT_USES):
+                    store.flat()
+                store.append(entry(2, thread, step, 6 + step))
+            for store in stores:
+                store.flat()
+                store.invalidate()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=churn) for _ in range(6)]
+            threads = [threading.Thread(target=churn, args=(n,))
+                       for n in range(6)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -313,13 +383,12 @@ class TestMemoPolicy:
             assert not any(thread.is_alive() for thread in threads)
         finally:
             sys.setswitchinterval(interval)
-        gc.collect()
-        assert comp.memo_entries() == resident
+        assert (table.entries, table.leaves) == (0, 0)
 
     def test_dropped_engines_leave_the_budget_whole(self, packed_mode):
         """Engines built, queried and dropped (a reload, a replaced store)
-        hand every memo charge back: the budget does not shrink with each
-        one, so a long-lived process keeps memoizing."""
+        take their charges with them, so the sum over live tables returns
+        to where it was and a long-lived process keeps memoizing."""
         from repro.datasets.queries import join_queries, selection_queries
 
         packed_mode(comp.PACKED_AUTO)
@@ -329,16 +398,82 @@ class TestMemoPolicy:
         for seed in range(3):
             graph = wikipedia.generate(600, seed=seed).graph
             engine = RDFTX.from_graph(graph)
-            texts = selection_queries(graph, count=4) + join_queries(
-                graph, count=2)
-            for _ in range(comp.HOT_USES + 1):
-                for text in texts:
-                    engine.query(text)
+            run_passes(engine, selection_queries(graph, count=4)
+                       + join_queries(graph, count=2))
             charged.append(comp.memo_entries() - resident)
             del engine
             gc.collect()
             assert comp.memo_entries() == resident
         assert all(charged), "the workload never memoized a leaf"
+
+
+# -------------------------------------------------- resident-form pins
+
+
+class TestResidentForm:
+    """What a memoized leaf keeps: one flat tuple of shared objects."""
+
+    @pytest.fixture()
+    def fig9(self, graph, workload, packed_mode):
+        packed_mode(comp.PACKED_AUTO)
+        engine = RDFTX.from_graph(graph)
+        return engine, workload
+
+    def test_flat_form_equals_the_rows(self, fig9):
+        engine, texts = fig9
+        run_passes(engine, texts)
+        leaves = memoized_leaves(engine)
+        assert leaves
+        for leaf in leaves:
+            it = iter(leaf._store._decoded)
+            assert list(zip(it, it, it)) == leaf.rows()
+
+    def test_equal_keys_ids_and_chronons_are_one_object(self, fig9):
+        engine, texts = fig9
+        run_passes(engine, texts)
+        canonical: dict = {}
+        holders: dict = {}
+        for leaf in memoized_leaves(engine):
+            it = iter(leaf._store._decoded)
+            for key, start, end in zip(it, it, it):
+                holders.setdefault(key, set()).add(leaf.uid)
+                for value in (key, *key, start, end):
+                    assert canonical.setdefault(value, value) is value
+        shared = [key for key, uids in holders.items() if len(uids) > 1]
+        assert shared, "no key is memoized in two leaves"
+
+    def test_intern_pool_stays_within_a_tiny_budget(self, fig9):
+        engine, texts = fig9
+        engine.memo.budget = 300
+        peak = 0
+        for _ in range(comp.HOT_USES + 1):
+            for text in texts:
+                engine.query(text)
+                peak = max(peak, engine.memo.report()["interned"])
+        assert 0 < peak <= 300
+        assert 0 < engine.memo.entries <= 300
+
+    def test_resident_bytes_per_memoized_entry(self, fig9):
+        """Traced bytes the memo holds (freed by dropping every resident
+        form and the pool) per memoized entry: about 220 B as a tuple of
+        entry objects; a flat tuple of interned objects stays under 120."""
+        engine, texts = fig9
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_passes(engine, texts)
+            gc.collect()
+            entries = engine.memo.entries
+            held = tracemalloc.get_traced_memory()[0]
+            for leaf in memoized_leaves(engine):
+                leaf._store.invalidate()
+            engine.memo._pool.clear()
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert entries > 1000
+        assert held / entries <= 120
 
 
 # -------------------------------------------------- fig9 golden identity
