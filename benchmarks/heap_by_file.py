@@ -11,7 +11,10 @@ Then, for ``engine_maintain`` and ``engine_fig9_warm`` (one untimed and the
 timed passes of the fig9 mix, with their inserts), a census of what the
 engine holds by structure: the decoded-leaf memo (resident flat forms and
 the intern pool), the live index of packed live leaves, the packed buffers
-and the nodes.  Everything goes to ``bench_results/heap_engine_maintain.txt``.
+and the nodes.  Last, the plan cache of a ``serve_http_mix`` replay: the
+mix's read texts compiled in op order until the cache is full, the high-
+water mark the server reaches before its one statistics refresh clears
+it.  Everything goes to ``bench_results/heap_engine_maintain.txt``.
 
 A breakdown to start a memory change from, not a metric: ``tracemalloc``
 slows the run several-fold and counts Python-level allocations only, and
@@ -25,12 +28,25 @@ was loaded from).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 OUT = REPO / "bench_results" / "heap_engine_maintain.txt"
+
+
+def use_suite() -> None:
+    """Put the suite's modules on the path, then (bootstrap) the
+    program's."""
+    suite = str(REPO / "benchmarks" / "suite")
+    if suite not in sys.path:
+        sys.path.insert(0, suite)
+    import measure
+
+    measure.bootstrap()
 
 
 def replay(name: str, seed: int, smoke: bool) -> tuple:
@@ -107,6 +123,18 @@ def _charge(roots, seen: set[int]) -> tuple[int, int]:
     return size, count
 
 
+def _slots(obj) -> list:
+    """The values of ``obj``'s slots, up its classes; reading them, unlike
+    ``vars()``, allocates nothing."""
+    missing = object()
+    values = (
+        getattr(obj, name, missing)
+        for cls in type(obj).__mro__
+        for name in cls.__dict__.get("__slots__", ())
+    )
+    return [value for value in values if value is not missing]
+
+
 def census(engine, label: str) -> str:
     """The engine's heap by structure (see the module docstring)."""
     nodes = [node for tree in engine.indexes.values()
@@ -125,7 +153,8 @@ def census(engine, label: str) -> str:
             [part for s in stores for part in (s, s._buf, s._base_v, s._last)],
             seen)),
         ("nodes", _charge(
-            [part for node in nodes for part in (node, vars(node))], seen)),
+            [part for node in nodes for part in (node, *_slots(node))],
+            seen)),
     ]
     lines = [
         f"# {label}: census by structure (sys.getsizeof, each object "
@@ -143,6 +172,63 @@ def census(engine, label: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def serve_plan_cache(seed: int, smoke: bool):
+    """An optimizer engine on ``serve_http_mix``'s data whose plan cache
+    holds the mix's read texts compiled in op order, up to its capacity."""
+    import workloads
+    from repro import RDFTX, Optimizer
+    from repro.engine.engine import PLAN_CACHE_CAPACITY
+
+    scale = workloads.Scale.smoke_scale() if smoke else workloads.Scale()
+    workload = workloads.serve_http_mix(seed, scale)
+    engine = RDFTX(optimizer=Optimizer())
+    engine.load(workload.graph)
+    for op in workload.ops:
+        if len(engine._plan_cache) == PLAN_CACHE_CAPACITY:
+            break
+        if op[0] == "q":
+            engine.compile(workload.queries[op[1]][1])
+    return engine
+
+
+def reach(roots) -> tuple[int, int, Counter]:
+    """``(bytes, objects, objects by type name)`` reachable from ``roots``
+    through ``gc.get_referents``, each object once; types, ``None``,
+    booleans and CPython's cached small ints are shared by everything and
+    not counted."""
+    seen: set[int] = set()
+    size = 0
+    kinds: Counter = Counter()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if (obj is None or isinstance(obj, (bool, type)) or id(obj) in seen
+                or (type(obj) is int and -5 <= obj <= 256)):
+            continue
+        seen.add(id(obj))
+        size += sys.getsizeof(obj)
+        kinds[type(obj).__name__] += 1
+        stack.extend(gc.get_referents(obj))
+    return size, sum(kinds.values()), kinds
+
+
+def plan_census(engine, label: str) -> str:
+    """The plan cache's entries, objects and bytes per entry."""
+    plans = engine._plan_cache.values()
+    size, count, kinds = reach(plans)
+    per = max(len(plans), 1)
+    top = ", ".join(f"{name} {n / per:.2f}" for name, n in kinds.most_common(6))
+    return (
+        f"# {label}: plan cache census (sys.getsizeof over everything an "
+        f"entry reaches, each object charged once)\n"
+        f"{'structure':<44} {'entries':>8} {'obj/entry':>9} "
+        f"{'B/entry':>9}\n"
+        f"{'plan cache':<44} {len(plans):>8} {count / per:>9.1f} "
+        f"{size / per:>9.0f}\n"
+        f"# objects per entry by type: {top}\n"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -150,11 +236,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="the suite's smoke scale (2 000 triples)")
     parser.add_argument("--top", type=int, default=20)
     args = parser.parse_args(argv)
-    # the suite's modules, then (bootstrap) the program's
-    sys.path.insert(0, str(REPO / "benchmarks" / "suite"))
-    import measure
-
-    measure.bootstrap()
+    use_suite()
     tracemalloc.start()
     try:
         engine, workload, _base = replay(
@@ -170,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
         "engine_fig9_warm", args.seed, args.smoke)
     text += "\n" + census(
         engine, f"engine_fig9_warm after {len(workload.ops)} ops")
+    del engine, workload, _base
+    text += "\n" + plan_census(
+        serve_plan_cache(args.seed, args.smoke), "serve_http_mix replay")
     OUT.parent.mkdir(exist_ok=True)
     OUT.write_text(text)
     sys.stdout.write(text)

@@ -47,7 +47,7 @@ def main() -> None:
 
     # The optimizer's statistics at work: estimated vs actual cardinality.
     stats = optimized.optimizer.statistics
-    plan_graph, _ = optimized.compile(query)
+    plan_graph, _ = optimized.plan_graph(query)
     print("\nPattern cardinality estimates:")
     for plan in plan_graph.patterns:
         estimate = stats.pattern_cardinality(plan)

@@ -90,6 +90,12 @@ class LRUCache:
             self._data.clear()
         return dropped
 
+    def values(self) -> list[Any]:
+        """A snapshot of the cached values, least-recently-used first (no
+        entry is promoted)."""
+        with self._lock:
+            return list(self._data.values())
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)

@@ -9,9 +9,10 @@ from .patterns import (
     decode_key_to_spo,
     translate_pattern,
 )
-from .plan import PlanGraph
+from .plan import CompiledPlan, PlanGraph
 
 __all__ = [
+    "CompiledPlan",
     "INDEX_ORDERS",
     "PatternPlan",
     "PlanGraph",

@@ -25,8 +25,8 @@ from ..obs.profile import ProfileNode, QueryProfile
 from ..sparqlt.ast import Query
 from ..sparqlt.parser import parse
 from .executor import default_order, execute
-from .patterns import INDEX_ORDERS, PatternPlan, UnknownTermError, translate_pattern
-from .plan import PlanGraph
+from .patterns import INDEX_ORDERS, UnknownTermError, translate_pattern
+from .plan import CompiledPlan, PlanGraph, compile_plan
 
 _QUERIES = _metrics.counter("engine.queries")
 _QUERY_TIMER = _metrics.REGISTRY.timer_stat("engine.query")
@@ -383,8 +383,8 @@ class RDFTX:
         local = max(tree.current_time for tree in self.indexes.values()) + 1
         return max(self.horizon_floor, local)
 
-    def compile(self, text: str | Query) -> tuple[PlanGraph, list[int]]:
-        """Parse, translate and order a query; returns (plan graph, order).
+    def compile(self, text: str | Query) -> CompiledPlan:
+        """Parse, translate, order and compile a query.
 
         Compiled plans are LRU-cached per query text, so repeated queries
         pay parsing and optimization once — prepared-statement behaviour.
@@ -401,25 +401,44 @@ class RDFTX:
             return self._compile_parsed(parse(text), text)
         return self._compile_parsed(text, None)
 
+    def plan_graph(self, query: str | Query) -> tuple[PlanGraph, list[int]]:
+        """Translate and order a query's base patterns: the plan graph and
+        the join order this engine picks for it (nothing is cached)."""
+        if isinstance(query, str):
+            query = parse(query)
+        conjuncts = query.filter_conjuncts()
+        patterns = [
+            translate_pattern(p, self.dictionary, conjuncts)
+            for p in query.patterns
+        ]
+        graph = PlanGraph.build(query, patterns)
+        if self.optimizer is not None and len(patterns) > 1:
+            with _trace.span("optimizer.choose_order"):
+                return graph, self.optimizer.choose_order(graph)
+        return graph, default_order(graph)
+
     def _compile_parsed(
         self, query: Query, cache_key: str | None
-    ) -> tuple[PlanGraph, list[int]]:
-        """Translate and order an already-parsed query, caching by text."""
+    ) -> CompiledPlan:
+        """Compile an already-parsed query, caching it by text.  A query
+        with UNION or OPTIONAL compiles its base patterns (for
+        :meth:`explain`) but is not cached: it runs through
+        :func:`~repro.engine.executor.execute_group`."""
         with _trace.span("engine.compile"):
-            conjuncts = query.filter_conjuncts()
-            patterns = [
-                translate_pattern(p, self.dictionary, conjuncts)
-                for p in query.patterns
-            ]
-            graph = PlanGraph.build(query, patterns)
-            if self.optimizer is not None and len(patterns) > 1:
-                with _trace.span("optimizer.choose_order"):
-                    order = self.optimizer.choose_order(graph)
-            else:
-                order = default_order(graph)
-            if cache_key is not None:
-                self._plan_cache.put(cache_key, (graph, order))
-            return graph, order
+            graph, order = self.plan_graph(query)
+            stats = getattr(self.optimizer, "statistics", None)
+            join_estimates = None
+            if stats is not None:
+                from ..optimizer.cost import order_prefix_estimates
+
+                join_estimates = order_prefix_estimates(graph, stats, order)
+                # The statistics cache serves one optimization (Section
+                # 6.3); kept past it, it would grow with every new text.
+                stats.clear_cache()
+            plan = compile_plan(graph, order, join_estimates)
+            if cache_key is not None and query.is_simple:
+                self._plan_cache.put(cache_key, plan)
+            return plan
 
     def query(self, text: str | Query, profile: bool = False) -> QueryResult:
         """Evaluate a SPARQLT query and return its result rows.
@@ -433,13 +452,15 @@ class RDFTX:
         from .operators import project
 
         self._maybe_refresh_statistics()
-        plan: tuple[PlanGraph, list[int]] | None = None
-        if isinstance(text, str):
-            # A plan-cache hit skips the parse too: the compiled graph
-            # carries its parsed query.
-            plan = self._plan_cache.get(text)
+        key = text if isinstance(text, str) else None
+        plan: CompiledPlan | None = None
+        query: Query | None = None
+        if key is not None:
+            # A plan-cache hit skips the parse too.
+            plan = self._plan_cache.get(key)
             _trace.annotate_trace(plan_cache_hit=plan is not None)
-            query = plan[0].query if plan is not None else parse(text)
+            if plan is None:
+                query = parse(key)
         else:
             query = text
         want_profile = profile and _metrics.ENABLED
@@ -461,8 +482,9 @@ class RDFTX:
         if _metrics.ENABLED:
             _QUERIES.inc()
 
-        if not query.is_simple:
-            # UNION / OPTIONAL groups take the algebraic path.
+        if query is not None and not query.is_simple:
+            # UNION / OPTIONAL groups take the algebraic path (never a
+            # plan-cache hit: only conjunctive plans are cached).
             from .executor import execute_group
 
             choose = (
@@ -476,65 +498,41 @@ class RDFTX:
             )
             projected = project(rows, query.select, self.dictionary)
             return self._finish_result(
-                query, projected, prof_root, started,
-                text=text if isinstance(text, str) else None,
+                query.select, query, projected, prof_root, started, key,
                 keep_profile=want_profile,
             )
         if plan is None:
             try:
-                plan = self._compile_parsed(
-                    query, text if isinstance(text, str) else None
-                )
+                plan = self._compile_parsed(query, key)
             except UnknownTermError:
                 # A constant term missing from the dictionary: no pattern
                 # can match, so there is nothing to execute (or profile
                 # beyond an empty projection).
                 return self._finish_result(
-                    query, [], prof_root, started,
-                    text=text if isinstance(text, str) else None,
+                    query.select, query, [], prof_root, started, key,
                     keep_profile=want_profile,
                 )
-        graph, order = plan
-        step_estimates = None
-        if prof_root is not None:
-            step_estimates = self._annotate_estimates(graph, order)
-        with _trace.span("engine.execute", patterns=len(order)):
-            rows = execute(
-                graph, self.indexes, self.dictionary, self.horizon, order,
-                profile=prof_root, step_estimates=step_estimates,
-            )
-            projected = project(rows, query.select, self.dictionary)
+        with _trace.span("engine.execute", patterns=len(plan.steps)):
+            rows = execute(plan, self.indexes, self.dictionary,
+                           self.horizon, profile=prof_root)
+            projected = project(rows, plan.select, self.dictionary)
         return self._finish_result(
-            query, projected, prof_root, started,
-            text=text if isinstance(text, str) else None,
+            plan.select, query, projected, prof_root, started, key,
             keep_profile=want_profile,
         )
 
-    def _annotate_estimates(
-        self, graph: PlanGraph, order: list[int]
-    ) -> dict | None:
-        """Fill in pattern estimates (and per-prefix join estimates) for
-        profiling, when the optimizer's statistics are available.
-
-        ``choose_order`` only runs for multi-pattern queries, so
-        single-pattern plans get their estimate filled in here.
-        """
-        stats = getattr(self.optimizer, "statistics", None)
-        if stats is None:
-            return None
-        from ..optimizer.cost import order_prefix_estimates
-
-        return order_prefix_estimates(graph, stats, order)
-
     def _finish_result(
         self,
-        query: Query,
+        select: list[str] | tuple[str, ...],
+        query: Query | None,
         projected: list[dict],
         prof_root: ProfileNode | None,
         started: float,
-        text: str | None = None,
+        text: str | None,
         keep_profile: bool = True,
     ) -> QueryResult:
+        """The result of a query that ran; ``query`` is its parse tree
+        when one was made (a plan-cache hit has only ``text``)."""
         elapsed = time.perf_counter() - started
         if _metrics.ENABLED:
             _QUERY_TIMER.observe(elapsed)
@@ -542,7 +540,7 @@ class RDFTX:
         if prof_root is not None:
             root = ProfileNode(
                 op="project",
-                detail=", ".join(f"?{name}" for name in query.select),
+                detail=", ".join(f"?{name}" for name in select),
                 actual_rows=len(projected),
                 children=prof_root.children,
             )
@@ -558,14 +556,13 @@ class RDFTX:
                 cache_hit=False, trace_id=_trace.current_trace_id(),
             )
         return QueryResult(
-            variables=list(query.select), rows=projected,
+            variables=list(select), rows=projected,
             profile=query_profile if keep_profile else None,
         )
 
     def explain(self, text: str | Query) -> str:
         """The chosen plan, as text."""
-        graph, order = self.compile(text)
-        return graph.describe(order)
+        return self.compile(text).describe(self.dictionary)
 
     # --------------------------------------------------- convenience API
 

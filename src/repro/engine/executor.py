@@ -1,9 +1,11 @@
 """Plan execution: ordered scans, joins, filters, projection (Section 5).
 
-When a :class:`~repro.obs.profile.ProfileNode` is passed to
-:func:`execute`, every operator (scan, hash join, synchronized join, cross
-product, filter) is timed and its row counts recorded into a left-deep
-profile tree; index-level scan counters (MVBT leaves visited, entries
+:func:`execute` runs a :class:`~repro.engine.plan.CompiledPlan`; a caller
+holding a plan graph and an order has it compiled at entry, so there is
+one executor loop.  When a :class:`~repro.obs.profile.ProfileNode` is
+passed, every operator (scan, hash join, synchronized join, cross product,
+filter) is timed and its row counts recorded into a left-deep profile
+tree; index-level scan counters (MVBT leaves visited, entries
 examined/pruned, compressed pages decoded) are attached to each scan node.
 Profiling is opt-in per query and adds no per-row work to the default
 path.
@@ -18,18 +20,15 @@ from ..model.dictionary import Dictionary
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs.profile import ProfileNode
-from ..sparqlt.ast import Expr, expr_variables
 from .operators import (
     Row,
     apply_filters,
     hash_join_rows,
     index_scan,
     nested_loop_product,
-    project,
-    synchronized_join_applicable,
     synchronized_join_rows,
 )
-from .plan import PlanGraph
+from .plan import CompiledPlan, PlanGraph, Step, compile_plan
 
 #: Index name -> MVBT mapping held by the engine.
 IndexSet = dict
@@ -79,38 +78,41 @@ def default_order(graph: PlanGraph) -> list[int]:
     return order
 
 
-def _scan_detail(plan) -> str:
-    return f"{plan.index_order.upper()} {plan.pattern}"
+def _scan_detail(step: Step, dictionary: Dictionary) -> str:
+    return f"{step.index_order.upper()} {step.pattern_text(dictionary)}"
+
+
+def _on(names: tuple[str, ...]) -> str:
+    return "on " + ", ".join(f"?{v}" for v in names)
 
 
 def execute(
-    graph: PlanGraph,
+    plan: CompiledPlan | PlanGraph,
     indexes: IndexSet,
     dictionary: Dictionary,
     horizon: int,
     order: list[int] | None = None,
     profile: ProfileNode | None = None,
-    step_estimates: dict[frozenset, float] | None = None,
 ) -> list[Row]:
-    """Run the plan and return projected result rows.
+    """Run the plan and return result rows (unprojected).
 
-    Filters are pushed to the earliest point where their variables are all
-    bound; the remaining conjuncts run before projection.
+    A :class:`PlanGraph` is compiled first, in ``order`` (default: the
+    heuristic :func:`default_order`); a compiled plan carries its own.
+    Filter conjuncts run right after the step that binds their last
+    variable; conjuncts over variables no step binds run at the end.
 
     ``profile`` (optional) receives the executed operator tree as a child
-    node; ``step_estimates`` maps frozensets of joined pattern indices to
-    the optimizer's estimated output cardinality so join nodes carry
-    estimates too (see :func:`repro.optimizer.cost.order_prefix_estimates`).
+    node, with the plan's scan and join estimates on it.
     """
-    if order is None:
-        order = default_order(graph)
+    if isinstance(plan, PlanGraph):
+        plan = compile_plan(
+            plan, order if order is not None else default_order(plan)
+        )
     profiling = profile is not None
     # Whether this execution runs inside a live trace: serial scans are
     # materialized under a span only then, so the default path keeps its
     # lazy scan->join pipelining.
     tracing = _trace.active()
-    est_map = step_estimates or {}
-    joined: set[int] = set()
     current: ProfileNode | None = None
     perf = time.perf_counter
 
@@ -119,78 +121,63 @@ def execute(
             profile.children.append(current)
         return result_rows
 
-    def filter_step(rows, pending, bound):
+    def filter_step(rows, conjuncts, label: str):
         nonlocal current
         if not profiling:
-            return _apply_ready_filters(rows, pending, bound, dictionary,
-                                        horizon)
-        ready = [c for c, vars_ in pending if vars_ <= bound]
-        if not ready:
-            return rows, pending
+            return list(apply_filters(rows, conjuncts, dictionary, horizon))
         start = perf()
-        filtered, rest = _apply_ready_filters(
-            rows, pending, bound, dictionary, horizon
-        )
+        filtered = list(apply_filters(rows, conjuncts, dictionary, horizon))
         current = ProfileNode(
             op="filter",
-            detail=f"{len(ready)} conjunct(s)",
+            detail=f"{len(conjuncts)} {label}",
             actual_rows=len(filtered),
             time_ms=(perf() - start) * 1000.0,
             children=[current] if current is not None else [],
         )
-        return filtered, rest
+        return filtered
 
-    conjuncts = graph.query.filter_conjuncts()
-    pending = [(c, expr_variables(c)) for c in conjuncts]
-
+    steps = plan.steps
     rows: list[Row] | None = None
-    bound: set[str] = set()
-    # Section 5.2.2: when the first join's inputs both sweep a large
-    # portion of their index, use the cache-optimized synchronized join
-    # instead of materializing a hash table.
-    if len(order) >= 2:
-        first, second = graph.patterns[order[0]], graph.patterns[order[1]]
-        shared = first.pattern.variables() & second.pattern.variables()
-        if synchronized_join_applicable(first, second, shared):
-            start = perf() if profiling else 0.0
-            with _trace.span("join.sync"):
-                rows = list(
-                    synchronized_join_rows(
-                        indexes[first.index_order], first,
-                        indexes[second.index_order], second,
-                    )
+    if plan.sync:
+        # Section 5.2.2: both inputs of the first join sweep a large
+        # portion of their index, so the cache-optimized synchronized
+        # join replaces a materialized hash table.
+        first, second = steps[0], steps[1]
+        start = perf() if profiling else 0.0
+        with _trace.span("join.sync"):
+            rows = list(
+                synchronized_join_rows(
+                    indexes[first.index_order], first,
+                    indexes[second.index_order], second,
                 )
-            joined = {order[0], order[1]}
-            if profiling:
-                current = ProfileNode(
-                    op="sync join",
-                    detail="on " + ", ".join(f"?{v}" for v in sorted(shared)),
-                    est_rows=est_map.get(frozenset(joined)),
-                    actual_rows=len(rows),
-                    time_ms=(perf() - start) * 1000.0,
-                    children=[
-                        ProfileNode(op="scan", detail=_scan_detail(first),
-                                    est_rows=first.estimate,
-                                    extra={"fused": "sync"}),
-                        ProfileNode(op="scan", detail=_scan_detail(second),
-                                    est_rows=second.estimate,
-                                    extra={"fused": "sync"}),
-                    ],
-                )
-            bound = first.pattern.variables() | second.pattern.variables()
-            order = order[2:]
-            rows, pending = filter_step(rows, pending, bound)
-            if not rows:
-                return finish([])
-    for index in order:
-        plan = graph.patterns[index]
-        scanned = index_scan(indexes[plan.index_order], plan)
+            )
+        if profiling:
+            current = ProfileNode(
+                op="sync join",
+                detail=_on(second.join_vars),
+                est_rows=second.join_estimate,
+                actual_rows=len(rows),
+                time_ms=(perf() - start) * 1000.0,
+                children=[
+                    ProfileNode(op="scan",
+                                detail=_scan_detail(step, dictionary),
+                                est_rows=step.estimate,
+                                extra={"fused": "sync"})
+                    for step in (first, second)
+                ],
+            )
+        if second.filters:
+            rows = filter_step(rows, second.filters, "conjunct(s)")
+        if not rows:
+            return finish([])
+        steps = steps[2:]
+    for step in steps:
+        scanned = index_scan(indexes[step.index_order], step)
         if tracing:
             # Materialize the lazy scan here so its span covers the
             # actual scan work rather than a closed generator.
-            with _trace.span("scan.pattern", index=plan.index_order):
+            with _trace.span("scan.pattern", index=step.index_order):
                 scanned = list(scanned)
-        pattern_vars = plan.pattern.variables()
         scan_node: ProfileNode | None = None
         if profiling:
             counters_before = _scan_counter_values()
@@ -198,8 +185,8 @@ def execute(
             scanned = list(scanned)
             scan_node = ProfileNode(
                 op="scan",
-                detail=_scan_detail(plan),
-                est_rows=plan.estimate,
+                detail=_scan_detail(step, dictionary),
+                est_rows=step.estimate,
                 actual_rows=len(scanned),
                 time_ms=(perf() - start) * 1000.0,
                 extra=_scan_counter_delta(counters_before),
@@ -209,63 +196,35 @@ def execute(
             if profiling:
                 current = scan_node
         else:
-            shared = bound & pattern_vars
+            shared = step.join_vars
             start = perf() if profiling else 0.0
             if shared:
                 with _trace.span("join.hash"):
                     rows = list(hash_join_rows(rows, scanned, shared))
-                op = "hash join"
-                detail = "on " + ", ".join(f"?{v}" for v in sorted(shared))
+                op, detail = "hash join", _on(shared)
             else:
                 with _trace.span("join.cross"):
                     rows = list(nested_loop_product(rows, scanned))
-                op = "cross product"
-                detail = ""
+                op, detail = "cross product", ""
             if profiling:
                 current = ProfileNode(
                     op=op,
                     detail=detail,
-                    est_rows=est_map.get(frozenset(joined | {index})),
+                    est_rows=step.join_estimate,
                     actual_rows=len(rows),
                     time_ms=(perf() - start) * 1000.0,
                     children=[current, scan_node],
                 )
-        joined.add(index)
-        bound |= pattern_vars
-        rows, pending = filter_step(rows, pending, bound)
+        if step.filters:
+            rows = filter_step(rows, step.filters, "conjunct(s)")
         if not rows:
             return finish([])
-    if pending:
+    if plan.residual:
         # Filters over unbound variables: evaluate anyway so the error
         # surfaces (unbound-variable filters are user mistakes).
-        start = perf() if profiling else 0.0
-        rows = list(
-            apply_filters(rows, [c for c, _ in pending], dictionary, horizon)
-        )
-        if profiling:
-            current = ProfileNode(
-                op="filter",
-                detail=f"{len(pending)} unbound conjunct(s)",
-                actual_rows=len(rows),
-                time_ms=(perf() - start) * 1000.0,
-                children=[current] if current is not None else [],
-            )
+        rows = filter_step(rows, plan.residual, "unbound conjunct(s)")
     return finish(rows)
 
-
-def _apply_ready_filters(
-    rows: list[Row],
-    pending: list[tuple[Expr, set[str]]],
-    bound: set[str],
-    dictionary: Dictionary,
-    horizon: int,
-) -> tuple[list[Row], list[tuple[Expr, set[str]]]]:
-    ready = [c for c, vars_ in pending if vars_ <= bound]
-    if not ready:
-        return rows, pending
-    rest = [(c, v) for c, v in pending if not (v <= bound)]
-    filtered = list(apply_filters(rows, ready, dictionary, horizon))
-    return filtered, rest
 
 def execute_group(
     group,

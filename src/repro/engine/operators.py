@@ -9,7 +9,7 @@ joins cheap.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..model.dictionary import Dictionary
 from ..model.time import NOW, Period, PeriodSet
@@ -19,6 +19,9 @@ from ..obs import metrics as _metrics
 from ..sparqlt.ast import Compare, Expr, expr_variables
 from ..sparqlt.functions import evaluate, restrict, restriction_target
 from .patterns import PatternPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .plan import Step
 
 Row = dict
 
@@ -35,15 +38,14 @@ _FILTER_ROWS_IN = _metrics.counter("engine.filter_rows_in")
 _FILTER_ROWS_OUT = _metrics.counter("engine.filter_rows_out")
 
 
-def index_scan(tree: MVBT, plan: PatternPlan) -> Iterator[Row]:
+def index_scan(tree: MVBT, plan: "Step") -> Iterator[Row]:
     """Single graph pattern matching: one MVBT range-interval scan.
 
     Yields one row per matching (s, p, o) binding with the coalesced
     validity restricted to the scan window.
     """
     grouped: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
-    window = plan.time_range
-    w_start, w_end = window.start, window.end
+    w_start, w_end = plan.t1, plan.t2
     equal_slots = plan.equal_slots
     pieces = scan_pieces(tree, plan.key_low, plan.key_high, w_start, w_end)
     for key, lo, hi, _ in pieces:
@@ -105,9 +107,9 @@ def _var_at_slot(plan: PatternPlan, slot: int) -> str | None:
 
 def synchronized_join_rows(
     left_tree: MVBT,
-    left_plan: PatternPlan,
+    left_plan: "Step",
     right_tree: MVBT,
-    right_plan: PatternPlan,
+    right_plan: "Step",
 ) -> Iterator[Row]:
     """Evaluate a two-pattern temporal join with the synchronized join."""
     from ..mvbt.join import synchronized_join
@@ -138,7 +140,7 @@ def synchronized_join_rows(
 
 
 def hash_join_rows(
-    left: Iterable[Row], right: Iterable[Row], shared: set[str]
+    left: Iterable[Row], right: Iterable[Row], shared: Iterable[str]
 ) -> Iterator[Row]:
     """Temporal hash join of two row streams on their shared variables.
 
@@ -155,7 +157,7 @@ def hash_join_rows(
         for name in shared
         if isinstance(probe_sample.get(name), PeriodSet)
     }
-    key_vars = sorted(shared - temporal)
+    key_vars = sorted(name for name in shared if name not in temporal)
 
     table: dict[tuple, list[Row]] = defaultdict(list)
     for row in left_rows:

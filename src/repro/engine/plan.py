@@ -1,18 +1,27 @@
 """Query plans (Section 5.1).
 
-A compiled SPARQLT query is a *plan graph*: one node per interval-based query
-pattern, with an edge wherever two patterns share a variable (joins).  The
-optimizer reorders the joins; the executor folds the ordered patterns with
-hash joins and then applies residual filters and the projection.
+A SPARQLT query is planned as a *plan graph*: one node per interval-based
+query pattern, with an edge wherever two patterns share a variable (joins).
+The optimizer reorders the joins over it.  Once the order is chosen the
+graph is compiled into a :class:`CompiledPlan`: the scans in execution
+order with everything the executor decides per step worked out up front —
+join variables, where each filter conjunct runs, whether the first pair
+runs as a synchronized join, and the optimizer's estimates.  The compiled
+plan is what the engine caches and what the executor runs; of the parse
+tree it keeps only the filter expressions it evaluates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
-from ..sparqlt.ast import Expr, Query
-from .patterns import PatternPlan
+from ..model.dictionary import Dictionary
+from ..mvbt.entry import MAX_KEY_COMPONENT, Key
+from ..sparqlt.ast import Expr, Query, expr_variables
+from .operators import synchronized_join_applicable
+from .patterns import INDEX_ORDERS, PatternPlan
 
 
 @dataclass
@@ -21,23 +30,18 @@ class PlanGraph:
 
     query: Query
     patterns: list[PatternPlan]
-    filters: list[Expr] = field(default_factory=list)
     #: pairs of pattern indices sharing at least one variable.
     edges: list[tuple[int, int]] = field(default_factory=list)
-    #: shared variable names per edge, parallel to ``edges``.
-    edge_vars: list[set[str]] = field(default_factory=list)
 
     @classmethod
     def build(
         cls, query: Query, patterns: list[PatternPlan]
     ) -> "PlanGraph":
-        graph = cls(query=query, patterns=patterns, filters=query.filters)
+        graph = cls(query=query, patterns=patterns)
         variables = [p.pattern.variables() for p in patterns]
         for i, j in combinations(range(len(patterns)), 2):
-            shared = variables[i] & variables[j]
-            if shared:
+            if variables[i] & variables[j]:
                 graph.edges.append((i, j))
-                graph.edge_vars.append(shared)
         return graph
 
     def neighbors(self, index: int) -> set[int]:
@@ -56,21 +60,150 @@ class PlanGraph:
             return True
         return bool(self.neighbors(candidate) & group)
 
-    def describe(self, order: list[int] | None = None) -> str:
-        """Human-readable plan summary (used by ``RDFTX.explain``)."""
-        order = order if order is not None else list(range(len(self.patterns)))
+
+class Step(NamedTuple):
+    """One pattern scan of a compiled plan, in execution order."""
+
+    index_order: str
+    #: the constants of the pattern, a key prefix in ``index_order``: the
+    #: scan's key range runs from it to :attr:`key_high`.
+    key_low: Key
+    #: the scan's time window ``[t1, t2)``.
+    t1: int
+    t2: int
+    #: var name -> slot index (0-2) in the index's key order.
+    var_slots: dict[str, int]
+    #: slot pairs that must be equal (a variable repeated in the pattern).
+    equal_slots: tuple[tuple[int, int], ...]
+    time_var: str | None
+    #: variables shared with the steps before, sorted: the hash-join key
+    #: (the synchronized join's, on the second step of one); empty for
+    #: the first step and before a cross product.
+    join_vars: tuple[str, ...]
+    #: filter conjuncts whose variables are all bound once this step ran.
+    filters: tuple[Expr, ...]
+    #: the optimizer's estimate of the scan's rows, and of the rows after
+    #: joining this step in (None without statistics; no join estimate on
+    #: the first step).
+    estimate: float | None
+    join_estimate: float | None
+
+    @property
+    def key_high(self) -> Key:
+        """Upper bound of the key range: past every key with the prefix
+        (:func:`repro.mvbt.scan.prefix_range`)."""
+        return self.key_low + (MAX_KEY_COMPONENT,)
+
+    @property
+    def pattern_type(self) -> str:
+        """Constant positions, e.g. ``"SPT"`` (``QuadPattern``'s notation):
+        the constants are the key prefix of the chosen order."""
+        order = INDEX_ORDERS[self.index_order]
+        constants = order[:len(self.key_low)]
+        return "".join(
+            letter.upper() for letter in "spo" if letter in constants
+        ) + ("T" if self.time_var is None else "")
+
+    def pattern_text(self, dictionary: Dictionary) -> str:
+        """The quad pattern as ``str(QuadPattern)`` prints it, rebuilt from
+        the key prefix (constants), the slots (variables) and the window
+        (a constant time is a one-chronon window)."""
+        order = INDEX_ORDERS[self.index_order]
+        names = {slot: f"?{name}" for name, slot in self.var_slots.items()}
+        for first, repeat in self.equal_slots:
+            names[repeat] = names[first]
+        for slot, term_id in enumerate(self.key_low):
+            names[slot] = dictionary.decode(term_id)
+        s, p, o = (names[order.index(letter)] for letter in "spo")
+        time = f"?{self.time_var}" if self.time_var is not None \
+            else f"@{self.t1}"
+        return f"{{{s} {p} {o} {time}}}"
+
+
+class CompiledPlan(NamedTuple):
+    """An executable, immutable query plan: what the plan cache holds."""
+
+    steps: tuple[Step, ...]
+    #: run the first two steps as one synchronized join (Section 5.2.2).
+    sync: bool
+    #: conjuncts over variables no step binds: evaluated last, so the
+    #: error surfaces.
+    residual: tuple[Expr, ...]
+    select: tuple[str, ...]
+    #: FILTER clauses as written (explain reports them).
+    filter_clauses: int
+
+    def describe(self, dictionary: Dictionary) -> str:
+        """Human-readable plan summary (``RDFTX.explain``).  Estimates are
+        shown for plans the join-order search ran on, i.e. of more than
+        one pattern."""
+        ordered = len(self.steps) > 1
         lines = ["Plan:"]
-        for rank, index in enumerate(order):
-            plan = self.patterns[index]
+        for rank, step in enumerate(self.steps):
             est = (
-                f" est={plan.estimate:.0f}" if plan.estimate is not None else ""
+                f" est={step.estimate:.0f}"
+                if ordered and step.estimate is not None else ""
             )
             lines.append(
-                f"  {rank + 1}. scan {plan.index_order.upper()} "
-                f"{plan.pattern} type={plan.pattern_type or 'full'}"
-                f" time=[{plan.time_range.start},{plan.time_range.end})"
-                f"{est}"
+                f"  {rank + 1}. scan {step.index_order.upper()} "
+                f"{step.pattern_text(dictionary)} "
+                f"type={step.pattern_type or 'full'}"
+                f" time=[{step.t1},{step.t2}){est}"
             )
-        if self.filters:
-            lines.append(f"  filters: {len(self.filters)}")
+        if self.filter_clauses:
+            lines.append(f"  filters: {self.filter_clauses}")
         return "\n".join(lines)
+
+
+def compile_plan(
+    graph: PlanGraph,
+    order: list[int],
+    join_estimates: dict[frozenset, float] | None = None,
+) -> CompiledPlan:
+    """Compile ``graph`` run in ``order`` into a :class:`CompiledPlan`.
+
+    Scan estimates come from the patterns (set by the optimizer);
+    ``join_estimates`` maps the frozenset of each left-deep prefix of
+    ``order`` to its estimated rows
+    (:func:`repro.optimizer.cost.order_prefix_estimates`).
+    """
+    plans = [graph.patterns[index] for index in order]
+    variables = [plan.pattern.variables() for plan in plans]
+    sync = len(plans) >= 2 and synchronized_join_applicable(
+        plans[0], plans[1], variables[0] & variables[1]
+    )
+    pending = [(c, expr_variables(c)) for c in graph.query.filter_conjuncts()]
+    bound: set[str] = set()
+    steps = []
+    for rank, (plan, names) in enumerate(zip(plans, variables)):
+        join_vars = tuple(sorted(bound & names))
+        bound |= names
+        ready: tuple[Expr, ...] = ()
+        if not (sync and rank == 0):  # a synchronized pair filters once
+            ready = tuple(c for c, needs in pending if needs <= bound)
+            pending = [(c, needs) for c, needs in pending
+                       if not needs <= bound]
+        window = plan.time_range
+        steps.append(Step(
+            index_order=plan.index_order,
+            key_low=plan.key_low,
+            t1=window.start,
+            t2=window.end,
+            var_slots=plan.var_slots,
+            equal_slots=tuple(plan.equal_slots),
+            time_var=plan.time_var,
+            join_vars=join_vars,
+            filters=ready,
+            estimate=plan.estimate,
+            join_estimate=(
+                join_estimates.get(frozenset(order[:rank + 1]))
+                if join_estimates and rank else None
+            ),
+        ))
+    return CompiledPlan(
+        steps=tuple(steps),
+        sync=sync,
+        residual=tuple(c for c, _ in pending),
+        select=tuple(graph.query.select),
+        filter_clauses=len(graph.query.filters),
+    )

@@ -712,8 +712,9 @@ class CompressedLeafStore:
 
     def _records(self) -> list[tuple[int, Key, int, int]]:
         # ``bytes`` indexes and slices measurably faster than a
-        # ``bytearray`` or ``memoryview`` in the decoder's hot loop; the
-        # copy is one memcpy and the buffer is never large.
+        # ``bytearray`` or ``memoryview`` in the decoder's hot loop.  A
+        # sealed buffer already is ``bytes`` (no copy); a live one is
+        # copied, one memcpy of a buffer that is never large.
         return _records(
             bytes(self._buf), self._base_v, self._base_ts, self._base_te
         )
@@ -831,9 +832,11 @@ class CompressedLeafStore:
         return self._live
 
     def seal(self) -> None:
-        """Drop the live index: the leaf died and takes no more writes (a
-        sealed leaf is its byte buffer and nothing else)."""
+        """Drop the live index and freeze the buffer as ``bytes``: the leaf
+        died and takes no more writes (a sealed leaf is its byte buffer
+        and nothing else, and its reads stop copying it)."""
         self._live = self._starts = self._marks = None
+        self._buf = bytes(self._buf)
 
     def check_index(self, sealed: bool) -> None:
         """Assert the live index is gone from a ``sealed`` leaf and

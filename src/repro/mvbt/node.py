@@ -38,6 +38,9 @@ _ENTRY_KEY = attrgetter("key")
 class _NodeBase:
     """State shared by leaf and index nodes: lifetime, region, lineage."""
 
+    __slots__ = ("uid", "key_low", "key_high", "start", "death",
+                 "predecessors")
+
     def __init__(self, key_low: Key, start: int) -> None:
         #: Stable per-process identity (see :data:`_NODE_UIDS`).
         self.uid = next(_NODE_UIDS)
@@ -109,6 +112,8 @@ class _NodeBase:
 class LeafNode(_NodeBase):
     """An MVBT leaf holding data entries."""
 
+    __slots__ = ("_entries", "_store", "_live_count", "_live")
+
     is_leaf = True
 
     def __init__(self, key_low: Key, start: int) -> None:
@@ -152,6 +157,8 @@ class LeafNode(_NodeBase):
             self._store = CompressedLeafStore(self._entries or [])
             self._entries = None
             self._live = None
+            if not self.is_alive:
+                self._store.seal()
         self._store.memo = memo
 
     def decompress(self) -> None:
@@ -364,6 +371,8 @@ class LeafNode(_NodeBase):
             from .compression import CompressedLeafStore
 
             self._store = CompressedLeafStore.from_state(state["store"])
+            if not self.is_alive:
+                self._store.seal()
             self._entries = None
             self._live = None
             self._live_count = state["live_count"]
@@ -381,6 +390,8 @@ class LeafNode(_NodeBase):
 
 class IndexNode(_NodeBase):
     """An MVBT index (routing) node; never compressed."""
+
+    __slots__ = ("_entries", "_live", "_changed")
 
     is_leaf = False
 

@@ -369,6 +369,22 @@ class TestCompressedTree:
                 (99, 0, 0): PeriodSet([Period(time + 1, time + 5)])
             }, mode
 
+    def test_sealed_leaves_hold_bytes(self):
+        """A dead leaf's buffer is immutable ``bytes`` whether it died
+        before compression, after it, or comes back from a snapshot; a
+        live leaf's stays an editable ``bytearray``."""
+        tree, time = self._build(400, seed=5)
+        tree.compress()
+        for serial in range(60):
+            tree.insert((100 + serial, 0, 0), time + 1 + serial)
+        deaths = {leaf.death for leaf in tree.leaf_nodes()}
+        assert min(deaths) <= time < max(d for d in deaths if d != NOW)
+        for copy in (tree, MVBT.load_state(tree.dump_state())):
+            for leaf in copy.leaf_nodes():
+                assert type(leaf._store._buf) is (
+                    bytearray if leaf.is_alive else bytes
+                )
+
     def test_compression_saves_space(self):
         tree, _ = self._build(2000, seed=11)
         standard = tree.sizeof()

@@ -231,11 +231,18 @@ class TestStructuredLogs:
         obslog.set_level("warning")
         obslog.set_stream(None)
 
-    def _lines(self, stream, event):
-        return [
-            json.loads(line) for line in stream.getvalue().splitlines()
-            if json.loads(line)["event"] == event
-        ]
+    def _lines(self, stream, event, timeout: float = 5.0):
+        """The logged lines of ``event``.  The server logs a request after
+        answering it, so the client waits (bounded) for the first one."""
+        deadline = time.monotonic() + timeout
+        while True:
+            lines = [
+                json.loads(line) for line in stream.getvalue().splitlines()
+                if json.loads(line)["event"] == event
+            ]
+            if lines or time.monotonic() > deadline:
+                return lines
+            time.sleep(0.01)
 
     def test_access_log_line_per_request(self, service, captured):
         _, body = _json_request(service, "POST", "/query", {"query": QUERY})
