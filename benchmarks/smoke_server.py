@@ -13,11 +13,10 @@ Drives the real ``repro-tx serve`` process over HTTP:
    shutdown),
 4. restart the server on the same directory and
    verify every acknowledged update survived — both the checkpointed ones
-   and the WAL-only tail; ``/debug/profile`` must return non-empty
-   collapsed stacks while a query loop runs,
+   and the WAL-only tail,
 5. restart once more with ``REPRO_OBS=0``: tracing must vanish from
-   responses, the workload registry must stay empty, the profiler must
-   refuse (503), and the obs-on median latency must stay within
+   responses, the workload registry must stay empty, and the obs-on
+   median latency must stay within
    ``SMOKE_OBS_RATIO`` (default 1.5×) of the kill-switch run.
 
 On Linux, both the obs-on and the kill-switch server must map no libssl
@@ -40,7 +39,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
@@ -61,18 +59,6 @@ def request(method, path, payload=None, timeout=30):
                      {"Content-Type": "application/json"} if body else {})
         response = conn.getresponse()
         return response.status, json.loads(response.read())
-    finally:
-        conn.close()
-
-
-def request_text(method, path, timeout=60):
-    """Like :func:`request`, but returning the raw body undecoded —
-    for text endpoints such as ``/debug/profile``."""
-    conn = http.client.HTTPConnection("127.0.0.1", PORT, timeout=timeout)
-    try:
-        conn.request(method, path, None, {})
-        response = conn.getresponse()
-        return response.status, response.read().decode("utf-8")
     finally:
         conn.close()
 
@@ -281,32 +267,6 @@ def main() -> int:
                   status == 200 and body["revision"] == final_revision + 1,
                   (status, body))
 
-            # Sampling profiler: profile one second while a query loop
-            # keeps the worker threads busy — stacks must come back.
-            stop_load = threading.Event()
-
-            def query_load():
-                while not stop_load.is_set():
-                    request("POST", "/query", {
-                        "query": "SELECT ?s ?o {?s population ?o ?t}",
-                    })
-
-            load_thread = threading.Thread(target=query_load, daemon=True)
-            load_thread.start()
-            try:
-                status, collapsed = request_text(
-                    "GET", "/debug/profile?seconds=1"
-                )
-            finally:
-                stop_load.set()
-                load_thread.join(timeout=30)
-            check("profiler returns collapsed stacks",
-                  status == 200 and collapsed.strip(),
-                  (status, collapsed[:200]))
-            heaviest = collapsed.splitlines()[0]
-            check("collapsed stack format",
-                  heaviest.rsplit(" ", 1)[1].isdigit(), heaviest)
-
             # Obs-on latency baseline: a cached repeated query, measured
             # on this (tracing-enabled) server before it shuts down.
             latency_query = "SELECT ?o {SmokeCity_1 population ?o ?t}"
@@ -330,8 +290,6 @@ def main() -> int:
             check("kill switch keeps workload empty",
                   status == 200 and not workload["enabled"]
                   and workload["shapes"] == [], workload)
-            status, _ = request_text("GET", "/debug/profile?seconds=0.1")
-            check("kill switch refuses profiling", status == 503, status)
             off_median = median_latency(latency_query)
             check_no_tls_mapped(server, obs=False)
         finally:

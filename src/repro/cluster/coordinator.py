@@ -64,6 +64,7 @@ _UPDATES = _metrics.counter("cluster.coordinator.updates")
 _SINGLE_SHARD = _metrics.counter("cluster.coordinator.single_shard")
 _SCATTER = _metrics.counter("cluster.coordinator.scatter_scans")
 _WATERMARK = _metrics.gauge("cluster.coordinator.watermark")
+_EVENT_UPDATE_RECOVERED = _events.event("cluster.event.update_recovered")
 
 
 class ClusterStore(ClusterTelemetry):
@@ -312,7 +313,7 @@ class ClusterStore(ClusterTelemetry):
             if (record.op, record.subject, record.predicate,
                     record.object, record.time) == wanted:
                 _events.EVENTS.record(
-                    "cluster.event.update_recovered", level="warning",
+                    _EVENT_UPDATE_RECOVERED, level="warning",
                     shard_id=member.shard_id, lsn=record.lsn,
                     trace_id=_trace.current_trace_id(),
                 )

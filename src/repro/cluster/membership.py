@@ -50,6 +50,13 @@ _REPLICA_READS = _metrics.counter("cluster.coordinator.replica_reads")
 _REPLICA_LAGGING = _metrics.counter("cluster.coordinator.replica_lagging")
 _SHARDS_ALIVE = _metrics.gauge("cluster.coordinator.shards_alive")
 _RPC_HIST = _metrics.histogram("cluster.coordinator.rpc_ms")
+_EVENT_WORKER_STARTED = _events.event("cluster.event.worker_started")
+_EVENT_WORKER_READY = _events.event("cluster.event.worker_ready")
+_EVENT_REPLICA_LAGGING = _events.event("cluster.event.replica_lagging")
+_EVENT_MEMBER_DEAD = _events.event("cluster.event.member_dead")
+_EVENT_FAILOVER = _events.event("cluster.event.failover")
+_EVENT_PROMOTE_FAILED = _events.event("cluster.event.promote_failed")
+_EVENT_PROMOTED = _events.event("cluster.event.promoted")
 
 
 class ShardDown(StoreError):
@@ -180,7 +187,7 @@ class Membership:
         except BrokenPipeError:
             pass  # already dead: its ready pipe reads EOF, reported there
         _events.EVENTS.record(
-            "cluster.event.worker_started", shard_id=config.shard_id,
+            _EVENT_WORKER_STARTED, shard_id=config.shard_id,
             role=config.role, pid=proc.pid,
         )
         return _Starting(config, proc, started)
@@ -245,7 +252,7 @@ class Membership:
             }
             span.annotate(**timings)
             _events.EVENTS.record(
-                "cluster.event.worker_ready", shard_id=config.shard_id,
+                _EVENT_WORKER_READY, shard_id=config.shard_id,
                 role=config.role, pid=info["pid"], **timings,
             )
             return ShardClient(
@@ -303,7 +310,7 @@ class Membership:
                 if _metrics.ENABLED:
                     _REPLICA_LAGGING.inc()
                 _events.EVENTS.record(
-                    "cluster.event.replica_lagging",
+                    _EVENT_REPLICA_LAGGING,
                     shard_id=member.shard_id, min_lsn=member.acked_lsn,
                     trace_id=_trace.current_trace_id(),
                 )
@@ -323,7 +330,7 @@ class Membership:
                      error: Exception) -> None:
         """Stop routing to a replica that no longer answers."""
         _events.EVENTS.record(
-            "cluster.event.member_dead", level="warning",
+            _EVENT_MEMBER_DEAD, level="warning",
             shard_id=member.shard_id, role="replica", pid=replica.pid,
             error=str(error), trace_id=_trace.current_trace_id(),
         )
@@ -346,7 +353,7 @@ class Membership:
             dead.close()
             wal_path = str(dead.directory / TemporalStore.WAL_NAME)
             _events.EVENTS.record(
-                "cluster.event.failover", level="warning",
+                _EVENT_FAILOVER, level="warning",
                 shard_id=member.shard_id, cause=str(cause),
                 dead_pid=dead.pid, trace_id=_trace.current_trace_id(),
             )
@@ -361,7 +368,7 @@ class Membership:
                     )
                 except (OSError, ProtocolError) as error:
                     _events.EVENTS.record(
-                        "cluster.event.promote_failed", level="warning",
+                        _EVENT_PROMOTE_FAILED, level="warning",
                         shard_id=member.shard_id, error=str(error),
                         dead_pid=candidate.pid,
                     )
@@ -375,7 +382,7 @@ class Membership:
                 if _metrics.ENABLED:
                     _FAILOVERS.inc()
                 _events.EVENTS.record(
-                    "cluster.event.promoted", level="warning",
+                    _EVENT_PROMOTED, level="warning",
                     shard_id=member.shard_id, new_pid=candidate.pid,
                     acked_lsn=member.acked_lsn,
                 )

@@ -70,6 +70,11 @@ _REPLICATED_BYTES = _metrics.counter("cluster.worker.replicated_bytes")
 _WAL_SHIPPED = _metrics.counter("cluster.worker.wal_shipped")
 _WAL_SHIPPED_BYTES = _metrics.counter("cluster.worker.wal_shipped_bytes")
 _RESYNCS = _metrics.counter("cluster.worker.resyncs")
+_EVENT_RESYNC = _events.event("cluster.event.resync")
+_EVENT_REPLICATION_GAP = _events.event("cluster.event.replication_gap")
+_EVENT_DIVERGED = _events.event("cluster.event.diverged")
+_EVENT_PROMOTE_GAP = _events.event("cluster.event.promote_gap")
+_EVENT_PROMOTED = _events.event("cluster.event.promoted")
 
 _IMPORT_MS = round((_time.perf_counter() - _IMPORT_STARTED) * 1000.0, 3)
 
@@ -189,7 +194,7 @@ def _resync(state: _WorkerState) -> None:
         if _metrics.ENABLED:
             _RESYNCS.inc()
         _events.EVENTS.record(
-            "cluster.event.resync",
+            _EVENT_RESYNC,
             **_event_fields(state, revision=state.store.revision),
         )
 
@@ -228,7 +233,7 @@ def _apply_shipped(state: _WorkerState, shipped: protocol.WalReply) -> None:
             applied += 1
         except StoreError as error:
             _events.EVENTS.record(
-                "cluster.event.replication_gap", level="warning",
+                _EVENT_REPLICATION_GAP, level="warning",
                 **_event_fields(state, lsn=record.lsn, error=str(error)),
             )
             _resync(state)
@@ -239,7 +244,7 @@ def _apply_shipped(state: _WorkerState, shipped: protocol.WalReply) -> None:
             # (e.g. raced a bulk load).  Snap back to the primary's
             # snapshot rather than guessing.
             _events.EVENTS.record(
-                "cluster.event.diverged", level="warning",
+                _EVENT_DIVERGED, level="warning",
                 **_event_fields(state, lsn=record.lsn, error=str(error)),
             )
             _resync(state)
@@ -283,7 +288,7 @@ def _promote(state: _WorkerState, wal_path: str | None) -> None:
             # Gap against the dead primary's log: its snapshot holds the
             # truncated prefix — resync onto it and replay once more.
             _events.EVENTS.record(
-                "cluster.event.promote_gap", level="warning",
+                _EVENT_PROMOTE_GAP, level="warning",
                 **_event_fields(state, error=str(error)),
             )
             _resync(state)
@@ -291,7 +296,7 @@ def _promote(state: _WorkerState, wal_path: str | None) -> None:
         break
     state.role = "shard"
     _events.EVENTS.record(
-        "cluster.event.promoted",
+        _EVENT_PROMOTED,
         **_event_fields(state, revision=state.store.revision,
                         caught_up=applied),
     )

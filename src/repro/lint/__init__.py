@@ -10,14 +10,12 @@ review time, instead of in a crash test.
 See ``docs/lint_rules.md`` for the rule table and suppression syntax.
 """
 
-from .baseline import Baseline
 from .checker import LintError, ModuleInfo, collect_modules, main, run_lint
 from .rules import ALL_RULES, RULES_BY_ID
 from .rules.base import Finding, Rule
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
     "LintError",
     "ModuleInfo",

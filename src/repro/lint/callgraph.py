@@ -1,6 +1,6 @@
 """Project-wide call graph for the interprocedural lint rules.
 
-The per-module rules (RL001–RL012) see one AST at a time; the
+The per-module rules (RL001–RL010) see one AST at a time; the
 concurrency rules (RL013+) need to know what a call *reaches* two or
 three frames down, across module boundaries.  :class:`ProjectIndex`
 builds that view from the already-parsed module set:

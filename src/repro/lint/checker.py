@@ -22,11 +22,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baseline import Baseline
 from .rules import ALL_RULES, RULES_BY_ID
 from .rules.base import Finding, ProjectRule, Rule
-
-DEFAULT_BASELINE = ".repro-lint-baseline.json"
 
 #: Version of the ``--format json`` output envelope.
 JSON_SCHEMA_VERSION = 2
@@ -211,23 +208,6 @@ def build_parser(parser: argparse.ArgumentParser | None = None) -> argparse.Argu
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-        help="baseline suppression file (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file even if present",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="write current findings to the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="drop baseline entries whose content anchor no longer "
-             "matches any current finding, then exit 0",
-    )
-    parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (default: text)",
     )
@@ -258,27 +238,6 @@ def run_cli(args: argparse.Namespace) -> int:
     except LintError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2
-
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        count = Baseline().save(baseline_path, findings)
-        print(f"baseline updated: {count} fingerprint(s) -> {baseline_path}")
-        return 0
-    if args.prune_baseline:
-        baseline = Baseline.load(baseline_path)
-        if not baseline.accepted:
-            print(f"baseline {baseline_path} has no entries; nothing to do")
-            return 0
-        removed = baseline.prune(findings)
-        if removed:
-            baseline.save_fingerprints(baseline_path)
-        print(
-            f"pruned {len(removed)} stale fingerprint(s); "
-            f"{len(baseline.accepted)} remain -> {baseline_path}"
-        )
-        return 0
-    if not args.no_baseline:
-        findings = Baseline.load(baseline_path).filter(findings)
 
     if args.format == "json":
         print(json.dumps(

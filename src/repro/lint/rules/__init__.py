@@ -4,15 +4,11 @@ from .base import Finding, ProjectRule, Rule
 from .concurrency import BlockingReachableUnderLock, LockOrderCycle
 from .determinism import NondeterministicDurablePath
 from .durability import WalBeforeApply
-from .event_names import UncatalogedEventName
 from .hygiene import MutableDefaultArgument, ProductionAssert, \
     SwallowedException
 from .invariants import CompressionEncapsulation, EntryLifetimeMutation
 from .locks import BlockingUnderLock, UnguardedStateMutation
-from .metrics_names import UnregisteredMetricName
-from .obs_series import UncatalogedObsSeries
 from .resources import ExceptionPathResourceLeak
-from .trace_spans import ManualSpanLifecycle
 
 #: Every rule, in ID order.  Instantiated once; rules are stateless.
 ALL_RULES: tuple[Rule, ...] = (
@@ -24,14 +20,10 @@ ALL_RULES: tuple[Rule, ...] = (
     NondeterministicDurablePath(),
     SwallowedException(),
     MutableDefaultArgument(),
-    UnregisteredMetricName(),
     ProductionAssert(),
-    ManualSpanLifecycle(),
-    UncatalogedObsSeries(),
     BlockingReachableUnderLock(),
     LockOrderCycle(),
     ExceptionPathResourceLeak(),
-    UncatalogedEventName(),
 )
 
 RULES_BY_ID: dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}

@@ -8,10 +8,6 @@ environment variable ``REPRO_OBS=0`` turns every probe into a no-op.
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "ALL_METRICS": ".catalog",
-    "is_event": ".catalog",
-    "is_registered": ".catalog",
-    "is_well_formed": ".catalog",
     "ENABLED": ".metrics",
     "EVENTS": ".events",
     "EventLog": ".events",
@@ -35,7 +31,6 @@ _EXPORTS = {
     "gauge": ".metrics",
     "histogram": ".metrics",
     "set_enabled": ".metrics",
-    "timer": ".metrics",
 }
 
 __all__ = list(_EXPORTS)

@@ -1,12 +1,13 @@
-"""The catalog of sanctioned metric names.
+"""The catalog of sanctioned metric and event names.
 
-Every counter / gauge / timer / histogram registered anywhere in the tree must be
-declared here first.  The point is hygiene at scale: the global registry
-(:mod:`repro.obs.metrics`) will happily mint a metric for any string, so a
-typo at one call site silently forks a counter ("service.store.querys")
-and dashboards read zeros forever.  ``repro-tx lint`` rules RL009 and
-RL012 cross-check every registration call against this catalog, making
-the drift a review-time error instead.
+Every counter / gauge / timer / histogram registered anywhere in the tree,
+and every cluster event recorded, must be declared here first.  The point
+is hygiene at scale: a typo at one call site ("service.store.querys")
+would otherwise fork a series that dashboards read as zero forever.  So
+the registry (:mod:`repro.obs.metrics`) refuses to register a name that
+is not in its kind's set below, and :func:`repro.obs.events.event`
+refuses an uncataloged event name.  Every registration and event handle
+is bound at module level, so a typo fails at import.
 
 Each entry maps the name to its one-line contract; the help text is also
 emitted as the Prometheus ``# HELP`` line, and
@@ -14,15 +15,11 @@ emitted as the Prometheus ``# HELP`` line, and
 cataloged metric — zero-valued when nothing registered it yet — so the
 scrape surface is identical across restarts and code paths.
 
-Keep each kind's dict sorted by name.
+Names are lowercase dotted paths (``subsystem.component.what``).  Keep
+each kind's dict sorted by name.
 """
 
 from __future__ import annotations
-
-import re
-
-#: Metric names must be lowercase dotted paths: ``subsystem.component.what``.
-NAME_PATTERN = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 
 #: Every counter name the tree is allowed to register -> its contract.
 COUNTER_HELP: dict[str, str] = {
@@ -77,8 +74,6 @@ COUNTER_HELP: dict[str, str] = {
     "mvbt.tree.key_splits": "key splits performed",
     "mvbt.tree.merges": "merges performed",
     "mvbt.tree.version_splits": "version splits performed",
-    "obs.profiler.profiles": "sampling-profiler runs completed",
-    "obs.profiler.samples": "thread stack samples captured by the profiler",
     "obs.workload.overflow": "query records folded into the overflow shape",
     "obs.workload.records": "queries folded into the workload registry",
     "optimizer.drift.refreshes":
@@ -152,8 +147,7 @@ HISTOGRAM_HELP: dict[str, str] = {
 #: Every cluster event-log name the tree is allowed to record -> its
 #: contract.  Events are state transitions, not series: they flow into
 #: :class:`repro.obs.events.EventLog` rings and structured log lines
-#: rather than the metrics registry.  Lint rule RL017 checks ``record``
-#: call sites against this set.
+#: rather than the metrics registry.
 EVENT_HELP: dict[str, str] = {
     "cluster.event.diverged":
         "a replica's WAL diverged from the primary; full resync forced",
@@ -177,37 +171,28 @@ EVENT_HELP: dict[str, str] = {
         "the coordinator started a worker process and has not awaited it",
 }
 
-#: Sanctioned names per kind (the sets RL009/RL012 check against).
+#: Sanctioned names per kind (the sets registration checks against).
 COUNTERS = frozenset(COUNTER_HELP)
 GAUGES = frozenset(GAUGE_HELP)
 TIMERS = frozenset(TIMER_HELP)
 HISTOGRAMS = frozenset(HISTOGRAM_HELP)
 
-#: Sanctioned event-log names (the set RL017 checks against).
+#: Sanctioned event-log names (the set :func:`repro.obs.events.event`
+#: checks against).
 EVENTS = frozenset(EVENT_HELP)
-
-#: Union of all sanctioned names, any kind.
-ALL_METRICS = COUNTERS | GAUGES | TIMERS | HISTOGRAMS
 
 #: name -> help text, any kind.
 HELP = {**COUNTER_HELP, **GAUGE_HELP, **TIMER_HELP, **HISTOGRAM_HELP}
+
+
+def require(name: str, names: frozenset[str], kind: str) -> None:
+    """Raise ``KeyError`` unless ``names``, one kind's set above, lists
+    ``name``."""
+    if name not in names:
+        raise KeyError(f"{kind} {name!r} is not in repro.obs.catalog")
 
 
 def help_for(name: str) -> str:
     """The cataloged one-line contract ('' for ad-hoc names)."""
     return HELP.get(name, "")
 
-
-def is_registered(name: str) -> bool:
-    """Whether ``name`` is a sanctioned metric of any kind."""
-    return name in ALL_METRICS
-
-
-def is_event(name: str) -> bool:
-    """Whether ``name`` is a sanctioned cluster event-log name."""
-    return name in EVENTS
-
-
-def is_well_formed(name: str) -> bool:
-    """Whether ``name`` matches the dotted lowercase naming convention."""
-    return NAME_PATTERN.match(name) is not None

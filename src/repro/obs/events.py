@@ -8,9 +8,11 @@ and mirrored as a structured log line through :mod:`repro.obs.log` so
 log shippers see the same record.
 
 Event names are dotted paths (``cluster.event.promoted``) drawn from
-:data:`repro.obs.catalog.EVENTS`; lint rule RL017 cross-checks every
-``record(...)`` call site against that catalog the way RL009/RL012 do
-for metric names.  ``REPRO_OBS=0`` turns recording into a no-op.
+:data:`repro.obs.catalog.EVENTS`.  A recording module binds each name it
+uses once, at module level, with :func:`event`, which refuses an
+uncataloged name, so a typo fails at import rather than on the failover
+path that records it; :meth:`EventLog.record` refuses one too.
+``REPRO_OBS=0`` turns recording into a no-op.
 """
 
 from __future__ import annotations
@@ -20,14 +22,24 @@ import time
 from collections import deque
 from typing import Any
 
+from . import catalog as _catalog
 from . import log as _obslog
 from . import metrics as _metrics
 
-__all__ = ["EventLog", "EVENTS", "record", "recent"]
+__all__ = ["EventLog", "EVENTS", "event"]
 
 #: Default ring capacity: enough for any plausible incident window while
 #: bounding /debug/events payloads and coordinator memory.
 DEFAULT_CAPACITY = 256
+
+
+def event(name: str) -> str:
+    """``name``, once the catalog lists it as an event; else ``KeyError``.
+
+    Bind the result at module level and pass it to :meth:`EventLog.record`.
+    """
+    _catalog.require(name, _catalog.EVENTS, "event")
+    return name
 
 
 class EventLog:
@@ -45,7 +57,9 @@ class EventLog:
         ``None`` field values are dropped (a replica outside any trace has
         ``trace_id=None``; serializing that noise helps nobody).  Returns
         the stored record, or ``None`` when observability is disabled.
+        An uncataloged ``event`` raises ``KeyError`` either way.
         """
+        _catalog.require(event, _catalog.EVENTS, "event")
         if not _metrics.ENABLED:
             return None
         clean = {key: value for key, value in fields.items()
@@ -90,13 +104,3 @@ class EventLog:
 #: the coordinator's /debug/events handler merges them over RPC).
 EVENTS = EventLog()
 
-
-def record(event: str, *, level: str = "info",
-           **fields: Any) -> dict[str, Any] | None:
-    """``EVENTS.record`` shorthand."""
-    return EVENTS.record(event, level=level, **fields)
-
-
-def recent(limit: int = 100) -> list[dict[str, Any]]:
-    """``EVENTS.recent`` shorthand."""
-    return EVENTS.recent(limit)

@@ -2,7 +2,10 @@
 
 Zero-dependency observability for the engine's hot paths.  Metrics are
 named, thread-safe, and live in a process-global :data:`REGISTRY` by
-default; :meth:`Registry.snapshot` / :meth:`Registry.reset` and the
+default.  A name must be declared in :mod:`repro.obs.catalog` under its
+kind: registering any other name raises :class:`KeyError`, and since
+every registration runs at module level, a typo fails at import.
+:meth:`Registry.snapshot` / :meth:`Registry.reset` and the
 text/JSON/Prometheus renderers back the ``repro-tx stats`` subcommand,
 the ``/metrics`` endpoint, and the benchmark harness's profile
 artifacts.
@@ -29,6 +32,8 @@ import os
 import threading
 import time
 from typing import Callable, Iterable
+
+from . import catalog as _catalog
 
 
 def _env_enabled() -> bool:
@@ -321,6 +326,7 @@ class Registry:
     def counter(self, name: str) -> Counter:
         found = self._counters.get(name)
         if found is None:
+            _catalog.require(name, _catalog.COUNTERS, "counter")
             with self._lock:
                 found = self._counters.setdefault(name, Counter(name))
         return found
@@ -328,6 +334,7 @@ class Registry:
     def gauge(self, name: str) -> Gauge:
         found = self._gauges.get(name)
         if found is None:
+            _catalog.require(name, _catalog.GAUGES, "gauge")
             with self._lock:
                 found = self._gauges.setdefault(name, Gauge(name))
         return found
@@ -335,6 +342,7 @@ class Registry:
     def timer_stat(self, name: str) -> TimerStat:
         found = self._timers.get(name)
         if found is None:
+            _catalog.require(name, _catalog.TIMERS, "timer")
             with self._lock:
                 found = self._timers.setdefault(name, TimerStat(name))
         return found
@@ -347,6 +355,7 @@ class Registry:
     ) -> Histogram:
         found = self._histograms.get(name)
         if found is None:
+            _catalog.require(name, _catalog.HISTOGRAMS, "histogram")
             with self._lock:
                 found = self._histograms.setdefault(
                     name, Histogram(name, bounds)
@@ -442,29 +451,24 @@ class Registry:
         cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``.
 
         Every cataloged metric (:mod:`repro.obs.catalog`) is rendered —
-        zero-valued when nothing has registered it yet — alongside any
-        ad-hoc registered names, so the scrape surface is identical
-        across restarts, and every series carries its ``# HELP``
-        contract.
+        zero-valued when nothing has registered it yet; nothing else can
+        be registered — so the scrape surface is identical across
+        restarts, and every series carries its ``# HELP`` contract.
         """
-        from . import catalog as _catalog
-
         lines: list[str] = []
 
         def prom(name: str) -> str:
             return "repro_" + name.replace(".", "_")
 
         def help_line(base: str, name: str) -> None:
-            text = _catalog.help_for(name)
-            if text:
-                lines.append(f"# HELP {base} {text}")
+            lines.append(f"# HELP {base} {_catalog.HELP[name]}")
 
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
             timers = dict(self._timers)
             histograms = dict(self._histograms)
-        for name in sorted(set(counters) | _catalog.COUNTERS):
+        for name in sorted(_catalog.COUNTERS):
             base = prom(name)
             counter_ = counters.get(name)
             help_line(f"{base}_total", name)
@@ -472,13 +476,13 @@ class Registry:
             lines.append(
                 f"{base}_total {counter_.value if counter_ else 0}"
             )
-        for name in sorted(set(gauges) | _catalog.GAUGES):
+        for name in sorted(_catalog.GAUGES):
             base = prom(name)
             gauge_ = gauges.get(name)
             help_line(base, name)
             lines.append(f"# TYPE {base} gauge")
             lines.append(f"{base} {gauge_.value if gauge_ else 0:g}")
-        for name in sorted(set(timers) | _catalog.TIMERS):
+        for name in sorted(_catalog.TIMERS):
             base = prom(name)
             stat = timers.get(name)
             help_line(f"{base}_seconds", name)
@@ -489,7 +493,7 @@ class Registry:
             lines.append(
                 f"{base}_seconds_sum {stat.total if stat else 0.0:.9g}"
             )
-        for name in sorted(set(histograms) | _catalog.HISTOGRAMS):
+        for name in sorted(_catalog.HISTOGRAMS):
             base = prom(name)
             hist = histograms.get(name)
             if hist is None:
@@ -522,11 +526,6 @@ def counter(name: str) -> Counter:
 def gauge(name: str) -> Gauge:
     """``REGISTRY.gauge`` shorthand."""
     return REGISTRY.gauge(name)
-
-
-def timer(name: str) -> Timer:
-    """``REGISTRY.timer`` shorthand."""
-    return REGISTRY.timer(name)
 
 
 def histogram(name: str) -> Histogram:

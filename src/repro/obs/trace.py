@@ -12,8 +12,8 @@ Design points:
 
 * **Context-manager only.** Spans are opened with ``with span(...):``;
   the begin/end pair is a single lexical scope, so a span can never leak
-  open on an exception path.  Lint rule RL011 enforces this at review
-  time.
+  open on an exception path.  No span object has a ``start`` or
+  ``finish`` method to call instead.
 * **Near-zero cost when off.** When observability is disabled
   (``REPRO_OBS=0`` / :func:`repro.obs.metrics.set_enabled`), when the
   sampler skips a request, or when code runs outside any trace,
@@ -80,8 +80,9 @@ def _new_trace_id() -> str:
 class Span:
     """One timed operation in a trace tree.
 
-    Spans are created internally by :func:`start_trace` / :func:`span`;
-    user code never instantiates or starts/finishes one directly (RL011).
+    Spans are created internally by :func:`start_trace` / :func:`span`,
+    whose context managers close them; a span has no public way to be
+    started or finished by hand.
     """
 
     __slots__ = ("name", "trace", "parent", "children", "attrs",
@@ -183,7 +184,9 @@ class TraceBuffer:
                 del self._items[: len(self._items) - self.capacity]
 
     def recent(self, limit: int = 20) -> list[Trace]:
-        """Most recent traces, newest first."""
+        """The newest ``limit`` traces, newest first."""
+        if limit <= 0:
+            return []
         with self._lock:
             return list(reversed(self._items[-limit:]))
 

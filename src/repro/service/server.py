@@ -42,12 +42,13 @@ Endpoints::
                         resyncs), merged across members on a coordinator
     GET  /debug/workload  per-shape query aggregates (?limit=N)
     GET  /debug/storage   MVBT / dictionary / WAL / cache health report
-    GET  /debug/profile   on-demand sampling profiler (?seconds=N);
-                        returns collapsed-stack text for flamegraph.pl
     POST /query         {"query": "...", "profile": false} -> rows
     POST /update        {"op": "insert"|"delete", "subject": ..., ...}
                         or {"updates": [...]} for a batch
     POST /checkpoint    snapshot + WAL truncation
+
+A ``limit`` on the ``/debug/*`` listings must be an integer >= 1 (else
+**400**).
 
 Every sampled POST carries a ``trace_id`` in its response; the matching
 span tree (admission wait, lock waits, cache lookup, compile, scans,
@@ -81,7 +82,6 @@ from ..obs import federation as _federation
 from ..obs import introspect as _introspect
 from ..obs import log as _obslog
 from ..obs import metrics as _metrics
-from ..obs import sampler as _sampler
 from ..obs import trace as _trace
 from ..obs import workload as _workload
 from ..sparqlt.errors import SparqltError
@@ -395,14 +395,26 @@ class _Handler(socketserver.StreamRequestHandler):
             self._handle_workload(parse_qs(parsed.query))
         elif parsed.path == "/debug/storage":
             self._send_json(200, self.server.store.storage_report())
-        elif parsed.path == "/debug/profile":
-            self._handle_profile(parse_qs(parsed.query))
         else:
             self._send_error(404, f"no such endpoint: {parsed.path}")
 
     def _send_text(self, body_text: str, status: int = 200) -> None:
         self._send(status, "text/plain; charset=utf-8",
                    body_text.encode("utf-8"))
+
+    def _limit(self, query: dict, default: int) -> int | None:
+        """The listing's ``?limit=``, or None once a 400 has been sent
+        for a value that is not an integer >= 1."""
+        raw = query.get("limit", [str(default)])[0]
+        try:
+            limit = int(raw)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            self._send_error(400, f"bad 'limit' value {raw[:100]!r}: "
+                                  "want an integer >= 1")
+            return None
+        return limit
 
     def _handle_cluster_metrics(self, query: dict, accept: str) -> None:
         """``/metrics?scope=cluster``: the coordinator's federated pull."""
@@ -431,10 +443,8 @@ class _Handler(socketserver.StreamRequestHandler):
     def _handle_events(self, query: dict) -> None:
         """``/debug/events``: the event ring (cluster-merged when the
         store is a coordinator)."""
-        try:
-            limit = int(query.get("limit", ["100"])[0])
-        except ValueError:
-            self._send_error(400, "bad 'limit' value")
+        limit = self._limit(query, 100)
+        if limit is None:
             return
         cluster_events = getattr(self.server.store, "cluster_events", None)
         if cluster_events is not None:
@@ -465,10 +475,8 @@ class _Handler(socketserver.StreamRequestHandler):
             else:
                 self._send_json(200, found.as_dict())
             return
-        try:
-            limit = int(query.get("limit", ["20"])[0])
-        except ValueError:
-            self._send_error(400, "bad 'limit' value")
+        limit = self._limit(query, 20)
+        if limit is None:
             return
         listing = [
             {
@@ -483,31 +491,12 @@ class _Handler(socketserver.StreamRequestHandler):
         self._send_json(200, {"traces": listing})
 
     def _handle_workload(self, query: dict) -> None:
-        try:
-            limit = int(query.get("limit", ["50"])[0])
-        except ValueError:
-            self._send_error(400, "bad 'limit' value")
+        limit = self._limit(query, 50)
+        if limit is None:
             return
         snap = _workload.WORKLOAD.snapshot(limit=limit)
         snap["enabled"] = _metrics.ENABLED
         self._send_json(200, snap)
-
-    def _handle_profile(self, query: dict) -> None:
-        try:
-            seconds = float(query.get("seconds", ["5"])[0])
-        except ValueError:
-            self._send_error(400, "bad 'seconds' value")
-            return
-        try:
-            collapsed = _sampler.profile(seconds)
-        except ValueError as error:
-            self._send_error(400, str(error))
-        except _sampler.ProfilerDisabled as error:
-            self._send_error(503, str(error))
-        except _sampler.ProfilerBusy as error:
-            self._send_error(409, str(error))
-        else:
-            self._send_text(collapsed)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         import time as _time

@@ -247,6 +247,44 @@ def test_deep_filter_is_a_bad_request_not_an_internal_error(
     assert "nested deeper than 64 levels at offset" in json.loads(body)["error"]
 
 
+# --------------------------------------------------------- /debug/* listings
+
+LISTINGS = {"/debug/traces": "traces", "/debug/events": "events",
+            "/debug/workload": "shapes"}
+BAD_LIMITS = {"zero": "0", "minus one": "-1", "minus two": "-2",
+              "a word": "abc", "a fraction": "1.5", "5000 digits": "9" * 5000}
+
+
+@pytest.mark.parametrize("limit", BAD_LIMITS.values(), ids=BAD_LIMITS)
+@pytest.mark.parametrize("path", LISTINGS)
+def test_debug_listing_refuses_a_limit_below_one(
+        service, errors_unmoved, path, limit):
+    """``limit=0`` used to list the whole trace ring, a negative limit
+    dropped the oldest traces or the last workload shape, and
+    ``/debug/events`` answered ``[]`` to both."""
+    exchange(service, post("/query", QUERY, "Connection: close"))
+    (response,) = exchange(service, get(f"{path}?limit={limit}",
+                                        "Connection: close"))
+    assert response[0] == 400
+    assert "'limit'" in json.loads(response[2])["error"]
+
+
+@pytest.mark.parametrize("path", LISTINGS)
+def test_debug_listing_honours_a_limit_of_one(service, errors_unmoved, path):
+    for _ in range(3):
+        exchange(service, post("/query", QUERY, "Connection: close"))
+    (response,) = exchange(service, get(f"{path}?limit=1",
+                                        "Connection: close"))
+    assert response[0] == 200
+    assert len(json.loads(response[2])[LISTINGS[path]]) <= 1
+
+
+def test_debug_profile_is_gone(service, errors_unmoved):
+    (response,) = exchange(service, get("/debug/profile?seconds=1",
+                                        "Connection: close"))
+    assert response[0] == 404
+
+
 _METHODS = st.sampled_from([b"GET", b"POST", b"PUT", b"", b"G\x00T"])
 _TARGETS = st.sampled_from([b"/healthz", b"/query", b"/update", b"*", b""])
 _VERSIONS = st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2.0",

@@ -6,12 +6,11 @@ behaviour — witness chains, and cycle reports naming both paths.
 (Protocol drift, once RL015's job, is ``tests/test_cluster_protocol.py``.)
 """
 
-import json
 from pathlib import Path
 
 from repro.lint import RULES_BY_ID, run_lint
 from repro.lint.callgraph import module_name, project_index
-from repro.lint.checker import load_module, main
+from repro.lint.checker import load_module
 from repro.lint.lockflow import BlockingReach, LockFlow, find_cycles
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
@@ -93,36 +92,3 @@ def test_lockflow_discovers_and_orders_locks():
     cycles = list(find_cycles(edges))
     assert len(cycles) == 1
 
-
-# ---------------------------------------------------------- baseline prune
-
-
-def test_prune_baseline_drops_fixed_entries(tmp_path, capsys):
-    target = tmp_path / "snippet.py"
-    target.write_text("def f(xs=[]):\n    return xs\ndef g(ys=[]):\n    return ys\n")
-    baseline = tmp_path / "baseline.json"
-    assert main([str(target), "--baseline", str(baseline),
-                 "--update-baseline"]) == 0
-    capsys.readouterr()
-
-    # Fix one of the two baselined findings, then prune.
-    target.write_text("def f(xs=None):\n    return xs\ndef g(ys=[]):\n    return ys\n")
-    assert main([str(target), "--baseline", str(baseline),
-                 "--prune-baseline"]) == 0
-    out = capsys.readouterr().out
-    assert "pruned 1 stale fingerprint(s)" in out
-    data = json.loads(baseline.read_text())
-    assert len(data["fingerprints"]) == 1
-
-    # The surviving entry still suppresses; the tree is otherwise clean.
-    assert main([str(target), "--baseline", str(baseline)]) == 0
-
-
-def test_prune_baseline_noop_without_entries(tmp_path, capsys):
-    target = tmp_path / "clean.py"
-    target.write_text("VALUE = 1\n")
-    baseline = tmp_path / "baseline.json"
-    assert main([str(target), "--baseline", str(baseline),
-                 "--prune-baseline"]) == 0
-    assert "nothing to do" in capsys.readouterr().out
-    assert not baseline.exists()

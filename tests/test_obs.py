@@ -52,27 +52,27 @@ def engine(graph):
 class TestCounters:
     def test_inc_and_value(self):
         reg = Registry()
-        c = reg.counter("t.c")
+        c = reg.counter("engine.queries")
         c.inc()
         c.inc(4)
         assert c.value == 5
 
     def test_same_name_same_object(self):
         reg = Registry()
-        assert reg.counter("x") is reg.counter("x")
+        assert reg.counter("engine.queries") is reg.counter("engine.queries")
 
     def test_reset_keeps_object(self):
         reg = Registry()
-        c = reg.counter("x")
+        c = reg.counter("engine.queries")
         c.inc(3)
         reg.reset()
         assert c.value == 0
         c.inc()
-        assert reg.counter("x").value == 1
+        assert reg.counter("engine.queries").value == 1
 
     def test_disabled_is_noop(self):
         reg = Registry()
-        c = reg.counter("x")
+        c = reg.counter("engine.queries")
         set_enabled(False)
         c.inc(100)
         set_enabled(True)
@@ -80,12 +80,14 @@ class TestCounters:
 
     def test_counter_values(self):
         reg = Registry()
-        reg.counter("a").inc(2)
-        assert reg.counter_values(["a", "b"]) == {"a": 2, "b": 0}
+        reg.counter("engine.queries").inc(2)
+        assert reg.counter_values(["engine.queries", "engine.hash_joins"]) == {
+            "engine.queries": 2, "engine.hash_joins": 0,
+        }
 
     def test_gauge(self):
         reg = Registry()
-        g = reg.gauge("g")
+        g = reg.gauge("obs.workload.shapes")
         g.set(7.5)
         assert g.value == 7.5
         set_enabled(False)
@@ -97,7 +99,7 @@ class TestCounters:
 class TestTimers:
     def test_observe_aggregates(self):
         reg = Registry()
-        stat = reg.timer_stat("t")
+        stat = reg.timer_stat("engine.query")
         stat.observe(0.010)
         stat.observe(0.030)
         assert stat.count == 2
@@ -111,32 +113,32 @@ class TestTimers:
 
     def test_context_manager(self):
         reg = Registry()
-        with reg.timer("t"):
+        with reg.timer("engine.query"):
             pass
-        assert reg.timer_stat("t").count == 1
-        assert reg.timer_stat("t").total >= 0.0
+        assert reg.timer_stat("engine.query").count == 1
+        assert reg.timer_stat("engine.query").total >= 0.0
 
     def test_decorator(self):
         reg = Registry()
 
-        @reg.timer("t")
+        @reg.timer("engine.query")
         def work(x):
             return x + 1
 
         assert work(1) == 2
-        assert reg.timer_stat("t").count == 1
+        assert reg.timer_stat("engine.query").count == 1
         assert work.__name__ == "work"
 
     def test_disabled_skips_clock(self):
         reg = Registry()
         set_enabled(False)
-        with reg.timer("t"):
+        with reg.timer("engine.query"):
             pass
         set_enabled(True)
-        assert reg.timer_stat("t").count == 0
+        assert reg.timer_stat("engine.query").count == 0
 
     def test_empty_stat_as_dict(self):
-        stat = Registry().timer_stat("t")
+        stat = Registry().timer_stat("engine.query")
         assert stat.as_dict()["min_ms"] == 0.0
         assert stat.mean == 0.0
 
@@ -144,21 +146,21 @@ class TestTimers:
 class TestRegistry:
     def test_snapshot_shape(self):
         reg = Registry()
-        reg.counter("c").inc()
-        reg.gauge("g").set(2.0)
-        reg.timer_stat("t").observe(0.001)
+        reg.counter("engine.queries").inc()
+        reg.gauge("obs.workload.shapes").set(2.0)
+        reg.timer_stat("engine.query").observe(0.001)
         snap = reg.snapshot()
-        assert snap["counters"] == {"c": 1}
-        assert snap["gauges"] == {"g": 2.0}
-        assert snap["timers"]["t"]["count"] == 1
+        assert snap["counters"] == {"engine.queries": 1}
+        assert snap["gauges"] == {"obs.workload.shapes": 2.0}
+        assert snap["timers"]["engine.query"]["count"] == 1
 
     def test_render_text_and_json(self):
         reg = Registry()
-        reg.counter("my.counter").inc(3)
+        reg.counter("engine.queries").inc(3)
         text = reg.render_text()
-        assert "my.counter" in text and "3" in text
+        assert "engine.queries" in text and "3" in text
         parsed = json.loads(reg.render_json())
-        assert parsed["counters"]["my.counter"] == 3
+        assert parsed["counters"]["engine.queries"] == 3
 
     def test_render_empty(self):
         assert Registry().render_text() == "(no metrics recorded)"

@@ -433,59 +433,6 @@ class TestStorageEndpoint:
         assert report["total_size_bytes"] > 0
 
 
-# -------------------------------------------------------- profile endpoint
-
-
-class TestProfileEndpoint:
-    def test_debug_profile_collects_stacks_under_load(self, service):
-        stop = threading.Event()
-
-        def load():
-            while not stop.is_set():
-                _json_request(service, "POST", "/query", {"query": QUERY})
-
-        thread = threading.Thread(target=load, daemon=True)
-        thread.start()
-        try:
-            status, raw = _request(
-                service, "GET", "/debug/profile?seconds=0.3"
-            )
-        finally:
-            stop.set()
-            thread.join(timeout=10)
-        assert status == 200
-        text = raw.decode("utf-8")
-        assert text.strip()
-        stack, count = text.splitlines()[0].rsplit(" ", 1)
-        assert int(count) >= 1
-        assert ";" in stack or ":" in stack
-
-    def test_profile_rejects_bad_seconds(self, service):
-        assert _request(
-            service, "GET", "/debug/profile?seconds=0"
-        )[0] == 400
-        assert _request(
-            service, "GET", "/debug/profile?seconds=abc"
-        )[0] == 400
-        assert _request(
-            service, "GET", "/debug/profile?seconds=9999"
-        )[0] == 400
-
-    def test_profile_disabled_under_kill_switch(self, store):
-        metrics.set_enabled(False)
-        try:
-            svc, thread = _serve(store)
-            try:
-                assert _request(
-                    svc, "GET", "/debug/profile?seconds=0.1"
-                )[0] == 503
-            finally:
-                svc.shutdown()
-                thread.join(timeout=10)
-        finally:
-            metrics.set_enabled(True)
-
-
 # ------------------------------------------------------ error-path trace ids
 
 

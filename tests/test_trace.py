@@ -79,6 +79,25 @@ class TestSpanTree:
         ids = [t.trace_id for t in buffer.recent()]
         assert len(set(ids)) == 3
 
+    def test_no_span_object_can_be_started_or_finished_by_hand(self, buffer):
+        """Spans open and close only through ``with``: neither the context
+        managers nor what they yield, real or no-op, has start/finish."""
+        with trace.span("orphan") as noop_span:  # outside any trace
+            objects = [trace.span("orphan"), noop_span]
+        trace_cm = trace.start_trace("request", buffer)
+        with trace_cm as tr:
+            span_cm = trace.span("child")
+            with span_cm as child:
+                objects += [trace_cm, tr, tr.root, span_cm, child]
+        previous = metrics.set_enabled(False)
+        try:
+            objects += [trace.start_trace("off"), trace.span("off")]
+        finally:
+            metrics.set_enabled(previous)
+        for obj in objects:
+            assert not hasattr(obj, "start"), obj
+            assert not hasattr(obj, "finish"), obj
+
     def test_as_dict_is_json_shaped(self, buffer):
         import json
 
@@ -190,6 +209,14 @@ class TestTraceBuffer:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             trace.TraceBuffer(capacity=0)
+
+    def test_recent_takes_nothing_for_a_limit_below_one(self, buffer):
+        for i in range(3):
+            with trace.start_trace(f"t{i}", buffer):
+                pass
+        assert [t.name for t in buffer.recent(1)] == ["t2"]
+        assert buffer.recent(0) == []
+        assert buffer.recent(-2) == []
 
 
 # ------------------------------------------------------- statistics refresh
@@ -364,7 +391,7 @@ class TestPrometheusRendering:
     def test_counter_gauge_histogram_series(self):
         registry = metrics.Registry()
         registry.counter("service.server.requests").inc(3)
-        registry.gauge("service.server.inflight").set(2)
+        registry.gauge("process.rss_bytes").set(2)
         hist = registry.histogram(
             "service.server.request_ms", bounds=(1.0, 10.0)
         )
@@ -374,7 +401,7 @@ class TestPrometheusRendering:
         text = registry.render_prometheus()
         assert "# TYPE repro_service_server_requests_total counter" in text
         assert "repro_service_server_requests_total 3" in text
-        assert "repro_service_server_inflight 2" in text
+        assert "repro_process_rss_bytes 2" in text
         assert '# TYPE repro_service_server_request_ms histogram' in text
         assert 'repro_service_server_request_ms_bucket{le="1"} 1' in text
         assert 'repro_service_server_request_ms_bucket{le="10"} 2' in text
