@@ -264,7 +264,7 @@ class ClusterStore(ClusterTelemetry):
                 # Intentional hold: the writer lock serialises updates
                 # cluster-wide, so the shard RPC happens under it by
                 # design; bounded by the per-RPC socket timeout.
-                applied = self._membership.rpc_primary(member, update)  # repro-lint: disable=RL013
+                applied = self._membership.rpc_primary(member, update)
             except (DuplicateKeyError, KeyError) as conflict:
                 if member.primary is primary_before:
                     raise  # genuine conflict from a healthy primary
@@ -274,8 +274,7 @@ class ClusterStore(ClusterTelemetry):
                 # the write itself.  Only its WAL can tell.
                 # Intentional hold: recovery re-reads the shard WAL
                 # under the same writer lock as the failed update.
-                applied = self._recover_update(  # repro-lint: disable=RL013
-                    member, update, acked_before)
+                applied = self._recover_update(member, update, acked_before)
                 if applied is None:
                     raise conflict
             member.acked_lsn = applied.revision
@@ -355,14 +354,13 @@ class ClusterStore(ClusterTelemetry):
             for load in loads:
                 # Intentional hold: bulk load is exclusive by contract;
                 # the writer lock stays held across the shard RPCs.
-                load.result()  # repro-lint: disable=RL013
+                load.result()
             for member in members:
                 for replica in list(member.replicas):
                     try:
                         # Intentional hold: replicas resync from the
                         # just-loaded primary before writes resume.
-                        replica.rpc(  # repro-lint: disable=RL013
-                            protocol.Resync(), timeout=300.0)
+                        replica.rpc(protocol.Resync(), timeout=300.0)
                     except (OSError, ProtocolError) as error:
                         self._membership.drop_replica(
                             member, replica, error)
@@ -387,12 +385,11 @@ class ClusterStore(ClusterTelemetry):
             # run under the writer lock; each is deadline-bounded.
             for member in self._membership.members:
                 for replica in member.replicas:
-                    self._wait_for_replica(member, replica)  # repro-lint: disable=RL013
-                self._membership.rpc_primary(  # repro-lint: disable=RL013
-                    member, protocol.Checkpoint())
+                    self._wait_for_replica(member, replica)
+                self._membership.rpc_primary(member, protocol.Checkpoint())
                 for replica in member.replicas:
                     try:
-                        replica.rpc(protocol.Checkpoint())  # repro-lint: disable=RL013
+                        replica.rpc(protocol.Checkpoint())
                     except (OSError, ProtocolError, StoreError) as error:
                         _obslog.LOGGER.warning(
                             "cluster_replica_checkpoint_failed",

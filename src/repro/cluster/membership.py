@@ -363,7 +363,7 @@ class Membership:
                     # Intentional hold: promotion must finish under the
                     # member lock or a concurrent writer could route to
                     # a half-promoted replica; bounded by the timeout.
-                    promoted = candidate.rpc(  # repro-lint: disable=RL013
+                    promoted = candidate.rpc(
                         protocol.Promote(wal_path=wal_path), timeout=30.0,
                     )
                 except (OSError, ProtocolError) as error:

@@ -51,6 +51,7 @@ from ..mvbt.tree import DuplicateKeyError, TimeOrderError
 from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
+from ..service.sanitizer import sanitized_lock
 from ..service.snapshot import is_snapshot
 from ..service.store import StoreError, TemporalStore
 from ..service.wal import read_records
@@ -105,7 +106,10 @@ class _WorkerState:
         self.stopping = threading.Event()
         #: serializes resync/promote against each other (queries keep
         #: serving off whatever store object they already grabbed).
-        self.maintenance = threading.Lock()
+        self.maintenance = sanitized_lock(
+            threading.Lock(), "cluster.worker.maintenance",
+            allow_blocking=True,
+        )
         #: replication-lag telemetry (replicas only; written by the tail
         #: thread, read lock-free by status/metrics ops).
         self.primary_head_lsn: int | None = None

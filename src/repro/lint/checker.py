@@ -1,6 +1,7 @@
 """The ``repro-tx lint`` driver: file collection, pragmas, orchestration.
 
-Suppression syntax (comments, matched per physical line):
+Suppression syntax (comment tokens only: the same text inside a string or
+docstring, like the examples below, is not a pragma):
 
 ``# repro-lint: disable=RL001,RL007``
     Suppress the listed rules on this line.
@@ -16,14 +17,16 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import json
 import re
 import sys
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .rules import ALL_RULES, RULES_BY_ID
-from .rules.base import Finding, ProjectRule, Rule
+from .rules.base import Finding, Rule
 
 #: Version of the ``--format json`` output envelope.
 JSON_SCHEMA_VERSION = 2
@@ -65,8 +68,14 @@ class ModuleInfo:
 
 
 def _parse_pragmas(module: ModuleInfo) -> None:
-    for lineno, line in enumerate(module.lines, start=1):
-        for match in _PRAGMA.finditer(line):
+    comments = (
+        token for token in
+        tokenize.generate_tokens(io.StringIO(module.text).readline)
+        if token.type == tokenize.COMMENT
+    )
+    for token in comments:
+        lineno = token.start[0]
+        for match in _PRAGMA.finditer(token.string):
             kind, value = match.group(1), match.group(2).strip()
             if kind == "disable":
                 ids = {part.strip() for part in value.split(",") if part.strip()}
@@ -152,21 +161,11 @@ def run_lint(
     """All unsuppressed findings for the given paths, stably ordered."""
     active = list(ALL_RULES) if rules is None else rules
     modules, findings = collect_modules(paths, root=root)
-    by_path = {module.logical_path: module for module in modules}
     for module in modules:
         for rule in active:
-            if isinstance(rule, ProjectRule):
-                continue
             for finding in rule.check(module):
                 if not module.suppresses(finding):
                     findings.append(finding)
-    for rule in active:
-        if not isinstance(rule, ProjectRule):
-            continue
-        for finding in rule.check_project(modules):
-            module = by_path.get(finding.path)
-            if module is None or not module.suppresses(finding):
-                findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

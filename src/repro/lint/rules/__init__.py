@@ -1,7 +1,6 @@
 """Rule registry: one place that knows every rule ID."""
 
-from .base import Finding, ProjectRule, Rule
-from .concurrency import BlockingReachableUnderLock, LockOrderCycle
+from .base import Finding, Rule
 from .determinism import NondeterministicDurablePath
 from .durability import WalBeforeApply
 from .hygiene import MutableDefaultArgument, ProductionAssert, \
@@ -21,11 +20,9 @@ ALL_RULES: tuple[Rule, ...] = (
     SwallowedException(),
     MutableDefaultArgument(),
     ProductionAssert(),
-    BlockingReachableUnderLock(),
-    LockOrderCycle(),
     ExceptionPathResourceLeak(),
 )
 
 RULES_BY_ID: dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
 
-__all__ = ["ALL_RULES", "RULES_BY_ID", "Finding", "ProjectRule", "Rule"]
+__all__ = ["ALL_RULES", "RULES_BY_ID", "Finding", "Rule"]

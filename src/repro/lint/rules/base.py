@@ -59,25 +59,6 @@ class Rule:
         return Finding(self.id, module.logical_path, line, message, snippet)
 
 
-class ProjectRule(Rule):
-    """A rule that analyses the whole module set at once.
-
-    Interprocedural rules (call graphs, cross-module protocol checks)
-    cannot work one file at a time; the checker calls
-    :meth:`check_project` once per run instead of :meth:`check` per
-    module.  Findings still carry a per-module logical path, so pragma
-    suppression works unchanged.
-    """
-
-    def check(self, module: "ModuleInfo") -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(
-        self, modules: "list[ModuleInfo]"
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 # --------------------------------------------------------------- AST helpers
 
 

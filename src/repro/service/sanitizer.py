@@ -1,27 +1,33 @@
 """Opt-in runtime lock-order sanitizer (``REPRO_LOCK_SANITIZER=1``).
 
-The static rules (RL013/RL014) reason about the lock graph they can see;
-this module watches the one that actually happens.  When enabled it
-tracks, per thread, the stack of instrumented locks currently held and
-maintains a process-global *witness graph* over lock **roles** (lockdep
-style: all instances of a role share one node, so an A->B ordering
-observed on one pair of instances conflicts with B->A observed on any
-other).  Violations raise :class:`LockSanitizerError` immediately — at
-the acquisition that would close a cycle, or at a blocking call made
-under a lock whose role forbids it.
+The one lock-discipline check: lock order and blocking under a lock,
+on the executions that actually happen.  When enabled it tracks, per
+thread, the stack of instrumented locks currently held and maintains a
+process-global *witness graph* over lock **roles** (lockdep style: all
+instances of a role share one node, so an A->B ordering observed on one
+pair of instances conflicts with B->A observed on any other).
+Violations raise :class:`LockSanitizerError` immediately — at the
+acquisition that would close a cycle, or at a blocking call made under a
+lock whose role forbids it.
 
 Roles instrumented by the serving and cluster layers:
 
-==========================  ==============  =================================
-role                        blocking ok?    guards
-==========================  ==============  =================================
-``store.rw``                no              in-memory engine (RW lock)
-``store.writer``            yes (fsync)     store update/checkpoint mutex
-``wal.handle``              yes (file I/O)  WAL append-handle swap vs. tail reads
-``cluster.writer``          yes (RPC)       coordinator write serialization
-``cluster.member.failover``  yes (RPC)      per-shard promote/reroute
-``cluster.client.pool``     no              shard client socket free-list
-==========================  ==============  =================================
+==============================  ==============  ============================
+role                            blocking ok?    guards
+==============================  ==============  ============================
+``store.rw``                    no              in-memory engine (RW lock)
+``store.writer``                yes (fsync)     store update/checkpoint mutex
+``wal.handle``                  yes (file I/O)  WAL handle swap vs. tail reads
+``cluster.writer``              yes (RPC)       coordinator write serialization
+``cluster.member.failover``     yes (RPC)       per-shard promote/reroute
+``cluster.client.pool``         no              shard client socket free-list
+``cluster.worker.maintenance``  yes (file I/O)  a worker's resyncs
+``cluster.federation``          no              federated-metrics cache
+==============================  ==============  ============================
+
+Blocking hooks (:func:`check_blocking`): the cluster protocol's send and
+receive, every ``os.fsync`` in ``wal.py`` and ``snapshot.py``, and
+``time.sleep`` (patched by :func:`install`).
 
 Everything is a no-op unless the environment variable is ``"1"`` at
 import time (cluster workers are fresh interpreters that inherit the
@@ -227,7 +233,7 @@ def disable() -> None:
 
 
 def check_blocking(label: str) -> None:
-    """Blocking-call hook for I/O sites (protocol send/recv, sleeps)."""
+    """Blocking-call hook for I/O sites (protocol send/recv, fsync, sleeps)."""
     if _enabled:
         TRACKER.check_blocking(label)
 

@@ -30,6 +30,7 @@ from ..engine.patterns import INDEX_ORDERS
 from ..model.dictionary import Dictionary
 from ..mvbt.tree import MVBT, MVBTConfig
 from ..obs import metrics as _metrics
+from .sanitizer import check_blocking
 
 _SAVES = _metrics.counter("service.snapshot.saves")
 _LOADS = _metrics.counter("service.snapshot.loads")
@@ -138,6 +139,7 @@ def save_snapshot(engine: RDFTX, path: str | Path, *,
         handle.write(SNAPSHOT_MAGIC)
         pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
         handle.flush()
+        check_blocking("os.fsync")
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     if _metrics.ENABLED:

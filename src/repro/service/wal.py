@@ -35,7 +35,7 @@ from typing import Iterator
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .sanitizer import sanitized_lock
+from .sanitizer import check_blocking, sanitized_lock
 
 _APPENDS = _metrics.counter("service.wal.appends")
 _SYNCS = _metrics.counter("service.wal.syncs")
@@ -138,6 +138,7 @@ class WriteAheadLog:
             with open(self.path, "r+b") as handle:
                 handle.truncate(good_end)
                 handle.flush()
+                check_blocking("os.fsync")
                 os.fsync(handle.fileno())
         self.recovered = records
         if records:
@@ -181,6 +182,7 @@ class WriteAheadLog:
         with _trace.span("wal.sync", pending=self._pending):
             self._handle.flush()
             if self.fsync:
+                check_blocking("os.fsync")
                 os.fsync(self._handle.fileno())
         self._pending = 0
         if _metrics.ENABLED:
@@ -278,6 +280,7 @@ def _write_empty_log(path: Path) -> None:
     with open(path, "wb") as handle:
         handle.write(WAL_MAGIC)
         handle.flush()
+        check_blocking("os.fsync")
         os.fsync(handle.fileno())
 
 

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.cluster import ClusterStore, worker
 from repro.service import sanitizer as san
 from repro.service.locks import ReadWriteLock
 from repro.service.sanitizer import (
@@ -18,6 +19,7 @@ from repro.service.sanitizer import (
     SanitizedLock,
     sanitized_lock,
 )
+from repro.service.snapshot import save_snapshot
 from repro.service.store import TemporalStore
 
 
@@ -214,3 +216,66 @@ def test_store_update_records_writer_before_rw(tracker, tmp_path):
     assert "store.rw" in edges.get("store.writer", set())
     # Nothing ever observed the reverse order.
     assert "store.writer" not in edges.get("store.rw", set())
+
+
+# ----------------------------------------------- seeded regressions, real roles
+# Each would be a lock-discipline bug in the serving or cluster layer; the
+# sanitizer is the one check that catches them (docs/concurrency.md).
+
+
+def test_wal_sync_under_store_rw_raises(tracker, tmp_path):
+    store = TemporalStore(tmp_path / "store")
+    try:
+        store.insert("s", "p", "o", 1)  # one pending record to fsync
+        with store._rw.write_locked():
+            with pytest.raises(LockSanitizerError, match="os.fsync"):
+                store._wal.sync()
+    finally:
+        store.close()
+
+
+def test_save_snapshot_under_store_rw_raises(tracker, tmp_path):
+    store = TemporalStore(tmp_path / "store")
+    try:
+        store.insert("s", "p", "o", 1)
+        with store._rw.read_locked():
+            with pytest.raises(LockSanitizerError, match="store.rw"):
+                save_snapshot(store.engine, tmp_path / "seeded.snap")
+    finally:
+        store.close()
+
+
+def test_resync_records_the_maintenance_edges(tracker, tmp_path):
+    def state(role, **config):
+        return worker._WorkerState(worker.WorkerConfig(
+            shard_id=0, role=role, directory=str(tmp_path / role),
+            fsync=False, **config))
+
+    primary = state("shard")
+    primary.store.insert("s", "p", "o", 1)
+    primary.store.checkpoint()
+    replica = state("replica", primary_directory=str(tmp_path / "shard"))
+    try:
+        tracker.reset()
+        worker._resync(replica)
+        assert replica.store.query("SELECT ?o {s p ?o ?t}").rows
+    finally:
+        replica.store.close()
+        primary.store.close()
+    # The resync reopens the store under the maintenance lock; it takes
+    # no shard-client lock (it makes no RPC).
+    assert tracker.edges()["cluster.worker.maintenance"] == {
+        "store.writer", "wal.handle",
+    }
+
+
+def test_failover_then_cluster_writer_raises(tracker, tmp_path):
+    with ClusterStore(tmp_path / "cluster", shards=1) as cluster:
+        member = cluster._membership.members[0]
+        with cluster._writer:  # the order updates take on failover
+            with member.failover_lock:
+                pass
+        with member.failover_lock:
+            with pytest.raises(LockSanitizerError, match="lock-order cycle"):
+                cluster._writer.acquire()
+    assert "cluster.member.failover" in tracker.edges()["cluster.writer"]
