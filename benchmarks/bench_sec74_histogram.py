@@ -6,7 +6,9 @@ optimization takes 3.5-10 milliseconds per complex query.
 
 The second table times the statistics build itself — the stall every
 256-update refresh imposes — at 2k/4k/8k/16k triples, with the number of
-candidate thresholds the coarse-to-fine budget search had to build.
+candidate thresholds the budget search had to build (a refresh starts
+from the previous build's choice and builds the answer and its finer
+miss).
 """
 
 from repro.bench.experiments import experiment_sec74
@@ -31,7 +33,7 @@ def test_sec74_histogram_size_and_optimize_time(figure):
     )
     build_table = format_table(
         "Statistics build — Optimizer.rebuild, mean of 3 (single ingest, "
-        "coarse-to-fine search)",
+        "boundary search)",
         ["Triples", "Seconds", "Candidates built", "cm chosen"],
         result["build"],
     )

@@ -400,7 +400,8 @@ def experiment_sec74():
 
 def _sec74_build(n: int) -> tuple:
     """(triples, mean ``Optimizer.rebuild`` seconds over 3 runs, candidate
-    thresholds built, chosen cm) — the statistics-refresh stall."""
+    thresholds built, chosen cm) — the statistics-refresh stall: after the
+    warm-up build, each run is a refresh seeded by the one before."""
     graph = _wiki(n).graph
     optimizer = Optimizer(cm=8, lm=8, budget_fraction=0.10)
     seconds = time_callable(lambda: optimizer.rebuild(graph))

@@ -189,15 +189,18 @@ class RDFTX:
         return engine
 
     def load(self, graph: TemporalGraph, compress: bool = True) -> None:
-        """Bulk load all four indices from ``graph``.
+        """Bulk load all four indices from ``graph``, replacing whatever
+        history the engine held.
 
         ``graph`` feeds the trees and the first statistics build; the
         engine keeps only its dictionary.  From here on the indices are
-        the one copy of the history (:meth:`history_rows`).
+        the one copy of the history (:meth:`history_rows`).  The trees are
+        built fresh, plain, and compressed once at the end; the engine
+        swaps them in, with the dictionary, only after every replay
+        succeeded.
         """
-        self.dictionary = graph.dictionary
-        self._stats_dirty = 0
-        self._plan_cache.clear()
+        memo = MemoTable()
+        indexes = {name: MVBT(self.config, memo) for name in INDEX_ORDERS}
         with _trace.span("engine.load", triples=len(graph)) as span:
             # One change history, derived and ordered once; each index
             # replays it with the key slots permuted into its own order.
@@ -206,7 +209,7 @@ class RDFTX:
                 for triple in graph
             )
             span.annotate(events=len(events))
-            for name, tree in self.indexes.items():
+            for name, tree in indexes.items():
                 a, b, c = ("spo".index(slot) for slot in INDEX_ORDERS[name])
                 with _trace.span("mvbt.bulk_load", index=name):
                     replay(tree, (
@@ -216,6 +219,10 @@ class RDFTX:
                 if compress:  # now: at most one plain tree is resident
                     with _trace.span("mvbt.compress", index=name):
                         tree.compress()
+            self.memo, self.indexes = memo, indexes
+            self.dictionary = graph.dictionary
+            self._stats_dirty = 0
+            self._plan_cache.clear()
             if self.optimizer is not None:
                 self.optimizer.rebuild(graph)
 

@@ -165,34 +165,55 @@ class TemporalHistogram:
         rows = graph.encoded_rows()
         self.build_rows(rows, raw_size(graph.dictionary, rows))
 
-    def build_rows(self, rows: list[tuple], raw: int) -> None:
+    def build_rows(self, rows: list[tuple], raw: int,
+                   start: tuple[int, int] | None = None) -> None:
         """(Re)build the histogram from encoded ``(sid, pid, oid, start,
         end)`` rows that take ``raw`` bytes as raw data.
 
-        The rows are ingested once; the candidate thresholds — the
-        constructor's ``(cm, lm)`` doubled 0 to
-        :data:`MAX_COARSENING_ROUNDS` times — are then tried from the
-        coarsest down, each a replay of the same sorted events, stopping at
-        the first that misses the space budget and keeping the last that
-        fit.  The coarsest is kept when nothing fits: the schema and side
-        tables put a floor under the size that small graphs cannot compress
-        away.  Coarse builds are the cheap ones, so nothing more than one
-        step finer than the answer is ever built.
+        The candidate thresholds are the constructor's ``(cm, lm)``
+        doubled 0 to :data:`MAX_COARSENING_ROUNDS` times; the answer is the
+        finest that fits the space budget, or the coarsest when nothing
+        fits (the schema and side tables put a floor under the size that
+        small graphs cannot compress away).  The rows are ingested once and
+        each candidate is a replay of the same sorted events.  The search
+        starts at ``start`` — typically the previous build's choice — or,
+        when that is not on the ladder, at its middle rung, and walks
+        toward the fit/miss boundary: finer while candidates fit, coarser
+        while they miss.  Started at the answer or one rung finer, it
+        builds just the answer and its finer miss.
         """
         subjects, occurrences = self._ingest(rows)
+        budget = self.budget_fraction * raw
         self.candidates_built = 0
-        kept = None
-        for doublings in range(self.MAX_COARSENING_ROUNDS, -1, -1):
-            cm, lm = (threshold << doublings for threshold in self._base)
-            self._subjects = subjects.replay(cm, lm)
-            self._occurrences = occurrences.replay(cm, lm)
+
+        def candidate(rung: int) -> bool:
+            # Drop the current candidate first: a miss is never kept, and a
+            # fit still is (in ``kept``).
+            self._subjects = self._occurrences = None
+            self.cm, self.lm = (threshold << rung for threshold in self._base)
+            self._subjects = subjects.replay(self.cm, self.lm)
+            self._occurrences = occurrences.replay(self.cm, self.lm)
             self.candidates_built += 1
-            fits = raw == 0 or self.core_sizeof() <= self.budget_fraction * raw
-            if fits or kept is None:
-                kept = (cm, lm, self._subjects, self._occurrences)
-            if not fits:
-                break
-        self.cm, self.lm, self._subjects, self._occurrences = kept
+            return raw == 0 or self.core_sizeof() <= budget
+
+        rung = self._start_rung(start)
+        if candidate(rung):
+            # Finer while candidates fit; the last fit is the answer.
+            kept = (self.cm, self.lm, self._subjects, self._occurrences)
+            while rung > 0 and candidate(rung - 1):
+                rung -= 1
+                kept = (self.cm, self.lm, self._subjects, self._occurrences)
+            self.cm, self.lm, self._subjects, self._occurrences = kept
+        else:
+            # Coarser to the first fit, or to the coarsest candidate.
+            while rung < self.MAX_COARSENING_ROUNDS and not candidate(rung + 1):
+                rung += 1
+
+    def _start_rung(self, start: tuple[int, int] | None) -> int:
+        for rung in range(self.MAX_COARSENING_ROUNDS + 1):
+            if tuple(threshold << rung for threshold in self._base) == start:
+                return rung
+        return self.MAX_COARSENING_ROUNDS // 2
 
     def _ingest(self, rows: list[tuple]) -> tuple[_StatEvents, _StatEvents]:
         """Set the schema and side tables; return the (subject, occurrence)

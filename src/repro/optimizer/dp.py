@@ -50,14 +50,23 @@ class Optimizer:
     def rebuild_rows(self, dictionary, rows: list[tuple]) -> None:
         """(Re)build the temporal histogram from encoded ``(sid, pid, oid,
         start, end)`` rows over ``dictionary`` — a graph's, or the history
-        an engine reads back off its indices."""
+        an engine reads back off its indices.
+
+        A refresh starts the budget search from the thresholds the previous
+        build chose; a first build (or one after an empty history, which
+        fits any budget) starts from the middle of the ladder."""
         started = time.perf_counter()
         with _trace.span("optimizer.rebuild", triples=len(rows)) as span:
+            start = None
+            if self.statistics is not None:
+                previous = self.statistics.histogram
+                if previous.total_triples:
+                    start = (previous.cm, previous.lm)
             histogram = TemporalHistogram(
                 cm=self.cm, lm=self.lm,
                 budget_fraction=self.budget_fraction,
             )
-            histogram.build_rows(rows, raw_size(dictionary, rows))
+            histogram.build_rows(rows, raw_size(dictionary, rows), start)
             self.statistics = Statistics(histogram, dictionary)
             span.annotate(candidates_built=histogram.candidates_built,
                           cm=histogram.cm)

@@ -203,17 +203,22 @@ class TemporalStore:
                      compress: bool = True) -> None:
         """Bulk-load an initial dataset into an *empty* store.
 
-        Bulk loading bypasses the WAL (logging millions of historical
-        facts would dwarf the snapshot), so the load is made durable by an
-        immediate checkpoint.
+        The engine is built the way :meth:`RDFTX.from_graph` builds one —
+        plain trees, compressed once — under this store's tree config and
+        optimizer thresholds, then handed over by :meth:`adopt`: bulk
+        loading bypasses the WAL (logging millions of historical facts
+        would dwarf the snapshot), and the checkpoint makes it durable.
         """
-        with self._writer:
-            self._require_empty("load_dataset")
-            with self._rw.write_locked():
-                self.engine.load(graph, compress=compress)
-            if self._query_cache is not None:
-                self._query_cache.invalidate()
-        self.checkpoint()
+        self._require_empty("load_dataset")
+        optimizer = self.engine.optimizer
+        if optimizer is not None:
+            optimizer = type(optimizer)(
+                optimizer.cm, optimizer.lm, optimizer.budget_fraction
+            )
+        self.adopt(RDFTX.from_graph(
+            graph, config=self.engine.config, optimizer=optimizer,
+            compress=compress,
+        ))
 
     # -------------------------------------------------------------- updates
 

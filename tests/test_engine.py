@@ -200,6 +200,29 @@ class TestEngineMaintenance:
             map(repr, compressed.query(q))
         ) == sorted(map(repr, plain.query(q)))
 
+    def test_load_replaces_the_history(self, graph):
+        """A second ``load`` answers wholly from the new graph.  It used
+        to set the new dictionary, then fail part-way through the replay
+        (``TimeOrderError``: the old history's watermark is later than the
+        new graph's first event), leaving new ids over old trees."""
+        from repro.optimizer import Optimizer
+
+        engine = RDFTX.from_graph(graph, optimizer=Optimizer())
+        later = TemporalGraph()
+        later.add("Stanford", "president", "John_Hennessy", D("09/01/2000"),
+                  D("09/01/2016"))
+        later.add("Stanford", "president", "Marc_Tessier-Lavigne",
+                  D("09/01/2016"))
+        engine.load(later)
+        engine.check_invariants()
+        assert engine.history_rows() == RDFTX.from_graph(later).history_rows()
+        result = engine.query("SELECT ?s ?o {?s president ?o ?t}")
+        assert sorted((row["s"], row["o"]) for row in result) == [
+            ("Stanford", "John_Hennessy"),
+            ("Stanford", "Marc_Tessier-Lavigne"),
+        ]
+        assert not engine.query("SELECT ?o {UC president ?o ?t}")
+
 
 class TestResultFormatting:
     def test_to_table(self, engine):

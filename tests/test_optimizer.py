@@ -112,15 +112,15 @@ class TestHistogram:
         tight.build(dataset.graph)
         assert tight.cm > loose.cm
         assert tight.sizeof() <= loose.sizeof()
-        # The search walks down from the coarsest candidate: one build per
-        # step to the answer, plus the first miss when there is one (here
-        # ``loose`` runs out of candidates and ``tight`` fits nowhere).
+        # The search starts on the middle rung (cm 16) and walks to the
+        # fit/miss boundary: ``loose`` fits everywhere and walks down to
+        # the base (16, 8, 4, 2), ``middling`` misses once and fits one
+        # rung up (16, 32), and ``tight`` fits nowhere (16 … 128).
         middling = TemporalHistogram(cm=2, lm=2, budget_fraction=0.25)
         middling.build(dataset.graph)
         assert (loose.cm, middling.cm, tight.cm) == (2, 32, 128)
-        for histogram, first_miss in ((loose, 0), (middling, 1), (tight, 0)):
-            steps = (128 // histogram.cm).bit_length() - 1
-            assert histogram.candidates_built == steps + 1 + first_miss
+        assert [h.candidates_built for h in (loose, middling, tight)] == [
+            4, 2, 4]
 
     def test_build_is_reentrant(self, dataset):
         """A second build() searches from the constructor's thresholds
@@ -132,6 +132,40 @@ class TestHistogram:
         assert first[:2] == (8 << ROUNDS, 8 << ROUNDS)
         histogram.build(dataset.graph)
         assert (histogram.cm, histogram.lm, histogram.core_sizeof()) == first
+
+    def test_seeded_build_equals_a_cold_build(self, dataset):
+        """Where the search starts decides only what it costs: a build
+        seeded from a previous choice — or from any rung — keeps what a
+        cold build keeps, and one seeded at the answer builds just the
+        answer and its finer miss."""
+        cold = TemporalHistogram(cm=2, lm=2, budget_fraction=0.25)
+        cold.build(dataset.graph)
+        rows = dataset.graph.encoded_rows()
+        raw = dataset.graph.raw_size()
+        starts = sorted(triple.period.start for triple in dataset.graph)
+        windows = [(t, t + 400) for t in starts[::len(starts) // 8]]
+        for rung in range(ROUNDS + 1):
+            seeded = TemporalHistogram(cm=2, lm=2, budget_fraction=0.25)
+            seeded.build_rows(rows, raw, start=(2 << rung, 2 << rung))
+            assert (seeded.cm, seeded.lm) == (cold.cm, cold.lm)
+            assert seeded.sizeof() == cold.sizeof()
+            for t1, t2 in windows:
+                assert (seeded.triples_alive(t1, t2)
+                        == cold.triples_alive(t1, t2))
+            if (seeded.cm, seeded.lm) == (2 << rung, 2 << rung):
+                assert seeded.candidates_built == 2
+
+    def test_refresh_starts_from_the_previous_choice(self, dataset):
+        """A first build walks up from the middle rung (cm 8: 8, 16, 32);
+        a refresh starts at that choice and builds it and its finer miss."""
+        optimizer = Optimizer(cm=1, lm=1, budget_fraction=0.25)
+        optimizer.rebuild(dataset.graph)
+        first = optimizer.statistics.histogram
+        optimizer.rebuild(dataset.graph)
+        refreshed = optimizer.statistics.histogram
+        assert (refreshed.cm, refreshed.lm) == (first.cm, first.lm) == (32, 32)
+        assert refreshed.core_sizeof() == first.core_sizeof()
+        assert (first.candidates_built, refreshed.candidates_built) == (3, 2)
 
     def test_pinned_against_the_pre_speedup_build(self):
         """Same (cm, lm), same sizes, same sampled estimates as the commit
@@ -183,6 +217,11 @@ class TestHistogram:
         got = TemporalHistogram(cm=cm, lm=lm, budget_fraction=budget_fraction)
         got.build(graph)
         assert (got.cm, got.lm) == (want.cm, want.lm)
+        # The boundary: the kept candidate fits (or is the coarsest) and
+        # the next finer one misses (or the kept one is the base).
+        rung = (got.cm // cm).bit_length() - 1
+        assert fits[rung] or rung == ROUNDS
+        assert rung == 0 or not fits[rung - 1]
         assert got.core_sizeof() == want.core_sizeof()
         assert got.sizeof() == want.sizeof()
         for charset in range(len(got.charsets)):

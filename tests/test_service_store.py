@@ -15,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.datasets import wikipedia
+from repro.engine import RDFTX
 from repro.model import TemporalGraph, date_to_chronon
 from repro.mvbt.tree import DuplicateKeyError, MVBTConfig, TimeOrderError
+from repro.optimizer import Optimizer
 from repro.service import StoreError, TemporalStore, read_records
 from repro.service.wal import WAL_MAGIC
 
@@ -388,3 +391,55 @@ class TestFiles:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["store.snap", "store.wal"]
         assert (tmp_path / "store.wal").read_bytes() == WAL_MAGIC
+
+
+def tree_shape(engine):
+    """What the bulk-load path decides about an engine's indexes."""
+    return {
+        "sizeof": engine.sizeof(),
+        "leaves": {name: sum(1 for _ in tree.leaf_nodes())
+                   for name, tree in engine.indexes.items()},
+        "history": engine.history_rows(),
+    }
+
+
+class TestBulkLoad:
+    """A store's bulk load builds the tree ``RDFTX.from_graph`` builds:
+    plain replays, compressed once.  It used to replay into the packed
+    trees the store's empty initial load left behind, one packed append
+    or re-encode per event, and end with a different tree."""
+
+    @pytest.fixture(scope="class")
+    def wiki(self):
+        return wikipedia.generate(2000, seed=7).graph
+
+    def test_load_dataset_builds_the_from_graph_tree(self, tmp_path, wiki):
+        reference = RDFTX.from_graph(wiki, optimizer=Optimizer())
+        with TemporalStore(tmp_path, fsync=False) as store:
+            store.load_dataset(wiki)
+            store.engine.check_invariants()
+            assert tree_shape(store.engine) == tree_shape(reference)
+            histogram = store.engine.optimizer.statistics.histogram
+            assert histogram.cm == reference.optimizer.statistics.histogram.cm
+
+    def test_load_dataset_keeps_the_store_settings(self, tmp_path):
+        config = small_blocks(8)
+        with TemporalStore(tmp_path, config=config, use_optimizer=False,
+                           stats_refresh_threshold=7) as store:
+            store.load_dataset(fixture_graph())
+            assert store.engine.config is config
+            assert store.engine.optimizer is None
+            assert store.engine.stats_refresh_threshold == 7
+            assert result_fingerprint(store)[0]
+
+    def test_cluster_shard_holds_the_from_graph_tree(self, tmp_path, wiki):
+        from repro.cluster import ClusterStore
+
+        with ClusterStore(tmp_path, shards=2, fsync=False) as cluster:
+            cluster.load_dataset(wiki)
+            parts = cluster.planner.partition(wiki)
+        for shard, part in enumerate(parts):
+            reference = RDFTX.from_graph(part, optimizer=Optimizer())
+            with TemporalStore(tmp_path / f"shard-{shard}") as store:
+                store.engine.check_invariants()
+                assert tree_shape(store.engine) == tree_shape(reference)
