@@ -655,7 +655,9 @@ class CompressedLeafStore:
         base_te = NOW
         first = True
         for entry in entries:
-            check_packable(entry)
+            # The common case inline; the call raises for the rest.
+            if entry.payload is not None or len(entry.key) != 3:
+                check_packable(entry)
             k1, k2, k3 = entry.key
             ts = entry.start
             if first:
@@ -687,7 +689,8 @@ class CompressedLeafStore:
         first entry of an empty buffer brings the node bases with it."""
         count = self.count
         if count:
-            check_packable(entry)
+            if entry.payload is not None or len(entry.key) != 3:
+                check_packable(entry)
         else:
             self._rebase((entry,))
         buf = self._buf

@@ -128,15 +128,25 @@ class LeafNode(_NodeBase):
         self._live: dict[Key, LeafEntry] | None = {}
 
     @classmethod
+    def plain(cls, key_low: Key, start: int,
+              entries: list[LeafEntry]) -> "LeafNode":
+        """A plain leaf born from a version split, in one step: it takes
+        ``entries`` (its birth set, every one live and owned by no other
+        leaf) as its entry list and builds its live map from them."""
+        leaf = cls(key_low, start)
+        leaf._entries = entries
+        leaf._live_count = len(entries)
+        leaf._live = {entry.key: entry for entry in entries}
+        return leaf
+
+    @classmethod
     def packed(cls, key_low: Key, start: int, entries: list[LeafEntry],
                memo: "MemoTable") -> "LeafNode":
         """A leaf of a compressed tree, packed from birth: ``entries`` (its
         birth set) are encoded once, bases taken from them, and the store
         takes its live index from them too — the split that makes a leaf
         is about to write to it."""
-        leaf = cls(key_low, start)
-        for entry in entries:
-            leaf.append(entry)
+        leaf = cls.plain(key_low, start, entries)
         leaf.compress(memo)
         leaf._store.index(entries)
         return leaf
@@ -272,8 +282,12 @@ class LeafNode(_NodeBase):
         return self._live_count
 
     def live_entries(self) -> list[LeafEntry]:
-        """The live entries; of a packed live leaf, fresh copies read off
-        its live index (a dead leaf has none: it decodes)."""
+        """The live entries in entry order, read off the write path's
+        state while the leaf is alive: a plain leaf's own objects from its
+        live map, a packed leaf's fresh copies from its live index (a dead
+        leaf has neither: it scans its entries)."""
+        if self._live is not None:
+            return list(self._live.values())
         if self._store is not None and self.death == NOW:
             return self._store.live_entries()
         return [e for e in self.entries() if e.is_live]
@@ -285,15 +299,6 @@ class LeafNode(_NodeBase):
             return self._store.rows()
         return [(e.key, e.start, e.end) for e in self._entries]
 
-    def has_live(self, key: Key) -> bool:
-        """Whether ``key`` has a live entry (keys are unique per version):
-        a probe of the live map or index while the leaf is alive."""
-        if self._live is not None:
-            return key in self._live
-        if self.death == NOW:
-            return self._store.has_live(key)
-        return any(e.key == key for e in self.live_entries())
-
     def live_start(self, key: Key) -> int | None:
         """Start version of this live leaf's live ``key`` entry, or None."""
         if self._store is not None:
@@ -302,6 +307,29 @@ class LeafNode(_NodeBase):
         return None if entry is None else entry.start
 
     # ------------------------------------------------------------- mutation
+
+    def insert_live(self, entry: LeafEntry) -> int:
+        """Append the live ``entry`` to this live leaf unless its key is
+        live here already: the duplicate probe and the append of one
+        insert in one call.  Returns the entry count after the append, or
+        0 for a duplicate (nothing changed).  A packed leaf's codec
+        refuses what it cannot hold before anything changes."""
+        key = entry.key
+        live = self._live
+        if live is not None:
+            if key in live:
+                return 0
+            entries = self._entries
+            entries.append(entry)
+            live[key] = entry
+            self._live_count += 1
+            return len(entries)
+        store = self._store
+        if store.has_live(key):
+            return 0
+        store.append(entry)
+        self._live_count += 1
+        return store.count
 
     def append(self, entry: LeafEntry) -> None:
         """Append a fresh entry (entries arrive in nondecreasing start)."""

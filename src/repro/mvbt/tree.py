@@ -19,15 +19,16 @@ link-based range-interval scan (Section 5.2.1) rides these links.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from ..model.time import MIN_TIME, NOW
 from ..obs import metrics as _metrics
 from .compression import MemoTable
 from .entry import IndexEntry, Key, LeafEntry, MIN_KEY
-from .node import IndexNode, LeafNode, Node
+from .node import _ENTRY_KEY, IndexNode, LeafNode, Node
 
 # Update-path instrumentation (no-ops under REPRO_OBS=0).
 _INSERTS = _metrics.counter("mvbt.tree.inserts")
@@ -35,6 +36,8 @@ _DELETES = _metrics.counter("mvbt.tree.deletes")
 _VERSION_SPLITS = _metrics.counter("mvbt.tree.version_splits")
 _KEY_SPLITS = _metrics.counter("mvbt.tree.key_splits")
 _MERGES = _metrics.counter("mvbt.tree.merges")
+
+_EVENT_TIME = itemgetter(0)
 
 
 class MVBTError(Exception):
@@ -136,44 +139,20 @@ class MVBT:
 
     def root_for(self, chronon: int) -> Node:
         """The root of the temporal partition containing ``chronon``."""
-        idx = bisect.bisect_right(self._root_starts, chronon) - 1
+        idx = bisect_right(self._root_starts, chronon) - 1
         return self._roots[max(idx, 0)]
 
     # ------------------------------------------------------------ mutations
 
     def insert(self, key: Key, time: int, payload: Any = None) -> None:
-        """Insert ``key`` at version ``time`` (live until deleted)."""
-        entry = LeafEntry(key, time, NOW, payload)
-        self.check_time(time)
-        path = self._descend(key)
-        leaf: LeafNode = path[-1]
-        if leaf.has_live(key):
-            raise DuplicateKeyError(f"key already live: {key!r}")
-        # A packed leaf refuses what its codec cannot hold before it
-        # changes; nothing above mutates: a rejected insert leaves no trace.
-        leaf.append(entry)
-        self._now = time
-        self._live_records += 1
-        self._total_versions += 1
-        if _metrics.ENABLED:
-            _INSERTS.inc()
-        if leaf.count > self.config.block_capacity:
-            self._restructure(path, time)
+        """Insert ``key`` at version ``time`` (live until deleted): a
+        one-event :func:`replay`."""
+        replay(self, ((time, 0, key),), payload)
 
     def delete(self, key: Key, time: int) -> None:
-        """Logically delete ``key`` at version ``time``."""
-        self.check_time(time)
-        path = self._descend(key)
-        leaf: LeafNode = path[-1]
-        if not leaf.end_live(key, time):
-            # The watermark has not moved: a rejected delete leaves no trace.
-            raise KeyError(f"key not live: {key!r}")
-        self._now = time
-        self._live_records -= 1
-        if _metrics.ENABLED:
-            _DELETES.inc()
-        if len(path) > 1 and leaf.live_count < self.config.weak_min:
-            self._restructure(path, time)
+        """Logically delete ``key`` at version ``time``: a one-event
+        :func:`replay`."""
+        replay(self, ((time, 1, key),))
 
     def insert_interval(self, key: Key, start: int, end: int,
                         payload: Any = None) -> None:
@@ -220,7 +199,7 @@ class MVBT:
                 donors.append(sibling)
                 live.extend(self._snapshot_live(sibling, time))
 
-        live.sort(key=lambda e: e.key)
+        live.sort(key=_ENTRY_KEY)
         key_low = min(d.key_low for d in donors)
         key_high = None
         if all(d.key_high is not None for d in donors):
@@ -252,31 +231,36 @@ class MVBT:
         self._check_parent(path[:-1], time)
 
     def _snapshot_live(self, node: Node, time: int) -> list:
-        """Copies of the live entries with start clamped to the split time
-        never above the raw start (copies keep their raw start; the node
-        lifetime clamping at read time reconstructs the pieces)."""
+        """Copies of the live entries, each keeping its raw start (the
+        node lifetime clamping at read time reconstructs the pieces): a
+        plain leaf's off its live map, a packed leaf's off its live index
+        (fresh objects already)."""
         live = node.live_entries()
         if not node.is_leaf:
             return [IndexEntry(e.key, e.start, e.end, e.child) for e in live]
         if node.is_compressed:
-            return live  # read off the packed bytes: fresh objects already
-        return [e.copy() for e in live]
+            return live
+        return [LeafEntry(e.key, e.start, NOW, e.payload) for e in live]
 
     def _build_nodes(
         self, is_leaf: bool, live: list, key_low: Key, time: int
     ) -> list[Node]:
         """Pack sorted live entries into one or two strong-condition
-        nodes; the leaves of a compressed tree are born packed."""
+        nodes.  A leaf is born whole from its part of ``live``
+        (:meth:`LeafNode.plain`); the leaves of a compressed tree are
+        born packed."""
         parts = [(key_low, live)]
         if len(live) > self.config.strong_max:
             mid = len(live) // 2
             parts = [(key_low, live[:mid]), (live[mid].key, live[mid:])]
-        if is_leaf and self._packed:
-            return [LeafNode.packed(low, time, part, self.memo)
-                    for low, part in parts]
+        if is_leaf:
+            if self._packed:
+                return [LeafNode.packed(low, time, part, self.memo)
+                        for low, part in parts]
+            return [LeafNode.plain(low, time, part) for low, part in parts]
         nodes = []
         for low, part in parts:
-            fresh = LeafNode(low, time) if is_leaf else IndexNode(low, time)
+            fresh = IndexNode(low, time)
             for entry in part:
                 fresh.append(entry)
             nodes.append(fresh)
@@ -508,28 +492,97 @@ def change_events(
     (kind 0, at ``start``) and per delete (kind 1, at ``end`` unless
     live), in the order the paper's construction replays them
     (Section 4.1.2)."""
-    events: list[tuple[int, int, Key]] = []
+    inserts: list[tuple[int, int, Key]] = []
+    deletes: list[tuple[int, int, Key]] = []
     for key, start, end in records:
-        events.append((start, 0, key))
+        inserts.append((start, 0, key))
         if end != NOW:
-            events.append((end, 1, key))
+            deletes.append((end, 1, key))
     # Deletes before inserts at the same chronon so a key can be replaced
-    # within one chronon without tripping the duplicate check.
-    events.sort(key=lambda e: (e[0], e[1] == 0))
+    # within one chronon without tripping the duplicate check: the sort
+    # by time is stable, so listing the deletes first does it.
+    events = deletes + inserts
+    events.sort(key=_EVENT_TIME)
     return events
 
 
-def replay(tree: MVBT, events: Iterable[tuple[int, int, Key]]) -> None:
-    """Apply time-ordered :func:`change_events` to ``tree``."""
-    insert, delete = tree.insert, tree.delete
-    for time, kind, key in events:
-        if kind == 0:
-            insert(key, time)
-        else:
-            delete(key, time)
+def replay(tree: MVBT, events: Iterable[tuple[int, int, Key]],
+           payload: Any = None) -> None:
+    """Apply time-ordered :func:`change_events` to ``tree`` — the tree's
+    one mutation loop (:meth:`MVBT.insert` and :meth:`MVBT.delete` are
+    one-event calls into it); inserted entries carry ``payload``.
+
+    Each event descends the live path by the index nodes' live routing
+    arrays, then makes one leaf call: :meth:`LeafNode.insert_live` (the
+    duplicate probe and the append) or :meth:`LeafNode.end_live`.  An
+    overflow or weak underflow restructures the leaf (version split, then
+    key split or merge) as the event's last step, on a second descent
+    that records the path.  The watermark and the record counts stay in
+    locals and are written back, with the insert and delete counters,
+    when the loop ends: a rejected event (:class:`TimeOrderError`,
+    :class:`DuplicateKeyError`, ``KeyError`` on a delete of a key that is
+    not live, a codec's :class:`~repro.mvbt.compression.CompressionError`)
+    raises before it changes anything, and the tree is left as the event
+    before it left it.
+    """
+    roots = tree._roots
+    config = tree.config
+    now = tree._now
+    live_records = live_before = tree._live_records
+    versions = versions_before = tree._total_versions
+    try:
+        for time, kind, key in events:
+            if time < now:
+                raise TimeOrderError(f"operation at {time} after watermark {now}")
+            root = node = roots[-1]
+            while not node.is_leaf:
+                # The live routing array is the partition from the node's
+                # last change on, which on the live path is never ahead of
+                # the watermark (IndexNode.route).
+                alive = (node._live if now >= node._changed
+                         else node._partition(now))
+                at = bisect_right(alive, key, key=_ENTRY_KEY) - 1
+                if at < 0:
+                    raise LookupError(
+                        f"no route for key {key!r} at version {now}"
+                    )
+                node = alive[at].child
+            if kind == 0:
+                count = node.insert_live(LeafEntry(key, time, NOW, payload))
+                if not count:
+                    raise DuplicateKeyError(f"key already live: {key!r}")
+                now = time
+                live_records += 1
+                versions += 1
+                if count <= config.block_capacity:
+                    continue
+            else:
+                if not node.end_live(key, time):
+                    raise KeyError(f"key not live: {key!r}")
+                now = time
+                live_records -= 1
+                if node is root or node._live_count >= config.weak_min:
+                    continue
+            # A structure change, rare enough to descend again for the
+            # path it needs (the leaf event moved no routing entry); the
+            # descent routes at the tree's watermark, so that goes first.
+            tree._now = now
+            tree._restructure(tree._descend(key), time)
+    finally:
+        tree._now = now
+        tree._live_records = live_records
+        tree._total_versions = versions
+        if _metrics.ENABLED:
+            inserted = versions - versions_before
+            deleted = live_before + inserted - live_records
+            if inserted:
+                _INSERTS.inc(inserted)
+            if deleted:
+                _DELETES.inc(deleted)
 
 
 def bulk_load(tree: MVBT, records: Iterable[tuple[Key, int, int]]) -> None:
     """Load interval-encoded records ``(key, start, end)`` into ``tree`` by
-    replaying their change history in time order."""
+    replaying their change history in time order: one :func:`replay` of
+    every event."""
     replay(tree, change_events(records))

@@ -57,9 +57,6 @@ class CLeafEntry:
     #: coverage ratio).
     kb: float = 0.0
 
-    def covers(self, k: float, t: float) -> bool:
-        return self.ks <= k < self.ke and self.ts <= t < self.te
-
 
 @dataclass
 class CIndexEntry:
@@ -74,9 +71,6 @@ class CIndexEntry:
     c: float = 0.0
     #: mass folded out of a flushed list, uniform over this (closed) band.
     cr: float = 0.0
-
-    def covers(self, k: float, t: float) -> bool:
-        return self.ks <= k < self.ke and self.ts <= t < self.te
 
 
 @dataclass
@@ -144,49 +138,46 @@ class CMVSBT:
         self._last_time = time
         self._count += 1
         node = self._root
-        path = []
+        path = [node]
         while True:
-            path.append(node)
-            child = self._insert_into_node(node, key, time, weight)
-            if child is None:
+            # Record the point in the live entry containing it and descend
+            # through it (the containment test inline: this is the
+            # per-point loop of every histogram build).
+            for examined, entry in enumerate(node.live, 1):
+                if entry.ks <= key < entry.ke and entry.ts <= time < entry.te:
+                    self.entries_examined += examined
+                    break
+            else:
                 break
+            if node.is_leaf:
+                # Count the point; the entry splits once it holds cm.
+                entry.c += weight
+                if key > entry.km:
+                    entry.km = key
+                if time > entry.tm:
+                    entry.tm = time
+                if entry.c >= self.cm:
+                    fresh = self._leaf_entry_split(entry, weight)
+                    if entry.te != INF:
+                        node.live.remove(entry)
+                    if fresh:
+                        node.adopt(fresh)
+                break
+            child = entry.child
+            self._index_entry_insert(node, entry, key, time, weight)
             node = child
+            path.append(node)
         for depth in range(len(path) - 1, -1, -1):
             if len(path[depth].entries) <= self._capacity:
                 continue
             parent = path[depth - 1] if depth > 0 else None
             self._split_node(path[depth], parent)
 
-    def _insert_into_node(
-        self, node: _CNode, key: int, time: int, weight: float
-    ) -> "_CNode | None":
-        """Record the point in the containing entry; return the child to
-        descend into (None at a leaf)."""
-        for examined, entry in enumerate(node.live, 1):
-            if entry.covers(key, time):
-                self.entries_examined += examined
-                if node.is_leaf:
-                    fresh = self._leaf_entry_insert(entry, key, time, weight)
-                    if entry.te != INF:
-                        node.live.remove(entry)
-                    if fresh:
-                        node.adopt(fresh)
-                    return None
-                child = entry.child
-                self._index_entry_insert(node, entry, key, time, weight)
-                return child
-        return None
-
-    def _leaf_entry_insert(
-        self, entry: CLeafEntry, key: int, time: int, weight: float
+    def _leaf_entry_split(
+        self, entry: CLeafEntry, weight: float
     ) -> list[CLeafEntry]:
-        """Figure 6, leafEntrySplit."""
-        entry.c += weight
-        if key > entry.km:
-            entry.km = key
-        entry.tm = max(entry.tm, time)
-        if entry.c < self.cm:
-            return []
+        """Figure 6, leafEntrySplit: the current mass of ``entry`` has
+        just reached ``cm`` with a point of ``weight``."""
         mass = entry.c
         rest = max(mass - weight, 0.0)
         fresh: list[CLeafEntry] = []

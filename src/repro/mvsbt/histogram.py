@@ -115,8 +115,9 @@ class _StatEvents:
             (self._starts, pair.starts),
             (self._ends, pair.ends),
         ):
+            insert = tree.insert
             for time, key, weight in events:
-                tree.insert(key, time, weight)
+                insert(key, time, weight)
         return pair
 
 

@@ -150,13 +150,13 @@ SEEDED_REGRESSIONS = {
     # the leaf's live index left stale), on a path no test takes.
     "RL004": (
         "src/repro/mvbt/tree.py",
-        "        if len(path) > 1 and leaf.live_count < self.config.weak_min:\n"
-        "            self._restructure(path, time)\n",
-        "        if len(path) > 1 and leaf.live_count < self.config.weak_min:\n"
+        "            tree._now = now\n"
+        "            tree._restructure(tree._descend(key), time)\n",
+        "            tree._now = now\n"
         "            try:\n"
-        "                self._restructure(path, time)\n"
+        "                tree._restructure(tree._descend(key), time)\n"
         "            except MemoryError:\n"
-        "                for entry in leaf.entries():\n"
+        "                for entry in node.entries():\n"
         "                    if entry.key == key:\n"
         "                        entry.end = NOW\n"
         "                raise\n",

@@ -780,8 +780,8 @@ class TestPackedTreeLifecycle:
         tree.check_invariants()
 
     def test_reading_a_dead_leaf_leaves_it_sealed(self):
-        """``live_entries``/``has_live`` on a dead packed leaf decode;
-        they do not bring back the index its death dropped."""
+        """``live_entries`` on a dead packed leaf decodes; it does not
+        bring back the index its death dropped."""
         tree = self._tree()
         for i in range(60):
             tree.insert((9, i, 0), 40 + i)
@@ -790,8 +790,6 @@ class TestPackedTreeLifecycle:
         for leaf in dead:
             carried = leaf.live_entries()  # what its split carried over
             assert carried and all(e.is_live for e in carried)
-            assert leaf.has_live(carried[0].key)
-            assert not leaf.has_live((99, 99, 99))
             assert leaf._store._live is None
         tree.check_invariants()
 

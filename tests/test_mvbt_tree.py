@@ -6,6 +6,7 @@ restricted to the query window, must equal the reference answer.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ from repro.mvbt import (
     prefix_range,
     range_interval_scan,
 )
+from repro.mvbt.tree import replay
+from repro.obs import metrics
 
 SMALL = MVBTConfig(block_capacity=8, weak_min=2, epsilon=1)
 
@@ -323,3 +326,197 @@ class TestBulkLoadAndPrefix:
         tree.insert(key(1), 5)
         assert list(range_interval_scan(tree, key(2), key(2))) == []
         assert list(range_interval_scan(tree, t1=10, t2=10)) == []
+
+
+# --------------------------------------------------------------------------
+# One mutation loop: ``replay`` applies every event, and ``insert``/``delete``
+# are one-event calls into it, so the chunking of a history cannot matter.
+
+_COUNTERS = ("inserts", "deletes", "version_splits", "key_splits", "merges")
+
+
+def _history(n, pick):
+    """A valid ``(time, kind, key)`` history of ``n`` steps on the small
+    config, its choices made by ``pick(low, high)``: a filling half (key
+    splits), a draining half (merges, root shrink), and same-chronon
+    delete-then-insert replacements throughout."""
+    events = []
+    live: set = set()
+    time = 1
+    for i in range(n):
+        time += pick(0, 2)
+        if i >= n // 2 and live and pick(0, 3):
+            ordered = sorted(live)
+            k = ordered[pick(0, len(ordered) - 1)]
+        else:
+            k = key(pick(0, 40))
+        if k in live:
+            events.append((time, 1, k))
+            live.discard(k)
+            if pick(0, 4) == 0:
+                events.append((time, 0, k))  # replaced within the chronon
+                live.add(k)
+        else:
+            events.append((time, 0, k))
+            live.add(k)
+    return events
+
+
+@st.composite
+def histories(draw):
+    n = draw(st.integers(min_value=1, max_value=160))
+    return _history(n, lambda low, high: draw(st.integers(low, high)))
+
+
+def _apply(tree, events, chunking, rng):
+    """Apply ``events`` in one replay, one event per insert/delete call,
+    or in random replay chunks."""
+    if chunking == "one":
+        replay(tree, events)
+    elif chunking == "each":
+        for time, kind, k in events:
+            (tree.insert if kind == 0 else tree.delete)(k, time)
+    else:
+        at = 0
+        while at < len(events):
+            step = rng.randint(1, 12)
+            replay(tree, events[at:at + step])
+            at += step
+
+
+def _build(events, chunking, rng, packed_after=None):
+    """A tree holding ``events``; compressed after the first
+    ``packed_after`` of them when that is not None."""
+    tree = MVBT(SMALL)
+    if packed_after is None:
+        _apply(tree, events, chunking, rng)
+        return tree
+    _apply(tree, events[:packed_after], chunking, rng)
+    tree.compress()
+    _apply(tree, events[packed_after:], chunking, rng)
+    return tree
+
+
+def _state(tree):
+    return (tree.dump_state(), tree.current_time, tree.live_records,
+            tree.total_versions)
+
+
+def _counts():
+    return {name: metrics.counter(f"mvbt.tree.{name}").value
+            for name in _COUNTERS}
+
+
+@contextmanager
+def _counting():
+    """Metrics on inside (the suite may run under REPRO_OBS=0)."""
+    previous = metrics.set_enabled(True)
+    try:
+        yield
+    finally:
+        metrics.set_enabled(previous)
+
+
+@settings(max_examples=60, deadline=None)
+@given(histories(), st.data())
+def test_chunking_never_changes_the_tree(events, data):
+    packed_after = data.draw(st.one_of(
+        st.none(), st.integers(min_value=0, max_value=len(events))))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    expected = _state(_build(events, "one", rng, packed_after))
+    for chunking in ("each", "chunks"):
+        tree = _build(events, chunking, rng, packed_after)
+        assert _state(tree) == expected, chunking
+        tree.check_invariants()
+
+
+def _rejected(events, data):
+    """A rejected event and where it goes: ``(at, event, error)``."""
+    at = data.draw(st.integers(min_value=0, max_value=len(events)))
+    live: set = set()
+    for _, kind, k in events[:at]:
+        (live.add if kind == 0 else live.discard)(k)
+    now = events[at - 1][0] if at else MIN_TIME
+    choices = ["absent"]
+    if at:
+        choices.append("late")
+    if live:
+        choices.append("duplicate")
+    kind = data.draw(st.sampled_from(choices))
+    if kind == "late":
+        return at, (now - 1, data.draw(st.integers(0, 1)), key(0)), TimeOrderError
+    if kind == "duplicate":
+        return at, (now, 0, data.draw(st.sampled_from(sorted(live)))), DuplicateKeyError
+    absent = [key(n) for n in range(42) if key(n) not in live]
+    return at, (now, 1, data.draw(st.sampled_from(absent))), KeyError
+
+
+@settings(max_examples=60, deadline=None)
+@given(histories(), st.data())
+def test_a_rejected_event_changes_nothing(events, data):
+    """The history with one bad event spliced in raises at that event,
+    whatever the chunking, and leaves the tree (and the counters) as the
+    event before it left them."""
+    at, bad, error = _rejected(events, data)
+    packed = data.draw(st.booleans())
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    before = _build(events[:at], "one", rng, 0 if packed else None)
+    expected = _state(before)
+    spliced = events[:at] + [bad] + events[at:]
+    with _counting():
+        for chunking in ("one", "each", "chunks"):
+            tree = MVBT(SMALL)
+            if packed:
+                tree.compress()
+            counts = _counts()
+            with pytest.raises(error):
+                _apply(tree, spliced, chunking, rng)
+            assert _state(tree) == expected, chunking
+            delta = {name: value - counts[name]
+                     for name, value in _counts().items()}
+            assert delta["inserts"] == sum(
+                1 for _, kind, _ in events[:at] if kind == 0)
+            assert delta["deletes"] == sum(
+                1 for _, kind, _ in events[:at] if kind == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(histories(), st.data())
+def test_counters_match_the_applied_events(events, data):
+    """Under REPRO_OBS=1 the insert/delete counters move by the events
+    applied and the structure counters by the same amount, chunked or not
+    (the suite's ``window_layers`` divides inserts + deletes by four)."""
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    deltas = []
+    with _counting():
+        for chunking in ("one", "each", "chunks"):
+            counts = _counts()
+            _build(events, chunking, rng)
+            deltas.append({name: value - counts[name]
+                           for name, value in _counts().items()})
+    assert deltas[0]["inserts"] == sum(1 for e in events if e[1] == 0)
+    assert deltas[0]["deletes"] == sum(1 for e in events if e[1] == 1)
+    assert deltas[1] == deltas[0] and deltas[2] == deltas[0]
+
+
+def test_histories_reach_every_structure_change():
+    """The generator's shape does produce key splits, merges, a root
+    shrink and same-chronon replacements (one fixed draw)."""
+    events = _history(400, random.Random(3).randint)
+    tree = MVBT(SMALL)
+    heights = []
+    with _counting():
+        counts = _counts()
+        for event in events:
+            replay(tree, [event])
+            node, height = tree.live_root, 1
+            while not node.is_leaf:
+                node, height = node.live_entries()[0].child, height + 1
+            heights.append(height)
+        delta = {name: value - counts[name]
+                 for name, value in _counts().items()}
+    assert delta["key_splits"] and delta["merges"]
+    assert max(heights) > heights[-1]  # the root shrank
+    assert any(a[0] == b[0] and a[1] == 1 and b[1] == 0 and a[2] == b[2]
+               for a, b in zip(events, events[1:]))
+    tree.check_invariants()
