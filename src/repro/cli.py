@@ -139,11 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="recent traces kept for /debug/traces "
                             "(default 128)")
-    serve.add_argument("--stats-refresh-qerror", type=float, default=None,
-                       metavar="Q",
-                       help="rebuild optimizer statistics when the "
-                            "sampled median q-error sustains at or above "
-                            "Q (default: off)")
     serve.add_argument("--log-level", default="warning",
                        choices=("debug", "info", "warning", "error"),
                        help="structured-log threshold; 'info' turns on "
@@ -424,7 +419,6 @@ def cmd_serve(args) -> int:
         fsync=not args.no_fsync,
         checkpoint_every=args.checkpoint_every,
         query_cache_size=args.query_cache or None,
-        stats_refresh_qerror=args.stats_refresh_qerror,
     )
     try:
         if args.data:
@@ -434,8 +428,8 @@ def cmd_serve(args) -> int:
                 return 1
             print(f"loading {args.data} ...")
             # The store adopts the pre-built engine (dataset or
-            # snapshot) under its own settings and checkpoints, so the
-            # directory is self-contained.
+            # snapshot) and checkpoints, so the directory is
+            # self-contained.
             store.adopt(_load_engine(args.data, not args.no_optimizer))
             print(f"loaded {store.live_facts} live facts")
         service = serve(

@@ -8,6 +8,7 @@ Engine).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -36,6 +37,10 @@ _PLAN_EVICTIONS = _metrics.counter("engine.plan_cache.evictions")
 
 #: Compiled plans kept per engine (prepared statements).
 PLAN_CACHE_CAPACITY = 512
+
+#: The optimizer statistics are rebuilt on the first compile after this
+#: many updates (see :meth:`RDFTX.refresh_statistics`).
+STATS_REFRESH_UPDATES = 256
 
 
 @dataclass
@@ -120,8 +125,6 @@ class RDFTX:
         self,
         config: MVBTConfig | None = None,
         optimizer=None,
-        stats_refresh_threshold: int | None = 256,
-        stats_refresh_qerror: float | None = None,
     ) -> None:
         self.config = config or MVBTConfig(block_capacity=64, weak_min=12,
                                            epsilon=12)
@@ -147,17 +150,9 @@ class RDFTX:
         )
         #: updates applied since the optimizer statistics were last built.
         self._stats_dirty = 0
-        #: auto-rebuild the statistics once this many updates accumulate
-        #: (None disables the automatic refresh; see
-        #: :meth:`refresh_statistics`).
-        self.stats_refresh_threshold = stats_refresh_threshold
-        #: estimate-drift monitor: samples per-pattern q-errors during
-        #: normal execution and — when ``stats_refresh_qerror`` is set —
-        #: triggers :meth:`refresh_statistics` on sustained drift even
-        #: before the update-count threshold fires.
-        self.drift = _workload.DriftMonitor(
-            qerror_threshold=stats_refresh_qerror
-        )
+        #: held by the one compile that runs the automatic refresh;
+        #: concurrent readers never wait on it (a non-blocking claim).
+        self._refresh_claim = threading.Lock()
         #: lower bound on :attr:`horizon`.  A clustered deployment sets
         #: this on every shard so filters that resolve ``NOW`` (e.g.
         #: ``LENGTH`` over live periods) evaluate against the *cluster*
@@ -174,17 +169,13 @@ class RDFTX:
         config: MVBTConfig | None = None,
         optimizer=None,
         compress: bool = True,
-        stats_refresh_threshold: int | None = 256,
-        stats_refresh_qerror: float | None = None,
     ) -> "RDFTX":
         """Build an engine over a temporal graph (bulk load + compression).
 
         Mirrors the paper's construction: standard MVBTs are built first and
         their leaves are then delta-compressed (Section 7.5).
         """
-        engine = cls(config=config, optimizer=optimizer,
-                     stats_refresh_threshold=stats_refresh_threshold,
-                     stats_refresh_qerror=stats_refresh_qerror)
+        engine = cls(config=config, optimizer=optimizer)
         engine.load(graph, compress=compress)
         return engine
 
@@ -288,7 +279,7 @@ class RDFTX:
         query text, so a cached plan re-executed after a write sees the new
         data through its scans.  Only the optimizer statistics degrade —
         they are rebuilt (dropping the plan cache, since the join order may
-        change) once ``stats_refresh_threshold`` updates accumulate.
+        change) once :data:`STATS_REFRESH_UPDATES` updates accumulate.
         """
         self._stats_dirty += 1
 
@@ -301,39 +292,39 @@ class RDFTX:
         """Rebuild the optimizer statistics from the indexed history.
 
         Returns ``True`` when a rebuild happened.  Called automatically at
-        compile time once :attr:`stats_refresh_threshold` updates have
+        compile time once :data:`STATS_REFRESH_UPDATES` updates have
         accumulated; callers can also invoke it eagerly (e.g. after a bulk
         update burst, or from ``repro-tx serve`` checkpoints).
         """
         self._stats_dirty = 0
-        self.drift.reset_window()
         if self.optimizer is None or self.dictionary is None:
             return False
+        # Drop the old plans before the rebuild allocates its rows and
+        # trees, and again after it: a plan compiled meanwhile used the
+        # old statistics.
+        self._plan_cache.clear()
         self.optimizer.rebuild_rows(self.dictionary, self.history_rows())
         self._plan_cache.clear()
         return True
 
     def _maybe_refresh_statistics(self) -> None:
-        threshold = self.stats_refresh_threshold
-        if (
-            threshold is not None
-            and self.optimizer is not None
-            and self._stats_dirty >= threshold
-        ):
-            reason = "updates"
-        elif self.optimizer is not None and self.drift.refresh_due():
-            # Sustained estimate drift: the statistics mispredict even
-            # though few updates accumulated (skewed writes).  Rebuild
-            # early; note_refresh records the trigger before the window
-            # is cleared by refresh_statistics.
-            self.drift.note_refresh()
-            reason = "drift"
-        else:
+        if self.optimizer is None or self._stats_dirty < STATS_REFRESH_UPDATES:
             return
-        # The refresh is compile-time work: the request that pays for it
-        # shows engine.compile -> optimizer.rebuild in its trace.
-        with _trace.span("engine.compile", stats_refresh=reason):
-            self.refresh_statistics()
+        # Single flight: a reader that loses the claim compiles with the
+        # current statistics, like one arriving mid-refresh.
+        if not self._refresh_claim.acquire(blocking=False):
+            return
+        try:
+            # Re-checked under the claim: a refresh may have finished
+            # between the first check and the acquire.
+            if self._stats_dirty >= STATS_REFRESH_UPDATES:
+                # The refresh is compile-time work: the request that pays
+                # for it shows engine.compile -> optimizer.rebuild in its
+                # trace.
+                with _trace.span("engine.compile", stats_refresh="updates"):
+                    self.refresh_statistics()
+        finally:
+            self._refresh_claim.release()
 
     def _encode(self, subject: str, predicate: str, object: str):
         if self.dictionary is None:
@@ -470,19 +461,9 @@ class RDFTX:
                 query = parse(key)
         else:
             query = text
-        want_profile = profile and _metrics.ENABLED
-        # The drift monitor piggybacks on the profiling machinery for a
-        # sampled fraction of ordinary queries: the profile is built only
-        # to read est-vs-actual q-errors, then stripped from the result.
-        drift_sample = (
-            not want_profile
-            and _metrics.ENABLED
-            and self.optimizer is not None
-            and self.drift.sample()
-        )
         prof_root = (
             ProfileNode(op="execute")
-            if want_profile or drift_sample
+            if profile and _metrics.ENABLED
             else None
         )
         started = time.perf_counter()
@@ -505,8 +486,7 @@ class RDFTX:
             )
             projected = project(rows, query.select, self.dictionary)
             return self._finish_result(
-                query.select, query, projected, prof_root, started, key,
-                keep_profile=want_profile,
+                query.select, query, projected, prof_root, started, key
             )
         if plan is None:
             try:
@@ -516,16 +496,14 @@ class RDFTX:
                 # can match, so there is nothing to execute (or profile
                 # beyond an empty projection).
                 return self._finish_result(
-                    query.select, query, [], prof_root, started, key,
-                    keep_profile=want_profile,
+                    query.select, query, [], prof_root, started, key
                 )
         with _trace.span("engine.execute", patterns=len(plan.steps)):
             rows = execute(plan, self.indexes, self.dictionary,
                            self.horizon, profile=prof_root)
             projected = project(rows, plan.select, self.dictionary)
         return self._finish_result(
-            plan.select, query, projected, prof_root, started, key,
-            keep_profile=want_profile,
+            plan.select, query, projected, prof_root, started, key
         )
 
     def _finish_result(
@@ -536,7 +514,6 @@ class RDFTX:
         prof_root: ProfileNode | None,
         started: float,
         text: str | None,
-        keep_profile: bool = True,
     ) -> QueryResult:
         """The result of a query that ran; ``query`` is its parse tree
         when one was made (a plan-cache hit has only ``text``)."""
@@ -554,9 +531,6 @@ class RDFTX:
             query_profile = QueryProfile(
                 root=root, total_ms=elapsed * 1000.0
             )
-            # Every built profile feeds the drift monitor — explicit
-            # profiled runs and sampled ordinary ones alike.
-            self.drift.observe(query_profile)
         if _metrics.ENABLED:
             _workload.WORKLOAD.record_query(
                 query, text, elapsed * 1000.0, rows=len(projected),
@@ -564,7 +538,7 @@ class RDFTX:
             )
         return QueryResult(
             variables=list(select), rows=projected,
-            profile=query_profile if keep_profile else None,
+            profile=query_profile,
         )
 
     def explain(self, text: str | Query) -> str:

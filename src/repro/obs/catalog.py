@@ -76,9 +76,6 @@ COUNTER_HELP: dict[str, str] = {
     "mvbt.tree.version_splits": "version splits performed",
     "obs.workload.overflow": "query records folded into the overflow shape",
     "obs.workload.records": "queries folded into the workload registry",
-    "optimizer.drift.refreshes":
-        "statistics rebuilds triggered by sustained estimate drift",
-    "optimizer.drift.samples": "queries profiled by the drift monitor",
     "optimizer.rebuilds": "temporal-histogram (re)builds, load and refresh",
     "service.cache.evictions": "result-cache entries evicted (LRU)",
     "service.cache.hits": "queries served from the result cache",
@@ -116,10 +113,6 @@ GAUGE_HELP: dict[str, str] = {
     "cluster.member.up":
         "1 when the member answered the last federation pull, else 0",
     "obs.workload.shapes": "distinct query shapes currently tracked",
-    "optimizer.drift.max_qerror":
-        "worst per-pattern q-error in the drift window",
-    "optimizer.drift.median_qerror":
-        "median per-pattern q-error over the drift window",
     "process.rss_bytes": "resident set size (from /proc/self/status)",
     "process.uptime_seconds": "seconds since the obs layer was loaded",
 }

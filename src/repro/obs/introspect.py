@@ -10,8 +10,7 @@ wraps it under the store's read lock and adds WAL and result-cache
 stats; both feed ``GET /debug/storage`` and ``repro-tx doctor``.
 
 :func:`find_anomalies` turns a report into human-readable warnings
-(mismatched live counts, uncompressed leaves, stale statistics, an
-overdue checkpoint), and :func:`render_report` prints the health
+(mismatched live counts, uncompressed leaves, an overdue checkpoint), and :func:`render_report` prints the health
 report ``repro-tx doctor`` shows.
 
 Process-level helpers (:func:`process_uptime_seconds`,
@@ -149,6 +148,8 @@ def engine_report(engine) -> dict:
     ``TemporalStore.storage_report``); a freshly loaded offline engine
     (``repro-tx doctor DATASET``) needs no locking.
     """
+    from ..engine.engine import STATS_REFRESH_UPDATES
+
     indexes = {
         name: tree_report(tree) for name, tree in engine.indexes.items()
     }
@@ -169,8 +170,7 @@ def engine_report(engine) -> dict:
         "decoded_memo": engine.memo.report(),
         "statistics": {
             "dirty_updates": engine.statistics_dirty,
-            "refresh_threshold": engine.stats_refresh_threshold,
-            "drift": engine.drift.snapshot(),
+            "refresh_threshold": STATS_REFRESH_UPDATES,
             "optimizer": engine.optimizer is not None,
         },
         "total_size_bytes": engine.sizeof(),
@@ -210,14 +210,6 @@ def find_anomalies(report: dict) -> list[str]:
                 f"are historical — reads of the live version pay for deep "
                 f"history"
             )
-    stats = report.get("statistics") or {}
-    threshold = stats.get("refresh_threshold")
-    dirty = stats.get("dirty_updates", 0)
-    if stats.get("optimizer") and threshold is None and dirty:
-        warnings.append(
-            f"optimizer statistics {dirty} update(s) stale and automatic "
-            f"refresh is disabled"
-        )
     store = report.get("store") or {}
     wal = store.get("wal") or {}
     if wal.get("pending_records"):
@@ -289,12 +281,11 @@ def render_report(report: dict) -> str:
         )
     stats = report.get("statistics")
     if stats:
-        drift = stats.get("drift") or {}
         lines.append(
             f"optimizer: {'on' if stats.get('optimizer') else 'off'}, "
             f"{stats.get('dirty_updates', 0)} update(s) since last "
-            f"statistics build, drift refreshes: "
-            f"{drift.get('refreshes', 0)}"
+            f"statistics build (refresh at "
+            f"{stats.get('refresh_threshold')})"
         )
     store = report.get("store")
     if store:

@@ -1,5 +1,4 @@
-"""Workload intelligence: query fingerprints, per-shape aggregates, and
-the estimate-drift monitor.
+"""Workload intelligence: query fingerprints and per-shape aggregates.
 
 Fingerprinting turns a parsed SPARQLT query into a *shape*: constants
 collapse to placeholders and variables are renamed in first-occurrence
@@ -11,37 +10,22 @@ aggregates — count, latency histogram, rows, result-cache hit ratio,
 and the exemplar ``trace_id`` of the slowest traced instance — behind
 ``GET /debug/workload`` and ``repro-tx stats --workload``.
 
-:class:`DriftMonitor` closes the optimizer feedback loop: a small
-deterministic fraction of *normal* queries is executed with profiling
-on (the same machinery as EXPLAIN ANALYZE), their per-pattern q-errors
-feed a bounded window exported as ``optimizer.drift.*``, and a sustained
-median above the configured threshold triggers
-:meth:`~repro.engine.engine.RDFTX.refresh_statistics`.
-
 Everything gates on the ``REPRO_OBS`` kill switch: with observability
-off, recording and drift sampling are no-ops.  ``hashlib`` (which maps
-libcrypto) and ``statistics`` (which loads ``decimal``) are imported
-where they are used, so a process that never records pays for neither.
+off, recording is a no-op.  ``hashlib`` (which maps libcrypto) is
+imported where it is used, so a process that never records skips it.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 
 from ..cache import LRUCache
 from . import metrics as _metrics
-from . import trace as _trace
 from .metrics import Histogram
-from .profile import QueryProfile
 
 _RECORDS = _metrics.counter("obs.workload.records")
 _OVERFLOW = _metrics.counter("obs.workload.overflow")
 _SHAPES_GAUGE = _metrics.gauge("obs.workload.shapes")
-_DRIFT_SAMPLES = _metrics.counter("optimizer.drift.samples")
-_DRIFT_REFRESHES = _metrics.counter("optimizer.drift.refreshes")
-_DRIFT_MAX = _metrics.gauge("optimizer.drift.max_qerror")
-_DRIFT_MEDIAN = _metrics.gauge("optimizer.drift.median_qerror")
 
 #: Distinct shapes tracked before new ones fold into the overflow bucket.
 MAX_SHAPES = 512
@@ -49,13 +33,6 @@ MAX_SHAPES = 512
 #: Normalized-text -> fingerprint cache entries (skips re-fingerprinting
 #: hot query texts, including the store's cache-hit path).
 TEXT_CACHE_CAPACITY = 2048
-
-#: Fraction of normal queries the drift monitor profiles (deterministic).
-DRIFT_SAMPLE_RATE = 1.0 / 16.0
-
-#: Q-error observations the drift window holds; a refresh decision needs
-#: the window full, so smaller windows react faster but noisier.
-DRIFT_WINDOW = 32
 
 #: Longest raw query text kept as a shape's example.
 EXAMPLE_LIMIT = 200
@@ -345,89 +322,3 @@ class WorkloadRegistry:
 #: The process-global workload registry the engine and store report into.
 WORKLOAD = WorkloadRegistry()
 
-
-# ------------------------------------------------------------ drift monitor
-
-
-def _median(window: list[float]) -> float:
-    import statistics
-
-    return statistics.median(window)
-
-
-class DriftMonitor:
-    """Sampled est-vs-actual q-error tracking with optimizer feedback.
-
-    A deterministic :class:`~repro.obs.trace.Sampler` picks which normal
-    queries run with internal profiling; their worst per-pattern q-error
-    lands in a bounded window.  When the window is full and its median
-    reaches ``qerror_threshold``, :meth:`refresh_due` tells the engine
-    to rebuild its statistics (``None`` disables the feedback loop but
-    keeps the ``optimizer.drift.*`` metrics flowing).
-    """
-
-    def __init__(self, qerror_threshold: float | None = None,
-                 window: int = DRIFT_WINDOW,
-                 sample_rate: float = DRIFT_SAMPLE_RATE) -> None:
-        self.qerror_threshold = qerror_threshold
-        self.sampler = _trace.Sampler(sample_rate)
-        self._recent: deque = deque(maxlen=window)
-        self._lock = threading.Lock()
-        self.refreshes = 0
-
-    def sample(self) -> bool:
-        """Whether the next query should be drift-profiled."""
-        if not _metrics.ENABLED:
-            return False
-        return self.sampler.keep()
-
-    def observe(self, profile: QueryProfile) -> None:
-        """Fold one profiled execution's q-errors into the window."""
-        if not _metrics.ENABLED:
-            return
-        qerrors = [q for _, _, _, q in profile.pattern_qerrors()]
-        if not qerrors:
-            return
-        with self._lock:
-            self._recent.append(max(qerrors))
-            window = list(self._recent)
-        _DRIFT_SAMPLES.inc()
-        _DRIFT_MAX.set(max(window))
-        _DRIFT_MEDIAN.set(_median(window))
-
-    def refresh_due(self) -> bool:
-        """Whether sustained drift warrants a statistics rebuild."""
-        if self.qerror_threshold is None:
-            return False
-        with self._lock:
-            if len(self._recent) < (self._recent.maxlen or 1):
-                return False
-            window = list(self._recent)
-        return _median(window) >= self.qerror_threshold
-
-    def note_refresh(self) -> None:
-        """Record a drift-triggered rebuild and restart the window."""
-        _DRIFT_REFRESHES.inc()
-        with self._lock:
-            self.refreshes += 1
-            self._recent.clear()
-
-    def reset_window(self) -> None:
-        """Drop pending observations (the statistics just changed)."""
-        with self._lock:
-            self._recent.clear()
-        _DRIFT_MAX.set(0.0)
-        _DRIFT_MEDIAN.set(0.0)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            window = list(self._recent)
-            refreshes = self.refreshes
-        return {
-            "threshold": self.qerror_threshold,
-            "window_size": self._recent.maxlen,
-            "window_fill": len(window),
-            "median_qerror": _median(window) if window else None,
-            "max_qerror": max(window) if window else None,
-            "refreshes": refreshes,
-        }

@@ -79,8 +79,6 @@ class TemporalStore:
         group_size: int = 32,
         fsync: bool = True,
         checkpoint_every: int | None = None,
-        stats_refresh_threshold: int | None = 256,
-        stats_refresh_qerror: float | None = None,
         query_cache_size: int | None = 256,
     ) -> None:
         self.directory = Path(directory)
@@ -111,11 +109,6 @@ class TemporalStore:
         #: untouched.
         self._append_times: dict[int, float] = {}
 
-        #: engine settings this store owns; :meth:`_install` applies them
-        #: to whichever engine the store ends up serving.
-        self._stats_refresh_threshold = stats_refresh_threshold
-        self._stats_refresh_qerror = stats_refresh_qerror
-
         snapshot_lsn = 0
         if self.snapshot_path.exists():
             engine, meta = load_snapshot(
@@ -130,7 +123,7 @@ class TemporalStore:
                 optimizer = Optimizer()
             engine = RDFTX(config=config, optimizer=optimizer)
             engine.load(TemporalGraph())
-        self._install(engine)
+        self.engine = engine
         self._revision = snapshot_lsn
 
         self._wal = WriteAheadLog(
@@ -172,15 +165,6 @@ class TemporalStore:
 
     # -------------------------------------------------------------- loading
 
-    @requires_writer_lock
-    def _install(self, engine: RDFTX) -> None:
-        """Serve ``engine`` under this store's own settings — an engine
-        built elsewhere (a snapshot, ``RDFTX.from_graph``) carries the
-        defaults, not what this store was configured with."""
-        engine.stats_refresh_threshold = self._stats_refresh_threshold
-        engine.drift.qerror_threshold = self._stats_refresh_qerror
-        self.engine = engine
-
     def adopt(self, engine: RDFTX) -> None:
         """Serve a pre-built engine from an *empty* store.
 
@@ -190,7 +174,7 @@ class TemporalStore:
         with self._writer:
             self._require_empty("adopt")
             with self._rw.write_locked():
-                self._install(engine)
+                self.engine = engine
             if self._query_cache is not None:
                 self._query_cache.invalidate()
         self.checkpoint()

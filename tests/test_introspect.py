@@ -81,7 +81,7 @@ def test_engine_report_covers_all_components(engine):
     assert report["dictionary"]["terms"] > 0
     assert report["plan_cache"]["capacity"] > 0
     assert report["statistics"]["optimizer"] is False
-    assert report["statistics"]["drift"]["refreshes"] == 0
+    assert report["statistics"]["refresh_threshold"] == 256
     assert report["total_size_bytes"] == engine.sizeof()
     assert report["decoded_memo"] == {
         "entries": 0, "leaves": 0, "interned": 0, "budget": 1 << 18,
@@ -167,16 +167,6 @@ def test_uncompressed_engine_is_not_an_anomaly():
     assert not report["indexes"]["spo"]["packed"]
     assert report["indexes"]["spo"]["plain_leaves"] > 0
     assert not any("not delta-compressed" in w for w in find_anomalies(report))
-
-
-def test_anomaly_stale_statistics(engine):
-    report = engine_report(engine)
-    report["statistics"] = {
-        "optimizer": True, "refresh_threshold": None, "dirty_updates": 7,
-        "drift": {"refreshes": 0},
-    }
-    warnings = find_anomalies(report)
-    assert any("stale" in w for w in warnings)
 
 
 def test_anomaly_wal_backlog(engine):

@@ -228,9 +228,9 @@ class TestCLI:
         assert "Plan:" in out
 
 
-class TestServeSettings:
-    """``serve`` hands the store's settings to whichever engine it ends
-    up serving — also the one ``--data`` builds outside the store."""
+class TestServeData:
+    """``serve --data`` hands a dataset or a snapshot to the store, which
+    checkpoints it: a restart without ``--data`` serves the same facts."""
 
     @pytest.fixture()
     def served(self, monkeypatch):
@@ -248,7 +248,6 @@ class TestServeSettings:
                 pass
 
         def fake_serve(store, **options):
-            seen["qerror"] = store.engine.drift.qerror_threshold
             seen["live_facts"] = store.live_facts
             return Service()
 
@@ -256,10 +255,9 @@ class TestServeSettings:
         return seen
 
     @pytest.mark.parametrize("source", ["none", "dataset", "snapshot"])
-    def test_stats_refresh_qerror_reaches_the_served_engine(
+    def test_data_is_served_and_survives_a_restart(
             self, source, served, tmp_path, capsys):
-        argv = ["serve", str(tmp_path / "store"), "--no-fsync",
-                "--stats-refresh-qerror", "4.5"]
+        argv = ["serve", str(tmp_path / "store"), "--no-fsync"]
         if source != "none":
             data = tmp_path / "uc.tnq"
             dump_graph(sample_graph(), data)
@@ -269,9 +267,7 @@ class TestServeSettings:
                 data = tmp_path / "uc.snap"
             argv += ["--data", str(data)]
         assert cli.main(argv) == 0
-        assert served["qerror"] == 4.5
         assert served["live_facts"] == (0 if source == "none" else 2)
         # ...and the adopted engine was checkpointed: a restart serves it
-        assert cli.main(argv[:5]) == 0
-        assert served["qerror"] == 4.5
+        assert cli.main(argv[:3]) == 0
         assert served["live_facts"] == (0 if source == "none" else 2)

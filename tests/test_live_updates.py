@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.engine import RDFTX
+from repro.engine import engine as engine_module
 from repro.model import NOW, Period, PeriodSet, TemporalGraph, date_to_chronon
 from repro.mvbt.tree import DuplicateKeyError, MVBTConfig, TimeOrderError
 from repro.optimizer import Optimizer
@@ -143,9 +144,9 @@ class TestStatisticsStaleness:
         total_after = engine.optimizer.statistics.histogram.total_triples
         assert total_after == total_before + 1
 
-    def test_auto_refresh_at_threshold(self):
+    def test_auto_refresh_at_threshold(self, monkeypatch):
         engine = RDFTX.from_graph(small_graph(), optimizer=Optimizer())
-        engine.stats_refresh_threshold = 3
+        monkeypatch.setattr(engine_module, "STATS_REFRESH_UPDATES", 3)
         for i in range(3):
             engine.insert(f"S{i}", "p", "o", D("01/01/2015") + i)
         assert engine.statistics_dirty == 3
@@ -153,13 +154,90 @@ class TestStatisticsStaleness:
         assert engine.statistics_dirty == 0
         assert engine.optimizer.statistics.histogram.total_triples == 6
 
-    def test_threshold_none_disables_auto_refresh(self):
+    def test_the_compile_after_the_256th_update_refreshes(self):
+        assert engine_module.STATS_REFRESH_UPDATES == 256
         engine = RDFTX.from_graph(small_graph(), optimizer=Optimizer())
-        engine.stats_refresh_threshold = None
-        for i in range(10):
+        for i in range(255):
             engine.insert(f"S{i}", "p", "o", D("01/01/2015") + i)
         engine.query("SELECT ?s {?s p o ?t}")
-        assert engine.statistics_dirty == 10
+        assert engine.statistics_dirty == 255
+        engine.insert("S255", "p", "o", D("01/01/2015") + 255)
+        engine.query("SELECT ?s {?s p o ?t}")
+        assert engine.statistics_dirty == 0
+        assert engine.optimizer.statistics.histogram.total_triples == 259
+
+    def test_concurrent_compiles_refresh_once(self, monkeypatch):
+        """Two readers that both see the refresh due rebuild once: the
+        one that loses the claim compiles with the current statistics."""
+        engine = RDFTX.from_graph(small_graph(), optimizer=Optimizer())
+        monkeypatch.setattr(engine_module, "STATS_REFRESH_UPDATES", 3)
+        for i in range(3):
+            engine.insert(f"S{i}", "p", "o", D("01/01/2015") + i)
+        rebuilds = []
+        rebuild_rows = engine.optimizer.rebuild_rows
+
+        def counting_rebuild(*args):
+            rebuilds.append(threading.current_thread().name)
+            rebuild_rows(*args)
+
+        # Hold the refresh span open until a second refresher arrives
+        # (or the wait times out), so a check-then-act race would show.
+        barrier = threading.Barrier(2, timeout=1.0)
+        span = engine_module._trace.span
+
+        def waiting_span(name, **attrs):
+            if "stats_refresh" in attrs:
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    pass
+            return span(name, **attrs)
+
+        monkeypatch.setattr(engine.optimizer, "rebuild_rows",
+                            counting_rebuild)
+        monkeypatch.setattr(engine_module._trace, "span", waiting_span)
+        errors = []
+
+        def compile_one(text):
+            try:
+                engine.compile(text)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        readers = [
+            threading.Thread(target=compile_one, args=(text,))
+            for text in ("SELECT ?s {?s p o ?t}",
+                         "SELECT ?o {Org leader ?o ?t}")
+        ]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+        assert errors == []
+        assert len(rebuilds) == 1
+        assert engine.statistics_dirty == 0
+
+    def test_refresh_drops_the_plan_cache_before_rebuilding(
+            self, engine, monkeypatch):
+        probe = "SELECT ?o {Org leader ?o ?t}"
+        engine.query(probe)
+        assert len(engine._plan_cache) >= 1
+        cached_at_rebuild = []
+        rebuild_rows = engine.optimizer.rebuild_rows
+
+        def recording_rebuild(*args):
+            cached_at_rebuild.append(len(engine._plan_cache))
+            rebuild_rows(*args)
+
+        monkeypatch.setattr(engine.optimizer, "rebuild_rows",
+                            recording_rebuild)
+        engine.insert("Org", "leader", "Alice", D("01/01/2015"))
+        assert engine.refresh_statistics() is True
+        assert cached_at_rebuild == [0]
+        assert len(engine._plan_cache) == 0
+        engine.query(probe)
+        assert probe in engine._plan_cache
 
     def test_no_optimizer_refresh_is_noop(self):
         engine = RDFTX.from_graph(small_graph())

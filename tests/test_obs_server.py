@@ -523,7 +523,7 @@ class TestProcessMetrics:
         text = fresh.render_prometheus()
         assert "repro_service_wal_syncs_total 0" in text
         assert "# HELP repro_engine_queries_total" in text
-        assert "repro_optimizer_drift_median_qerror 0" in text
+        assert "repro_obs_workload_shapes 0" in text
         assert 'repro_service_store_query_ms_bucket{le="+Inf"} 0' in text
 
 

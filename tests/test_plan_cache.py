@@ -27,7 +27,7 @@ from repro import RDFTX, Optimizer
 from repro.engine.plan import CompiledPlan
 from repro.model import TemporalGraph
 from repro.model.time import NOW, date_to_chronon
-from repro.obs import metrics
+from repro.obs import metrics, trace
 from repro.sparqlt.ast import GroupGraphPattern, QuadPattern, Query
 from repro.sparqlt.lexer import Token
 
@@ -78,7 +78,9 @@ def chronon(year: int, month: int) -> int:
     return date_to_chronon(datetime.date(year, month, 1))
 
 
-def test_profiled_and_sampled_hits_leave_the_entry_as_compiled(monkeypatch):
+def test_profiled_and_sampled_hits_leave_the_entry_as_compiled():
+    """A profiled hit and a trace-sampled one (a request the server
+    chose to trace) run the cached plan without changing it."""
     if not metrics.ENABLED:
         pytest.skip("profiling is off (REPRO_OBS=0)")
     engine = engine_over(
@@ -102,12 +104,11 @@ def test_profiled_and_sampled_hits_leave_the_entry_as_compiled(monkeypatch):
         cached = engine._plan_cache.get(text)
         compiled = copy.deepcopy(cached)
         assert engine.query(text, profile=True).profile is not None
-        sampled = []
-        monkeypatch.setattr(engine.drift, "sample", lambda: True)
-        monkeypatch.setattr(engine.drift, "observe", sampled.append)
-        assert engine.query(text).profile is None  # built, then stripped
-        monkeypatch.undo()
-        assert len(sampled) == 1
+        sampled = trace.TraceBuffer()
+        with trace.start_trace("request", sampled):
+            assert engine.query(text).profile is None
+        (tr,) = sampled.recent()
+        assert "engine.execute" in tr.span_names()
         assert engine._plan_cache.get(text) is cached
         assert cached == compiled
 

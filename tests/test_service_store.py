@@ -424,12 +424,11 @@ class TestBulkLoad:
 
     def test_load_dataset_keeps_the_store_settings(self, tmp_path):
         config = small_blocks(8)
-        with TemporalStore(tmp_path, config=config, use_optimizer=False,
-                           stats_refresh_threshold=7) as store:
+        with TemporalStore(tmp_path, config=config,
+                           use_optimizer=False) as store:
             store.load_dataset(fixture_graph())
             assert store.engine.config is config
             assert store.engine.optimizer is None
-            assert store.engine.stats_refresh_threshold == 7
             assert result_fingerprint(store)[0]
 
     def test_cluster_shard_holds_the_from_graph_tree(self, tmp_path, wiki):

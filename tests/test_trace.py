@@ -235,10 +235,12 @@ class TestStatisticsRefreshSpan:
         graph = TemporalGraph()
         for i in range(40):
             graph.add(f"s{i % 8}", f"p{i % 3}", f"o{i}", i, i + 5)
-        return RDFTX.from_graph(graph, optimizer=Optimizer(),
-                                stats_refresh_threshold=2)
+        return RDFTX.from_graph(graph, optimizer=Optimizer())
 
-    def test_rebuild_is_a_child_of_compile(self, buffer):
+    def test_rebuild_is_a_child_of_compile(self, buffer, monkeypatch):
+        from repro.engine import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "STATS_REFRESH_UPDATES", 2)
         engine = self._engine()
         rebuilds = metrics.REGISTRY.counter("optimizer.rebuilds")
         stalls = metrics.REGISTRY.histogram("optimizer.rebuild_ms")

@@ -1,4 +1,4 @@
-"""Query fingerprinting, the workload registry, and the drift monitor.
+"""Query fingerprinting and the workload registry.
 
 The fingerprint properties are the contract the /debug/workload endpoint
 rests on: invariance under whitespace, constants, and variable renaming
@@ -6,20 +6,15 @@ rests on: invariance under whitespace, constants, and variable renaming
 (queries with different variable topology must not collide).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import RDFTX
-from repro.model.graph import TemporalGraph
 from repro.obs import metrics
 from repro.obs.workload import (
-    DriftMonitor,
     WorkloadRegistry,
     fingerprint,
     fingerprint_text,
 )
-from repro.optimizer import Optimizer
 from repro.sparqlt.parser import parse
 
 IDENT = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,8}", fullmatch=True)
@@ -165,86 +160,3 @@ class TestWorkloadRegistry:
         assert len(reg) == 1
         assert reg.snapshot()["shapes"][0]["count"] == len(predicates)
 
-
-# ------------------------------------------------------------ drift monitor
-
-
-def _profiled(engine, text):
-    result = engine.query(text, profile=True)
-    assert result.profile is not None
-    return result.profile
-
-
-class TestDriftMonitor:
-    def test_window_and_refresh_due(self):
-        monitor = DriftMonitor(qerror_threshold=4.0, window=3,
-                               sample_rate=1.0)
-        assert monitor.sample() is True
-        assert monitor.refresh_due() is False  # window not full
-
-    def test_sampling_disabled_by_kill_switch(self):
-        monitor = DriftMonitor(sample_rate=1.0)
-        metrics.set_enabled(False)
-        try:
-            assert monitor.sample() is False
-        finally:
-            metrics.set_enabled(True)
-
-    def test_snapshot_shape(self):
-        monitor = DriftMonitor(qerror_threshold=2.0, window=8)
-        snap = monitor.snapshot()
-        assert snap["threshold"] == 2.0
-        assert snap["window_size"] == 8
-        assert snap["window_fill"] == 0
-        assert snap["refreshes"] == 0
-
-
-class TestDriftRefreshIntegration:
-    @pytest.fixture()
-    def skewed_engine(self):
-        """An engine whose statistics are badly stale for predicate `p`:
-        built over 2 facts, then 300 more arrive without a stats
-        refresh (threshold disabled)."""
-        graph = TemporalGraph()
-        graph.add("s0", "p", "o0", 1)
-        graph.add("s1", "p", "o1", 1)
-        for i in range(40):
-            graph.add(f"f{i}", "filler", f"v{i}", 1)
-        engine = RDFTX.from_graph(
-            graph, optimizer=Optimizer(), stats_refresh_threshold=None
-        )
-        for i in range(300):
-            engine.insert(f"n{i}", "p", f"w{i}", 2 + i)
-        return engine
-
-    def test_sustained_drift_triggers_statistics_refresh(
-        self, skewed_engine
-    ):
-        engine = skewed_engine
-        engine.drift = DriftMonitor(qerror_threshold=4.0, window=4,
-                                    sample_rate=1.0)
-        before = engine.drift.refreshes
-        stale_qerror = _profiled(
-            engine, "SELECT ?s {?s p ?o ?t}"
-        ).max_qerror()
-        assert stale_qerror is not None and stale_qerror >= 4.0
-        # Fill the window (each unprofiled query is drift-sampled at
-        # rate 1.0) and give the next compile a chance to react.
-        for _ in range(6):
-            engine.query("SELECT ?s {?s p ?o ?t}")
-        assert engine.drift.refreshes > before
-        assert engine.statistics_dirty == 0
-        fresh_qerror = _profiled(
-            engine, "SELECT ?s {?s p ?o ?t}"
-        ).max_qerror()
-        assert fresh_qerror is not None and fresh_qerror < 4.0
-
-    def test_no_refresh_without_threshold(self, skewed_engine):
-        engine = skewed_engine
-        engine.drift = DriftMonitor(qerror_threshold=None, window=4,
-                                    sample_rate=1.0)
-        for _ in range(8):
-            engine.query("SELECT ?s {?s p ?o ?t}")
-        assert engine.drift.refreshes == 0
-        # The metrics still flowed: the window saw the drift.
-        assert engine.drift.snapshot()["median_qerror"] is not None
