@@ -10,9 +10,13 @@ exactly where the paper's analysis locates the performance differences:
   or an index scan followed by residual filtering and extra joins,
 * how much storage the scheme needs (Figure 8(b)).
 
-The front half of query evaluation (parsing, filter semantics, hash joins,
-projection) is shared so measured differences come from the storage layer,
-mirroring how all systems in the paper run equivalent rewritten queries.
+The rest of query evaluation is shared so measured differences come from
+the storage layer, mirroring how all systems in the paper run equivalent
+rewritten queries: parsing, the engine's group algebra
+(:func:`~repro.engine.executor.evaluate_group`, which also gives every
+baseline UNION and OPTIONAL), filter semantics, hash joins and projection.
+A baseline supplies only :meth:`TemporalBaseline.match_pattern`; its base
+join runs those scans in a constants-first order.
 """
 
 from __future__ import annotations
@@ -21,17 +25,12 @@ from abc import ABC, abstractmethod
 from typing import Iterable, Iterator
 
 from ..engine.engine import QueryResult
-from ..engine.operators import (
-    Row,
-    apply_filters,
-    hash_join_rows,
-    nested_loop_product,
-    project,
-)
+from ..engine.executor import evaluate_group, join_in_order
+from ..engine.operators import Row, project
 from ..engine.patterns import _window_from_filters
 from ..model.graph import TemporalGraph
 from ..model.time import Period
-from ..sparqlt.ast import Query, QuadPattern, TimeConst, Var
+from ..sparqlt.ast import Expr, Query, QuadPattern, TimeConst, Var
 from ..sparqlt.parser import parse
 
 
@@ -84,36 +83,24 @@ class TemporalBaseline(ABC):
     def query(self, text: str | Query) -> QueryResult:
         """Parse and evaluate a SPARQLT query."""
         query = parse(text) if isinstance(text, str) else text
-        conjuncts = query.filter_conjuncts()
-        rows: list[Row] | None = None
-        bound: set[str] = set()
-        # Join order: constants-first heuristic, like the paper's baselines
-        # running through their own (non-temporal) optimizers.
-        patterns = sorted(
-            query.patterns,
-            key=lambda p: -len(p.constant_positions()),
-        )
-        for pattern in patterns:
-            window = self._pattern_window(pattern, conjuncts)
-            scanned = list(self.match_pattern(pattern, window))
-            if rows is None:
-                rows = scanned
-            else:
-                shared = bound & pattern.variables()
-                if shared:
-                    rows = list(hash_join_rows(rows, scanned, shared))
-                else:
-                    rows = list(nested_loop_product(rows, scanned))
-            bound |= pattern.variables()
-            if not rows:
-                break
-        rows = rows or []
-        rows = list(
-            apply_filters(rows, conjuncts, self.dictionary, self._horizon)
+        rows = evaluate_group(
+            query.group, self._join_base, self.dictionary, self._horizon
         )
         return QueryResult(
             variables=list(query.select),
             rows=project(rows, query.select, self.dictionary),
+        )
+
+    def _join_base(
+        self, patterns: list[QuadPattern], conjuncts: list[Expr]
+    ) -> list[Row]:
+        # Join order: constants-first heuristic, like the paper's baselines
+        # running through their own (non-temporal) optimizers.
+        ordered = sorted(patterns, key=lambda p: -len(p.constant_positions()))
+        return join_in_order(
+            (p.variables(), self.match_pattern(
+                p, self._pattern_window(p, conjuncts)))
+            for p in ordered
         )
 
     def _pattern_window(self, pattern: QuadPattern, conjuncts) -> Period:

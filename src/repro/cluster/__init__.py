@@ -21,12 +21,13 @@ up, on one box or many:
   primary dies.
 * :mod:`repro.cluster.coordinator` — ``ClusterStore``, the router the
   HTTP server fronts: scatters pattern scans, gathers and joins partial
-  bindings with the engine's own streaming operators, and routes writes
-  to the owning shard under a cluster-wide revision watermark.
+  bindings under the engine's own group algebra, and routes writes to
+  the owning shard under a cluster-wide revision watermark.
 * :mod:`repro.cluster.telemetry` — ``ClusterStore``'s reporting half:
   per-member health, federated metrics, the merged event log.
-* :mod:`repro.cluster.executor` — the distributed query algebra
-  (single-shard fast path vs. per-pattern scatter/gather).
+* :mod:`repro.cluster.executor` — the single-shard fast path, and the
+  per-pattern scatter/gather base join the engine's group algebra runs
+  on the coordinator.
 
 Replication ships WAL records from each primary to its followers
 (:meth:`~repro.service.wal.WriteAheadLog.read_from` tailing); followers

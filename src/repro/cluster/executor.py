@@ -7,18 +7,19 @@ Two plans exist, chosen per query:
   evaluated by that shard's full engine (plan cache and optimizer
   included).  Point lookups and per-entity histories — the dominant
   serving shapes — never pay scatter/gather.
-* **Scatter/gather** — each pattern becomes a single-pattern sub-query
-  (filters fully covered by the pattern's variables ride along, so time
-  windows still push into the shard-side scans) fanned out to the shards
+* **Scatter/gather** — the engine's group algebra
+  (:func:`repro.engine.executor.evaluate_group`) runs at the coordinator
+  with :func:`scatter_join` as its base join: each base pattern becomes a
+  single-pattern sub-query fanned out to the shards
   :meth:`~repro.cluster.planner.ShardPlanner.shards_for_pattern` names.
-  Shards return *decoded* bindings — per-shard dictionaries assign
-  different ids to the same term, so string equality is the only join key
-  that means anything across shards.  The coordinator then reuses the
-  engine's own streaming operators (:func:`hash_join_rows`,
-  :func:`left_outer_join_rows`, :func:`nested_loop_product`,
-  :func:`apply_filters`): they treat ``int`` values as the only encoded
-  kind, so string-valued rows flow through them untouched and the
-  dictionary argument is never consulted.
+  A filter conjunct rides along with a sub-query when it sees final
+  values on that one pattern (:func:`repro.engine.plan.conjunct_ready`),
+  so time windows still push into the shard-side scans.  Shards return
+  *decoded* bindings — per-shard dictionaries assign different ids to the
+  same term, so string equality is the only join key that means anything
+  across shards.  The engine's streaming operators treat ``int`` values
+  as the only encoded kind, so string-valued rows flow through them
+  untouched and no dictionary is consulted.
 
 Results are canonically sorted on the projected bindings before they
 leave the coordinator — per-shard dictionary ids make engine row order a
@@ -31,22 +32,11 @@ from __future__ import annotations
 import json
 from typing import Callable
 
-from ..engine.operators import (
-    Row,
-    apply_filters,
-    hash_join_rows,
-    left_outer_join_rows,
-    nested_loop_product,
-    project,
-)
+from ..engine.executor import evaluate_group, join_in_order
+from ..engine.operators import Row, project
+from ..engine.plan import conjunct_ready, time_variables
 from ..obs import trace as _trace
-from ..sparqlt.ast import (
-    GroupGraphPattern,
-    QuadPattern,
-    Query,
-    expr_variables,
-)
-from ..sparqlt.errors import EvaluationError
+from ..sparqlt.ast import Expr, QuadPattern, Query
 from .planner import ShardPlanner
 from .protocol import encode_value
 
@@ -56,20 +46,9 @@ from .protocol import encode_value
 ScatterMany = Callable[[list[tuple[Query, list[int]]]], list[list[Row]]]
 
 
-def collect_patterns(group: GroupGraphPattern) -> list[QuadPattern]:
-    """Every quad pattern in the group, including UNION/OPTIONAL bodies."""
-    out = list(group.patterns)
-    for branches in group.unions:
-        for branch in branches:
-            out.extend(collect_patterns(branch))
-    for optional in group.optionals:
-        out.extend(collect_patterns(optional))
-    return out
-
-
 def whole_query_shard(query: Query, planner: ShardPlanner) -> int | None:
     """The one shard that can run ``query`` in full, or ``None``."""
-    return planner.single_shard_for(collect_patterns(query.group))
+    return planner.single_shard_for(query.group.quad_patterns())
 
 
 def scatter_order(patterns: list[QuadPattern]) -> list[int]:
@@ -104,123 +83,43 @@ def scatter_order(patterns: list[QuadPattern]) -> list[int]:
     return order
 
 
-def distributed_rows(
-    group: GroupGraphPattern,
+def scatter_join(
+    patterns: list[QuadPattern],
+    conjuncts: list[Expr],
     planner: ShardPlanner,
     scatter_many: ScatterMany,
-    horizon: int,
 ) -> list[Row]:
-    """Evaluate a group against the shards; returns unprojected rows.
+    """The coordinator's base join: scatter one sub-query per pattern and
+    join the gathered rows in :func:`scatter_order`.
 
-    The algebra mirrors :func:`repro.engine.executor.execute_group`: base
-    patterns join first, UNION branches concatenate then join in, each
-    OPTIONAL left-outer-joins, and the group's filters run last over the
-    combined rows — tolerantly, because a filter over a variable an
-    OPTIONAL left unbound rejects just that row (SPARQL error semantics).
-    Filters fully covered by a single pattern additionally ride along
-    with its sub-query, so shards prune before shipping.
+    A conjunct rides along with a pattern's sub-query when it sees final
+    values on that pattern alone, so shards prune before shipping; the
+    group algebra runs every conjunct again over the joined rows.
     """
-    conjuncts = group.filter_conjuncts()
-    # Conjuncts whose variables are bound by exactly ONE base pattern
-    # (and by no union/optional) are fully settled shard-side: every
-    # joined row descends from rows that already passed — and were
-    # already clipped by — them, so re-running them coordinator-side is
-    # pure waste.  Multi-binder conjuncts must re-run at the top:
-    # temporal variables join by *intersection*, so a shard-side pass on
-    # one pattern's binding says nothing about the joined binding.
-    binders: dict[str, int] = {}
-    for pattern in group.patterns:
-        for name in pattern.variables():
-            binders[name] = binders.get(name, 0) + 1
-    for branches in group.unions:
-        for branch in branches:
-            for name in branch.variables():
-                binders[name] = binders.get(name, 0) + 1
-    for optional in group.optionals:
-        for name in optional.variables():
-            binders[name] = binders.get(name, 0) + 1
-    settled: set[int] = set()
-    rows: list[Row] | None = None
-    bound: set[str] = set()
-
-    if group.patterns:
-        order = scatter_order(group.patterns)
-        requests: list[tuple[Query, list[int]]] = []
-        for index in order:
-            pattern = group.patterns[index]
-            covered = [
-                c for c in conjuncts
-                if expr_variables(c) <= pattern.variables()
-            ]
-            settled.update(
-                id(c) for c in covered
-                if all(binders[name] == 1 for name in expr_variables(c))
-            )
-            sub = Query(
+    order = scatter_order(patterns)
+    requests: list[tuple[Query, list[int]]] = []
+    for index in order:
+        pattern = patterns[index]
+        rebound = time_variables(
+            patterns[:index] + patterns[index + 1:]
+        )
+        requests.append((
+            Query(
                 select=sorted(pattern.variables()),
                 patterns=[pattern],
-                filters=covered,
-            )
-            requests.append((sub, planner.shards_for_pattern(pattern)))
-        with _trace.span("cluster.scatter", requests=len(requests)):
-            partials = scatter_many(requests)
-        for index, partial in zip(order, partials):
-            pattern_vars = group.patterns[index].variables()
-            if rows is None:
-                rows = partial
-            else:
-                shared = bound & pattern_vars
-                if shared:
-                    rows = list(hash_join_rows(rows, partial, shared))
-                else:
-                    rows = list(nested_loop_product(rows, partial))
-            bound |= pattern_vars
-            if not rows:
-                return []
-
-    for branches in group.unions:
-        union_rows: list[Row] = []
-        union_vars: set[str] = set()
-        for branch in branches:
-            union_rows.extend(
-                distributed_rows(branch, planner, scatter_many, horizon)
-            )
-            union_vars |= branch.variables()
-        if rows is None:
-            rows = union_rows
-        else:
-            shared = bound & union_vars
-            if shared:
-                rows = list(hash_join_rows(rows, union_rows, shared))
-            else:
-                rows = list(nested_loop_product(rows, union_rows))
-        bound |= union_vars
-        if not rows:
-            return []
-
-    for optional in group.optionals:
-        optional_rows = distributed_rows(
-            optional, planner, scatter_many, horizon
-        )
-        shared = bound & optional.variables()
-        rows = list(
-            left_outer_join_rows(rows or [], optional_rows, shared)
-        )
-        bound |= optional.variables()
-
-    if rows is None:
-        return []
-    residual = [c for c in conjuncts if id(c) not in settled]
-    if residual:
-        surviving = []
-        for row in rows:
-            try:
-                kept = list(apply_filters([row], residual, None, horizon))
-            except EvaluationError:
-                continue
-            surviving.extend(kept)
-        rows = surviving
-    return rows
+                filters=[
+                    c for c in conjuncts
+                    if conjunct_ready(c, pattern.variables(), rebound)
+                ],
+            ),
+            planner.shards_for_pattern(pattern),
+        ))
+    with _trace.span("cluster.scatter", requests=len(requests)):
+        partials = scatter_many(requests)
+    return join_in_order(
+        (patterns[index].variables(), partial)
+        for index, partial in zip(order, partials)
+    )
 
 
 def distributed_query(
@@ -232,7 +131,13 @@ def distributed_query(
     """Full scatter-path evaluation: group algebra, project, canonical
     sort."""
     with _trace.span("cluster.distributed"):
-        rows = distributed_rows(query.group, planner, scatter_many, horizon)
+        rows = evaluate_group(
+            query.group,
+            lambda patterns, conjuncts: scatter_join(
+                patterns, conjuncts, planner, scatter_many
+            ),
+            None, horizon,
+        )
         with _trace.span("cluster.gather", rows=len(rows)):
             return canonical_sort(
                 project(rows, query.select, None), query.select

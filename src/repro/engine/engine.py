@@ -25,7 +25,7 @@ from ..obs import workload as _workload
 from ..obs.profile import ProfileNode, QueryProfile
 from ..sparqlt.ast import Query
 from ..sparqlt.parser import parse
-from .executor import default_order, execute
+from .executor import default_order, evaluate_group, execute
 from .patterns import INDEX_ORDERS, UnknownTermError, translate_pattern
 from .plan import CompiledPlan, PlanGraph, compile_plan
 
@@ -421,7 +421,7 @@ class RDFTX:
         """Compile an already-parsed query, caching it by text.  A query
         with UNION or OPTIONAL compiles its base patterns (for
         :meth:`explain`) but is not cached: it runs through
-        :func:`~repro.engine.executor.execute_group`."""
+        :func:`~repro.engine.executor.evaluate_group`."""
         with _trace.span("engine.compile"):
             graph, order = self.plan_graph(query)
             stats = getattr(self.optimizer, "statistics", None)
@@ -471,18 +471,17 @@ class RDFTX:
             _QUERIES.inc()
 
         if query is not None and not query.is_simple:
-            # UNION / OPTIONAL groups take the algebraic path (never a
-            # plan-cache hit: only conjunctive plans are cached).
-            from .executor import execute_group
-
-            choose = (
-                self.optimizer.choose_order
-                if self.optimizer is not None
-                else None
-            )
-            rows = execute_group(
-                query.group, self.indexes, self.dictionary, self.horizon,
-                choose, profile=prof_root,
+            # UNION / OPTIONAL groups take the group algebra (never a
+            # plan-cache hit: only conjunctive plans are cached).  The
+            # profile covers the top group's base join only.
+            top = query.group.patterns
+            rows = evaluate_group(
+                query.group,
+                lambda patterns, conjuncts: self._join_base(
+                    patterns, conjuncts,
+                    prof_root if patterns is top else None,
+                ),
+                self.dictionary, self.horizon,
             )
             projected = project(rows, query.select, self.dictionary)
             return self._finish_result(
@@ -505,6 +504,21 @@ class RDFTX:
         return self._finish_result(
             plan.select, query, projected, prof_root, started, key
         )
+
+    def _join_base(
+        self, patterns: list, conjuncts: list, profile: ProfileNode | None
+    ) -> list:
+        """The engine's :data:`~repro.engine.executor.JoinBase`: the
+        patterns compiled as a conjunctive query (not cached) and run over
+        the MVBTs."""
+        try:
+            plan = self._compile_parsed(
+                Query(select=[], patterns=patterns, filters=conjuncts), None
+            )
+        except UnknownTermError:
+            return []
+        return execute(plan, self.indexes, self.dictionary, self.horizon,
+                       profile=profile)
 
     def _finish_result(
         self,

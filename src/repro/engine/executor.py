@@ -1,4 +1,4 @@
-"""Plan execution: ordered scans, joins, filters, projection (Section 5).
+"""Plan execution (Section 5) and the SPARQLT group algebra.
 
 :func:`execute` runs a :class:`~repro.engine.plan.CompiledPlan`; a caller
 holding a plan graph and an order has it compiled at entry, so there is
@@ -9,29 +9,49 @@ tree; index-level scan counters (MVBT leaves visited, entries
 examined/pruned, compressed pages decoded) are attached to each scan node.
 Profiling is opt-in per query and adds no per-row work to the default
 path.
+
+:func:`evaluate_group` is the one SPARQLT group algebra: the engine, the
+cluster coordinator and the baselines each supply only the join of a
+group's base patterns (:data:`JoinBase`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from ..model.dictionary import Dictionary
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs.profile import ProfileNode
+from ..sparqlt.ast import Expr, GroupGraphPattern, QuadPattern
 from .operators import (
     Row,
     apply_filters,
     hash_join_rows,
     index_scan,
+    left_outer_join_rows,
     nested_loop_product,
     synchronized_join_rows,
 )
-from .plan import CompiledPlan, PlanGraph, Step, compile_plan
+from .plan import (
+    CompiledPlan,
+    PlanGraph,
+    Step,
+    compile_plan,
+    conjunct_ready,
+    time_variables,
+)
 
 #: Index name -> MVBT mapping held by the engine.
 IndexSet = dict
+
+#: An evaluator's join of a group's base patterns.  It gets the conjuncts
+#: that see final values on the joined rows, and may apply each earlier
+#: wherever :func:`~repro.engine.plan.conjunct_ready` allows (scan windows,
+#: plan steps, shard sub-queries); :func:`evaluate_group` applies them all
+#: to the rows it returns.
+JoinBase = Callable[[list[QuadPattern], list[Expr]], Iterable[Row]]
 
 #: Scan counters surfaced per profile node, as (label, counter) pairs.
 _SCAN_COUNTERS = (
@@ -98,8 +118,9 @@ def execute(
 
     A :class:`PlanGraph` is compiled first, in ``order`` (default: the
     heuristic :func:`default_order`); a compiled plan carries its own.
-    Filter conjuncts run right after the step that binds their last
-    variable; conjuncts over variables no step binds run at the end.
+    Each filter conjunct runs after the step its plan placed it on: the
+    first step after which it sees final values
+    (:func:`~repro.engine.plan.conjunct_ready`).
 
     ``profile`` (optional) receives the executed operator tree as a child
     node, with the plan's scan and join estimates on it.
@@ -219,109 +240,86 @@ def execute(
             rows = filter_step(rows, step.filters, "conjunct(s)")
         if not rows:
             return finish([])
-    if plan.residual:
-        # Filters over unbound variables: evaluate anyway so the error
-        # surfaces (unbound-variable filters are user mistakes).
-        rows = filter_step(rows, plan.residual, "unbound conjunct(s)")
     return finish(rows)
 
 
-def execute_group(
-    group,
-    indexes: IndexSet,
-    dictionary: Dictionary,
+def join_in_order(
+    inputs: Iterable[tuple[set[str], Iterable[Row]]],
+) -> list[Row]:
+    """Left-deep inner join of ``(variables, rows)`` inputs, in order.
+
+    Each input hash-joins on the variables it shares with the inputs
+    before it (temporal ones intersect), or is a cross product when it
+    shares none.  An empty result stops the join before the next input
+    is drawn, so a lazy ``inputs`` skips the work behind it.
+    """
+    rows: list[Row] | None = None
+    bound: set[str] = set()
+    for names, scanned in inputs:
+        if rows is None:
+            rows = list(scanned)
+        else:
+            shared = bound & names
+            rows = list(
+                hash_join_rows(rows, scanned, shared) if shared
+                else nested_loop_product(rows, scanned)
+            )
+        if not rows:
+            return []
+        bound |= names
+    return rows or []
+
+
+def evaluate_group(
+    group: GroupGraphPattern,
+    join_base: JoinBase,
+    dictionary: Dictionary | None,
     horizon: int,
-    choose_order: "Callable | None" = None,
-    profile: ProfileNode | None = None,
 ) -> list[Row]:
     """Evaluate a :class:`~repro.sparqlt.ast.GroupGraphPattern`.
 
-    Standard SPARQL algebra over the conjunctive core: the base patterns
-    are planned and joined as usual, UNION blocks evaluate each branch and
-    concatenate, OPTIONAL blocks left-outer-join, and the group's filters
-    run over the combined rows (restrictions on temporal variables are also
-    pushed into the base scans as windows).
+    ``join_base`` joins the base patterns, and the conjuncts that see
+    final values there run on its rows: those naming only base variables
+    whose temporal ones no UNION or OPTIONAL pattern rebinds, and
+    restrictions.  Then each UNION (its branches' rows concatenated) joins
+    in, each OPTIONAL left-outer-joins, and the group's other conjuncts
+    run over the combined rows.  Each UNION branch and OPTIONAL is a group
+    of its own, filtered on its own rows.
 
-    ``profile`` covers the conjunctive core only: the base-pattern plan is
-    profiled as in :func:`execute`; UNION/OPTIONAL sub-groups are not
-    decomposed.
+    ``dictionary`` decodes term ids for the filters; rows holding decoded
+    strings (the cluster coordinator's) need none.
     """
-    from ..sparqlt.ast import Query as _Query
-    from ..engine.patterns import UnknownTermError, translate_pattern
-    from .operators import left_outer_join_rows
-
     conjuncts = group.filter_conjuncts()
-    rows: list[Row] | None = None
-    bound: set[str] = set()
+    base_vars = set().union(*(p.variables() for p in group.patterns))
+    # quad_patterns() lists the base first, then UNION and OPTIONAL bodies.
+    rebound = time_variables(group.quad_patterns()[len(group.patterns):])
+    early = [c for c in conjuncts if conjunct_ready(c, base_vars, rebound)]
+    late = [c for c in conjuncts if c not in early]
 
-    if group.patterns:
-        stub = _Query(select=[], patterns=group.patterns, filters=[])
-        try:
-            plans = [
-                translate_pattern(p, dictionary, conjuncts)
-                for p in group.patterns
+    def inputs() -> Iterator[tuple[set[str], list[Row]]]:
+        if group.patterns:
+            rows = join_base(group.patterns, early)
+            yield base_vars, (apply_filters(rows, early, dictionary, horizon)
+                              if early else rows)
+        for branches in group.unions:
+            yield set().union(*(b.variables() for b in branches)), [
+                row for branch in branches
+                for row in evaluate_group(branch, join_base, dictionary,
+                                          horizon)
             ]
-        except UnknownTermError:
-            return []
-        plan_graph = PlanGraph.build(stub, plans)
-        order = (
-            choose_order(plan_graph) if choose_order is not None
-            else default_order(plan_graph)
-        )
-        rows = execute(plan_graph, indexes, dictionary, horizon, order,
-                       profile=profile)
-        bound = {
-            name for pattern in group.patterns
-            for name in pattern.variables()
-        }
-        if not rows:
-            return []
 
-    for branches in group.unions:
-        union_rows: list[Row] = []
-        union_vars: set[str] = set()
-        for branch in branches:
-            union_rows.extend(
-                execute_group(branch, indexes, dictionary, horizon,
-                              choose_order)
-            )
-            union_vars |= branch.variables()
-        if rows is None:
-            rows = union_rows
-        else:
-            shared = bound & union_vars
-            if shared:
-                rows = list(hash_join_rows(rows, union_rows, shared))
-            else:
-                rows = list(nested_loop_product(rows, union_rows))
-        bound |= union_vars
-        if not rows:
-            return []
-
-    for optional in group.optionals:
-        optional_rows = execute_group(
-            optional, indexes, dictionary, horizon, choose_order
-        )
-        shared = bound & optional.variables()
-        rows = list(left_outer_join_rows(rows or [], optional_rows, shared))
-        bound |= optional.variables()
-
-    if rows is None:
+    rows = join_in_order(inputs())
+    if not rows:
         return []
-    if conjuncts:
-        # Filters referencing optional variables must tolerate unbound
-        # rows: a filter that cannot be evaluated rejects the row, per
-        # SPARQL's error semantics.
-        from ..sparqlt.errors import EvaluationError
-
-        surviving = []
-        for row in rows:
-            try:
-                kept = list(
-                    apply_filters([row], conjuncts, dictionary, horizon)
-                )
-            except EvaluationError:
-                continue
-            surviving.extend(kept)
-        rows = surviving
+    bound = base_vars.union(
+        *(b.variables() for branches in group.unions for b in branches)
+    )
+    for optional in group.optionals:
+        optional_rows = evaluate_group(optional, join_base, dictionary,
+                                       horizon)
+        names = optional.variables()
+        rows = list(left_outer_join_rows(rows, optional_rows, bound & names))
+        bound |= names
+    if late:
+        rows = list(apply_filters(rows, late, dictionary, horizon))
     return rows

@@ -16,7 +16,8 @@ from ..model.time import NOW, Period, PeriodSet
 from ..mvbt.scan import scan_pieces
 from ..mvbt.tree import MVBT
 from ..obs import metrics as _metrics
-from ..sparqlt.ast import Compare, Expr, expr_variables
+from ..sparqlt.ast import Compare, Expr
+from ..sparqlt.errors import EvaluationError
 from ..sparqlt.functions import evaluate, restrict, restriction_target
 from .patterns import PatternPlan
 
@@ -244,6 +245,10 @@ def apply_filters(
 ) -> Iterator[Row]:
     """Apply filter conjuncts: restrictions narrow temporal bindings,
     everything else is evaluated as a boolean predicate on the decoded row.
+
+    A conjunct that cannot be evaluated on a row — a type error, or a
+    variable an OPTIONAL left unbound — rejects that row (SPARQL 1.1,
+    section 17.3): no evaluation error escapes a filter.
     """
     restrictions: list[tuple[str, Compare]] = []
     predicates: list[Expr] = []
@@ -258,36 +263,44 @@ def apply_filters(
     for row in rows:
         rows_in += 1
         out = dict(row)
-        dead = False
-        for target, conjunct in restrictions:
-            value = out.get(target)
-            if not isinstance(value, PeriodSet):
-                # The restriction names a non-temporal variable; evaluate it
-                # as an ordinary predicate instead.
-                predicates = predicates + [conjunct]
-                restrictions = [
-                    (t, c) for t, c in restrictions if c is not conjunct
-                ]
+        try:
+            if not _passes(out, restrictions, predicates, dictionary,
+                           horizon):
                 continue
-            narrowed = restrict(conjunct, value, horizon)
-            if narrowed.is_empty:
-                dead = True
-                break
-            out[target] = narrowed
-        if dead:
+        except EvaluationError:
             continue
-        if predicates:
-            decoded = decode_row(out, dictionary)
-            if not all(
-                evaluate(predicate, decoded, horizon)
-                for predicate in predicates
-            ):
-                continue
         rows_out += 1
         yield out
     if _metrics.ENABLED:
         _FILTER_ROWS_IN.inc(rows_in)
         _FILTER_ROWS_OUT.inc(rows_out)
+
+
+def _passes(
+    row: Row,
+    restrictions: list[tuple[str, Compare]],
+    predicates: list[Expr],
+    dictionary: Dictionary,
+    horizon: int,
+) -> bool:
+    """Narrow ``row``'s temporal bindings in place and test the predicates;
+    raises :class:`EvaluationError` when a conjunct cannot be evaluated."""
+    checks = predicates
+    for target, conjunct in restrictions:
+        value = row.get(target)
+        if not isinstance(value, PeriodSet):
+            # No period to narrow (a term variable, or one an OPTIONAL
+            # left unbound): evaluate the restriction as a predicate.
+            checks = [*checks, conjunct]
+            continue
+        narrowed = restrict(conjunct, value, horizon)
+        if narrowed.is_empty:
+            return False
+        row[target] = narrowed
+    if not checks:
+        return True
+    decoded = decode_row(row, dictionary)
+    return all(evaluate(check, decoded, horizon) for check in checks)
 
 
 def decode_row(row: Row, dictionary: Dictionary) -> Row:

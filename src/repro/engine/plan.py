@@ -5,23 +5,48 @@ query pattern, with an edge wherever two patterns share a variable (joins).
 The optimizer reorders the joins over it.  Once the order is chosen the
 graph is compiled into a :class:`CompiledPlan`: the scans in execution
 order with everything the executor decides per step worked out up front —
-join variables, where each filter conjunct runs, whether the first pair
-runs as a synchronized join, and the optimizer's estimates.  The compiled
-plan is what the engine caches and what the executor runs; of the parse
-tree it keeps only the filter expressions it evaluates.
+join variables, where each filter conjunct runs (:func:`conjunct_ready`),
+whether the first pair runs as a synchronized join, and the optimizer's
+estimates.  The compiled plan is what the engine caches and what the
+executor runs; of the parse tree it keeps only the filter expressions it
+evaluates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from ..model.dictionary import Dictionary
 from ..mvbt.entry import MAX_KEY_COMPONENT, Key
-from ..sparqlt.ast import Expr, Query, expr_variables
+from ..sparqlt.ast import Expr, QuadPattern, Query, Var, expr_variables
+from ..sparqlt.functions import restriction_target
 from .operators import synchronized_join_applicable
 from .patterns import INDEX_ORDERS, PatternPlan
+
+
+def time_variables(patterns: Iterable[QuadPattern]) -> set[str]:
+    """The temporal variables the patterns bind."""
+    return {p.time.name for p in patterns if isinstance(p.time, Var)}
+
+
+def conjunct_ready(conjunct: Expr, bound: set[str], rebound: set[str]) -> bool:
+    """Whether a filter conjunct sees final values once the variables in
+    ``bound`` hold values and later patterns still bind the temporal
+    variables in ``rebound``.
+
+    SPARQLT is point-based: a join intersects the temporal variables it
+    shares, so a temporal variable holds its final value only after the
+    last pattern that binds it, while a term variable holds it from its
+    first binding.  A restriction (``?t op date``, ``YEAR(?t) op n``, ...)
+    commutes with that intersection and may run as soon as its variable
+    is bound.  Every evaluator places its conjuncts by this one rule.
+    """
+    needs = expr_variables(conjunct)
+    return needs <= bound and (
+        not needs & rebound or restriction_target(conjunct) is not None
+    )
 
 
 @dataclass
@@ -80,7 +105,9 @@ class Step(NamedTuple):
     #: (the synchronized join's, on the second step of one); empty for
     #: the first step and before a cross product.
     join_vars: tuple[str, ...]
-    #: filter conjuncts whose variables are all bound once this step ran.
+    #: filter conjuncts that see final values once this step ran
+    #: (:func:`conjunct_ready`); the last step also carries those over
+    #: variables no step binds, which reject every row.
     filters: tuple[Expr, ...]
     #: the optimizer's estimate of the scan's rows, and of the rows after
     #: joining this step in (None without statistics; no join estimate on
@@ -126,9 +153,6 @@ class CompiledPlan(NamedTuple):
     steps: tuple[Step, ...]
     #: run the first two steps as one synchronized join (Section 5.2.2).
     sync: bool
-    #: conjuncts over variables no step binds: evaluated last, so the
-    #: error surfaces.
-    residual: tuple[Expr, ...]
     select: tuple[str, ...]
     #: FILTER clauses as written (explain reports them).
     filter_clauses: int
@@ -172,7 +196,8 @@ def compile_plan(
     sync = len(plans) >= 2 and synchronized_join_applicable(
         plans[0], plans[1], variables[0] & variables[1]
     )
-    pending = [(c, expr_variables(c)) for c in graph.query.filter_conjuncts()]
+    times = [plan.time_var for plan in plans]
+    pending = graph.query.filter_conjuncts()
     bound: set[str] = set()
     steps = []
     for rank, (plan, names) in enumerate(zip(plans, variables)):
@@ -180,9 +205,11 @@ def compile_plan(
         bound |= names
         ready: tuple[Expr, ...] = ()
         if not (sync and rank == 0):  # a synchronized pair filters once
-            ready = tuple(c for c, needs in pending if needs <= bound)
-            pending = [(c, needs) for c, needs in pending
-                       if not needs <= bound]
+            last = rank == len(plans) - 1
+            rebound = set(times[rank + 1:])
+            ready = tuple(c for c in pending
+                          if last or conjunct_ready(c, bound, rebound))
+            pending = [c for c in pending if c not in ready]
         window = plan.time_range
         steps.append(Step(
             index_order=plan.index_order,
@@ -203,7 +230,6 @@ def compile_plan(
     return CompiledPlan(
         steps=tuple(steps),
         sync=sync,
-        residual=tuple(c for c, _ in pending),
         select=tuple(graph.query.select),
         filter_clauses=len(graph.query.filters),
     )

@@ -181,16 +181,19 @@ class GroupGraphPattern:
         """True when the group is plain conjunctive SPARQLT."""
         return not self.unions and not self.optionals
 
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for pattern in self.patterns:
-            out |= pattern.variables()
+    def quad_patterns(self) -> list[QuadPattern]:
+        """Every quad pattern of the group: the base patterns first, then
+        the UNION branches' and the OPTIONALs' (recursively)."""
+        out = list(self.patterns)
         for union in self.unions:
             for branch in union:
-                out |= branch.variables()
+                out.extend(branch.quad_patterns())
         for optional in self.optionals:
-            out |= optional.variables()
+            out.extend(optional.quad_patterns())
         return out
+
+    def variables(self) -> set[str]:
+        return set().union(*(p.variables() for p in self.quad_patterns()))
 
     def filter_conjuncts(self) -> list["Expr"]:
         out: list["Expr"] = []
@@ -225,7 +228,4 @@ class Query:
 
     def filter_conjuncts(self) -> list[Expr]:
         """All top-level conjuncts across every FILTER clause."""
-        out: list[Expr] = []
-        for expr in self.filters:
-            out.extend(conjuncts(expr))
-        return out
+        return self.group.filter_conjuncts()

@@ -20,4 +20,6 @@ class ParseError(SparqltError):
 
 
 class EvaluationError(SparqltError):
-    """A filter expression could not be evaluated over a binding."""
+    """A filter expression could not be evaluated: over one binding (the
+    filter then rejects that row), or at all — it names a variable no
+    pattern of the query binds, which parsing refuses."""

@@ -37,8 +37,9 @@ from .ast import (
     TermConst,
     TimeConst,
     Var,
+    expr_variables,
 )
-from .errors import ParseError
+from .errors import EvaluationError, ParseError
 from .lexer import Token, UNITS, tokenize
 
 _UNIT_DAYS = {"DAY": 1, "MONTH": 30, "YEAR": 365}
@@ -111,6 +112,7 @@ class _Parser:
         if not (group.patterns or group.unions):
             raise ParseError("a query needs at least one graph pattern")
         self._expect("EOF")
+        _check_filter_scope(group)
         return Query(
             select=select,
             patterns=group.patterns,
@@ -278,6 +280,26 @@ class _Parser:
                 self._advance()
                 return token.text
         return None
+
+
+def _check_filter_scope(query_group: GroupGraphPattern) -> None:
+    """Refuse a FILTER that names a variable no pattern of the query binds.
+
+    The one static filter error: raised before any data is read, so every
+    evaluator that parses the query reports it the same way.
+    """
+    bound = query_group.variables()
+    groups = [query_group]
+    while groups:
+        group = groups.pop()
+        for expr in group.filters:
+            missing = expr_variables(expr) - bound
+            if missing:
+                raise EvaluationError(
+                    f"FILTER names ?{min(missing)}, which no pattern binds"
+                )
+        groups.extend(branch for union in group.unions for branch in union)
+        groups.extend(group.optionals)
 
 
 def _height(expr: Expr) -> int:

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.engine import RDFTX, default_order, translate_pattern
+from repro.engine import RDFTX, default_order, execute, translate_pattern
+from repro.engine.operators import apply_filters
 from repro.engine.patterns import UnknownTermError, decode_key_to_spo
 from repro.engine.plan import PlanGraph
 from repro.model import NOW, Period, PeriodSet, TemporalGraph
-from repro.sparqlt import parse
+from repro.optimizer import Optimizer
+from repro.sparqlt import EvaluationError, parse, parse_expression
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +172,73 @@ class TestQueryResult:
         result = engine.query("SELECT ?o {a p ?o ?t}")
         with pytest.raises(KeyError):
             result.column("nope")
+
+
+@pytest.fixture(scope="module")
+def joined():
+    """``x``'s two facts overlap on [1900, 2000): a join on ?t narrows the
+    first pattern's [1000, 2000) to that."""
+    g = TemporalGraph()
+    g.add("x", "p1", "alpha", 1000, 2000)
+    g.add("x", "p2", "beta", 1900, 6000)
+    return g
+
+
+class TestFilterRules:
+    """The three filter rules every evaluator shares."""
+
+    JOIN = "SELECT ?a {x p1 ?a ?t . x p2 ?b ?t . FILTER(%s)}"
+
+    def test_temporal_predicate_runs_after_the_last_binder(self, joined):
+        plan = RDFTX.from_graph(joined).compile(
+            "SELECT ?a {x p1 ?a ?t . x p2 ?b ?t . "
+            "FILTER(LENGTH(?t) < 200) FILTER(YEAR(?t) = 1975)}"
+        )
+        first, second = plan.steps
+        assert not plan.sync
+        # A restriction commutes with the join's intersection: step 1.
+        assert first.filters == (parse_expression("YEAR(?t) = 1975"),)
+        assert second.filters == (parse_expression("LENGTH(?t) < 200"),)
+
+    def test_length_sees_the_joined_period(self, joined):
+        result = RDFTX.from_graph(joined).query(
+            self.JOIN % "LENGTH(?t) < 200"
+        )
+        assert result.column("a") == ["alpha"]
+
+    def test_tstart_is_order_independent(self, joined):
+        text = self.JOIN % "TSTART(?t) < 1500"
+        plain = RDFTX.from_graph(joined)
+        optimized = RDFTX.from_graph(joined, optimizer=Optimizer())
+        assert plain.query(text).rows == optimized.query(text).rows == []
+        query = parse(text)
+        plans = [translate_pattern(p, plain.dictionary,
+                                   query.filter_conjuncts())
+                 for p in query.patterns]
+        graph = PlanGraph.build(query, plans)
+        for order in ([0, 1], [1, 0]):
+            assert execute(graph, plain.indexes, plain.dictionary,
+                           plain.horizon, order) == []
+
+    @pytest.mark.parametrize("text", [
+        "SELECT ?x {?x p ?o ?t . FILTER(?q = 1)}",
+        "SELECT ?x { {?x p ?o ?t . FILTER(?q = 1)} UNION {?x r ?o ?t} }",
+        "SELECT ?x {?x p ?o ?t . OPTIONAL {?x r ?m ?t2 . "
+        "FILTER(YEAR(?q) = 2000)}}",
+    ])
+    def test_unbound_filter_variable_is_a_parse_error(self, text):
+        with pytest.raises(EvaluationError, match=r"\?q"):
+            parse(text)
+
+    def test_type_error_rejects_the_row(self, joined):
+        engine = RDFTX.from_graph(joined)
+        for text in (self.JOIN % "YEAR(?a) = 1975",
+                     "SELECT ?a {x p1 ?a ?t . FILTER(YEAR(?a) = 1975)}",
+                     "SELECT ?a {x p1 ?a ?t . FILTER(?a > 3)}"):
+            assert engine.query(text).rows == [], text
+
+    def test_unbound_row_is_rejected_not_raised(self):
+        rows = [{"m": "artes"}, {}]
+        kept = apply_filters(rows, [parse_expression("?m = artes")],
+                             None, 1)
+        assert list(kept) == [{"m": "artes"}]
