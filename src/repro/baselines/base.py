@@ -16,7 +16,8 @@ rewritten queries: parsing, the engine's group algebra
 (:func:`~repro.engine.executor.evaluate_group`, which also gives every
 baseline UNION and OPTIONAL), filter semantics, hash joins and projection.
 A baseline supplies only :meth:`TemporalBaseline.match_pattern`; its base
-join runs those scans in a constants-first order.
+join runs those scans in a constants-first order and then applies the
+base's early conjuncts, once.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from typing import Iterable, Iterator
 
 from ..engine.engine import QueryResult
 from ..engine.executor import evaluate_group, join_in_order
-from ..engine.operators import Row, project
+from ..engine.operators import Row, apply_filters, project
 from ..engine.patterns import _window_from_filters
+from ..engine.plan import compile_group
 from ..model.graph import TemporalGraph
 from ..model.time import Period
 from ..sparqlt.ast import Expr, Query, QuadPattern, TimeConst, Var
@@ -84,7 +86,8 @@ class TemporalBaseline(ABC):
         """Parse and evaluate a SPARQLT query."""
         query = parse(text) if isinstance(text, str) else text
         rows = evaluate_group(
-            query.group, self._join_base, self.dictionary, self._horizon
+            compile_group(query.group, lambda *base: base),
+            self._join_base, self.dictionary, self._horizon,
         )
         return QueryResult(
             variables=list(query.select),
@@ -92,16 +95,19 @@ class TemporalBaseline(ABC):
         )
 
     def _join_base(
-        self, patterns: list[QuadPattern], conjuncts: list[Expr]
+        self, base: tuple[list[QuadPattern], list[Expr]]
     ) -> list[Row]:
+        patterns, conjuncts = base
         # Join order: constants-first heuristic, like the paper's baselines
         # running through their own (non-temporal) optimizers.
         ordered = sorted(patterns, key=lambda p: -len(p.constant_positions()))
-        return join_in_order(
+        rows = join_in_order(
             (p.variables(), self.match_pattern(
                 p, self._pattern_window(p, conjuncts)))
             for p in ordered
         )
+        return list(apply_filters(rows, conjuncts, self.dictionary,
+                                  self._horizon)) if conjuncts else rows
 
     def _pattern_window(self, pattern: QuadPattern, conjuncts) -> Period:
         if isinstance(pattern.time, TimeConst):

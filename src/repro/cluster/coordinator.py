@@ -173,7 +173,8 @@ class ClusterStore(ClusterTelemetry):
             _QUERIES.inc()
         with _trace.span("cluster.query"):
             query = parse(text) if isinstance(text, str) else text
-            target = _dist.whole_query_shard(query, self.planner)
+            target = self.planner.single_shard_for(
+                query.group.quad_patterns())
             if (target is not None and not isinstance(text, str)
                     and not query.is_simple):
                 # encode_query carries only the simple conjunctive shape

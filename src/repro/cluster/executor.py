@@ -14,7 +14,8 @@ Two plans exist, chosen per query:
   :meth:`~repro.cluster.planner.ShardPlanner.shards_for_pattern` names.
   A filter conjunct rides along with a sub-query when it sees final
   values on that one pattern (:func:`repro.engine.plan.conjunct_ready`),
-  so time windows still push into the shard-side scans.  Shards return
+  so time windows still push into the shard-side scans, and the
+  coordinator runs only the conjuncts none carried.  Shards return
   *decoded* bindings — per-shard dictionaries assign different ids to the
   same term, so string equality is the only join key that means anything
   across shards.  The engine's streaming operators treat ``int`` values
@@ -33,8 +34,8 @@ import json
 from typing import Callable
 
 from ..engine.executor import evaluate_group, join_in_order
-from ..engine.operators import Row, project
-from ..engine.plan import conjunct_ready, time_variables
+from ..engine.operators import Row, apply_filters, project
+from ..engine.plan import compile_group, conjunct_ready, time_variables
 from ..obs import trace as _trace
 from ..sparqlt.ast import Expr, QuadPattern, Query
 from .planner import ShardPlanner
@@ -44,11 +45,6 @@ from .protocol import encode_value
 #: shard ids) request — concurrently where it can — and returns the
 #: unioned, decoded rows per request, in request order.
 ScatterMany = Callable[[list[tuple[Query, list[int]]]], list[list[Row]]]
-
-
-def whole_query_shard(query: Query, planner: ShardPlanner) -> int | None:
-    """The one shard that can run ``query`` in full, or ``None``."""
-    return planner.single_shard_for(query.group.quad_patterns())
 
 
 def scatter_order(patterns: list[QuadPattern]) -> list[int]:
@@ -88,38 +84,44 @@ def scatter_join(
     conjuncts: list[Expr],
     planner: ShardPlanner,
     scatter_many: ScatterMany,
+    horizon: int,
 ) -> list[Row]:
     """The coordinator's base join: scatter one sub-query per pattern and
     join the gathered rows in :func:`scatter_order`.
 
     A conjunct rides along with a pattern's sub-query when it sees final
-    values on that pattern alone, so shards prune before shipping; the
-    group algebra runs every conjunct again over the joined rows.
+    values on that pattern alone, so shards prune before shipping.  It saw
+    final values there, so running it again would change nothing: the
+    coordinator applies only the conjuncts no sub-query carried, once,
+    over the joined rows.
     """
     order = scatter_order(patterns)
     requests: list[tuple[Query, list[int]]] = []
+    carried: list = []
     for index in order:
         pattern = patterns[index]
         rebound = time_variables(
             patterns[:index] + patterns[index + 1:]
         )
+        ready = [c for c in conjuncts
+                 if conjunct_ready(c, pattern.variables(), rebound)]
+        carried += ready
         requests.append((
             Query(
                 select=sorted(pattern.variables()),
                 patterns=[pattern],
-                filters=[
-                    c for c in conjuncts
-                    if conjunct_ready(c, pattern.variables(), rebound)
-                ],
+                filters=ready,
             ),
             planner.shards_for_pattern(pattern),
         ))
     with _trace.span("cluster.scatter", requests=len(requests)):
         partials = scatter_many(requests)
-    return join_in_order(
+    rows = join_in_order(
         (patterns[index].variables(), partial)
         for index, partial in zip(order, partials)
     )
+    rest = [c for c in conjuncts if c not in carried]
+    return list(apply_filters(rows, rest, None, horizon)) if rest else rows
 
 
 def distributed_query(
@@ -132,10 +134,8 @@ def distributed_query(
     sort."""
     with _trace.span("cluster.distributed"):
         rows = evaluate_group(
-            query.group,
-            lambda patterns, conjuncts: scatter_join(
-                patterns, conjuncts, planner, scatter_many
-            ),
+            compile_group(query.group, lambda *base: base),
+            lambda base: scatter_join(*base, planner, scatter_many, horizon),
             None, horizon,
         )
         with _trace.span("cluster.gather", rows=len(rows)):

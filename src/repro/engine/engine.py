@@ -11,23 +11,29 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..cache import LRUCache
 from ..model.dictionary import Dictionary
 from ..model.graph import TemporalGraph
-from ..model.time import MIN_TIME, NOW, PeriodSet, format_chronon
+from ..model.time import MIN_TIME, NOW, PeriodSet
 from ..mvbt.compression import MemoTable
 from ..mvbt.tree import MVBT, MVBTConfig, change_events, replay
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs import workload as _workload
 from ..obs.profile import ProfileNode, QueryProfile
-from ..sparqlt.ast import Query
+from ..sparqlt.ast import QuadPattern, Query, TermConst, TimeConst, Var
 from ..sparqlt.parser import parse
 from .executor import default_order, evaluate_group, execute
+from .operators import project
 from .patterns import INDEX_ORDERS, UnknownTermError, translate_pattern
-from .plan import CompiledPlan, PlanGraph, compile_plan
+from .plan import (
+    CompiledPlan,
+    PlanGraph,
+    QueryPlan,
+    compile_group,
+    compile_plan,
+)
 
 _QUERIES = _metrics.counter("engine.queries")
 _QUERY_TIMER = _metrics.REGISTRY.timer_stat("engine.query")
@@ -381,49 +387,71 @@ class RDFTX:
         local = max(tree.current_time for tree in self.indexes.values()) + 1
         return max(self.horizon_floor, local)
 
-    def compile(self, text: str | Query) -> CompiledPlan:
-        """Parse, translate, order and compile a query.
+    def compile(self, text: str | Query) -> QueryPlan:
+        """Parse, translate, order and compile a query, UNIONs and
+        OPTIONALs included.
 
         Compiled plans are LRU-cached per query text, so repeated queries
         pay parsing and optimization once — prepared-statement behaviour.
         Entries survive updates (see :meth:`_note_update`) and are dropped
         when the statistics are rebuilt.  Pre-parsed :class:`Query` objects
         are not cached: an object-identity key can alias once the object
-        is collected, handing a stranger's plan to a new query.
+        is collected, handing a stranger's plan to a new query.  Raises
+        :class:`~repro.engine.patterns.UnknownTermError` when a pattern
+        names a term the dictionary does not know (:meth:`query` answers
+        such a text; it is not cached).
         """
-        self._maybe_refresh_statistics()
-        if isinstance(text, str):
-            cached = self._plan_cache.get(text)
-            if cached is not None:
-                return cached
-            return self._compile_parsed(parse(text), text)
-        return self._compile_parsed(text, None)
+        plan, _, unknown = self._plan(text)
+        if unknown is not None:
+            raise unknown
+        return plan
 
     def plan_graph(self, query: str | Query) -> tuple[PlanGraph, list[int]]:
         """Translate and order a query's base patterns: the plan graph and
         the join order this engine picks for it (nothing is cached)."""
         if isinstance(query, str):
             query = parse(query)
-        conjuncts = query.filter_conjuncts()
-        patterns = [
-            translate_pattern(p, self.dictionary, conjuncts)
-            for p in query.patterns
-        ]
-        graph = PlanGraph.build(query, patterns)
+        return self._plan_graph(query.patterns, query.filter_conjuncts())
+
+    def _plan_graph(
+        self, patterns: list, conjuncts: list
+    ) -> tuple[PlanGraph, list[int]]:
+        graph = PlanGraph(
+            [translate_pattern(p, self.dictionary, conjuncts)
+             for p in patterns],
+            conjuncts,
+        )
         if self.optimizer is not None and len(patterns) > 1:
             with _trace.span("optimizer.choose_order"):
                 return graph, self.optimizer.choose_order(graph)
         return graph, default_order(graph)
 
-    def _compile_parsed(
-        self, query: Query, cache_key: str | None
-    ) -> CompiledPlan:
-        """Compile an already-parsed query, caching it by text.  A query
-        with UNION or OPTIONAL compiles its base patterns (for
-        :meth:`explain`) but is not cached: it runs through
-        :func:`~repro.engine.executor.evaluate_group`."""
-        with _trace.span("engine.compile"):
-            graph, order = self.plan_graph(query)
+    def _plan(
+        self, text: str | Query
+    ) -> tuple[QueryPlan, Query | None, UnknownTermError | None]:
+        """The plan of a query, cached or compiled (and cached by text);
+        the parse tree, when one was made; and the first unknown term a
+        pattern named.  A base naming a term the dictionary does not know
+        compiles to a plan of no steps, and the text is not cached: an
+        insert may introduce the term."""
+        self._maybe_refresh_statistics()
+        if isinstance(text, str):
+            # A plan-cache hit skips the parse too.
+            plan = self._plan_cache.get(text)
+            _trace.annotate_trace(plan_cache_hit=plan is not None)
+            if plan is not None:
+                return plan, None, None
+            query = parse(text)
+        else:
+            query = text
+        unknown: list[UnknownTermError] = []
+
+        def compile_base(patterns: list, conjuncts: list) -> CompiledPlan:
+            try:
+                graph, order = self._plan_graph(patterns, conjuncts)
+            except UnknownTermError as error:
+                unknown.append(error)
+                return CompiledPlan(steps=(), sync=False)
             stats = getattr(self.optimizer, "statistics", None)
             join_estimates = None
             if stats is not None:
@@ -433,34 +461,28 @@ class RDFTX:
                 # The statistics cache serves one optimization (Section
                 # 6.3); kept past it, it would grow with every new text.
                 stats.clear_cache()
-            plan = compile_plan(graph, order, join_estimates)
-            if cache_key is not None and query.is_simple:
-                self._plan_cache.put(cache_key, plan)
-            return plan
+            return compile_plan(graph, order, join_estimates)
+
+        with _trace.span("engine.compile"):
+            plan = QueryPlan(
+                select=tuple(query.select),
+                group=compile_group(query.group, compile_base),
+                filter_clauses=len(query.filters),
+            )
+        if isinstance(text, str) and not unknown:
+            self._plan_cache.put(text, plan)
+        return plan, query, unknown[0] if unknown else None
 
     def query(self, text: str | Query, profile: bool = False) -> QueryResult:
         """Evaluate a SPARQLT query and return its result rows.
 
         With ``profile=True`` (and observability enabled, see
         ``REPRO_OBS``), the result carries a
-        :class:`~repro.obs.profile.QueryProfile`: per-operator timings and
-        row counts, index scan counters, and — when the optimizer is on —
-        estimated vs. actual cardinalities with per-pattern q-errors.
+        :class:`~repro.obs.profile.QueryProfile` of the top group's base
+        join: per-operator timings and row counts, index scan counters,
+        and — when the optimizer is on — estimated vs. actual
+        cardinalities with per-pattern q-errors.
         """
-        from .operators import project
-
-        self._maybe_refresh_statistics()
-        key = text if isinstance(text, str) else None
-        plan: CompiledPlan | None = None
-        query: Query | None = None
-        if key is not None:
-            # A plan-cache hit skips the parse too.
-            plan = self._plan_cache.get(key)
-            _trace.annotate_trace(plan_cache_hit=plan is not None)
-            if plan is None:
-                query = parse(key)
-        else:
-            query = text
         prof_root = (
             ProfileNode(op="execute")
             if profile and _metrics.ENABLED
@@ -469,76 +491,25 @@ class RDFTX:
         started = time.perf_counter()
         if _metrics.ENABLED:
             _QUERIES.inc()
+        plan, query, _ = self._plan(text)
+        top = plan.group.base
+        horizon = self.horizon
 
-        if query is not None and not query.is_simple:
-            # UNION / OPTIONAL groups take the group algebra (never a
-            # plan-cache hit: only conjunctive plans are cached).  The
-            # profile covers the top group's base join only.
-            top = query.group.patterns
-            rows = evaluate_group(
-                query.group,
-                lambda patterns, conjuncts: self._join_base(
-                    patterns, conjuncts,
-                    prof_root if patterns is top else None,
-                ),
-                self.dictionary, self.horizon,
-            )
-            projected = project(rows, query.select, self.dictionary)
-            return self._finish_result(
-                query.select, query, projected, prof_root, started, key
-            )
-        if plan is None:
-            try:
-                plan = self._compile_parsed(query, key)
-            except UnknownTermError:
-                # A constant term missing from the dictionary: no pattern
-                # can match, so there is nothing to execute (or profile
-                # beyond an empty projection).
-                return self._finish_result(
-                    query.select, query, [], prof_root, started, key
-                )
-        with _trace.span("engine.execute", patterns=len(plan.steps)):
-            rows = execute(plan, self.indexes, self.dictionary,
-                           self.horizon, profile=prof_root)
+        def join_base(base: CompiledPlan) -> list:
+            return execute(base, self.indexes, self.dictionary, horizon,
+                           profile=prof_root if base is top else None)
+
+        with _trace.span("engine.execute",
+                         patterns=0 if top is None else len(top.steps)):
+            rows = evaluate_group(plan.group, join_base, self.dictionary,
+                                  horizon)
             projected = project(rows, plan.select, self.dictionary)
-        return self._finish_result(
-            plan.select, query, projected, prof_root, started, key
-        )
-
-    def _join_base(
-        self, patterns: list, conjuncts: list, profile: ProfileNode | None
-    ) -> list:
-        """The engine's :data:`~repro.engine.executor.JoinBase`: the
-        patterns compiled as a conjunctive query (not cached) and run over
-        the MVBTs."""
-        try:
-            plan = self._compile_parsed(
-                Query(select=[], patterns=patterns, filters=conjuncts), None
-            )
-        except UnknownTermError:
-            return []
-        return execute(plan, self.indexes, self.dictionary, self.horizon,
-                       profile=profile)
-
-    def _finish_result(
-        self,
-        select: list[str] | tuple[str, ...],
-        query: Query | None,
-        projected: list[dict],
-        prof_root: ProfileNode | None,
-        started: float,
-        text: str | None,
-    ) -> QueryResult:
-        """The result of a query that ran; ``query`` is its parse tree
-        when one was made (a plan-cache hit has only ``text``)."""
         elapsed = time.perf_counter() - started
-        if _metrics.ENABLED:
-            _QUERY_TIMER.observe(elapsed)
         query_profile = None
         if prof_root is not None:
             root = ProfileNode(
                 op="project",
-                detail=", ".join(f"?{name}" for name in select),
+                detail=", ".join(f"?{name}" for name in plan.select),
                 actual_rows=len(projected),
                 children=prof_root.children,
             )
@@ -546,12 +517,16 @@ class RDFTX:
                 root=root, total_ms=elapsed * 1000.0
             )
         if _metrics.ENABLED:
+            _QUERY_TIMER.observe(elapsed)
+            # ``query`` is the parse tree when one was made (a plan-cache
+            # hit has only the text).
             _workload.WORKLOAD.record_query(
-                query, text, elapsed * 1000.0, rows=len(projected),
+                query, text if isinstance(text, str) else None,
+                elapsed * 1000.0, rows=len(projected),
                 cache_hit=False, trace_id=_trace.current_trace_id(),
             )
         return QueryResult(
-            variables=list(select), rows=projected,
+            variables=list(plan.select), rows=projected,
             profile=query_profile,
         )
 
@@ -567,45 +542,30 @@ class RDFTX:
         This is the by-example access pattern of the paper's end-user
         interfaces [6, 15]: fill in an infobox row, get its history.
         """
-        result = self.query(
-            Query(
-                select=["t"],
-                patterns=[_quad(subject, predicate, object)],
-            )
-        )
-        if not result:
-            return PeriodSet()
         out = PeriodSet()
-        for row in result:
+        for row in self.query(
+            _by_example(["t"], subject, predicate, object, Var("t"))
+        ):
             out = out.union(row["t"])
         return out
 
     def snapshot(self, subject: str, chronon: int) -> dict[str, list[str]]:
         """The subject's property values on one day (flash-back browsing)."""
-        from ..sparqlt.ast import TermConst, TimeConst, Var
-
-        pattern = QuadPatternFactory.snapshot(subject, chronon)
-        result = self.query(Query(select=["p", "o"], patterns=[pattern]))
         out: dict[str, list[str]] = {}
-        for row in result:
+        for row in self.query(_by_example(["p", "o"], subject, None, None,
+                                          TimeConst(chronon))):
             out.setdefault(row["p"], []).append(row["o"])
         return out
 
     def history(self, subject: str,
                 predicate: str | None = None) -> list[tuple]:
         """The full timeline of a subject: (predicate, object, periods)."""
-        pattern = QuadPatternFactory.history(subject, predicate)
         select = ["p", "o", "t"] if predicate is None else ["o", "t"]
-        result = self.query(Query(select=select, patterns=[pattern]))
-        rows = []
-        for row in result:
-            rows.append(
-                (
-                    row.get("p", predicate),
-                    row["o"],
-                    row["t"],
-                )
-            )
+        result = self.query(
+            _by_example(select, subject, predicate, None, Var("t"))
+        )
+        rows = [(row.get("p", predicate), row["o"], row["t"])
+                for row in result]
         rows.sort(key=lambda r: (r[0], r[2].first()))
         return rows
 
@@ -627,32 +587,11 @@ def _reorder(ids: dict, order_name: str):
     return tuple(ids[letter] for letter in INDEX_ORDERS[order_name])
 
 
-def _quad(subject: str, predicate: str, object: str):
-    from ..sparqlt.ast import QuadPattern, TermConst, Var
-
-    return QuadPattern(
-        TermConst(subject), TermConst(predicate), TermConst(object), Var("t")
-    )
-
-
-class QuadPatternFactory:
-    """Builders for the by-example convenience queries."""
-
-    @staticmethod
-    def snapshot(subject: str, chronon: int):
-        from ..sparqlt.ast import QuadPattern, TermConst, TimeConst, Var
-
-        return QuadPattern(
-            TermConst(subject), Var("p"), Var("o"), TimeConst(chronon)
-        )
-
-    @staticmethod
-    def history(subject: str, predicate: str | None):
-        from ..sparqlt.ast import QuadPattern, TermConst, Var
-
-        return QuadPattern(
-            TermConst(subject),
-            TermConst(predicate) if predicate is not None else Var("p"),
-            Var("o"),
-            Var("t"),
-        )
+def _by_example(select: list[str], subject: str, predicate: str | None,
+                object: str | None, at) -> Query:
+    """A one-pattern query; a ``None`` term is the variable ?p or ?o."""
+    terms = [
+        Var(name) if value is None else TermConst(value)
+        for name, value in zip("spo", (subject, predicate, object))
+    ]
+    return Query(select=select, patterns=[QuadPattern(*terms, at)])

@@ -10,21 +10,22 @@ examined/pruned, compressed pages decoded) are attached to each scan node.
 Profiling is opt-in per query and adds no per-row work to the default
 path.
 
-:func:`evaluate_group` is the one SPARQLT group algebra: the engine, the
-cluster coordinator and the baselines each supply only the join of a
-group's base patterns (:data:`JoinBase`).
+:func:`evaluate_group` is the one SPARQLT group algebra: it walks a
+:class:`~repro.engine.plan.GroupPlan`, and the engine, the cluster
+coordinator and the baselines each supply only the join of a group's base
+patterns (:data:`JoinBase`), which applies the base's early conjuncts
+once.  The algebra runs only the late ones.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from ..model.dictionary import Dictionary
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs.profile import ProfileNode
-from ..sparqlt.ast import Expr, GroupGraphPattern, QuadPattern
 from .operators import (
     Row,
     apply_filters,
@@ -34,24 +35,15 @@ from .operators import (
     nested_loop_product,
     synchronized_join_rows,
 )
-from .plan import (
-    CompiledPlan,
-    PlanGraph,
-    Step,
-    compile_plan,
-    conjunct_ready,
-    time_variables,
-)
+from .plan import CompiledPlan, GroupPlan, PlanGraph, Step, compile_plan
 
 #: Index name -> MVBT mapping held by the engine.
 IndexSet = dict
 
-#: An evaluator's join of a group's base patterns.  It gets the conjuncts
-#: that see final values on the joined rows, and may apply each earlier
-#: wherever :func:`~repro.engine.plan.conjunct_ready` allows (scan windows,
-#: plan steps, shard sub-queries); :func:`evaluate_group` applies them all
-#: to the rows it returns.
-JoinBase = Callable[[list[QuadPattern], list[Expr]], Iterable[Row]]
+#: An evaluator's join of one :attr:`~repro.engine.plan.GroupPlan.base`.
+#: It applies the base's early conjuncts exactly once, wherever
+#: :func:`~repro.engine.plan.conjunct_ready` allows.
+JoinBase = Callable[[object], list[Row]]
 
 #: Scan counters surfaced per profile node, as (label, counter) pairs.
 _SCAN_COUNTERS = (
@@ -120,7 +112,8 @@ def execute(
     heuristic :func:`default_order`); a compiled plan carries its own.
     Each filter conjunct runs after the step its plan placed it on: the
     first step after which it sees final values
-    (:func:`~repro.engine.plan.conjunct_ready`).
+    (:func:`~repro.engine.plan.conjunct_ready`).  A plan of no steps
+    matches nothing.
 
     ``profile`` (optional) receives the executed operator tree as a child
     node, with the plan's scan and join estimates on it.
@@ -240,7 +233,7 @@ def execute(
             rows = filter_step(rows, step.filters, "conjunct(s)")
         if not rows:
             return finish([])
-    return finish(rows)
+    return finish(rows or [])
 
 
 def join_in_order(
@@ -256,70 +249,55 @@ def join_in_order(
     rows: list[Row] | None = None
     bound: set[str] = set()
     for names, scanned in inputs:
-        if rows is None:
-            rows = list(scanned)
-        else:
-            shared = bound & names
-            rows = list(
-                hash_join_rows(rows, scanned, shared) if shared
-                else nested_loop_product(rows, scanned)
-            )
+        rows = (list(scanned) if rows is None
+                else _join_rows(rows, scanned, bound & names))
         if not rows:
             return []
         bound |= names
     return rows or []
 
 
+def _join_rows(rows: list[Row], other: Iterable[Row],
+               shared: set[str] | frozenset[str]) -> list[Row]:
+    """:func:`join_in_order`'s join of one input."""
+    return list(
+        hash_join_rows(rows, other, shared) if shared
+        else nested_loop_product(rows, other)
+    )
+
+
 def evaluate_group(
-    group: GroupGraphPattern,
+    plan: GroupPlan,
     join_base: JoinBase,
     dictionary: Dictionary | None,
     horizon: int,
 ) -> list[Row]:
-    """Evaluate a :class:`~repro.sparqlt.ast.GroupGraphPattern`.
+    """Evaluate a compiled group (:func:`~repro.engine.plan.compile_group`).
 
-    ``join_base`` joins the base patterns, and the conjuncts that see
-    final values there run on its rows: those naming only base variables
-    whose temporal ones no UNION or OPTIONAL pattern rebinds, and
-    restrictions.  Then each UNION (its branches' rows concatenated) joins
-    in, each OPTIONAL left-outer-joins, and the group's other conjuncts
-    run over the combined rows.  Each UNION branch and OPTIONAL is a group
-    of its own, filtered on its own rows.
+    ``join_base`` joins the base, its early conjuncts applied.  Then each
+    UNION (its branches' rows concatenated) joins in, each OPTIONAL
+    left-outer-joins, and the late conjuncts run over the combined rows.
+    Each UNION branch and OPTIONAL is a group of its own, filtered on its
+    own rows.
 
     ``dictionary`` decodes term ids for the filters; rows holding decoded
     strings (the cluster coordinator's) need none.
     """
-    conjuncts = group.filter_conjuncts()
-    base_vars = set().union(*(p.variables() for p in group.patterns))
-    # quad_patterns() lists the base first, then UNION and OPTIONAL bodies.
-    rebound = time_variables(group.quad_patterns()[len(group.patterns):])
-    early = [c for c in conjuncts if conjunct_ready(c, base_vars, rebound)]
-    late = [c for c in conjuncts if c not in early]
-
-    def inputs() -> Iterator[tuple[set[str], list[Row]]]:
-        if group.patterns:
-            rows = join_base(group.patterns, early)
-            yield base_vars, (apply_filters(rows, early, dictionary, horizon)
-                              if early else rows)
-        for branches in group.unions:
-            yield set().union(*(b.variables() for b in branches)), [
-                row for branch in branches
-                for row in evaluate_group(branch, join_base, dictionary,
-                                          horizon)
-            ]
-
-    rows = join_in_order(inputs())
+    rows = None if plan.base is None else join_base(plan.base)
+    for shared, branches in plan.unions:
+        if rows is not None and not rows:
+            return []  # nothing for the UNION to join
+        alternatives = [
+            row for branch in branches
+            for row in evaluate_group(branch, join_base, dictionary, horizon)
+        ]
+        rows = (alternatives if rows is None
+                else _join_rows(rows, alternatives, shared))
     if not rows:
         return []
-    bound = base_vars.union(
-        *(b.variables() for branches in group.unions for b in branches)
-    )
-    for optional in group.optionals:
-        optional_rows = evaluate_group(optional, join_base, dictionary,
-                                       horizon)
-        names = optional.variables()
-        rows = list(left_outer_join_rows(rows, optional_rows, bound & names))
-        bound |= names
-    if late:
-        rows = list(apply_filters(rows, late, dictionary, horizon))
+    for shared, optional in plan.optionals:
+        extension = evaluate_group(optional, join_base, dictionary, horizon)
+        rows = list(left_outer_join_rows(rows, extension, shared))
+    if plan.late:
+        rows = list(apply_filters(rows, plan.late, dictionary, horizon))
     return rows

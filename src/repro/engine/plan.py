@@ -7,20 +7,22 @@ graph is compiled into a :class:`CompiledPlan`: the scans in execution
 order with everything the executor decides per step worked out up front —
 join variables, where each filter conjunct runs (:func:`conjunct_ready`),
 whether the first pair runs as a synchronized join, and the optimizer's
-estimates.  The compiled plan is what the engine caches and what the
-executor runs; of the parse tree it keeps only the filter expressions it
-evaluates.
+estimates.  :func:`compile_group` builds the UNION and OPTIONAL tree
+around such base joins; the engine caches a text as one
+:class:`QueryPlan`, which keeps of the parse tree only the filter
+expressions it evaluates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from ..model.dictionary import Dictionary
 from ..mvbt.entry import MAX_KEY_COMPONENT, Key
-from ..sparqlt.ast import Expr, QuadPattern, Query, Var, expr_variables
+from ..sparqlt.ast import (Expr, GroupGraphPattern, QuadPattern, Query, Var,
+                           expr_variables)
 from ..sparqlt.functions import restriction_target
 from .operators import synchronized_join_applicable
 from .patterns import INDEX_ORDERS, PatternPlan
@@ -53,21 +55,24 @@ def conjunct_ready(conjunct: Expr, bound: set[str], rebound: set[str]) -> bool:
 class PlanGraph:
     """The join graph over translated patterns."""
 
-    query: Query
     patterns: list[PatternPlan]
+    #: the filter conjuncts the compiled plan places on its steps.
+    conjuncts: list[Expr]
     #: pairs of pattern indices sharing at least one variable.
-    edges: list[tuple[int, int]] = field(default_factory=list)
+    edges: list[tuple[int, int]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        variables = [p.pattern.variables() for p in self.patterns]
+        self.edges = [
+            (i, j) for i, j in combinations(range(len(variables)), 2)
+            if variables[i] & variables[j]
+        ]
 
     @classmethod
     def build(
         cls, query: Query, patterns: list[PatternPlan]
     ) -> "PlanGraph":
-        graph = cls(query=query, patterns=patterns)
-        variables = [p.pattern.variables() for p in patterns]
-        for i, j in combinations(range(len(patterns)), 2):
-            if variables[i] & variables[j]:
-                graph.edges.append((i, j))
-        return graph
+        return cls(patterns, query.filter_conjuncts())
 
     def neighbors(self, index: int) -> set[int]:
         out = set()
@@ -148,35 +153,12 @@ class Step(NamedTuple):
 
 
 class CompiledPlan(NamedTuple):
-    """An executable, immutable query plan: what the plan cache holds."""
+    """An executable, immutable base join: the engine's compiled form of a
+    group's base patterns and the conjuncts that run on them."""
 
     steps: tuple[Step, ...]
     #: run the first two steps as one synchronized join (Section 5.2.2).
     sync: bool
-    select: tuple[str, ...]
-    #: FILTER clauses as written (explain reports them).
-    filter_clauses: int
-
-    def describe(self, dictionary: Dictionary) -> str:
-        """Human-readable plan summary (``RDFTX.explain``).  Estimates are
-        shown for plans the join-order search ran on, i.e. of more than
-        one pattern."""
-        ordered = len(self.steps) > 1
-        lines = ["Plan:"]
-        for rank, step in enumerate(self.steps):
-            est = (
-                f" est={step.estimate:.0f}"
-                if ordered and step.estimate is not None else ""
-            )
-            lines.append(
-                f"  {rank + 1}. scan {step.index_order.upper()} "
-                f"{step.pattern_text(dictionary)} "
-                f"type={step.pattern_type or 'full'}"
-                f" time=[{step.t1},{step.t2}){est}"
-            )
-        if self.filter_clauses:
-            lines.append(f"  filters: {self.filter_clauses}")
-        return "\n".join(lines)
 
 
 def compile_plan(
@@ -197,7 +179,7 @@ def compile_plan(
         plans[0], plans[1], variables[0] & variables[1]
     )
     times = [plan.time_var for plan in plans]
-    pending = graph.query.filter_conjuncts()
+    pending = list(graph.conjuncts)
     bound: set[str] = set()
     steps = []
     for rank, (plan, names) in enumerate(zip(plans, variables)):
@@ -227,9 +209,94 @@ def compile_plan(
                 if join_estimates and rank else None
             ),
         ))
-    return CompiledPlan(
-        steps=tuple(steps),
-        sync=sync,
-        select=tuple(graph.query.select),
-        filter_clauses=len(graph.query.filters),
+    return CompiledPlan(steps=tuple(steps), sync=sync)
+
+
+class GroupPlan(NamedTuple):
+    """A compiled SPARQLT group: what
+    :func:`~repro.engine.executor.evaluate_group` walks."""
+
+    #: the evaluator's base join, early conjuncts included (None: no base).
+    base: object
+    #: per UNION and OPTIONAL, in order: the variables it shares with the
+    #: rows it joins, and its branches or group.
+    unions: tuple[tuple[frozenset[str], tuple["GroupPlan", ...]], ...]
+    optionals: tuple[tuple[frozenset[str], "GroupPlan"], ...]
+    #: the conjuncts that run after the UNIONs and OPTIONALs.
+    late: tuple[Expr, ...]
+
+
+def compile_group(
+    group: GroupGraphPattern,
+    compile_base: Callable[[list[QuadPattern], list[Expr]], object],
+) -> GroupPlan:
+    """Compile ``group``; ``compile_base`` turns each base (its patterns
+    and early conjuncts) into what the evaluator's
+    :data:`~repro.engine.executor.JoinBase` runs.
+
+    An early conjunct sees final values on the base join
+    (:func:`conjunct_ready`): it names only base variables whose temporal
+    ones no UNION or OPTIONAL pattern rebinds, or it is a restriction.
+    The others are late and run last.  Each UNION branch and OPTIONAL is
+    a group of its own.
+    """
+    conjuncts = group.filter_conjuncts()
+    bound = set().union(*(p.variables() for p in group.patterns))
+    # quad_patterns() lists the base first, then UNION and OPTIONAL bodies.
+    rebound = time_variables(group.quad_patterns()[len(group.patterns):])
+    early = [c for c in conjuncts if conjunct_ready(c, bound, rebound)]
+    base = compile_base(group.patterns, early) if group.patterns else None
+    unions = []
+    for branches in group.unions:
+        names = set().union(*(b.variables() for b in branches))
+        unions.append((
+            frozenset(bound & names),
+            tuple(compile_group(b, compile_base) for b in branches),
+        ))
+        bound |= names
+    optionals = []
+    for optional in group.optionals:
+        names = optional.variables()
+        optionals.append((
+            frozenset(bound & names), compile_group(optional, compile_base)
+        ))
+        bound |= names
+    return GroupPlan(
+        base=base,
+        unions=tuple(unions),
+        optionals=tuple(optionals),
+        late=tuple(c for c in conjuncts if c not in early),
     )
+
+
+class QueryPlan(NamedTuple):
+    """A query text compiled whole, every base a :class:`CompiledPlan`:
+    what the engine's plan cache holds."""
+
+    select: tuple[str, ...]
+    group: GroupPlan
+    #: the top group's FILTER clauses as written (explain reports them).
+    filter_clauses: int
+
+    def describe(self, dictionary: Dictionary) -> str:
+        """Human-readable plan summary (``RDFTX.explain``): the top
+        group's base join.  Estimates are shown for plans the join-order
+        search ran on, i.e. of more than one pattern."""
+        base = self.group.base
+        steps = base.steps if base is not None else ()
+        ordered = len(steps) > 1
+        lines = ["Plan:"]
+        for rank, step in enumerate(steps):
+            est = (
+                f" est={step.estimate:.0f}"
+                if ordered and step.estimate is not None else ""
+            )
+            lines.append(
+                f"  {rank + 1}. scan {step.index_order.upper()} "
+                f"{step.pattern_text(dictionary)} "
+                f"type={step.pattern_type or 'full'}"
+                f" time=[{step.t1},{step.t2}){est}"
+            )
+        if self.filter_clauses:
+            lines.append(f"  filters: {self.filter_clauses}")
+        return "\n".join(lines)

@@ -514,7 +514,7 @@ class _Handler(socketserver.StreamRequestHandler):
             self._send_error(404, f"no such endpoint: {path}")
             return
         try:
-            payload = self._read_body() if path != "/checkpoint" else {}
+            request = self._read_body() if path != "/checkpoint" else {}
         except (ValueError, json.JSONDecodeError) as error:
             self._send_error(400, f"bad request body: {error}")
             return
@@ -525,18 +525,17 @@ class _Handler(socketserver.StreamRequestHandler):
         else:
             trace_cm = contextlib.nullcontext()
         trace = None
-        status = 200
         try:
             with trace_cm as opened:
                 if isinstance(opened, _trace.Trace):
                     trace = opened
                 with self.server.admitted():
-                    result = self.server.run_with_deadline(
-                        lambda: handler(payload)
+                    payload = self.server.run_with_deadline(
+                        lambda: handler(request)
                     )
                 if trace is not None:
-                    result["trace_id"] = trace.trace_id
-            self._send_json(200, result)
+                    payload["trace_id"] = trace.trace_id
+            status = 200
         except ServiceUnavailable:
             status = 503
             if _metrics.ENABLED:
@@ -546,7 +545,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 # The trace names the victim: its admission.wait span
                 # shows how long the request queued before rejection.
                 payload["trace_id"] = trace.trace_id
-            self._send_json(503, payload)
         except FutureTimeoutError:
             status = 504
             if _metrics.ENABLED:
@@ -554,14 +552,11 @@ class _Handler(socketserver.StreamRequestHandler):
             payload = {"error": "request deadline exceeded"}
             if trace is not None:
                 payload["trace_id"] = trace.trace_id
-            self._send_json(504, payload)
         except (SparqltError, ValueError, TimeError) as error:
-            status = 400
-            self._send_error(400, str(error))
+            status, payload = 400, {"error": str(error)}
         except (DuplicateKeyError, TimeOrderError, KeyError,
                 StoreError) as error:
-            status = 409
-            self._send_error(409, str(error))
+            status, payload = 409, {"error": str(error)}
         except Exception:
             # Defensive boundary: never kill the connection thread, but
             # never swallow the traceback either — log it under an error
@@ -571,15 +566,19 @@ class _Handler(socketserver.StreamRequestHandler):
             _LOG.exception("request %s failed (error id %s)", path, error_id)
             if _metrics.ENABLED:
                 _ERRORS.inc()
-            self._send_json(500, {
+            payload = {
                 "error": "internal error; see server log",
                 "error_id": error_id,
-            })
+            }
+        # Observed before the response is written: a client that has read
+        # its answer finds its request counted.
+        elapsed_ms = (_time.perf_counter() - started) * 1000.0
+        if _metrics.ENABLED:
+            _REQUEST_TIMER.observe(elapsed_ms / 1000.0)
+            _REQUEST_HIST.observe(elapsed_ms)
+        try:
+            self._send_json(status, payload)
         finally:
-            elapsed_ms = (_time.perf_counter() - started) * 1000.0
-            if _metrics.ENABLED:
-                _REQUEST_TIMER.observe(elapsed_ms / 1000.0)
-                _REQUEST_HIST.observe(elapsed_ms)
             self._finish_request(path, status, elapsed_ms, trace)
 
     def _finish_request(self, path: str, status: int, elapsed_ms: float,

@@ -193,7 +193,7 @@ class TestFilterRules:
         plan = RDFTX.from_graph(joined).compile(
             "SELECT ?a {x p1 ?a ?t . x p2 ?b ?t . "
             "FILTER(LENGTH(?t) < 200) FILTER(YEAR(?t) = 1975)}"
-        )
+        ).group.base
         first, second = plan.steps
         assert not plan.sync
         # A restriction commutes with the join's intersection: step 1.

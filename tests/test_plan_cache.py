@@ -1,12 +1,14 @@
 """The plan cache holds compiled plans: small, parse-tree-free, immutable.
 
-A cached entry is a :class:`~repro.engine.plan.CompiledPlan`: the scans in
-execution order with their join variables, filter placement, synchronized-
-join decision and estimates worked out at compile time.  These tests pin
-what it may reach and how large it is, that running it (profiled or not)
-leaves it as compiled, that ``explain`` and ``--analyze`` print what they
-printed when the cache held parse trees, and that a hit answers exactly
-what a miss does.
+A cached entry is a :class:`~repro.engine.plan.QueryPlan`: a text compiled
+whole, UNIONs and OPTIONALs included, each base a
+:class:`~repro.engine.plan.CompiledPlan` — the scans in execution order
+with their join variables, filter placement, synchronized-join decision
+and estimates worked out at compile time.  These tests pin what it may
+reach and how large it is, that running it (profiled or not) leaves it as
+compiled, that ``explain`` and ``--analyze`` print what they printed when
+the cache held parse trees, that a text naming an unknown term is never
+cached, and that a hit answers exactly what a miss does.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import RDFTX, Optimizer
-from repro.engine.plan import CompiledPlan
+from repro.engine import UnknownTermError
+from repro.engine.plan import QueryPlan
 from repro.model import TemporalGraph
 from repro.model.time import NOW, date_to_chronon
 from repro.obs import metrics, trace
@@ -55,7 +58,7 @@ def test_entries_hold_no_parse_tree_and_few_objects(heap_by_file):
     engine = heap_by_file.serve_plan_cache(seed=7, smoke=False)
     plans = engine._plan_cache.values()
     assert len(plans) == 512
-    assert all(isinstance(plan, CompiledPlan) for plan in plans)
+    assert all(isinstance(plan, QueryPlan) for plan in plans)
     _, objects, kinds = heap_by_file.reach(plans)
     for banned in (Query, GroupGraphPattern, QuadPattern, Token):
         assert banned.__name__ not in kinds
@@ -127,6 +130,57 @@ def test_explain_and_profile_match_the_parse_tree_cache():
     assert json.loads(fresh.stdout) == golden
 
 
+GROUP_TEXTS = [
+    "SELECT ?s ?v { {?s population ?v ?t} UNION {?s mayor ?v ?t} }",
+    "SELECT ?s ?p ?m {?s population ?p ?t . OPTIONAL {?s mayor ?m ?t}}",
+]
+
+
+def city_engine() -> RDFTX:
+    return engine_over(
+        (f"city{n % 7}", predicate, f"{predicate}{n % 5}",
+         chronon(2010 + n % 4, 1 + n % 12), NOW)
+        for n in range(40) for predicate in ("population", "mayor")
+    )
+
+
+@pytest.mark.parametrize("text", GROUP_TEXTS)
+def test_a_group_text_compiles_once(text):
+    """A UNION or OPTIONAL text is cached on its first run, and its
+    second run is a hit that compiles nothing."""
+    if not metrics.ENABLED:
+        pytest.skip("counters and traces are off (REPRO_OBS=0)")
+    engine = city_engine()
+    hits = metrics.counter("engine.plan_cache.hits")
+    first = engine.query(text)
+    assert text in engine._plan_cache
+    before = hits.value
+    traced = trace.TraceBuffer()
+    with trace.start_trace("request", traced):
+        second = engine.query(text)
+    assert hits.value - before == 1
+    (tr,) = traced.recent()
+    assert "engine.compile" not in tr.span_names()
+    assert second.rows == first.rows and first.rows
+
+
+def test_a_branch_naming_an_unknown_term_is_not_cached():
+    """The other branch still answers; an insert that introduces the term
+    shows on the next run, which then caches the text."""
+    engine = city_engine()
+    text = ("SELECT ?s ?v { {city1 population ?v ?t} UNION "
+            "{?s founder ?v ?t} }")
+    before = engine.query(text)
+    assert before.rows and all(row.get("s") is None for row in before.rows)
+    assert text not in engine._plan_cache
+    with pytest.raises(UnknownTermError):
+        engine.compile(text)
+    engine.insert("city3", "founder", "ada", engine.horizon)
+    after = engine.query(text)
+    assert after.rows == before.rows + [{"s": "city3", "v": "ada"}]
+    assert text in engine._plan_cache
+
+
 SUBJECTS = ["a", "b", "c"]
 PREDICATES = ["p", "q", "r"]
 OBJECTS = ["x", "y", "z"]
@@ -151,6 +205,8 @@ def _term(choices: list[str], variables: list[str]):
 
 @st.composite
 def conjunctive_queries(draw) -> str:
+    """A conjunctive text, its patterns sometimes split in two as
+    ``{A} UNION {B}`` or ``A . OPTIONAL {B}``."""
     patterns = []
     for _ in range(draw(st.integers(1, 3))):
         time = draw(st.sampled_from(
@@ -165,6 +221,11 @@ def conjunctive_queries(draw) -> str:
     variables = sorted({
         word[1:] for word in body.split() if word.startswith("?")
     })
+    if len(patterns) > 1:
+        split = draw(st.integers(1, len(patterns) - 1))
+        a, b = " . ".join(patterns[:split]), " . ".join(patterns[split:])
+        body = draw(st.sampled_from(
+            [body, f"{{{a}}} UNION {{{b}}}", f"{a} . OPTIONAL {{{b}}}"]))
     if "t" in variables:
         body += draw(st.sampled_from([
             "",

@@ -7,12 +7,17 @@ system raise the same exception class.  The expected answers are pinned by
 hand; the shapes are the ones where evaluators have drifted apart: UNION
 and OPTIONAL, a filter over an OPTIONAL variable, ``LENGTH``/``TSTART`` over
 a temporal variable that a later join still narrows, a filter variable no
-pattern binds, and a filter that is a type error on every row.
+pattern binds, and a filter that is a type error on every row.  The
+engines answer each text twice, the second time from the plan cache.
+
+Every early conjunct (one that sees final values on a group's base join)
+runs once: the ``engine.filter_rows_in`` tests below count its rows.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +25,9 @@ from repro.baselines import ALL_BASELINES, Ng4jBaseline
 from repro.cluster import ClusterStore
 from repro.cluster.protocol import encode_value
 from repro.engine import RDFTX
+from repro.io import load_graph
 from repro.model import TemporalGraph
+from repro.obs import metrics
 from repro.optimizer import Optimizer
 
 LIVE = None  # an open-ended period, as encode_value writes it
@@ -76,6 +83,12 @@ EXPECTED = {
     # ... also inside a UNION branch.
     "SELECT ?x { {?x president ?p ?t . FILTER(?q = 1)} UNION "
     "{?x motto ?m ?t} }": "EvaluationError",
+    # An early restriction beside a UNION: x's p1 period ends in 1975,
+    # before the filter's 1978 (chronon 2922), so only y joins.
+    "SELECT ?s ?v ?t {?s p1 ?a ?t . FILTER(YEAR(?t) >= 1978) . "
+    "{?s p2 ?v ?t} UNION {?s motto ?v ?t} }": [
+        ["y", "gamma", [[3500, 4000]]],
+    ],
     # A filter that is a type error on a row rejects the row.
     "SELECT ?x {?x president ?p ?t . FILTER(YEAR(?p) = 2010)}": [],
     "SELECT ?s {z p2 ?a ?t2 . ?s p1 ?a ?t . FILTER(YEAR(?a) = 1)}": [],
@@ -121,10 +134,62 @@ def cluster(request, tmp_path_factory):
 
 @pytest.mark.parametrize("text", list(EXPECTED))
 def test_in_process_systems_agree(in_process, text):
-    got = {name: outcome(system, text) for name, system in in_process.items()}
-    assert got == {name: EXPECTED[text] for name in in_process}
+    for _ in range(2):  # the engines' second answer is a plan-cache hit
+        got = {name: outcome(system, text)
+               for name, system in in_process.items()}
+        assert got == {name: EXPECTED[text] for name in in_process}
 
 
 @pytest.mark.parametrize("text", list(EXPECTED))
 def test_clusters_agree(cluster, text):
     assert outcome(cluster, text) == EXPECTED[text]
+
+
+FILTER_ROWS_IN = metrics.counter("engine.filter_rows_in")
+GOLDEN_DATASET = Path(__file__).parent / "golden" / "cluster_fig9.tnq"
+
+
+def filter_rows_in(system, text: str) -> int:
+    """How far one query moves ``engine.filter_rows_in`` in this process."""
+    before = FILTER_ROWS_IN.value
+    system.query(text)
+    return FILTER_ROWS_IN.value - before
+
+
+@pytest.mark.parametrize("optimize", [False, True],
+                         ids=["heuristic", "optimizer"])
+def test_an_early_conjunct_runs_once_beside_union_and_optional(optimize):
+    """The base and its restriction alone, under a UNION, and under an
+    OPTIONAL: the restriction filters the 97 base rows once each time."""
+    if not metrics.ENABLED:
+        pytest.skip("counters are off (REPRO_OBS=0)")
+    engine = RDFTX.from_graph(load_graph(GOLDEN_DATASET),
+                              optimizer=Optimizer() if optimize else None)
+    base = "?s population ?a ?t . FILTER(YEAR(?t) >= 2005)"
+    texts = [
+        f"SELECT ?s ?a {{{base}}}",
+        f"SELECT ?s ?a ?v {{{base} . "
+        "{?s mayor ?v ?t2} UNION {?s leader ?v ?t2} }",
+        f"SELECT ?s ?a ?m {{{base} . OPTIONAL {{?s mayor ?m ?t2}}}}",
+    ]
+    for text in texts:
+        for _ in range(2):  # a miss, then a plan-cache hit
+            assert filter_rows_in(engine, text) == 97, text
+
+
+def test_the_coordinator_runs_only_what_no_shard_ran(tmp_path):
+    """A scattered query whose conjunct rode along to the shards filters
+    nothing at the coordinator; one that spans two patterns is run there,
+    once per joined row."""
+    if not metrics.ENABLED:
+        pytest.skip("counters are off (REPRO_OBS=0)")
+    with ClusterStore(tmp_path, shards=2, fsync=False) as store:
+        store.load_dataset(_graph())
+        rode = ("SELECT ?x ?p ?m {?x president ?p ?t . ?x motto ?m ?t2 . "
+                "FILTER(YEAR(?t) >= 1972)}")
+        assert outcome(store, rode) == [["um", "coleman", "artes"]]
+        assert filter_rows_in(store, rode) == 0
+        spans = ("SELECT ?x ?p ?m {?x president ?p ?t . ?x motto ?m ?t2 . "
+                 "FILTER(?p != ?m)}")
+        assert outcome(store, spans) == [["um", "coleman", "artes"]]
+        assert filter_rows_in(store, spans) == 1
