@@ -36,10 +36,10 @@ from typing import Callable
 from ..engine.executor import evaluate_group, join_in_order
 from ..engine.operators import Row, apply_filters, project
 from ..engine.plan import compile_group, conjunct_ready, time_variables
+from ..model.time import encode_value
 from ..obs import trace as _trace
 from ..sparqlt.ast import Expr, QuadPattern, Query
 from .planner import ShardPlanner
-from .protocol import encode_value
 
 #: The coordinator-provided fan-out hook: evaluates each (sub-query,
 #: shard ids) request — concurrently where it can — and returns the
@@ -149,7 +149,7 @@ def canonical_sort(rows: list[Row], variables: list[str]) -> list[Row]:
 
     Keyed on the JSON encoding of each projected value (strings, nulls
     for unbound OPTIONAL slots, interval lists for temporal bindings) —
-    the same encoding the HTTP layer emits, so equal serialized results
+    the encoding the HTTP layer emits, so equal serialized results
     sort identically no matter which shard produced which row.
     """
 

@@ -32,7 +32,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import (TYPE_CHECKING, Any, Callable, ClassVar, Generic, TypeVar,
                     get_args)
 
-from ..model.time import NOW, Period, PeriodSet
+from ..model.time import NOW, Period, PeriodSet, encode_value
 from ..mvbt.tree import DuplicateKeyError, TimeOrderError
 from ..service.sanitizer import check_blocking
 from ..service.store import StoreError
@@ -117,15 +117,9 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 # ------------------------------------------------------------- result rows
 
 
-def encode_value(value: Any) -> Any:
-    """A binding value -> JSON: PeriodSets as ``[[start, end|null], ...]``."""
-    if isinstance(value, PeriodSet):
-        return [[p.start, None if p.end == NOW else p.end] for p in value]
-    return value
-
-
 def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value` (lists become PeriodSets)."""
+    """Inverse of :func:`~repro.model.time.encode_value` (lists become
+    PeriodSets)."""
     if isinstance(value, list):
         return PeriodSet(
             Period(start, NOW if end is None else end)

@@ -36,7 +36,7 @@ from .plan import (
 )
 
 _QUERIES = _metrics.counter("engine.queries")
-_QUERY_TIMER = _metrics.REGISTRY.timer_stat("engine.query")
+_QUERY_MS = _metrics.histogram("engine.query_ms")
 _PLAN_HITS = _metrics.counter("engine.plan_cache.hits")
 _PLAN_MISSES = _metrics.counter("engine.plan_cache.misses")
 _PLAN_EVICTIONS = _metrics.counter("engine.plan_cache.evictions")
@@ -517,7 +517,7 @@ class RDFTX:
                 root=root, total_ms=elapsed * 1000.0
             )
         if _metrics.ENABLED:
-            _QUERY_TIMER.observe(elapsed)
+            _QUERY_MS.observe(elapsed * 1000.0)
             # ``query`` is the parse tree when one was made (a plan-cache
             # hit has only the text).
             _workload.WORKLOAD.record_query(

@@ -300,6 +300,16 @@ class PeriodSet:
         return "PeriodSet(" + ", ".join(str(p) for p in self._periods) + ")"
 
 
+def encode_value(value: object) -> object:
+    """A binding value -> JSON: PeriodSets as ``[[start, end|null], ...]``
+    (``null`` for an open end); anything else as it is.  The HTTP layer,
+    the cluster wire protocol and the cluster's canonical row order all
+    use this one encoding."""
+    if isinstance(value, PeriodSet):
+        return [[p.start, None if p.end == NOW else p.end] for p in value]
+    return value
+
+
 def _coalesce(periods: Iterable[Period]) -> Sequence[Period]:
     """Merge overlapping/adjacent periods into maximal disjoint ones."""
     ordered = sorted(periods, key=lambda p: (p.start, p.end))

@@ -22,8 +22,6 @@ _EXPORTS = {
     "Registry": ".metrics",
     "Sampler": ".trace",
     "Span": ".trace",
-    "Timer": ".metrics",
-    "TimerStat": ".metrics",
     "Trace": ".trace",
     "TraceBuffer": ".trace",
     "counter": ".metrics",

@@ -1,6 +1,6 @@
 """The catalog of sanctioned metric and event names.
 
-Every counter / gauge / timer / histogram registered anywhere in the tree,
+Every counter / gauge / histogram registered anywhere in the tree,
 and every cluster event recorded, must be declared here first.  The point
 is hygiene at scale: a typo at one call site ("service.store.querys")
 would otherwise fork a series that dashboards read as zero forever.  So
@@ -117,21 +117,16 @@ GAUGE_HELP: dict[str, str] = {
     "process.uptime_seconds": "seconds since the obs layer was loaded",
 }
 
-#: Every timer-stat name the tree is allowed to register -> its contract.
-TIMER_HELP: dict[str, str] = {
-    "engine.query": "end-to-end SPARQLT evaluation",
-    "service.server.request": "HTTP request wall time",
-    "service.snapshot.load": "snapshot load wall time",
-    "service.snapshot.save": "snapshot save wall time",
-}
-
 #: Every fixed-bucket latency-histogram name the tree is allowed to
 #: register -> its contract.
 HISTOGRAM_HELP: dict[str, str] = {
     "cluster.coordinator.rpc_ms": "coordinator-to-shard RPC latency",
+    "engine.query_ms": "end-to-end SPARQLT evaluation",
     "optimizer.rebuild_ms":
         "statistics (re)build wall time - the stall a refresh imposes",
     "service.server.request_ms": "HTTP request wall time (per request)",
+    "service.snapshot.load_ms": "snapshot load wall time",
+    "service.snapshot.save_ms": "snapshot save wall time",
     "service.store.query_ms": "store-level query latency",
     "service.store.update_ms": "store-level durable-update latency",
     "service.wal.sync_ms": "WAL group-commit fsync latency",
@@ -167,7 +162,6 @@ EVENT_HELP: dict[str, str] = {
 #: Sanctioned names per kind (the sets registration checks against).
 COUNTERS = frozenset(COUNTER_HELP)
 GAUGES = frozenset(GAUGE_HELP)
-TIMERS = frozenset(TIMER_HELP)
 HISTOGRAMS = frozenset(HISTOGRAM_HELP)
 
 #: Sanctioned event-log names (the set :func:`repro.obs.events.event`
@@ -175,7 +169,7 @@ HISTOGRAMS = frozenset(HISTOGRAM_HELP)
 EVENTS = frozenset(EVENT_HELP)
 
 #: name -> help text, any kind.
-HELP = {**COUNTER_HELP, **GAUGE_HELP, **TIMER_HELP, **HISTOGRAM_HELP}
+HELP = {**COUNTER_HELP, **GAUGE_HELP, **HISTOGRAM_HELP}
 
 
 def require(name: str, names: frozenset[str], kind: str) -> None:

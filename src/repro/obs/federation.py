@@ -14,33 +14,27 @@ Merge semantics per kind:
 * **gauges** — max; a gauge is a point-in-time reading and the
   conservative fleet-wide answer for lag/watermark-style values is the
   worst member.
-* **timers** — counts and totals summed, min/max folded, mean recomputed.
-* **histograms** — merged *bucket-wise*: the cumulative bucket lists are
-  de-cumulated, per-bound counts summed across members, re-cumulated,
-  and the p50/p95/p99 re-interpolated from the merged buckets — exactly
-  the estimate a single histogram observing the union of samples would
-  report.
+* **histograms** — summed bucket by bucket into one
+  :class:`~repro.obs.metrics.Histogram`, which reports its own
+  p50/p95/p99 — exactly what a single histogram observing the union of
+  samples would report.  Every histogram shares one ladder; a member
+  snapshot on any other raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterable
 
-from . import catalog as _catalog
+from .metrics import Histogram, prometheus_lines
 
 __all__ = [
     "merge_counters",
     "merge_gauges",
-    "merge_timers",
     "merge_histograms",
     "merge_snapshots",
     "build_groups",
     "render_prometheus_cluster",
 ]
-
-#: Canonical label emission order; any other labels follow, sorted.
-_LABEL_ORDER = ("shard", "role", "replica")
 
 
 def merge_counters(maps: Iterable[dict[str, Any]]) -> dict[str, int]:
@@ -63,91 +57,12 @@ def merge_gauges(maps: Iterable[dict[str, Any]]) -> dict[str, float]:
     return dict(sorted(merged.items()))
 
 
-def merge_timers(stats: Iterable[dict[str, Any]]) -> dict[str, float]:
-    """Fold timer-stat dicts (count/total/min/max, mean recomputed)."""
-    count = 0
-    total_ms = 0.0
-    min_ms = math.inf
-    max_ms = 0.0
-    for stat in stats:
-        observed = int(stat.get("count", 0))
-        count += observed
-        total_ms += float(stat.get("total_ms", 0.0))
-        if observed:
-            min_ms = min(min_ms, float(stat.get("min_ms", 0.0)))
-        max_ms = max(max_ms, float(stat.get("max_ms", 0.0)))
-    return {
-        "count": count,
-        "total_ms": total_ms,
-        "mean_ms": total_ms / count if count else 0.0,
-        "min_ms": min_ms if count else 0.0,
-        "max_ms": max_ms,
-    }
-
-
-def _quantile(bounds: list[float], counts: list[int], total: int,
-              q: float) -> float:
-    """Interpolated quantile over per-bucket counts.
-
-    Mirrors :meth:`repro.obs.metrics.Histogram.quantile` so a merged
-    histogram answers exactly what one histogram over the union of the
-    samples would.
-    """
-    if total == 0 or not bounds:
-        return 0.0
-    rank = q * total
-    cumulative = 0
-    lower = 0.0
-    for bound, bucket in zip(bounds, counts):
-        if cumulative + bucket >= rank:
-            if bucket == 0:
-                return bound
-            fraction = (rank - cumulative) / bucket
-            return lower + (bound - lower) * fraction
-        cumulative += bucket
-        lower = bound
-    return bounds[-1]
-
-
 def merge_histograms(snapshots: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    """Merge histogram ``as_dict`` payloads bucket-wise.
-
-    The wire shape carries *cumulative* ``[bound, count]`` pairs; each is
-    de-cumulated, the per-bound increments summed across members (bounds
-    are unioned, so members with different ladders still merge), and the
-    result re-cumulated with quantiles re-interpolated.
-    """
-    per_bound: dict[float, int] = {}
-    overflow = 0
-    total = 0
-    sum_ms = 0.0
+    """Merge histogram ``as_dict`` payloads bucket by bucket."""
+    merged = Histogram("merged")
     for snap in snapshots:
-        previous = 0
-        for bound, cumulative in snap.get("buckets") or []:
-            bound = float(bound)
-            per_bound[bound] = per_bound.get(bound, 0) + (
-                int(cumulative) - previous
-            )
-            previous = int(cumulative)
-        overflow += int(snap.get("overflow", 0))
-        total += int(snap.get("count", 0))
-        sum_ms += float(snap.get("sum_ms", 0.0))
-    bounds = sorted(per_bound)
-    counts = [per_bound[bound] for bound in bounds]
-    cumulative_total = 0
-    buckets: list[list[float]] = []
-    for bound, bucket in zip(bounds, counts):
-        cumulative_total += bucket
-        buckets.append([bound, cumulative_total])
-    return {
-        "count": total,
-        "sum_ms": sum_ms,
-        "overflow": overflow,
-        "p50_ms": _quantile(bounds, counts, total, 0.50),
-        "p95_ms": _quantile(bounds, counts, total, 0.95),
-        "p99_ms": _quantile(bounds, counts, total, 0.99),
-        "buckets": buckets,
-    }
+        merged.merge(snap)
+    return merged.as_dict()
 
 
 def merge_snapshots(
@@ -155,11 +70,8 @@ def merge_snapshots(
 ) -> dict[str, Any]:
     """Merge whole registry snapshots into one snapshot-shaped dict."""
     snapshots = list(snapshots)
-    timer_names: dict[str, list[dict[str, Any]]] = {}
     hist_names: dict[str, list[dict[str, Any]]] = {}
     for snap in snapshots:
-        for name, stat in (snap.get("timers") or {}).items():
-            timer_names.setdefault(name, []).append(stat)
         for name, hist in (snap.get("histograms") or {}).items():
             hist_names.setdefault(name, []).append(hist)
     return {
@@ -169,15 +81,21 @@ def merge_snapshots(
         "gauges": merge_gauges(
             snap.get("gauges") or {} for snap in snapshots
         ),
-        "timers": {
-            name: merge_timers(stats)
-            for name, stats in sorted(timer_names.items())
-        },
         "histograms": {
             name: merge_histograms(hists)
             for name, hists in sorted(hist_names.items())
         },
     }
+
+
+def _labels(entry: dict[str, Any]) -> dict[str, str]:
+    """A member entry's ``shard`` (absent for the coordinator) and
+    ``role`` labels."""
+    labels = {}
+    if entry.get("shard") is not None:
+        labels["shard"] = str(entry["shard"])
+    labels["role"] = str(entry.get("role", "unknown"))
+    return labels
 
 
 def build_groups(members: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -196,10 +114,7 @@ def build_groups(members: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
         metrics = entry.get("metrics")
         if not isinstance(metrics, dict):
             continue
-        labels: dict[str, str] = {}
-        if entry.get("shard") is not None:
-            labels["shard"] = str(entry["shard"])
-        labels["role"] = str(entry.get("role", "unknown"))
+        labels = _labels(entry)
         key = tuple(sorted(labels.items()))
         bucket = grouped.setdefault(key, {"labels": labels, "snapshots": []})
         bucket["snapshots"].append(metrics)
@@ -214,121 +129,32 @@ def build_groups(members: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
     return groups
 
 
-def _format_labels(labels: dict[str, Any], extra: str = "") -> str:
-    """``{shard="0",role="replica"}`` with deterministic key order."""
-    parts = [
-        f'{key}="{labels[key]}"' for key in _LABEL_ORDER if key in labels
-    ]
-    parts.extend(
-        f'{key}="{value}"'
-        for key, value in sorted(labels.items())
-        if key not in _LABEL_ORDER
-    )
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}"
-
-
 def render_prometheus_cluster(federated: dict[str, Any]) -> str:
     """Prometheus text exposition of a federated cluster pull.
 
-    Unlike the per-process renderer, nothing is synthesized from the
-    catalog: only series members actually reported appear, each labeled
-    with its merged group's ``shard``/``role`` (and ``replica`` index
-    for the per-replica lag gauges).  ``federated`` is the dict
-    :meth:`repro.cluster.coordinator.ClusterStore.federated_metrics`
+    Unlike the process scrape, nothing is zero-filled from the catalog:
+    only series members actually reported appear, each labeled with its
+    merged group's ``shard``/``role``.  The per-member liveness and
+    per-replica lag gauges (``replica`` index labeled) follow, derived
+    from the member entries rather than any registry.  ``federated`` is
+    the dict :meth:`repro.cluster.coordinator.ClusterStore.federated_metrics`
     returns.
     """
-    lines: list[str] = []
-
-    def prom(name: str) -> str:
-        return "repro_" + name.replace(".", "_")
-
-    def emit_help(base: str, name: str, kind: str) -> None:
-        text = _catalog.help_for(name)
-        if text:
-            lines.append(f"# HELP {base} {text}")
-        lines.append(f"# TYPE {base} {kind}")
-
-    groups = federated.get("groups") or []
-    by_name: dict[str, dict[str, list]] = {
-        "counters": {}, "gauges": {}, "timers": {}, "histograms": {},
-    }
-    for group in groups:
-        labels = group.get("labels") or {}
-        metrics = group.get("metrics") or {}
-        for kind in by_name:
-            for name, value in (metrics.get(kind) or {}).items():
-                by_name[kind].setdefault(name, []).append((labels, value))
-
-    for name in sorted(by_name["counters"]):
-        base = prom(name)
-        emit_help(f"{base}_total", name, "counter")
-        for labels, value in by_name["counters"][name]:
-            lines.append(f"{base}_total{_format_labels(labels)} {value}")
-    for name in sorted(by_name["gauges"]):
-        base = prom(name)
-        emit_help(base, name, "gauge")
-        for labels, value in by_name["gauges"][name]:
-            lines.append(f"{base}{_format_labels(labels)} {value:g}")
-    for name in sorted(by_name["timers"]):
-        base = prom(name)
-        emit_help(f"{base}_seconds", name, "summary")
-        for labels, stat in by_name["timers"][name]:
-            rendered = _format_labels(labels)
-            lines.append(
-                f"{base}_seconds_count{rendered} {stat['count']}"
-            )
-            lines.append(
-                f"{base}_seconds_sum{rendered} "
-                f"{stat['total_ms'] / 1000.0:.9g}"
-            )
-    for name in sorted(by_name["histograms"]):
-        base = prom(name)
-        emit_help(base, name, "histogram")
-        for labels, hist in by_name["histograms"][name]:
-            cumulative = 0
-            for bound, cum in hist.get("buckets") or []:
-                cumulative = cum
-                le_label = 'le="%g"' % bound
-                lines.append(
-                    f"{base}_bucket{_format_labels(labels, le_label)} {cum}"
-                )
-            inf_label = 'le="+Inf"'
-            total_count = cumulative + hist.get("overflow", 0)
-            lines.append(
-                f"{base}_bucket{_format_labels(labels, inf_label)} "
-                f"{total_count}"
-            )
-            rendered = _format_labels(labels)
-            lines.append(f"{base}_sum{rendered} {hist['sum_ms']:.9g}")
-            lines.append(f"{base}_count{rendered} {hist['count']}")
-
-    # Per-replica lag gauges and per-member liveness, straight from the
-    # member entries (these are coordinator-derived, not registry series).
-    lag_lsn: list[tuple[dict[str, Any], float]] = []
-    lag_seconds: list[tuple[dict[str, Any], float]] = []
-    up: list[tuple[dict[str, Any], int]] = []
+    groups = [
+        (group.get("labels") or {}, group.get("metrics") or {})
+        for group in federated.get("groups") or []
+    ]
+    members = []
     for entry in federated.get("members") or []:
-        labels = {}
-        if entry.get("shard") is not None:
-            labels["shard"] = str(entry["shard"])
-        labels["role"] = str(entry.get("role", "unknown"))
+        labels = _labels(entry)
         if entry.get("replica") is not None:
             labels["replica"] = str(entry["replica"])
-        up.append((labels, 1 if entry.get("alive") else 0))
+        gauges = {"cluster.member.up": 1 if entry.get("alive") else 0}
         if entry.get("role") == "replica" and entry.get("alive"):
-            if entry.get("lag_lsn") is not None:
-                lag_lsn.append((labels, float(entry["lag_lsn"])))
-            if entry.get("lag_seconds") is not None:
-                lag_seconds.append((labels, float(entry["lag_seconds"])))
-    for name, series in (("cluster.lag.lsn", lag_lsn),
-                         ("cluster.lag.seconds", lag_seconds),
-                         ("cluster.member.up", up)):
-        if not series:
-            continue
-        base = prom(name)
-        emit_help(base, name, "gauge")
-        for labels, value in series:
-            lines.append(f"{base}{_format_labels(labels)} {value:g}")
+            for name, key in (("cluster.lag.lsn", "lag_lsn"),
+                              ("cluster.lag.seconds", "lag_seconds")):
+                if entry.get(key) is not None:
+                    gauges[name] = float(entry[key])
+        members.append((labels, {"gauges": gauges}))
+    lines = prometheus_lines(groups) + prometheus_lines(members)
     return "\n".join(lines) + "\n"

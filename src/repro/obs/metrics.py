@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, timers, histograms.
+"""Process-wide metrics registry: counters, gauges, histograms.
 
 Zero-dependency observability for the engine's hot paths.  Metrics are
 named, thread-safe, and live in a process-global :data:`REGISTRY` by
@@ -16,7 +16,7 @@ storage) and standard Prometheus scrapers can consume the cumulative
 ``_bucket``/``_sum``/``_count`` rendering.
 
 Kill switch: setting the environment variable ``REPRO_OBS=0`` (before
-import) disables all instrumentation — counter increments, timer
+import) disables all instrumentation — counter increments, histogram
 observations, and query profiling become no-ops, so benchmark timings are
 unaffected.  Call sites in hot loops additionally gate on
 :data:`ENABLED` so the disabled path costs a single attribute check per
@@ -30,8 +30,7 @@ import bisect
 import json
 import os
 import threading
-import time
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import catalog as _catalog
 
@@ -109,54 +108,9 @@ class Gauge:
             self._value = 0.0
 
 
-class TimerStat:
-    """Aggregated wall-clock observations: count / total / min / max."""
-
-    __slots__ = ("name", "count", "total", "min", "max", "_lock")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        if not ENABLED:
-            return
-        with self._lock:
-            self.count += 1
-            self.total += seconds
-            if seconds < self.min:
-                self.min = seconds
-            if seconds > self.max:
-                self.max = seconds
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        with self._lock:
-            self.count = 0
-            self.total = 0.0
-            self.min = float("inf")
-            self.max = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total_ms": self.total * 1000.0,
-            "mean_ms": self.mean * 1000.0,
-            "min_ms": (self.min if self.count else 0.0) * 1000.0,
-            "max_ms": self.max * 1000.0,
-        }
-
-
-#: Default latency bucket upper bounds in **milliseconds** — a 1-2-5
-#: log-spaced ladder from 50µs to 10s.  Observations above the last bound
-#: land in the implicit +Inf overflow bucket.
+#: The bucket upper bounds in **milliseconds** every histogram uses — a
+#: 1-2-5 log-spaced ladder from 50µs to 10s.  Observations above the last
+#: bound land in the implicit +Inf overflow bucket.
 DEFAULT_BUCKETS_MS: tuple[float, ...] = (
     0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0,
     100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0,
@@ -164,24 +118,24 @@ DEFAULT_BUCKETS_MS: tuple[float, ...] = (
 
 
 class Histogram:
-    """Fixed-bucket latency histogram (milliseconds).
+    """Fixed-bucket latency histogram (milliseconds) on the one ladder,
+    :data:`DEFAULT_BUCKETS_MS`.
 
     Cumulative-on-read: each observation increments exactly one bucket
     counter, quantiles are interpolated from the bucket boundaries when
     asked.  With log-spaced buckets the interpolation error is bounded by
     the bucket ratio (2-2.5x here), which is what fleet-wide p95/p99
-    dashboards tolerate by convention.
+    dashboards tolerate by convention.  Since every histogram shares the
+    ladder, histograms merge by summing their buckets (:meth:`merge`) and
+    the sum answers what one histogram over all the samples would.
     """
 
-    __slots__ = ("name", "bounds", "_counts", "_overflow", "_sum",
-                 "_count", "_lock")
+    __slots__ = ("name", "_counts", "_overflow", "_sum", "_count", "_lock")
 
-    def __init__(self, name: str,
-                 bounds: tuple[float, ...] = DEFAULT_BUCKETS_MS) -> None:
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError("histogram bounds must be strictly increasing")
+    bounds = DEFAULT_BUCKETS_MS
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds = tuple(float(b) for b in bounds)
         self._counts = [0] * len(self.bounds)
         self._overflow = 0
         self._sum = 0.0
@@ -200,6 +154,25 @@ class Histogram:
                 self._overflow += 1
             self._sum += value_ms
             self._count += 1
+
+    def merge(self, snapshot: dict) -> None:
+        """Add another histogram's :meth:`as_dict` payload bucket by bucket.
+
+        Raises ``ValueError`` for a payload on any other ladder.
+        """
+        bounds = tuple(float(bound) for bound, _ in snapshot["buckets"])
+        if bounds != self.bounds:
+            raise ValueError(
+                f"histogram {self.name!r}: foreign bucket ladder {bounds}"
+            )
+        with self._lock:
+            previous = 0
+            for index, (_, cumulative) in enumerate(snapshot["buckets"]):
+                self._counts[index] += int(cumulative) - previous
+                previous = int(cumulative)
+            self._overflow += int(snapshot["overflow"])
+            self._sum += float(snapshot["sum_ms"])
+            self._count += int(snapshot["count"])
 
     @property
     def count(self) -> int:
@@ -266,59 +239,13 @@ class Histogram:
         }
 
 
-class Timer:
-    """Context manager / decorator feeding a :class:`TimerStat`.
-
-    Usage::
-
-        with registry.timer("engine.query"):
-            ...
-
-        @registry.timer("engine.query")
-        def run(): ...
-    """
-
-    __slots__ = ("stat", "_start")
-
-    def __init__(self, stat: TimerStat) -> None:
-        self.stat = stat
-        self._start: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter() if ENABLED else None
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        if self._start is not None:
-            self.stat.observe(time.perf_counter() - self._start)
-            self._start = None
-        return False
-
-    def __call__(self, fn: Callable) -> Callable:
-        stat = self.stat
-
-        def wrapper(*args, **kwargs):
-            if not ENABLED:
-                return fn(*args, **kwargs)
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                stat.observe(time.perf_counter() - start)
-
-        wrapper.__name__ = getattr(fn, "__name__", "wrapped")
-        wrapper.__doc__ = fn.__doc__
-        return wrapper
-
-
 class Registry:
-    """A named collection of counters, gauges and timer stats."""
+    """A named collection of counters, gauges and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._timers: dict[str, TimerStat] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------- factories
@@ -339,27 +266,12 @@ class Registry:
                 found = self._gauges.setdefault(name, Gauge(name))
         return found
 
-    def timer_stat(self, name: str) -> TimerStat:
-        found = self._timers.get(name)
-        if found is None:
-            _catalog.require(name, _catalog.TIMERS, "timer")
-            with self._lock:
-                found = self._timers.setdefault(name, TimerStat(name))
-        return found
-
-    def timer(self, name: str) -> Timer:
-        return Timer(self.timer_stat(name))
-
-    def histogram(
-        self, name: str, bounds: tuple[float, ...] = DEFAULT_BUCKETS_MS
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         found = self._histograms.get(name)
         if found is None:
             _catalog.require(name, _catalog.HISTOGRAMS, "histogram")
             with self._lock:
-                found = self._histograms.setdefault(
-                    name, Histogram(name, bounds)
-                )
+                found = self._histograms.setdefault(name, Histogram(name))
         return found
 
     # ------------------------------------------------------------ inspection
@@ -378,10 +290,6 @@ class Registry:
                 "gauges": {
                     name: g.value for name, g in sorted(self._gauges.items())
                 },
-                "timers": {
-                    name: t.as_dict()
-                    for name, t in sorted(self._timers.items())
-                },
                 "histograms": {
                     name: h.as_dict()
                     for name, h in sorted(self._histograms.items())
@@ -395,7 +303,6 @@ class Registry:
             metrics = (
                 list(self._counters.values())
                 + list(self._gauges.values())
-                + list(self._timers.values())
                 + list(self._histograms.values())
             )
         for metric in metrics:
@@ -417,16 +324,6 @@ class Registry:
             width = max(len(n) for n in snap["gauges"])
             for name, value in snap["gauges"].items():
                 lines.append(f"  {name.ljust(width)}  {value:g}")
-        if snap["timers"]:
-            lines.append("timers:")
-            width = max(len(n) for n in snap["timers"])
-            for name, stat in snap["timers"].items():
-                lines.append(
-                    f"  {name.ljust(width)}  count={stat['count']}"
-                    f" total={stat['total_ms']:.2f}ms"
-                    f" mean={stat['mean_ms']:.3f}ms"
-                    f" max={stat['max_ms']:.3f}ms"
-                )
         if snap["histograms"]:
             lines.append("histograms:")
             width = max(len(n) for n in snap["histograms"])
@@ -443,75 +340,91 @@ class Registry:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def render_prometheus(self) -> str:
-        """Prometheus text exposition (version 0.0.4) of the registry.
-
-        Names are prefixed ``repro_`` with dots mapped to underscores;
-        counters gain the conventional ``_total`` suffix, timer stats
-        render as ``_count``/``_sum_ms``, histograms as classic
-        cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``.
+        """Prometheus text exposition of the registry: one unlabeled group
+        (:func:`prometheus_lines`).
 
         Every cataloged metric (:mod:`repro.obs.catalog`) is rendered —
         zero-valued when nothing has registered it yet; nothing else can
         be registered — so the scrape surface is identical across
         restarts, and every series carries its ``# HELP`` contract.
         """
-        lines: list[str] = []
+        snap = self.snapshot()
+        empty = Histogram("").as_dict()
+        filled = {
+            "counters": {name: snap["counters"].get(name, 0)
+                         for name in _catalog.COUNTERS},
+            "gauges": {name: snap["gauges"].get(name, 0)
+                       for name in _catalog.GAUGES},
+            "histograms": {name: snap["histograms"].get(name, empty)
+                           for name in _catalog.HISTOGRAMS},
+        }
+        return "\n".join(prometheus_lines([({}, filled)])) + "\n"
 
-        def prom(name: str) -> str:
-            return "repro_" + name.replace(".", "_")
 
-        def help_line(base: str, name: str) -> None:
-            lines.append(f"# HELP {base} {_catalog.HELP[name]}")
+#: Canonical label emission order; any other labels follow, sorted.
+_LABEL_ORDER = ("shard", "role", "replica")
 
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            timers = dict(self._timers)
-            histograms = dict(self._histograms)
-        for name in sorted(_catalog.COUNTERS):
-            base = prom(name)
-            counter_ = counters.get(name)
-            help_line(f"{base}_total", name)
-            lines.append(f"# TYPE {base}_total counter")
-            lines.append(
-                f"{base}_total {counter_.value if counter_ else 0}"
-            )
-        for name in sorted(_catalog.GAUGES):
-            base = prom(name)
-            gauge_ = gauges.get(name)
-            help_line(base, name)
-            lines.append(f"# TYPE {base} gauge")
-            lines.append(f"{base} {gauge_.value if gauge_ else 0:g}")
-        for name in sorted(_catalog.TIMERS):
-            base = prom(name)
-            stat = timers.get(name)
-            help_line(f"{base}_seconds", name)
-            lines.append(f"# TYPE {base}_seconds summary")
-            lines.append(
-                f"{base}_seconds_count {stat.count if stat else 0}"
-            )
-            lines.append(
-                f"{base}_seconds_sum {stat.total if stat else 0.0:.9g}"
-            )
-        for name in sorted(_catalog.HISTOGRAMS):
-            base = prom(name)
-            hist = histograms.get(name)
-            if hist is None:
-                hist = Histogram(name)
-            data = hist.as_dict()
-            help_line(base, name)
-            lines.append(f"# TYPE {base} histogram")
-            cumulative = 0
-            for bound, cum in data["buckets"]:
-                cumulative = cum
-                lines.append(f'{base}_bucket{{le="{bound:g}"}} {cum}')
-            lines.append(
-                f'{base}_bucket{{le="+Inf"}} '
-                f'{cumulative + data["overflow"]}'
-            )
-            lines.append(f"{base}_sum {data['sum_ms']:.9g}")
-            lines.append(f"{base}_count {data['count']}")
-        return "\n".join(lines) + "\n"
+
+def _format_labels(labels: dict[str, str], extra: str = "") -> str:
+    """``{shard="0",role="replica"}`` with deterministic key order; empty
+    for no labels."""
+    parts = [
+        f'{key}="{labels[key]}"' for key in _LABEL_ORDER if key in labels
+    ]
+    parts.extend(
+        f'{key}="{value}"'
+        for key, value in sorted(labels.items())
+        if key not in _LABEL_ORDER
+    )
+    if extra:
+        parts.append(extra)
+    return "{" + ",".join(parts) + "}" if parts else ""
+
+
+def prometheus_lines(
+    groups: Iterable[tuple[dict[str, str], dict]],
+) -> list[str]:
+    """Prometheus text exposition (version 0.0.4) of labeled snapshots.
+
+    ``groups`` pairs a label set with a :meth:`Registry.snapshot`-shaped
+    dict.  Names are prefixed ``repro_`` with dots mapped to underscores;
+    counters gain the conventional ``_total`` suffix, histograms render
+    as classic cumulative ``_bucket{le=...}`` series plus
+    ``_sum``/``_count``.  Families come by kind (counters, gauges,
+    histograms), sorted by name; each lists the groups that carry it, in
+    the given order, with their labels.
+    """
+    groups = list(groups)
+    lines: list[str] = []
+    for kind, prom_kind, spec in (("counters", "counter", ""),
+                                  ("gauges", "gauge", "g"),
+                                  ("histograms", "histogram", None)):
+        names = {name for _, snap in groups for name in snap.get(kind) or {}}
+        for name in sorted(names):
+            base = "repro_" + name.replace(".", "_")
+            family = base + "_total" if kind == "counters" else base
+            text = _catalog.help_for(name)
+            if text:
+                lines.append(f"# HELP {family} {text}")
+            lines.append(f"# TYPE {family} {prom_kind}")
+            for labels, snap in groups:
+                value = (snap.get(kind) or {}).get(name)
+                if value is None:
+                    continue
+                if spec is not None:
+                    lines.append(
+                        f"{family}{_format_labels(labels)} {value:{spec}}"
+                    )
+                    continue
+                for bound, cumulative in value["buckets"]:
+                    le = _format_labels(labels, 'le="%g"' % bound)
+                    lines.append(f"{base}_bucket{le} {cumulative}")
+                le = _format_labels(labels, 'le="+Inf"')
+                lines.append(f"{base}_bucket{le} {value['count']}")
+                rendered = _format_labels(labels)
+                lines.append(f"{base}_sum{rendered} {value['sum_ms']:.9g}")
+                lines.append(f"{base}_count{rendered} {value['count']}")
+    return lines
 
 
 #: The process-global default registry every subsystem reports into.

@@ -75,7 +75,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from http import HTTPStatus
 from urllib.parse import urlparse, parse_qs
 
-from ..model.time import NOW, PeriodSet, TimeError, date_to_chronon
+from ..model.time import TimeError, date_to_chronon, encode_value
 from ..mvbt.tree import DuplicateKeyError, TimeOrderError
 from ..obs import events as _events
 from ..obs import federation as _federation
@@ -91,7 +91,6 @@ _REQUESTS = _metrics.counter("service.server.requests")
 _REJECTED = _metrics.counter("service.server.rejected")
 _TIMEOUTS = _metrics.counter("service.server.timeouts")
 _ERRORS = _metrics.counter("service.server.errors")
-_REQUEST_TIMER = _metrics.REGISTRY.timer_stat("service.server.request")
 _REQUEST_HIST = _metrics.histogram("service.server.request_ms")
 _UPTIME = _metrics.gauge("process.uptime_seconds")
 _RSS = _metrics.gauge("process.rss_bytes")
@@ -131,14 +130,6 @@ class _Refused(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
-
-
-def _encode_value(value):
-    if isinstance(value, PeriodSet):
-        return [
-            [p.start, None if p.end == NOW else p.end] for p in value
-        ]
-    return value
 
 
 def _parse_time(value) -> int:
@@ -505,19 +496,31 @@ class _Handler(socketserver.StreamRequestHandler):
         if _metrics.ENABLED:
             _REQUESTS.inc()
         path = urlparse(self.path).path
+        status, payload, trace = self._answer(path)
+        # Observed before the response is written: a client that has read
+        # its answer finds its request counted.
+        elapsed_ms = (_time.perf_counter() - started) * 1000.0
+        if _metrics.ENABLED:
+            _REQUEST_HIST.observe(elapsed_ms)
+        try:
+            self._send_json(status, payload)
+        finally:
+            self._finish_request(path, status, elapsed_ms, trace)
+
+    def _answer(self, path: str) -> tuple[int, dict, _trace.Trace | None]:
+        """A POST's status, response payload and trace (None when it was
+        not sampled or never reached a handler)."""
         handler = {
             "/query": self._handle_query,
             "/update": self._handle_update,
             "/checkpoint": self._handle_checkpoint,
         }.get(path)
         if handler is None:
-            self._send_error(404, f"no such endpoint: {path}")
-            return
+            return 404, {"error": f"no such endpoint: {path}"}, None
         try:
             request = self._read_body() if path != "/checkpoint" else {}
         except (ValueError, json.JSONDecodeError) as error:
-            self._send_error(400, f"bad request body: {error}")
-            return
+            return 400, {"error": f"bad request body: {error}"}, None
         if _metrics.ENABLED and self.server.sampler.keep():
             trace_cm = _trace.start_trace(
                 f"POST {path}", self.server.traces, path=path
@@ -535,9 +538,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     )
                 if trace is not None:
                     payload["trace_id"] = trace.trace_id
-            status = 200
+            return 200, payload, trace
         except ServiceUnavailable:
-            status = 503
             if _metrics.ENABLED:
                 _REJECTED.inc()
             payload = {"error": "server saturated, retry later"}
@@ -545,41 +547,31 @@ class _Handler(socketserver.StreamRequestHandler):
                 # The trace names the victim: its admission.wait span
                 # shows how long the request queued before rejection.
                 payload["trace_id"] = trace.trace_id
+            return 503, payload, trace
         except FutureTimeoutError:
-            status = 504
             if _metrics.ENABLED:
                 _TIMEOUTS.inc()
             payload = {"error": "request deadline exceeded"}
             if trace is not None:
                 payload["trace_id"] = trace.trace_id
+            return 504, payload, trace
         except (SparqltError, ValueError, TimeError) as error:
-            status, payload = 400, {"error": str(error)}
+            return 400, {"error": str(error)}, trace
         except (DuplicateKeyError, TimeOrderError, KeyError,
                 StoreError) as error:
-            status, payload = 409, {"error": str(error)}
+            return 409, {"error": str(error)}, trace
         except Exception:
             # Defensive boundary: never kill the connection thread, but
             # never swallow the traceback either — log it under an error
             # id the client can quote back.
-            status = 500
             error_id = f"{os.getpid():x}-{next(_ERROR_SEQ):06x}"
             _LOG.exception("request %s failed (error id %s)", path, error_id)
             if _metrics.ENABLED:
                 _ERRORS.inc()
-            payload = {
+            return 500, {
                 "error": "internal error; see server log",
                 "error_id": error_id,
-            }
-        # Observed before the response is written: a client that has read
-        # its answer finds its request counted.
-        elapsed_ms = (_time.perf_counter() - started) * 1000.0
-        if _metrics.ENABLED:
-            _REQUEST_TIMER.observe(elapsed_ms / 1000.0)
-            _REQUEST_HIST.observe(elapsed_ms)
-        try:
-            self._send_json(status, payload)
-        finally:
-            self._finish_request(path, status, elapsed_ms, trace)
+            }, trace
 
     def _finish_request(self, path: str, status: int, elapsed_ms: float,
                         trace) -> None:
@@ -621,7 +613,7 @@ class _Handler(socketserver.StreamRequestHandler):
         response = {
             "variables": result.variables,
             "rows": [
-                {name: _encode_value(value) for name, value in row.items()}
+                {name: encode_value(value) for name, value in row.items()}
                 for row in result.rows
             ],
             "revision": result.revision,

@@ -34,8 +34,8 @@ from .sanitizer import check_blocking
 
 _SAVES = _metrics.counter("service.snapshot.saves")
 _LOADS = _metrics.counter("service.snapshot.loads")
-_SAVE_TIMER = _metrics.REGISTRY.timer_stat("service.snapshot.save")
-_LOAD_TIMER = _metrics.REGISTRY.timer_stat("service.snapshot.load")
+_SAVE_MS = _metrics.histogram("service.snapshot.save_ms")
+_LOAD_MS = _metrics.histogram("service.snapshot.load_ms")
 
 #: File header identifying a snapshot (8 bytes).
 SNAPSHOT_MAGIC = b"RTXSNAP1"
@@ -144,7 +144,7 @@ def save_snapshot(engine: RDFTX, path: str | Path, *,
     os.replace(tmp, path)
     if _metrics.ENABLED:
         _SAVES.inc()
-        _SAVE_TIMER.observe(_time.perf_counter() - started)
+        _SAVE_MS.observe((_time.perf_counter() - started) * 1000.0)
     return path
 
 
@@ -173,5 +173,5 @@ def load_snapshot(path: str | Path,
     }
     if _metrics.ENABLED:
         _LOADS.inc()
-        _LOAD_TIMER.observe(_time.perf_counter() - started)
+        _LOAD_MS.observe((_time.perf_counter() - started) * 1000.0)
     return engine, meta

@@ -23,12 +23,12 @@ from repro import io as tio
 from repro.cluster import ClusterStore, protocol, shard_of
 from repro.cluster.client import ShardClient
 from repro.cluster.executor import canonical_sort
-from repro.cluster.protocol import encode_value
 from repro.datasets.queries import (
     complex_queries,
     join_queries,
     selection_queries,
 )
+from repro.model.time import encode_value
 from repro.mvbt.tree import DuplicateKeyError, TimeOrderError
 from repro.obs import events
 from repro.service.store import StoreError, TemporalStore

@@ -7,6 +7,7 @@ answer exactly what one histogram observing the union of the samples
 would — otherwise federated p95s drift from per-process ones.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +19,11 @@ from repro.obs.federation import (
     merge_gauges,
     merge_histograms,
     merge_snapshots,
-    merge_timers,
     render_prometheus_cluster,
 )
-from repro.obs.metrics import Histogram, TimerStat
+from repro.obs.metrics import Histogram
+
+from tests.exposition_pins import federated_fixture
 
 
 # ----------------------------------------------------------- counter/gauge
@@ -43,29 +45,6 @@ def test_merge_gauges_takes_worst_member():
         {"lag": 2.5, "depth": 1},
     ])
     assert merged == {"depth": 3.0, "lag": 2.5}
-
-
-def test_merge_timers_folds_and_recomputes_mean():
-    a = TimerStat("t")
-    b = TimerStat("t")
-    a.observe(0.010)
-    a.observe(0.030)
-    b.observe(0.100)
-    merged = merge_timers([a.as_dict(), b.as_dict()])
-    assert merged["count"] == 3
-    assert abs(merged["total_ms"] - 140.0) < 1e-6
-    assert abs(merged["mean_ms"] - 140.0 / 3) < 1e-6
-    assert abs(merged["min_ms"] - 10.0) < 1e-6
-    assert abs(merged["max_ms"] - 100.0) < 1e-6
-
-
-def test_merge_timers_ignores_empty_members_min():
-    empty = TimerStat("t").as_dict()
-    busy = TimerStat("t")
-    busy.observe(0.5)
-    merged = merge_timers([empty, busy.as_dict()])
-    assert merged["count"] == 1
-    assert abs(merged["min_ms"] - 500.0) < 1e-6
 
 
 # ------------------------------------------------- histogram property test
@@ -98,16 +77,15 @@ def test_merged_histogram_equals_union_of_samples(samples, members, seed):
         assert abs(merged[q] - expected[q]) < 1e-9, q
 
 
-def test_merge_histograms_unions_different_ladders():
-    a = Histogram("h", bounds=(1.0, 10.0))
-    b = Histogram("h", bounds=(5.0, 50.0))
-    a.observe(0.5)
-    b.observe(30.0)
-    merged = merge_histograms([a.as_dict(), b.as_dict()])
-    assert merged["count"] == 2
-    assert [bound for bound, _ in merged["buckets"]] == [1.0, 5.0, 10.0,
-                                                         50.0]
-    assert merged["buckets"][-1][1] == 2
+def test_merge_histograms_refuses_a_foreign_ladder():
+    ours = Histogram("h")
+    ours.observe(3.0)
+    foreign = ours.as_dict()
+    foreign["buckets"] = [[1.0, 0], [10.0, 1]]
+    with pytest.raises(ValueError, match="foreign bucket ladder"):
+        merge_histograms([ours.as_dict(), foreign])
+    with pytest.raises(ValueError, match="foreign bucket ladder"):
+        merge_snapshots([{"histograms": {"h": foreign}}])
 
 
 # ----------------------------------------------------------- group building
@@ -147,56 +125,20 @@ def test_build_groups_merges_replicas_and_skips_dead():
 def test_merge_snapshots_shape():
     merged = merge_snapshots([
         {"counters": {"a": 1}, "gauges": {"g": 2.0},
-         "timers": {"t": TimerStat("t").as_dict()},
          "histograms": {"h": Histogram("h").as_dict()}},
         {"counters": {"a": 1}},
     ])
     assert merged["counters"] == {"a": 2}
     assert merged["gauges"] == {"g": 2.0}
-    assert set(merged["timers"]) == {"t"}
+    assert set(merged) == {"counters", "gauges", "histograms"}
     assert set(merged["histograms"]) == {"h"}
 
 
 # ------------------------------------------------------ prometheus renderer
 
 
-def _federated_fixture():
-    hist = Histogram("cluster.coordinator.rpc_ms")
-    hist.observe(3.0)
-    return {
-        "scope": "cluster",
-        "watermark": 7,
-        "members": [
-            {"role": "coordinator", "alive": True, "enabled": True,
-             "metrics": {}},
-            {"shard": 0, "role": "shard", "pid": 11, "alive": True,
-             "enabled": True, "metrics": {}},
-            {"shard": 0, "role": "replica", "replica": 0, "pid": 12,
-             "alive": True, "enabled": True, "metrics": {},
-             "lag_lsn": 3, "lag_seconds": 0.25},
-            {"shard": 1, "role": "replica", "replica": 0, "pid": 13,
-             "alive": False, "enabled": False, "metrics": {}},
-        ],
-        "groups": [
-            {"labels": {"shard": "0", "role": "shard"}, "members": 1,
-             "metrics": {
-                 "counters": {"cluster.worker.requests": 4},
-                 "gauges": {},
-                 "timers": {},
-                 "histograms": {"cluster.coordinator.rpc_ms":
-                                hist.as_dict()},
-             }},
-            {"labels": {"shard": "0", "role": "replica"}, "members": 1,
-             "metrics": {
-                 "counters": {"cluster.worker.replicated": 6},
-                 "gauges": {}, "timers": {}, "histograms": {},
-             }},
-        ],
-    }
-
-
 def test_render_prometheus_cluster_pins_label_order():
-    text = render_prometheus_cluster(_federated_fixture())
+    text = render_prometheus_cluster(federated_fixture())
     # The canonical label order is shard,role — pinned, not sorted.
     assert ('repro_cluster_worker_replicated_total'
             '{shard="0",role="replica"} 6') in text
@@ -205,7 +147,7 @@ def test_render_prometheus_cluster_pins_label_order():
 
 
 def test_render_prometheus_cluster_lag_and_liveness_series():
-    text = render_prometheus_cluster(_federated_fixture())
+    text = render_prometheus_cluster(federated_fixture())
     assert ('repro_cluster_lag_lsn'
             '{shard="0",role="replica",replica="0"} 3') in text
     assert ('repro_cluster_lag_seconds'
@@ -218,7 +160,7 @@ def test_render_prometheus_cluster_lag_and_liveness_series():
 
 
 def test_render_prometheus_cluster_histogram_buckets_labeled():
-    text = render_prometheus_cluster(_federated_fixture())
+    text = render_prometheus_cluster(federated_fixture())
     assert ('repro_cluster_coordinator_rpc_ms_bucket'
             '{shard="0",role="shard",le="5"} 1') in text
     assert ('repro_cluster_coordinator_rpc_ms_bucket'

@@ -96,63 +96,17 @@ class TestCounters:
         assert g.value == 7.5
 
 
-class TestTimers:
-    def test_observe_aggregates(self):
-        reg = Registry()
-        stat = reg.timer_stat("engine.query")
-        stat.observe(0.010)
-        stat.observe(0.030)
-        assert stat.count == 2
-        assert stat.total == pytest.approx(0.040)
-        assert stat.mean == pytest.approx(0.020)
-        assert stat.min == pytest.approx(0.010)
-        assert stat.max == pytest.approx(0.030)
-        d = stat.as_dict()
-        assert d["count"] == 2
-        assert d["mean_ms"] == pytest.approx(20.0)
-
-    def test_context_manager(self):
-        reg = Registry()
-        with reg.timer("engine.query"):
-            pass
-        assert reg.timer_stat("engine.query").count == 1
-        assert reg.timer_stat("engine.query").total >= 0.0
-
-    def test_decorator(self):
-        reg = Registry()
-
-        @reg.timer("engine.query")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert reg.timer_stat("engine.query").count == 1
-        assert work.__name__ == "work"
-
-    def test_disabled_skips_clock(self):
-        reg = Registry()
-        set_enabled(False)
-        with reg.timer("engine.query"):
-            pass
-        set_enabled(True)
-        assert reg.timer_stat("engine.query").count == 0
-
-    def test_empty_stat_as_dict(self):
-        stat = Registry().timer_stat("engine.query")
-        assert stat.as_dict()["min_ms"] == 0.0
-        assert stat.mean == 0.0
-
-
 class TestRegistry:
     def test_snapshot_shape(self):
         reg = Registry()
         reg.counter("engine.queries").inc()
         reg.gauge("obs.workload.shapes").set(2.0)
-        reg.timer_stat("engine.query").observe(0.001)
+        reg.histogram("engine.query_ms").observe(1.0)
         snap = reg.snapshot()
+        assert set(snap) == {"counters", "gauges", "histograms"}
         assert snap["counters"] == {"engine.queries": 1}
         assert snap["gauges"] == {"obs.workload.shapes": 2.0}
-        assert snap["timers"]["engine.query"]["count"] == 1
+        assert snap["histograms"]["engine.query_ms"]["count"] == 1
 
     def test_render_text_and_json(self):
         reg = Registry()
@@ -270,8 +224,19 @@ class TestQueryProfiles:
 
     def test_engine_counters_advance(self, engine):
         before = REGISTRY.counter("engine.queries").value
+        timed = REGISTRY.histogram("engine.query_ms").count
         engine.query("SELECT ?p {UC president ?p ?t}")
         assert REGISTRY.counter("engine.queries").value == before + 1
+        assert REGISTRY.histogram("engine.query_ms").count == timed + 1
+
+    def test_snapshot_save_and_load_are_timed(self, engine, tmp_path):
+        from repro.service.snapshot import load_snapshot, save_snapshot
+
+        saves = REGISTRY.histogram("service.snapshot.save_ms")
+        loads = REGISTRY.histogram("service.snapshot.load_ms")
+        before = (saves.count, loads.count)
+        load_snapshot(save_snapshot(engine, tmp_path / "e.snap"))
+        assert (saves.count, loads.count) == (before[0] + 1, before[1] + 1)
 
     def test_group_query_profiles(self, engine):
         result = engine.query(
@@ -322,8 +287,8 @@ class TestHarnessHelpers:
     def test_snapshot_delta(self):
         from repro.bench.harness import _snapshot_delta
 
-        before = {"counters": {"a": 1, "b": 2}, "timers": {}}
-        after = {"counters": {"a": 4, "b": 2, "c": 7}, "timers": {}}
+        before = {"counters": {"a": 1, "b": 2}, "gauges": {}}
+        after = {"counters": {"a": 4, "b": 2, "c": 7}, "gauges": {}}
         assert _snapshot_delta(before, after) == {
             "counters": {"a": 3, "c": 7}
         }

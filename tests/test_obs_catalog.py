@@ -43,7 +43,6 @@ def test_every_cataloged_metric_is_registered_at_import(modules):
     registered = REGISTRY.snapshot()
     for kind, names in (("counters", catalog.COUNTERS),
                         ("gauges", catalog.GAUGES),
-                        ("timers", catalog.TIMERS),
                         ("histograms", catalog.HISTOGRAMS)):
         missing = names - set(registered[kind]) - FEDERATION_ONLY
         assert not missing, f"cataloged {kind} nothing registers: {missing}"
@@ -56,8 +55,8 @@ def test_every_cataloged_event_is_bound_as_a_handle(modules):
 
 
 def test_every_name_is_a_dotted_lowercase_path():
-    names = (catalog.COUNTERS | catalog.GAUGES | catalog.TIMERS
-             | catalog.HISTOGRAMS | catalog.EVENTS)
+    names = (catalog.COUNTERS | catalog.GAUGES | catalog.HISTOGRAMS
+             | catalog.EVENTS)
     assert [name for name in sorted(names) if not NAME.match(name)] == []
 
 
@@ -70,7 +69,6 @@ def test_the_module_shorthands_return_the_registered_metric():
     registry = Registry()
     for factory, names in ((registry.counter, catalog.COUNTERS),
                            (registry.gauge, catalog.GAUGES),
-                           (registry.timer_stat, catalog.TIMERS),
                            (registry.histogram, catalog.HISTOGRAMS)):
         for name in names:
             factory(name)
@@ -87,7 +85,7 @@ def test_an_uncataloged_name_is_refused():
     with pytest.raises(KeyError):
         registry.gauge("service.store.updates")
     with pytest.raises(KeyError):
-        registry.timer_stat("service.store.updates")
+        registry.histogram("service.store.updates")
     assert registry.snapshot()["counters"] == {}
     assert registry.snapshot()["gauges"] == {}
 

@@ -231,16 +231,16 @@ class TestStructuredLogs:
         obslog.set_level("warning")
         obslog.set_stream(None)
 
-    def _lines(self, stream, event, timeout: float = 5.0):
+    def _lines(self, stream, event, count: int = 1, timeout: float = 5.0):
         """The logged lines of ``event``.  The server logs a request after
-        answering it, so the client waits (bounded) for the first one."""
+        answering it, so the client waits (bounded) for ``count`` lines."""
         deadline = time.monotonic() + timeout
         while True:
             lines = [
                 json.loads(line) for line in stream.getvalue().splitlines()
                 if json.loads(line)["event"] == event
             ]
-            if lines or time.monotonic() > deadline:
+            if len(lines) >= count or time.monotonic() > deadline:
                 return lines
             time.sleep(0.01)
 
@@ -285,6 +285,23 @@ class TestStructuredLogs:
         assert status == 400
         lines = self._lines(captured, "http_access")
         assert lines[-1]["status"] == 400
+
+    def test_refused_posts_are_observed_and_logged(self, service, captured):
+        """A POST to no endpoint (404) and one with an unreadable body
+        (400) are answered like any other: each lands in the request
+        histogram once and gets its access-log line."""
+        hist = metrics.REGISTRY.histogram("service.server.request_ms")
+        before = hist.count
+        status, _ = _json_request(service, "POST", "/nowhere", {"x": 1})
+        assert status == 404
+        status, body = _json_request(service, "POST", "/query", [1, 2])
+        assert status == 400
+        assert body["error"].startswith("bad request body")
+        assert hist.count - before == 2
+        lines = self._lines(captured, "http_access", count=2)
+        assert [(line["path"], line["status"]) for line in lines] == [
+            ("/nowhere", 404), ("/query", 400),
+        ]
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):

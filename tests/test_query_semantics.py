@@ -23,10 +23,10 @@ import pytest
 
 from repro.baselines import ALL_BASELINES, Ng4jBaseline
 from repro.cluster import ClusterStore
-from repro.cluster.protocol import encode_value
 from repro.engine import RDFTX
 from repro.io import load_graph
 from repro.model import TemporalGraph
+from repro.model.time import encode_value
 from repro.obs import metrics
 from repro.optimizer import Optimizer
 

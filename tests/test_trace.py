@@ -351,10 +351,10 @@ class TestHistogram:
         assert hist.quantile(0.99) <= 1000.0
 
     def test_overflow_clamps_to_last_bound(self):
-        hist = Histogram("test.overflow_ms", bounds=(1.0, 10.0))
+        hist = Histogram("test.overflow_ms")
         hist.observe(99999.0)
         assert hist.as_dict()["overflow"] == 1
-        assert hist.quantile(0.5) == 10.0
+        assert hist.quantile(0.5) == DEFAULT_BUCKETS_MS[-1]
 
     def test_empty_histogram(self):
         hist = Histogram("test.empty_ms")
@@ -362,8 +362,9 @@ class TestHistogram:
         assert hist.as_dict()["count"] == 0
 
     def test_bounds_must_increase(self):
-        with pytest.raises(ValueError):
-            Histogram("test.bad_ms", bounds=(1.0, 1.0))
+        assert Histogram.bounds is DEFAULT_BUCKETS_MS
+        assert all(lower < upper for lower, upper
+                   in zip(DEFAULT_BUCKETS_MS, DEFAULT_BUCKETS_MS[1:]))
 
     def test_registry_snapshot_and_reset(self):
         registry = metrics.Registry()
@@ -394,12 +395,10 @@ class TestPrometheusRendering:
         registry = metrics.Registry()
         registry.counter("service.server.requests").inc(3)
         registry.gauge("process.rss_bytes").set(2)
-        hist = registry.histogram(
-            "service.server.request_ms", bounds=(1.0, 10.0)
-        )
+        hist = registry.histogram("service.server.request_ms")
         hist.observe(0.5)
         hist.observe(5.0)
-        hist.observe(50.0)  # overflow
+        hist.observe(50000.0)  # overflow
         text = registry.render_prometheus()
         assert "# TYPE repro_service_server_requests_total counter" in text
         assert "repro_service_server_requests_total 3" in text
@@ -407,15 +406,14 @@ class TestPrometheusRendering:
         assert '# TYPE repro_service_server_request_ms histogram' in text
         assert 'repro_service_server_request_ms_bucket{le="1"} 1' in text
         assert 'repro_service_server_request_ms_bucket{le="10"} 2' in text
+        assert 'repro_service_server_request_ms_bucket{le="10000"} 2' in text
         assert 'repro_service_server_request_ms_bucket{le="+Inf"} 3' in text
         assert "repro_service_server_request_ms_count 3" in text
         assert text.endswith("\n")
 
     def test_histogram_buckets_are_cumulative(self):
         registry = metrics.Registry()
-        hist = registry.histogram(
-            "service.store.query_ms", bounds=(1.0, 2.0, 5.0)
-        )
+        hist = registry.histogram("service.store.query_ms")
         for value in (0.5, 1.5, 1.7, 4.0):
             hist.observe(value)
         text = registry.render_prometheus()
