@@ -8,10 +8,8 @@ artifact trail.
 
 Observability: timings run with whatever ``REPRO_OBS`` says — the default
 (on) keeps the global metrics registry live, and ``REPRO_OBS=0`` turns
-every probe into a no-op for instrumentation-free numbers.  Pass
-``profile_out`` to :func:`time_queries` / :func:`time_callable` to archive
-JSON operator profiles (or a registry-delta snapshot) next to the result
-tables.
+every probe into a no-op for instrumentation-free numbers.
+:func:`archive_profiles` writes a query set's JSON operator profiles.
 """
 
 from __future__ import annotations
@@ -37,57 +35,28 @@ def scaled(base: int, minimum: int = 200) -> int:
 
 
 def time_callable(fn: Callable[[], object], repeats: int = 3,
-                  warmup: int = 1,
-                  profile_out: str | Path | None = None) -> float:
+                  warmup: int = 1) -> float:
     """Average wall-clock seconds of ``fn`` over ``repeats`` warm runs.
 
     Matches the paper's methodology: warm-cache, averaged over several runs
     (the paper uses 5; the default here is 3 to keep the full matrix fast —
     raise via the ``repeats`` argument).
-
-    With ``profile_out``, the delta of the global metrics registry across
-    the timed runs is written there as JSON alongside the timing (empty
-    when ``REPRO_OBS=0``).
     """
     for _ in range(warmup):
         fn()
-    before = None
-    if profile_out is not None:
-        from ..obs import REGISTRY
-
-        before = REGISTRY.snapshot()
     start = time.perf_counter()
     for _ in range(repeats):
         fn()
-    elapsed = (time.perf_counter() - start) / repeats
-    if profile_out is not None:
-        from ..obs import REGISTRY
-
-        payload = {
-            "seconds_per_run": elapsed,
-            "repeats": repeats,
-            "registry_delta": _snapshot_delta(before, REGISTRY.snapshot()),
-        }
-        Path(profile_out).write_text(json.dumps(payload, indent=2))
-    return elapsed
+    return (time.perf_counter() - start) / repeats
 
 
-def time_queries(system, queries: Sequence[str], repeats: int = 3,
-                 profile_out: str | Path | None = None) -> float:
-    """Average per-query time (ms) of a query set on one system.
-
-    With ``profile_out``, each query is re-run once with profiling after
-    the timed loop and the operator trees are archived there as JSON (see
-    :func:`archive_profiles`); systems without profiling support — the
-    baselines — write an empty list.
-    """
+def time_queries(system, queries: Sequence[str], repeats: int = 3) -> float:
+    """Average per-query time (ms) of a query set on one system."""
     def run_all():
         for text in queries:
             system.query(text)
 
     total = time_callable(run_all, repeats=repeats)
-    if profile_out is not None:
-        archive_profiles(system, queries, profile_out)
     return total / max(len(queries), 1) * 1000.0
 
 
@@ -111,22 +80,6 @@ def archive_profiles(system, queries: Sequence[str],
         profiles.append(prof.to_dict() if prof is not None else None)
     path.write_text(json.dumps(profiles, indent=2))
     return len([p for p in profiles if p is not None])
-
-
-def _snapshot_delta(before: dict, after: dict) -> dict:
-    """Recursive numeric difference of two registry snapshots."""
-    out: dict = {}
-    for key, value in after.items():
-        prev = before.get(key, 0 if not isinstance(value, dict) else {})
-        if isinstance(value, dict):
-            inner = _snapshot_delta(prev, value)
-            if inner:
-                out[key] = inner
-        else:
-            delta = value - prev
-            if delta:
-                out[key] = delta
-    return out
 
 
 def format_table(

@@ -150,11 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--replicas", type=int, default=0, metavar="M",
                        help="WAL-shipped read replicas per shard "
                             "(requires --shards; default 0)")
-    serve.add_argument("--metrics-refresh", type=float, default=0.0,
-                       metavar="SECS",
-                       help="background federated-metrics pull interval "
-                            "for /metrics?scope=cluster (requires "
-                            "--shards; 0 = pull on demand; default 0)")
 
     cluster_status = sub.add_parser(
         "cluster-status",
@@ -469,7 +464,6 @@ def _serve_cluster(args) -> int:
         group_size=args.group_commit,
         fsync=not args.no_fsync,
         query_cache_size=args.query_cache or None,
-        metrics_refresh=args.metrics_refresh or None,
     )
     try:
         if args.data:

@@ -49,7 +49,6 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..service.sanitizer import sanitized_lock
 from ..service.store import StoreError
-from ..sparqlt.ast import Query
 from ..sparqlt.parser import parse
 from . import executor as _dist
 from . import protocol
@@ -85,9 +84,6 @@ class ClusterStore(ClusterTelemetry):
         group_size: int = 32,
         fsync: bool = True,
         query_cache_size: int | None = 256,
-        rpc_timeout: float = 30.0,
-        start_timeout: float = 60.0,
-        metrics_refresh: float | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -105,7 +101,6 @@ class ClusterStore(ClusterTelemetry):
                 fsync=fsync,
                 query_cache_size=query_cache_size,
             ),
-            rpc_timeout, start_timeout,
         )
         #: serializes writes (and the watermark/time-watermark bumps).
         #: Shard RPCs run under it by design (allow_blocking).
@@ -128,7 +123,6 @@ class ClusterStore(ClusterTelemetry):
             self._membership.terminate()
             self.close()
             raise
-        self._start_refresh(metrics_refresh)
 
     def _bootstrap_watermarks(self) -> None:
         """Adopt revision/time state from pre-existing shard directories.
@@ -160,7 +154,9 @@ class ClusterStore(ClusterTelemetry):
     def query(self, text, profile: bool = False) -> QueryResult:
         """Evaluate a query across the cluster.
 
-        Results are canonically sorted (see
+        ``text`` is query text or a pre-parsed query, which is rendered
+        back to text here: a shard gets every read as text.  Results are
+        canonically sorted (see
         :func:`repro.cluster.executor.canonical_sort`) on both paths, so
         the same query over the same data is byte-identical regardless of
         shard count or which members served the scans.  ``profile`` is
@@ -172,25 +168,19 @@ class ClusterStore(ClusterTelemetry):
         if _metrics.ENABLED:
             _QUERIES.inc()
         with _trace.span("cluster.query"):
-            query = parse(text) if isinstance(text, str) else text
+            if isinstance(text, str):
+                query = parse(text)
+            else:
+                query, text = text, protocol.encode_query(text)
             target = self.planner.single_shard_for(
                 query.group.quad_patterns())
-            if (target is not None and not isinstance(text, str)
-                    and not query.is_simple):
-                # encode_query carries only the simple conjunctive shape
-                # (select/patterns/filters); forwarding a pre-parsed
-                # UNION/OPTIONAL query would silently drop its group
-                # algebra, so it goes through the distributed path.
-                target = None
             watermark = self._watermark
             if target is not None:
                 if _metrics.ENABLED:
                     _SINGLE_SHARD.inc()
                 answer = self._membership.rpc_read(
                     self._membership.members[target],
-                    protocol.Query(text=text, horizon=self._horizon)
-                    if isinstance(text, str) else
-                    protocol.Scan(query=query, horizon=self._horizon),
+                    protocol.Query(text=text, horizon=self._horizon),
                 )
                 result = QueryResult(
                     variables=answer.variables,
@@ -205,18 +195,18 @@ class ClusterStore(ClusterTelemetry):
             return result
 
     def _scatter_many(
-        self, requests: list[tuple[Query, list[int]]]
+        self, requests: list[tuple[str, list[int]]]
     ) -> list[list[dict]]:
-        """Fan every (sub-query, shards) request out concurrently."""
+        """Fan every (sub-query text, shards) request out concurrently."""
         futures = []
-        for sub, shard_ids in requests:
+        for text, shard_ids in requests:
             if _metrics.ENABLED:
                 _SCATTER.inc(len(shard_ids))
-            scan = protocol.Scan(query=sub, horizon=self._horizon)
+            request = protocol.Query(text=text, horizon=self._horizon)
             futures.append([
                 _trace.submit(
                     self._scatter_pool, self._membership.rpc_read,
-                    self._membership.members[shard_id], scan,
+                    self._membership.members[shard_id], request,
                 )
                 for shard_id in shard_ids
             ])
@@ -449,7 +439,6 @@ class ClusterStore(ClusterTelemetry):
         if self._closed:
             return
         self._closed = True
-        self._stop_refresh()
         self._scatter_pool.shutdown(wait=False)
         self._membership.close()
 

@@ -10,8 +10,9 @@ Two plans exist, chosen per query:
 * **Scatter/gather** — the engine's group algebra
   (:func:`repro.engine.executor.evaluate_group`) runs at the coordinator
   with :func:`scatter_join` as its base join: each base pattern becomes a
-  single-pattern sub-query fanned out to the shards
-  :meth:`~repro.cluster.planner.ShardPlanner.shards_for_pattern` names.
+  single-pattern sub-query, rendered as SPARQLT text, fanned out to the
+  shards :meth:`~repro.cluster.planner.ShardPlanner.shards_for_pattern`
+  names.
   A filter conjunct rides along with a sub-query when it sees final
   values on that one pattern (:func:`repro.engine.plan.conjunct_ready`),
   so time windows still push into the shard-side scans, and the
@@ -38,13 +39,14 @@ from ..engine.operators import Row, apply_filters, project
 from ..engine.plan import compile_group, conjunct_ready, time_variables
 from ..model.time import encode_value
 from ..obs import trace as _trace
-from ..sparqlt.ast import Expr, QuadPattern, Query
+from ..sparqlt.ast import Compare, Expr, Literal, QuadPattern, Query, Var
 from .planner import ShardPlanner
+from .protocol import encode_query
 
-#: The coordinator-provided fan-out hook: evaluates each (sub-query,
+#: The coordinator-provided fan-out hook: evaluates each (sub-query text,
 #: shard ids) request — concurrently where it can — and returns the
 #: unioned, decoded rows per request, in request order.
-ScatterMany = Callable[[list[tuple[Query, list[int]]]], list[list[Row]]]
+ScatterMany = Callable[[list[tuple[str, list[int]]]], list[list[Row]]]
 
 
 def scatter_order(patterns: list[QuadPattern]) -> list[int]:
@@ -96,7 +98,7 @@ def scatter_join(
     over the joined rows.
     """
     order = scatter_order(patterns)
-    requests: list[tuple[Query, list[int]]] = []
+    requests: list[tuple[str, list[int]]] = []
     carried: list = []
     for index in order:
         pattern = patterns[index]
@@ -107,21 +109,36 @@ def scatter_join(
                  if conjunct_ready(c, pattern.variables(), rebound)]
         carried += ready
         requests.append((
-            Query(
-                select=sorted(pattern.variables()),
-                patterns=[pattern],
-                filters=ready,
-            ),
+            _sub_query(pattern, ready),
             planner.shards_for_pattern(pattern),
         ))
     with _trace.span("cluster.scatter", requests=len(requests)):
         partials = scatter_many(requests)
     rows = join_in_order(
-        (patterns[index].variables(), partial)
-        for index, partial in zip(order, partials)
+        (names, partial if names else [{} for _ in partial])
+        for names, partial in zip(
+            (patterns[index].variables() for index in order), partials)
     )
     rest = [c for c in conjuncts if c not in carried]
     return list(apply_filters(rows, rest, None, horizon)) if rest else rows
+
+
+def _sub_query(pattern: QuadPattern, conjuncts: list[Expr]) -> str:
+    """One scattered pattern and its ride-along conjuncts as query text.
+
+    SELECT names at least one variable, so a pattern with none (a fact
+    at a date) asks for its date as a restriction of a time variable
+    instead; only whether rows come back is used.
+    """
+    select = sorted(pattern.variables())
+    if not select:
+        select = ["t"]
+        conjuncts = [*conjuncts, Compare(
+            "=", Var("t"), Literal(pattern.time.chronon, "date"))]
+        pattern = QuadPattern(pattern.subject, pattern.predicate,
+                              pattern.object, Var("t"))
+    return encode_query(
+        Query(select=select, patterns=[pattern], filters=conjuncts))
 
 
 def distributed_query(

@@ -44,6 +44,9 @@ from .worker import WorkerConfig
 #: whatever path the caller's environment carries.
 _SOURCE_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
+#: seconds a wave of workers may take to report ready.
+START_TIMEOUT = 60.0
+
 _FAILOVERS = _metrics.counter("cluster.coordinator.failovers")
 _RPC_ERRORS = _metrics.counter("cluster.coordinator.rpc_errors")
 _REPLICA_READS = _metrics.counter("cluster.coordinator.replica_reads")
@@ -108,14 +111,11 @@ class Membership:
     """The worker fleet of one cluster and the RPC paths into it."""
 
     def __init__(self, directory: Path, shards: int, replicas: int,
-                 worker_kwargs: dict, rpc_timeout: float,
-                 start_timeout: float) -> None:
+                 worker_kwargs: dict) -> None:
         self.directory = directory
         self._shards = shards
         self._replicas = replicas
         self._worker_kwargs = worker_kwargs
-        self._rpc_timeout = rpc_timeout
-        self._start_timeout = start_timeout
         self._procs: list[subprocess.Popen] = []
         self.members: list[Member] = []
 
@@ -198,10 +198,10 @@ class Membership:
         Waits on every pending ready pipe at once: reports are taken as
         they arrive, and a worker that dies before reporting closes its
         pipe, failing the bring-up at once instead of after
-        ``start_timeout``.
+        :data:`START_TIMEOUT`.
         """
         clients: dict[int, ShardClient] = {}
-        deadline = _time.monotonic() + self._start_timeout
+        deadline = _time.monotonic() + START_TIMEOUT
         try:
             with selectors.DefaultSelector() as selector:
                 for position, worker in enumerate(wave):
@@ -218,7 +218,7 @@ class Membership:
                         )
                         raise StoreError(
                             f"worker for {late} did not report ready "
-                            f"within {self._start_timeout}s"
+                            f"within {START_TIMEOUT}s"
                         )
                     for key, _ in signalled:
                         selector.unregister(key.fileobj)
@@ -255,10 +255,8 @@ class Membership:
                 _EVENT_WORKER_READY, shard_id=config.shard_id,
                 role=config.role, pid=info["pid"], **timings,
             )
-            return ShardClient(
-                ("127.0.0.1", info["port"]), info["pid"],
-                Path(config.directory), timeout=self._rpc_timeout,
-            )
+            return ShardClient(("127.0.0.1", info["port"]), info["pid"],
+                               Path(config.directory))
 
     # ------------------------------------------------------------- RPC paths
 

@@ -14,11 +14,10 @@ construct messages by keyword and handlers read attributes, so a field
 one side renames is an error at that line rather than a convention to
 police.
 
-This module also carries the serialization helpers the codec calls:
-result rows (temporal bindings as ``[[start, end|null], ...]``, matching
-the HTTP layer), WAL records, and parsed sub-query ASTs (the scatter path
-ships single-pattern :class:`~repro.sparqlt.ast.Query` objects rather
-than re-rendered text).
+Every read, a forwarded query or a scatter sub-query alike, crosses as
+SPARQLT text in one op, ``query``.  This module also carries the
+serialization helpers the codec calls: result rows (temporal bindings as
+``[[start, end|null], ...]``, matching the HTTP layer) and WAL records.
 """
 
 from __future__ import annotations
@@ -37,21 +36,8 @@ from ..mvbt.tree import DuplicateKeyError, TimeOrderError
 from ..service.sanitizer import check_blocking
 from ..service.store import StoreError
 from ..service.wal import WalRecord
-from ..sparqlt.ast import (
-    And,
-    Compare,
-    Expr,
-    FuncCall,
-    Literal,
-    Not,
-    Or,
-    QuadPattern,
-    TermConst,
-    TimeConst,
-    Var,
-)
-from ..sparqlt.ast import Query as ParsedQuery
 from ..sparqlt.errors import SparqltError
+from ..sparqlt.parser import parse, unparse
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.trace import Trace
@@ -177,113 +163,16 @@ def decode_wal_record(record: list[Any]) -> WalRecord:
     return WalRecord(lsn, op, subject, predicate, object_, time)
 
 
-# ---------------------------------------------------------- sub-query ASTs
+# ------------------------------------------------------------------ queries
 #
-# The scatter path ships *parsed* single-pattern sub-queries: re-rendering
-# SPARQLT text would have to re-quote literals and re-format dates, and a
-# round trip through the parser is both slower and a second place for the
-# grammar to live.  Only the simple conjunctive shape is encoded — the
-# coordinator handles UNION/OPTIONAL algebra itself and only ever scatters
-# plain pattern + filter sub-queries.
+# A shard answers every read from its own text: the coordinator renders a
+# parsed query or a scatter sub-query once, and the shard's store caches
+# the plan and the result under that text like any other query's.
 
-
-def encode_query(query: ParsedQuery) -> dict[str, Any]:
-    return {
-        "select": list(query.select),
-        "patterns": [_encode_pattern(p) for p in query.patterns],
-        "filters": [encode_expr(f) for f in query.filters],
-    }
-
-
-def decode_query(payload: dict[str, Any]) -> ParsedQuery:
-    return ParsedQuery(
-        select=list(payload["select"]),
-        patterns=[_decode_pattern(p) for p in payload["patterns"]],
-        filters=[decode_expr(f) for f in payload["filters"]],
-    )
-
-
-def _encode_pattern(pattern: QuadPattern) -> dict[str, Any]:
-    return {
-        "s": _encode_term(pattern.subject),
-        "p": _encode_term(pattern.predicate),
-        "o": _encode_term(pattern.object),
-        "t": _encode_term(pattern.time),
-    }
-
-
-def _decode_pattern(payload: dict[str, Any]) -> QuadPattern:
-    return QuadPattern(
-        _decode_term(payload["s"]),
-        _decode_term(payload["p"]),
-        _decode_term(payload["o"]),
-        _decode_term(payload["t"]),
-    )
-
-
-def _encode_term(term: Var | TermConst | TimeConst) -> dict[str, Any]:
-    if isinstance(term, Var):
-        return {"var": term.name}
-    if isinstance(term, TermConst):
-        return {"term": term.value}
-    if isinstance(term, TimeConst):
-        return {"time": term.chronon}
-    raise ProtocolError(f"unencodable pattern term: {term!r}")
-
-
-def _decode_term(payload: dict[str, Any]) -> Any:
-    if "var" in payload:
-        return Var(payload["var"])
-    if "term" in payload:
-        return TermConst(payload["term"])
-    if "time" in payload:
-        return TimeConst(payload["time"])
-    raise ProtocolError(f"undecodable pattern term: {payload!r}")
-
-
-def encode_expr(expr: Expr) -> dict[str, Any]:
-    if isinstance(expr, Var):
-        return {"k": "var", "name": expr.name}
-    if isinstance(expr, Literal):
-        return {"k": "lit", "value": expr.value, "kind": expr.kind}
-    if isinstance(expr, FuncCall):
-        return {"k": "func", "name": expr.name,
-                "arg": encode_expr(expr.arg)}
-    if isinstance(expr, Compare):
-        return {"k": "cmp", "op": expr.op,
-                "left": encode_expr(expr.left),
-                "right": encode_expr(expr.right)}
-    if isinstance(expr, And):
-        return {"k": "and", "left": encode_expr(expr.left),
-                "right": encode_expr(expr.right)}
-    if isinstance(expr, Or):
-        return {"k": "or", "left": encode_expr(expr.left),
-                "right": encode_expr(expr.right)}
-    if isinstance(expr, Not):
-        return {"k": "not", "operand": encode_expr(expr.operand)}
-    raise ProtocolError(f"unencodable filter expression: {expr!r}")
-
-
-def decode_expr(payload: dict[str, Any]) -> Expr:
-    kind = payload.get("k")
-    if kind == "var":
-        return Var(payload["name"])
-    if kind == "lit":
-        return Literal(payload["value"], payload["kind"])
-    if kind == "func":
-        return FuncCall(payload["name"], decode_expr(payload["arg"]))
-    if kind == "cmp":
-        return Compare(payload["op"], decode_expr(payload["left"]),
-                       decode_expr(payload["right"]))
-    if kind == "and":
-        return And(decode_expr(payload["left"]),
-                   decode_expr(payload["right"]))
-    if kind == "or":
-        return Or(decode_expr(payload["left"]),
-                  decode_expr(payload["right"]))
-    if kind == "not":
-        return Not(decode_expr(payload["operand"]))
-    raise ProtocolError(f"undecodable filter expression: {payload!r}")
+#: a parsed query -> the text a :class:`Query` request carries.
+encode_query = unparse
+#: the text a :class:`Query` request carries -> the parsed query.
+decode_query = parse
 
 
 # ----------------------------------------------------------------- messages
@@ -451,13 +340,6 @@ class Query(Request[RowsReply]):
     def __post_init__(self) -> None:
         if not isinstance(self.text, str) or not self.text.strip():
             raise ValueError("missing 'text' string")
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class Scan(Request[RowsReply]):
-    """Evaluate one parsed conjunctive (sub-)query."""
-    op: ClassVar[str] = "scan"
-    query: ParsedQuery = field(metadata=_via(encode_query, decode_query))
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)

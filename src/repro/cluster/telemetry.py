@@ -82,22 +82,6 @@ class ClusterTelemetry:
         )
         self._federation_cache: dict | None = None
         self._federation_ts = 0.0
-        self._federation_stop = threading.Event()
-        self._federation_thread: threading.Thread | None = None
-
-    def _start_refresh(self, interval: float | None) -> None:
-        """Keep the federated-metrics cache warm every ``interval`` s."""
-        if interval and interval > 0:
-            self._federation_thread = threading.Thread(
-                target=self._federation_loop, args=(interval,),
-                name="repro-federation", daemon=True,
-            )
-            self._federation_thread.start()
-
-    def _stop_refresh(self) -> None:
-        self._federation_stop.set()
-        if self._federation_thread is not None:
-            self._federation_thread.join(timeout=2.0)
 
     # --------------------------------------------------------------- health
 
@@ -159,9 +143,7 @@ class ClusterTelemetry:
         per-replica ``lag_lsn``/``lag_seconds``) and ``groups`` (one
         merged snapshot per ``(shard, role)`` label set — see
         :func:`repro.obs.federation.build_groups`).  Pulls within
-        ``max_age`` seconds are served from cache unless ``force``;
-        the background refresh loop (``metrics_refresh``) keeps the
-        cache warm so scrapes are cheap.
+        ``max_age`` seconds are served from cache unless ``force``.
         """
         if self._closed:
             raise StoreError("store is closed")
@@ -204,16 +186,6 @@ class ClusterTelemetry:
             self._federation_cache = federated
             self._federation_ts = _time.time()
         return federated
-
-    def _federation_loop(self, interval: float) -> None:
-        while not self._federation_stop.wait(interval):
-            if self._closed:
-                return
-            try:
-                self.federated_metrics(force=True)
-            except (StoreError, RuntimeError):
-                # closed mid-refresh (RuntimeError: pool shut down)
-                return
 
     # --------------------------------------------------------------- events
 

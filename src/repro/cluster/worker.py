@@ -331,31 +331,19 @@ def _op_status(state: _WorkerState,
     )
 
 
-def _run_query(state: _WorkerState, request, query) -> protocol.RowsReply:
+def _op_query(state: _WorkerState,
+              request: protocol.Query) -> protocol.RowsReply:
     store = state.store
     if state.role == "replica" and store.revision < request.min_lsn:
         raise ReplicaLagging(
             f"replica at LSN {store.revision}, needs {request.min_lsn}"
         )
-    if request.horizon > store.engine.horizon_floor:
-        # Monotonic: the cluster horizon only advances, so concurrent
-        # raises from racing requests are order-independent.
-        store.engine.horizon_floor = request.horizon
-    result = store.query(query)
+    store.raise_horizon(request.horizon)
+    result = store.query(request.text)
     return protocol.RowsReply(
         variables=result.variables, rows=result.rows,
         revision=result.revision,
     )
-
-
-def _op_query(state: _WorkerState,
-              request: protocol.Query) -> protocol.RowsReply:
-    return _run_query(state, request, request.text)
-
-
-def _op_scan(state: _WorkerState,
-             request: protocol.Scan) -> protocol.RowsReply:
-    return _run_query(state, request, request.query)
 
 
 def _op_update(state: _WorkerState,
@@ -464,7 +452,6 @@ _HANDLERS = {
     protocol.Ping: _op_ping,
     protocol.Status: _op_status,
     protocol.Query: _op_query,
-    protocol.Scan: _op_scan,
     protocol.Update: _op_update,
     protocol.Load: _op_load,
     protocol.WalSince: _op_wal_since,

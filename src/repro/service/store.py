@@ -369,8 +369,9 @@ class TemporalStore:
         """Evaluate a SPARQLT query under the read lock.
 
         ``text`` is query text or a pre-parsed
-        :class:`~repro.sparqlt.ast.Query` (the cluster scatter path ships
-        parsed sub-queries; only text is cacheable).
+        :class:`~repro.sparqlt.ast.Query`; only text is cacheable (a
+        cluster shard gets every read as text, scatter sub-queries
+        included).
 
         The result's ``revision`` is the store revision (last applied LSN)
         the reader was pinned to.
@@ -425,6 +426,25 @@ class TemporalStore:
         if _metrics.ENABLED:
             _QUERIES.inc()
         return result
+
+    def raise_horizon(self, horizon: int) -> None:
+        """Resolve ``NOW`` no earlier than ``horizon`` from here on.
+
+        A cluster shard is told the cluster-wide horizon with every read;
+        a write on another shard moves it with no update here, and a
+        cached result computed under the old horizon would be stale (a
+        live period's LENGTH, MONTHs and DAYs end there), so it goes.
+        """
+        if horizon <= self.engine.horizon_floor:
+            return
+        with self._rw.write_locked():
+            if horizon > self.engine.horizon_floor:
+                # No reader runs meanwhile, and one that ran before holds
+                # a stale generation: the cache empties before any lookup
+                # can see the new floor.
+                if self._query_cache is not None:
+                    self._query_cache.invalidate()
+                self.engine.horizon_floor = horizon
 
     @property
     def revision(self) -> int:

@@ -31,7 +31,6 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -214,16 +213,6 @@ class WriteAheadLog:
         return [
             record for record in read_records(self.path) if record.lsn > lsn
         ]
-
-    def tail(self, lsn: int) -> "Iterator[WalRecord]":
-        """Iterate the records past ``lsn`` currently in the log.
-
-        A convenience iterator over :meth:`read_from` for pull-based
-        consumers (replication channels, ``/changes?since=`` feeds): each
-        call yields the records available *now* and then stops — callers
-        poll again with the last LSN they saw.
-        """
-        yield from self.read_from(lsn)
 
     def truncate(self) -> None:
         """Reset the log to empty (after a checkpoint made it redundant).

@@ -176,11 +176,6 @@ class GroupGraphPattern:
     unions: list[list["GroupGraphPattern"]] = field(default_factory=list)
     optionals: list["GroupGraphPattern"] = field(default_factory=list)
 
-    @property
-    def is_simple(self) -> bool:
-        """True when the group is plain conjunctive SPARQLT."""
-        return not self.unions and not self.optionals
-
     def quad_patterns(self) -> list[QuadPattern]:
         """Every quad pattern of the group: the base patterns first, then
         the UNION branches' and the OPTIONALs' (recursively)."""
@@ -218,10 +213,6 @@ class Query:
             self.group = GroupGraphPattern(
                 patterns=self.patterns, filters=self.filters
             )
-
-    @property
-    def is_simple(self) -> bool:
-        return self.group.is_simple
 
     def variables(self) -> set[str]:
         return self.group.variables()

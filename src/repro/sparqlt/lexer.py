@@ -28,15 +28,19 @@ FUNCTIONS = {
 
 UNITS = {"DAY", "MONTH", "YEAR"}
 
+#: The two token patterns a constant term may be written in unquoted.
+NUMBER = r"\d+(?:\.\d+)?"
+IDENT = r"[A-Za-z_][A-Za-z0-9_\-.:/#]*"
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<WS>\s+)
   | (?P<DATE_US>\d{2}/\d{2}/\d{4})
   | (?P<DATE_ISO>\d{4}-\d{2}-\d{2})
-  | (?P<NUMBER>\d+(\.\d+)?)
+  | (?P<NUMBER>""" + NUMBER + r""")
   | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<STRING>"(?:[^"\\]|\\.)*")
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_\-.:/#]*)
+  | (?P<IDENT>""" + IDENT + r""")
   | (?P<OP><=|>=|!=|=|<|>|&&|\|\||!)
   | (?P<PUNCT>[{}().,])
     """,

@@ -22,7 +22,9 @@ are normalized to days (MONTH = 30, YEAR = 365, as documented for the
 
 from __future__ import annotations
 
-from ..model.time import date_to_chronon
+import re
+
+from ..model.time import chronon_to_date, date_to_chronon
 from .ast import (
     And,
     GroupGraphPattern,
@@ -40,7 +42,7 @@ from .ast import (
     expr_variables,
 )
 from .errors import EvaluationError, ParseError
-from .lexer import Token, UNITS, tokenize
+from .lexer import IDENT, KEYWORDS, NUMBER, UNITS, Token, tokenize
 
 _UNIT_DAYS = {"DAY": 1, "MONTH": 30, "YEAR": 365}
 
@@ -56,8 +58,9 @@ MAX_DEPTH = 64
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
+    def __init__(self, text: str) -> None:
+        self._text = text
+        self._tokens = tokenize(text)
         self._pos = 0
         self._depth = 0
 
@@ -165,7 +168,9 @@ class _Parser:
             return Var(token.text[1:])
         if token.kind == "IDENT" or token.kind == "FUNC":
             self._advance()
-            return TermConst(token.text)
+            # a FUNC token's text is upper-cased; a term keeps its spelling
+            start = token.position
+            return TermConst(self._text[start:start + len(token.text)])
         if token.kind == "STRING":
             self._advance()
             return TermConst(_unquote(token.text))
@@ -325,14 +330,111 @@ def _unquote(text: str) -> str:
     return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
+def _quote(value: str) -> str:
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def parse(text: str) -> Query:
     """Parse SPARQLT query text into a :class:`~repro.sparqlt.ast.Query`."""
-    return _Parser(tokenize(text)).parse_query()
+    return _Parser(text).parse_query()
+
+
+def unparse(query: Query) -> str:
+    """SPARQLT text that :func:`parse` reads back as ``query``.
+
+    A constant is written bare when the lexer reads it back as one
+    NUMBER or IDENT token (a keyword's spelling is not one), and quoted
+    otherwise.  An expression is parenthesized only where the grammar's
+    precedence needs it, so the text nests no deeper than the source of
+    a parsed query did.
+    """
+    select = "".join(f" ?{name}" for name in query.select)
+    return f"SELECT{select} {_unparse_group(query.group)}"
+
+
+def _unparse_group(group: GroupGraphPattern) -> str:
+    parts = [
+        " ".join(map(_unparse_term, (p.subject, p.predicate, p.object,
+                                     p.time)))
+        for p in group.patterns
+    ]
+    parts += [" UNION ".join(map(_unparse_group, union))
+              for union in group.unions]
+    parts += [f"OPTIONAL {_unparse_group(optional)}"
+              for optional in group.optionals]
+    parts += [f"FILTER({_unparse_expr(expr, _OR)})"
+              for expr in group.filters]
+    return "{" + " . ".join(parts) + "}"
+
+
+def _unparse_term(term: Var | TermConst | TimeConst) -> str:
+    if isinstance(term, Var):
+        return f"?{term.name}"
+    if isinstance(term, TimeConst):
+        return chronon_to_date(term.chronon).isoformat()
+    value = term.value
+    if re.fullmatch(NUMBER, value) or (
+            re.fullmatch(IDENT, value) and value.upper() not in KEYWORDS):
+        return value
+    return _quote(value)
+
+
+#: Operand positions, loosest first: an operand whose own level is
+#: looser than its position's is parenthesized.
+_OR, _AND, _UNARY, _PRIMARY = range(4)
+
+
+def _unparse_expr(expr: Expr, position: int) -> str:
+    if isinstance(expr, Or):
+        level = _OR
+        text = (f"{_unparse_expr(expr.left, _OR)} || "
+                f"{_unparse_expr(expr.right, _AND)}")
+    elif isinstance(expr, And):
+        level = _AND
+        text = (f"{_unparse_expr(expr.left, _AND)} && "
+                f"{_unparse_expr(expr.right, _UNARY)}")
+    elif isinstance(expr, Not):
+        level, text = _UNARY, f"!{_unparse_expr(expr.operand, _UNARY)}"
+    elif isinstance(expr, Compare):
+        level = _UNARY
+        text = (f"{_unparse_expr(expr.left, _PRIMARY)} {expr.op} "
+                f"{_unparse_expr(expr.right, _PRIMARY)}")
+    elif isinstance(expr, FuncCall):
+        level, text = _PRIMARY, f"{expr.name}({_unparse_expr(expr.arg, _OR)})"
+    elif isinstance(expr, Var):
+        level, text = _PRIMARY, f"?{expr.name}"
+    else:
+        level, text = _PRIMARY, _unparse_literal(expr)
+    return text if level >= position else f"({text})"
+
+
+def _unparse_literal(literal: Literal) -> str:
+    value = literal.value
+    if literal.kind == "string":
+        return _quote(value)
+    if literal.kind == "date":
+        return chronon_to_date(value).isoformat()
+    if literal.kind == "duration":
+        return f"{value} DAY"
+    text = repr(value)
+    if "e" not in text:
+        return text
+    # The lexer reads no exponent (1e+16, 5e-324): the same shortest
+    # digits, with the point shifted out of the exponent.
+    mantissa, exponent = text.split("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = whole + fraction
+    point = len(whole) + int(exponent)
+    if point <= 0:
+        return "0." + "0" * -point + digits
+    if point >= len(digits):
+        return digits + "0" * (point - len(digits)) + ".0"
+    return f"{digits[:point]}.{digits[point:]}"
 
 
 def parse_expression(text: str) -> Expr:
     """Parse a standalone filter expression (useful in tests and tools)."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     expr = parser.parse_expr()
     parser._expect("EOF")
     return expr

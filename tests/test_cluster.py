@@ -119,6 +119,24 @@ class TestClusterCorrectness:
                     assert got == golden[text], (shards, text)
 
 
+    def test_a_pattern_without_variables_scatters(self, tmp_path):
+        """SELECT names a variable, so the sub-query of a fact-at-a-date
+        pattern asks for the date as a restriction; only whether the fact
+        held then joins in."""
+        owner = _subject_on_shard(0, 2)
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            for shard in range(2):
+                cluster.insert(_subject_on_shard(shard, 2, start=100), "q",
+                               "y", 1000 + shard)
+            cluster.insert(owner, "p", "o", 1002)
+            cluster.delete(owner, "p", "o", 1004)
+            for date, held in [("1972-09-30", True), ("1972-10-01", False)]:
+                result = cluster.query(
+                    f"SELECT ?x {{{owner} p o {date} . ?x q ?y ?t}}")
+                assert len(result.rows) == (2 if held else 0), date
+
+
 class TestClusterUpdates:
     def test_routing_watermark_and_conflicts(self, tmp_path):
         with ClusterStore(tmp_path / "clu", shards=2,
@@ -171,22 +189,29 @@ class TestClusterUpdates:
             )
 
     def test_parsed_union_query_matches_text(self, tmp_path):
-        """A pre-parsed UNION query must not take the lossy object fast
-        path (encode_query only carries the conjunctive shape)."""
+        """A pre-parsed UNION/OPTIONAL query is rendered back to text at
+        entry, so one whose subjects are one constant is forwarded whole
+        to that subject's shard, exactly as its text is."""
+        from repro.obs import metrics
         from repro.sparqlt.parser import parse
 
-        with ClusterStore(tmp_path / "clu", shards=1,
+        subject = _subject_on_shard(1, 2)
+        single = metrics.counter("cluster.coordinator.single_shard")
+        with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
-            cluster.insert("uc", "president", "carol", 1000)
-            cluster.insert("um", "president", "santa", 1001)
-            text = ("SELECT ?who { {uc president ?who ?t} "
-                    "UNION {um president ?who ?t} }")
+            cluster.insert(subject, "president", "carol", 1000)
+            cluster.insert(subject, "chancellor", "santa", 1001)
+            cluster.insert(subject, "motto", "lux", 1002)
+            text = (f"SELECT ?who ?m {{ {{{subject} president ?who ?t}} "
+                    f"UNION {{{subject} chancellor ?who ?t}} "
+                    f"OPTIONAL {{{subject} motto ?m ?t2}} }}")
+            forwarded = single.value
             via_text = _serialize(cluster.query(text))
             via_object = _serialize(cluster.query(parse(text)))
             assert via_object == via_text
-            assert sorted(r[0] for r in via_object["rows"]) == [
-                "carol", "santa"
-            ]
+            assert via_object["rows"] == [["carol", "lux"], ["santa", "lux"]]
+            if metrics.ENABLED:
+                assert single.value - forwarded == 2
 
     def test_delete_and_readback(self, tmp_path):
         with ClusterStore(tmp_path / "clu", shards=2,
@@ -201,6 +226,55 @@ class TestClusterUpdates:
             periods = list(result.rows[0]["t"])
             assert periods[0].start == 1000
             assert periods[0].end == 1500
+
+
+class TestShardResultCache:
+    """A shard caches every read by its text, scatter sub-queries too."""
+
+    @staticmethod
+    def _cache_hits(cluster) -> int:
+        replies = [member.primary.rpc(protocol.Metrics())
+                   for member in cluster._membership.members]
+        if not all(reply.enabled for reply in replies):
+            pytest.skip("counters are off (REPRO_OBS=0)")
+        return sum(reply.metrics["counters"].get("service.cache.hits", 0)
+                   for reply in replies)
+
+    def test_a_repeated_scatter_query_is_a_shard_cache_hit(self, tmp_path):
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            for shard in range(2):
+                subject = _subject_on_shard(shard, 2)
+                cluster.insert(subject, "p", f"o{shard}", 1000 + 2 * shard)
+                cluster.insert(subject, "q", f"m{shard}", 1001 + 2 * shard)
+            text = "SELECT ?s ?o ?m {?s p ?o ?t . ?s q ?m ?t2}"
+            before = self._cache_hits(cluster)
+            first = _serialize(cluster.query(text))
+            missed = self._cache_hits(cluster)
+            second = _serialize(cluster.query(text))
+            # two sub-queries (one per pattern), each asked of both shards
+            assert (missed - before, self._cache_hits(cluster) - missed) == (
+                0, 4)
+            assert second == first and len(first["rows"]) == 2
+
+    @pytest.mark.parametrize("forwarded", [True, False],
+                             ids=["forwarded", "scattered"])
+    def test_a_write_on_another_shard_moves_the_horizon_under_cached_results(
+            self, tmp_path, forwarded):
+        """A live fact from 1972-09-27 has a December once the cluster's
+        horizon passes it, which a write on the other shard does without
+        any write on the fact's own shard."""
+        owner = _subject_on_shard(0, 2)
+        other = _subject_on_shard(1, 2)
+        text = (f"SELECT ?o {{{owner if forwarded else '?s'} p ?o ?t "
+                "FILTER(MONTH(?t) = 12)}")
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            cluster.insert(owner, "p", "o", 1000)
+            cluster.insert(other, "q", "r", 1001)
+            assert cluster.query(text).rows == []
+            cluster.insert(other, "q", "z", 1100)
+            assert cluster.query(text).rows == [{"o": "o"}]
 
 
 class TestClusterFailover:
@@ -616,7 +690,7 @@ class TestClusterBringUp:
     def test_dead_worker_fails_at_once_and_nothing_is_left_running(
             self, tmp_path):
         """A worker that dies at store open closes its ready pipe, which
-        is noticed at once, not by waiting out ``start_timeout``; the
+        is noticed at once, not by waiting out ``START_TIMEOUT``; the
         constructor raises naming the shard and stops the other worker,
         which did come up."""
         directory = tmp_path / "clu"
@@ -625,8 +699,7 @@ class TestClusterBringUp:
         events.EVENTS.clear()
         started = time.monotonic()
         with pytest.raises(StoreError, match=r"shard 1 \(shard\) died"):
-            ClusterStore(directory, shards=2, fsync=False,
-                         start_timeout=60.0)
+            ClusterStore(directory, shards=2, fsync=False)
         assert time.monotonic() - started < 20.0
         _assert_reaped(_started_pids())
 

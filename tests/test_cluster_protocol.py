@@ -34,9 +34,7 @@ from repro.obs import events
 from repro.service.server import serve
 from repro.service.store import StoreError
 from repro.service.wal import WalRecord
-from repro.sparqlt import ast
 from repro.sparqlt.errors import ParseError, SparqltError
-from repro.sparqlt.parser import parse
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -62,7 +60,7 @@ def _through_json(wire: dict) -> dict:
 def test_worker_registry_is_exactly_the_declared_requests():
     assert set(worker._HANDLERS) == REQUESTS
     assert set(protocol.REQUESTS.values()) == REQUESTS
-    assert len(protocol.REQUESTS) == len(REQUESTS) == 14  # op names unique
+    assert len(protocol.REQUESTS) == len(REQUESTS) == 13  # op names unique
     assert {cls.reply for cls in REQUESTS} <= REPLIES
 
 
@@ -84,26 +82,6 @@ _periods = st.builds(
     st.integers(0, 10_000), st.integers(1, 500), st.booleans(),
 )
 _values = _names | st.builds(PeriodSet, st.lists(_periods, max_size=3))
-_term = st.builds(ast.Var, _names) | st.builds(ast.TermConst, _names)
-_time = st.builds(ast.Var, _names) | st.builds(ast.TimeConst, _ints)
-_leaf = st.builds(ast.Var, _names) | st.builds(
-    ast.Literal, _names | _ints | _floats,
-    st.sampled_from(["string", "number", "date", "duration"]))
-_expr = st.recursive(
-    _leaf,
-    lambda inner: st.builds(ast.FuncCall, _names, inner)
-    | st.builds(ast.Compare, st.sampled_from(["=", "<", ">="]), inner, inner)
-    | st.builds(ast.And, inner, inner) | st.builds(ast.Or, inner, inner)
-    | st.builds(ast.Not, inner),
-    max_leaves=6,
-)
-_query = st.builds(
-    ast.Query,
-    select=st.lists(_names, max_size=3),
-    patterns=st.lists(
-        st.builds(ast.QuadPattern, _term, _term, _term, _time), max_size=3),
-    filters=st.lists(_expr, max_size=2),
-)
 _wal_record = st.builds(
     WalRecord, _ints, st.sampled_from(["insert", "delete"]),
     _names, _names, _names, _ints)
@@ -124,7 +102,6 @@ BY_ANNOTATION = {
         st.tuples(_names, _names, _names, _ints, st.none() | _ints)
         .map(list), max_size=3),
     "list[WalRecord]": st.lists(_wal_record, max_size=3),
-    "ParsedQuery": _query,
 }
 #: fields whose declared type says less than their meaning.
 BY_FIELD = {
@@ -186,9 +163,6 @@ def test_defaults_stay_off_the_wire():
     ({"op": "update", "update": "upsert", "subject": "s", "predicate": "p",
       "object": "o", "time": 1}, "bad update op: 'upsert'"),
     ({"op": "query", "text": "  "}, "missing 'text' string"),
-    ({"op": "scan", "query": {"select": []}}, "Scan: bad field 'query'"),
-    ({"op": "scan", "query": {"select": [], "filters": [], "patterns": [
-        {"s": {}, "p": {}, "o": {}, "t": {}}]}}, "Scan: bad field 'query'"),
 ])
 def test_malformed_requests_are_value_errors(wire, complaint):
     with pytest.raises(ValueError, match=complaint):
@@ -228,7 +202,6 @@ def serving(tmp_path):
 
 def _samples(primary_dir: Path) -> list[tuple]:
     """One request per op, with the role of the worker it is sent to."""
-    scan = parse("SELECT ?o ?t {s p ?o ?t}")
     return [
         (protocol.Ping(), "shard"),
         (protocol.Status(), "shard"),
@@ -236,8 +209,8 @@ def _samples(primary_dir: Path) -> list[tuple]:
                              ["l", "q", "o", 1, 7]]), "shard"),
         (protocol.Update(update="insert", subject="s", predicate="p",
                          object="o", time=1000), "shard"),
-        (protocol.Query(text="SELECT ?o {s p ?o ?t}", horizon=1001), "shard"),
-        (protocol.Scan(query=scan, horizon=1001, min_lsn=1), "shard"),
+        (protocol.Query(text="SELECT ?o {s p ?o ?t}", horizon=1001,
+                        min_lsn=1), "shard"),
         (protocol.WalSince(lsn=0), "shard"),
         (protocol.Checkpoint(), "shard"),
         (protocol.RefreshStats(), "shard"),
@@ -429,7 +402,7 @@ def test_a_hand_built_frame_missing_a_field_is_a_bad_request(
                           "error": "Update: missing field 'subject'"}
         assert type(protocol.error_from_wire(answer)) is ValueError
         # the connection and the worker are still fine
-        protocol.send_message(sock, {"op": "scan"})
+        protocol.send_message(sock, {"op": "query"})
         assert protocol.recv_message(sock)["kind"] == "bad_request"
         protocol.send_message(sock, {"op": "status"})
         assert protocol.recv_message(sock)["revision"] == 0
@@ -471,7 +444,7 @@ class TestFrameCap:
             shard.store.insert(f"subject-{index}", "p", "o", 1000 + index)
         replica = _state(tmp_path / "replica", role="replica",
                          primary_directory=str(tmp_path / "shard"))
-        membership = Membership(tmp_path, 1, 1, {}, 30.0, 60.0)
+        membership = Membership(tmp_path, 1, 1, {})
         member = Member(0, ShardClient(serving(shard), directory=tmp_path))
         member.replicas.append(ShardClient(serving(replica)))
         membership.members.append(member)

@@ -283,12 +283,3 @@ class TestHarnessHelpers:
         out = tmp_path / "profiles.json"
         assert archive_profiles(NoProfile(), ["q"], out) == 0
         assert json.loads(out.read_text()) == []
-
-    def test_snapshot_delta(self):
-        from repro.bench.harness import _snapshot_delta
-
-        before = {"counters": {"a": 1, "b": 2}, "gauges": {}}
-        after = {"counters": {"a": 4, "b": 2, "c": 7}, "gauges": {}}
-        assert _snapshot_delta(before, after) == {
-            "counters": {"a": 3, "c": 7}
-        }

@@ -207,16 +207,6 @@ class TestReadFrom:
         assert [r.lsn for r in wal.read_from(6)] == [7]
         wal.close()
 
-    def test_tail_iterates_then_stops(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.wal")
-        _fill(wal, 3)
-        seen = [r.lsn for r in wal.tail(1)]
-        assert seen == [2, 3]
-        # New appends are picked up by the *next* poll, not the old one.
-        _fill(wal, 1, start=3)
-        assert [r.lsn for r in wal.tail(3)] == [4]
-        wal.close()
-
     def test_read_from_bad_magic(self, tmp_path):
         path = tmp_path / "w.wal"
         wal = WriteAheadLog(path)

@@ -3,7 +3,10 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
 
+from repro.engine.engine import RDFTX
+from repro.model.graph import TemporalGraph
 from repro.model.time import date_to_chronon
 from repro.sparqlt import (
     And,
@@ -21,7 +24,9 @@ from repro.sparqlt import (
     parse_expression,
     tokenize,
 )
-from repro.sparqlt.parser import MAX_DEPTH
+from repro.sparqlt.parser import MAX_DEPTH, unparse
+
+from tests.sparqlt_strategies import queries
 
 
 class TestLexer:
@@ -167,6 +172,19 @@ class TestParser:
         q = parse('SELECT ?t {UC motto "Fiat Lux" ?t}')
         assert q.patterns[0].object == TermConst("Fiat Lux")
 
+    def test_a_term_spelled_like_a_function_keeps_its_spelling(self):
+        q = parse("SELECT ?o {year DAY ?o ?t . FILTER(year(?t) = 2)}")
+        assert q.patterns[0].subject == TermConst("year")
+        assert q.patterns[0].predicate == TermConst("DAY")
+        assert q.filters[0].left == FuncCall("YEAR", Var("t"))
+        graph = TemporalGraph()
+        graph.add("year", "p", "o", 1, 5)
+        graph.add("YEAR", "p", "other", 1, 5)
+        engine = RDFTX.from_graph(graph)
+        for subject in ("year", '"year"'):
+            result = engine.query(f"SELECT ?o {{{subject} p ?o ?t}}")
+            assert result.column("o") == ["o"], subject
+
     def test_errors(self):
         with pytest.raises(ParseError):
             parse("SELECT {UC a b ?t}")  # no select vars
@@ -226,5 +244,34 @@ class TestDepth:
         assert isinstance(
             parse_expression("!" * (MAX_DEPTH - 2) + "(?o = 1)"), Not)
 
+    def test_the_deepest_texts_unparse_within_the_cap(self):
+        for text in (
+            _filter("(" * _ROOM + "?o = 1" + ")" * _ROOM),
+            _filter(" && ".join(["?o = 1"] * _ROOM)),
+            _filter("!" * (MAX_DEPTH - 2) + "(?o = 1)"),
+            "SELECT ?o {" + "{" * _ROOM + "UC president ?o ?t"
+            + "}" * (_ROOM + 1),
+        ):
+            query = parse(text)
+            assert parse(unparse(query)) == query
+
     def test_the_cap_is_well_under_the_recursion_limit(self):
         assert MAX_DEPTH * 5 < sys.getrecursionlimit() // 2
+
+
+class TestUnparse:
+    def test_a_rendered_query(self):
+        text = ('SELECT ?o ?t {"select" p ?o ?t . {?o a ?b ?t} UNION '
+                '{?o c 1.5 ?t} . OPTIONAL {?o r ?z 01/02/2013} . '
+                'FILTER(YEAR(?t) = 2013 && !(?t < 2014-01-01 || '
+                'LENGTH(?t) > 5 MONTH))}')
+        assert unparse(parse(text)) == (
+            'SELECT ?o ?t {"select" p ?o ?t . {?o a ?b ?t} UNION '
+            '{?o c 1.5 ?t} . OPTIONAL {?o r ?z 2013-01-02} . '
+            'FILTER(YEAR(?t) = 2013 && !(?t < 2014-01-01 || '
+            'LENGTH(?t) > 150 DAY))}')
+
+    @settings(max_examples=300, deadline=None)
+    @given(queries())
+    def test_parse_reads_back_what_unparse_writes(self, query):
+        assert parse(unparse(query)) == query

@@ -29,7 +29,6 @@ def engine():
 class TestParsing:
     def test_union_parses(self):
         q = parse("SELECT ?x { {?x president ?p ?t} UNION {?x motto ?m ?t} }")
-        assert not q.is_simple
         assert len(q.group.unions) == 1
         assert len(q.group.unions[0]) == 2
 
@@ -51,7 +50,7 @@ class TestParsing:
             "SELECT ?x { {?x a ?v ?t . OPTIONAL {?x b ?w ?t}} "
             "UNION {?x c ?v ?t} }"
         )
-        assert not q.group.unions[0][0].is_simple
+        assert q.group.unions[0][0].optionals
 
     def test_lone_braced_group_is_nested_join(self, engine):
         nested = engine.query("SELECT ?x { {?x president ?p ?t} }")
@@ -59,7 +58,8 @@ class TestParsing:
         assert sorted(nested.column("x")) == sorted(plain.column("x"))
 
     def test_plain_queries_stay_simple(self):
-        assert parse("SELECT ?t {uc president ?p ?t}").is_simple
+        group = parse("SELECT ?t {uc president ?p ?t}").group
+        assert not group.unions and not group.optionals
 
 
 class TestUnionSemantics:
