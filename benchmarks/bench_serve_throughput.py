@@ -355,8 +355,9 @@ def bench_cluster_scaling() -> tuple[dict, list]:
     from repro.cluster import ClusterStore
 
     graph = wikipedia.generate(TRIPLES, seed=7).graph
-    # Unbound-subject selections: these scatter to every shard, the
-    # shape sharding is supposed to speed up.
+    # Unbound-subject selections: subject stars that every shard
+    # answers whole (one RPC per shard, rows unioned), the shape
+    # sharding is supposed to speed up.
     queries = [
         q for q in selection_queries(graph, count=16) if "{?s " in q
     ] or selection_queries(graph, count=8)

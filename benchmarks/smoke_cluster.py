@@ -10,7 +10,7 @@ HTTP:
    record the exact response bytes per query,
 3. apply durable updates (routed to both shards) and wait until each
    replica's applied LSN catches up to its primary,
-4. run one traced scatter query and assert ``/debug/traces?id=`` returns
+4. run one traced query asked of both shards and assert ``/debug/traces?id=`` returns
    a single stitched span tree with worker spans from at least two
    distinct processes (shard_id/role/pid annotated, clock skew
    estimated), then scrape ``/metrics?scope=cluster`` and assert
@@ -165,8 +165,9 @@ def main() -> int:
             print("replicas caught up:",
                   [m["primary"]["applied_lsn"] for m in members])
 
-            # a traced scatter query must come back as ONE stitched
-            # span tree holding worker spans from >= 2 processes
+            # a traced query asked of both shards (a subject star) must
+            # come back as ONE stitched span tree holding worker spans
+            # from >= 2 processes
             status, reply = request_json("POST", "/query", {
                 "query": "SELECT ?s ?p ?o {?s ?p ?o ?t}",
             })

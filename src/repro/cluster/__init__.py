@@ -20,14 +20,16 @@ up, on one box or many:
   table, primary / replica RPC paths, and replica promotion when a
   primary dies.
 * :mod:`repro.cluster.coordinator` — ``ClusterStore``, the router the
-  HTTP server fronts: scatters pattern scans, gathers and joins partial
-  bindings under the engine's own group algebra, and routes writes to
-  the owning shard under a cluster-wide revision watermark.
+  HTTP server fronts: sends a subject star whole to the shards that can
+  answer it, scatters pattern scans of any other query, gathers and
+  joins partial bindings under the engine's own group algebra, and
+  routes writes to the owning shard under a cluster-wide revision
+  watermark.
 * :mod:`repro.cluster.telemetry` — ``ClusterStore``'s reporting half:
   per-member health, federated metrics, the merged event log.
-* :mod:`repro.cluster.executor` — the single-shard fast path, and the
-  per-pattern scatter/gather base join the engine's group algebra runs
-  on the coordinator.
+* :mod:`repro.cluster.executor` — the query routes: subject stars on one
+  or k shards, and the per-pattern scatter/gather base join the engine's
+  group algebra runs on the coordinator for everything else.
 
 Replication ships WAL records from each primary to its followers
 (:meth:`~repro.service.wal.WriteAheadLog.read_from` tailing); followers

@@ -37,10 +37,12 @@ from __future__ import annotations
 
 import threading
 import time as _time
+from concurrent import futures as _futures
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from ..engine.engine import QueryResult
+from ..engine.operators import project
 from ..model.time import MIN_TIME, NOW
 from ..mvbt.tree import DuplicateKeyError, TimeOrderError
 from ..obs import events as _events
@@ -62,6 +64,7 @@ _QUERIES = _metrics.counter("cluster.coordinator.queries")
 _UPDATES = _metrics.counter("cluster.coordinator.updates")
 _SINGLE_SHARD = _metrics.counter("cluster.coordinator.single_shard")
 _SCATTER = _metrics.counter("cluster.coordinator.scatter_scans")
+_STARS = _metrics.counter("cluster.coordinator.star_queries")
 _WATERMARK = _metrics.gauge("cluster.coordinator.watermark")
 _EVENT_UPDATE_RECOVERED = _events.event("cluster.event.update_recovered")
 
@@ -155,9 +158,11 @@ class ClusterStore(ClusterTelemetry):
         """Evaluate a query across the cluster.
 
         ``text`` is query text or a pre-parsed query, which is rendered
-        back to text here: a shard gets every read as text.  Results are
+        back to text here: a shard gets every read as text.  A subject
+        star (:meth:`ShardPlanner.star_shards`) goes whole to each shard
+        that can answer it; any other query scatters.  Results are
         canonically sorted (see
-        :func:`repro.cluster.executor.canonical_sort`) on both paths, so
+        :func:`repro.cluster.executor.canonical_sort`) on every route, so
         the same query over the same data is byte-identical regardless of
         shard count or which members served the scans.  ``profile`` is
         accepted for interface parity but profiles are per-process; the
@@ -172,47 +177,74 @@ class ClusterStore(ClusterTelemetry):
                 query = parse(text)
             else:
                 query, text = text, protocol.encode_query(text)
-            target = self.planner.single_shard_for(
-                query.group.quad_patterns())
+            shard_ids = self.planner.star_shards(query.group)
             watermark = self._watermark
-            if target is not None:
-                if _metrics.ENABLED:
-                    _SINGLE_SHARD.inc()
-                answer = self._membership.rpc_read(
-                    self._membership.members[target],
-                    protocol.Query(text=text, horizon=self._horizon),
-                )
-                result = QueryResult(
-                    variables=answer.variables,
-                    rows=_dist.canonical_sort(answer.rows, answer.variables),
-                )
-            else:
+            if shard_ids is None:
                 rows = _dist.distributed_query(
                     query, self.planner, self._scatter_many, self._horizon
                 )
                 result = QueryResult(variables=query.select, rows=rows)
+            else:
+                if _metrics.ENABLED:
+                    (_SINGLE_SHARD if len(shard_ids) == 1 else _STARS).inc()
+                result = self._star_query(text, shard_ids)
             result.revision = watermark
             return result
+
+    def _star_query(self, text: str, shard_ids: list[int]) -> QueryResult:
+        """Answer a whole query on each of ``shard_ids`` and union them.
+
+        The first shard is asked on this thread, so a one-shard star pays
+        no thread hand-off, and the rest on the scatter pool meanwhile.
+        Each shard projected its own rows; a row
+        that several shards return (the projection dropped the subject)
+        is kept once, as :func:`~repro.engine.operators.project` keeps it.
+        """
+        request = protocol.Query(text=text, horizon=self._horizon)
+        futures = self._ask(request, shard_ids[1:])
+        try:
+            first = self._membership.rpc_read(
+                self._membership.members[shard_ids[0]], request)
+        finally:
+            _futures.wait(futures)
+        variables, rows = first.variables, first.rows
+        if futures:
+            rows = project(
+                rows + [row for future in futures
+                        for row in future.result().rows],
+                variables, None,
+            )
+        return QueryResult(
+            variables=variables,
+            rows=_dist.canonical_sort(rows, variables),
+        )
 
     def _scatter_many(
         self, requests: list[tuple[str, list[int]]]
     ) -> list[list[dict]]:
         """Fan every (sub-query text, shards) request out concurrently."""
-        futures = []
-        for text, shard_ids in requests:
-            if _metrics.ENABLED:
-                _SCATTER.inc(len(shard_ids))
-            request = protocol.Query(text=text, horizon=self._horizon)
-            futures.append([
-                _trace.submit(
-                    self._scatter_pool, self._membership.rpc_read,
-                    self._membership.members[shard_id], request,
-                )
-                for shard_id in shard_ids
-            ])
+        if _metrics.ENABLED:
+            _SCATTER.inc(sum(len(shard_ids) for _, shard_ids in requests))
+        gathered = [
+            self._ask(protocol.Query(text=text, horizon=self._horizon),
+                      shard_ids)
+            for text, shard_ids in requests
+        ]
         return [
-            [row for future in group for row in future.result().rows]
-            for group in futures
+            [row for future in futures for row in future.result().rows]
+            for futures in gathered
+        ]
+
+    def _ask(self, request: protocol.Query,
+             shard_ids: list[int]) -> list[_futures.Future]:
+        """Submit ``request`` to each of ``shard_ids`` on the scatter pool;
+        the futures carry the caller's trace context."""
+        return [
+            _trace.submit(
+                self._scatter_pool, self._membership.rpc_read,
+                self._membership.members[shard_id], request,
+            )
+            for shard_id in shard_ids
         ]
 
     # -------------------------------------------------------------- updates

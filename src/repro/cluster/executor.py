@@ -1,13 +1,25 @@
-"""Distributed query evaluation: scatter pattern scans, join at the top.
+"""Distributed query evaluation: subject stars whole on the shards,
+everything else scattered pattern by pattern and joined at the top.
 
-Two plans exist, chosen per query:
+Three routes exist, chosen per query by
+:meth:`~repro.cluster.planner.ShardPlanner.star_shards`:
 
-* **Single-shard fast path** — every pattern's subject is a constant
-  hashing to one shard, so the whole query text is forwarded there and
-  evaluated by that shard's full engine (plan cache and optimizer
+* **One-shard star** — every quad pattern (base, UNION and OPTIONAL
+  alike) shares one subject term, and one shard can hold its bindings:
+  a constant subject's owner, or the one shard the predicate map leaves
+  a variable subject (one shard holds everything, so a 1-shard cluster
+  routes every query here).  The whole query text is forwarded there
+  and evaluated by that shard's full engine (plan cache and optimizer
   included).  Point lookups and per-entity histories — the dominant
   serving shapes — never pay scatter/gather.
-* **Scatter/gather** — the engine's group algebra
+* **k-shard star** — a variable subject the predicate map allows on
+  several shards.  Shards partition on subject, so each shard answers
+  the whole query for its own subjects: the same text goes to each, one
+  RPC per shard, and the coordinator concatenates the answers, keeps a
+  projected row that several shards return once (``project``'s set
+  semantics) and sorts them.  Every fig9 query is a subject star.
+* **Scatter/gather** — any other query, such as a chain through an
+  object: the engine's group algebra
   (:func:`repro.engine.executor.evaluate_group`) runs at the coordinator
   with :func:`scatter_join` as its base join: each base pattern becomes a
   single-pattern sub-query, rendered as SPARQLT text, fanned out to the
@@ -22,6 +34,10 @@ Two plans exist, chosen per query:
   across shards.  The engine's streaming operators treat ``int`` values
   as the only encoded kind, so string-valued rows flow through them
   untouched and no dictionary is consulted.
+
+Both star routes are one path in
+:meth:`~repro.cluster.coordinator.ClusterStore.query`; this module holds
+the scatter path and the canonical order all three share.
 
 Results are canonically sorted on the projected bindings before they
 leave the coordinator — per-shard dictionary ids make engine row order a

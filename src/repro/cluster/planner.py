@@ -23,6 +23,10 @@ broadcasts.  A predicate-bound pattern under a complete map fans out only
 to the shards that can possibly match; anything less constrained
 broadcasts to all shards — always correct, since shards are disjoint by
 subject and partial results union cleanly.
+
+The same disjointness answers whole queries: when every pattern shares
+one subject term (a *subject star*), each shard that can hold the
+subject evaluates the full query alone (:meth:`ShardPlanner.star_shards`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import zlib
 
 from ..model.graph import TemporalGraph
-from ..sparqlt.ast import QuadPattern, TermConst
+from ..sparqlt.ast import GroupGraphPattern, QuadPattern, TermConst
 
 
 def shard_of(term: str, shards: int) -> int:
@@ -151,22 +155,38 @@ class ShardPlanner:
                 return list(owners)
         return list(range(self.shards))
 
-    def single_shard_for(self, patterns: list[QuadPattern]) -> int | None:
-        """The one shard able to answer *all* patterns, or ``None``.
+    def star_shards(self, group: GroupGraphPattern) -> list[int] | None:
+        """The shards that answer the whole query, or ``None``.
 
-        This is the fast-path test: when every pattern's subject is a
-        constant hashing to the same shard, the whole query (joins,
-        filters, projection) runs there untouched.
+        Shards partition on subject, so a query whose quad patterns —
+        base, UNION and OPTIONAL alike — all share one subject term finds
+        every binding of that subject on the subject's own shard: each
+        shard answers it alone, and the answer is the union of theirs.
+
+        * A constant subject routes to its owner shard.  So do distinct
+          constant subjects that all hash to one shard.
+        * A variable subject routes to the shards that
+          :meth:`shards_for_pattern` allows for *every* base pattern,
+          since a row needs each base pattern to match on one shard (all
+          shards while the predicate map is incomplete).  When no shard
+          is left the answer is empty; one shard still evaluates the
+          query, so a static error is raised as everywhere else.
+        * One shard holds everything and routes every query.
+
+        Anything else — two subject terms, one of them a variable, or a
+        chain through an object — is ``None``: only the coordinator's
+        scatter join can answer it.
         """
-        target: int | None = None
-        if not patterns:
+        if self.shards == 1:
+            return [0]
+        subjects = {pattern.subject for pattern in group.quad_patterns()}
+        if all(isinstance(subject, TermConst) for subject in subjects):
+            owners = {shard_of(subject.value, self.shards)
+                      for subject in subjects}
+            return list(owners) if len(owners) == 1 else None
+        if len(subjects) != 1:
             return None
-        for pattern in patterns:
-            if not isinstance(pattern.subject, TermConst):
-                return None
-            shard = shard_of(pattern.subject.value, self.shards)
-            if target is None:
-                target = shard
-            elif shard != target:
-                return None
-        return target
+        allowed = set(range(self.shards))
+        for pattern in group.patterns:
+            allowed.intersection_update(self.shards_for_pattern(pattern))
+        return sorted(allowed) or [0]

@@ -35,6 +35,8 @@ COUNTER_HELP: dict[str, str] = {
     "cluster.coordinator.rpc_errors": "shard RPCs failed at transport level",
     "cluster.coordinator.scatter_scans": "per-shard scatter scan requests",
     "cluster.coordinator.single_shard": "queries on the single-shard fast path",
+    "cluster.coordinator.star_queries":
+        "subject stars answered whole on more than one shard",
     "cluster.coordinator.updates": "updates routed to owner shards",
     "cluster.worker.replicated": "WAL records applied from the primary",
     "cluster.worker.replicated_bytes":

@@ -137,6 +137,34 @@ class TestClusterCorrectness:
                 assert len(result.rows) == (2 if held else 0), date
 
 
+    def test_a_variable_subject_star_runs_whole_on_each_shard(
+            self, tmp_path):
+        """A star whose subject is a variable is one RPC per shard, no
+        scatter; a chain through an object still scatters."""
+        from repro.obs import metrics
+
+        names = ("star_queries", "single_shard", "scatter_scans")
+        counters = [metrics.counter(f"cluster.coordinator.{name}")
+                    for name in names]
+        s0 = _subject_on_shard(0, 2)
+        s1 = _subject_on_shard(1, 2, start=100)
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            cluster.insert(s0, "p", s1, 1000)
+            cluster.insert(s0, "q", "a", 1001)
+            cluster.insert(s1, "p", "b", 1002)
+            cluster.insert(s1, "q", "a", 1003)
+            moved = []
+            for text in ["SELECT ?o {?s p ?x ?t . ?s q ?o ?t2}",
+                         "SELECT ?o {?s p ?x ?t . ?x q ?o ?t2}"]:
+                before = [c.value for c in counters]
+                assert cluster.query(text).rows == [{"o": "a"}], text
+                moved.append([c.value - b for c, b in zip(counters, before)])
+        if metrics.ENABLED:
+            # the chain: pattern p on both shards, pattern q on both
+            assert moved == [[1, 0, 0], [0, 0, 4]]
+
+
 class TestClusterUpdates:
     def test_routing_watermark_and_conflicts(self, tmp_path):
         with ClusterStore(tmp_path / "clu", shards=2,
@@ -245,9 +273,11 @@ class TestShardResultCache:
                           fsync=False) as cluster:
             for shard in range(2):
                 subject = _subject_on_shard(shard, 2)
-                cluster.insert(subject, "p", f"o{shard}", 1000 + 2 * shard)
-                cluster.insert(subject, "q", f"m{shard}", 1001 + 2 * shard)
-            text = "SELECT ?s ?o ?m {?s p ?o ?t . ?s q ?m ?t2}"
+                target = _subject_on_shard(shard, 2, start=100)
+                cluster.insert(subject, "p", target, 1000 + 2 * shard)
+                cluster.insert(target, "q", f"m{shard}", 1001 + 2 * shard)
+            # a chain through the object: no shard answers it alone
+            text = "SELECT ?s ?o ?m {?s p ?o ?t . ?o q ?m ?t2}"
             before = self._cache_hits(cluster)
             first = _serialize(cluster.query(text))
             missed = self._cache_hits(cluster)
@@ -266,15 +296,16 @@ class TestShardResultCache:
         any write on the fact's own shard."""
         owner = _subject_on_shard(0, 2)
         other = _subject_on_shard(1, 2)
-        text = (f"SELECT ?o {{{owner if forwarded else '?s'} p ?o ?t "
-                "FILTER(MONTH(?t) = 12)}")
+        text = (f"SELECT ?o {{{owner} p ?o ?t FILTER(MONTH(?t) = 12)}}"
+                if forwarded else
+                "SELECT ?o {?s p ?o ?t . ?o q ?r ?t2 FILTER(MONTH(?t) = 12)}")
         with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
-            cluster.insert(owner, "p", "o", 1000)
+            cluster.insert(owner, "p", other, 1000)
             cluster.insert(other, "q", "r", 1001)
             assert cluster.query(text).rows == []
             cluster.insert(other, "q", "z", 1100)
-            assert cluster.query(text).rows == [{"o": "o"}]
+            assert cluster.query(text).rows == [{"o": other}]
 
 
 class TestClusterFailover:
@@ -491,7 +522,8 @@ def _walk_spans(span):
 
 class TestClusterObservability:
     def test_scatter_query_yields_one_stitched_trace(self, tmp_path):
-        """A traced scatter query returns a single span tree holding
+        """A traced query asked of both shards returns a single span tree
+        holding
         worker-side spans from at least two distinct processes, each
         annotated with shard_id/role/pid, with a per-hop clock-skew
         estimate on the grafting cluster.rpc span."""

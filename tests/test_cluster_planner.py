@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.cluster.planner import ShardPlanner, shard_of
 from repro.model.graph import TemporalGraph
-from repro.sparqlt.ast import QuadPattern, TermConst, Var
+from repro.sparqlt import parse
+from repro.sparqlt.ast import GroupGraphPattern, QuadPattern, TermConst, Var
 
 TERMS = st.text(
     st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=40
@@ -200,31 +201,81 @@ class TestRouting:
         else:
             raise AssertionError("expected ValueError")
 
-    def test_single_shard_for_colocated_constants(self):
-        planner = ShardPlanner(4)
-        subjects = ["a", "b", "c", "d", "e", "f"]
-        owner = shard_of(subjects[0], 4)
-        same = [s for s in subjects if shard_of(s, 4) == owner]
-        patterns = [
-            QuadPattern(TermConst(s), Var("p"), Var("o"), Var("t"))
-            for s in same
-        ]
-        assert planner.single_shard_for(patterns) == owner
 
-    def test_single_shard_for_mixed_is_none(self):
+def _group(text: str) -> GroupGraphPattern:
+    return parse(text).group
+
+
+def _subjects_on(shard: int, shards: int, count: int) -> list[str]:
+    return [s for s in (f"subj{i}" for i in range(10_000))
+            if shard_of(s, shards) == shard][:count]
+
+
+class TestStarShards:
+    """Which shards answer a whole query: the subject-star rule."""
+
+    @staticmethod
+    def _mapped() -> ShardPlanner:
         planner = ShardPlanner(4)
-        subjects = ["a", "b", "c", "d", "e", "f"]
-        owners = {shard_of(s, 4) for s in subjects}
+        planner.rebuild_predicate_map(
+            [["livesIn"], ["worksAt"], ["livesIn", "worksAt"],
+             ["livesIn", "worksAt", "motto"]]
+        )
+        return planner
+
+    def test_a_constant_subject_routes_to_its_owner(self):
+        planner = ShardPlanner(4)
+        subject = "a"
+        text = f"SELECT ?p ?o {{{subject} ?p ?o ?t . {subject} q ?x ?t2}}"
+        assert planner.star_shards(_group(text)) == [shard_of(subject, 4)]
+
+    def test_colocated_constant_subjects_route_to_their_owner(self):
+        first, second = _subjects_on(2, 4, 2)
+        text = f"SELECT ?o {{{first} p ?o ?t . {second} p ?o ?t2}}"
+        assert ShardPlanner(4).star_shards(_group(text)) == [2]
+
+    def test_a_variable_subject_routes_to_every_base_patterns_owners(self):
+        text = "SELECT ?s {?s livesIn ?c ?t . ?s worksAt ?w ?t2}"
+        assert self._mapped().star_shards(_group(text)) == [2, 3]
+
+    def test_no_shard_holding_every_base_predicate_still_asks_one(self):
+        text = "SELECT ?s {?s livesIn ?c ?t . ?s motto ?m ?t2 . ?s q ?x ?t}"
+        # q is unmapped, so it allows all; motto and livesIn meet on 3
+        assert self._mapped().star_shards(_group(text)) == [3]
+        text = "SELECT ?s {?s worksAt ?c ?t . ?s nowhere ?m ?t2}"
+        planner = ShardPlanner(4)
+        planner.rebuild_predicate_map([["worksAt"], ["nowhere"], [], []])
+        assert planner.star_shards(_group(text)) == [0]
+
+    def test_an_incomplete_map_routes_to_all_shards(self):
+        planner = ShardPlanner(4)
+        planner.note_write("subj", "livesIn")
+        text = "SELECT ?s {?s livesIn ?c ?t}"
+        assert planner.star_shards(_group(text)) == [0, 1, 2, 3]
+
+    def test_mixed_subjects_are_not_a_star(self):
+        planner = self._mapped()
+        for text in ["SELECT ?s {?s livesIn ?c ?t . ?c worksAt ?w ?t2}",
+                     "SELECT ?s {?s livesIn ?c ?t . a worksAt ?s ?t2}"]:
+            assert planner.star_shards(_group(text)) is None, text
+        owners = {shard_of(s, 4) for s in "abcdef"}
         assert len(owners) > 1, "test needs subjects on distinct shards"
-        patterns = [
-            QuadPattern(TermConst(s), Var("p"), Var("o"), Var("t"))
-            for s in subjects
-        ]
-        assert planner.single_shard_for(patterns) is None
+        text = "SELECT ?o {" + " . ".join(
+            f"{s} p ?o ?t{i}" for i, s in enumerate("abcdef")) + "}"
+        assert planner.star_shards(_group(text)) is None
 
-    def test_single_shard_for_unbound_subject_is_none(self):
-        planner = ShardPlanner(4)
-        patterns = [
-            QuadPattern(Var("s"), TermConst("p"), Var("o"), Var("t"))
-        ]
-        assert planner.single_shard_for(patterns) is None
+    def test_a_union_branch_with_another_subject_is_not_a_star(self):
+        text = ("SELECT ?s ?v {?s livesIn ?c ?t . "
+                "{?s worksAt ?v ?t2} UNION {?v worksAt ?s ?t2} }")
+        assert self._mapped().star_shards(_group(text)) is None
+
+    def test_an_optional_on_the_same_subject_is_a_star(self):
+        # only the base patterns narrow the shards: a row may leave the
+        # OPTIONAL unbound, so motto's one owner does not prune
+        text = ("SELECT ?s ?m {?s livesIn ?c ?t . "
+                "OPTIONAL {?s motto ?m ?t2}}")
+        assert self._mapped().star_shards(_group(text)) == [0, 2, 3]
+
+    def test_one_shard_routes_every_query(self):
+        text = "SELECT ?s {?s livesIn ?c ?t . ?c worksAt ?w ?t2}"
+        assert ShardPlanner(1).star_shards(_group(text)) == [0]
