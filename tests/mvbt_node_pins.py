@@ -9,7 +9,10 @@ SHA-256 of an index's ``dump_state()`` (the whole node table: regions,
 lifetimes, links, entries or packed buffers; node uids are never part of it)
 plus its ``sizeof()``, taken after ``load`` and again after 500 mixed inserts
 and deletes; ``logical`` is the same hash over a decompressed copy of the
-tree, i.e. with the leaf representation factored out.  The synthetic
+tree, i.e. with the leaf representation factored out; ``visible`` hashes
+that copy's root registry and node table with every entry clamped to its
+node's lifetime, the way every scan reads it — a copy's raw start factored
+out too.  The synthetic
 generators iterate string sets, so the pins only hold for the recorded
 string-hash algorithm.
 """
@@ -36,13 +39,36 @@ PROVENANCE = (
     "since PR 14's parent).  updates.sha256/sizeof: re-issued by PR 16 — "
     "split-born leaves are byte buffers from birth, with bases from their "
     "birth set, so the packed bytes after updates differ while the logical "
-    "trees do not."
+    "trees do not.  visible: generated at the parent of the commit that "
+    "starts version-split copies at the split."
 )
 
 
 def _sha256(tree: MVBT) -> str:
     state = json.dumps(tree.dump_state(), sort_keys=True, default=bytes.hex)
     return hashlib.sha256(state.encode()).hexdigest()
+
+
+def _visible(plain: MVBT) -> str:
+    """SHA-256 of what readers see of a decompressed tree: the root
+    registry, and every node's kind, region, lifetime and links with its
+    entries clamped to that lifetime."""
+    state = plain.dump_state()
+    nodes = []
+    for node in state["nodes"]:
+        lo, hi = node["start"], node["death"]
+        nodes.append({
+            **node,
+            "entries": [
+                (key, max(start, lo), min(end, hi), link)
+                for key, start, end, link in node["entries"]
+            ],
+        })
+    visible = {"root_starts": state["root_starts"], "roots": state["roots"],
+               "nodes": nodes}
+    return hashlib.sha256(
+        json.dumps(visible, sort_keys=True).encode()
+    ).hexdigest()
 
 
 def _index_pins(engine: RDFTX) -> dict:
@@ -54,6 +80,7 @@ def _index_pins(engine: RDFTX) -> dict:
             "sha256": _sha256(tree),
             "sizeof": tree.sizeof(),
             "logical": _sha256(plain),
+            "visible": _visible(plain),
         }
     return pins
 
