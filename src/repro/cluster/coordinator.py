@@ -135,19 +135,22 @@ class ClusterStore(ClusterTelemetry):
         map (which must broadcast), and only this rebuild makes
         predicate pruning sound again over pre-loaded data.
         """
+        self._read_status()
+        self.planner.rebuild_predicate_map([
+            member.primary.rpc(protocol.Predicates()).predicates
+            for member in self._membership.members
+        ])
+
+    def _read_status(self) -> None:
+        """Adopt every primary's revision and horizon."""
         self._watermark = 0
         self._time_watermark = MIN_TIME
         self._horizon = 1
-        inventories: list[list[str]] = []
         for member in self._membership.members:
             status = member.primary.rpc(protocol.Status())
             member.acked_lsn = status.revision
             self._watermark += status.revision
             self._horizon = max(self._horizon, status.horizon)
-            inventories.append(
-                member.primary.rpc(protocol.Predicates()).predicates
-            )
-        self.planner.rebuild_predicate_map(inventories)
         self._time_watermark = max(MIN_TIME, self._horizon - 1)
         if _metrics.ENABLED:
             _WATERMARK.set(self._watermark)
@@ -387,7 +390,8 @@ class ClusterStore(ClusterTelemetry):
                     except (OSError, ProtocolError) as error:
                         self._membership.drop_replica(
                             member, replica, error)
-        self._bootstrap_watermarks()
+        # The partition made the predicate map complete: no inventory.
+        self._read_status()
 
     # ---------------------------------------------------------- maintenance
 

@@ -300,7 +300,9 @@ class LeafNode(_NodeBase):
         return [(e.key, e.start, e.end) for e in self._entries]
 
     def live_start(self, key: Key) -> int | None:
-        """Start version of this live leaf's live ``key`` entry, or None."""
+        """Start version of this live leaf's live ``key`` entry, or None
+        (a version-split copy's is the leaf's birth: see
+        :meth:`MVBT.live_start <repro.mvbt.tree.MVBT.live_start>`)."""
         if self._store is not None:
             return self._store.live_start(key)
         entry = self._live.get(key)

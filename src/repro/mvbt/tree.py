@@ -6,7 +6,8 @@ insertions and logical deletions must arrive in nondecreasing time order
 (transaction time).  Structure changes (Figure 2(c)):
 
 * **Version split** — an overflowing or weak-version-underflowing node is
-  killed and its live entries are copied into a fresh node.
+  killed and its live entries are copied into a fresh node, each copy
+  starting at the split.
 * **Key split** — if the copy would violate the strong upper bound it is split
   by key into two nodes.
 * **Merge** — if the copy would violate the strong lower bound, a live sibling
@@ -231,16 +232,18 @@ class MVBT:
         self._check_parent(path[:-1], time)
 
     def _snapshot_live(self, node: Node, time: int) -> list:
-        """Copies of the live entries, each keeping its raw start (the
-        node lifetime clamping at read time reconstructs the pieces): a
-        plain leaf's off its live map, a packed leaf's off its live index
-        (fresh objects already)."""
+        """Copies of the live entries, each starting at the split version
+        ``time`` — the one place a version split copies an entry.
+
+        A copy needs to cover only its new node's lifetime, to which every
+        read clamps it anyway, so in a packed leaf its start is a zero
+        delta.  :meth:`history` and :meth:`live_start` carry an entry's
+        true start across its copies.  A plain leaf's entries come off
+        its live map, a packed leaf's off its live index."""
         live = node.live_entries()
         if not node.is_leaf:
-            return [IndexEntry(e.key, e.start, e.end, e.child) for e in live]
-        if node.is_compressed:
-            return live
-        return [LeafEntry(e.key, e.start, NOW, e.payload) for e in live]
+            return [IndexEntry(e.key, time, NOW, e.child) for e in live]
+        return [LeafEntry(e.key, time, NOW, e.payload) for e in live]
 
     def _build_nodes(
         self, is_leaf: bool, live: list, key_low: Key, time: int
@@ -354,25 +357,95 @@ class MVBT:
 
     def live_start(self, key: Key) -> int | None:
         """Start version of ``key``'s live entry, or ``None`` when the key
-        is not live: one descent plus the leaf's live-key probe."""
-        return self._descend(key)[-1].live_start(key)
+        is not live: one descent plus the leaf's live-key probe.
+
+        A start at the leaf's birth may be a version-split copy's: the
+        key's only entry in its leaf, live at the death of the predecessor
+        whose key region holds it.  The walk then follows the key back,
+        one decoded leaf per split, to the entry that is not a copy.  A
+        same-chronon delete and re-insert leaves a second entry behind the
+        copy and stops the walk.  Copies in trees restored from older
+        snapshots keep their raw start, which ends the walk at once.
+        """
+        leaf = self._descend(key)[-1]
+        start = leaf.live_start(key)
+        if start != leaf.start:
+            return start
+        entries = [row for row in leaf.rows() if row[0] == key]
+        while len(entries) == 1 and entries[0][1] == leaf.start:
+            pred = next((p for p in leaf.predecessors if p.key_low <= key
+                         and (p.key_high is None or key < p.key_high)), None)
+            if pred is None:
+                break
+            prior = [row for row in pred.rows() if row[0] == key]
+            if not prior or prior[-1][2] != NOW:
+                break
+            leaf, entries = pred, prior
+        return entries[-1][1]
 
     def history(self) -> Iterator[tuple[Key, int, int]]:
         """Every ``(key, start, end)`` ever recorded, each exactly once, in
-        one pass over the leaves (no particular order).
+        one pass over the leaves, each read after the leaves it was
+        copied from (no particular order of rows).
 
-        An ended entry sits in the one leaf it was ended in; a live one is
-        copied forward by every version split with its raw start (nothing
-        to coalesce) and counts in the alive leaf only.  Entries ended at
-        their own start version were never visible and are skipped.
+        An ended entry sits in the one leaf it was ended in; a live one
+        counts in the alive leaf only.  A version split copies each live
+        entry forward with the split as its start, so the true start of
+        every key live at a leaf's death is carried into the copy its
+        successor holds: the key's first entry there (a same-chronon
+        delete and re-insert comes after it).  Copies in trees restored
+        from older snapshots keep their raw start, and carrying it changes
+        nothing.  Entries ended at their own true start version were never
+        visible and are skipped.
         """
-        for node in self._all_nodes():
-            if not node.is_leaf:
-                continue
-            alive = node.is_alive
-            for key, start, end in node.rows():
-                if end > start and (alive or end != NOW):
+        leaves = self._lineage()
+        # Successors yet to read each dead leaf's carried starts.
+        readers: dict[int, int] = {}
+        for leaf in leaves:
+            for pred in leaf.predecessors:
+                readers[id(pred)] = readers.get(id(pred), 0) + 1
+        carried: dict[int, dict[Key, int]] = {}
+        for leaf in leaves:
+            starts: dict[Key, int] = {}
+            for pred in leaf.predecessors:
+                starts.update(carried[id(pred)])
+                readers[id(pred)] -= 1
+                if not readers[id(pred)]:
+                    del carried[id(pred)]
+            alive = leaf.is_alive
+            at_death: dict[Key, int] = {}
+            for key, start, end in leaf.rows():
+                if starts:
+                    start = starts.pop(key, start)
+                if end != NOW:
+                    if end > start:
+                        yield key, start, end
+                elif alive:
                     yield key, start, end
+                else:
+                    at_death[key] = start
+            if readers.get(id(leaf)):
+                carried[id(leaf)] = at_death
+
+    def _lineage(self) -> list[LeafNode]:
+        """Every leaf of the forest, each after its predecessors."""
+        order: list[LeafNode] = []
+        placed: set[int] = set()
+        for leaf in self._all_nodes():
+            stack = [leaf] if leaf.is_leaf else []
+            while stack:
+                node = stack[-1]
+                if id(node) in placed:
+                    stack.pop()
+                    continue
+                waiting = [p for p in node.predecessors
+                           if id(p) not in placed]
+                if waiting:
+                    stack += waiting
+                else:
+                    placed.add(id(node))
+                    order.append(stack.pop())
+        return order
 
     # -------------------------------------------------------- serialization
 

@@ -459,12 +459,17 @@ class TemporalStore:
         """Distinct predicate terms present at any time, sorted.
 
         The cluster coordinator rebuilds its predicate routing map from
-        this inventory at bootstrap; runs under the read lock so the
-        walk over the SPO leaves cannot race a concurrent update.
+        this inventory when it starts over existing shard directories.
+        The ids come off the SPO leaves' keys, with no interval stitching
+        (a fact inserted and ended within one chronon still names its
+        predicate: routing then asks a shard more, never fewer).  Runs
+        under the read lock so the walk cannot race a concurrent update.
         """
         with self._rw.read_locked():
             pids = {
-                key[1] for key, _, _ in self.engine.indexes["spo"].history()
+                key[1]
+                for leaf in self.engine.indexes["spo"].leaf_nodes()
+                for key, _, _ in leaf.rows()
             }
         return sorted(map(self.engine.dictionary.decode, pids))
 

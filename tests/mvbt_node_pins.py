@@ -12,9 +12,8 @@ and deletes; ``logical`` is the same hash over a decompressed copy of the
 tree, i.e. with the leaf representation factored out; ``visible`` hashes
 that copy's root registry and node table with every entry clamped to its
 node's lifetime, the way every scan reads it — a copy's raw start factored
-out too.  The synthetic
-generators iterate string sets, so the pins only hold for the recorded
-string-hash algorithm.
+out too.  The synthetic generators iterate string sets, so the pins only
+hold for the recorded string-hash algorithm.
 """
 
 import hashlib
@@ -34,13 +33,12 @@ UPDATES = 500
 
 #: Which commit each pin in the golden file was generated at.
 PROVENANCE = (
-    "load.* and every logical pin: generated at the commit before leaves "
-    "were packed from birth (PR 16's parent; load.sha256/sizeof unchanged "
-    "since PR 14's parent).  updates.sha256/sizeof: re-issued by PR 16 — "
-    "split-born leaves are byte buffers from birth, with bases from their "
-    "birth set, so the packed bytes after updates differ while the logical "
-    "trees do not.  visible: generated at the parent of the commit that "
-    "starts version-split copies at the split."
+    "visible: generated at the parent of the commit that starts "
+    "version-split copies at the split, and unchanged by it.  sha256, "
+    "sizeof and logical (load and updates): re-issued by that commit; a "
+    "copy's start is now the split version, a zero delta in its packed "
+    "leaf, so raw starts and packed bytes moved while no node, region, "
+    "lifetime, link or clamped entry did."
 )
 
 

@@ -498,6 +498,26 @@ class TestClusterLoad:
             assert last_load < log.index(("start", "resync"))
             assert len(cluster.query(query_mix[0]).rows) > 0
 
+    def test_a_load_asks_for_status_and_no_predicate_inventory(
+        self, tmp_path, graph, query_mix, monkeypatch
+    ):
+        """The partition completes the predicate map, so a load re-reads
+        each primary's status only; the inventory a restart would rebuild
+        the map from names the same shards."""
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            log = self._log_rpcs(monkeypatch)
+            cluster.load_dataset(graph)
+            started = [op for edge, op in log if edge == "start"]
+            assert "predicates" not in started
+            assert started.count("status") == 2
+            assert cluster.revision == 0
+            loaded = cluster.planner.predicate_map
+            assert cluster.planner.predicate_map_complete and loaded
+            cluster._bootstrap_watermarks()
+            assert cluster.planner.predicate_map == loaded
+            assert len(cluster.query(query_mix[0]).rows) > 0
+
     def test_first_error_is_raised_after_every_load_was_joined(
         self, tmp_path, graph, monkeypatch
     ):
