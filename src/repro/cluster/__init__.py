@@ -20,16 +20,14 @@ up, on one box or many:
   table, primary / replica RPC paths, and replica promotion when a
   primary dies.
 * :mod:`repro.cluster.coordinator` — ``ClusterStore``, the router the
-  HTTP server fronts: sends a subject star whole to the shards that can
-  answer it, scatters pattern scans of any other query, gathers and
-  joins partial bindings under the engine's own group algebra, and
-  routes writes to the owning shard under a cluster-wide revision
-  watermark.
+  HTTP server fronts: asks each subject star of a query of the shards
+  that can answer it, and routes writes to the owning shard under a
+  cluster-wide revision watermark.
 * :mod:`repro.cluster.telemetry` — ``ClusterStore``'s reporting half:
   per-member health, federated metrics, the merged event log.
-* :mod:`repro.cluster.executor` — the query routes: subject stars on one
-  or k shards, and the per-pattern scatter/gather base join the engine's
-  group algebra runs on the coordinator for everything else.
+* :mod:`repro.cluster.executor` — the one query route: a query that is
+  one subject star goes whole to its shards, and any other joins its
+  stars' answers under the engine's own group algebra.
 
 Replication ships WAL records from each primary to its followers
 (:meth:`~repro.service.wal.WriteAheadLog.read_from` tailing); followers

@@ -42,7 +42,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from ..engine.engine import QueryResult
-from ..engine.operators import project
 from ..model.time import MIN_TIME, NOW
 from ..mvbt.tree import DuplicateKeyError, TimeOrderError
 from ..obs import events as _events
@@ -62,9 +61,6 @@ from .telemetry import ClusterTelemetry
 
 _QUERIES = _metrics.counter("cluster.coordinator.queries")
 _UPDATES = _metrics.counter("cluster.coordinator.updates")
-_SINGLE_SHARD = _metrics.counter("cluster.coordinator.single_shard")
-_SCATTER = _metrics.counter("cluster.coordinator.scatter_scans")
-_STARS = _metrics.counter("cluster.coordinator.star_queries")
 _WATERMARK = _metrics.gauge("cluster.coordinator.watermark")
 _EVENT_UPDATE_RECOVERED = _events.event("cluster.event.update_recovered")
 
@@ -73,8 +69,8 @@ class ClusterStore(ClusterTelemetry):
     """Sharded, replicated drop-in for :class:`TemporalStore`.
 
     ``shards=1, replicas=0`` is a useful degenerate topology: every query
-    takes the single-shard fast path, which is exactly how the golden
-    tests pin 1-shard vs N-shard byte-identity.
+    is one star on shard 0, which is exactly how the golden tests pin
+    1-shard vs N-shard byte-identity.
     """
 
     def __init__(
@@ -158,18 +154,16 @@ class ClusterStore(ClusterTelemetry):
     # -------------------------------------------------------------- queries
 
     def query(self, text, profile: bool = False) -> QueryResult:
-        """Evaluate a query across the cluster.
+        """Evaluate a query across the cluster, as a join of subject stars
+        (:func:`repro.cluster.executor.answer`).
 
         ``text`` is query text or a pre-parsed query, which is rendered
-        back to text here: a shard gets every read as text.  A subject
-        star (:meth:`ShardPlanner.star_shards`) goes whole to each shard
-        that can answer it; any other query scatters.  Results are
-        canonically sorted (see
-        :func:`repro.cluster.executor.canonical_sort`) on every route, so
-        the same query over the same data is byte-identical regardless of
-        shard count or which members served the scans.  ``profile`` is
-        accepted for interface parity but profiles are per-process; the
-        coordinator does not stitch shard-side operator trees.
+        back to text here: a shard gets every read as text.  Results are
+        canonically sorted, so the same query over the same data is
+        byte-identical regardless of shard count or which members served
+        the scans.  ``profile`` is accepted for interface parity but
+        profiles are per-process; the coordinator does not stitch
+        shard-side operator trees.
         """
         if self._closed:
             raise StoreError("store is closed")
@@ -180,75 +174,33 @@ class ClusterStore(ClusterTelemetry):
                 query = parse(text)
             else:
                 query, text = text, protocol.encode_query(text)
-            shard_ids = self.planner.star_shards(query.group)
             watermark = self._watermark
-            if shard_ids is None:
-                rows = _dist.distributed_query(
-                    query, self.planner, self._scatter_many, self._horizon
-                )
-                result = QueryResult(variables=query.select, rows=rows)
-            else:
-                if _metrics.ENABLED:
-                    (_SINGLE_SHARD if len(shard_ids) == 1 else _STARS).inc()
-                result = self._star_query(text, shard_ids)
-            result.revision = watermark
-            return result
+            rows = _dist.answer(query, text, self.planner, self._gather,
+                                self._horizon)
+            return QueryResult(variables=query.select, rows=rows,
+                               revision=watermark)
 
-    def _star_query(self, text: str, shard_ids: list[int]) -> QueryResult:
-        """Answer a whole query on each of ``shard_ids`` and union them.
-
-        The first shard is asked on this thread, so a one-shard star pays
-        no thread hand-off, and the rest on the scatter pool meanwhile.
-        Each shard projected its own rows; a row
-        that several shards return (the projection dropped the subject)
-        is kept once, as :func:`~repro.engine.operators.project` keeps it.
-        """
-        request = protocol.Query(text=text, horizon=self._horizon)
-        futures = self._ask(request, shard_ids[1:])
+    def _gather(self, requests: list[tuple[str, list[int]]]
+                ) -> list[list[dict]]:
+        """Ask every (query text, shard ids) request of each of its shards:
+        the first shard on this thread, so a one-shard star pays no thread
+        hand-off, the rest on the scatter pool meanwhile (the futures
+        carry the caller's trace context).  Per request, its shards' rows
+        concatenated."""
+        members, rpc = self._membership.members, self._membership.rpc_read
+        asks = [(members[shard_id],
+                 protocol.Query(text=text, horizon=self._horizon))
+                for text, shard_ids in requests for shard_id in shard_ids]
+        futures = [_trace.submit(self._scatter_pool, rpc, *ask)
+                   for ask in asks[1:]]
         try:
-            first = self._membership.rpc_read(
-                self._membership.members[shard_ids[0]], request)
+            replies = [rpc(*asks[0])]
         finally:
             _futures.wait(futures)
-        variables, rows = first.variables, first.rows
-        if futures:
-            rows = project(
-                rows + [row for future in futures
-                        for row in future.result().rows],
-                variables, None,
-            )
-        return QueryResult(
-            variables=variables,
-            rows=_dist.canonical_sort(rows, variables),
-        )
-
-    def _scatter_many(
-        self, requests: list[tuple[str, list[int]]]
-    ) -> list[list[dict]]:
-        """Fan every (sub-query text, shards) request out concurrently."""
-        if _metrics.ENABLED:
-            _SCATTER.inc(sum(len(shard_ids) for _, shard_ids in requests))
-        gathered = [
-            self._ask(protocol.Query(text=text, horizon=self._horizon),
-                      shard_ids)
-            for text, shard_ids in requests
-        ]
-        return [
-            [row for future in futures for row in future.result().rows]
-            for futures in gathered
-        ]
-
-    def _ask(self, request: protocol.Query,
-             shard_ids: list[int]) -> list[_futures.Future]:
-        """Submit ``request`` to each of ``shard_ids`` on the scatter pool;
-        the futures carry the caller's trace context."""
-        return [
-            _trace.submit(
-                self._scatter_pool, self._membership.rpc_read,
-                self._membership.members[shard_id], request,
-            )
-            for shard_id in shard_ids
-        ]
+        replies += [future.result() for future in futures]
+        it = iter(replies)
+        return [[row for _ in shard_ids for row in next(it).rows]
+                for _, shard_ids in requests]
 
     # -------------------------------------------------------------- updates
 
@@ -366,17 +318,11 @@ class ClusterStore(ClusterTelemetry):
                 max_workers=len(members),
                 thread_name_prefix="repro-load",
             ) as pool:
-                loads = []
-                for member, part in zip(members, parts):
-                    rows = [
-                        [t.subject, t.predicate, t.object, t.period.start,
-                         None if t.period.end == NOW else t.period.end]
-                        for t in part.triples()
-                    ]
-                    loads.append(_trace.submit(
-                        pool, self._membership.rpc_primary, member,
-                        protocol.Load(rows=rows), 300.0,
-                    ))
+                loads = [
+                    _trace.submit(pool, self._membership.rpc_primary, member,
+                                  protocol.Load(rows=rows), 300.0)
+                    for member, rows in zip(members, parts)
+                ]
             for load in loads:
                 # Intentional hold: bulk load is exclusive by contract;
                 # the writer lock stays held across the shard RPCs.

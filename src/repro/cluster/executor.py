@@ -1,32 +1,25 @@
-"""Distributed query evaluation: subject stars whole on the shards,
-everything else scattered pattern by pattern and joined at the top.
+"""Distributed query evaluation: every query is a join of subject stars.
 
-Three routes exist, chosen per query by
-:meth:`~repro.cluster.planner.ShardPlanner.star_shards`:
+Shards partition on subject, so the unit a shard answers alone is the
+*subject star*: the quad patterns that share one subject term.  Every
+binding of a star lives on the shards
+:meth:`~repro.cluster.planner.ShardPlanner.star_shards` names for it (a
+constant subject's owner, or the shards the predicate map allows a
+variable subject), and each of them evaluates it with its full engine,
+plan cache and optimizer included.  A star costs one RPC per shard; the
+coordinator unions the answers.
 
-* **One-shard star** — every quad pattern (base, UNION and OPTIONAL
-  alike) shares one subject term, and one shard can hold its bindings:
-  a constant subject's owner, or the one shard the predicate map leaves
-  a variable subject (one shard holds everything, so a 1-shard cluster
-  routes every query here).  The whole query text is forwarded there
-  and evaluated by that shard's full engine (plan cache and optimizer
-  included).  Point lookups and per-entity histories — the dominant
-  serving shapes — never pay scatter/gather.
-* **k-shard star** — a variable subject the predicate map allows on
-  several shards.  Shards partition on subject, so each shard answers
-  the whole query for its own subjects: the same text goes to each, one
-  RPC per shard, and the coordinator concatenates the answers, keeps a
-  projected row that several shards return once (``project``'s set
-  semantics) and sorts them.  Every fig9 query is a subject star.
-* **Scatter/gather** — any other query, such as a chain through an
-  object: the engine's group algebra
-  (:func:`repro.engine.executor.evaluate_group`) runs at the coordinator
-  with :func:`scatter_join` as its base join: each base pattern becomes a
-  single-pattern sub-query, rendered as SPARQLT text, fanned out to the
-  shards :meth:`~repro.cluster.planner.ShardPlanner.shards_for_pattern`
-  names.
-  A filter conjunct rides along with a sub-query when it sees final
-  values on that one pattern (:func:`repro.engine.plan.conjunct_ready`),
+* A query whose quad patterns, base, UNION and OPTIONAL alike, form one
+  star goes to the star's shards as written.  A 1-shard cluster routes
+  every query so, and every fig9 query is one star: point lookups and
+  per-entity histories never pay a join at the coordinator.
+* Any other query, such as a chain through an object, runs the engine's
+  group algebra (:func:`repro.engine.executor.evaluate_group`) here, with
+  :func:`join_stars` as its base join: each base is split into its stars,
+  each star is rendered as one SPARQLT sub-query, all are asked at once,
+  and the answers join with :func:`~repro.engine.executor.join_in_order`
+  in :func:`star_order`.  A filter conjunct rides along with a star when
+  it sees final values there (:func:`repro.engine.plan.conjunct_ready`),
   so time windows still push into the shard-side scans, and the
   coordinator runs only the conjuncts none carried.  Shards return
   *decoded* bindings — per-shard dictionaries assign different ids to the
@@ -35,12 +28,8 @@ Three routes exist, chosen per query by
   as the only encoded kind, so string-valued rows flow through them
   untouched and no dictionary is consulted.
 
-Both star routes are one path in
-:meth:`~repro.cluster.coordinator.ClusterStore.query`; this module holds
-the scatter path and the canonical order all three share.
-
-Results are canonically sorted on the projected bindings before they
-leave the coordinator — per-shard dictionary ids make engine row order a
+Results are sorted once, canonically, before they leave the coordinator
+(:func:`canonical_sort`): per-shard dictionary ids make engine row order a
 topology artifact, and byte-identical results across 1-, 2- and 4-shard
 deployments are part of the contract (the golden-file test pins it).
 """
@@ -48,147 +37,155 @@ deployments are part of the contract (the golden-file test pins it).
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 from ..engine.executor import evaluate_group, join_in_order
 from ..engine.operators import Row, apply_filters, project
 from ..engine.plan import compile_group, conjunct_ready, time_variables
 from ..model.time import encode_value
+from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..sparqlt.ast import Compare, Expr, Literal, QuadPattern, Query, Var
+from ..sparqlt.ast import Expr, GroupGraphPattern, QuadPattern, Query
 from .planner import ShardPlanner
 from .protocol import encode_query
 
-#: The coordinator-provided fan-out hook: evaluates each (sub-query text,
-#: shard ids) request — concurrently where it can — and returns the
-#: unioned, decoded rows per request, in request order.
-ScatterMany = Callable[[list[tuple[str, list[int]]]], list[list[Row]]]
+_SINGLE_SHARD = _metrics.counter("cluster.coordinator.single_shard")
+_STARS = _metrics.counter("cluster.coordinator.star_queries")
+_STAR_REQUESTS = _metrics.counter("cluster.coordinator.star_requests")
+
+#: The coordinator's fan-out: asks each (query text, shard ids) request of
+#: every one of its shards, concurrently, and returns per request the
+#: shards' decoded rows concatenated, in request order.
+Gather = Callable[[list[tuple[str, list[int]]]], list[list[Row]]]
 
 
-def scatter_order(patterns: list[QuadPattern]) -> list[int]:
-    """Join order for scattered patterns (no optimizer statistics here).
+def answer(query: Query, text: str, planner: ShardPlanner, gather: Gather,
+           horizon: int) -> list[Row]:
+    """``query``'s projected rows (``text`` is its SPARQLT), canonically
+    sorted: forwarded whole when it is one star, joined from its stars
+    otherwise."""
+    shard_ids = planner.star_shards(query.group)
+    if shard_ids is None:
+        rows = project(evaluate_group(
+            compile_group(query.group, lambda *base: base),
+            lambda base: join_stars(*base, planner, gather, horizon),
+            None, horizon,
+        ), query.select, None)
+    else:
+        if _metrics.ENABLED:
+            (_SINGLE_SHARD if len(shard_ids) == 1 else _STARS).inc()
+        rows = gather([(text, shard_ids)])[0]
+        if len(shard_ids) > 1:
+            # A row several shards return (the projection dropped the
+            # subject) is kept once, as the engine's projection keeps it.
+            rows = project(rows, query.select, None)
+    return canonical_sort(rows, query.select)
+
+
+def star_order(stars: list[list[QuadPattern]]) -> list[int]:
+    """Join order for stars (no optimizer statistics here).
 
     Mirrors :func:`repro.engine.executor.default_order`'s shape: start
-    from the most constant-bound pattern, then keep appending the most
-    bound pattern *connected* to what is already joined, avoiding cross
-    products when the query graph allows it.  Ties break on pattern
-    position, keeping the order — and therefore the scatter requests —
-    deterministic.
+    from the star with the most constant positions, then keep appending
+    the most bound star *connected* to what is already joined, avoiding
+    cross products when the query graph allows it.  Ties break on star
+    position, keeping the order deterministic.
     """
 
     def selectivity(index: int) -> tuple[int, int]:
-        return (-len(patterns[index].constant_positions()), index)
+        return (-sum(len(p.constant_positions()) for p in stars[index]),
+                index)
 
-    remaining = set(range(len(patterns)))
+    remaining = set(range(len(stars)))
     order: list[int] = []
     bound: set[str] = set()
     while remaining:
-        if order:
-            connected = [
-                i for i in remaining if patterns[i].variables() & bound
-            ]
-            pool = connected or sorted(remaining)
-        else:
-            pool = sorted(remaining)
-        best = min(pool, key=selectivity)
+        connected = [i for i in remaining
+                     if _variables(stars[i]) & bound]
+        best = min(connected or remaining, key=selectivity)
         order.append(best)
         remaining.discard(best)
-        bound |= patterns[best].variables()
+        bound |= _variables(stars[best])
     return order
 
 
-def scatter_join(
+def join_stars(
     patterns: list[QuadPattern],
     conjuncts: list[Expr],
     planner: ShardPlanner,
-    scatter_many: ScatterMany,
+    gather: Gather,
     horizon: int,
 ) -> list[Row]:
-    """The coordinator's base join: scatter one sub-query per pattern and
-    join the gathered rows in :func:`scatter_order`.
+    """The coordinator's base join: one sub-query per subject star, every
+    one asked at once, the answers joined in :func:`star_order`.
 
-    A conjunct rides along with a pattern's sub-query when it sees final
-    values on that pattern alone, so shards prune before shipping.  It saw
-    final values there, so running it again would change nothing: the
-    coordinator applies only the conjuncts no sub-query carried, once,
-    over the joined rows.
+    A conjunct rides along with a star's sub-query when it sees final
+    values on that star alone, the other stars' time variables still to
+    be intersected, so shards prune before shipping.  Running it again
+    would change nothing: the coordinator applies only the conjuncts no
+    star carried, once, over the joined rows.
     """
-    order = scatter_order(patterns)
+    by_subject: dict[object, list[QuadPattern]] = {}
+    for pattern in patterns:
+        by_subject.setdefault(pattern.subject, []).append(pattern)
+    stars = list(by_subject.values())
     requests: list[tuple[str, list[int]]] = []
-    carried: list = []
-    for index in order:
-        pattern = patterns[index]
+    names: list[set[str]] = []
+    carried: list[Expr] = []
+    for index in star_order(stars):
+        star = stars[index]
+        variables = _variables(star)
         rebound = time_variables(
-            patterns[:index] + patterns[index + 1:]
-        )
+            p for other in stars if other is not star for p in other)
         ready = [c for c in conjuncts
-                 if conjunct_ready(c, pattern.variables(), rebound)]
+                 if conjunct_ready(c, variables, rebound)]
         carried += ready
+        # SELECT names a variable; a star without any (facts at dates)
+        # selects an unbound one, so a row comes back when all held.
         requests.append((
-            _sub_query(pattern, ready),
-            planner.shards_for_pattern(pattern),
+            encode_query(Query(select=sorted(variables) or ["held"],
+                               patterns=star, filters=ready)),
+            planner.star_shards(GroupGraphPattern(patterns=star)),
         ))
-    with _trace.span("cluster.scatter", requests=len(requests)):
-        partials = scatter_many(requests)
+        names.append(variables)
+    if _metrics.ENABLED:
+        _STAR_REQUESTS.inc(sum(len(shard_ids) for _, shard_ids in requests))
+    with _trace.span("cluster.stars", stars=len(requests)):
+        answers = gather(requests)
     rows = join_in_order(
-        (names, partial if names else [{} for _ in partial])
-        for names, partial in zip(
-            (patterns[index].variables() for index in order), partials)
+        (star_names, found if star_names else [{} for _ in found])
+        for star_names, found in zip(names, answers)
     )
     rest = [c for c in conjuncts if c not in carried]
     return list(apply_filters(rows, rest, None, horizon)) if rest else rows
 
 
-def _sub_query(pattern: QuadPattern, conjuncts: list[Expr]) -> str:
-    """One scattered pattern and its ride-along conjuncts as query text.
-
-    SELECT names at least one variable, so a pattern with none (a fact
-    at a date) asks for its date as a restriction of a time variable
-    instead; only whether rows come back is used.
-    """
-    select = sorted(pattern.variables())
-    if not select:
-        select = ["t"]
-        conjuncts = [*conjuncts, Compare(
-            "=", Var("t"), Literal(pattern.time.chronon, "date"))]
-        pattern = QuadPattern(pattern.subject, pattern.predicate,
-                              pattern.object, Var("t"))
-    return encode_query(
-        Query(select=select, patterns=[pattern], filters=conjuncts))
-
-
-def distributed_query(
-    query: Query,
-    planner: ShardPlanner,
-    scatter_many: ScatterMany,
-    horizon: int,
-) -> list[Row]:
-    """Full scatter-path evaluation: group algebra, project, canonical
-    sort."""
-    with _trace.span("cluster.distributed"):
-        rows = evaluate_group(
-            compile_group(query.group, lambda *base: base),
-            lambda base: scatter_join(*base, planner, scatter_many, horizon),
-            None, horizon,
-        )
-        with _trace.span("cluster.gather", rows=len(rows)):
-            return canonical_sort(
-                project(rows, query.select, None), query.select
-            )
+def _variables(star: list[QuadPattern]) -> set[str]:
+    return set().union(*(pattern.variables() for pattern in star))
 
 
 def canonical_sort(rows: list[Row], variables: list[str]) -> list[Row]:
     """Topology-independent total order on projected rows.
 
-    Keyed on the JSON encoding of each projected value (strings, nulls
-    for unbound OPTIONAL slots, interval lists for temporal bindings) —
-    the encoding the HTTP layer emits, so equal serialized results
-    sort identically no matter which shard produced which row.
+    Rows sort as the JSON text of their projected values does (strings,
+    nulls for unbound OPTIONAL slots, interval lists for temporal
+    bindings) — the encoding the HTTP layer emits, so equal serialized
+    results sort identically no matter which shard produced which row.
+    A row's key is the tuple of its values' JSON texts: no JSON value's
+    text is a prefix of another's, so the tuples order as the texts of
+    the whole rows would.  A string is quoted by the C escaper; any other
+    value is encoded once per distinct value.
     """
+    texts: dict[object, str] = {None: "null"}
 
-    def key(row: Row) -> str:
-        return json.dumps(
-            [encode_value(row.get(name)) for name in variables]
-        )
+    def text(value: object) -> str:
+        if value.__class__ is str:
+            return _quote(value)
+        found = texts.get(value)
+        if found is None:
+            found = texts[value] = json.dumps(encode_value(value))
+        return found
 
-    return sorted(rows, key=key)
+    return sorted(
+        rows, key=lambda row: tuple([text(row.get(n)) for n in variables]))

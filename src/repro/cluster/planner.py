@@ -34,6 +34,7 @@ from __future__ import annotations
 import zlib
 
 from ..model.graph import TemporalGraph
+from ..model.time import NOW
 from ..sparqlt.ast import GroupGraphPattern, QuadPattern, TermConst
 
 
@@ -69,23 +70,28 @@ class ShardPlanner:
 
     # ---------------------------------------------------------- partitioning
 
-    def partition(self, graph: TemporalGraph) -> list[TemporalGraph]:
-        """Split ``graph`` into one disjoint sub-graph per shard.
+    def partition(self, graph: TemporalGraph) -> list[list[list]]:
+        """Split ``graph`` into one disjoint list of bulk-load rows per
+        shard, in ``graph``'s order: ``[subject, predicate, object, start,
+        end]``, ``None`` for an open end.
 
-        Each sub-graph gets its own dictionary (shared-nothing: shard
-        dictionaries encode only local terms, so ids differ per shard —
-        which is why the coordinator joins on decoded strings).  The
-        predicate map is rebuilt as a side effect.
+        Rows carry strings: each shard's dictionary encodes only its own
+        terms (shared-nothing, so ids differ per shard — which is why the
+        coordinator joins on decoded strings).  The predicate map is
+        rebuilt in the same pass.
         """
-        parts = [TemporalGraph() for _ in range(self.shards)]
+        parts: list[list[list]] = [[] for _ in range(self.shards)]
         predicate_shards: dict[str, set[int]] = {}
-        for triple in graph.triples():
-            shard = shard_of(triple.subject, self.shards)
-            parts[shard].add(
-                triple.subject, triple.predicate, triple.object,
-                triple.period.start, triple.period.end,
-            )
-            predicate_shards.setdefault(triple.predicate, set()).add(shard)
+        decode = graph.dictionary.decode
+        for triple in graph:
+            subject = decode(triple.subject)
+            predicate = decode(triple.predicate)
+            shard = shard_of(subject, self.shards)
+            end = triple.period.end
+            parts[shard].append([subject, predicate, decode(triple.object),
+                                 triple.period.start,
+                                 None if end == NOW else end])
+            predicate_shards.setdefault(predicate, set()).add(shard)
         self.predicate_map = {
             predicate: sorted(owners)
             for predicate, owners in sorted(predicate_shards.items())
@@ -174,8 +180,8 @@ class ShardPlanner:
         * One shard holds everything and routes every query.
 
         Anything else — two subject terms, one of them a variable, or a
-        chain through an object — is ``None``: only the coordinator's
-        scatter join can answer it.
+        chain through an object — is ``None``: the coordinator joins the
+        answers of its stars.
         """
         if self.shards == 1:
             return [0]

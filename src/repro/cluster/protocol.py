@@ -14,7 +14,7 @@ construct messages by keyword and handlers read attributes, so a field
 one side renames is an error at that line rather than a convention to
 police.
 
-Every read, a forwarded query or a scatter sub-query alike, crosses as
+Every read, a forwarded query or a star sub-query alike, crosses as
 SPARQLT text in one op, ``query``.  This module also carries the
 serialization helpers the codec calls: result rows (temporal bindings as
 ``[[start, end|null], ...]``, matching the HTTP layer) and WAL records.
@@ -166,7 +166,7 @@ def decode_wal_record(record: list[Any]) -> WalRecord:
 # ------------------------------------------------------------------ queries
 #
 # A shard answers every read from its own text: the coordinator renders a
-# parsed query or a scatter sub-query once, and the shard's store caches
+# parsed query or a star sub-query once, and the shard's store caches
 # the plan and the result under that text like any other query's.
 
 #: a parsed query -> the text a :class:`Query` request carries.

@@ -509,7 +509,7 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         sock = self.request
         # Nagle + delayed ACK stalls small response frames by tens of
-        # milliseconds per round trip; scatter RPCs are all small frames.
+        # milliseconds per round trip; query RPCs are mostly small frames.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         while not self.server.state.stopping.is_set():
             try:

@@ -363,6 +363,16 @@ class RDFTX:
             return None
         return self.indexes["spo"].live_start(_reorder(ids, "spo"))
 
+    def live_entry_since(self, subject: str, predicate: str,
+                         object: str) -> int | None:
+        """:meth:`live_since` as the fact's live entry holds it: a
+        version-split copy's start is the split, never before the true
+        start, and reading it walks back through no leaf."""
+        ids = self._lookup(subject, predicate, object)
+        if ids is None:
+            return None
+        return self.indexes["spo"].live_entry_start(_reorder(ids, "spo"))
+
     def history_rows(self) -> list[tuple[int, int, int, int, int]]:
         """Every ``(sid, pid, oid, start, end)`` interval of the indexed
         history, by SPO key, then start — read off the SPO tree's leaves."""

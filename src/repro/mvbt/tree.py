@@ -355,6 +355,13 @@ class MVBT:
         """Storage-layout size of the whole forest in bytes."""
         return sum(node.sizeof() for node in self.iter_nodes())
 
+    def live_entry_start(self, key: Key) -> int | None:
+        """Start version of ``key``'s live entry as its leaf holds it, or
+        ``None`` when the key is not live: one descent plus the leaf's
+        live-key probe.  A version-split copy's is the split, which is
+        never before the key's true start (:meth:`live_start`)."""
+        return self._descend(key)[-1].live_start(key)
+
     def live_start(self, key: Key) -> int | None:
         """Start version of ``key``'s live entry, or ``None`` when the key
         is not live: one descent plus the leaf's live-key probe.

@@ -33,10 +33,12 @@ COUNTER_HELP: dict[str, str] = {
         "replica reads refused behind the acked LSN",
     "cluster.coordinator.replica_reads": "reads served by a replica",
     "cluster.coordinator.rpc_errors": "shard RPCs failed at transport level",
-    "cluster.coordinator.scatter_scans": "per-shard scatter scan requests",
-    "cluster.coordinator.single_shard": "queries on the single-shard fast path",
+    "cluster.coordinator.single_shard":
+        "queries that are one subject star on one shard",
     "cluster.coordinator.star_queries":
-        "subject stars answered whole on more than one shard",
+        "queries that are one subject star on more than one shard",
+    "cluster.coordinator.star_requests":
+        "per-shard star sub-queries of queries joined at the coordinator",
     "cluster.coordinator.updates": "updates routed to owner shards",
     "cluster.worker.replicated": "WAL records applied from the primary",
     "cluster.worker.replicated_bytes":

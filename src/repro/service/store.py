@@ -266,7 +266,7 @@ class TemporalStore:
             raise TimeOrderError(
                 f"update at {time} before watermark {watermark}"
             )
-        live_since = self.engine.live_since(subject, predicate, object)
+        live_since = self.engine.live_entry_since(subject, predicate, object)
         if op == "insert":
             if live_since is not None:
                 raise DuplicateKeyError(
@@ -277,6 +277,13 @@ class TemporalStore:
                 raise KeyError(
                     f"fact not live: ({subject}, {predicate}, {object})"
                 )
+            # The live entry's own start is never before the fact's true
+            # start, nor after the watermark: only a delete at a
+            # version-split copy's start (the split) needs the true one,
+            # which walks back through the split leaves.
+            if time <= live_since:
+                live_since = self.engine.live_since(subject, predicate,
+                                                    object)
             if time <= live_since:
                 raise TimeOrderError(
                     f"delete at {time} not after the fact's start "
@@ -370,7 +377,7 @@ class TemporalStore:
 
         ``text`` is query text or a pre-parsed
         :class:`~repro.sparqlt.ast.Query`; only text is cacheable (a
-        cluster shard gets every read as text, scatter sub-queries
+        cluster shard gets every read as text, star sub-queries
         included).
 
         The result's ``revision`` is the store revision (last applied LSN)

@@ -120,9 +120,8 @@ class TestClusterCorrectness:
 
 
     def test_a_pattern_without_variables_scatters(self, tmp_path):
-        """SELECT names a variable, so the sub-query of a fact-at-a-date
-        pattern asks for the date as a restriction; only whether the fact
-        held then joins in."""
+        """SELECT names a variable, so the star of a fact at a date selects
+        an unbound one; only whether the fact held then joins in."""
         owner = _subject_on_shard(0, 2)
         with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
@@ -139,11 +138,12 @@ class TestClusterCorrectness:
 
     def test_a_variable_subject_star_runs_whole_on_each_shard(
             self, tmp_path):
-        """A star whose subject is a variable is one RPC per shard, no
-        scatter; a chain through an object still scatters."""
+        """A star whose subject is a variable is one RPC per shard; a
+        chain through an object joins its two stars, each asked of both
+        shards."""
         from repro.obs import metrics
 
-        names = ("star_queries", "single_shard", "scatter_scans")
+        names = ("star_queries", "single_shard", "star_requests")
         counters = [metrics.counter(f"cluster.coordinator.{name}")
                     for name in names]
         s0 = _subject_on_shard(0, 2)
@@ -161,8 +161,107 @@ class TestClusterCorrectness:
                 assert cluster.query(text).rows == [{"o": "a"}], text
                 moved.append([c.value - b for c, b in zip(counters, before)])
         if metrics.ENABLED:
-            # the chain: pattern p on both shards, pattern q on both
+            # the chain: star ?s on both shards, star ?x on both
             assert moved == [[1, 0, 0], [0, 0, 4]]
+
+
+class TestStarJoin:
+    """A query of several subject stars: one sub-query per star, asked of
+    each shard the star can live on, joined at the coordinator."""
+
+    CHAIN = "SELECT ?a ?c ?d {?a p ?b ?t . ?b q ?c ?t2 . ?b r ?d ?t3}"
+
+    @staticmethod
+    def _two_way_chain(cluster) -> tuple[str, str]:
+        """``s0 p s1``, ``s1 p s0`` and ``q``/``r`` facts on both: every
+        predicate lives on both shards, so no star is pruned."""
+        s0 = _subject_on_shard(0, 2)
+        s1 = _subject_on_shard(1, 2, start=100)
+        day = 1000
+        for subject, target in [(s0, s1), (s1, s0)]:
+            cluster.insert(subject, "p", target, day)
+            cluster.insert(target, "q", f"c-{target}", day + 1)
+            cluster.insert(target, "r", f"d-{target}", day + 2)
+            day += 3
+        return s0, s1
+
+    def test_a_chain_asks_each_star_once_per_shard(self, tmp_path):
+        """``?a p ?b . ?b q ?c . ?b r ?d`` is two stars: four RPCs on two
+        shards, where a sub-query per pattern made six."""
+        from repro.obs import metrics
+
+        if not metrics.ENABLED:
+            pytest.skip("counters are off (REPRO_OBS=0)")
+        requests = metrics.counter("cluster.coordinator.star_requests")
+        rpcs = metrics.histogram("cluster.coordinator.rpc_ms")
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            s0, s1 = self._two_way_chain(cluster)
+            before = (requests.value, rpcs.count)
+            rows = cluster.query(self.CHAIN).rows
+            assert (requests.value - before[0], rpcs.count - before[1]) == (
+                4, 4)
+        assert rows == sorted(
+            [{"a": s0, "c": f"c-{s1}", "d": f"d-{s1}"},
+             {"a": s1, "c": f"c-{s0}", "d": f"d-{s0}"}],
+            key=lambda row: row["a"])
+
+    def test_star_joins_match_one_store(self, tmp_path):
+        """Multi-star shapes, under UNION, OPTIONAL and FILTER, with a
+        constant-subject star and one without variables, answer as one
+        store holding the same facts does."""
+        texts = [
+            self.CHAIN,
+            "SELECT ?a ?t {?a p ?b ?t . ?b q ?c ?t . "
+            "FILTER(YEAR(?t) >= 1972)}",
+            "SELECT ?a ?v {?a p ?b ?t . {?b q ?v ?t2} UNION {?b r ?v ?t2}}",
+            "SELECT ?a ?d {?a p ?b ?t . OPTIONAL {?b r ?d ?t2 . ?d s ?e ?t3}}",
+            "SELECT ?a ?c {?a p ?b ?t . ?b q ?c ?t2 . FILTER(?a != ?c)}",
+        ]
+        single = TemporalStore(tmp_path / "single", fsync=False)
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            for store in (single, cluster):
+                s0, s1 = self._two_way_chain(store)
+                store.insert(f"d-{s1}", "s", "e", 1010)
+            texts += [
+                f"SELECT ?c {{{s0} p ?b ?t . ?b q ?c ?t2}}",
+                f"SELECT ?c {{{s0} p {s1} 1972-09-29 . ?b q ?c ?t2 . "
+                f"{s1} q c-{s1} 1972-09-29}}",
+            ]
+            for text in texts:
+                expected = _serialize(single.query(text))
+                expected["rows"].sort(key=json.dumps)
+                assert _serialize(cluster.query(text)) == expected, text
+        single.close()
+
+
+def test_canonical_sort_orders_rows_as_their_json_text():
+    """Spaces, quotes, escapes, non-ASCII, unbound slots and period sets:
+    the tuple key sorts as ``json.dumps`` of the encoded row would."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from repro.model.time import NOW, Period, PeriodSet
+
+    periods = st.lists(
+        st.tuples(st.integers(0, 3000), st.integers(1, 400),
+                  st.booleans()),
+        max_size=3,
+    ).map(lambda spans: PeriodSet(
+        Period(start, NOW if live else start + length)
+        for start, length, live in spans))
+    values = st.one_of(st.none(), st.text(max_size=6), periods)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(values, values), max_size=12))
+    def check(pairs):
+        rows = [{"x": x, "y": y} for x, y in pairs]
+        by_text = sorted(rows, key=lambda row: json.dumps(
+            [encode_value(row.get(name)) for name in ("x", "y")]))
+        assert canonical_sort(rows, ["x", "y"]) == by_text
+
+    check()
 
 
 class TestClusterUpdates:
@@ -257,7 +356,7 @@ class TestClusterUpdates:
 
 
 class TestShardResultCache:
-    """A shard caches every read by its text, scatter sub-queries too."""
+    """A shard caches every read by its text, star sub-queries too."""
 
     @staticmethod
     def _cache_hits(cluster) -> int:
@@ -282,7 +381,7 @@ class TestShardResultCache:
             first = _serialize(cluster.query(text))
             missed = self._cache_hits(cluster)
             second = _serialize(cluster.query(text))
-            # two sub-queries (one per pattern), each asked of both shards
+            # two star sub-queries, each asked of both shards
             assert (missed - before, self._cache_hits(cluster) - missed) == (
                 0, 4)
             assert second == first and len(first["rows"]) == 2
@@ -432,6 +531,40 @@ class TestClusterMaintenance:
                 / TemporalStore.WAL_NAME
             assert len(read_records(wal)) == 2
 
+    def test_checkpoint_truncates_every_wal_and_survives_sigkill(
+            self, tmp_path):
+        """Updates on both shards, a checkpoint (replicas caught up first),
+        more updates, then SIGKILL of every worker: a cluster reopened on
+        the directory answers every acknowledged write, from the
+        checkpoint's snapshots and the WALs written after them."""
+        from repro.service.wal import read_records
+
+        def wal(client) -> list:
+            return read_records(client.directory / TemporalStore.WAL_NAME)
+
+        subjects = [_subject_on_shard(shard, 2) for shard in range(2)]
+        acked = []
+        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+                          fsync=False) as cluster:
+            for day, subject in enumerate(subjects * 2):
+                cluster.insert(subject, "p", f"v{day}", 1000 + day)
+                acked.append((subject, f"v{day}"))
+            members = cluster._membership.members
+            assert all(len(wal(member.primary)) == 2 for member in members)
+            assert cluster.checkpoint() == tmp_path / "clu"
+            for member in members:
+                assert wal(member.primary) == []
+                assert [wal(replica) for replica in member.replicas] == [[]]
+            cluster.insert(subjects[1], "p", "after", 1100)
+            acked.append((subjects[1], "after"))
+            pids = [client.pid for member in members
+                    for client in (member.primary, *member.replicas)]
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+                          fsync=False) as cluster:
+            rows = cluster.query("SELECT ?s ?o {?s p ?o ?t}").rows
+        assert sorted((row["s"], row["o"]) for row in rows) == sorted(acked)
 
     def test_replica_wait_is_bounded_by_the_clock_not_by_sleeps(self):
         """A replica whose status RPC is slow used to stretch the wait:

@@ -271,3 +271,90 @@ class TestServeData:
         # ...and the adopted engine was checkpointed: a restart serves it
         assert cli.main(argv[:3]) == 0
         assert served["live_facts"] == (0 if source == "none" else 2)
+
+def _post(url: str, payload: dict) -> dict:
+    import json
+    import urllib.request
+
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"), method="POST")
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return json.loads(response.read().decode("utf-8"))
+
+
+class TestClusterCommands:
+    """``serve --shards`` brings a coordinator and its workers up behind
+    the HTTP server; ``cluster-status`` reads its topology and federated
+    metrics back; ``stats`` reports the registry after a query."""
+
+    def test_serve_shards_answers_http_and_cluster_status_reads_it(
+            self, tmp_path, monkeypatch, capsys):
+        import threading
+
+        from repro.service import server
+
+        started, ready, outcome = {}, threading.Event(), {}
+        real_serve = server.serve
+
+        def serve(store, **options):
+            started["service"] = real_serve(store, **options)
+            ready.set()
+            return started["service"]
+
+        monkeypatch.setattr(server, "serve", serve)
+        data = tmp_path / "uc.tnq"
+        dump_graph(sample_graph(), data)
+        argv = ["serve", str(tmp_path / "clu"), "--shards", "2",
+                "--port", "0", "--no-fsync", "--data", str(data)]
+        thread = threading.Thread(
+            target=lambda: outcome.setdefault("code", cli.main(argv)))
+        thread.start()
+        try:
+            while not ready.wait(0.1):
+                assert thread.is_alive(), "serve exited before listening"
+            url = f"http://127.0.0.1:{started['service'].port}"
+            assert _post(url + "/update", {
+                "op": "insert", "subject": "S", "predicate": "p",
+                "object": "o", "time": "2030-01-01"})["revision"] == 1
+            answer = _post(url + "/query", {"query":
+                           "SELECT ?who {UC president ?who ?t}"})
+            assert answer["rows"] == [{"who": "Janet_Napolitano"},
+                                      {"who": "Mark Yudof"}]
+            assert _post(url + "/query", {"query": "SELECT ?o {S p ?o ?t}"}
+                         )["rows"] == [{"o": "o"}]
+            assert cli.main(["cluster-status", url, "--metrics"]) == 0
+        finally:
+            if "service" in started:
+                started["service"].shutdown()
+            thread.join(60)
+        assert outcome == {"code": 0}
+        out = capsys.readouterr().out
+        assert "loaded 2 live facts across 2 shard(s)" in out
+        assert "shards:    2 (+0 replica(s) each)" in out
+        assert "watermark: 1" in out
+        assert out.count("  shard ") == 2
+        assert "federated metrics (watermark 1):" in out
+        from repro.obs import metrics
+
+        if metrics.ENABLED:  # REPRO_OBS=0 workers report no groups
+            assert "[role=shard,shard=1] x1: " in out
+
+    def test_stats_reports_the_registry_after_the_queries(self, tmp_path,
+                                                         capsys):
+        from repro.obs import metrics
+
+        data = tmp_path / "uc.tnq"
+        dump_graph(sample_graph(), data)
+        argv = ["stats", str(data), "--sparqlt",
+                "SELECT ?who {UC president ?who ?t}"]
+        assert cli.main([*argv, "--json", "--workload"]) == 0
+        out = capsys.readouterr().out
+        if not metrics.ENABLED:
+            assert "observability is disabled" in out
+            return
+        assert '"engine.queries"' in out
+        assert cli.main([*argv, "--prometheus"]) == 0
+        assert "repro_engine_queries_total" in capsys.readouterr().out
+        assert cli.main(["stats", str(data), "--sparqlt", "SELECT bogus"]
+                        ) == 1
+        assert "error:" in capsys.readouterr().err

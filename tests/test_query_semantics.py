@@ -181,10 +181,10 @@ def test_an_early_conjunct_runs_once_beside_union_and_optional(optimize):
 
 
 def test_the_coordinator_runs_only_what_no_shard_ran(tmp_path):
-    """A scattered query whose conjunct rode along to the shards filters
-    nothing at the coordinator; one that spans two patterns is run there,
-    once per joined row.  A chain through an object scatters: no shard
-    answers it alone."""
+    """A joined query whose conjunct rode along to the shards filters
+    nothing at the coordinator; one that spans two stars is run there,
+    once per joined row.  A chain through an object is two stars: no
+    shard answers it alone."""
     if not metrics.ENABLED:
         pytest.skip("counters are off (REPRO_OBS=0)")
     graph = _graph()

@@ -18,6 +18,7 @@ import pytest
 from repro.datasets import wikipedia
 from repro.engine import RDFTX
 from repro.model import TemporalGraph, date_to_chronon
+from repro.model.time import NOW
 from repro.mvbt.tree import DuplicateKeyError, MVBTConfig, TimeOrderError
 from repro.optimizer import Optimizer
 from repro.service import StoreError, TemporalStore, read_records
@@ -229,6 +230,64 @@ class TestValidation:
                 f"delete at {t + 6} not after the fact's start {t + 6}",
             )
 
+    @staticmethod
+    def _split_at(store, chronon: int) -> None:
+        """Nine facts into capacity-8 leaves: ``s0``..``s7`` one chronon
+        apart before ``chronon``, ``s8`` at it, which splits every root
+        leaf there and copies ``s0``..``s7`` with ``chronon`` as start."""
+        for i in range(8):
+            store.insert(f"s{i}", "p", "o", chronon - 8 + i)
+        store.insert("s8", "p", "o", chronon)
+        for tree in store.engine.indexes.values():
+            assert tree.live_root.start == chronon
+            assert not tree.live_root.is_leaf
+
+    def test_a_later_delete_of_a_split_copy_decodes_no_leaf(
+            self, tmp_path, monkeypatch):
+        """A delete after the split is after the fact's true start too: the
+        copy's own start decides it, and no leaf is walked back.  The walk
+        reads leaves past the read memo, so its buffer decodes are counted
+        here; the memo's ``leaves_decoded`` stays put as well."""
+        from repro.mvbt.compression import CompressedLeafStore
+        from repro.obs import metrics
+
+        if not metrics.ENABLED:
+            pytest.skip("counters are off (REPRO_OBS=0)")
+        decoded = metrics.counter("mvbt.compression.leaves_decoded")
+        records = CompressedLeafStore._records
+        walked = []
+
+        def counted(self):
+            walked.append(self)
+            return records(self)
+
+        with TemporalStore(tmp_path, config=small_blocks(8),
+                           fsync=False) as store:
+            self._split_at(store, 1010)
+            monkeypatch.setattr(CompressedLeafStore, "_records", counted)
+            for i, time in [(0, 1011), (3, 1012), (7, 1012)]:
+                before = decoded.value
+                store.delete(f"s{i}", "p", "o", time)
+                assert (decoded.value - before, walked) == (0, []), i
+            monkeypatch.undo()
+            assert store.engine.live_since("s0", "p", "o") is None
+            assert store.engine.live_since("s1", "p", "o") == 1003
+
+    def test_a_delete_at_the_split_needs_the_true_start(self, tmp_path):
+        """At the split chronon a copy and a fact inserted there both start
+        at the leaf's birth: only the copy started before."""
+        with TemporalStore(tmp_path, config=small_blocks(8),
+                           fsync=False) as store:
+            self._split_at(store, 1010)
+            with pytest.raises(TimeOrderError) as raised:
+                store.delete("s8", "p", "o", 1010)
+            assert raised.value.args == (
+                "delete at 1010 not after the fact's start 1010",)
+            store.delete("s0", "p", "o", 1010)
+            assert [row[3:] for row in store.engine.history_rows()
+                    if row[0] == store.engine.dictionary.encode("s0")] == [
+                        (1002, 1010)]
+
     def test_update_time_out_of_range(self, tmp_path):
         with TemporalStore(tmp_path) as store:
             with pytest.raises(ValueError):
@@ -437,7 +496,11 @@ class TestBulkLoad:
         with ClusterStore(tmp_path, shards=2, fsync=False) as cluster:
             cluster.load_dataset(wiki)
             parts = cluster.planner.partition(wiki)
-        for shard, part in enumerate(parts):
+        for shard, rows in enumerate(parts):
+            part = TemporalGraph()
+            for subject, predicate, object_, start, end in rows:
+                part.add(subject, predicate, object_, start,
+                         NOW if end is None else end)
             reference = RDFTX.from_graph(part, optimizer=Optimizer())
             with TemporalStore(tmp_path / f"shard-{shard}") as store:
                 store.engine.check_invariants()
