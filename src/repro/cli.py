@@ -464,6 +464,7 @@ def _serve_cluster(args) -> int:
         group_size=args.group_commit,
         fsync=not args.no_fsync,
         query_cache_size=args.query_cache or None,
+        checkpoint_every=args.checkpoint_every,
     )
     try:
         if args.data:
@@ -582,7 +583,12 @@ def _print_cluster_metrics(base_url: str) -> int:
         requests = counters.get("cluster.worker.requests")
         replicated = counters.get("cluster.worker.replicated")
         line = f"  [{name or 'coordinator'}] x{group.get('members', 1)}"
-        if requests is not None:
+        if labels.get("role") == "coordinator":
+            # its own work: it answers no worker requests
+            queries = counters.get("cluster.coordinator.queries", 0)
+            updates = counters.get("cluster.coordinator.updates", 0)
+            line += f": {queries} queries, {updates} updates"
+        elif requests is not None:
             line += f": {requests} requests"
         if replicated:
             line += f", {replicated} records replicated"

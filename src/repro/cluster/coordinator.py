@@ -25,6 +25,8 @@ Consistency model — single coordinator, single writer per shard:
 * Reads go through :meth:`Membership.rpc_read` (replica round-robin
   pinned to the acked LSN, primary fallback) and a dead primary is
   replaced by :meth:`Membership.failover` — see :mod:`.membership`.
+* The one **result cache** sits here (shards keep none): every write
+  and horizon move passes the writer lock, which invalidates it.
 
 This module keeps routing, the write path, bulk load and checkpoint
 (everything under the ``cluster.writer`` lock); the worker fleet and
@@ -48,6 +50,7 @@ from ..obs import events as _events
 from ..obs import log as _obslog
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
+from ..service.cache import QueryCache, cached_answer
 from ..service.sanitizer import sanitized_lock
 from ..service.store import StoreError
 from ..sparqlt.parser import parse
@@ -83,6 +86,7 @@ class ClusterStore(ClusterTelemetry):
         group_size: int = 32,
         fsync: bool = True,
         query_cache_size: int | None = 256,
+        checkpoint_every: int | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -98,9 +102,13 @@ class ClusterStore(ClusterTelemetry):
                 use_optimizer=use_optimizer,
                 group_size=group_size,
                 fsync=fsync,
-                query_cache_size=query_cache_size,
             ),
         )
+        self._query_cache = (
+            QueryCache(query_cache_size) if query_cache_size else None
+        )
+        self.checkpoint_every = checkpoint_every
+        self._since_checkpoint = 0
         #: serializes writes (and the watermark/time-watermark bumps).
         #: Shard RPCs run under it by design (allow_blocking).
         self._writer = sanitized_lock(
@@ -163,22 +171,27 @@ class ClusterStore(ClusterTelemetry):
         byte-identical regardless of shard count or which members served
         the scans.  ``profile`` is accepted for interface parity but
         profiles are per-process; the coordinator does not stitch
-        shard-side operator trees.
+        shard-side operator trees.  Answers are cached as in the store,
+        tagged with the watermark their read was pinned to.
         """
         if self._closed:
             raise StoreError("store is closed")
         if _metrics.ENABLED:
             _QUERIES.inc()
         with _trace.span("cluster.query"):
-            if isinstance(text, str):
-                query = parse(text)
-            else:
-                query, text = text, protocol.encode_query(text)
-            watermark = self._watermark
-            rows = _dist.answer(query, text, self.planner, self._gather,
-                                self._horizon)
-            return QueryResult(variables=query.select, rows=rows,
-                               revision=watermark)
+            return cached_answer(self._query_cache, text, self._watermark,
+                                 lambda: self._answer(text), profile)[0]
+
+    def _answer(self, text) -> QueryResult:
+        if isinstance(text, str):
+            query = parse(text)
+        else:
+            query, text = text, protocol.encode_query(text)
+        watermark = self._watermark
+        rows = _dist.answer(query, text, self.planner, self._gather,
+                            self._horizon)
+        return QueryResult(variables=query.select, rows=rows,
+                           revision=watermark)
 
     def _gather(self, requests: list[tuple[str, list[int]]]
                 ) -> list[list[dict]]:
@@ -259,10 +272,18 @@ class ClusterStore(ClusterTelemetry):
             self._watermark += 1
             self._time_watermark = max(self._time_watermark, time)
             self._horizon = max(self._horizon, time + 1)
+            # After the bumps, as in TemporalStore._update.
+            if self._query_cache is not None:
+                self._query_cache.invalidate()
+            self._since_checkpoint += 1
+            watermark = self._watermark
             if _metrics.ENABLED:
                 _UPDATES.inc()
-                _WATERMARK.set(self._watermark)
-            return self._watermark
+                _WATERMARK.set(watermark)
+        if (self.checkpoint_every is not None
+                and self._since_checkpoint >= self.checkpoint_every):
+            self.checkpoint()
+        return watermark
 
     def _recover_update(
         self, member: Member, update: protocol.Update, acked_before: int,
@@ -310,32 +331,38 @@ class ClusterStore(ClusterTelemetry):
             raise StoreError("store is closed")
         members = self._membership.members
         with self._writer:
-            parts = self.planner.partition(graph)
-            # One thread per member, so every worker builds its indexes
-            # at once; the pool's exit joins them all, and only then does
-            # the first failed load raise or any replica resync.
-            with ThreadPoolExecutor(
-                max_workers=len(members),
-                thread_name_prefix="repro-load",
-            ) as pool:
-                loads = [
-                    _trace.submit(pool, self._membership.rpc_primary, member,
-                                  protocol.Load(rows=rows), 300.0)
-                    for member, rows in zip(members, parts)
-                ]
-            for load in loads:
-                # Intentional hold: bulk load is exclusive by contract;
-                # the writer lock stays held across the shard RPCs.
-                load.result()
-            for member in members:
-                for replica in list(member.replicas):
-                    try:
-                        # Intentional hold: replicas resync from the
-                        # just-loaded primary before writes resume.
-                        replica.rpc(protocol.Resync(), timeout=300.0)
-                    except (OSError, ProtocolError) as error:
-                        self._membership.drop_replica(
-                            member, replica, error)
+            try:
+                parts = self.planner.partition(graph)
+                # One thread per member, so every worker builds at once;
+                # the pool's exit joins them all, and only then does the
+                # first failed load raise or any replica resync.
+                with ThreadPoolExecutor(
+                    max_workers=len(members),
+                    thread_name_prefix="repro-load",
+                ) as pool:
+                    loads = [
+                        _trace.submit(pool, self._membership.rpc_primary,
+                                      member, protocol.Load(rows=rows),
+                                      300.0)
+                        for member, rows in zip(members, parts)
+                    ]
+                for load in loads:
+                    # Intentional hold: bulk load is exclusive by contract;
+                    # the writer lock stays held across the shard RPCs.
+                    load.result()
+                for member in members:
+                    for replica in list(member.replicas):
+                        try:
+                            # Intentional hold: replicas resync from the
+                            # just-loaded primary before writes resume.
+                            replica.rpc(protocol.Resync(), timeout=300.0)
+                        except (OSError, ProtocolError) as error:
+                            self._membership.drop_replica(
+                                member, replica, error)
+            finally:
+                # A load moves no watermark: the generation bump does.
+                if self._query_cache is not None:
+                    self._query_cache.invalidate()
         # The partition made the predicate map complete: no inventory.
         self._read_status()
 
@@ -368,6 +395,7 @@ class ClusterStore(ClusterTelemetry):
                             "cluster_replica_checkpoint_failed",
                             shard=member.shard_id, error=str(error),
                         )
+            self._since_checkpoint = 0
         return self.directory
 
     def _wait_for_replica(self, member: Member, replica: ShardClient,
@@ -413,7 +441,7 @@ class ClusterStore(ClusterTelemetry):
 
     @property
     def cached_results(self) -> int | None:
-        return None
+        return None if self._query_cache is None else len(self._query_cache)
 
     # -------------------------------------------------------------- closing
 

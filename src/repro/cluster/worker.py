@@ -5,10 +5,10 @@ One worker per topology member, a plain ``python -c`` subprocess running
 JSON line on stdin, its ready report leaves as one on stdout, and stdin
 stays open as a lifeline: EOF (a closing or dead coordinator) stops it.
 Each worker owns a private directory with a full
-:class:`~repro.service.store.TemporalStore` — engine, WAL, snapshots —
-and answers the :mod:`repro.cluster.protocol` ops on a loopback TCP
-socket (``ThreadingTCPServer``: concurrent reads ride the store's
-readers-writer lock exactly as in the single-process server).
+:class:`~repro.service.store.TemporalStore` — engine, WAL, snapshots, no
+result cache — and answers the :mod:`repro.cluster.protocol` ops on a
+loopback TCP socket (``ThreadingTCPServer``: concurrent reads ride the
+store's readers-writer lock exactly as in the single-process server).
 
 Replicas additionally run a tail thread that polls the primary's
 ``wal_since`` op and applies shipped records through
@@ -94,7 +94,6 @@ class WorkerConfig:
     use_optimizer: bool = True
     group_size: int = 32
     fsync: bool = True
-    query_cache_size: int | None = 256
     poll_interval: float = 0.05
 
 
@@ -160,7 +159,7 @@ def _open_store(config: WorkerConfig) -> TemporalStore:
         use_optimizer=config.use_optimizer,
         group_size=config.group_size,
         fsync=config.fsync,
-        query_cache_size=config.query_cache_size,
+        query_cache_size=None,
     )
 
 

@@ -1,16 +1,16 @@
 """Revision-tagged query-result cache for the serving layer.
 
-:class:`QueryCache` memoizes *decoded* query results in front of the
-store's readers-writer lock: a hit never takes the read lock, never
-parses, never scans.  Correctness rests on two rules:
+:class:`QueryCache` memoizes *decoded* query results in front of a
+store's readers-writer lock or a cluster coordinator's shard RPCs, both
+through :func:`cached_answer`: a hit never takes the read lock, never
+parses, never scans, asks no shard.  Correctness rests on two rules:
 
 * every entry is tagged with the store **revision** (the last applied
-  WAL LSN) it was computed at, and a lookup only returns an entry whose
-  tag equals the revision the caller is about to serve — a stale entry
-  is a miss, never a wrong answer; and
-* a writer **invalidates wholesale** after applying
-  (:meth:`~repro.service.store.TemporalStore._update`), so stale
-  entries also stop occupying capacity.
+  WAL LSN, or the cluster watermark) it was computed at, and a lookup
+  only returns an entry whose tag equals the revision the caller is
+  about to serve — a stale entry is a miss, never a wrong answer; and
+* a writer **invalidates wholesale** after applying, so stale entries
+  also stop occupying capacity.
 
 Results are snapshotted on insert and copied on every hit, so callers
 can mutate what they get back without poisoning the cache.
@@ -28,7 +28,7 @@ from ..engine.engine import QueryResult
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 
-__all__ = ["QueryCache", "normalize_query"]
+__all__ = ["QueryCache", "cached_answer", "normalize_query"]
 
 _HITS = _metrics.counter("service.cache.hits")
 _MISSES = _metrics.counter("service.cache.misses")
@@ -177,3 +177,24 @@ class QueryCache:
 
     def __len__(self) -> int:
         return len(self._lru)
+
+
+def cached_answer(cache: QueryCache | None, text, revision: int, run,
+                  profile: bool = False) -> tuple[QueryResult, bool]:
+    """Answer ``text`` from ``cache`` at ``revision``, or by ``run()``
+    put under the revision it pinned and the generation taken before it.
+    A profiled or pre-parsed query, or no cache, just runs.  Returns the
+    result and whether it was a hit."""
+    key = hit = None
+    if cache is not None and not profile and isinstance(text, str):
+        key = normalize_query(text)
+        with _trace.span("cache.lookup"):
+            hit = cache.get(key, revision)
+        generation = cache.generation
+    _trace.annotate_trace(cache_hit=hit is not None)
+    if hit is not None:
+        return hit, True
+    result = run()
+    if key is not None:
+        cache.put(key, result.revision, result, generation=generation)
+    return result, False

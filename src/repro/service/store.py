@@ -34,7 +34,7 @@ from ..mvbt.tree import DuplicateKeyError, MVBTConfig, TimeOrderError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs import workload as _workload
-from .cache import QueryCache, normalize_query
+from .cache import QueryCache, cached_answer
 from .locks import ReadWriteLock, requires_writer_lock
 from .sanitizer import sanitized_lock
 from .snapshot import load_snapshot, save_snapshot
@@ -364,8 +364,6 @@ class TemporalStore:
                 self._apply(record.op, record.subject, record.predicate,
                             record.object, record.time)
                 self._revision = record.lsn
-            if self._query_cache is not None:
-                self._query_cache.invalidate()
             self._since_checkpoint += 1
             if _metrics.ENABLED:
                 _UPDATES.inc()
@@ -376,81 +374,54 @@ class TemporalStore:
         """Evaluate a SPARQLT query under the read lock.
 
         ``text`` is query text or a pre-parsed
-        :class:`~repro.sparqlt.ast.Query`; only text is cacheable (a
-        cluster shard gets every read as text, star sub-queries
-        included).
+        :class:`~repro.sparqlt.ast.Query`; only text is cacheable.
 
         The result's ``revision`` is the store revision (last applied LSN)
         the reader was pinned to.
 
         The result cache sits entirely *outside* the read lock: a hit
-        returns a result whose revision tag equals the revision the store
-        held at lookup — equivalent to a reader pinned an instant
-        earlier.  Profiled queries bypass the cache (profiles are
-        per-execution).
+        is tagged with the revision the store held at lookup, as if a
+        reader pinned an instant earlier (see :func:`cached_answer`).
         """
         started = _time.perf_counter()
         try:
             with _trace.span("store.query"):
-                return self._query(text, profile, started)
+                result, hit = cached_answer(
+                    self._query_cache, text, self._revision,
+                    lambda: self._read(text, profile), profile,
+                )
+                if _metrics.ENABLED:
+                    _QUERIES.inc()
+                    if hit:
+                        # Hits never reach the engine, so the workload
+                        # registry is fed here (query=None: the text alone
+                        # resolves the shape via the fingerprint cache).
+                        _workload.WORKLOAD.record_query(
+                            None, text,
+                            (_time.perf_counter() - started) * 1000.0,
+                            rows=len(result.rows), cache_hit=True,
+                            trace_id=_trace.current_trace_id())
+                return result
         finally:
             if _metrics.ENABLED:
                 _QUERY_HIST.observe(
                     (_time.perf_counter() - started) * 1000.0
                 )
 
-    def _query(self, text, profile: bool,
-               started: float) -> QueryResult:
-        cache = self._query_cache
-        key: str | None = None
-        generation = 0
-        if cache is not None and not profile and isinstance(text, str):
-            key = normalize_query(text)
-            with _trace.span("cache.lookup"):
-                hit = cache.get(key, self._revision)
-            if hit is not None:
-                _trace.annotate_trace(cache_hit=True)
-                if _metrics.ENABLED:
-                    _QUERIES.inc()
-                    # Cache hits never reach the engine, so the workload
-                    # registry is fed here (query=None: the text alone
-                    # resolves the shape via the fingerprint text cache).
-                    _workload.WORKLOAD.record_query(
-                        None, text,
-                        (_time.perf_counter() - started) * 1000.0,
-                        rows=len(hit.rows), cache_hit=True,
-                        trace_id=_trace.current_trace_id(),
-                    )
-                return hit
-            generation = cache.generation
-        _trace.annotate_trace(cache_hit=False)
+    def _read(self, text, profile: bool) -> QueryResult:
         with self._rw.read_locked():
-            revision = self._revision
             result = self.engine.query(text, profile=profile)
-        result.revision = revision
-        if key is not None:
-            cache.put(key, revision, result, generation=generation)
-        if _metrics.ENABLED:
-            _QUERIES.inc()
+            result.revision = self._revision
         return result
 
     def raise_horizon(self, horizon: int) -> None:
-        """Resolve ``NOW`` no earlier than ``horizon`` from here on.
-
-        A cluster shard is told the cluster-wide horizon with every read;
-        a write on another shard moves it with no update here, and a
-        cached result computed under the old horizon would be stale (a
-        live period's LENGTH, MONTHs and DAYs end there), so it goes.
-        """
+        """Resolve ``NOW`` no earlier than ``horizon`` from here on (a
+        cluster shard is told the cluster-wide horizon with every read;
+        it keeps no result cache for the move to make stale)."""
         if horizon <= self.engine.horizon_floor:
             return
         with self._rw.write_locked():
             if horizon > self.engine.horizon_floor:
-                # No reader runs meanwhile, and one that ran before holds
-                # a stale generation: the cache empties before any lookup
-                # can see the new floor.
-                if self._query_cache is not None:
-                    self._query_cache.invalidate()
                 self.engine.horizon_floor = horizon
 
     @property

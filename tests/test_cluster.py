@@ -355,36 +355,180 @@ class TestClusterUpdates:
             assert periods[0].end == 1500
 
 
-class TestShardResultCache:
-    """A shard caches every read by its text, star sub-queries too."""
+class TestCoordinatorResultCache:
+    """The coordinator caches every text answer, tagged with the watermark
+    its read was pinned to; no shard keeps a result cache."""
+
+    STAR = "SELECT ?s ?o {?s p ?o ?t}"
+    # a chain through the object: no shard answers it alone
+    CHAIN = "SELECT ?s ?o ?m {?s p ?o ?t . ?o q ?m ?t2}"
 
     @staticmethod
-    def _cache_hits(cluster) -> int:
-        replies = [member.primary.rpc(protocol.Metrics())
-                   for member in cluster._membership.members]
-        if not all(reply.enabled for reply in replies):
-            pytest.skip("counters are off (REPRO_OBS=0)")
-        return sum(reply.metrics["counters"].get("service.cache.hits", 0)
-                   for reply in replies)
+    def _counts() -> tuple[int, int]:
+        """(shard RPCs the coordinator made, its result-cache hits)."""
+        from repro.obs import metrics
 
-    def test_a_repeated_scatter_query_is_a_shard_cache_hit(self, tmp_path):
+        if not metrics.ENABLED:
+            pytest.skip("counters are off (REPRO_OBS=0)")
+        return (metrics.histogram("cluster.coordinator.rpc_ms").count,
+                metrics.counter("service.cache.hits").value)
+
+    def _delta(self, before: tuple[int, int]) -> tuple[int, int]:
+        return tuple(now - then for now, then in zip(self._counts(), before))
+
+    @staticmethod
+    def _chain(cluster, shards: int) -> None:
+        """On every shard, a ``p`` fact to a target with a ``q`` fact."""
+        for shard in range(shards):
+            subject = _subject_on_shard(shard, shards)
+            target = _subject_on_shard(shard, shards, start=100)
+            cluster.insert(subject, "p", target, 1000 + 2 * shard)
+            cluster.insert(target, "q", f"m{shard}", 1001 + 2 * shard)
+
+    @pytest.mark.parametrize("text", [STAR, CHAIN], ids=["star", "chain"])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_repeated_query_asks_no_shard(self, tmp_path, shards, text):
+        self._counts()  # skips when counters are off
+        with ClusterStore(tmp_path / "clu", shards=shards,
+                          fsync=False) as cluster:
+            self._chain(cluster, shards)
+            first = _serialize(cluster.query(text))
+            before = self._counts()
+            second = _serialize(cluster.query(text))
+            assert self._delta(before) == (0, 1)
+            assert cluster.cached_results == 1
+        assert second == first and len(first["rows"]) == shards
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_an_insert_on_either_shard_reaches_the_next_answer(
+            self, tmp_path, shard):
+        """After the insert, the star asks both shards again (2 RPCs) and
+        the chain its two stars of both (4), and both see the write."""
+        self._counts()  # skips when counters are off
+        subject = _subject_on_shard(shard, 2, start=200)
+        target = _subject_on_shard(1 - shard, 2, start=100)
         with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
-            for shard in range(2):
-                subject = _subject_on_shard(shard, 2)
-                target = _subject_on_shard(shard, 2, start=100)
-                cluster.insert(subject, "p", target, 1000 + 2 * shard)
-                cluster.insert(target, "q", f"m{shard}", 1001 + 2 * shard)
-            # a chain through the object: no shard answers it alone
-            text = "SELECT ?s ?o ?m {?s p ?o ?t . ?o q ?m ?t2}"
-            before = self._cache_hits(cluster)
-            first = _serialize(cluster.query(text))
-            missed = self._cache_hits(cluster)
-            second = _serialize(cluster.query(text))
-            # two star sub-queries, each asked of both shards
-            assert (missed - before, self._cache_hits(cluster) - missed) == (
-                0, 4)
-            assert second == first and len(first["rows"]) == 2
+            self._chain(cluster, 2)
+            cached = [cluster.query(text).rows
+                      for text in (self.STAR, self.CHAIN)]
+            cluster.insert(subject, "p", target, 1010)
+            before = self._counts()
+            star, chain = [cluster.query(text).rows
+                           for text in (self.STAR, self.CHAIN)]
+            assert self._delta(before) == (2 + 4, 0)
+        assert [len(rows) for rows in cached] == [2, 2]
+        assert {"s": subject, "o": target} in star and len(star) == 3
+        assert {"s": subject, "o": target, "m": f"m{1 - shard}"} in chain
+        assert len(chain) == 3
+
+    def test_no_answer_from_before_a_load_is_served(self, tmp_path):
+        """A load moves no watermark.  The chain's pre-load answer is
+        cached, and the star's read straddles the load: it gathered before
+        the load and puts after it, under the generation it took first,
+        which the load's invalidation retired."""
+        from repro.model.graph import TemporalGraph
+        from repro.model.time import NOW
+
+        graph = TemporalGraph()
+        for shard in range(2):
+            subject = _subject_on_shard(shard, 2)
+            target = _subject_on_shard(shard, 2, start=100)
+            graph.add(subject, "p", target, 1000, NOW)
+            graph.add(target, "q", f"m{shard}", 1001, NOW)
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            assert cluster.query(self.CHAIN).rows == []
+            gather, loaded = cluster._gather, []
+
+            def gather_then_load(requests):
+                rows = gather(requests)
+                if not loaded:
+                    loaded.append(cluster.load_dataset(graph))
+                return rows
+
+            cluster._gather = gather_then_load
+            assert cluster.query(self.STAR).rows == []
+            assert cluster.revision == 0 and cluster.live_facts == 4
+            assert len(cluster.query(self.STAR).rows) == 2
+            assert len(cluster.query(self.CHAIN).rows) == 2
+
+    def test_no_worker_keeps_a_result_cache(self, tmp_path):
+        """Primaries and replicas answer every read they get, and look
+        none of them up: their ``service.cache`` counters stay 0."""
+        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+                          fsync=False) as cluster:
+            self._chain(cluster, 2)
+            for text in (self.STAR, self.CHAIN, self.STAR, self.CHAIN):
+                cluster.query(text)
+            replies = [client.rpc(protocol.Metrics())
+                       for member in cluster._membership.members
+                       for _, _, client in member.processes()]
+        if not all(reply.enabled for reply in replies):
+            pytest.skip("counters are off (REPRO_OBS=0)")
+        counters = [reply.metrics["counters"] for reply in replies]
+        assert len(counters) == 4
+        assert sum(c["cluster.worker.requests"] for c in counters) > 0
+        assert [(c.get("service.cache.hits", 0),
+                 c.get("service.cache.misses", 0))
+                for c in counters] == [(0, 0)] * 4
+
+    def test_readers_beside_a_writer_see_every_write_they_count(
+            self, tmp_path):
+        """Readers in threads, cache hits among them, beside a writer.  A
+        read pinned at watermark ``r`` sees the ``r`` acknowledged writes,
+        and may see later ones that were issued before it returned (a
+        write applies on its shard before the watermark counts it) —
+        what an uncached read can see, and nothing staler."""
+        from repro.obs import metrics
+        from repro.sparqlt.parser import parse
+
+        hits = metrics.counter("service.cache.hits")
+        hits_before = hits.value
+        texts = [self.STAR, "SELECT ?s {?s p o ?t}"]
+        subjects = [f"w{index}" for index in range(30)]
+        issued, done, seen, errors = [0], threading.Event(), [], []
+
+        def read() -> None:
+            try:
+                while not done.is_set():
+                    for text in texts:
+                        before = cluster.revision
+                        result = cluster.query(text)
+                        seen.append((before, result.revision,
+                                     {row["s"] for row in result.rows},
+                                     issued[0]))
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        with ClusterStore(tmp_path / "clu", shards=2,
+                          fsync=False) as cluster:
+            readers = [threading.Thread(target=read) for _ in range(3)]
+            sys.setswitchinterval(1e-5)
+            for reader in readers:
+                reader.start()
+            try:
+                for day, subject in enumerate(subjects):
+                    issued[0] = day + 1
+                    cluster.insert(subject, "p", "o", 1000 + day)
+                    time.sleep(0.005)  # room for hits between writes
+            finally:
+                done.set()
+                for reader in readers:
+                    reader.join(60)
+                sys.setswitchinterval(interval)
+            assert not any(reader.is_alive() for reader in readers)
+            final = [cluster.query(text).rows for text in texts]
+            uncached = [cluster.query(parse(text)).rows for text in texts]
+        assert errors == []
+        assert final == uncached and len(final[0]) == len(subjects)
+        if metrics.ENABLED:
+            assert hits.value > hits_before
+        for before, revision, got, issued_by in seen:
+            assert before <= revision
+            assert set(subjects[:revision]) <= got
+            assert got <= set(subjects[:issued_by])
 
     @pytest.mark.parametrize("forwarded", [True, False],
                              ids=["forwarded", "scattered"])
@@ -411,8 +555,9 @@ class TestClusterFailover:
     def test_sigkill_promotes_replica_and_preserves_results(
         self, tmp_path, graph, query_mix
     ):
+        # No result cache: the reads after the kill must reach the shards.
         with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
-                          fsync=False) as cluster:
+                          fsync=False, query_cache_size=None) as cluster:
             cluster.load_dataset(graph)
             # live writes so the replica has WAL-shipped state too
             for index in range(5):
@@ -562,6 +707,36 @@ class TestClusterMaintenance:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
         with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+                          fsync=False) as cluster:
+            rows = cluster.query("SELECT ?s ?o {?s p ?o ?t}").rows
+        assert sorted((row["s"], row["o"]) for row in rows) == sorted(acked)
+
+    def test_checkpoint_every_empties_each_wal_and_survives_sigkill(
+            self, tmp_path):
+        """``checkpoint_every=3``, as the store takes it: the third
+        acknowledged insert checkpoints both shards, and a cluster
+        reopened after a SIGKILL of every worker reads all three back."""
+        from repro.service.wal import read_records
+
+        def wal_records(members) -> list[int]:
+            return [len(read_records(member.primary.directory
+                                     / TemporalStore.WAL_NAME))
+                    for member in members]
+
+        subjects = [_subject_on_shard(shard, 2) for shard in (0, 1, 0)]
+        acked = []
+        with ClusterStore(tmp_path / "clu", shards=2, fsync=False,
+                          checkpoint_every=3) as cluster:
+            members = cluster._membership.members
+            for day, subject in enumerate(subjects):
+                if day == 2:
+                    assert wal_records(members) == [1, 1]
+                cluster.insert(subject, "p", f"v{day}", 1000 + day)
+                acked.append((subject, f"v{day}"))
+            assert wal_records(members) == [0, 0]
+            for member in members:
+                os.kill(member.primary.pid, signal.SIGKILL)
+        with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
             rows = cluster.query("SELECT ?s ?o {?s p ?o ?t}").rows
         assert sorted((row["s"], row["o"]) for row in rows) == sorted(acked)

@@ -302,6 +302,12 @@ class TestClusterCommands:
             return started["service"]
 
         monkeypatch.setattr(server, "serve", serve)
+        from repro.obs import metrics
+
+        # the coordinator counts in this process's registry: two queries
+        # and one update past what earlier tests left there
+        queries = metrics.counter("cluster.coordinator.queries").value + 2
+        updates = metrics.counter("cluster.coordinator.updates").value + 1
         data = tmp_path / "uc.tnq"
         dump_graph(sample_graph(), data)
         argv = ["serve", str(tmp_path / "clu"), "--shards", "2",
@@ -334,10 +340,11 @@ class TestClusterCommands:
         assert "watermark: 1" in out
         assert out.count("  shard ") == 2
         assert "federated metrics (watermark 1):" in out
-        from repro.obs import metrics
-
         if metrics.ENABLED:  # REPRO_OBS=0 workers report no groups
             assert "[role=shard,shard=1] x1: " in out
+            # the coordinator's own counters: 2 queries and 1 update
+            assert (f"[role=coordinator] x1: {queries} queries, "
+                    f"{updates} updates\n") in out
 
     def test_stats_reports_the_registry_after_the_queries(self, tmp_path,
                                                          capsys):

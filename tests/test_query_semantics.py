@@ -189,7 +189,10 @@ def test_the_coordinator_runs_only_what_no_shard_ran(tmp_path):
         pytest.skip("counters are off (REPRO_OBS=0)")
     graph = _graph()
     graph.add("coleman", "alma", "michigan", 1100)
-    with ClusterStore(tmp_path, shards=2, fsync=False) as store:
+    # No result cache: each query is asked twice, and the second ask must
+    # run on the shards and the coordinator again.
+    with ClusterStore(tmp_path, shards=2, fsync=False,
+                      query_cache_size=None) as store:
         store.load_dataset(graph)
         rode = ("SELECT ?x ?p ?a {?x president ?p ?t . ?p alma ?a ?t2 . "
                 "FILTER(YEAR(?t) >= 1972)}")
