@@ -5,9 +5,13 @@
 
 Replays the benchmark suite's ``engine_maintain`` op list (bulk load, change
 events, probe queries) in this process under ``tracemalloc`` and writes the
-live bytes per source file once the last op has run, next to the number the
-suite reports as the index size (``RDFTX.sizeof()``, storage-layout bytes).
-Then, for ``engine_maintain`` and ``engine_fig9_warm`` (one untimed and the
+live bytes per source file once the last op has run (after a full
+collection, which also empties CPython's free lists), next to the number the
+suite reports as the index size (``RDFTX.sizeof()``, storage-layout bytes),
+and the ingestion graph row: what the base graphs the arm keeps alive cost
+per fact, the bytes traced to ``model/graph.py`` (their dictionaries are
+``model/dictionary.py``'s).  Then, for ``engine_maintain`` and
+``engine_fig9_warm`` (one untimed and the
 timed passes of the fig9 mix, with their inserts), a census of what the
 engine holds by structure: the decoded-leaf memo (resident flat forms and
 the intern pool), the live index of packed live leaves, the packed buffers
@@ -97,6 +101,24 @@ def table(snapshot, engine, events: int, top: int) -> str:
             f"{100 * stat.size / total:>6.1f}% {stat.count:>9}"
         )
     return "\n".join(lines) + "\n"
+
+
+def graph_table(snapshot, graphs) -> str:
+    """Traced bytes per fact of the live ingestion graphs (see the module
+    docstring)."""
+    size = sum(
+        stat.size for stat in snapshot.statistics("filename")
+        if Path(stat.traceback[0].filename).parts[-2:] == ("model",
+                                                          "graph.py")
+    )
+    facts = sum(len(graph) for graph in graphs)
+    return (
+        f"# the {len(graphs)} base graphs the arm keeps alive (tracemalloc, "
+        f"model/graph.py; dictionary excluded)\n"
+        f"{'structure':<44} {'MB':>8} {'facts':>9} {'B/fact':>9}\n"
+        f"{'ingestion graph':<44} {size / 1e6:>8.2f} {facts:>9} "
+        f"{size / max(facts, 1):>9.1f}\n"
+    )
 
 
 def _charge(roots, seen: set[int]) -> tuple[int, int]:
@@ -241,12 +263,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         engine, workload, _base = replay(
             "engine_maintain", args.seed, args.smoke)
+        gc.collect()  # a full collection also frees CPython's free lists
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     events = len(workload.updates())
-    text = table(snapshot, engine, events, args.top) + "\n" + census(
-        engine, f"engine_maintain after {events} events")
+    graphs = list({id(g): g for g in (workload.graph, _base)}.values())
+    text = (
+        table(snapshot, engine, events, args.top) + "\n"
+        + graph_table(snapshot, graphs) + "\n"
+        + census(engine, f"engine_maintain after {events} events")
+    )
     del engine, workload, _base, snapshot
     engine, workload, _base = replay(
         "engine_fig9_warm", args.seed, args.smoke)

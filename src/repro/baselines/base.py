@@ -31,7 +31,7 @@ from ..engine.operators import Row, apply_filters, project
 from ..engine.patterns import _window_from_filters
 from ..engine.plan import compile_group
 from ..model.graph import TemporalGraph
-from ..model.time import Period
+from ..model.time import NOW, Period
 from ..sparqlt.ast import Expr, Query, QuadPattern, TimeConst, Var
 from ..sparqlt.parser import parse
 
@@ -55,10 +55,10 @@ class TemporalBaseline(ABC):
     def load(self, graph: TemporalGraph) -> None:
         self.dictionary = graph.dictionary
         horizon = 1
-        for triple in graph:
-            horizon = max(horizon, triple.period.start + 1)
-            if not triple.period.is_live:
-                horizon = max(horizon, triple.period.end + 1)
+        for _, _, _, start, end in graph.encoded_rows():
+            horizon = max(horizon, start + 1)
+            if end != NOW:
+                horizon = max(horizon, end + 1)
         self._horizon = horizon
         self._build(graph)
 

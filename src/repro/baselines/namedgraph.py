@@ -46,11 +46,8 @@ class NamedGraphBaseline(TemporalBaseline):
 
     def _build(self, graph: TemporalGraph) -> None:
         graphs: dict[tuple, list] = defaultdict(list)
-        for triple in graph:
-            key = (triple.period.start, triple.period.end)
-            graphs[key].append(
-                (triple.subject, triple.predicate, triple.object)
-            )
+        for sid, pid, oid, start, end in graph.encoded_rows():
+            graphs[(start, end)].append((sid, pid, oid))
         self.graphs = dict(graphs)
         self._sorted_intervals = sorted(self.graphs)
 

@@ -41,23 +41,16 @@ class RDBMSBaseline(TemporalBaseline):
             order: BPlusTree(self._branching)
             for order in ("spo", "sop", "pso", "ops")
         }
-        for triple in graph:
+        for record in graph.encoded_rows():
             row_id = len(self.table)
-            record = (
-                triple.subject,
-                triple.predicate,
-                triple.object,
-                triple.period.start,
-                triple.period.end,
-            )
             self.table.append(record)
-            s, p, o = record[0], record[1], record[2]
+            s, p, o, start, end = record
             self.indexes["spo"].insert((s, p, o), row_id)
             self.indexes["sop"].insert((s, o, p), row_id)
             self.indexes["pso"].insert((p, s, o), row_id)
             self.indexes["ops"].insert((o, p, s), row_id)
-            self.start_index.insert(record[3], row_id)
-            self.end_index.insert(record[4], row_id)
+            self.start_index.insert(start, row_id)
+            self.end_index.insert(end, row_id)
 
     # ------------------------------------------------------------- matching
 

@@ -58,14 +58,11 @@ class RDF3XBaseline(TemporalBaseline):
     def _build(self, graph: TemporalGraph) -> None:
         reified: list[tuple[int, object, int]] = []
         pso: list[tuple[tuple[int, int], object]] = []
-        for stmt, triple in enumerate(graph):
-            values = (
-                triple.subject,
-                triple.predicate,
-                triple.object,
-                self._store_time(triple.period.start),
-                self._store_time(triple.period.end),
-            )
+        for stmt, (sid, pid, oid, start, end) in enumerate(
+            graph.encoded_rows()
+        ):
+            values = (sid, pid, oid, self._store_time(start),
+                      self._store_time(end))
             for column, value in enumerate(values):
                 reified.append((column, value, stmt))
                 pso.append(((column, stmt), value))
@@ -166,15 +163,17 @@ class VirtuosoBaseline(TemporalBaseline):
 
         subjects, predicates, objects, starts, ends = [], [], [], [], []
         postings = defaultdict(list)
-        for stmt, triple in enumerate(graph):
-            subjects.append(triple.subject)
-            predicates.append(triple.predicate)
-            objects.append(triple.object)
-            starts.append(triple.period.start)
-            ends.append(triple.period.end)
-            postings[("s", triple.subject)].append(stmt)
-            postings[("p", triple.predicate)].append(stmt)
-            postings[("o", triple.object)].append(stmt)
+        for stmt, (sid, pid, oid, start, end) in enumerate(
+            graph.encoded_rows()
+        ):
+            subjects.append(sid)
+            predicates.append(pid)
+            objects.append(oid)
+            starts.append(start)
+            ends.append(end)
+            postings[("s", sid)].append(stmt)
+            postings[("p", pid)].append(stmt)
+            postings[("o", oid)].append(stmt)
         self.statement_count = len(graph)
         self.columns = {
             "s": subjects,

@@ -57,15 +57,15 @@ class ReificationBaseline(TemporalBaseline):
     def _build(self, graph: TemporalGraph) -> None:
         self.by_property_value = defaultdict(list)
         self.triples = {}
-        for triple in graph:
+        for sid, pid, oid, start, end in graph.encoded_rows():
             statement_id = self.statement_count
             self.statement_count += 1
             properties = (
-                (RDF_SUBJECT, triple.subject),
-                (RDF_PREDICATE, triple.predicate),
-                (RDF_OBJECT, triple.object),
-                (START_TIME, triple.period.start),
-                (END_TIME, triple.period.end),
+                (RDF_SUBJECT, sid),
+                (RDF_PREDICATE, pid),
+                (RDF_OBJECT, oid),
+                (START_TIME, start),
+                (END_TIME, end),
             )
             for prop, value in properties:
                 self.triples[(prop, statement_id)] = value

@@ -316,8 +316,8 @@ def experiment_fig10c():
     updates = max(n // 8, 400)
     graph = _wiki(n).graph
     records = [
-        (triple.key("spo"), triple.period.start, triple.period.end)
-        for triple in graph
+        ((sid, pid, oid), start, end)
+        for sid, pid, oid, start, end in graph.encoded_rows()
     ]
 
     def build(compress: bool) -> MVBT:

@@ -212,21 +212,20 @@ def _load_engine(path: str, use_optimizer: bool) -> RDFTX:
 
 def cmd_info(args) -> int:
     from .model.graph import TemporalGraph
-    from .model.time import format_chronon
+    from .model.time import NOW, format_chronon
 
     engine = _load_engine(args.dataset, use_optimizer=False)
-    graph = TemporalGraph.from_encoded(
-        engine.dictionary, engine.history_rows()
-    )
+    rows = engine.history_rows()
+    graph = TemporalGraph.from_encoded(engine.dictionary, rows)
     predicates = graph.predicate_counts()
-    starts = [t.period.start for t in graph]
     print(f"triples:        {len(graph)}")
     print(f"subjects:       {graph.distinct_subjects()}")
     print(f"predicates:     {len(predicates)}")
-    if starts:
-        print(f"history:        {format_chronon(min(starts))} .. "
+    if rows:
+        first = min(row[3] for row in rows)
+        print(f"history:        {format_chronon(first)} .. "
               f"{format_chronon(engine.horizon - 1)}")
-    live = sum(1 for t in graph if t.period.is_live)
+    live = sum(1 for row in rows if row[4] == NOW)
     print(f"live facts:     {live}")
     print(f"raw size:       {graph.raw_size()} bytes")
     print(f"index size:     {engine.sizeof()} bytes (4 compressed MVBT "

@@ -83,13 +83,11 @@ class ShardPlanner:
         parts: list[list[list]] = [[] for _ in range(self.shards)]
         predicate_shards: dict[str, set[int]] = {}
         decode = graph.dictionary.decode
-        for triple in graph:
-            subject = decode(triple.subject)
-            predicate = decode(triple.predicate)
+        for sid, pid, oid, start, end in graph.encoded_rows():
+            subject = decode(sid)
+            predicate = decode(pid)
             shard = shard_of(subject, self.shards)
-            end = triple.period.end
-            parts[shard].append([subject, predicate, decode(triple.object),
-                                 triple.period.start,
+            parts[shard].append([subject, predicate, decode(oid), start,
                                  None if end == NOW else end])
             predicate_shards.setdefault(predicate, set()).add(shard)
         self.predicate_map = {

@@ -17,22 +17,24 @@ import random
 from collections import defaultdict
 
 from ..model.graph import TemporalGraph
-from ..model.time import NOW, chronon_to_date, year_of
+from ..model.time import chronon_to_date, year_of
 
 
 def _subject_predicates(graph: TemporalGraph) -> dict[int, list[int]]:
     """Subject id -> distinct predicate ids (in first-seen order)."""
     out: dict[int, list[int]] = defaultdict(list)
-    for triple in graph:
-        preds = out[triple.subject]
-        if triple.predicate not in preds:
-            preds.append(triple.predicate)
+    for sid, pid, _, _, _ in graph.encoded_rows():
+        preds = out[sid]
+        if pid not in preds:
+            preds.append(pid)
     return out
 
 
 def _sample_year(graph: TemporalGraph, rng: random.Random) -> int:
-    triple = rng.choice(list(graph)[: min(len(graph), 5000)])
-    return year_of(triple.period.start)
+    """The start year of a random fact among the first 5 000, drawn as
+    ``rng.choice`` over that prefix would draw it, without copying it."""
+    rows = graph.encoded_rows()
+    return year_of(rows[rng.randrange(min(len(rows), 5000))][3])
 
 
 def _date_str(chronon: int) -> str:
@@ -44,16 +46,16 @@ def selection_queries(
 ) -> list[str]:
     """Single-pattern temporal selection queries."""
     rng = random.Random(seed)
-    triples = list(graph)
+    rows = graph.encoded_rows()
     decode = graph.dictionary.decode
     queries: list[str] = []
     shapes = ["when", "year", "before", "snapshot", "predicate"]
     while len(queries) < count:
-        triple = rng.choice(triples)
-        s = decode(triple.subject)
-        p = decode(triple.predicate)
-        o = decode(triple.object)
-        year = year_of(triple.period.start)
+        sid, pid, oid, start, _ = rng.choice(rows)
+        s = decode(sid)
+        p = decode(pid)
+        o = decode(oid)
+        year = year_of(start)
         shape = shapes[len(queries) % len(shapes)]
         if shape == "when":
             queries.append(f"SELECT ?t {{{s} {p} {o} ?t}}")
@@ -62,12 +64,12 @@ def selection_queries(
                 f"SELECT ?o {{{s} {p} ?o ?t . FILTER(YEAR(?t) = {year})}}"
             )
         elif shape == "before":
-            cutoff = _date_str(triple.period.start + 200)
+            cutoff = _date_str(start + 200)
             queries.append(
                 f"SELECT ?o ?t {{{s} {p} ?o ?t . FILTER(?t <= {cutoff})}}"
             )
         elif shape == "snapshot":
-            when = _date_str(triple.period.start)
+            when = _date_str(start)
             queries.append(f"SELECT ?o {{{s} {p} ?o {when}}}")
         else:  # predicate-bound pattern (P / PT)
             queries.append(
@@ -92,11 +94,10 @@ def join_queries(
         p1n, p2n = decode(p1), decode(p2)
         if anchored:
             # Anchor one pattern on a constant object, as in Example 4.
-            anchor = next(
-                t for t in graph
-                if t.subject == subject and t.predicate == p1
-            )
-            obj = decode(anchor.object)
+            obj = decode(next(
+                row[2] for row in graph.encoded_rows()
+                if row[0] == subject and row[1] == p1
+            ))
             queries.append(
                 f"SELECT ?s ?v ?t {{?s {p2n} ?v ?t . ?s {p1n} {obj} ?t}}"
             )
@@ -141,8 +142,9 @@ def complex_queries(
             predicates = (
                 predicates * ((max_patterns // len(predicates)) + 1)
             )[:max_patterns]
-        anchor = next(t for t in graph if t.subject == subject)
-        year = year_of(anchor.period.start)
+        year = year_of(next(
+            row[3] for row in graph.encoded_rows() if row[0] == subject
+        ))
         for n in range(3, max_patterns + 1):
             patterns = " . ".join(
                 f"?s {decode(p)} ?v{i} ?t"

@@ -202,8 +202,8 @@ class RDFTX:
             # One change history, derived and ordered once; each index
             # replays it with the key slots permuted into its own order.
             events = change_events(
-                (triple.key("spo"), triple.period.start, triple.period.end)
-                for triple in graph
+                ((sid, pid, oid), start, end)
+                for sid, pid, oid, start, end in graph.encoded_rows()
             )
             span.annotate(events=len(events))
             for name, tree in indexes.items():

@@ -87,7 +87,7 @@ def _apply_updates(engine: RDFTX, graph) -> None:
     """500 seeded updates at rising chronons: ends of live facts, new values
     for existing (subject, predicate) pairs, and facts on fresh subjects."""
     rng = random.Random(12)
-    live = [graph.decode(t) for t in graph if t.period.end == NOW]
+    live = [t for t in graph.triples() if t.period.end == NOW]
     rng.shuffle(live)
     time = engine.horizon
     for serial in range(UPDATES):

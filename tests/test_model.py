@@ -1,7 +1,15 @@
 """Tests for triples, dictionary encoding, and temporal graphs."""
 
-import pytest
+import gc
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datasets import wikipedia
+from repro.engine import RDFTX
+from repro.io import dumps, loads
 from repro.model import (
     Dictionary,
     DictionaryError,
@@ -9,9 +17,11 @@ from repro.model import (
     Period,
     TemporalGraph,
     TemporalTriple,
+    TimeError,
     Triple,
     date_to_chronon,
 )
+from repro.model.graph import raw_size
 
 
 class TestTriple:
@@ -106,25 +116,28 @@ class TestTemporalGraph:
         assert any(t.object == "Janet_Napolitano" for t in decoded)
 
     def test_history_of_subject(self, uc_graph):
-        history = uc_graph.history_of("UC", "president")
-        assert [t.object for t in history] == [
+        history = RDFTX.from_graph(uc_graph).history("UC", "president")
+        assert [obj for _, obj, _ in history] == [
             "Mark_Yudof",
             "Janet_Napolitano",
         ]
 
     def test_history_of_unknown(self, uc_graph):
-        assert uc_graph.history_of("MIT") == []
-        assert uc_graph.history_of("UC", "nosuch") == []
+        engine = RDFTX.from_graph(uc_graph)
+        assert engine.history("MIT") == []
+        assert engine.history("UC", "nosuch") == []
 
     def test_validity_when_query(self, uc_graph):
         """Example 1: when did Napolitano serve as president."""
-        ps = uc_graph.validity("UC", "president", "Janet_Napolitano")
+        engine = RDFTX.from_graph(uc_graph)
+        ps = engine.when("UC", "president", "Janet_Napolitano")
         assert len(ps) == 1
         assert ps.first() == date_to_chronon("09/30/2013")
         assert ps.periods[0].is_live
 
     def test_validity_unknown_term(self, uc_graph):
-        assert uc_graph.validity("UC", "president", "Nobody").is_empty
+        engine = RDFTX.from_graph(uc_graph)
+        assert engine.when("UC", "president", "Nobody").is_empty
 
     def test_predicate_counts(self, uc_graph):
         counts = uc_graph.predicate_counts()
@@ -136,3 +149,131 @@ class TestTemporalGraph:
 
     def test_raw_size_positive(self, uc_graph):
         assert uc_graph.raw_size() > 6 * 16
+
+
+class TestRowStorage:
+    """A graph holds one flat ``(sid, pid, oid, start, end)`` row per fact."""
+
+    def test_encoded_rows_is_the_stored_list(self):
+        g = TemporalGraph()
+        g.add("a", "p", "x", 1, 5)
+        rows = g.encoded_rows()
+        assert rows is g.encoded_rows()
+        g.add("b", "p", "y", 2)
+        assert rows == [(1, 2, 3, 1, 5), (4, 2, 5, 2, NOW)]
+
+    @pytest.mark.parametrize("start, end", [(5, 5), (9, 3), (-1, 4),
+                                            (0, NOW + 1)])
+    def test_a_rejected_fact_interns_no_term(self, start, end):
+        g = TemporalGraph()
+        g.add("a", "p", "x", 1, 5)
+        size, terms = g.dictionary.sizeof(), len(g.dictionary)
+        with pytest.raises(TimeError):
+            g.add("fresh-s", "fresh-p", "fresh-o", start, end)
+        assert (g.dictionary.sizeof(), len(g.dictionary)) == (size, terms)
+        assert "fresh-s" not in g.dictionary
+        assert len(g) == 1
+
+    def test_raw_size_matches_the_per_row_formula(self):
+        g = TemporalGraph()
+        terms = ["Zürich", "名前", "plain", "naïve café", "𝄞clef", "plain"]
+        for i in range(40):
+            g.add(terms[i % 6], terms[(i * 5 + 1) % 6], terms[(i * 7 + 2) % 6],
+                  i, NOW if i % 3 else i + 10)
+        decode = g.dictionary.decode
+        expected = sum(
+            len(decode(s).encode()) + len(decode(p).encode())
+            + len(decode(o).encode()) + 16
+            for s, p, o, _, _ in g.encoded_rows()
+        )
+        assert g.raw_size() == expected
+        assert raw_size(g.dictionary, g.encoded_rows()[:7]) == sum(
+            len(decode(s).encode()) + len(decode(p).encode())
+            + len(decode(o).encode()) + 16
+            for s, p, o, _, _ in g.encoded_rows()[:7]
+        )
+        assert raw_size(g.dictionary, []) == 0
+
+    def test_footprint_per_fact_excluding_the_dictionary(self):
+        """A 4 000-fact wikipedia graph costs at most 100 B per fact over
+        its dictionary: the row tuple and its list slot (two model
+        objects per fact cost about 200 B)."""
+        source = wikipedia.generate(4000, seed=17).graph
+        decode = source.dictionary.decode
+        facts = [(decode(s), decode(p), decode(o), start, end)
+                 for s, p, o, start, end in source.encoded_rows()]
+        graph = TemporalGraph()
+        graph.dictionary = source.dictionary  # every term already interned
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for fact in facts:
+                graph.add(*fact)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(graph) == len(facts) >= 4000
+        assert grown / len(facts) <= 100
+
+    def test_coalesced_matches_the_pinned_result(self):
+        """Overlapping, adjacent and out-of-order valid-time assertions:
+        rows, dictionary order and text as the object-per-fact graph
+        produced them."""
+        g = TemporalGraph()
+        for fact in [("b", "q", "y", 40, 90), ("a", "p", "x", 10, 30),
+                     ("b", "q", "y", 5, 45), ("a", "p", "x", 20, 50),
+                     ("c", "p", "x", 7, NOW), ("a", "p", "x", 50, 60),
+                     ("a", "q", "y", 3, 4), ("a", "p", "x", 100, 110),
+                     ("c", "p", "x", 1, 8), ("b", "q", "y", 200, NOW)]:
+            g.add(*fact)
+        merged = g.coalesced()
+        assert merged.encoded_rows() == [
+            (1, 2, 3, 5, 90), (1, 2, 3, 200, NOW), (4, 5, 6, 10, 60),
+            (4, 5, 6, 100, 110), (7, 5, 6, 1, NOW), (4, 2, 3, 3, 4),
+        ]
+        assert list(merged.dictionary) == ["b", "q", "y", "a", "p", "x", "c"]
+        assert dumps(merged) == (
+            "b q y 1970-01-06 1970-04-01 .\n"
+            "b q y 1970-07-20 now .\n"
+            "a p x 1970-01-11 1970-03-02 .\n"
+            "a p x 1970-04-11 1970-04-21 .\n"
+            "c p x 1970-01-02 now .\n"
+            "a q y 1970-01-04 1970-01-05 .\n"
+        )
+        assert len(g) == 10  # the source is left as it was
+
+
+_TERMS = st.text(
+    alphabet=st.sampled_from(list('ab zé名𝄞"\\#.')), min_size=1, max_size=6
+) | st.sampled_from(["now", ".", "s", "p"])
+_FACTS = st.lists(
+    st.tuples(
+        _TERMS, _TERMS, _TERMS,
+        st.integers(0, 60_000), st.integers(1, 3_000) | st.just(None),
+    ).map(lambda f: (f[0], f[1], f[2], f[3],
+                     NOW if f[4] is None else f[3] + f[4])),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FACTS)
+def test_rows_iteration_triples_and_text_agree(facts):
+    """``encoded_rows()``, iteration, ``triples()`` and a ``dumps`` →
+    ``loads`` round trip all describe the facts as they were added."""
+    g = TemporalGraph()
+    for fact in facts:
+        g.add(*fact)
+    decode = g.dictionary.decode
+    rows = g.encoded_rows()
+    assert [(decode(s), decode(p), decode(o), start, end)
+            for s, p, o, start, end in rows] == facts
+    assert [(t.subject, t.predicate, t.object, t.period.start, t.period.end)
+            for t in g] == rows
+    assert [t.key("spo") for t in g] == [row[:3] for row in rows]
+    assert [(t.subject, t.predicate, t.object, t.period.start, t.period.end)
+            for t in g.triples()] == facts
+    back = loads(dumps(g))
+    assert back.encoded_rows() == rows
+    assert list(back.dictionary) == list(g.dictionary)

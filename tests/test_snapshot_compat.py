@@ -57,7 +57,7 @@ def build_engine(packed):
     rng = random.Random(41)
     live = sorted(
         (fact.subject, fact.predicate, fact.object)
-        for fact in map(graph.decode, graph) if fact.period.end == NOW
+        for fact in graph.triples() if fact.period.end == NOW
     )
     time = engine.horizon
     for serial in range(150):

@@ -21,7 +21,7 @@ class TestCoalesced:
         g.add("a", "p", "x", 100, 110)  # disjoint
         merged = g.coalesced()
         assert len(merged) == 2
-        assert merged.validity("a", "p", "x") == PeriodSet(
+        assert RDFTX.from_graph(merged).when("a", "p", "x") == PeriodSet(
             [Period(10, 60), Period(100, 110)]
         )
 
@@ -30,7 +30,7 @@ class TestCoalesced:
         g.add("a", "p", "x", 10, 30)
         g.add("a", "p", "x", 20, NOW)
         merged = g.coalesced()
-        assert merged.validity("a", "p", "x") == PeriodSet(
+        assert RDFTX.from_graph(merged).when("a", "p", "x") == PeriodSet(
             [Period(10, NOW)]
         )
 
