@@ -3,7 +3,6 @@
 from .ntq import (
     FormatError,
     dump_graph,
-    dump_triples,
     dumps,
     iter_triples,
     load_graph,
@@ -13,7 +12,6 @@ from .ntq import (
 __all__ = [
     "FormatError",
     "dump_graph",
-    "dump_triples",
     "dumps",
     "iter_triples",
     "load_graph",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..model.graph import TemporalGraph, raw_size
 from ..model.time import NOW
@@ -45,7 +46,7 @@ class CharacteristicSets:
     with_predicate: dict = field(default_factory=dict)
 
     @classmethod
-    def from_rows(cls, rows: list[tuple]) -> "CharacteristicSets":
+    def from_rows(cls, rows: Sequence[tuple]) -> "CharacteristicSets":
         """From encoded ``(sid, pid, oid, start, end)`` rows."""
         predicates_of: dict[int, set[int]] = defaultdict(set)
         for sid, pid, _, _, _ in rows:
@@ -166,7 +167,7 @@ class TemporalHistogram:
         rows = graph.encoded_rows()
         self.build_rows(rows, raw_size(graph.dictionary, rows))
 
-    def build_rows(self, rows: list[tuple], raw: int,
+    def build_rows(self, rows: Sequence[tuple], raw: int,
                    start: tuple[int, int] | None = None) -> None:
         """(Re)build the histogram from encoded ``(sid, pid, oid, start,
         end)`` rows that take ``raw`` bytes as raw data.
@@ -216,7 +217,7 @@ class TemporalHistogram:
                 return rung
         return self.MAX_COARSENING_ROUNDS // 2
 
-    def _ingest(self, rows: list[tuple]) -> tuple[_StatEvents, _StatEvents]:
+    def _ingest(self, rows: Sequence[tuple]) -> tuple[_StatEvents, _StatEvents]:
         """Set the schema and side tables; return the (subject, occurrence)
         events every candidate replays."""
         self.charsets = CharacteristicSets.from_rows(rows)

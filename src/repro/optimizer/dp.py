@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
+from typing import Sequence
 
 from ..engine.plan import PlanGraph
 from ..obs import metrics as _metrics
@@ -47,7 +48,7 @@ class Optimizer:
         """(Re)build the temporal histogram from a graph (the load path)."""
         self.rebuild_rows(graph.dictionary, graph.encoded_rows())
 
-    def rebuild_rows(self, dictionary, rows: list[tuple]) -> None:
+    def rebuild_rows(self, dictionary, rows: Sequence[tuple]) -> None:
         """(Re)build the temporal histogram from encoded ``(sid, pid, oid,
         start, end)`` rows over ``dictionary`` — a graph's, or the history
         an engine reads back off its indices.
