@@ -14,7 +14,8 @@ per fact, the bytes traced to ``model/graph.py`` (their dictionaries are
 ``engine_fig9_warm`` (one untimed and the
 timed passes of the fig9 mix, with their inserts), a census of what the
 engine holds by structure: the decoded-leaf memo (resident flat forms and
-the intern pool), the live index of packed live leaves, the packed buffers
+the intern pool), the live index of packed live leaves (its bytearray of
+records and its restart marks, per live key it holds), the packed buffers
 and the nodes.  Last, the plan cache of a ``serve_http_mix`` replay: the
 mix's read texts compiled in op order until the cache is full, the high-
 water mark the server reaches before its one statistics refresh clears
@@ -164,12 +165,16 @@ def census(engine, label: str) -> str:
     leaves = [node for node in nodes if node.is_leaf]
     stores = [leaf._store for leaf in leaves if leaf.is_compressed]
     memo = engine.memo.report()
+    indexed_keys = sum(
+        leaf.live_count for leaf in leaves
+        if leaf._live is not None
+        or (leaf.is_compressed and leaf._store._live is not None))
     seen: set[int] = set()
     rows = [
         ("decoded memo", _charge(
             [s._decoded for s in stores] + [engine.memo._pool], seen)),
         ("live index", _charge(
-            [part for s in stores for part in (s._live, s._starts, s._marks)]
+            [part for s in stores for part in (s._live, s._marks)]
             + [leaf._live for leaf in leaves], seen)),
         ("packed buffers", _charge(
             [part for s in stores for part in (s, s._buf, s._base_v, s._last)],
@@ -184,11 +189,13 @@ def census(engine, label: str) -> str:
         f"# memo: {memo['entries']} records in {memo['leaves']} of "
         f"{len(stores)} packed leaves, {memo['interned']} interned "
         f"objects, budget {memo['budget']}",
+        f"# B/record: per resident memo record; per live key the live "
+        f"indexes hold ({indexed_keys} keys)",
         f"{'structure':<44} {'MB':>8} {'objects':>9} {'B/record':>9}",
     ]
+    per_row = {"decoded memo": memo["entries"], "live index": indexed_keys}
     for name, (size, count) in rows:
-        per = (f"{size / memo['entries']:>9.1f}"
-               if name == "decoded memo" and memo["entries"] else "")
+        per = (f"{size / per_row[name]:>9.1f}" if per_row.get(name) else "")
         lines.append(
             f"{name:<44} {size / 1e6:>8.2f} {count:>9} {per}".rstrip())
     return "\n".join(lines) + "\n"

@@ -33,8 +33,8 @@ common case the paper observes in large datasets::
 Byte-length codes map ``{0: 0, 1: 1, 2: 2, 3: 4}`` bytes; deltas are
 zigzag-encoded so negative neighbour deltas stay compact.  ``ts`` is always a
 delta against the node minimum in normal entries (entries arrive in
-nondecreasing start order, so the *checkpoint* — the position and value of the
-entry with the largest ts — lets appends encode without rescanning).
+nondecreasing start order, so the last entry has the largest ts: it is the
+append *checkpoint*, all an append encodes against, and nothing is rescanned).
 
 The packed buffer is also the **scan substrate**: :func:`scan_packed` walks
 it directly, evaluating the key-range and clamped-interval predicates on the
@@ -48,13 +48,14 @@ in), legacy decode-then-filter (``PACKED_OFF``), or always-packed
 
 It is the **edit substrate** too: every leaf of a compressed tree is such a
 buffer from birth, and a live one carries an out-of-band *live index*
-(:class:`CompressedLeafStore`) so the duplicate check is a dict probe and a
-delete steps from the nearest restart mark to its record and rewrites it in
-place instead of decoding the leaf from its first byte.
+(:class:`CompressedLeafStore`, fixed-width records in a ``bytearray``) so the
+duplicate check is a byte search and a delete steps from the nearest restart
+mark to its record and rewrites it in place instead of decoding the leaf.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 import weakref
 from array import array
@@ -100,6 +101,11 @@ SHORT_INTERVAL_LIMIT = 0xFFFF
 MARK_EVERY = 8
 
 _LEN_CODE_TO_BYTES = (0, 1, 2, 4)
+
+#: A live-index record: a live entry's key (three signed 64-bit parts),
+#: its start version and its record ordinal; ``_KEY`` packs the probe.
+_INDEX = struct.Struct(">4qi")
+_KEY = struct.Struct(">3q")
 
 # ------------------------------------------------------------ scan modes
 
@@ -235,12 +241,20 @@ _LEN_BY_SECOND = tuple(
 
 
 def check_packable(entry: LeafEntry) -> None:
-    """Raise :class:`CompressionError` unless the codec can hold ``entry``
-    (a 3-part key, no payload)."""
+    """Raise :class:`CompressionError` unless the codec and the live index
+    can hold ``entry`` (three signed 64-bit key parts, no payload)."""
     if entry.payload is not None:
         raise CompressionError("compressed leaves carry no payloads")
     if len(entry.key) != 3:
         raise CompressionError("compressed leaves need 3-part keys")
+    _check_key(entry.key)
+
+
+def _check_key(key: Key) -> None:
+    try:
+        _KEY.pack(*key)
+    except struct.error:
+        raise CompressionError("key parts must fit 64 bits") from None
 
 
 def _end_field(start: int, end: int, base_te: int) -> tuple[int, int]:
@@ -595,12 +609,12 @@ class CompressedLeafStore:
     """Byte-buffer backend of a compressed MVBT leaf.
 
     In a packed tree a leaf *is* this buffer.  A live one also carries a
-    **live index** for the write path — ``key -> record ordinal`` of its
-    live entries, every record's start version by ordinal, and a restart
-    mark (a byte offset) every :data:`MARK_EVERY` records — handed over by
-    the split that packed the leaf (:meth:`index`) or built by one decode
-    walk on the first write after a load or restore, kept current by
-    :meth:`append` and :meth:`end_live`, dropped by :meth:`seal`.  The
+    **live index** for the write path — an :data:`_INDEX` record (key,
+    start version, record ordinal) per live entry in buffer order, and a
+    restart mark (a byte offset) every :data:`MARK_EVERY` records — handed
+    over by the split that packed the leaf (:meth:`index`) or built by one
+    decode walk on the first write after a load or restore, kept current
+    by :meth:`append` and :meth:`end_live`, dropped by :meth:`seal`.  The
     index is derived from the bytes: never serialized, not part of
     :meth:`sizeof`.  A hot store is charged to ``memo``, its tree's
     :class:`MemoTable` (None: standalone, never memoized).
@@ -612,13 +626,11 @@ class CompressedLeafStore:
         "_base_v",
         "_base_ts",
         "_base_te",
-        "_checkpoint_ts",
         "_last",
         "_decoded",
         "_uses",
         "memo",
         "_live",
-        "_starts",
         "_marks",
     )
 
@@ -629,15 +641,13 @@ class CompressedLeafStore:
         self._decoded: tuple | None = None  # the resident flat form
         self._uses = 0
         self.memo = memo
-        #: The live index (all None until a write needs it): ``key ->
-        #: ordinal`` of the live records; the start version of every
-        #: record by ordinal (with the key, all a version split or a
-        #: delete needs of a live entry: no decode); and the byte offset
-        #: of record ``i * MARK_EVERY`` for every ``i`` up to and
-        #: including the block the next append opens.
-        self._live: dict[Key, int] | None = None
-        self._starts: array | None = None
-        self._marks: list[int] | None = None
+        #: The live index (None until a write needs it): the records of
+        #: the live entries (their key and start, all a version split or
+        #: a delete needs of one: no decode), and the byte offset of
+        #: record ``i * MARK_EVERY`` for every ``i`` up to and including
+        #: the block the next append opens.
+        self._live: bytearray | None = None
+        self._marks: array | None = None
         self._rebase(entries)
         #: ``(key, start, end)`` of the last entry: what the next append
         #: delta-encodes against.
@@ -649,9 +659,9 @@ class CompressedLeafStore:
 
     def _rebase(self, entries: Iterable[LeafEntry]) -> None:
         """Take the node bases (minima; ``base_te`` over the finite ends
-        only) and the checkpoint (largest ts) from ``entries``, the first
-        contents of an empty buffer, in one pass."""
-        base_v1 = base_v2 = base_v3 = base_ts = top_ts = 0
+        only) from ``entries``, the first contents of an empty buffer, in
+        one pass that also bounds every key part (:func:`check_packable`)."""
+        base_v1 = base_v2 = base_v3 = base_ts = top = 0
         base_te = NOW
         first = True
         for entry in entries:
@@ -663,7 +673,7 @@ class CompressedLeafStore:
             if first:
                 first = False
                 base_v1, base_v2, base_v3 = k1, k2, k3
-                base_ts = top_ts = ts
+                base_ts = ts
             else:
                 if k1 < base_v1:
                     base_v1 = k1
@@ -673,14 +683,15 @@ class CompressedLeafStore:
                     base_v3 = k3
                 if ts < base_ts:
                     base_ts = ts
-                elif ts > top_ts:
-                    top_ts = ts
+            if k1 > top or k2 > top or k3 > top:
+                top = max(k1, k2, k3)
             if entry.end < base_te:
                 base_te = entry.end
+        _check_key((base_v1, base_v2, base_v3))
+        _check_key((top, top, top))
         self._base_v = (base_v1, base_v2, base_v3)
         self._base_ts = base_ts
         self._base_te = 0 if base_te == NOW else base_te
-        self._checkpoint_ts = top_ts
 
     # --------------------------------------------------------------- encode
 
@@ -698,14 +709,11 @@ class CompressedLeafStore:
             buf, (entry,), self._last,
             *self._base_v, self._base_ts, self._base_te,
         )
-        start = entry.start
-        if start > self._checkpoint_ts:
-            self._checkpoint_ts = start
         live = self._live
         if live is not None:
             if entry.end == NOW:
-                live[entry.key] = count
-            self._starts.append(start)
+                k1, k2, k3 = entry.key  # no star-args: half the cost
+                live += _INDEX.pack(k1, k2, k3, entry.start, count)
             if (count + 1) % MARK_EVERY == 0:
                 self._marks.append(len(buf))  # where the next block opens
         self.count = count + 1
@@ -810,13 +818,13 @@ class CompressedLeafStore:
     def _set_index(self, rows: list[tuple[Key, int, int]]) -> None:
         """Build the live index from ``rows``, the ``(key, start, end)``
         of every record in buffer order."""
-        self._live = {
-            key: ordinal
-            for ordinal, (key, _, end) in enumerate(rows) if end == NOW
-        }
-        self._starts = array("q", [start for _, start, _ in rows])
+        self._live = bytearray().join([
+            _INDEX.pack(k1, k2, k3, start, ordinal)
+            for ordinal, ((k1, k2, k3), start, end) in enumerate(rows)
+            if end == NOW
+        ])
         buf = bytes(self._buf)
-        marks = [0]
+        marks = array("I", [0])
         for _ in range(len(rows) // MARK_EVERY):
             marks.append(_skip(buf, marks[-1], MARK_EVERY))
         self._marks = marks
@@ -826,7 +834,7 @@ class CompressedLeafStore:
         past the read memo: its use count and budget are not involved."""
         return [row[1:] for row in self._records()]
 
-    def _walk_index(self) -> dict[Key, int]:
+    def _walk_index(self) -> bytearray:
         """Build the live index by the one full decode walk a loaded or
         restored leaf pays in a process (none if it is never written)."""
         self._set_index(self.rows())
@@ -835,10 +843,10 @@ class CompressedLeafStore:
         return self._live
 
     def seal(self) -> None:
-        """Drop the live index and freeze the buffer as ``bytes``: the leaf
-        died and takes no more writes (a sealed leaf is its byte buffer
-        and nothing else, and its reads stop copying it)."""
-        self._live = self._starts = self._marks = None
+        """Drop the live index and append checkpoint, and freeze the buffer
+        as ``bytes``: the leaf died and takes no more writes (a sealed leaf
+        is its byte buffer and nothing else; its reads stop copying it)."""
+        self._live = self._marks = self._last = None
         self._buf = bytes(self._buf)
 
     def check_index(self, sealed: bool) -> None:
@@ -850,34 +858,42 @@ class CompressedLeafStore:
         assert not sealed, "live index outlived its leaf"
         records = self._records()
         assert (
-            self._live == {
-                key: ordinal
-                for ordinal, (_, key, _, end) in enumerate(records)
+            list(_INDEX.iter_unpack(self._live)) == [
+                (*key, start, ordinal)
+                for ordinal, (_, key, start, end) in enumerate(records)
                 if end == NOW
-            }
-            and list(self._starts) == [start for _, _, start, _ in records]
-            and self._marks == [0] + [
+            ]
+            and self._marks.tolist() == [0] + [
                 stop for stop, _, _, _ in records[MARK_EVERY - 1::MARK_EVERY]
             ]
         ), "live index drifted from the leaf's bytes"
+
+    def _find(self, key: Key) -> int:
+        """Offset of ``key``'s record in the live index, or -1 (a hit
+        counts only record-aligned; an unpackable key is not live)."""
+        live = self._live
+        if live is None:
+            live = self._walk_index()
+        try:
+            probe = _KEY.pack(*key)
+        except struct.error:
+            return -1
+        at = live.find(probe)
+        while at > 0 and at % _INDEX.size:
+            at = live.find(probe, at + 1)
+        return at
 
     def has_live(self, key: Key) -> bool:
         """Whether ``key`` has a live entry (the insert path's duplicate
         check): a probe of the live index, which leaves the read memo and
         its use count alone."""
-        live = self._live
-        if live is None:
-            live = self._walk_index()
-        return key in live
+        return self._find(key) >= 0
 
     def live_start(self, key: Key) -> int | None:
         """Start version of the live ``key`` entry, or ``None``: the probe
         of :meth:`has_live` (the service's update validation)."""
-        live = self._live
-        if live is None:
-            live = self._walk_index()
-        ordinal = live.get(key)
-        return None if ordinal is None else self._starts[ordinal]
+        at = self._find(key)
+        return None if at < 0 else _INDEX.unpack_from(self._live, at)[3]
 
     def live_entries(self) -> list[LeafEntry]:
         """Fresh copies of the live entries in buffer order — what a
@@ -886,11 +902,16 @@ class CompressedLeafStore:
         live = self._live
         if live is None:
             live = self._walk_index()
-        starts = self._starts
         return [
-            LeafEntry(key, starts[ordinal], NOW, None)
-            for key, ordinal in live.items()
+            LeafEntry((k1, k2, k3), start, NOW, None)
+            for k1, k2, k3, start, _ in _INDEX.iter_unpack(live)
         ]
+
+    def index_bytes(self) -> int:
+        """Bytes the live index holds (0 when unbuilt or sealed)."""
+        if self._live is None:
+            return 0
+        return len(self._live) + self._marks.itemsize * len(self._marks)
 
     def end_live(self, key: Key, end: int) -> bool:
         """Set the end version of the live ``key`` entry by rewriting the
@@ -917,18 +938,14 @@ class CompressedLeafStore:
         the resident flat tuple, so a reader holding it keeps seeing the
         pre-delete state; the memo is invalidated after the splice.
         """
-        live = self._live
-        if live is None:
-            live = self._walk_index()
-        ordinal = live.get(key)
-        if ordinal is None:
+        found = self._find(key)
+        if found < 0:
             return False
+        k1, k2, k3, start, ordinal = _INDEX.unpack_from(self._live, found)
         buf = bytes(self._buf)
         base_te = self._base_te
-        start = self._starts[ordinal]
         mark, skip = divmod(ordinal, MARK_EVERY)
         at = _skip(buf, self._marks[mark], skip)
-        k1, k2, k3 = key
         prev = ended = (key, start, end)
         patch = bytearray()
         redo = []
@@ -962,12 +979,12 @@ class CompressedLeafStore:
         shift = len(patch) - (stop - at)
         self._buf[at:stop] = patch
         marks = self._marks
-        marks[mark + 1:] = [offset + shift for offset in marks[mark + 1:]]
+        marks[mark + 1:] = array("I", [o + shift for o in marks[mark + 1:]])
         if skip + 1 == MARK_EVERY:
             # The next mark is the follower's: right behind the rewritten
             # target, wherever the splice as a whole ends.
             marks[mark + 1] = at + _skip(patch, 0, 1)
-        del live[key]
+        del self._live[found:found + _INDEX.size]
         if _metrics.ENABLED:
             _SEEK_RECORDS.inc(seen)
         self.invalidate()
@@ -981,15 +998,14 @@ class CompressedLeafStore:
 
     def to_state(self) -> dict:
         """Plain-data state for snapshots: the raw buffer plus the base
-        values and append checkpoint, so a restored store encodes future
-        appends identically to the original."""
+        values and append checkpoint (None once sealed), so a restored
+        store encodes future appends identically to the original."""
         return {
             "buf": bytes(self._buf),
             "count": self.count,
             "base_v": self._base_v,
             "base_ts": self._base_ts,
             "base_te": self._base_te,
-            "checkpoint_ts": self._checkpoint_ts,
             "last_entry": self._last,
         }
 
@@ -1004,10 +1020,9 @@ class CompressedLeafStore:
         store._base_v = tuple(state["base_v"])
         store._base_ts = state["base_ts"]
         store._base_te = state["base_te"]
-        store._checkpoint_ts = state["checkpoint_ts"]
-        last = state["last_entry"]
+        last = state["last_entry"]  # older states' "checkpoint_ts": unread
         store._last = (
             None if last is None else (tuple(last[0]), last[1], last[2])
         )
-        store._live = store._starts = store._marks = None
+        store._live = store._marks = None
         return store

@@ -18,13 +18,17 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..model.time import NOW, Period
+from .compression import (
+    NODE_HEADER_BYTES,
+    STANDARD_ENTRY_BYTES,
+    CompressedLeafStore,
+    MemoTable,
+    check_packable,
+)
 from .entry import IndexEntry, Key, LeafEntry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .compression import CompressedLeafStore, MemoTable
 
 #: Process-wide node identities.  ``id(node)`` can alias once a node is
 #: collected, so anything that outlives a node reference (decoded-record
@@ -162,8 +166,6 @@ class LeafNode(_NodeBase):
         the tree's ``memo`` table (a leaf already packed, e.g. restored
         from a snapshot, is attached to it)."""
         if self._store is None:
-            from .compression import CompressedLeafStore
-
             self._store = CompressedLeafStore(self._entries or [])
             self._entries = None
             self._live = None
@@ -281,6 +283,11 @@ class LeafNode(_NodeBase):
     def live_count(self) -> int:
         return self._live_count
 
+    @property
+    def index_bytes(self) -> int:
+        """Bytes a packed live leaf's live index holds (0 for others)."""
+        return 0 if self._store is None else self._store.index_bytes()
+
     def live_entries(self) -> list[LeafEntry]:
         """The live entries in entry order, read off the write path's
         state while the leaf is alive: a plain leaf's own objects from its
@@ -327,6 +334,7 @@ class LeafNode(_NodeBase):
             self._live_count += 1
             return len(entries)
         store = self._store
+        check_packable(entry)  # before the probe, which packs the key
         if store.has_live(key):
             return 0
         store.append(entry)
@@ -374,8 +382,6 @@ class LeafNode(_NodeBase):
 
     def sizeof(self) -> int:
         """Storage-layout size in bytes (see ``repro.bench.sizing``)."""
-        from .compression import STANDARD_ENTRY_BYTES, NODE_HEADER_BYTES
-
         if self._store is not None:
             return self._store.sizeof()
         return NODE_HEADER_BYTES + STANDARD_ENTRY_BYTES * len(self._entries)
@@ -398,8 +404,6 @@ class LeafNode(_NodeBase):
 
     def restore_entries(self, state: dict, nodes: list["_NodeBase"]) -> None:
         if "store" in state:
-            from .compression import CompressedLeafStore
-
             self._store = CompressedLeafStore.from_state(state["store"])
             if not self.is_alive:
                 self._store.seal()
@@ -534,8 +538,6 @@ class IndexNode(_NodeBase):
         ), f"live routing array drifted: {self!r}"
 
     def sizeof(self) -> int:
-        from .compression import STANDARD_ENTRY_BYTES, NODE_HEADER_BYTES
-
         return NODE_HEADER_BYTES + STANDARD_ENTRY_BYTES * len(self._entries)
 
     # -------------------------------------------------------- serialization

@@ -73,7 +73,7 @@ def tree_report(tree) -> dict:
     nodes = leaves = index_nodes = live_nodes = 0
     entries = live_entries = 0
     compressed_leaves = live_leaves = sealed_leaves = 0
-    live_leaf_entries = 0
+    live_leaf_entries = live_index_bytes = 0
     size_bytes = 0
     uncompressed_bytes = 0
     for node in tree.iter_nodes():
@@ -92,6 +92,7 @@ def tree_report(tree) -> dict:
             if node.is_alive:
                 live_leaves += 1
                 live_leaf_entries += node.live_count
+                live_index_bytes += node.index_bytes
             elif node.is_compressed:
                 sealed_leaves += 1
         else:
@@ -119,6 +120,7 @@ def tree_report(tree) -> dict:
             if live_leaves else 0.0
         ),
         "size_bytes": size_bytes,
+        "live_index_bytes": live_index_bytes,
         "compression_ratio": (
             size_bytes / uncompressed_bytes if uncompressed_bytes else 1.0
         ),
@@ -234,7 +236,7 @@ def render_report(report: dict) -> str:
     indexes = report.get("indexes", {})
     if indexes:
         header = ["index", "depth", "nodes", "leaves", "live%", "fill%",
-                  "compr", "bytes"]
+                  "compr", "bytes", "idx-bytes"]
         rows = []
         for name, tree in sorted(indexes.items()):
             rows.append([
@@ -246,6 +248,7 @@ def render_report(report: dict) -> str:
                 f"{100.0 * tree['live_leaf_fill']:.0f}",
                 f"{tree['compression_ratio']:.2f}",
                 str(tree["size_bytes"]),
+                str(tree["live_index_bytes"]),
             ])
         widths = [
             max(len(header[i]), max(len(r[i]) for r in rows))

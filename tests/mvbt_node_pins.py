@@ -34,11 +34,14 @@ UPDATES = 500
 #: Which commit each pin in the golden file was generated at.
 PROVENANCE = (
     "visible: generated at the parent of the commit that starts "
-    "version-split copies at the split, and unchanged by it.  sha256, "
-    "sizeof and logical (load and updates): re-issued by that commit; a "
-    "copy's start is now the split version, a zero delta in its packed "
-    "leaf, so raw starts and packed bytes moved while no node, region, "
-    "lifetime, link or clamped entry did."
+    "version-split copies at the split, and unchanged by it.  sizeof and "
+    "logical (load and updates): re-issued by that commit; a copy's start "
+    "is now the split version, a zero delta in its packed leaf, so raw "
+    "starts and packed bytes moved while no node, region, lifetime, link "
+    "or clamped entry did.  sha256 (load and updates): re-issued by the "
+    "commit that keeps a packed leaf's live index in bytes; a packed "
+    "leaf's state no longer carries checkpoint_ts, nor a sealed leaf's "
+    "last_entry, while every packed byte, size and logical tree stayed."
 )
 
 

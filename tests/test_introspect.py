@@ -47,6 +47,7 @@ def test_process_helpers():
 
 
 def test_tree_report_structure(engine):
+    engine.insert("s0", "p0", "fresh", 20)  # a write builds a live index
     report = tree_report(engine.indexes["spo"])
     assert report["depth"] >= 1
     assert report["nodes"] >= report["leaves"] >= 1
@@ -57,6 +58,7 @@ def test_tree_report_structure(engine):
         == report["leaves"]
     assert 0.0 < report["live_leaf_fill"] <= 1.0
     assert report["size_bytes"] > 0
+    assert report["live_index_bytes"] >= 36  # a record per live key
     # Delta compression beats the standard layout on this data.
     assert report["compression_ratio"] < 1.0
     assert report["live_records"] == engine.indexes["spo"].live_records

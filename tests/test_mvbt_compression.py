@@ -2,6 +2,7 @@
 # repro-lint: disable-file=RL005 — the codec's own tests construct the store
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -734,6 +735,39 @@ def test_packed_live_leaf_writes_bypass_the_read_memo():
     tree.check_invariants()
 
 
+def test_live_index_footprint():
+    """The live indexes of a packed tree cost at most 48 B per live key
+    (one 36-byte record each, plus the buffers' headers and restart
+    marks), measured as the traced bytes that dropping them frees after
+    a fixed insert/delete stream on the engine's tree shape."""
+    rng = random.Random(45)
+    tracemalloc.start()
+    try:
+        tree = MVBT(MVBTConfig(block_capacity=64, weak_min=12, epsilon=12))
+        tree.compress()
+        live, seen = [], set()
+        for time in range(1, 12_001):
+            if len(live) > 200 and rng.random() < 0.35:
+                tree.delete(tuple(live.pop(rng.randrange(len(live)))), time)
+                continue
+            key = [rng.randrange(300), rng.randrange(40), rng.randrange(900)]
+            if str(key) not in seen:  # the tree's key tuple is its own
+                seen.add(str(key))
+                tree.insert(tuple(key), time)
+                live.append(key)
+        stores = [leaf._store for leaf in tree.leaf_nodes()
+                  if leaf.is_alive and leaf._store._live is not None]
+        keys = sum(len(store.live_entries()) for store in stores)
+        held = tracemalloc.get_traced_memory()[0]
+        for store in stores:
+            store._live = store._marks = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert keys > 2_000
+    assert freed / keys <= 48, (freed, keys)
+
+
 class TestPackedTreeLifecycle:
     def _tree(self):
         tree = MVBT(SMALL)
@@ -847,6 +881,7 @@ class TestPackedTreeLifecycle:
 
     @pytest.mark.parametrize("key, payload", [
         ((9, 1, 0), "data"), ((9, 1), None), ((9, 1, 0, 0), None),
+        ((9, 2**63, 0), None),
     ])
     def test_unpackable_insert_fails_before_mutating(self, key, payload):
         tree = self._tree()
@@ -855,6 +890,8 @@ class TestPackedTreeLifecycle:
         before = (shape(tree), tree.live_records, tree.current_time)
         with pytest.raises(CompressionError):
             tree.insert(key, 60, payload)
+        with pytest.raises(KeyError, match="not live"):
+            tree.delete(key, 60)
         assert (shape(tree), tree.live_records, tree.current_time) == before
         tree.check_invariants()
         for i in range(30):  # and the tree keeps splitting cleanly
