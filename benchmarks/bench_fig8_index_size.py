@@ -3,8 +3,9 @@
 (a) Delta compression shrinks the MVBT to ~24% of the standard layout
     (76% saving) across dataset sizes.
 (b) Across systems on Wikipedia: Jena NG far above everything (tiny named
-    graphs), MySQL and Jena Reification at 3-4x raw, RDF-TX (4 compressed
-    MVBTs + dictionary) around 1.8x raw and comparable to RDF-3X/Virtuoso.
+    graphs), MySQL and Jena Reification at 3-4x raw, RDF-TX (the paper's
+    4 compressed MVBTs + dictionary; 3 MVBTs here, DESIGN.md §6 item 7)
+    around 1.8x raw and comparable to RDF-3X/Virtuoso.
 """
 
 from repro.bench.experiments import experiment_fig8a, experiment_fig8b

@@ -223,7 +223,7 @@ def main() -> int:
             check("storage report",
                   status == 200
                   and set(storage["indexes"])
-                  == {"spo", "sop", "pos", "ops"}
+                  == {"spo", "pos", "ops"}
                   and storage["store"]["wal"]["next_lsn"] > 1, status)
             check_no_tls_mapped(server, obs=True)
 

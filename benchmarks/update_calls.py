@@ -1,0 +1,71 @@
+"""Function calls per update on the suite's ``engine_maintain`` stream.
+
+    REPRO_OBS=0 PYTHONHASHSEED=0 PYTHONPATH=src \\
+        python benchmarks/update_calls.py [--seed S] [--events N]
+
+Bulk-loads the workload's base graph (as the suite builds it for ``seed``),
+then applies its first ``N`` change events (inserts and deletes, no
+queries) under ``sys.setprofile`` and prints the Python-level and C-level
+calls made per event.  A count, not a clock: it does not move with the
+machine's load, so a write-path change shows its work here where a timing
+of the same stream spreads by tens of percent between runs.  The
+generated history follows ``PYTHONHASHSEED`` (the wikipedia generator
+derives values from ``hash()``); run it under two values to see how
+little the count depends on it.  ``REPRO_OBS=0`` leaves out the metric
+counters' own calls.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def count_calls(seed: int, events: int) -> tuple[int, int, int]:
+    """``(events applied, Python calls, C calls)``."""
+    suite = str(REPO / "benchmarks" / "suite")
+    if suite not in sys.path:
+        sys.path.insert(0, suite)
+    import measure
+
+    measure.bootstrap()
+    import workloads
+    from repro import RDFTX
+
+    scale = workloads.Scale()
+    base, stream = workloads.maintain_history(
+        seed, scale, workloads.maintain_events(scale))
+    engine = RDFTX.from_graph(base)
+    stream = stream[:events]
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    apply = {"insert": engine.insert, "delete": engine.delete}
+    sys.setprofile(profile)
+    try:
+        for op, *fact in stream:
+            apply[op](*fact)
+    finally:
+        sys.setprofile(None)
+    return len(stream), counts["call"], counts["c_call"]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--events", type=int, default=12_000)
+    args = parser.parse_args()
+    applied, python_calls, c_calls = count_calls(args.seed, args.events)
+    print(f"engine_maintain seed {args.seed}: {applied} update events")
+    print(f"python calls per event {python_calls / applied:.1f}")
+    print(f"c calls per event      {c_calls / applied:.1f}")
+
+
+if __name__ == "__main__":
+    main()

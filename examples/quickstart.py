@@ -16,7 +16,7 @@ def main() -> None:
     graph.add("UC", "budget", "22.7", D("2013-01-30"), D("2015-01-30"))
     graph.add("UC", "budget", "25.46", D("2015-01-30"))
 
-    # 2. Load it into RDF-TX: four compressed MVBT indices + dictionary.
+    # 2. Load it into RDF-TX: three compressed MVBT indices + dictionary.
     engine = RDFTX.from_graph(graph)
 
     # 3. "When" query (paper Example 1): the validity of a fact.

@@ -18,7 +18,7 @@ from ..mvbt.tree import MVBT
 
 
 def standard_mvbt_size(engine: RDFTX) -> int:
-    """Total size of the engine's four MVBT indices, uncompressed."""
+    """Total size of the engine's three MVBT indices, uncompressed."""
     total = 0
     for tree in engine.indexes.values():
         total += _tree_size(tree, compressed=False)
@@ -26,7 +26,7 @@ def standard_mvbt_size(engine: RDFTX) -> int:
 
 
 def compressed_mvbt_size(engine: RDFTX) -> int:
-    """Total size of the engine's four MVBT indices as stored (compressed
+    """Total size of the engine's three MVBT indices as stored (compressed
     leaves keep their encoded buffers)."""
     return sum(tree.sizeof() for tree in engine.indexes.values())
 

@@ -1,6 +1,6 @@
 """Shard assignment: who owns a triple, who can answer a pattern.
 
-Triples are hash-partitioned on **subject**: the four MVBT indices all key
+Triples are hash-partitioned on **subject**: the three MVBT indices all key
 on whole (s, p, o) permutations, so any pattern with a bound subject is
 answerable by exactly one shard, and every update — which names its full
 triple — has exactly one owner.  The hash is ``zlib.crc32`` of the UTF-8

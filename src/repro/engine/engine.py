@@ -1,6 +1,6 @@
 """The RDF-TX engine facade.
 
-:class:`RDFTX` owns the four compressed MVBT indices (SPO, SOP, POS, OPS),
+:class:`RDFTX` owns the three compressed MVBT indices (SPO, POS, OPS),
 the dictionary, and the optional query optimizer; it compiles and runs
 SPARQLT queries end to end (Figure 1's Historical Query Compiler + Execution
 Engine).
@@ -135,7 +135,7 @@ class RDFTX:
         self.config = config or MVBTConfig(block_capacity=64, weak_min=12,
                                            epsilon=12)
         self.dictionary = None
-        #: the decoded-leaf memo all four indices read through: dropping
+        #: the decoded-leaf memo all three indices read through: dropping
         #: the engine drops it, its intern pool and its budget together.
         self.memo = MemoTable()
         self.indexes: dict[str, MVBT] = {
@@ -186,7 +186,7 @@ class RDFTX:
         return engine
 
     def load(self, graph: TemporalGraph, compress: bool = True) -> None:
-        """Bulk load all four indices from ``graph``, replacing whatever
+        """Bulk load all three indices from ``graph``, replacing whatever
         history the engine held.
 
         ``graph`` feeds the trees and the first statistics build; the

@@ -43,13 +43,20 @@ def index_scan(tree: MVBT, plan: "Step") -> Iterator[Row]:
     """Single graph pattern matching: one MVBT range-interval scan.
 
     Yields one row per matching (s, p, o) binding with the coalesced
-    validity restricted to the scan window.
+    validity restricted to the scan window.  A key check (the object of
+    an SO pattern, scanned on SPO's subject prefix) is one compare per
+    piece.
     """
     grouped: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
     w_start, w_end = plan.t1, plan.t2
     equal_slots = plan.equal_slots
+    checked = plan.key_check is not None
+    if checked:
+        check_slot, check_id = plan.key_check
     pieces = scan_pieces(tree, plan.key_low, plan.key_high, w_start, w_end)
     for key, lo, hi, _ in pieces:
+        if checked and key[check_slot] != check_id:
+            continue
         if equal_slots and any(key[a] != key[b] for a, b in equal_slots):
             continue
         # Restrict to the scan window inline (point-based semantics).

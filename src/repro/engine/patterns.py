@@ -1,18 +1,23 @@
 """Translating SPARQLT graph patterns to MVBT query regions (Section 5.1).
 
 A point-based quad pattern ``{s p o t}`` becomes an interval-based *query
-region*: a key range on one of the four MVBT key orders plus a time range.
-The key order is chosen from the constant positions so the constants form a
-key prefix:
+region*: a key range on one of the three MVBT key orders plus a time
+range.  The key order is chosen from the constant positions so the
+constants form a key prefix:
 
 ====================  ===========  =================
 constant positions    index order   key prefix
 ====================  ===========  =================
 (none), S, SP, SPO    SPO           (), (s), (s,p), (s,p,o)
-SO                    SOP           (s, o)
+SO                    SPO           (s), object checked in the scan
 P, PO                 POS           (p), (p, o)
 O                     OPS           (o)
 ====================  ===========  =================
+
+The paper keeps a fourth order, SOP, for subject-and-object patterns.  A
+subject holds a few dozen facts, so SPO's subject prefix with the object
+compared inline (:attr:`PatternPlan.key_check`) answers them without a
+tree that every write and snapshot would otherwise pay for.
 
 The time range comes from a constant temporal element or from the pushdown
 windows of FILTER restrictions on the pattern's temporal variable.
@@ -32,7 +37,6 @@ from ..sparqlt.functions import pushdown_window, restriction_target
 #: Index orders: name -> permutation mapping key slots to s/p/o letters.
 INDEX_ORDERS = {
     "spo": ("s", "p", "o"),
-    "sop": ("s", "o", "p"),
     "pos": ("p", "o", "s"),
     "ops": ("o", "p", "s"),
 }
@@ -42,7 +46,7 @@ _ORDER_FOR_CONSTANTS = {
     frozenset("s"): "spo",
     frozenset("sp"): "spo",
     frozenset("spo"): "spo",
-    frozenset("so"): "sop",
+    frozenset("so"): "spo",
     frozenset("p"): "pos",
     frozenset("po"): "pos",
     frozenset("o"): "ops",
@@ -69,6 +73,10 @@ class PatternPlan:
     var_slots: dict[str, int] = field(default_factory=dict)
     #: slot pairs that must be equal (repeated variable in the pattern).
     equal_slots: list[tuple[int, int]] = field(default_factory=list)
+    #: (slot, term id) of a constant past the key prefix, which the scan
+    #: compares inline: the object of an SO pattern on SPO.  The order
+    #: table leaves at most one.
+    key_check: tuple[int, int] | None = None
     #: name of the temporal variable, if the time position is a variable.
     time_var: str | None = None
     #: optimizer-estimated cardinality, filled in by the optimizer.
@@ -97,16 +105,7 @@ def translate_pattern(
     order = INDEX_ORDERS[order_name]
 
     prefix: list[int] = []
-    for letter in order:
-        term = terms[letter]
-        if not isinstance(term, TermConst):
-            break
-        term_id = dictionary.lookup(term.value)
-        if term_id is None:
-            raise UnknownTermError(term.value)
-        prefix.append(term_id)
-    key_low, key_high = prefix_range(tuple(prefix))
-
+    key_check: tuple[int, int] | None = None
     var_slots: dict[str, int] = {}
     equal_slots: list[tuple[int, int]] = []
     for slot, letter in enumerate(order):
@@ -116,6 +115,15 @@ def translate_pattern(
                 equal_slots.append((var_slots[term.name], slot))
             else:
                 var_slots[term.name] = slot
+            continue
+        term_id = dictionary.lookup(term.value)
+        if term_id is None:
+            raise UnknownTermError(term.value)
+        if len(prefix) == slot:
+            prefix.append(term_id)
+        else:
+            key_check = (slot, term_id)
+    key_low, key_high = prefix_range(tuple(prefix))
 
     time_var: str | None = None
     if isinstance(pattern.time, TimeConst):
@@ -132,6 +140,7 @@ def translate_pattern(
         time_range=time_range,
         var_slots=var_slots,
         equal_slots=equal_slots,
+        key_check=key_check,
         time_var=time_var,
     )
 

@@ -105,6 +105,9 @@ class Step(NamedTuple):
     var_slots: dict[str, int]
     #: slot pairs that must be equal (a variable repeated in the pattern).
     equal_slots: tuple[tuple[int, int], ...]
+    #: (slot, term id) of a constant past the key prefix, compared inline
+    #: by the scan (:attr:`~repro.engine.patterns.PatternPlan.key_check`).
+    key_check: tuple[int, int] | None
     time_var: str | None
     #: variables shared with the steps before, sorted: the hash-join key
     #: (the synchronized join's, on the second step of one); empty for
@@ -129,22 +132,29 @@ class Step(NamedTuple):
     @property
     def pattern_type(self) -> str:
         """Constant positions, e.g. ``"SPT"`` (``QuadPattern``'s notation):
-        the constants are the key prefix of the chosen order."""
+        the constants are the key prefix of the chosen order and the
+        checked slot."""
         order = INDEX_ORDERS[self.index_order]
         constants = order[:len(self.key_low)]
+        if self.key_check is not None:
+            constants += (order[self.key_check[0]],)
         return "".join(
             letter.upper() for letter in "spo" if letter in constants
         ) + ("T" if self.time_var is None else "")
 
     def pattern_text(self, dictionary: Dictionary) -> str:
         """The quad pattern as ``str(QuadPattern)`` prints it, rebuilt from
-        the key prefix (constants), the slots (variables) and the window
-        (a constant time is a one-chronon window)."""
+        the key prefix and the checked slot (constants), the slots
+        (variables) and the window (a constant time is a one-chronon
+        window)."""
         order = INDEX_ORDERS[self.index_order]
         names = {slot: f"?{name}" for name, slot in self.var_slots.items()}
         for first, repeat in self.equal_slots:
             names[repeat] = names[first]
-        for slot, term_id in enumerate(self.key_low):
+        constants = list(enumerate(self.key_low))
+        if self.key_check is not None:
+            constants.append(self.key_check)
+        for slot, term_id in constants:
             names[slot] = dictionary.decode(term_id)
         s, p, o = (names[order.index(letter)] for letter in "spo")
         time = f"?{self.time_var}" if self.time_var is not None \
@@ -200,6 +210,7 @@ def compile_plan(
             t2=window.end,
             var_slots=plan.var_slots,
             equal_slots=tuple(plan.equal_slots),
+            key_check=plan.key_check,
             time_var=plan.time_var,
             join_vars=join_vars,
             filters=ready,

@@ -78,8 +78,8 @@ class TemporalTriple:
 class EncodedTriple:
     """A dictionary-encoded temporal triple: three ids plus the period.
 
-    This is the unit stored in MVBT indices: ``key`` yields the ids in any of
-    the four index orders.
+    This is the unit stored in MVBT indices: ``key`` yields the ids in any
+    key order, e.g. the engine's three (SPO, POS, OPS).
     """
 
     subject: int
@@ -88,7 +88,7 @@ class EncodedTriple:
     period: Period
 
     def key(self, order: str) -> tuple[int, int, int]:
-        """The composite key in one of the orders SPO, SOP, POS, OPS."""
+        """The composite key in a key order such as SPO, POS or OPS."""
         mapping = {"s": self.subject, "p": self.predicate, "o": self.object}
         try:
             return (mapping[order[0]], mapping[order[1]], mapping[order[2]])

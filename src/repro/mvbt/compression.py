@@ -154,7 +154,7 @@ def memo_entries() -> int:
 class MemoTable:
     """One engine's decoded-leaf memo: budget, intern pool and lock.
 
-    ``RDFTX`` hands one to its four trees (a standalone ``MVBT`` makes its
+    ``RDFTX`` hands one to its three trees (a standalone ``MVBT`` makes its
     own).  A hot leaf's resident form is one flat tuple ``(key0, start0,
     end0, key1, …)`` drawn from the pool, so a key that version splits
     copied into many leaves, and each id and chronon, exists once per

@@ -27,7 +27,7 @@ from typing import Any, Iterable, Iterator
 
 from ..model.time import MIN_TIME, NOW
 from ..obs import metrics as _metrics
-from .compression import MemoTable
+from .compression import CompressionError, MemoTable
 from .entry import IndexEntry, Key, LeafEntry, MIN_KEY
 from .node import _ENTRY_KEY, IndexNode, LeafNode, Node
 
@@ -99,7 +99,7 @@ class MVBT:
                  memo: MemoTable | None = None) -> None:
         self.config = config or MVBTConfig()
         #: The decoded-leaf memo its packed leaves read through: the
-        #: engine's, shared by its four trees, or the tree's own.
+        #: engine's, shared by its three trees, or the tree's own.
         self.memo = memo if memo is not None else MemoTable()
         first_root = LeafNode(MIN_KEY, MIN_TIME)
         #: Root registry: parallel arrays of start versions and root nodes.
@@ -340,9 +340,23 @@ class MVBT:
         """Delta-compress every leaf node (Section 4.2), each read through
         :attr:`memo`, and keep the tree compressed from here on: version
         splits create their leaves packed, and writes edit the packed
-        bytes."""
-        for leaf in self.leaf_nodes():
-            leaf.compress(self.memo)
+        bytes.
+
+        All or nothing: when the codec refuses a leaf
+        (:class:`~repro.mvbt.compression.CompressionError`), the leaves
+        this call packed are expanded again before it raises, so the tree
+        stays plain."""
+        packed: list[LeafNode] = []
+        try:
+            for leaf in self.leaf_nodes():
+                was_plain = not leaf.is_compressed
+                leaf.compress(self.memo)
+                if was_plain:
+                    packed.append(leaf)
+        except CompressionError:
+            for leaf in packed:
+                leaf.decompress()
+            raise
         self._packed = True
 
     def decompress(self) -> None:
@@ -548,9 +562,10 @@ class MVBT:
                 )
             if not node.is_leaf and node.is_alive:
                 self._check_partition(node)
-            if self._packed and node.is_leaf:
-                assert node.is_compressed, (
-                    f"plain leaf in a packed tree: {node!r}"
+            if node.is_leaf:
+                assert node.is_compressed == self._packed, (
+                    f"plain leaf in a packed tree: {node!r}" if self._packed
+                    else f"packed leaf in a plain tree: {node!r}"
                 )
 
     def _check_partition(self, node: IndexNode) -> None:

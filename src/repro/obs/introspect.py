@@ -144,7 +144,7 @@ def _live_depth(tree) -> int:
 
 
 def engine_report(engine) -> dict:
-    """Health of a whole engine: all four indexes + dictionary + caches.
+    """Health of a whole engine: all three indexes + dictionary + caches.
 
     Callers serving live traffic must hold the store's read lock (see
     ``TemporalStore.storage_report``); a freshly loaded offline engine

@@ -40,7 +40,7 @@ class ReadWriteLock:
     Many readers may hold the lock at once; a writer waits for them to
     drain and then holds it exclusively.  Arriving readers queue behind a
     waiting writer so a steady query stream cannot starve updates (the
-    serving layer's writes are short: four tree inserts).
+    serving layer's writes are short: three tree inserts).
     """
 
     #: Sanitizer role shared by every instance (lockdep-style class key).

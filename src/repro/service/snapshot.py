@@ -1,7 +1,7 @@
 """Binary snapshots of a whole RDF-TX engine.
 
 A snapshot is the durable image the serving layer checkpoints to: the
-dictionary, the four compressed MVBT forests (raw leaf buffers included, so
+dictionary, the three compressed MVBT forests (raw leaf buffers included, so
 restore pays no re-encode, and each tree's packed flag, so the restored
 index keeps creating its leaves packed) and — when an optimizer is
 attached — its temporal histogram.  The trees are the history: no row

@@ -32,7 +32,7 @@ class TestPatternTranslation:
         cases = {
             "SELECT ?t {a p x ?t}": ("spo", "SPO"),
             "SELECT ?o {a p ?o ?t}": ("spo", "SP"),
-            "SELECT ?p {a ?p x ?t}": ("sop", "SO"),
+            "SELECT ?p {a ?p x ?t}": ("spo", "SO"),
             "SELECT ?p ?o {a ?p ?o ?t}": ("spo", "S"),
             "SELECT ?s {?s p x ?t}": ("pos", "PO"),
             "SELECT ?s ?o {?s p ?o ?t}": ("pos", "P"),
@@ -44,6 +44,22 @@ class TestPatternTranslation:
             plan = translate_pattern(query.patterns[0], graph.dictionary)
             assert plan.index_order == order, text
             assert plan.pattern_type.replace("T", "") == ptype, text
+
+    def test_subject_object_pattern_checks_the_object(self, graph, engine):
+        """SO patterns scan SPO's subject prefix; the object is a key
+        check, and the step still reads as the pattern it came from."""
+        lookup = graph.dictionary.lookup
+        query = parse("SELECT ?p {a ?p x ?t}")
+        plan = translate_pattern(query.patterns[0], graph.dictionary)
+        assert plan.key_low == (lookup("a"),)
+        assert plan.key_check == (2, lookup("x"))
+        assert "scan SPO {a ?p x ?t} type=SO time=" in engine.explain(
+            "SELECT ?p {a ?p x ?t}")
+        assert "scan SPO {a ?p x @4} type=SOT time=" in engine.explain(
+            "SELECT ?p {a ?p x 1970-01-05}")
+        with pytest.raises(UnknownTermError):
+            translate_pattern(parse("SELECT ?p {a ?p nosuch ?t}").patterns[0],
+                              graph.dictionary)
 
     def test_time_constant_pattern_type(self, graph):
         query = parse("SELECT ?o {a p ?o 1970-01-05}")
@@ -75,7 +91,8 @@ class TestPatternTranslation:
         assert decode_key_to_spo((7, 8, 9), "spo") == (7, 8, 9)
         assert decode_key_to_spo((8, 9, 7), "pos") == (7, 8, 9)
         assert decode_key_to_spo((9, 8, 7), "ops") == (7, 8, 9)
-        assert decode_key_to_spo((7, 9, 8), "sop") == (7, 8, 9)
+        with pytest.raises(KeyError):  # served by SPO, no tree of its own
+            decode_key_to_spo((7, 9, 8), "sop")
 
 
 class TestPlanGraph:

@@ -79,7 +79,7 @@ def test_tree_report_does_not_decode_leaves(engine):
 
 def test_engine_report_covers_all_components(engine):
     report = engine_report(engine)
-    assert set(report["indexes"]) == {"spo", "sop", "pos", "ops"}
+    assert set(report["indexes"]) == {"spo", "pos", "ops"}
     assert report["dictionary"]["terms"] > 0
     assert report["plan_cache"]["capacity"] > 0
     assert report["statistics"]["optimizer"] is False
@@ -186,7 +186,7 @@ def test_anomaly_wal_backlog(engine):
 
 def test_render_report_lists_every_index(engine):
     text = render_report(engine_report(engine))
-    for name in ("spo", "sop", "pos", "ops"):
+    for name in ("spo", "pos", "ops"):
         assert name in text
     assert "dictionary:" in text
     assert "plan cache:" in text
@@ -210,7 +210,7 @@ def test_doctor_json_output(tmp_path, capsys):
     tio.dump_graph(small_graph(), path)
     assert main(["doctor", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert set(report["indexes"]) == {"spo", "sop", "pos", "ops"}
+    assert set(report["indexes"]) == {"spo", "pos", "ops"}
     assert report["warnings"] == []
 
 

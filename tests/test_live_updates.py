@@ -22,7 +22,7 @@ D = date_to_chronon
 # positions are bound (see repro.engine.patterns).
 ORDER_PROBES = {
     "spo": "SELECT ?t {Org leader Alice ?t}",       # S,P,O bound
-    "sop": "SELECT ?p {Org ?p Alice ?t}",           # S,O bound
+    "sop": "SELECT ?p {Org ?p Alice ?t}",           # S,O bound: SPO (s)
     "pos": "SELECT ?s {?s leader Alice ?t}",        # P,O bound
     "ops": "SELECT ?s ?p {?s ?p Alice ?t}",         # O bound
 }

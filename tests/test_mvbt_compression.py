@@ -837,6 +837,42 @@ class TestPackedTreeLifecycle:
         with pytest.raises(AssertionError, match="plain leaf in a packed"):
             tree.check_invariants()
 
+    def test_invariants_flag_a_packed_leaf_in_a_plain_tree(self):
+        tree = MVBT(SMALL)
+        for i in range(30):
+            tree.insert((9, i, 0), i)
+        next(tree.leaf_nodes()).compress(tree.memo)
+        with pytest.raises(AssertionError, match="packed leaf in a plain"):
+            tree.check_invariants()
+
+    @pytest.mark.parametrize("refused", ["payload", "wide delta"])
+    def test_compress_is_all_or_nothing(self, refused):
+        """A leaf the codec refuses leaves every leaf plain: one payload
+        entry, or one key too far from its leaf's base for a four-byte
+        delta (a 64-bit key the live index would hold)."""
+        tree = MVBT(SMALL)
+        for i in range(40):
+            key = (i, 0, 0)
+            payload = None
+            if refused == "payload" and i == 0:
+                payload = "data"
+            if refused == "wide delta" and i == 39:
+                key = (2**40, 0, 0)
+            tree.insert(key, i + 1, payload)
+        before = collect_validity(tree)
+        leaves = list(tree.leaf_nodes())
+        assert len(leaves) > 2
+        with pytest.raises(CompressionError):
+            tree.compress()
+        assert list(tree.leaf_nodes()) == leaves
+        assert not any(leaf.is_compressed for leaf in leaves)
+        assert not tree.is_packed
+        tree.check_invariants()
+        assert collect_validity(tree) == before
+        for i in range(20):  # the plain tree keeps taking writes
+            tree.insert((500 + i, 0, 0), 100 + i)
+        tree.check_invariants()
+
     def test_invariants_flag_a_drifted_live_index(self):
         tree = self._tree()
         tree.insert((9, 1, 0), 40)  # builds the target leaf's index

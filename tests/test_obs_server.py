@@ -438,7 +438,7 @@ class TestStorageEndpoint:
     def test_debug_storage_reports_health(self, service):
         status, report = _json_request(service, "GET", "/debug/storage")
         assert status == 200
-        assert set(report["indexes"]) == {"spo", "sop", "pos", "ops"}
+        assert set(report["indexes"]) == {"spo", "pos", "ops"}
         spo = report["indexes"]["spo"]
         assert spo["depth"] >= 1
         assert spo["leaves"] >= 1

@@ -8,12 +8,17 @@ from those files unchanged (no snapshot version bump), so their history,
 their live starts, their query answers and the updates applied on top of
 them must all still agree with the rows.
 
+They were also written while the engine kept a fourth tree, SOP.  A
+restore reads only today's three orders and drops it; the next save
+writes none.
+
 ``python tests/test_snapshot_compat.py`` rewrites the fixtures with the
 code it runs under; done today, that would write start-at-the-split copies
 and no longer test older files.
 """
 
 import json
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -22,7 +27,8 @@ import pytest
 
 from repro.engine import RDFTX
 from repro.model import NOW, TemporalGraph
-from repro.service.snapshot import load_snapshot, save_snapshot
+from repro.service.snapshot import (SNAPSHOT_MAGIC, load_snapshot,
+                                    save_snapshot)
 from tests.test_history import ReferenceHistory, assert_matches, decoded_rows
 from tests.test_mvbt_compression import SMALL
 
@@ -36,7 +42,12 @@ QUERIES = [
     "SELECT ?s ?t {?s p0 o5 ?t}",
     "SELECT ?s ?a ?b {?s p0 ?a ?t1 . ?s p2 ?b ?t2}",
     "SELECT ?s ?o ?t {?s p3 ?o ?t}",
+    "SELECT ?p ?t {s3 ?p o3 ?t}",
+    "SELECT ?s ?p {?s ?p o3 ?t . s3 ?p o3 ?u}",
 ]
+
+#: The key orders an engine restores, and the one the fixtures also hold.
+ORDERS = {"spo", "pos", "ops"}
 
 
 def snapshot_path(mode):
@@ -84,6 +95,13 @@ def write_fixtures():
     ROWS.write_text("{\n" + ",\n".join(parts) + "\n}\n")
 
 
+def index_payload(path):
+    """The index names a snapshot file holds."""
+    with open(path, "rb") as handle:
+        assert handle.read(len(SNAPSHOT_MAGIC)) == SNAPSHOT_MAGIC
+        return set(pickle.load(handle)["indexes"])
+
+
 def committed_rows(mode):
     return [tuple(row) for row in json.loads(ROWS.read_text())[mode]]
 
@@ -109,7 +127,9 @@ def answers(engine, text):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_an_older_snapshot_reads_its_rows(mode):
+    assert index_payload(snapshot_path(mode)) == ORDERS | {"sop"}
     engine, _ = load_snapshot(snapshot_path(mode), use_optimizer=False)
+    assert engine.indexes.keys() == ORDERS
     rows = committed_rows(mode)
     spo = engine.indexes["spo"]
     assert spo.is_packed is (mode == "packed")
@@ -129,8 +149,9 @@ def test_an_older_snapshot_reads_its_rows(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_updates_on_an_older_snapshot_keep_its_history(mode):
+def test_updates_on_an_older_snapshot_keep_its_history(mode, tmp_path):
     engine, _ = load_snapshot(snapshot_path(mode), use_optimizer=False)
+    assert engine.indexes.keys() == ORDERS
     reference = reference_of(committed_rows(mode))
     rng = random.Random(5)
     time = engine.horizon
@@ -151,6 +172,11 @@ def test_updates_on_an_older_snapshot_keep_its_history(mode):
         getattr(reference, op)(fact, time)
     assert_matches(engine, reference)
     engine.check_invariants()
+    saved = save_snapshot(engine, tmp_path / "resaved.snap")
+    assert index_payload(saved) == ORDERS
+    reopened, _ = load_snapshot(saved, use_optimizer=False)
+    assert reopened.indexes.keys() == ORDERS
+    assert_matches(reopened, reference)
 
 
 if __name__ == "__main__":

@@ -301,7 +301,7 @@ class TestLoadSpans:
         # plain tree is resident at a time.
         assert [(c.name, c.attrs.get("index")) for c in load.children] == [
             (name, index)
-            for index in ("spo", "sop", "pos", "ops")
+            for index in ("spo", "pos", "ops")
             for name in ("mvbt.bulk_load", "mvbt.compress")
         ] + [("optimizer.rebuild", None)]
         assert sum(c.duration_ms for c in load.children) <= load.duration_ms
