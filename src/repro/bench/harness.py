@@ -112,11 +112,17 @@ def _fmt(cell) -> str:
 
 
 def report(name: str, table: str) -> None:
-    """Print a result table and persist it under ``bench_results/``."""
+    """Print a result table and persist it under ``bench_results/``.
+
+    At full scale the file is ``<name>.txt``, the committed table; at any
+    other :func:`scale` it is ``<name>.scale-<factor>.txt``, so a scaled
+    run never overwrites the full-scale numbers."""
     print()
     print(table)
     RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+    factor = scale()
+    suffix = "" if factor == 1 else f".scale-{factor:g}"
+    path = RESULTS_DIR / f"{name}{suffix}.txt"
     path.write_text(table + "\n")
 
 

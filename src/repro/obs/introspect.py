@@ -267,7 +267,7 @@ def render_report(report: dict) -> str:
     dictionary = report.get("dictionary")
     if dictionary:
         lines.append(
-            f"dictionary: {dictionary['terms']} term(s), "
+            f"dictionary: {dictionary['terms']} table term(s), "
             f"{dictionary['size_bytes']} bytes"
         )
     plan_cache = report.get("plan_cache")

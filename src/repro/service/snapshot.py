@@ -40,8 +40,14 @@ _LOAD_MS = _metrics.histogram("service.snapshot.load_ms")
 #: File header identifying a snapshot (8 bytes).
 SNAPSHOT_MAGIC = b"RTXSNAP1"
 
-#: Payload schema version.
-SNAPSHOT_VERSION = 1
+#: Payload schema version.  Version 2 trees may hold inline integer ids
+#: (:mod:`repro.model.dictionary`), which version-1 readers would decode
+#: as unknown; version-1 files restore unchanged, their numbers keeping
+#: the table ids they were saved with.
+SNAPSHOT_VERSION = 2
+
+#: Every version :func:`restore_engine` reads.
+_READABLE_VERSIONS = (1, 2)
 
 
 class SnapshotError(Exception):
@@ -68,8 +74,7 @@ def serialize_engine(engine: RDFTX, *, last_lsn: int = 0) -> dict:
         "created_at": _time.time(),  # repro-lint: disable=RL006
         "last_lsn": last_lsn,
         "config": (cfg.block_capacity, cfg.weak_min, cfg.epsilon),
-        "dictionary": [dictionary.decode(i)
-                       for i in range(1, dictionary.max_id + 1)],
+        "dictionary": list(dictionary),
         "indexes": {
             name: tree.dump_state() for name, tree in engine.indexes.items()
         },
@@ -89,13 +94,11 @@ def serialize_engine(engine: RDFTX, *, last_lsn: int = 0) -> dict:
 
 def restore_engine(payload: dict, *, use_optimizer: bool = True) -> RDFTX:
     """Rebuild an engine from a snapshot payload."""
-    if payload.get("version") != SNAPSHOT_VERSION:
+    if payload.get("version") not in _READABLE_VERSIONS:
         raise SnapshotError(
             f"unsupported snapshot version: {payload.get('version')!r}"
         )
-    dictionary = Dictionary()
-    for term in payload["dictionary"]:
-        dictionary.encode(term)
+    dictionary = Dictionary.from_table(payload["dictionary"])
     optimizer = None
     if use_optimizer and payload["optimizer_params"] is not None:
         from ..optimizer import Optimizer

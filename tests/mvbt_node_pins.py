@@ -41,7 +41,11 @@ PROVENANCE = (
     "or clamped entry did.  sha256 (load and updates): re-issued by the "
     "commit that keeps a packed leaf's live index in bytes; a packed "
     "leaf's state no longer carries checkpoint_ts, nor a sealed leaf's "
-    "last_entry, while every packed byte, size and logical tree stayed."
+    "last_entry, while every packed byte, size and logical tree stayed.  "
+    "fig9_golden and wikipedia_4000_seed7 (every pin): re-issued by the "
+    "commit that makes a canonical decimal integer its own term id; their "
+    "keys now hold the integers' values, so ids, key order and nodes "
+    "moved.  govtrack_4000_seed7 has no integer terms and did not move."
 )
 
 

@@ -47,8 +47,18 @@ class TestHarness:
 
     def test_report_writes_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
         harness.report("unit", "content")
         assert (tmp_path / "unit.txt").read_text() == "content\n"
+
+    def test_a_scaled_report_leaves_the_full_scale_file(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
+        (tmp_path / "unit.txt").write_text("full\n")
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        harness.report("unit", "scaled")
+        assert (tmp_path / "unit.txt").read_text() == "full\n"
+        assert (tmp_path / "unit.scale-0.05.txt").read_text() == "scaled\n"
 
 
 class TestSizing:

@@ -21,7 +21,11 @@ from repro.model import (
     Triple,
     date_to_chronon,
 )
+from repro.model import dictionary as dictionary_module
+from repro.model.dictionary import INLINE_BASE, INLINE_LIMIT
 from repro.model.graph import raw_size
+from repro.mvbt.compression import CompressedLeafStore
+from repro.mvbt.entry import LeafEntry
 
 
 class TestTriple:
@@ -81,7 +85,6 @@ class TestDictionary:
         d = Dictionary()
         d.encode_many(["a", "b", "c"])
         assert d.max_id == 3
-        assert d.upper_bound == 4
         assert len(d) == 3
         assert "b" in d
 
@@ -90,6 +93,109 @@ class TestDictionary:
         empty = d.sizeof()
         d.encode_many(f"term-{i}" for i in range(100))
         assert d.sizeof() > empty
+
+
+#: Every canonical integer of magnitude below ``INLINE_LIMIT`` is its own
+#: id; every other spelling of a number is a table term.
+_INLINE_EDGES = ["0", "-1", str(INLINE_LIMIT - 1), str(-(INLINE_LIMIT - 1))]
+_TABLE_EDGES = [str(INLINE_LIMIT), str(-INLINE_LIMIT), "-0", "007", "+5",
+                " 5", "5 ", "1_000", "１２", "١٢", "5\n", "-", "", "1.0",
+                "0x1", "9" * 5000]
+
+
+class TestInlineIntegers:
+    @pytest.mark.parametrize("term", _INLINE_EDGES)
+    def test_a_canonical_integer_is_its_own_id(self, term):
+        d = Dictionary()
+        assert d.encode(term) == INLINE_BASE + int(term)
+        assert d.lookup(term) == d.encode(term)
+        assert d.decode(d.encode(term)) == term
+        assert term in d
+        assert (len(d), list(d), d.sizeof(), d.max_id) == (0, [], 0, 0)
+
+    @pytest.mark.parametrize("term", _TABLE_EDGES)
+    def test_any_other_spelling_takes_a_table_id(self, term):
+        d = Dictionary()
+        assert d.lookup(term) is None and term not in d
+        assert d.encode(term) == 1
+        assert d.decode(1) == term
+        assert list(d) == [term]
+
+    def test_every_id_stays_below_two_to_the_thirty(self):
+        low, high = INLINE_BASE - INLINE_LIMIT, INLINE_BASE + INLINE_LIMIT
+        assert 0 < low and high <= 1 << 30
+        d = Dictionary()
+        assert low < d.encode(str(-(INLINE_LIMIT - 1)))
+        assert d.encode(str(INLINE_LIMIT - 1)) < high
+
+    def test_the_table_stops_short_of_the_inline_ids(self, monkeypatch):
+        monkeypatch.setattr(dictionary_module, "_TABLE_LIMIT", 3)
+        d = Dictionary()
+        assert d.encode_many(["a", "b", "5"]) == [1, 2, INLINE_BASE + 5]
+        with pytest.raises(DictionaryError):
+            d.encode("c")
+        assert d.lookup("c") is None and len(d) == 2
+
+    def test_a_table_id_wins_over_the_inline_rule(self):
+        """A restored table keeps its ids for numbers, so each term has
+        exactly one id in each dictionary."""
+        d = Dictionary.from_table(["a", "7", "-3"])
+        assert d.encode("7") == d.lookup("7") == 2
+        assert d.encode("-3") == 3 and d.encode("8") == INLINE_BASE + 8
+        assert d.decode(2) == "7" and d.encode("b") == 4
+        assert list(d) == ["a", "7", "-3", "b"]
+
+    def test_decode_refuses_an_id_outside_both_ranges(self):
+        d = Dictionary()
+        for term_id in (0, 1, INLINE_BASE - INLINE_LIMIT,
+                        INLINE_BASE + INLINE_LIMIT, -1):
+            with pytest.raises(DictionaryError):
+                d.decode(term_id)
+
+    def test_a_leaf_mixing_the_extreme_ids_packs_and_scans_back(self):
+        """Table id 1 beside the largest inline id: the widest delta a
+        key can take fits the codec's four-byte field."""
+        top = INLINE_BASE + INLINE_LIMIT - 1
+        rows = [((1, 1, 1), 3, NOW), ((1, 1, top), 4, 9),
+                ((1, top, 1), 5, NOW), ((top, 1, top), 6, NOW),
+                ((top, top, top), 7, 8)]
+        store = CompressedLeafStore([LeafEntry(*row, None) for row in rows])
+        assert [(e.key, e.start, e.end) for e in store.entries()] == rows
+        scanned = store.scan_packed((1, 1, top), (top, 1, top + 1),
+                                    0, NOW, 0, NOW)
+        assert [piece[:3] for piece in scanned] == rows[1:4]
+
+
+_ANY_TEXT = st.text(max_size=12) | st.integers(
+    -(INLINE_LIMIT + 5), INLINE_LIMIT + 5).map(str) | st.sampled_from(
+    _INLINE_EDGES + _TABLE_EDGES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ANY_TEXT, max_size=40), st.lists(_ANY_TEXT, max_size=10))
+def test_encode_is_a_bijection_and_lookup_agrees(terms, probes):
+    """``decode(encode(t)) == t``; distinct terms get distinct ids;
+    ``lookup`` returns what ``encode`` would without assigning."""
+    d = Dictionary()
+    for probe in probes:
+        before = (len(d), list(d))
+        found = d.lookup(probe)
+        assert (len(d), list(d)) == before
+        if found is not None:
+            assert d.encode(probe) == found
+    ids = {}
+    for term in terms:
+        looked = d.lookup(term)
+        term_id = d.encode(term)
+        assert looked in (None, term_id)
+        assert d.lookup(term) == term_id
+        assert d.decode(term_id) == term
+        assert ids.setdefault(term, term_id) == term_id
+    assert len(set(ids.values())) == len(ids)
+    for term, term_id in ids.items():
+        inline = INLINE_BASE - INLINE_LIMIT <= term_id
+        assert inline == (term not in list(d))
+        assert 0 < term_id < 1 << 30
 
 
 class TestTemporalGraph:
@@ -194,27 +300,28 @@ class TestRowStorage:
         )
         assert raw_size(g.dictionary, []) == 0
 
-    def test_footprint_per_fact_excluding_the_dictionary(self):
-        """A 4 000-fact wikipedia graph costs at most 100 B per fact over
-        its dictionary: the row tuple and its list slot (two model
-        objects per fact cost about 200 B)."""
+    def test_footprint_per_fact_including_the_dictionary(self):
+        """A fresh 4 000-fact wikipedia graph costs at most 136 B per fact
+        for its rows and its dictionary together.  Table ids for the
+        infobox integers read about 146 B (their dict and list slots);
+        inline ids read about 124 B, each row owning its number's int.
+        An object per fact costs about 200 B more."""
         source = wikipedia.generate(4000, seed=17).graph
         decode = source.dictionary.decode
         facts = [(decode(s), decode(p), decode(o), start, end)
                  for s, p, o, start, end in source.encoded_rows()]
-        graph = TemporalGraph()
-        graph.dictionary = source.dictionary  # every term already interned
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            graph = TemporalGraph()
             for fact in facts:
                 graph.add(*fact)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(graph) == len(facts) >= 4000
-        assert grown / len(facts) <= 100
+        assert grown / len(facts) <= 136
 
     def test_coalesced_matches_the_pinned_result(self):
         """Overlapping, adjacent and out-of-order valid-time assertions:

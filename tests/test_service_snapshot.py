@@ -63,7 +63,7 @@ class TestRoundTrip:
                                             scan_modes):
         path = save_snapshot(engine, tmp_path / "e.snap")
         restored, meta = load_snapshot(path)
-        assert meta["version"] == 1
+        assert meta["version"] == 2
         for mode in scan_modes():
             for text in QUERIES:
                 assert _rows(restored, text) == _rows(engine, text), mode
@@ -148,8 +148,9 @@ class TestRoundTrip:
         they still open, to the same engine, and the rows are ignored."""
         engine.insert("UC", "president", "Michael_Drake", D("08/01/2020"))
         payload = serialize_engine(engine)
-        assert payload["version"] == 1 and payload["graph"] is None
-        legacy = dict(payload, graph=engine.history_rows() + [(9, 9, 9, 1, 2)])
+        assert payload["version"] == 2 and payload["graph"] is None
+        legacy = dict(payload, version=1,
+                      graph=engine.history_rows() + [(9, 9, 9, 1, 2)])
         restored = restore_engine(pickle.loads(pickle.dumps(legacy)))
         assert restored.sizeof() == engine.sizeof()
         assert restored.history_rows() == engine.history_rows()
@@ -228,11 +229,12 @@ class TestFileFormat:
 
     def test_unsupported_version_raises(self, tmp_path):
         path = tmp_path / "x.snap"
-        with open(path, "wb") as handle:
-            handle.write(SNAPSHOT_MAGIC)
-            pickle.dump({"version": 999}, handle)
-        with pytest.raises(SnapshotError):
-            load_snapshot(path)
+        for version in (999, 3, 0, None):
+            with open(path, "wb") as handle:
+                handle.write(SNAPSHOT_MAGIC)
+                pickle.dump({"version": version}, handle)
+            with pytest.raises(SnapshotError):
+                load_snapshot(path)
 
     def test_atomic_save_leaves_no_tmp(self, engine, tmp_path):
         save_snapshot(engine, tmp_path / "e.snap")

@@ -12,9 +12,16 @@ They were also written while the engine kept a fourth tree, SOP.  A
 restore reads only today's three orders and drops it; the next save
 writes none.
 
+All three fixtures are version-1 files, written before canonical integers
+became their own ids.  ``old_snapshot_numeric.snap`` (rows in
+``old_snapshot_numeric_rows.json``) holds integer terms, and its trees
+hold their table ids: a restore keeps those ids, a number first seen
+after it takes an inline id, and a query sees both.
+
 ``python tests/test_snapshot_compat.py`` rewrites the fixtures with the
-code it runs under; done today, that would write start-at-the-split copies
-and no longer test older files.
+code it runs under (``... numeric`` the numeric one alone); done today,
+that would write start-at-the-split copies and inline ids, and no longer
+test older files.
 """
 
 import json
@@ -27,13 +34,16 @@ import pytest
 
 from repro.engine import RDFTX
 from repro.model import NOW, TemporalGraph
-from repro.service.snapshot import (SNAPSHOT_MAGIC, load_snapshot,
-                                    save_snapshot)
+from repro.model.dictionary import INLINE_BASE, INLINE_LIMIT
+from repro.service.snapshot import (SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+                                    load_snapshot, save_snapshot)
 from tests.test_history import ReferenceHistory, assert_matches, decoded_rows
 from tests.test_mvbt_compression import SMALL
 
 GOLDEN = Path(__file__).parent / "golden"
 ROWS = GOLDEN / "old_snapshot_rows.json"
+NUMERIC = GOLDEN / "old_snapshot_numeric.snap"
+NUMERIC_ROWS = GOLDEN / "old_snapshot_numeric_rows.json"
 MODES = ("packed", "plain")
 
 QUERIES = [
@@ -84,8 +94,44 @@ def build_engine(packed):
     return engine
 
 
+def build_numeric_engine():
+    """The numeric fixture history: 64 loaded facts, most of whose objects
+    are canonical integers, with a numeric subject and a numeric
+    predicate, then 90 seeded updates that insert integer objects (some
+    already loaded) and delete live facts, on a packed capacity-8 tree."""
+    graph = TemporalGraph()
+    for i in range(60):
+        start = 1 + (i * 5) % 40
+        end = NOW if i % 4 else start + 3 + i % 20
+        value = str((i * 37) % 200 - 50) if i % 5 else f"v{i}"
+        graph.add(f"s{i % 12}", f"p{i % 4}", value, start, end)
+    graph.add("42", "p0", "7", 3)
+    graph.add("s0", "7", "-1", 4)
+    graph.add("s1", "p1", "007", 5)
+    graph.add("s2", "p2", str(2**28), 6)
+    engine = RDFTX(config=SMALL)
+    engine.load(graph, compress=True)
+    rng = random.Random(43)
+    live = sorted(
+        (fact.subject, fact.predicate, fact.object)
+        for fact in graph.triples() if fact.period.end == NOW
+    )
+    time = engine.horizon
+    for serial in range(90):
+        time += rng.randrange(3)
+        if live and rng.random() < 0.4:
+            fact = live.pop(rng.randrange(len(live)))
+            engine.delete(*fact, time)
+        else:
+            fact = (f"s{rng.randrange(14)}", f"p{rng.randrange(4)}",
+                    str(serial * 3 - 100))
+            engine.insert(*fact, time)
+            live.append(fact)
+    return engine
+
+
 def write_fixtures():
-    """Write both snapshots and their rows, one row a line."""
+    """Write the three snapshots and their rows, one row a line."""
     parts = []
     for mode in MODES:
         engine = build_engine(packed=mode == "packed")
@@ -93,17 +139,46 @@ def write_fixtures():
         lines = ",\n".join(json.dumps(row) for row in decoded_rows(engine))
         parts.append(f'"{mode}": [\n{lines}\n]')
     ROWS.write_text("{\n" + ",\n".join(parts) + "\n}\n")
+    write_numeric_fixture()
+
+
+def write_numeric_fixture():
+    engine = build_numeric_engine()
+    save_snapshot(engine, NUMERIC)
+    lines = ",\n".join(json.dumps(row) for row in decoded_rows(engine))
+    NUMERIC_ROWS.write_text(f"[\n{lines}\n]\n")
+
+
+def payload_of(path):
+    with open(path, "rb") as handle:
+        assert handle.read(len(SNAPSHOT_MAGIC)) == SNAPSHOT_MAGIC
+        return pickle.load(handle)
 
 
 def index_payload(path):
     """The index names a snapshot file holds."""
-    with open(path, "rb") as handle:
-        assert handle.read(len(SNAPSHOT_MAGIC)) == SNAPSHOT_MAGIC
-        return set(pickle.load(handle)["indexes"])
+    return set(payload_of(path)["indexes"])
 
 
 def committed_rows(mode):
+    if mode == "numeric":
+        return [tuple(row) for row in json.loads(NUMERIC_ROWS.read_text())]
     return [tuple(row) for row in json.loads(ROWS.read_text())[mode]]
+
+
+def fixture_path(mode):
+    return NUMERIC if mode == "numeric" else snapshot_path(mode)
+
+
+def is_inline(term_id):
+    return term_id >= INLINE_BASE - INLINE_LIMIT
+
+
+def engine_of(rows):
+    graph = TemporalGraph()
+    for s, p, o, start, end in rows:
+        graph.add(s, p, o, start, end)
+    return RDFTX.from_graph(graph, config=SMALL)
 
 
 def reference_of(rows):
@@ -139,10 +214,7 @@ def test_an_older_snapshot_reads_its_rows(mode):
                for _, start, _ in leaf.rows())
     assert decoded_rows(engine) == rows
     assert_matches(engine, reference_of(rows))
-    graph = TemporalGraph()
-    for s, p, o, start, end in rows:
-        graph.add(s, p, o, start, end)
-    fresh = RDFTX.from_graph(graph, config=SMALL)
+    fresh = engine_of(rows)
     for text in QUERIES:
         assert answers(engine, text) == answers(fresh, text), text
     assert any(answers(engine, text) for text in QUERIES)
@@ -179,5 +251,78 @@ def test_updates_on_an_older_snapshot_keep_its_history(mode, tmp_path):
     assert_matches(reopened, reference)
 
 
+#: Queries on the numeric fixture: integer constants as subject, predicate
+#: and object, a FILTER on integer objects, a join on a shared one.
+NUMERIC_QUERIES = [
+    "SELECT ?s ?p ?t {?s ?p 7 ?t}",
+    "SELECT ?p ?o {42 ?p ?o ?t}",
+    "SELECT ?s ?o {?s 7 ?o ?t}",
+    "SELECT ?s ?o {?s p1 ?o ?t FILTER(?o > 20)}",
+    "SELECT ?s ?o {?s p2 ?o ?t}",
+    "SELECT ?a ?b ?o {?a p0 ?o ?t1 . ?b p3 ?o ?t2}",
+    "SELECT ?s ?p {?s ?p 007 ?t}",
+    "SELECT ?s ?p {?s ?p 123456 ?t}",
+]
+
+
+def test_an_older_snapshot_keeps_the_table_ids_of_its_numbers():
+    assert payload_of(NUMERIC)["version"] == 1
+    engine, meta = load_snapshot(NUMERIC, use_optimizer=False)
+    assert meta["version"] == 1
+    rows = committed_rows("numeric")
+    assert decoded_rows(engine) == rows
+    assert_matches(engine, reference_of(rows))
+    lookup = engine.dictionary.lookup
+    # Written before integers were inlined: its numbers are table terms.
+    assert not any(is_inline(lookup(term)) for term in ("7", "42", "-13"))
+    fresh = engine_of(rows)
+    assert is_inline(fresh.dictionary.lookup("7"))
+    for text in NUMERIC_QUERIES:
+        assert answers(engine, text) == answers(fresh, text), text
+    assert all(answers(engine, text) for text in NUMERIC_QUERIES[:6])
+
+
+@pytest.mark.parametrize("mode", MODES + ("numeric",))
+def test_numbers_inserted_after_a_restore(mode, tmp_path):
+    """A fact whose integer object the fixture's table already holds and
+    one whose integer object it does not: both are found, through a save
+    and a reopen, and the table id stays the table id."""
+    engine, _ = load_snapshot(fixture_path(mode), use_optimizer=False)
+    rows = committed_rows(mode)
+    reference = reference_of(rows)
+    known = "7" if mode == "numeric" else "s3"
+    time = engine.horizon + 1
+    inserted = [("s3", "p1", known), ("s3", "p1", "123456"),
+                ("s4", "p2", "123456"), ("-5", "p4", "0")]
+    for fact in inserted:
+        engine.insert(*fact, time)
+        reference.insert(fact, time)
+    engine.delete("s4", "p2", "123456", time + 2)
+    reference.delete(("s4", "p2", "123456"), time + 2)
+    lookup = engine.dictionary.lookup
+    assert is_inline(lookup(known)) is False
+    assert is_inline(lookup("123456")) and is_inline(lookup("-5"))
+    assert_matches(engine, reference)
+    expected = engine_of(reference.rows())
+    texts = [f"SELECT ?s ?t {{?s p1 {known} ?t}}",
+             "SELECT ?s ?p ?t {?s ?p 123456 ?t}",
+             "SELECT ?o {s3 p1 ?o ?t}",
+             'SELECT ?p ?o {"-5" ?p ?o ?t}',
+             "SELECT ?a ?b {?a p1 ?o ?t1 . ?b p2 ?o ?t2}"]
+    for text in texts:
+        assert answers(engine, text) == answers(expected, text), text
+    assert {row["o"] for row in engine.query(texts[2]).rows} >= {
+        known, "123456"}
+    saved = save_snapshot(engine, tmp_path / "resaved.snap")
+    assert payload_of(saved)["version"] == SNAPSHOT_VERSION == 2
+    reopened, meta = load_snapshot(saved, use_optimizer=False)
+    assert meta["version"] == 2
+    assert_matches(reopened, reference)
+    assert reopened.dictionary.lookup(known) == lookup(known)
+    for text in texts:
+        assert answers(reopened, text) == answers(engine, text), text
+
+
 if __name__ == "__main__":
-    sys.exit(write_fixtures())
+    sys.exit(write_numeric_fixture() if sys.argv[1:] == ["numeric"]
+             else write_fixtures())
