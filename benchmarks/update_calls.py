@@ -1,12 +1,15 @@
 """Function calls per update on the suite's ``engine_maintain`` stream.
 
     REPRO_OBS=0 PYTHONHASHSEED=0 PYTHONPATH=src \\
-        python benchmarks/update_calls.py [--seed S] [--events N]
+        python benchmarks/update_calls.py [--seed S] [--events N] [--optimizer]
 
 Bulk-loads the workload's base graph (as the suite builds it for ``seed``),
 then applies its first ``N`` change events (inserts and deletes, no
 queries) under ``sys.setprofile`` and prints the Python-level and C-level
-calls made per event.  A count, not a clock: it does not move with the
+calls made per event.  With ``--optimizer`` the engine keeps optimizer
+statistics, and one fixed two-pattern query runs after every 256th event
+(inside the count): whatever the write path spends on statistics, a
+refresh included, shows in the count.  A count, not a clock: it does not move with the
 machine's load, so a write-path change shows its work here where a timing
 of the same stream spreads by tens of percent between runs.  The
 generated history follows ``PYTHONHASHSEED`` (the wikipedia generator
@@ -24,7 +27,13 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def count_calls(seed: int, events: int) -> tuple[int, int, int]:
+#: The query run every :data:`QUERY_EVERY` events under ``--optimizer``.
+PROBE = "SELECT ?a ?b {City_291 population ?a ?t . City_291 mayor ?b ?t}"
+QUERY_EVERY = 256
+
+
+def count_calls(seed: int, events: int,
+                optimizer: bool = False) -> tuple[int, int, int]:
     """``(events applied, Python calls, C calls)``."""
     suite = str(REPO / "benchmarks" / "suite")
     if suite not in sys.path:
@@ -33,12 +42,13 @@ def count_calls(seed: int, events: int) -> tuple[int, int, int]:
 
     measure.bootstrap()
     import workloads
-    from repro import RDFTX
+    from repro import RDFTX, Optimizer
 
     scale = workloads.Scale()
     base, stream = workloads.maintain_history(
         seed, scale, workloads.maintain_events(scale))
-    engine = RDFTX.from_graph(base)
+    engine = RDFTX.from_graph(
+        base, optimizer=Optimizer() if optimizer else None)
     stream = stream[:events]
     counts = {"call": 0, "c_call": 0}
 
@@ -47,10 +57,14 @@ def count_calls(seed: int, events: int) -> tuple[int, int, int]:
             counts[event] += 1
 
     apply = {"insert": engine.insert, "delete": engine.delete}
+    if optimizer:
+        engine.query(PROBE)  # compiled once, outside the count
     sys.setprofile(profile)
     try:
-        for op, *fact in stream:
+        for number, (op, *fact) in enumerate(stream, start=1):
             apply[op](*fact)
+            if optimizer and number % QUERY_EVERY == 0:
+                engine.query(PROBE)
     finally:
         sys.setprofile(None)
     return len(stream), counts["call"], counts["c_call"]
@@ -60,9 +74,14 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--events", type=int, default=12_000)
+    parser.add_argument("--optimizer", action="store_true",
+                        help="keep optimizer statistics; query every "
+                             f"{QUERY_EVERY} events")
     args = parser.parse_args()
-    applied, python_calls, c_calls = count_calls(args.seed, args.events)
-    print(f"engine_maintain seed {args.seed}: {applied} update events")
+    applied, python_calls, c_calls = count_calls(
+        args.seed, args.events, args.optimizer)
+    print(f"engine_maintain seed {args.seed}: {applied} update events"
+          + (", optimizer on" if args.optimizer else ""))
     print(f"python calls per event {python_calls / applied:.1f}")
     print(f"c calls per event      {c_calls / applied:.1f}")
 

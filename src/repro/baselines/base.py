@@ -30,6 +30,7 @@ from ..engine.executor import evaluate_group, join_in_order
 from ..engine.operators import Row, apply_filters, project
 from ..engine.patterns import _window_from_filters
 from ..engine.plan import compile_group
+from ..model.dictionary import is_inline
 from ..model.graph import TemporalGraph
 from ..model.time import NOW, Period
 from ..sparqlt.ast import Expr, Query, QuadPattern, TimeConst, Var
@@ -55,12 +56,29 @@ class TemporalBaseline(ABC):
     def load(self, graph: TemporalGraph) -> None:
         self.dictionary = graph.dictionary
         horizon = 1
-        for _, _, _, start, end in graph.encoded_rows():
+        rows = graph.encoded_rows()
+        for _, _, _, start, end in rows:
             horizon = max(horizon, start + 1)
             if end != NOW:
                 horizon = max(horizon, end + 1)
         self._horizon = horizon
+        # A baseline keeps no term in its ids: the integers RDF-TX inlines
+        # sit in its dictionary with every other term.
+        decode = graph.dictionary.decode
+        self._inline_term_bytes = sum(
+            len(decode(term).encode()) + 24
+            for term in {term for row in rows for term in row[:3]}
+            if is_inline(term)
+        )
         self._build(graph)
+
+    def term_bytes(self) -> int:
+        """Dictionary bytes for every distinct term the system stores, in
+        :meth:`Dictionary.sizeof <repro.model.dictionary.Dictionary.sizeof>`'s
+        layout (inline integers included)."""
+        if self.dictionary is None:
+            return 0
+        return self.dictionary.sizeof() + self._inline_term_bytes
 
     @abstractmethod
     def _build(self, graph: TemporalGraph) -> None:

@@ -94,7 +94,7 @@ class NamedGraphBaseline(TemporalBaseline):
         """Per-graph overhead dominates when graphs are tiny (Fig 8(b))."""
         triples = sum(len(g) for g in self.graphs.values()) * 3 * 8
         overhead = len(self.graphs) * GRAPH_OVERHEAD
-        dictionary = self.dictionary.sizeof() if self.dictionary else 0
+        dictionary = self.term_bytes()
         return triples + overhead + dictionary
 
 

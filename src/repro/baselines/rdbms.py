@@ -128,5 +128,5 @@ class RDBMSBaseline(TemporalBaseline):
         node_overhead = (4 + 2) * (n // 32 + 1) * 64
         # The memory engine stores VARCHAR values inline as well; we charge
         # the string heap once (the dictionary covers decoding).
-        strings = self.dictionary.sizeof() if self.dictionary else 0
+        strings = self.term_bytes()
         return table + key_indexes + time_indexes + node_overhead + strings

@@ -141,7 +141,7 @@ class RDF3XBaseline(TemporalBaseline):
         matching Figure 8(b)'s "almost the same" observation.
         """
         permutations = 6 * self.statement_count * 5 * 2.5
-        dictionary = self.dictionary.sizeof() if self.dictionary else 0
+        dictionary = self.term_bytes()
         return int(permutations) + dictionary
 
 
@@ -237,5 +237,5 @@ class VirtuosoBaseline(TemporalBaseline):
         and compressed MVBT in Figure 8(b)."""
         columns = self.statement_count * 5 * 6
         postings = self.statement_count * 3 * 4
-        dictionary = self.dictionary.sizeof() if self.dictionary else 0
+        dictionary = self.term_bytes()
         return columns + postings + dictionary

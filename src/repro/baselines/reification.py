@@ -145,5 +145,5 @@ class ReificationBaseline(TemporalBaseline):
         triples = n * 5 * 3 * 8
         statement_nodes = n * 16
         postings = n * 3 * 8 + len(self.by_property_value) * 48
-        dictionary = self.dictionary.sizeof() if self.dictionary else 0
+        dictionary = self.term_bytes()
         return triples + statement_nodes + postings + dictionary

@@ -8,7 +8,6 @@ Engine).
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ from ..model.dictionary import Dictionary
 from ..model.graph import TemporalGraph
 from ..model.time import MIN_TIME, NOW, PeriodSet
 from ..mvbt.compression import MemoTable
+from ..mvbt.scan import prefix_range, recorded
 from ..mvbt.tree import MVBT, MVBTConfig, change_events, replay
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -43,10 +43,6 @@ _PLAN_EVICTIONS = _metrics.counter("engine.plan_cache.evictions")
 
 #: Compiled plans kept per engine (prepared statements).
 PLAN_CACHE_CAPACITY = 512
-
-#: The optimizer statistics are rebuilt on the first compile after this
-#: many updates (see :meth:`RDFTX.refresh_statistics`).
-STATS_REFRESH_UPDATES = 256
 
 
 @dataclass
@@ -145,20 +141,13 @@ class RDFTX:
         #: compiled-plan cache (prepared statements).  Plans bake in
         #: dictionary ids (append-only, never reassigned) and the query
         #: text's own time windows — nothing data-dependent — so entries
-        #: survive updates and are dropped only when the optimizer
-        #: statistics are rebuilt (the join order could change) or a new
-        #: graph is loaded.
+        #: survive updates and are dropped only when a new graph is loaded.
         self._plan_cache: LRUCache = LRUCache(
             PLAN_CACHE_CAPACITY,
             hits=_PLAN_HITS,
             misses=_PLAN_MISSES,
             evictions=_PLAN_EVICTIONS,
         )
-        #: updates applied since the optimizer statistics were last built.
-        self._stats_dirty = 0
-        #: held by the one compile that runs the automatic refresh;
-        #: concurrent readers never wait on it (a non-blocking claim).
-        self._refresh_claim = threading.Lock()
         #: lower bound on :attr:`horizon`.  A clustered deployment sets
         #: this on every shard so filters that resolve ``NOW`` (e.g.
         #: ``LENGTH`` over live periods) evaluate against the *cluster*
@@ -218,7 +207,6 @@ class RDFTX:
                         tree.compress()
             self.memo, self.indexes = memo, indexes
             self.dictionary = graph.dictionary
-            self._stats_dirty = 0
             self._plan_cache.clear()
             if self.optimizer is not None:
                 self.optimizer.rebuild(graph)
@@ -239,13 +227,20 @@ class RDFTX:
         :class:`~repro.mvbt.tree.DuplicateKeyError`) changes nothing: the
         time order is checked before any term is interned, a duplicate's
         terms are all interned already, and the first index refuses it
-        before mutating.
+        before mutating.  Once every index holds the fact, the optimizer
+        statistics record it too (:meth:`TemporalHistogram.insert
+        <repro.mvsbt.histogram.TemporalHistogram.insert>`).
         """
         self._check_update_time(time)
         ids = self._encode(subject, predicate, object)
         for name, tree in self.indexes.items():
             tree.insert(_reorder(ids, name), time)
-        self._note_update()
+        histogram = self._histogram()
+        if histogram is not None:
+            term_bytes = sum(len(term.encode())
+                             for term in (subject, predicate, object))
+            histogram.insert(ids["s"], ids["p"], ids["o"], time, term_bytes,
+                             self)
 
     def delete(self, subject: str, predicate: str, object: str,
                time: int) -> None:
@@ -259,7 +254,9 @@ class RDFTX:
             )
         for name, tree in self.indexes.items():
             tree.delete(_reorder(ids, name), time)
-        self._note_update()
+        histogram = self._histogram()
+        if histogram is not None:
+            histogram.delete(ids["s"], ids["p"], time, self)
 
     def _check_update_time(self, time: int) -> None:
         """Reject update timestamps outside the concrete chronon domain or
@@ -277,60 +274,40 @@ class RDFTX:
         for tree in self.indexes.values():
             tree.check_time(time)
 
-    def _note_update(self) -> None:
-        """Track an applied update.
+    def _histogram(self):
+        """The optimizer's histogram, when there are statistics to keep
+        current."""
+        optimizer = self.optimizer
+        if optimizer is None or optimizer.statistics is None:
+            return None
+        return optimizer.statistics.histogram
 
-        Compiled plans deliberately survive: dictionary ids are append-only
-        (a plan's baked ids stay valid) and time windows come from the
-        query text, so a cached plan re-executed after a write sees the new
-        data through its scans.  Only the optimizer statistics degrade —
-        they are rebuilt (dropping the plan cache, since the join order may
-        change) once :data:`STATS_REFRESH_UPDATES` updates accumulate.
-        """
-        self._stats_dirty += 1
+    def live_predicates(self, sid: int) -> list[int]:
+        """The predicate id of each live fact of subject ``sid``: the SPO
+        tree's live leaves over the subject's prefix (a statistics probe)."""
+        low, high = prefix_range((sid,))
+        return [key[1] for key in self.indexes["spo"].live_keys(low, high)]
 
-    @property
-    def statistics_dirty(self) -> int:
-        """Updates applied since the statistics were last (re)built."""
-        return self._stats_dirty
+    def pair_recorded(self, sid: int, pid: int, oid: int) -> bool:
+        """Whether a fact with predicate ``pid`` and object ``oid`` other
+        than the live ``(sid, pid, oid)`` was ever recorded: the POS tree's
+        leaves over that prefix, newest first, until one holds such a fact
+        (a statistics probe)."""
+        low, high = prefix_range((pid, oid))
+        return recorded(self.indexes["pos"], low, high, (pid, oid, sid))
 
     def refresh_statistics(self) -> bool:
         """Rebuild the optimizer statistics from the indexed history.
 
-        Returns ``True`` when a rebuild happened.  Called automatically at
-        compile time once :data:`STATS_REFRESH_UPDATES` updates have
-        accumulated; callers can also invoke it eagerly (e.g. after a bulk
-        update burst, or from ``repro-tx serve`` checkpoints).
+        Returns ``True`` when a rebuild happened.  Writes keep the
+        statistics current, so this is the explicit full rebuild: a
+        snapshot that carries none restores through it, and a cluster's
+        ``refresh_stats`` op calls it.  Compiled plans are kept.
         """
-        self._stats_dirty = 0
         if self.optimizer is None or self.dictionary is None:
             return False
-        # Drop the old plans before the rebuild allocates its rows and
-        # trees, and again after it: a plan compiled meanwhile used the
-        # old statistics.
-        self._plan_cache.clear()
         self.optimizer.rebuild_rows(self.dictionary, self.history_rows())
-        self._plan_cache.clear()
         return True
-
-    def _maybe_refresh_statistics(self) -> None:
-        if self.optimizer is None or self._stats_dirty < STATS_REFRESH_UPDATES:
-            return
-        # Single flight: a reader that loses the claim compiles with the
-        # current statistics, like one arriving mid-refresh.
-        if not self._refresh_claim.acquire(blocking=False):
-            return
-        try:
-            # Re-checked under the claim: a refresh may have finished
-            # between the first check and the acquire.
-            if self._stats_dirty >= STATS_REFRESH_UPDATES:
-                # The refresh is compile-time work: the request that pays
-                # for it shows engine.compile -> optimizer.rebuild in its
-                # trace.
-                with _trace.span("engine.compile", stats_refresh="updates"):
-                    self.refresh_statistics()
-        finally:
-            self._refresh_claim.release()
 
     def _encode(self, subject: str, predicate: str, object: str):
         if self.dictionary is None:
@@ -403,8 +380,8 @@ class RDFTX:
 
         Compiled plans are LRU-cached per query text, so repeated queries
         pay parsing and optimization once — prepared-statement behaviour.
-        Entries survive updates (see :meth:`_note_update`) and are dropped
-        when the statistics are rebuilt.  Pre-parsed :class:`Query` objects
+        Entries survive updates and statistics rebuilds: only
+        :meth:`load` drops them.  Pre-parsed :class:`Query` objects
         are not cached: an object-identity key can alias once the object
         is collected, handing a stranger's plan to a new query.  Raises
         :class:`~repro.engine.patterns.UnknownTermError` when a pattern
@@ -444,7 +421,6 @@ class RDFTX:
         pattern named.  A base naming a term the dictionary does not know
         compiles to a plan of no steps, and the text is not cached: an
         insert may introduce the term."""
-        self._maybe_refresh_statistics()
         if isinstance(text, str):
             # A plan-cache hit skips the parse too.
             plan = self._plan_cache.get(text)

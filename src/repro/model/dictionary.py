@@ -43,6 +43,11 @@ def _inline_id(term: str) -> int | None:
     return None
 
 
+def is_inline(term_id: int) -> bool:
+    """Whether ``term_id`` is an inline integer's (no table entry)."""
+    return term_id > _TABLE_LIMIT
+
+
 class DictionaryError(KeyError):
     """Raised when decoding an unknown id, or when the table is full."""
 

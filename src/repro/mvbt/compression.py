@@ -907,6 +907,17 @@ class CompressedLeafStore:
             for k1, k2, k3, start, _ in _INDEX.iter_unpack(live)
         ]
 
+    def live_keys(self, key_low: Key, key_high: Key) -> list[Key]:
+        """The live keys in ``[key_low, key_high)``, in buffer order, read
+        off the live index like :meth:`live_entries`."""
+        live = self._live
+        if live is None:
+            live = self._walk_index()
+        return [
+            (k1, k2, k3) for k1, k2, k3, _, _ in _INDEX.iter_unpack(live)
+            if key_low <= (k1, k2, k3) < key_high
+        ]
+
     def index_bytes(self) -> int:
         """Bytes the live index holds (0 when unbuilt or sealed)."""
         if self._live is None:

@@ -299,6 +299,12 @@ class LeafNode(_NodeBase):
             return self._store.live_entries()
         return [e for e in self.entries() if e.is_live]
 
+    def live_keys(self, key_low: Key, key_high: Key) -> list[Key]:
+        """This live leaf's live keys in ``[key_low, key_high)``."""
+        if self._store is not None:
+            return self._store.live_keys(key_low, key_high)
+        return [key for key in self._live if key_low <= key < key_high]
+
     def rows(self) -> Iterable[tuple[Key, int, int]]:
         """``(key, start, end)`` of every entry, raw (not clamped to the
         node's lifetime); leaves the read memo of a packed leaf alone."""

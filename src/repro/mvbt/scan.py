@@ -116,6 +116,24 @@ def scan_pieces(
     return out
 
 
+def recorded(tree: MVBT, key_low: Key, key_high: Key,
+             live_key: Key) -> bool:
+    """Whether any entry with a key in ``[key_low, key_high)`` was ever
+    recorded, other than the live entry of ``live_key`` and its
+    version-split copies: leaves visited border-first, back in time, until
+    the first such entry — a live leaf's live keys read first, off its
+    live index, before any of its records is decoded."""
+    border = tree.current_time
+    for leaf in _visit_leaves(tree, key_low, key_high, MIN_TIME, NOW, border):
+        if leaf.is_alive and any(
+                key != live_key for key in leaf.live_keys(key_low, key_high)):
+            return True
+        for key, _, end in leaf.rows():
+            if key_low <= key < key_high and (key != live_key or end != NOW):
+                return True
+    return False
+
+
 def range_interval_scan(
     tree: MVBT,
     key_low: Key = MIN_KEY,

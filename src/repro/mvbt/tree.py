@@ -404,6 +404,20 @@ class MVBT:
             leaf, entries = pred, prior
         return entries[-1][1]
 
+    def live_keys(self, key_low: Key, key_high: Key) -> list[Key]:
+        """The keys live now in ``[key_low, key_high)``: the live leaves
+        whose regions meet the range, read off their live indexes."""
+        found: list[Key] = []
+        stack = [self.live_root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                found += node.live_keys(key_low, key_high)
+            else:
+                stack += node.children_overlapping(key_low, key_high,
+                                                   self._now)
+        return found
+
     def history(self) -> Iterator[tuple[Key, int, int]]:
         """Every ``(key, start, end)`` ever recorded, each exactly once, in
         one pass over the leaves, each read after the leaves it was

@@ -34,7 +34,10 @@ class Optimizer:
 
     Attach one to an engine (``RDFTX(optimizer=Optimizer())``) or pass it to
     :meth:`RDFTX.from_graph`; the engine calls :meth:`rebuild` at load time
-    and :meth:`choose_order` for every multi-pattern query.
+    and :meth:`choose_order` for every multi-pattern query, and each write
+    it applies updates :attr:`statistics` in place
+    (:meth:`TemporalHistogram.insert
+    <repro.mvsbt.histogram.TemporalHistogram.insert>`).
     """
 
     def __init__(self, cm: int = 8, lm: int = 8,
@@ -51,10 +54,11 @@ class Optimizer:
     def rebuild_rows(self, dictionary, rows: Sequence[tuple]) -> None:
         """(Re)build the temporal histogram from encoded ``(sid, pid, oid,
         start, end)`` rows over ``dictionary`` — a graph's, or the history
-        an engine reads back off its indices.
+        an engine reads back off its indices (an explicit
+        ``RDFTX.refresh_statistics``).
 
-        A refresh starts the budget search from the thresholds the previous
-        build chose; a first build (or one after an empty history, which
+        A rebuild starts the budget search from the thresholds the previous
+        statistics hold; a first build (or one after an empty history, which
         fits any budget) starts from the middle of the ladder."""
         started = time.perf_counter()
         with _trace.span("optimizer.rebuild", triples=len(rows)) as span:

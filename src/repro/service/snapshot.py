@@ -115,12 +115,13 @@ def restore_engine(payload: dict, *, use_optimizer: bool = True) -> RDFTX:
             payload["indexes"][name], engine.memo
         )
     if optimizer is not None:
-        if payload["statistics"] is not None:
+        histogram = payload["statistics"]
+        # A histogram saved before writes kept it current lacks the raw
+        # size its budget follows: rebuild it, as when none was saved.
+        if histogram is not None and hasattr(histogram, "raw_bytes"):
             from ..optimizer.statistics import Statistics
 
-            optimizer.statistics = Statistics(
-                payload["statistics"], dictionary
-            )
+            optimizer.statistics = Statistics(histogram, dictionary)
         else:
             engine.refresh_statistics()
     return engine

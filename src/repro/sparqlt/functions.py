@@ -22,6 +22,7 @@ Section 3.1.
 from __future__ import annotations
 
 import datetime as _dt
+import re
 from typing import Mapping
 
 from ..model.time import (
@@ -369,8 +370,20 @@ def _coerce_pair(left, right):
     return left, right
 
 
+#: XSD integer, decimal and double numerals, ASCII digits only (no
+#: whitespace, underscores, other scripts' digits, or INF / NaN).
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_NUMERAL = re.compile(
+    r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def _as_number(text: str):
-    try:
-        return float(text) if "." in text else int(text)
-    except ValueError:
-        raise EvaluationError(f"term {text!r} is not numeric") from None
+    """A term's numeric value: an ``int`` for an integer numeral, a
+    ``float`` for a decimal or double one; any other spelling is not a
+    number (Python's own ``int``/``float`` would read ``1_000``, `` 1000``,
+    ``１０００``, ``nan`` and ``inf``)."""
+    if _INTEGER.fullmatch(text):
+        return int(text)
+    if _NUMERAL.fullmatch(text):
+        return float(text)
+    raise EvaluationError(f"term {text!r} is not numeric")

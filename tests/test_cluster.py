@@ -659,6 +659,44 @@ class TestClusterFailover:
             assert member.replicas == replicas
 
 
+    def test_a_replica_whose_read_fails_is_dropped(self, tmp_path,
+                                                   monkeypatch):
+        """A read RPC that fails on the connection drops the replica
+        (``Membership.drop_replica``): the read is answered by the
+        primary, later reads go there too, and cluster status stops
+        listing the replica."""
+        with ClusterStore(tmp_path / "clu", shards=1, replicas=1,
+                          fsync=False) as cluster:
+            member = cluster._membership.members[0]
+            (replica,) = member.replicas
+            subject = _subject_on_shard(0, 1)
+            cluster.insert(subject, "p", "v", 1000)
+            status = cluster.cluster_status()["members"][0]
+            assert [r["pid"] for r in status["replicas"]] == [replica.pid]
+            calls = []
+
+            def failing_rpc(request, timeout=None):
+                calls.append(request.op)
+                raise OSError("replica connection reset")
+
+            monkeypatch.setattr(replica, "rpc", failing_rpc)
+            query = f"SELECT ?o {{{subject} p ?o ?t}}"
+            assert [r["o"] for r in cluster.query(query).rows] == ["v"]
+            assert calls and member.replicas == []
+            assert not replica.alive
+            dead = [e for e in cluster.cluster_events()
+                    if e["event"] == "cluster.event.member_dead"]
+            assert dead and dead[-1]["role"] == "replica"
+            assert dead[-1]["pid"] == replica.pid
+            # Reads keep going to the primary, and status lists no replica.
+            tried = len(calls)
+            assert len(cluster.query(f"SELECT ?t {{{subject} p v ?t}}")) == 1
+            assert len(calls) == tried
+            status = cluster.cluster_status()["members"][0]
+            assert status["replicas"] == []
+            assert status["primary"]["alive"] is True
+
+
 class TestClusterMaintenance:
     def test_refresh_statistics_uses_stats_op_not_checkpoint(
         self, tmp_path

@@ -82,12 +82,36 @@ def test_engine_report_covers_all_components(engine):
     assert set(report["indexes"]) == {"spo", "pos", "ops"}
     assert report["dictionary"]["terms"] > 0
     assert report["plan_cache"]["capacity"] > 0
-    assert report["statistics"]["optimizer"] is False
-    assert report["statistics"]["refresh_threshold"] == 256
+    assert report["statistics"] == {
+        "optimizer": False, "histogram_bytes": None, "budget_bytes": None,
+        "cm": None, "lm": None,
+    }
     assert report["total_size_bytes"] == engine.sizeof()
     assert report["decoded_memo"] == {
         "entries": 0, "leaves": 0, "interned": 0, "budget": 1 << 18,
     }
+
+
+def test_engine_report_shows_the_histogram_against_its_budget():
+    """With an optimizer, the report shows the histogram's size, its
+    budget and its thresholds, and a write moves them at once."""
+    from repro.optimizer import Optimizer
+
+    engine = RDFTX.from_graph(small_graph(), optimizer=Optimizer())
+    histogram = engine.optimizer.statistics.histogram
+    before = engine_report(engine)["statistics"]
+    assert before == {
+        "optimizer": True, "histogram_bytes": histogram.core_sizeof(),
+        "budget_bytes": int(0.10 * histogram.raw_bytes),
+        "cm": histogram.cm, "lm": histogram.lm,
+    }
+    engine.insert("fresh", "p_new", "o_new", 100)
+    after = engine_report(engine)["statistics"]
+    assert after["histogram_bytes"] > before["histogram_bytes"]
+    assert after["budget_bytes"] > before["budget_bytes"]
+    assert (f"optimizer: on, histogram {after['histogram_bytes']} of "
+            f"{after['budget_bytes']} budget bytes (cm {after['cm']}, "
+            f"lm {after['lm']})") in render_report(engine_report(engine))
 
 
 def test_engine_report_counts_the_decoded_memo(engine):

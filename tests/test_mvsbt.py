@@ -219,3 +219,32 @@ class TestInsertCostScaling:
 
         small, large = examined_per_point(4000), examined_per_point(16000)
         assert large < 1.5 * small
+
+    def test_examined_per_point_at_fixed_thresholds_is_flat(self):
+        """The same count over all four trees at one fixed threshold pair
+        (cm = lm = 32, the finest rung builds of 16 000 - 32 000 triples
+        replay), where 16 000 triples grow a third level and every index
+        child is re-profiled every ``lm`` points: at most 2x the 4 000-triple
+        count per point.  Before index children were profiled in one sweep
+        and frozen leaf profiles were bounded, this read 8.1 -> 14.6 (1.8x)
+        and 18.5 at 32 000; it now reads 8.1 -> 9.1."""
+        from repro.datasets import wikipedia
+        from repro.mvsbt.histogram import TemporalHistogram
+
+        def examined_per_point(triples):
+            histogram = TemporalHistogram(cm=32, lm=32,
+                                          budget_fraction=float("inf"))
+            subjects, occurrences = histogram._ingest(
+                wikipedia.generate(triples, seed=7).graph.encoded_rows())
+            trees = [
+                tree
+                for pair in (subjects.replay(32, 32),
+                             occurrences.replay(32, 32))
+                for tree in (pair.starts, pair.ends)
+            ]
+            return (
+                sum(tree.entries_examined for tree in trees)
+                / sum(tree.point_count for tree in trees)
+            )
+
+        assert examined_per_point(16000) <= 2 * examined_per_point(4000)

@@ -50,11 +50,15 @@ def literal(term):
 
 def numeric(text):
     """How a FILTER comparison reads a term against a number, or ``None``
-    when it cannot (the row is rejected)."""
-    try:
-        return float(text) if "." in text else int(text)
-    except ValueError:
-        return None
+    when it cannot (the row is rejected): ASCII XSD integer, decimal and
+    double numerals only, so ``+5`` and ``007`` are numbers and ``１２``
+    is not."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        return int(text)
+    if re.fullmatch(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?",
+                    text):
+        return float(text)
+    return None
 
 
 def random_events(rng, log, time, count):

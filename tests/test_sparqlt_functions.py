@@ -5,6 +5,7 @@ import pytest
 from repro.model.time import NOW, Period, PeriodSet, date_to_chronon, year_range
 from repro.sparqlt import EvaluationError, parse_expression
 from repro.sparqlt.functions import (
+    _as_number,
     evaluate,
     eval_value,
     pushdown_window,
@@ -179,3 +180,39 @@ class TestEvaluate:
         assert not evaluate(
             expr, {"t1": ps((10, 20)), "t2": ps((25, 30))}, HORIZON
         )
+
+
+class TestNumericTerms:
+    """A term compares as a number only when it is an ASCII XSD integer,
+    decimal or double numeral."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("1000", 1000), ("+1000", 1000), ("-7", -7), ("007", 7),
+        ("1000.0", 1000.0), ("5.", 5.0), (".5", 0.5), ("-0.25", -0.25),
+        ("1e3", 1000.0), ("1.5E-2", 0.015), ("+2e+1", 20.0),
+    ])
+    def test_numerals(self, text, value):
+        got = _as_number(text)
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize("text", [
+        "1_000", " 1000", "1000 ", "1000\n", "１０００", "١٠٠٠", "nan", "NaN",
+        "inf", "-inf", "Infinity", "INF", "0x10", "1e", "e3", ".", "+",
+        "", "1.2.3", "1,000",
+    ])
+    def test_other_spellings_are_not_numbers(self, text):
+        with pytest.raises(EvaluationError):
+            _as_number(text)
+
+    def test_a_filter_matches_only_numerals_of_the_value(self):
+        from repro.engine import RDFTX
+        from repro.model import TemporalGraph
+
+        graph = TemporalGraph()
+        spellings = ["1000", "+1000", "1000.0", "1_000", " 1000", "１０００",
+                     "nan", "1000 "]
+        for i, text in enumerate(spellings):
+            graph.add(f"s{i}", "p", text, 1, 5)
+        engine = RDFTX.from_graph(graph)
+        rows = engine.query("SELECT ?o {?s p ?o ?t . FILTER(?o = 1000)}")
+        assert sorted(rows.column("o")) == ["+1000", "1000", "1000.0"]

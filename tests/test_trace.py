@@ -223,8 +223,9 @@ class TestTraceBuffer:
 
 
 class TestStatisticsRefreshSpan:
-    """The query that trips the update-count refresh pays a histogram
-    rebuild; its trace must say so instead of showing self time."""
+    """An explicit statistics rebuild reads the history back and rebuilds
+    the histogram over it; its trace must say so instead of showing self
+    time.  Writes keep the statistics current, so no compile pays one."""
 
     @staticmethod
     def _engine():
@@ -237,10 +238,7 @@ class TestStatisticsRefreshSpan:
             graph.add(f"s{i % 8}", f"p{i % 3}", f"o{i}", i, i + 5)
         return RDFTX.from_graph(graph, optimizer=Optimizer())
 
-    def test_rebuild_is_a_child_of_compile(self, buffer, monkeypatch):
-        from repro.engine import engine as engine_module
-
-        monkeypatch.setattr(engine_module, "STATS_REFRESH_UPDATES", 2)
+    def test_refresh_reads_the_history_then_rebuilds(self, buffer):
         engine = self._engine()
         rebuilds = metrics.REGISTRY.counter("optimizer.rebuilds")
         stalls = metrics.REGISTRY.histogram("optimizer.rebuild_ms")
@@ -252,10 +250,15 @@ class TestStatisticsRefreshSpan:
         (tr,) = buffer.recent()
         compile_span = tr.root.children[0]
         assert compile_span.name == "engine.compile"
-        assert compile_span.attrs == {"stats_refresh": "updates"}
+        assert [span.name for span in compile_span.children] == [
+            "optimizer.choose_order"]
+        assert (rebuilds.value, stalls.count) == before
+        with trace.start_trace("refresh", buffer):
+            assert engine.refresh_statistics() is True
+        (tr,) = [t for t in buffer.recent() if t.root.name == "refresh"]
         # The engine keeps no copy of the data to rebuild from: the rows
         # are read back off the SPO tree first, and the trace says so.
-        history, rebuild = compile_span.children
+        history, rebuild = tr.root.children
         assert (history.name, history.attrs) == ("engine.history",
                                                  {"rows": 42})
         assert rebuild.name == "optimizer.rebuild"
