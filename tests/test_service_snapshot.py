@@ -169,6 +169,25 @@ class TestRoundTrip:
         assert (restore_engine(payload, use_optimizer=False).optimizer
                 is None)
 
+    def test_a_histogram_saved_before_writes_kept_it_is_rebuilt(
+            self, engine):
+        """A histogram pickled without the raw size its budget follows
+        (written before writes kept statistics current) is replaced by a
+        rebuild over the restored trees; a current one is kept, and the
+        restored engine keeps maintaining it."""
+        engine.insert("UC", "president", "Michael_Drake", D("08/01/2020"))
+        payload = pickle.loads(pickle.dumps(serialize_engine(engine)))
+        kept = restore_engine(pickle.loads(pickle.dumps(payload)))
+        assert kept.optimizer.statistics.histogram.raw_bytes == (
+            engine.optimizer.statistics.histogram.raw_bytes)
+        del payload["statistics"].raw_bytes
+        restored = restore_engine(payload)
+        rebuilt = restored.optimizer.statistics.histogram
+        assert rebuilt is not payload["statistics"]
+        assert rebuilt.raw_bytes > 0 and rebuilt.total_triples == 9
+        restored.insert("UC", "president", "Carol_Christ", D("08/01/2021"))
+        assert rebuilt.total_triples == 10
+
     def test_statistics_survive_without_rebuild(self, engine, tmp_path):
         engine.query(QUERIES[0])  # force statistics to exist
         histogram = engine.optimizer.statistics.histogram
