@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..cache import LRUCache
 from ..model.dictionary import Dictionary
@@ -17,7 +18,8 @@ from ..model.graph import TemporalGraph
 from ..model.time import MIN_TIME, NOW, PeriodSet
 from ..mvbt.compression import MemoTable
 from ..mvbt.scan import prefix_range, recorded
-from ..mvbt.tree import MVBT, MVBTConfig, change_events, replay
+from ..mvbt.tree import (MVBT, DuplicateKeyError, MVBTConfig, TimeOrderError,
+                         change_events, replay)
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs import workload as _workload
@@ -221,66 +223,84 @@ class RDFTX:
 
     def insert(self, subject: str, predicate: str, object: str,
                time: int) -> None:
-        """Start a new fact at ``time`` (live until deleted).
-
-        A rejected update (:class:`~repro.mvbt.tree.TimeOrderError`,
-        :class:`~repro.mvbt.tree.DuplicateKeyError`) changes nothing: the
-        time order is checked before any term is interned, a duplicate's
-        terms are all interned already, and the first index refuses it
-        before mutating.  Once every index holds the fact, the optimizer
-        statistics record it too (:meth:`TemporalHistogram.insert
-        <repro.mvsbt.histogram.TemporalHistogram.insert>`).
-        """
-        self._check_update_time(time)
-        ids = self._encode(subject, predicate, object)
-        for name, tree in self.indexes.items():
-            tree.insert(_reorder(ids, name), time)
-        histogram = self._histogram()
-        if histogram is not None:
-            term_bytes = sum(len(term.encode())
-                             for term in (subject, predicate, object))
-            histogram.insert(ids["s"], ids["p"], ids["o"], time, term_bytes,
-                             self)
+        """Start a new fact at ``time`` (live until deleted):
+        :meth:`check_update`, which refuses a bad update before anything
+        changes, then :meth:`apply_update`."""
+        ids = self.check_update("insert", subject, predicate, object, time)
+        self.apply_update("insert", subject, predicate, object, time, ids)
 
     def delete(self, subject: str, predicate: str, object: str,
                time: int) -> None:
-        """End a live fact at ``time``; ``KeyError`` (and no change at
-        all, as for :meth:`insert`) when the fact is not live."""
-        self._check_update_time(time)
-        ids = self._lookup(subject, predicate, object)
-        if ids is None:
-            raise KeyError(
-                f"fact not live: ({subject}, {predicate}, {object})"
-            )
-        for name, tree in self.indexes.items():
-            tree.delete(_reorder(ids, name), time)
-        histogram = self._histogram()
-        if histogram is not None:
-            histogram.delete(ids["s"], ids["p"], time, self)
+        """End a live fact at ``time``: :meth:`check_update`, then
+        :meth:`apply_update`.  A delete at the fact's own start chronon
+        ends an entry that was never visible: the fact leaves
+        :meth:`history_rows` and every answer."""
+        ids = self.check_update("delete", subject, predicate, object, time)
+        self.apply_update("delete", subject, predicate, object, time, ids)
 
-    def _check_update_time(self, time: int) -> None:
-        """Reject update timestamps outside the concrete chronon domain or
-        behind any index's watermark, before anything is touched.
+    def check_update(self, op: str, subject: str, predicate: str,
+                     object: str, time: int) -> tuple[int, int, int] | None:
+        """The one write check: refuse an update before anything changes.
 
-        ``NOW`` is the live-interval sentinel: inserting or deleting *at* it
-        would create an entry that is never alive yet counts as live (and a
-        delete at ``NOW`` would decrement live counts while leaving the entry
-        live), silently corrupting the indices.
+        ``ValueError`` for a time outside the concrete chronon domain
+        (``NOW`` is the live-interval sentinel: an entry started or ended
+        at it would count as live and never be) or an unknown ``op``;
+        :class:`~repro.mvbt.tree.TimeOrderError` behind the watermark the
+        three trees share; :class:`~repro.mvbt.tree.DuplicateKeyError` for
+        an insert of a live fact and ``KeyError`` for a delete of one that
+        is not live, by one probe of the SPO tree.  Nothing is interned.
+        Returns the fact's ``(sid, pid, oid)`` for :meth:`apply_update`,
+        or ``None`` when an insert names a term not known yet.
         """
         if not (MIN_TIME <= time < NOW):
             raise ValueError(
                 f"update time {time!r} outside [{MIN_TIME}, NOW)"
             )
-        for tree in self.indexes.values():
-            tree.check_time(time)
+        spo = self.indexes["spo"]
+        if time < spo.current_time:
+            raise TimeOrderError(
+                f"update at {time} before watermark {spo.current_time}"
+            )
+        ids = self._lookup(subject, predicate, object)
+        live = ids is not None and spo.is_live(ids)
+        if op == "insert":
+            if live:
+                raise DuplicateKeyError(
+                    f"fact already live: ({subject}, {predicate}, {object})"
+                )
+        elif op != "delete":
+            raise ValueError(f"unknown operation: {op!r}")
+        elif not live:
+            raise KeyError(
+                f"fact not live: ({subject}, {predicate}, {object})"
+            )
+        return ids
 
-    def _histogram(self):
-        """The optimizer's histogram, when there are statistics to keep
-        current."""
-        optimizer = self.optimizer
-        if optimizer is None or optimizer.statistics is None:
-            return None
-        return optimizer.statistics.histogram
+    def apply_update(self, op: str, subject: str, predicate: str,
+                     object: str, time: int,
+                     ids: tuple[int, int, int] | None) -> None:
+        """Apply an update :meth:`check_update` passed, with the ids it
+        returned: the three trees take it, an insert blind
+        (:meth:`MVBT.append <repro.mvbt.tree.MVBT.append>`, no second
+        probe), then the optimizer statistics record it
+        (:meth:`TemporalHistogram.insert
+        <repro.mvsbt.histogram.TemporalHistogram.insert>`)."""
+        statistics = getattr(self.optimizer, "statistics", None)
+        histogram = None if statistics is None else statistics.histogram
+        if op == "insert":
+            if ids is None:
+                ids = self._encode(subject, predicate, object)
+            for name, tree in self.indexes.items():
+                tree.append(_KEY_ORDER[name](ids), time)
+            if histogram is not None:
+                term_bytes = sum(len(term.encode())
+                                 for term in (subject, predicate, object))
+                histogram.insert(*ids, time, term_bytes, self)
+        else:
+            for name, tree in self.indexes.items():
+                tree.delete(_KEY_ORDER[name](ids), time)
+            if histogram is not None:
+                histogram.delete(ids[0], ids[1], time, self)
 
     def live_predicates(self, sid: int) -> list[int]:
         """The predicate id of each live fact of subject ``sid``: the SPO
@@ -309,25 +329,22 @@ class RDFTX:
         self.optimizer.rebuild_rows(self.dictionary, self.history_rows())
         return True
 
-    def _encode(self, subject: str, predicate: str, object: str):
+    def _encode(self, subject: str, predicate: str,
+                object: str) -> tuple[int, int, int]:
         if self.dictionary is None:
             self.dictionary = Dictionary()
-        return {
-            "s": self.dictionary.encode(subject),
-            "p": self.dictionary.encode(predicate),
-            "o": self.dictionary.encode(object),
-        }
+        encode = self.dictionary.encode
+        return encode(subject), encode(predicate), encode(object)
 
     def _lookup(self, subject: str, predicate: str,
-                object: str) -> dict | None:
+                object: str) -> tuple[int, int, int] | None:
         """:meth:`_encode` without interning: None when a term is unknown
         (so it cannot be part of any fact)."""
         if self.dictionary is None:
             return None
         lookup = self.dictionary.lookup
-        ids = {"s": lookup(subject), "p": lookup(predicate),
-               "o": lookup(object)}
-        return None if None in ids.values() else ids
+        ids = lookup(subject), lookup(predicate), lookup(object)
+        return None if None in ids else ids
 
     # -------------------------------------------------------------- history
 
@@ -338,17 +355,7 @@ class RDFTX:
         ids = self._lookup(subject, predicate, object)
         if ids is None:
             return None
-        return self.indexes["spo"].live_start(_reorder(ids, "spo"))
-
-    def live_entry_since(self, subject: str, predicate: str,
-                         object: str) -> int | None:
-        """:meth:`live_since` as the fact's live entry holds it: a
-        version-split copy's start is the split, never before the true
-        start, and reading it walks back through no leaf."""
-        ids = self._lookup(subject, predicate, object)
-        if ids is None:
-            return None
-        return self.indexes["spo"].live_entry_start(_reorder(ids, "spo"))
+        return self.indexes["spo"].live_start(ids)
 
     def history_rows(self) -> list[tuple[int, int, int, int, int]]:
         """Every ``(sid, pid, oid, start, end)`` interval of the indexed
@@ -569,8 +576,11 @@ class RDFTX:
             tree.check_invariants()
 
 
-def _reorder(ids: dict, order_name: str):
-    return tuple(ids[letter] for letter in INDEX_ORDERS[order_name])
+#: ``(sid, pid, oid)`` to each tree's key order.
+_KEY_ORDER = {
+    name: itemgetter(*("spo".index(slot) for slot in order))
+    for name, order in INDEX_ORDERS.items()
+}
 
 
 def _by_example(select: list[str], subject: str, predicate: str | None,

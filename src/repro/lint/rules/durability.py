@@ -21,6 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Calls that apply an update to the in-memory engine.
 APPLY_CALLS = frozenset({
     "self._apply", "self.engine.insert", "self.engine.delete",
+    "self.engine.apply_update",
 })
 
 

@@ -31,7 +31,7 @@ BLOCKING_BUILTINS = frozenset({"open", "input"})
 RW_GUARDS = frozenset({"write_locked", "read_locked"})
 
 #: ``self.engine`` methods that mutate multiversion state.
-MUTATING_ENGINE_CALLS = frozenset({"insert", "delete", "load"})
+MUTATING_ENGINE_CALLS = frozenset({"insert", "delete", "apply_update", "load"})
 
 #: ``self.<attr>`` assignments that change the reader-visible store state.
 GUARDED_ATTRS = frozenset({"engine", "_revision"})

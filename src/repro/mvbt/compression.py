@@ -613,8 +613,9 @@ class CompressedLeafStore:
     start version, record ordinal) per live entry in buffer order, and a
     restart mark (a byte offset) every :data:`MARK_EVERY` records — handed
     over by the split that packed the leaf (:meth:`index`) or built by one
-    decode walk on the first write after a load or restore, kept current
-    by :meth:`append` and :meth:`end_live`, dropped by :meth:`seal`.  The
+    decode walk on the first search after a load or restore (an append
+    to a leaf without one leaves it unbuilt), kept current by
+    :meth:`append` and :meth:`end_live`, dropped by :meth:`seal`.  The
     index is derived from the bytes: never serialized, not part of
     :meth:`sizeof`.  A hot store is charged to ``memo``, its tree's
     :class:`MemoTable` (None: standalone, never memoized).
@@ -891,7 +892,7 @@ class CompressedLeafStore:
 
     def live_start(self, key: Key) -> int | None:
         """Start version of the live ``key`` entry, or ``None``: the probe
-        of :meth:`has_live` (the service's update validation)."""
+        of :meth:`has_live` (the engine's write check)."""
         at = self._find(key)
         return None if at < 0 else _INDEX.unpack_from(self._live, at)[3]
 

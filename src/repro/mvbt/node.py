@@ -348,7 +348,9 @@ class LeafNode(_NodeBase):
         return store.count
 
     def append(self, entry: LeafEntry) -> None:
-        """Append a fresh entry (entries arrive in nondecreasing start)."""
+        """Append a fresh entry (entries arrive in nondecreasing start),
+        probing for no duplicate: the blind write of :meth:`MVBT.append
+        <repro.mvbt.tree.MVBT.append>` and of a restore."""
         if self._store is not None:
             self._store.append(entry)
         else:

@@ -165,15 +165,33 @@ class MVBT:
         if end != NOW:
             self.delete(key, end)
 
-    def check_time(self, time: int) -> None:
-        """Raise :class:`TimeOrderError` for an operation time behind the
-        watermark (operations arrive in nondecreasing time order)."""
-        if time < self._now:
-            raise TimeOrderError(
-                f"operation at {time} after watermark {self._now}"
-            )
+    def append(self, key: Key, time: int) -> None:
+        """Insert ``key`` at version ``time`` blind: no time-order check
+        and no duplicate probe, just :meth:`LeafNode.append` (a packed
+        leaf's codec still refuses a key it cannot hold before anything
+        changes).  Only :meth:`RDFTX.apply_update
+        <repro.engine.engine.RDFTX.apply_update>` calls it, once the
+        engine's one write check has passed; :meth:`insert` is the
+        checked write."""
+        leaf = self._leaf(key)
+        leaf.append(LeafEntry(key, time, NOW, None))
+        self._now = time
+        self._live_records += 1
+        self._total_versions += 1
+        if _metrics.ENABLED:
+            _INSERTS.inc()
+        if leaf.count > self.config.block_capacity:
+            self._restructure(self._descend(key), time)
 
     # ------------------------------------------------------------- descent
+
+    def _leaf(self, key: Key) -> LeafNode:
+        """The live leaf owning ``key``: :meth:`_descend`, recording no
+        path."""
+        node = self.live_root
+        while not node.is_leaf:
+            node = node.route(key, self._now)
+        return node
 
     def _descend(self, key: Key) -> list[Node]:
         """Live path from the live root to the live leaf owning ``key``."""
@@ -369,12 +387,10 @@ class MVBT:
         """Storage-layout size of the whole forest in bytes."""
         return sum(node.sizeof() for node in self.iter_nodes())
 
-    def live_entry_start(self, key: Key) -> int | None:
-        """Start version of ``key``'s live entry as its leaf holds it, or
-        ``None`` when the key is not live: one descent plus the leaf's
-        live-key probe.  A version-split copy's is the split, which is
-        never before the key's true start (:meth:`live_start`)."""
-        return self._descend(key)[-1].live_start(key)
+    def is_live(self, key: Key) -> bool:
+        """Whether ``key`` has a live entry: one descent plus the leaf's
+        live-key probe."""
+        return self._leaf(key).live_start(key) is not None
 
     def live_start(self, key: Key) -> int | None:
         """Start version of ``key``'s live entry, or ``None`` when the key
@@ -388,7 +404,7 @@ class MVBT:
         copy and stops the walk.  Copies in trees restored from older
         snapshots keep their raw start, which ends the walk at once.
         """
-        leaf = self._descend(key)[-1]
+        leaf = self._leaf(key)
         start = leaf.live_start(key)
         if start != leaf.start:
             return start

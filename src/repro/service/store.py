@@ -13,9 +13,10 @@ library into a long-running service:
   epoch (the last applied LSN) they started at.  This leans on the MVBT's
   multiversion structure: structure changes never destroy old entries, so
   a reader at revision *r* keeps seeing exactly the state at *r*.
-* **Admission of bad updates** — updates are validated against the SPO
-  index before logging, so the WAL stays free of no-op records
-  (duplicate inserts, deletes of dead facts, time-order violations).
+* **Admission of bad updates** — the engine's one write check
+  (:meth:`~repro.engine.RDFTX.check_update`) runs before logging, so the
+  WAL stays free of records that cannot apply (duplicate inserts, deletes
+  of dead facts, time-order violations).
 
 Checkpoints run while readers continue (only writers pause): the engine is
 immutable while the writer mutex is held, which is all serialization needs.
@@ -29,7 +30,6 @@ from pathlib import Path
 
 from ..engine.engine import RDFTX, QueryResult
 from ..model.graph import TemporalGraph
-from ..model.time import MIN_TIME, NOW
 from ..mvbt.tree import DuplicateKeyError, MVBTConfig, TimeOrderError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -150,9 +150,11 @@ class TemporalStore:
         for record in self._wal.recovered:
             if record.lsn <= snapshot_lsn:
                 continue
+            update = (record.op, record.subject, record.predicate,
+                      record.object, record.time)
             try:
-                self._apply(record.op, record.subject, record.predicate,
-                            record.object, record.time)
+                self.engine.apply_update(
+                    *update, self.engine.check_update(*update))
             except (DuplicateKeyError, TimeOrderError, KeyError, ValueError):
                 if _metrics.ENABLED:
                     _REPLAY_SKIPPED.inc()
@@ -225,15 +227,7 @@ class TemporalStore:
             try:
                 if self._closed:
                     raise StoreError("store is closed")
-                self._validate(op, subject, predicate, object, time)
-                # WAL first: once append returns, the update survives a
-                # process kill (and a machine crash after the group
-                # commit).
-                lsn = self._wal.append(op, subject, predicate, object, time)
-                self._note_append_time(lsn)
-                with self._rw.write_locked():
-                    self._apply(op, subject, predicate, object, time)
-                    self._revision = lsn
+                lsn = self._commit(op, subject, predicate, object, time)
                 # After the revision bump: a concurrent reader that misses
                 # here re-executes; one that hit just before served the
                 # older revision it was pinned to.  Cleared outside the RW
@@ -241,9 +235,6 @@ class TemporalStore:
                 # tags), the clear only reclaims capacity.
                 if self._query_cache is not None:
                     self._query_cache.invalidate()
-                self._since_checkpoint += 1
-                if _metrics.ENABLED:
-                    _UPDATES.inc()
             finally:
                 self._writer.release()
         if _metrics.ENABLED:
@@ -255,52 +246,26 @@ class TemporalStore:
             self.checkpoint()
         return lsn
 
-    def _validate(self, op: str, subject: str, predicate: str, object: str,
-                  time: int) -> None:
-        if not (MIN_TIME <= time < NOW):
-            raise ValueError(f"update time {time!r} outside [{MIN_TIME}, NOW)")
-        watermark = max(
-            tree.current_time for tree in self.engine.indexes.values()
-        )
-        if time < watermark:
-            raise TimeOrderError(
-                f"update at {time} before watermark {watermark}"
-            )
-        live_since = self.engine.live_entry_since(subject, predicate, object)
-        if op == "insert":
-            if live_since is not None:
-                raise DuplicateKeyError(
-                    f"fact already live: ({subject}, {predicate}, {object})"
-                )
-        elif op == "delete":
-            if live_since is None:
-                raise KeyError(
-                    f"fact not live: ({subject}, {predicate}, {object})"
-                )
-            # The live entry's own start is never before the fact's true
-            # start, nor after the watermark: only a delete at a
-            # version-split copy's start (the split) needs the true one,
-            # which walks back through the split leaves.
-            if time <= live_since:
-                live_since = self.engine.live_since(subject, predicate,
-                                                    object)
-            if time <= live_since:
-                raise TimeOrderError(
-                    f"delete at {time} not after the fact's start "
-                    f"{live_since}"
-                )
-        else:
-            raise ValueError(f"unknown operation: {op!r}")
-
-    @requires_writer_lock
-    def _apply(self, op: str, subject: str, predicate: str, object: str,
-               time: int) -> None:
-        if op == "insert":
-            self.engine.insert(subject, predicate, object, time)
-        elif op == "delete":
-            self.engine.delete(subject, predicate, object, time)
-        else:
-            raise ValueError(f"unknown operation: {op!r}")
+    def _commit(self, op: str, subject: str, predicate: str, object: str,
+                time: int) -> int:
+        """Check, log and apply one update (callers hold ``_writer``);
+        returns its LSN.  The engine's write check
+        (:meth:`RDFTX.check_update`) runs before the WAL append, so a
+        refused update is never logged, and the apply takes the ids it
+        found."""
+        ids = self.engine.check_update(op, subject, predicate, object, time)
+        # WAL first: once append returns, the update survives a process
+        # kill (and a machine crash after the group commit).
+        lsn = self._wal.append(op, subject, predicate, object, time)
+        self._note_append_time(lsn)
+        with self._rw.write_locked():
+            self.engine.apply_update(op, subject, predicate, object, time,
+                                     ids)
+            self._revision = lsn
+        self._since_checkpoint += 1
+        if _metrics.ENABLED:
+            _UPDATES.inc()
+        return lsn
 
     def sync(self) -> None:
         """Force the WAL's pending group to stable storage."""
@@ -339,13 +304,15 @@ class TemporalStore:
     def apply_replicated(self, record) -> None:
         """Apply one shipped WAL record on a follower.
 
-        The follower re-logs the record into its *own* WAL (log before
-        apply, same as the primary) so its snapshot + WAL stack recovers
-        independently.  Records at or below the current revision are
-        skipped (idempotent re-delivery); a record that would *skip* an
-        LSN raises :class:`StoreError` — the follower missed records
-        (e.g. the primary checkpointed and truncated its log) and must
-        resync from a snapshot instead of silently diverging.
+        The follower checks the record and re-logs it into its *own* WAL
+        before applying it, as the primary did (:meth:`_commit`), so its
+        snapshot + WAL stack recovers independently and a record that
+        does not apply here is refused unlogged.  Records at or below the
+        current revision are skipped (idempotent re-delivery); a record
+        that would *skip* an LSN raises :class:`StoreError` — the
+        follower missed records (e.g. the primary checkpointed and
+        truncated its log) and must resync from a snapshot instead of
+        silently diverging.
         """
         with self._writer:
             if self._closed:
@@ -357,16 +324,8 @@ class TemporalStore:
                     f"replication gap: expected LSN {self._wal.next_lsn}, "
                     f"got {record.lsn}; resync from snapshot"
                 )
-            self._wal.append(record.op, record.subject, record.predicate,
-                             record.object, record.time)
-            self._note_append_time(record.lsn)
-            with self._rw.write_locked():
-                self._apply(record.op, record.subject, record.predicate,
-                            record.object, record.time)
-                self._revision = record.lsn
-            self._since_checkpoint += 1
-            if _metrics.ENABLED:
-                _UPDATES.inc()
+            self._commit(record.op, record.subject, record.predicate,
+                         record.object, record.time)
 
     # -------------------------------------------------------------- queries
 

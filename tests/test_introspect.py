@@ -47,7 +47,9 @@ def test_process_helpers():
 
 
 def test_tree_report_structure(engine):
-    engine.insert("s0", "p0", "fresh", 20)  # a write builds a live index
+    # The write check's probe of SPO builds a live index (a fact naming
+    # a new term is not probed, and the trees write it blind).
+    engine.insert("s0", "p0", "o1", 20)
     report = tree_report(engine.indexes["spo"])
     assert report["depth"] >= 1
     assert report["nodes"] >= report["leaves"] >= 1

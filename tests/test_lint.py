@@ -127,24 +127,28 @@ SEEDED_REGRESSIONS = {
     # a race no test orders.
     "RL002": (
         "src/repro/service/store.py",
-        "                    self._apply(op, subject, predicate, object, time)\n"
-        "                    self._revision = lsn\n",
-        "                    self._apply(op, subject, predicate, object, time)\n"
-        "                self._revision = lsn\n",
+        "            self.engine.apply_update(op, subject, predicate, object, time,\n"
+        "                                     ids)\n"
+        "            self._revision = lsn\n",
+        "            self.engine.apply_update(op, subject, predicate, object, time,\n"
+        "                                     ids)\n"
+        "        self._revision = lsn\n",
     ),
     # Apply before the WAL append: loses an update only on a crash
     # between the two.
     "RL003": (
         "src/repro/service/store.py",
-        "                lsn = self._wal.append(op, subject, predicate, object, time)\n"
-        "                self._note_append_time(lsn)\n"
-        "                with self._rw.write_locked():\n"
-        "                    self._apply(op, subject, predicate, object, time)\n",
-        "                with self._rw.write_locked():\n"
-        "                    self._apply(op, subject, predicate, object, time)\n"
-        "                lsn = self._wal.append(op, subject, predicate, object, time)\n"
-        "                self._note_append_time(lsn)\n"
-        "                with self._rw.write_locked():\n",
+        "        lsn = self._wal.append(op, subject, predicate, object, time)\n"
+        "        self._note_append_time(lsn)\n"
+        "        with self._rw.write_locked():\n"
+        "            self.engine.apply_update(op, subject, predicate, object, time,\n"
+        "                                     ids)\n",
+        "        with self._rw.write_locked():\n"
+        "            self.engine.apply_update(op, subject, predicate, object, time,\n"
+        "                                     ids)\n"
+        "        lsn = self._wal.append(op, subject, predicate, object, time)\n"
+        "        self._note_append_time(lsn)\n"
+        "        with self._rw.write_locked():\n",
     ),
     # A failed restructure reopens the deleted entry (te back to NOW,
     # the leaf's live index left stale), on a path no test takes.

@@ -7,6 +7,7 @@ query suite identically to an uncrashed in-process run of the same stream.
 """
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -173,12 +174,15 @@ class TestValidation:
             with pytest.raises(KeyError):
                 store.delete("ghost", "b", "c", D("01/01/2016"))
 
-    def test_delete_not_after_start_rejected(self, tmp_path):
+    def test_delete_at_the_start_is_accepted_and_leaves_no_row(
+            self, tmp_path):
+        """The engine's rule: an entry ended at its own start was never
+        visible (tests/test_write_check.py holds it on every API)."""
         with TemporalStore(tmp_path) as store:
             t = D("01/01/2016")
             store.insert("a", "b", "c", t)
-            with pytest.raises(TimeOrderError):
-                store.delete("a", "b", "c", t)
+            assert store.delete("a", "b", "c", t) == store.revision == 2
+            assert store.engine.history_rows() == []
 
     def test_update_before_watermark_rejected(self, tmp_path):
         with TemporalStore(tmp_path) as store:
@@ -188,17 +192,24 @@ class TestValidation:
 
     def test_rejections_say_what_they_said_and_leave_no_trace(self,
                                                                tmp_path):
-        """Validation reads the SPO index (it used to read a maintained
-        copy of the data): same exception types and messages, and a
-        refused update moves neither the revision, the WAL nor the index."""
+        """The engine's write check reads the SPO index (it used to read a
+        maintained copy of the data): same exception types and messages,
+        and a refused update moves neither the revision, the WAL, the
+        index nor the statistics."""
         t = D("01/01/2016")
         with TemporalStore(tmp_path) as store:
             store.load_dataset(fixture_graph())
             store.insert("a", "b", "c", t)
             store.insert("d", "e", "f", t + 5)
             store.delete("d", "e", "f", t + 6)
-            before = (store.revision, store._wal.size_bytes,
-                      store.engine.sizeof(), store.engine.history_rows())
+
+            def state():
+                return (store.revision, store._wal.size_bytes,
+                        store.engine.sizeof(), store.engine.history_rows(),
+                        pickle.dumps(
+                            store.engine.optimizer.statistics.histogram))
+
+            before = state()
             for op, fact, time, error, message in [
                 ("insert", ("a", "b", "c"), t + 9, DuplicateKeyError,
                  "fact already live: (a, b, c)"),
@@ -218,17 +229,12 @@ class TestValidation:
                 with pytest.raises(error) as raised:
                     getattr(store, op)(*fact, time)
                 assert raised.value.args == (message,)
-            assert before == (store.revision, store._wal.size_bytes,
-                              store.engine.sizeof(),
-                              store.engine.history_rows())
-            # "at or before the live start" is reachable only at the
-            # watermark itself: the fact just inserted, ended at once.
+            assert state() == before
+            # A delete at the fact's own start is no refusal: the fact
+            # just inserted, ended at once, leaves no row.
             store.insert("g", "h", "i", t + 6)
-            with pytest.raises(TimeOrderError) as raised:
-                store.delete("g", "h", "i", t + 6)
-            assert raised.value.args == (
-                f"delete at {t + 6} not after the fact's start {t + 6}",
-            )
+            store.delete("g", "h", "i", t + 6)
+            assert store.engine.history_rows() == before[3]
 
     @staticmethod
     def _split_at(store, chronon: int) -> None:
@@ -273,16 +279,16 @@ class TestValidation:
             assert store.engine.live_since("s0", "p", "o") is None
             assert store.engine.live_since("s1", "p", "o") == 1003
 
-    def test_a_delete_at_the_split_needs_the_true_start(self, tmp_path):
+    def test_deletes_at_the_split_keep_each_true_start(self, tmp_path):
         """At the split chronon a copy and a fact inserted there both start
-        at the leaf's birth: only the copy started before."""
+        at the leaf's birth: deleting the fact leaves no row, deleting the
+        copy ends the row that starts where the fact did."""
         with TemporalStore(tmp_path, config=small_blocks(8),
                            fsync=False) as store:
             self._split_at(store, 1010)
-            with pytest.raises(TimeOrderError) as raised:
-                store.delete("s8", "p", "o", 1010)
-            assert raised.value.args == (
-                "delete at 1010 not after the fact's start 1010",)
+            store.delete("s8", "p", "o", 1010)
+            assert store.engine.dictionary.encode("s8") not in [
+                row[0] for row in store.engine.history_rows()]
             store.delete("s0", "p", "o", 1010)
             assert [row[3:] for row in store.engine.history_rows()
                     if row[0] == store.engine.dictionary.encode("s0")] == [
