@@ -6,8 +6,8 @@ throughput tops out near one core.  This package scales *out* instead of
 up, on one box or many:
 
 * :mod:`repro.cluster.planner` — hash-partitions triples on subject
-  across N shared-nothing shards (predicate fallback for unbound-subject
-  patterns), deterministically (``crc32``, never the salted ``hash()``).
+  across N shared-nothing shards, deterministically (``crc32``, never the
+  salted ``hash()``), and routes each subject star by its subject alone.
 * :mod:`repro.cluster.protocol` — the coordinator <-> worker wire,
   defined once: length-prefixed JSON frames, one request and one reply
   dataclass per op, one codec, one ``kind`` <-> exception table.

@@ -58,7 +58,7 @@ from . import executor as _dist
 from . import protocol
 from .client import ShardClient
 from .membership import Member, Membership
-from .planner import ShardPlanner
+from .planner import ShardPlanner, shard_of
 from .protocol import ProtocolError
 from .telemetry import ClusterTelemetry
 
@@ -122,7 +122,7 @@ class ClusterStore(ClusterTelemetry):
         super().__init__()
         try:
             self._membership.start()
-            self._bootstrap_watermarks()
+            self._read_status()
         except BaseException:
             # The caller never gets an object to close(): stop whatever
             # did start.  Nothing has been written yet, so a worker needs
@@ -131,22 +131,9 @@ class ClusterStore(ClusterTelemetry):
             self.close()
             raise
 
-    def _bootstrap_watermarks(self) -> None:
-        """Adopt revision/time state from pre-existing shard directories.
-
-        Also rebuilds the planner's predicate map from shard-side
-        inventories: a restarted coordinator starts with an incomplete
-        map (which must broadcast), and only this rebuild makes
-        predicate pruning sound again over pre-loaded data.
-        """
-        self._read_status()
-        self.planner.rebuild_predicate_map([
-            member.primary.rpc(protocol.Predicates()).predicates
-            for member in self._membership.members
-        ])
-
     def _read_status(self) -> None:
-        """Adopt every primary's revision and horizon."""
+        """Adopt every primary's revision and horizon (at start-up, over
+        pre-existing shard directories too, and after a bulk load)."""
         self._watermark = 0
         self._time_watermark = MIN_TIME
         self._horizon = 1
@@ -242,7 +229,7 @@ class ClusterStore(ClusterTelemetry):
                     f"update at {time} before cluster watermark "
                     f"{self._time_watermark}"
                 )
-            shard_id = self.planner.note_write(subject, predicate)
+            shard_id = shard_of(subject, self.planner.shards)
             member = self._membership.members[shard_id]
             # trace_id rides along inside ShardClient.rpc when tracing.
             update = protocol.Update(
@@ -363,7 +350,6 @@ class ClusterStore(ClusterTelemetry):
                 # A load moves no watermark: the generation bump does.
                 if self._query_cache is not None:
                     self._query_cache.invalidate()
-        # The partition made the predicate map complete: no inventory.
         self._read_status()
 
     # ---------------------------------------------------------- maintenance

@@ -4,10 +4,10 @@ Shards partition on subject, so the unit a shard answers alone is the
 *subject star*: the quad patterns that share one subject term.  Every
 binding of a star lives on the shards
 :meth:`~repro.cluster.planner.ShardPlanner.star_shards` names for it (a
-constant subject's owner, or the shards the predicate map allows a
-variable subject), and each of them evaluates it with its full engine,
-plan cache and optimizer included.  A star costs one RPC per shard; the
-coordinator unions the answers.
+constant subject's owner, or every shard for a variable subject), and
+each of them evaluates it with its full engine, plan cache and optimizer
+included.  A star costs one RPC per shard; the coordinator unions the
+answers.
 
 * A query whose quad patterns, base, UNION and OPTIONAL alike, form one
   star goes to the star's shards as written.  A 1-shard cluster routes

@@ -297,12 +297,6 @@ class RefreshStatsReply(Reply):
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
-class PredicatesReply(Reply):
-    """Every predicate this member holds a fact for."""
-    predicates: list[str]
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
 class MetricsReply(Reply):
     """A metrics registry snapshot plus the replica-lag inputs."""
     #: False (with empty ``metrics``) under REPRO_OBS=0.
@@ -394,12 +388,6 @@ class Checkpoint(Request[RevisionReply]):
 class RefreshStats(Request[RefreshStatsReply]):
     """Rebuild the optimizer's statistics now."""
     op: ClassVar[str] = "refresh_stats"
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class Predicates(Request[PredicatesReply]):
-    """This member's predicate inventory (rebuilds the routing map)."""
-    op: ClassVar[str] = "predicates"
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -507,7 +495,11 @@ WIRE_ERRORS = tuple(cls for _, _, caught in ERRORS for cls in caught)
 
 def error_to_wire(error: Exception) -> dict[str, Any]:
     kind = next(k for k, _, caught in ERRORS if isinstance(error, caught))
-    return {"ok": False, "error": str(error), "kind": kind}
+    message = str(error)
+    if isinstance(error, KeyError) and len(error.args) == 1:
+        # str() of a KeyError quotes its key: send the message itself.
+        message = str(error.args[0])
+    return {"ok": False, "error": message, "kind": kind}
 
 
 def error_from_wire(wire: dict[str, Any]) -> Exception:

@@ -415,13 +415,6 @@ def _op_refresh_stats(
         refreshed=state.store.refresh_statistics())
 
 
-def _op_predicates(state: _WorkerState,
-                   request: protocol.Predicates) -> protocol.PredicatesReply:
-    """This member's predicate inventory (coordinator bootstrap uses it
-    to rebuild the planner's routing map over pre-existing data)."""
-    return protocol.PredicatesReply(predicates=state.store.predicates())
-
-
 def _op_metrics(state: _WorkerState,
                 request: protocol.Metrics) -> protocol.MetricsReply:
     """This member's registry snapshot, for the federation collector.
@@ -458,7 +451,6 @@ _HANDLERS = {
     protocol.Promote: _op_promote,
     protocol.Checkpoint: _op_checkpoint,
     protocol.RefreshStats: _op_refresh_stats,
-    protocol.Predicates: _op_predicates,
     protocol.Metrics: _op_metrics,
     protocol.Events: _op_events,
 }

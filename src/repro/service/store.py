@@ -392,24 +392,6 @@ class TemporalStore:
     def live_facts(self) -> int:
         return self.engine.indexes["spo"].live_records
 
-    def predicates(self) -> list[str]:
-        """Distinct predicate terms present at any time, sorted.
-
-        The cluster coordinator rebuilds its predicate routing map from
-        this inventory when it starts over existing shard directories.
-        The ids come off the SPO leaves' keys, with no interval stitching
-        (a fact inserted and ended within one chronon still names its
-        predicate: routing then asks a shard more, never fewer).  Runs
-        under the read lock so the walk cannot race a concurrent update.
-        """
-        with self._rw.read_locked():
-            pids = {
-                key[1]
-                for leaf in self.engine.indexes["spo"].leaf_nodes()
-                for key, _, _ in leaf.rows()
-            }
-        return sorted(map(self.engine.dictionary.decode, pids))
-
     @property
     def cached_results(self) -> int | None:
         """Entries currently in the result cache (None when disabled)."""

@@ -8,7 +8,7 @@ Filter conjuncts interact with temporal variables in two ways:
   ``YEAR/MONTH/DAY(?t) op n`` *restrict* the point set: the surviving binding
   contains exactly the chronons satisfying the condition (Example 2: the
   budget valid in 2013 binds ``?t`` to the 2013 portion of its validity).
-* **Predicates** — everything else (``LENGTH``, ``TOTAL_LENGTH``, ``TSTART``,
+* **Conditions** — everything else (``LENGTH``, ``TOTAL_LENGTH``, ``TSTART``,
   ``TEND`` comparisons, disjunctions, negations, non-temporal comparisons)
   evaluates to a boolean on the *restricted* binding.
 

@@ -315,6 +315,21 @@ class TestClusterUpdates:
                 [(s0, "a"), (s1, "b"), (s0, "x")]
             )
 
+    def test_a_refused_delete_reads_as_the_stores(self, tmp_path):
+        """A refusal crosses the wire with the store's own message: the
+        cluster's KeyError carries the same args, not a quoted copy."""
+        with TemporalStore(tmp_path / "one", fsync=False) as store, \
+                ClusterStore(tmp_path / "clu", shards=2,
+                             fsync=False) as cluster:
+            refusals = []
+            for target in (store, cluster):
+                target.insert("s1", "p", "o", 1000)
+                with pytest.raises(KeyError) as refused:
+                    target.delete("s1", "ghost", "o", 1001)
+                refusals.append(refused.value.args)
+        assert refusals[1] == refusals[0] == (
+            "fact not live: (s1, ghost, o)",)
+
     def test_parsed_union_query_matches_text(self, tmp_path):
         """A pre-parsed UNION/OPTIONAL query is rendered back to text at
         entry, so one whose subjects are one constant is forwarded whole
@@ -847,22 +862,38 @@ class TestClusterLoad:
     def test_a_load_asks_for_status_and_no_predicate_inventory(
         self, tmp_path, graph, query_mix, monkeypatch
     ):
-        """The partition completes the predicate map, so a load re-reads
-        each primary's status only; the inventory a restart would rebuild
-        the map from names the same shards."""
+        """Routing needs no inventory of the loaded data, so a load
+        re-reads each primary's status only."""
         with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
             log = self._log_rpcs(monkeypatch)
             cluster.load_dataset(graph)
             started = [op for edge, op in log if edge == "start"]
-            assert "predicates" not in started
-            assert started.count("status") == 2
+            assert sorted(started) == ["load", "load", "status", "status"]
             assert cluster.revision == 0
-            loaded = cluster.planner.predicate_map
-            assert cluster.planner.predicate_map_complete and loaded
-            cluster._bootstrap_watermarks()
-            assert cluster.planner.predicate_map == loaded
             assert len(cluster.query(query_mix[0]).rows) > 0
+
+    def test_a_restart_asks_each_primary_for_status_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """A coordinator restarted over existing shard directories sends
+        one ``status`` per primary at start-up, and no other op: routing
+        by subject needs nothing else from the shards."""
+        s0 = _subject_on_shard(0, 2)
+        s1 = _subject_on_shard(1, 2, start=10_000)
+        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+                          fsync=False) as cluster:
+            cluster.insert(s0, "p", "a", 1000)
+            cluster.insert(s1, "p", "b", 1001)
+        log = self._log_rpcs(monkeypatch)
+        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+                          fsync=False) as cluster:
+            started = [op for edge, op in log if edge == "start"]
+            assert started == ["status", "status"]
+            assert cluster.revision == 2
+            result = cluster.query("SELECT ?s ?o {?s p ?o ?t}")
+            assert sorted((r["s"], r["o"]) for r in result.rows) == sorted(
+                [(s0, "a"), (s1, "b")])
 
     def test_first_error_is_raised_after_every_load_was_joined(
         self, tmp_path, graph, monkeypatch
@@ -1150,13 +1181,13 @@ class TestClusterBringUp:
         real_rpc = ShardClient.rpc
 
         def rpc(self, request, timeout=None):
-            if isinstance(request, protocol.Predicates):
-                raise StoreError("inventory unavailable")
+            if isinstance(request, protocol.Status):
+                raise StoreError("status unavailable")
             return real_rpc(self, request, timeout=timeout)
 
         monkeypatch.setattr(ShardClient, "rpc", rpc)
         events.EVENTS.clear()
-        with pytest.raises(StoreError, match="inventory unavailable"):
+        with pytest.raises(StoreError, match="status unavailable"):
             ClusterStore(tmp_path / "clu", shards=2, replicas=1,
                          fsync=False)
         _assert_reaped(_started_pids())

@@ -33,6 +33,10 @@ def _graph(rows):
     return graph
 
 
+def _one(pattern: QuadPattern) -> GroupGraphPattern:
+    return GroupGraphPattern(patterns=[pattern])
+
+
 class TestShardOf:
     @given(TERMS, st.integers(min_value=1, max_value=64))
     def test_in_range(self, term, shards):
@@ -114,14 +118,13 @@ class TestPartitionDeterminism:
         planner.partition(_graph(rows))
         clone = pickle.loads(pickle.dumps(planner))
         assert clone.shards == planner.shards
-        assert clone.predicate_map == planner.predicate_map
         for s, p, _o in rows:
-            pattern = QuadPattern(
-                Var("s"), TermConst(p), Var("o"), Var("t")
-            )
-            assert (clone.shards_for_pattern(pattern)
-                    == planner.shards_for_pattern(pattern))
-            assert clone.note_write(s, p) == planner.note_write(s, p)
+            for pattern in (QuadPattern(TermConst(s), TermConst(p),
+                                        Var("o"), Var("t")),
+                            QuadPattern(Var("s"), TermConst(p),
+                                        Var("o"), Var("t"))):
+                assert (clone.star_shards(_one(pattern))
+                        == planner.star_shards(_one(pattern)))
 
 
 class TestRouting:
@@ -130,69 +133,19 @@ class TestRouting:
         pattern = QuadPattern(
             TermConst("p3"), Var("p"), Var("o"), Var("t")
         )
-        assert planner.shards_for_pattern(pattern) == [shard_of("p3", 4)]
-
-    def test_bound_predicate_prunes_to_known_owners(self):
-        planner = ShardPlanner(4)
-        planner.partition(_graph([("a", "livesIn", "x"),
-                                  ("b", "worksAt", "y")]))
-        pattern = QuadPattern(
-            Var("s"), TermConst("livesIn"), Var("o"), Var("t")
-        )
-        assert planner.shards_for_pattern(pattern) == [shard_of("a", 4)]
+        assert planner.star_shards(_one(pattern)) == [shard_of("p3", 4)]
 
     def test_unknown_predicate_broadcasts(self):
         planner = ShardPlanner(4)
         pattern = QuadPattern(
             Var("s"), TermConst("never-seen"), Var("o"), Var("t")
         )
-        assert planner.shards_for_pattern(pattern) == [0, 1, 2, 3]
+        assert planner.star_shards(_one(pattern)) == [0, 1, 2, 3]
 
     def test_unbound_everything_broadcasts(self):
         planner = ShardPlanner(3)
         pattern = QuadPattern(Var("s"), Var("p"), Var("o"), Var("t"))
-        assert planner.shards_for_pattern(pattern) == [0, 1, 2]
-
-    def test_note_write_extends_predicate_map(self):
-        planner = ShardPlanner(4)
-        shard = planner.note_write("subj", "pred")
-        assert shard == shard_of("subj", 4)
-        assert planner.predicate_map["pred"] == [shard]
-
-    def test_incomplete_map_never_prunes(self):
-        # The restart scenario: a fresh planner over pre-loaded shard
-        # directories sees a first write of predicate P and must NOT
-        # route P-bound patterns to that one shard — pre-loaded P
-        # triples may live anywhere.
-        planner = ShardPlanner(4)
-        planner.note_write("subj", "pred")
-        pattern = QuadPattern(
-            Var("s"), TermConst("pred"), Var("o"), Var("t")
-        )
-        assert planner.shards_for_pattern(pattern) == [0, 1, 2, 3]
-
-    def test_rebuild_predicate_map_enables_pruning(self):
-        planner = ShardPlanner(4)
-        planner.rebuild_predicate_map(
-            [["livesIn"], [], ["livesIn", "worksAt"], []]
-        )
-        lives = QuadPattern(
-            Var("s"), TermConst("livesIn"), Var("o"), Var("t")
-        )
-        works = QuadPattern(
-            Var("s"), TermConst("worksAt"), Var("o"), Var("t")
-        )
-        assert planner.shards_for_pattern(lives) == [0, 2]
-        assert planner.shards_for_pattern(works) == [2]
-
-    def test_rebuild_rejects_wrong_inventory_count(self):
-        planner = ShardPlanner(4)
-        try:
-            planner.rebuild_predicate_map([["p"]])
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("expected ValueError")
+        assert planner.star_shards(_one(pattern)) == [0, 1, 2]
 
 
 def _group(text: str) -> GroupGraphPattern:
@@ -207,15 +160,6 @@ def _subjects_on(shard: int, shards: int, count: int) -> list[str]:
 class TestStarShards:
     """Which shards answer a whole query: the subject-star rule."""
 
-    @staticmethod
-    def _mapped() -> ShardPlanner:
-        planner = ShardPlanner(4)
-        planner.rebuild_predicate_map(
-            [["livesIn"], ["worksAt"], ["livesIn", "worksAt"],
-             ["livesIn", "worksAt", "motto"]]
-        )
-        return planner
-
     def test_a_constant_subject_routes_to_its_owner(self):
         planner = ShardPlanner(4)
         subject = "a"
@@ -227,27 +171,12 @@ class TestStarShards:
         text = f"SELECT ?o {{{first} p ?o ?t . {second} p ?o ?t2}}"
         assert ShardPlanner(4).star_shards(_group(text)) == [2]
 
-    def test_a_variable_subject_routes_to_every_base_patterns_owners(self):
+    def test_a_variable_subject_routes_to_every_shard(self):
         text = "SELECT ?s {?s livesIn ?c ?t . ?s worksAt ?w ?t2}"
-        assert self._mapped().star_shards(_group(text)) == [2, 3]
-
-    def test_no_shard_holding_every_base_predicate_still_asks_one(self):
-        text = "SELECT ?s {?s livesIn ?c ?t . ?s motto ?m ?t2 . ?s q ?x ?t}"
-        # q is unmapped, so it allows all; motto and livesIn meet on 3
-        assert self._mapped().star_shards(_group(text)) == [3]
-        text = "SELECT ?s {?s worksAt ?c ?t . ?s nowhere ?m ?t2}"
-        planner = ShardPlanner(4)
-        planner.rebuild_predicate_map([["worksAt"], ["nowhere"], [], []])
-        assert planner.star_shards(_group(text)) == [0]
-
-    def test_an_incomplete_map_routes_to_all_shards(self):
-        planner = ShardPlanner(4)
-        planner.note_write("subj", "livesIn")
-        text = "SELECT ?s {?s livesIn ?c ?t}"
-        assert planner.star_shards(_group(text)) == [0, 1, 2, 3]
+        assert ShardPlanner(4).star_shards(_group(text)) == [0, 1, 2, 3]
 
     def test_mixed_subjects_are_not_a_star(self):
-        planner = self._mapped()
+        planner = ShardPlanner(4)
         for text in ["SELECT ?s {?s livesIn ?c ?t . ?c worksAt ?w ?t2}",
                      "SELECT ?s {?s livesIn ?c ?t . a worksAt ?s ?t2}"]:
             assert planner.star_shards(_group(text)) is None, text
@@ -260,14 +189,12 @@ class TestStarShards:
     def test_a_union_branch_with_another_subject_is_not_a_star(self):
         text = ("SELECT ?s ?v {?s livesIn ?c ?t . "
                 "{?s worksAt ?v ?t2} UNION {?v worksAt ?s ?t2} }")
-        assert self._mapped().star_shards(_group(text)) is None
+        assert ShardPlanner(4).star_shards(_group(text)) is None
 
     def test_an_optional_on_the_same_subject_is_a_star(self):
-        # only the base patterns narrow the shards: a row may leave the
-        # OPTIONAL unbound, so motto's one owner does not prune
         text = ("SELECT ?s ?m {?s livesIn ?c ?t . "
                 "OPTIONAL {?s motto ?m ?t2}}")
-        assert self._mapped().star_shards(_group(text)) == [0, 2, 3]
+        assert ShardPlanner(4).star_shards(_group(text)) == [0, 1, 2, 3]
 
     def test_one_shard_routes_every_query(self):
         text = "SELECT ?s {?s livesIn ?c ?t . ?c worksAt ?w ?t2}"

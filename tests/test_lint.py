@@ -117,10 +117,11 @@ SEEDED_REGRESSIONS = {
     # socket I/O, not open().
     "RL001": (
         "src/repro/service/store.py",
-        "        with self._rw.read_locked():\n            pids = {",
+        "        with self._rw.read_locked():\n"
+        "            report = _introspect.engine_report(self.engine)\n",
         "        with self._rw.read_locked():\n"
         "            open(self.wal_path, \"rb\").close()\n"
-        "            pids = {",
+        "            report = _introspect.engine_report(self.engine)\n",
     ),
     # The revision bump after the write lock is released: a reader can
     # see the applied update under the old revision and cache it there,
