@@ -349,8 +349,7 @@ def bench_cluster_scaling() -> tuple[dict, list]:
     Result caches are off on every side — a cache-hit bench would only
     measure the coordinator's socket hop.  The single process serializes
     query evaluation on the GIL, so shard processes are where the added
-    throughput comes from; replicas are omitted to keep the comparison
-    about sharding alone.
+    throughput comes from.
     """
     from repro.cluster import ClusterStore
 

@@ -1,29 +1,24 @@
-"""CI smoke: the sharded cluster end to end, including shard failover.
+"""CI smoke: the sharded cluster end to end, including a crash and restart.
 
-Drives the real ``repro-tx serve --shards 2 --replicas 1`` process over
-HTTP:
+Drives the real ``repro-tx serve --shards 2`` process over HTTP:
 
-1. generate a dataset, start a 2-shard / 1-replica cluster with
-   ``--data``, and wait for ``/healthz`` to report role ``coordinator``
-   with every primary and replica alive,
-2. run a fig9-style query mix (selection + join + complex shapes) and
+1. generate a dataset, start a 2-shard cluster with ``--data``, and wait
+   for ``/healthz`` to report role ``coordinator`` with both shard
+   workers alive,
+2. apply durable updates (routed to both shards),
+3. run one traced query asked of both shards and assert
+   ``/debug/traces?id=`` returns a single stitched span tree with worker
+   spans from at least two distinct processes (shard_id/role/pid
+   annotated, clock skew estimated), then scrape
+   ``/metrics?scope=cluster`` and assert nonzero per-shard request
+   counters,
+4. run a fig9-style query mix (selection + join + complex shapes) and
    record the exact response bytes per query,
-3. apply durable updates (routed to both shards) and wait until each
-   replica's applied LSN catches up to its primary,
-4. run one traced query asked of both shards and assert ``/debug/traces?id=`` returns
-   a single stitched span tree with worker spans from at least two
-   distinct processes (shard_id/role/pid annotated, clock skew
-   estimated), then scrape ``/metrics?scope=cluster`` and assert
-   nonzero per-shard request counters and zero/finite replica lag,
-5. SIGKILL one shard's primary worker process (no clean shutdown),
-6. re-run the query mix — every response must be byte-identical to the
-   pre-kill run (modulo the updates, which are re-checked explicitly) —
-   and issue a write owned by the dead shard, which forces the
-   coordinator to promote the replica,
-7. assert ``/healthz`` shows the promoted primary (alive, new pid, the
-   replica slot drained), that ``cluster.coordinator.failovers`` is
-   nonzero in ``/metrics``, and that ``/debug/events`` recorded the
-   failover and the promotion.
+5. SIGKILL the serve process (no clean shutdown) and require both worker
+   processes to exit on their own: EOF on their stdin lifeline,
+6. restart ``serve --shards 2`` over the same directory, and assert that
+   every acknowledged write is back and that every query of the mix
+   answers byte-identically to the pre-kill run.
 
 Run directly (no pytest needed)::
 
@@ -48,6 +43,7 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 
 PORT = int(os.environ.get("SMOKE_CLUSTER_PORT", "8297"))
 TRIPLES = int(os.environ.get("SMOKE_CLUSTER_TRIPLES", "1500"))
+UPDATES = 6
 
 
 def request(method, path, payload=None, timeout=60):
@@ -80,28 +76,26 @@ def wait_healthy(deadline=60.0):
     raise SystemExit("cluster did not become healthy in time")
 
 
-def wait_replicas_caught_up(deadline=30.0):
-    start = time.monotonic()
-    while time.monotonic() - start < deadline:
-        _, body = request_json("GET", "/healthz")
-        members = body["cluster"]["members"]
-        if all(
-            replica["alive"]
-            and replica["applied_lsn"] == member["primary"]["applied_lsn"]
-            for member in members for replica in member["replicas"]
-        ):
-            return members
-        time.sleep(0.2)
-    raise SystemExit("replicas did not catch up to their primaries")
+def running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
 
 
 def query_bytes(mix):
     """The exact response body per query — the byte-identity fixture.
 
     Responses carry a per-request trace id and the revision watermark,
-    both of which legitimately differ between runs (the watermark
-    advances with every write); the identity contract is on the bindings
-    themselves, so compare only variables + rows.
+    both of which legitimately differ between runs; the identity
+    contract is on the bindings themselves, so compare only variables +
+    rows.
     """
     out = []
     for text in mix:
@@ -114,6 +108,93 @@ def query_bytes(mix):
             sort_keys=True,
         ))
     return out
+
+
+def start_server(store, data=None):
+    argv = [
+        sys.executable, "-m", "repro.cli", "serve", store,
+        "--shards", "2", "--no-fsync",
+        "--port", str(PORT), "--query-cache", "0",
+    ]
+    if data is not None:
+        argv += ["--data", data]
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+    server = subprocess.Popen(argv, env=env)
+    body = wait_healthy()
+    assert body["role"] == "coordinator", body["role"]
+    cluster = body["cluster"]
+    assert cluster["shards"] == 2
+    assert all(m["primary"]["alive"] for m in cluster["members"])
+    return server, body
+
+
+def stop_server(server):
+    server.send_signal(signal.SIGINT)
+    try:
+        server.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        server.wait(timeout=30)
+
+
+def check_traced_scatter(server):
+    """A traced query asked of both shards (a subject star) must come
+    back as ONE stitched span tree holding worker spans from >= 2
+    processes."""
+    status, reply = request_json("POST", "/query", {
+        "query": "SELECT ?s ?p ?o {?s ?p ?o ?t}",
+    })
+    assert status == 200, status
+    trace_id = reply.get("trace_id")
+    assert trace_id, "sampled POST should return a trace_id"
+    status, detail = request_json("GET", f"/debug/traces?id={trace_id}")
+    assert status == 200, (status, detail)
+
+    def walk(node, out):
+        out.append(node)
+        for child in node.get("children", []):
+            walk(child, out)
+        return out
+
+    spans = walk(detail["root"], [])
+    worker_pids = {
+        span["attrs"]["pid"] for span in spans
+        if "pid" in span["attrs"] and "role" in span["attrs"]
+        and "shard_id" in span["attrs"]
+    }
+    assert len(worker_pids) >= 2, (worker_pids, spans)
+    assert server.pid not in worker_pids
+    skews = [
+        span["attrs"]["clock_skew_ms"] for span in spans
+        if "clock_skew_ms" in span["attrs"]
+    ]
+    assert skews, "per-hop clock-skew annotations expected"
+    print(f"stitched trace {trace_id}: worker spans from "
+          f"{sorted(worker_pids)}")
+
+
+def check_federated_metrics():
+    """Per-shard request counters, in the JSON and the Prometheus
+    rendering of ``/metrics?scope=cluster``."""
+    status, federated = request_json("GET", "/metrics?scope=cluster&force=1")
+    assert status == 200, status
+    shard_groups = [
+        g for g in federated["groups"] if g["labels"].get("role") == "shard"
+    ]
+    assert len(shard_groups) == 2, federated["groups"]
+    for group in shard_groups:
+        count = group["metrics"]["counters"].get(
+            "cluster.worker.requests", 0)
+        assert count > 0, group
+    assert [m["role"] for m in federated["members"]] == [
+        "coordinator", "shard", "shard"], federated["members"]
+    status, raw = request("GET", "/metrics?scope=cluster&format=prometheus")
+    text = raw.decode("utf-8")
+    assert ('repro_cluster_worker_requests_total'
+            '{shard="0",role="shard"}') in text, text[:500]
+    assert "repro_cluster_member_up{" in text
+    print("federated metrics scrape ok "
+          f"({len(federated['members'])} members)")
 
 
 def main() -> int:
@@ -130,170 +211,70 @@ def main() -> int:
     by_count = complex_queries(graph, seed=3)
     mix = (selection_queries(graph, 4, seed=1)
            + join_queries(graph, 3, seed=2) + by_count[3][:2])
+    listing = "SELECT ?s {?s smokes yes ?t}"
 
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data.tnq")
+        store = os.path.join(tmp, "store")
         dump_graph(graph, data)
-        argv = [
-            sys.executable, "-m", "repro.cli", "serve",
-            os.path.join(tmp, "store"), "--data", data,
-            "--shards", "2", "--replicas", "1", "--no-fsync",
-            "--port", str(PORT), "--query-cache", "0",
-        ]
-        env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
-        server = subprocess.Popen(argv, env=env)
+        server, body = start_server(store, data)
         try:
-            body = wait_healthy()
-            assert body["role"] == "coordinator", body["role"]
-            cluster = body["cluster"]
-            assert cluster["shards"] == 2
-            assert all(m["primary"]["alive"] for m in cluster["members"])
-            assert all(r["alive"] for m in cluster["members"]
-                       for r in m["replicas"])
-            print(f"cluster up: {cluster['shards']} shards, "
+            print(f"cluster up: {body['cluster']['shards']} shards, "
                   f"{body['live_facts']} live facts")
+            worker_pids = [m["primary"]["pid"]
+                           for m in body["cluster"]["members"]]
 
-            # updates routed to both shards, then replica catch-up
-            for index in range(6):
+            # durable updates routed to both shards
+            acked = []
+            for index in range(UPDATES):
+                subject = f"smoke{index}"
                 status, reply = request_json("POST", "/update", {
-                    "op": "insert", "subject": f"smoke{index}",
+                    "op": "insert", "subject": subject,
                     "predicate": "smokes", "object": "yes",
                     "time": 25_000 + index,
                 })
                 assert status == 200, (status, reply)
-            members = wait_replicas_caught_up()
-            print("replicas caught up:",
-                  [m["primary"]["applied_lsn"] for m in members])
+                acked.append(subject)
+            owners = {shard_of(subject, 2) for subject in acked}
+            assert owners == {0, 1}, owners
 
-            # a traced query asked of both shards (a subject star) must
-            # come back as ONE stitched span tree holding worker spans
-            # from >= 2 processes
-            status, reply = request_json("POST", "/query", {
-                "query": "SELECT ?s ?p ?o {?s ?p ?o ?t}",
-            })
-            assert status == 200, status
-            trace_id = reply.get("trace_id")
-            assert trace_id, "sampled POST should return a trace_id"
-            status, detail = request_json(
-                "GET", f"/debug/traces?id={trace_id}")
-            assert status == 200, (status, detail)
+            check_traced_scatter(server)
+            check_federated_metrics()
 
-            def walk(node, out):
-                out.append(node)
-                for child in node.get("children", []):
-                    walk(child, out)
-                return out
-
-            spans = walk(detail["root"], [])
-            worker_pids = {
-                span["attrs"]["pid"] for span in spans
-                if "pid" in span["attrs"] and "role" in span["attrs"]
-                and "shard_id" in span["attrs"]
-            }
-            assert len(worker_pids) >= 2, (worker_pids, spans)
-            assert server.pid not in worker_pids
-            skews = [
-                span["attrs"]["clock_skew_ms"] for span in spans
-                if "clock_skew_ms" in span["attrs"]
-            ]
-            assert skews, "per-hop clock-skew annotations expected"
-            print(f"stitched trace {trace_id}: worker spans from "
-                  f"{sorted(worker_pids)}")
-
-            # federated metrics: per-shard counters + finite replica lag
-            status, federated = request_json(
-                "GET", "/metrics?scope=cluster&force=1")
-            assert status == 200, status
-            shard_groups = [
-                g for g in federated["groups"]
-                if g["labels"].get("role") == "shard"
-            ]
-            assert len(shard_groups) == 2, federated["groups"]
-            for group in shard_groups:
-                count = group["metrics"]["counters"].get(
-                    "cluster.worker.requests", 0)
-                assert count > 0, group
-            replica_entries = [
-                m for m in federated["members"]
-                if m.get("role") == "replica"
-            ]
-            assert len(replica_entries) == 2, federated["members"]
-            for entry in replica_entries:
-                assert entry["alive"], entry
-                assert entry["lag_lsn"] == 0, entry
-                lag_s = entry.get("lag_seconds")
-                assert lag_s is None or 0.0 <= lag_s < 120.0, entry
-            status, raw = request(
-                "GET", "/metrics?scope=cluster&format=prometheus")
-            text = raw.decode("utf-8")
-            assert ('repro_cluster_worker_requests_total'
-                    '{shard="0",role="shard"}') in text, text[:500]
-            assert "repro_cluster_member_up{" in text
-            print("federated metrics scrape ok "
-                  f"({len(federated['members'])} members)")
-
-            before = query_bytes(mix)
+            before = query_bytes([*mix, listing])
             print(f"query mix recorded: {len(before)} responses")
 
-            victim_pid = members[0]["primary"]["pid"]
-            os.kill(victim_pid, signal.SIGKILL)
-            print(f"killed shard 0 primary (pid {victim_pid})")
-            time.sleep(0.5)
+            os.kill(server.pid, signal.SIGKILL)
+            server.wait(timeout=30)
+            print(f"killed serve (pid {server.pid})")
+            deadline = time.monotonic() + 15.0
+            while (any(map(running, worker_pids))
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            left = [pid for pid in worker_pids if running(pid)]
+            if left:
+                raise SystemExit(f"workers outlived their coordinator: {left}")
+            print(f"both workers exited on their lifeline: {worker_pids}")
+        finally:
+            if server.poll() is None:
+                stop_server(server)
 
-            after = query_bytes(mix)
+        server, body = start_server(store)
+        try:
+            assert body["revision"] == UPDATES, body["revision"]
+            after = query_bytes([*mix, listing])
             if after != before:
-                for b, a, text in zip(before, after, mix):
+                for b, a, text in zip(before, after, [*mix, listing]):
                     if b != a:
                         print(f"MISMATCH on {text}\n  before: {b[:200]}"
                               f"\n  after:  {a[:200]}")
-                raise SystemExit("results diverged after primary death")
-            print("post-kill query mix byte-identical")
-
-            # a write owned by shard 0 forces the promotion
-            subject = next(
-                f"fo{i}" for i in range(10_000)
-                if shard_of(f"fo{i}", 2) == 0
-            )
-            status, reply = request_json("POST", "/update", {
-                "op": "insert", "subject": subject,
-                "predicate": "promoted", "object": "yes", "time": 30_000,
-            })
-            assert status == 200, (status, reply)
-
-            _, body = request_json("GET", "/healthz")
-            member = body["cluster"]["members"][0]
-            assert member["primary"]["alive"], member
-            assert member["primary"]["pid"] != victim_pid, member
-            assert member["replicas"] == [], member
-            print(f"replica promoted (pid {member['primary']['pid']})")
-
-            final = query_bytes(mix)
-            if final != before:
-                raise SystemExit("results diverged after promotion")
-            status, raw = request("GET", "/metrics")
-            failovers = json.loads(raw)["counters"].get(
-                "cluster.coordinator.failovers", 0
-            )
-            assert failovers >= 1, failovers
-            print("promoted-primary query mix byte-identical; "
-                  f"failovers={failovers}")
-
-            # the event log recorded the kill-failover promotion
-            status, events_body = request_json(
-                "GET", "/debug/events?limit=200")
-            assert status == 200, status
-            names = [e["event"] for e in events_body["events"]]
-            assert "cluster.event.failover" in names, names
-            assert "cluster.event.promoted" in names, names
-            print(f"event log ok ({len(events_body['events'])} events, "
-                  f"promotion recorded)")
+                raise SystemExit("results diverged across the restart")
+            rows = json.loads(after[-1])["rows"]
+            assert sorted(row["s"] for row in rows) == sorted(acked), rows
+            print(f"restart recovered all {UPDATES} acknowledged writes; "
+                  "query mix byte-identical")
         finally:
-            server.send_signal(signal.SIGINT)
-            try:
-                server.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                server.kill()
-                server.wait(timeout=30)
+            stop_server(server)
     print("cluster smoke passed")
     return 0
 

@@ -147,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a sharded cluster of N worker processes "
                             "behind the HTTP endpoint (0 = single-process "
                             "standalone store; default 0)")
-    serve.add_argument("--replicas", type=int, default=0, metavar="M",
-                       help="WAL-shipped read replicas per shard "
-                            "(requires --shards; default 0)")
 
     cluster_status = sub.add_parser(
         "cluster-status",
@@ -165,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_status.add_argument(
         "--metrics", action="store_true",
         help="also pull /metrics?scope=cluster and print per-member "
-             "request counts and replica lag")
+             "request counts")
 
     doctor = sub.add_parser(
         "doctor",
@@ -401,9 +398,6 @@ def cmd_serve(args) -> int:
     from .service.store import TemporalStore
 
     _obslog.set_level(args.log_level)
-    if args.replicas and not args.shards:
-        print("error: --replicas requires --shards", file=sys.stderr)
-        return 1
     if args.shards:
         return _serve_cluster(args)
     store = TemporalStore(
@@ -449,7 +443,7 @@ def cmd_serve(args) -> int:
 
 
 def _serve_cluster(args) -> int:
-    """``serve --shards N [--replicas M]``: coordinator + worker fleet."""
+    """``serve --shards N``: coordinator + one worker per shard."""
     from .cluster import ClusterStore
     from .io import load_graph
     from .service.server import serve
@@ -458,7 +452,6 @@ def _serve_cluster(args) -> int:
     store = ClusterStore(
         args.directory,
         shards=args.shards,
-        replicas=args.replicas,
         use_optimizer=not args.no_optimizer,
         group_size=args.group_commit,
         fsync=not args.no_fsync,
@@ -492,7 +485,6 @@ def _serve_cluster(args) -> int:
         )
         print(f"serving {args.directory} on http://{args.host}:"
               f"{service.port} ({args.shards} shard(s), "
-              f"{args.replicas} replica(s) each, "
               f"watermark {store.revision})")
         try:
             service.serve_forever()
@@ -528,37 +520,24 @@ def cmd_cluster_status(args) -> int:
     if cluster is None:
         print("(not a cluster coordinator: no topology section)")
         return 0
-    print(f"shards:    {cluster['shards']} "
-          f"(+{cluster['replicas_per_shard']} replica(s) each)")
+    print(f"shards:    {cluster['shards']}")
     print(f"watermark: {cluster['watermark']}")
     for member in cluster["members"]:
         primary = member["primary"]
         state = "up" if primary.get("alive") else "DOWN"
-        line = (f"  shard {member['shard']}: primary pid "
+        line = (f"  shard {member['shard']}: pid "
                 f"{primary.get('pid')} {state}")
         if primary.get("alive"):
             line += (f", lsn {primary.get('applied_lsn')}, "
                      f"{primary.get('live_facts')} live")
         print(line)
-        for index, replica in enumerate(member["replicas"]):
-            state = "up" if replica.get("alive") else "DOWN"
-            line = f"    replica {index}: pid {replica.get('pid')} {state}"
-            if replica.get("alive"):
-                line += f", lsn {replica.get('applied_lsn')}"
-                lag_lsn = replica.get("lag_lsn")
-                if lag_lsn:
-                    line += f", lag {lag_lsn} lsn"
-                    lag_seconds = replica.get("lag_seconds")
-                    if lag_seconds is not None:
-                        line += f" ({lag_seconds:.3f}s behind)"
-            print(line)
     if args.metrics:
         return _print_cluster_metrics(args.url)
     return 0
 
 
 def _print_cluster_metrics(base_url: str) -> int:
-    """``cluster-status --metrics``: federated per-group counters + lag."""
+    """``cluster-status --metrics``: federated per-member counters."""
     import json as _json
     import urllib.error
     import urllib.request
@@ -580,8 +559,7 @@ def _print_cluster_metrics(base_url: str) -> int:
         metrics = group.get("metrics", {})
         counters = metrics.get("counters", {})
         requests = counters.get("cluster.worker.requests")
-        replicated = counters.get("cluster.worker.replicated")
-        line = f"  [{name or 'coordinator'}] x{group.get('members', 1)}"
+        line = f"  [{name or 'coordinator'}]"
         if labels.get("role") == "coordinator":
             # its own work: it answers no worker requests
             queries = counters.get("cluster.coordinator.queries", 0)
@@ -589,21 +567,6 @@ def _print_cluster_metrics(base_url: str) -> int:
             line += f": {queries} queries, {updates} updates"
         elif requests is not None:
             line += f": {requests} requests"
-        if replicated:
-            line += f", {replicated} records replicated"
-        print(line)
-    for entry in federated.get("members", []):
-        if entry.get("role") != "replica":
-            continue
-        lag = entry.get("lag_lsn")
-        seconds = entry.get("lag_seconds")
-        state = "up" if entry.get("alive") else "DOWN"
-        line = (f"  replica shard={entry.get('shard')} "
-                f"#{entry.get('replica')} pid {entry.get('pid')} {state}")
-        if lag is not None:
-            line += f": lag {lag} lsn"
-        if seconds is not None:
-            line += f", {seconds:.3f}s behind"
         print(line)
     return 0
 

@@ -1,4 +1,4 @@
-"""Sharded multi-process execution with WAL-shipped read replicas.
+"""Sharded multi-process execution: one worker process per shard.
 
 The single-process serving stack (:mod:`repro.service`) is GIL-bound: the
 PR 4 thread-pool scans overlap I/O but not Python execution, so HTTP read
@@ -12,13 +12,12 @@ up, on one box or many:
   defined once: length-prefixed JSON frames, one request and one reply
   dataclass per op, one codec, one ``kind`` <-> exception table.
 * :mod:`repro.cluster.client` — ``ShardClient``, the pooled typed RPC
-  client both ends use (a replica tails its primary through one).
-* :mod:`repro.cluster.worker` — one process per shard (and per replica),
-  each running its own full :class:`~repro.service.store.TemporalStore`
-  (engine + WAL + snapshots) behind a handler per request class.
+  client the coordinator holds per worker.
+* :mod:`repro.cluster.worker` — one process per shard, each running its
+  own full :class:`~repro.service.store.TemporalStore` (engine + WAL +
+  snapshots) behind a handler per request class.
 * :mod:`repro.cluster.membership` — bring-up, the per-shard member
-  table, primary / replica RPC paths, and replica promotion when a
-  primary dies.
+  table and the RPC path, which raises ``ShardDown`` for a dead worker.
 * :mod:`repro.cluster.coordinator` — ``ClusterStore``, the router the
   HTTP server fronts: asks each subject star of a query of the shards
   that can answer it, and routes writes to the owning shard under a
@@ -29,9 +28,9 @@ up, on one box or many:
   one subject star goes whole to its shards, and any other joins its
   stars' answers under the engine's own group algebra.
 
-Replication ships WAL records from each primary to its followers
-(:meth:`~repro.service.wal.WriteAheadLog.read_from` tailing); followers
-serve revision-pinned reads and take over on worker death.
+A shard is durable through its own WAL and snapshot: a cluster reopened
+over the same directory recovers every acknowledged write.  There are no
+replicas.
 """
 
 from .._lazy import lazy_exports

@@ -1,9 +1,6 @@
 """A pooled socket client for one worker process.
 
-Both ends use it: the coordinator holds one per topology member, and a
-replica's tail loop holds one (a single persistent connection) to its
-primary.  It imports nothing of the coordinator, so a worker stays as
-small as ``tests/test_import_surface.py`` pins it.
+The coordinator holds one per shard worker.
 """
 
 from __future__ import annotations
@@ -28,8 +25,7 @@ class ShardClient:
                  directory: Path | None = None,
                  timeout: float = 30.0) -> None:
         self.address = address
-        #: the worker's pid and directory, where the caller knows them
-        #: (the coordinator does; a tailing replica does not need to).
+        #: the worker's pid and directory, where the caller knows them.
         self.pid = pid
         self.directory = directory
         self.timeout = timeout
@@ -45,8 +41,8 @@ class ShardClient:
 
         An error reply raises the class :data:`protocol.ERRORS` maps its
         kind to.  Connection-level failures (``OSError`` /
-        :class:`ProtocolError`) propagate raw — the caller decides
-        between retry, failover and surfacing.
+        :class:`ProtocolError`) propagate raw — the caller decides how
+        to surface them.
 
         Trace stitching is centralized here: inside a live trace the
         request carries the coordinator's trace id (so the worker traces
@@ -72,7 +68,7 @@ class ShardClient:
             raise
         except FrameTooLarge:
             # Refused before a byte was written: the connection is
-            # intact and the worker healthy, so nothing to fail over.
+            # intact and the worker healthy, so the connection is kept.
             sock.settimeout(self.timeout)
             self._checkin(sock)
             raise

@@ -1,16 +1,15 @@
-"""The cluster coordinator: launch, route, gather, fail over.
+"""The cluster coordinator: launch, route, gather.
 
 :class:`ClusterStore` duck-types :class:`~repro.service.store.TemporalStore`
 (``query`` / ``insert`` / ``delete`` / ``checkpoint`` / ``revision`` /
 ``live_facts`` / ``storage_report`` / ``close``), so the existing HTTP
 server fronts a cluster without changing a single handler.
 
-Topology: N shard primaries plus M replicas each, all fresh worker
-interpreters (a fork would clone live thread-pool and lock state; see
-:mod:`.worker`) with directories laid out under the coordinator's own::
+Topology: N shards, one worker process each, all fresh interpreters (a
+fork would clone live thread-pool and lock state; see :mod:`.worker`)
+with directories laid out under the coordinator's own::
 
-    dir/shard-0/            primary for shard 0
-    dir/shard-0-replica-0/  its first follower
+    dir/shard-0/            shard 0: its store's snapshot and WAL
     dir/shard-1/            ...
 
 Consistency model — single coordinator, single writer per shard:
@@ -22,15 +21,15 @@ Consistency model — single coordinator, single writer per shard:
 * A cluster-wide **time watermark** totally orders update chronons
   across shards (each shard alone would only enforce its local maximum,
   letting history interleave inconsistently between shards).
-* Reads go through :meth:`Membership.rpc_read` (replica round-robin
-  pinned to the acked LSN, primary fallback) and a dead primary is
-  replaced by :meth:`Membership.failover` — see :mod:`.membership`.
+* Every RPC goes through :meth:`Membership.rpc_primary`; a dead worker
+  raises :class:`~.membership.ShardDown` until the cluster is reopened
+  over its directory — see :mod:`.membership`.
 * The one **result cache** sits here (shards keep none): every write
   and horizon move passes the writer lock, which invalidates it.
 
 This module keeps routing, the write path, bulk load and checkpoint
-(everything under the ``cluster.writer`` lock); the worker fleet and
-failover live in :mod:`.membership`, health / federated metrics / events
+(everything under the ``cluster.writer`` lock); the worker fleet lives
+in :mod:`.membership`, health / federated metrics / events
 in :mod:`.telemetry`, the pooled client in :mod:`.client`, and the
 messages all of them exchange with the workers in :mod:`.protocol`.
 """
@@ -38,16 +37,13 @@ messages all of them exchange with the workers in :mod:`.protocol`.
 from __future__ import annotations
 
 import threading
-import time as _time
 from concurrent import futures as _futures
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from ..engine.engine import QueryResult
 from ..model.time import MIN_TIME, NOW
-from ..mvbt.tree import DuplicateKeyError, TimeOrderError
-from ..obs import events as _events
-from ..obs import log as _obslog
+from ..mvbt.tree import TimeOrderError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..service.cache import QueryCache, cached_answer
@@ -56,24 +52,22 @@ from ..service.store import StoreError
 from ..sparqlt.parser import parse
 from . import executor as _dist
 from . import protocol
-from .client import ShardClient
-from .membership import Member, Membership
+from .membership import Membership
 from .planner import ShardPlanner, shard_of
-from .protocol import ProtocolError
 from .telemetry import ClusterTelemetry
 
 _QUERIES = _metrics.counter("cluster.coordinator.queries")
 _UPDATES = _metrics.counter("cluster.coordinator.updates")
 _WATERMARK = _metrics.gauge("cluster.coordinator.watermark")
-_EVENT_UPDATE_RECOVERED = _events.event("cluster.event.update_recovered")
 
 
 class ClusterStore(ClusterTelemetry):
-    """Sharded, replicated drop-in for :class:`TemporalStore`.
+    """Sharded drop-in for :class:`TemporalStore`.
 
-    ``shards=1, replicas=0`` is a useful degenerate topology: every query
-    is one star on shard 0, which is exactly how the golden tests pin
-    1-shard vs N-shard byte-identity.
+    ``shards=1`` is a useful degenerate topology: every query is one star
+    on shard 0, which is exactly how the golden tests pin 1-shard vs
+    N-shard byte-identity.  ``replicas`` takes 0 alone: a shard is one
+    worker, durable through its own WAL and snapshot.
     """
 
     def __init__(
@@ -90,14 +84,13 @@ class ClusterStore(ClusterTelemetry):
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if replicas < 0:
-            raise ValueError(f"replicas must be >= 0, got {replicas}")
+        if replicas != 0:
+            raise ValueError(f"replicas must be 0, got {replicas}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.planner = ShardPlanner(shards)
-        self.replicas_per_shard = replicas
         self._membership = Membership(
-            self.directory, shards, replicas,
+            self.directory, shards,
             dict(
                 use_optimizer=use_optimizer,
                 group_size=group_size,
@@ -132,14 +125,13 @@ class ClusterStore(ClusterTelemetry):
             raise
 
     def _read_status(self) -> None:
-        """Adopt every primary's revision and horizon (at start-up, over
+        """Adopt every shard's revision and horizon (at start-up, over
         pre-existing shard directories too, and after a bulk load)."""
         self._watermark = 0
         self._time_watermark = MIN_TIME
         self._horizon = 1
         for member in self._membership.members:
             status = member.primary.rpc(protocol.Status())
-            member.acked_lsn = status.revision
             self._watermark += status.revision
             self._horizon = max(self._horizon, status.horizon)
         self._time_watermark = max(MIN_TIME, self._horizon - 1)
@@ -187,7 +179,7 @@ class ClusterStore(ClusterTelemetry):
         hand-off, the rest on the scatter pool meanwhile (the futures
         carry the caller's trace context).  Per request, its shards' rows
         concatenated."""
-        members, rpc = self._membership.members, self._membership.rpc_read
+        members, rpc = self._membership.members, self._membership.rpc_primary
         asks = [(members[shard_id],
                  protocol.Query(text=text, horizon=self._horizon))
                 for text, shard_ids in requests for shard_id in shard_ids]
@@ -236,26 +228,10 @@ class ClusterStore(ClusterTelemetry):
                 update=op, subject=subject, predicate=predicate,
                 object=object, time=time,
             )
-            acked_before = member.acked_lsn
-            primary_before = member.primary
-            try:
-                # Intentional hold: the writer lock serialises updates
-                # cluster-wide, so the shard RPC happens under it by
-                # design; bounded by the per-RPC socket timeout.
-                applied = self._membership.rpc_primary(member, update)
-            except (DuplicateKeyError, KeyError) as conflict:
-                if member.primary is primary_before:
-                    raise  # genuine conflict from a healthy primary
-                # The old primary may have applied (and shipped) the
-                # write before dying without replying; a conflict from
-                # the retried RPC on the promoted primary can then be
-                # the write itself.  Only its WAL can tell.
-                # Intentional hold: recovery re-reads the shard WAL
-                # under the same writer lock as the failed update.
-                applied = self._recover_update(member, update, acked_before)
-                if applied is None:
-                    raise conflict
-            member.acked_lsn = applied.revision
+            # Intentional hold: the writer lock serialises updates
+            # cluster-wide, so the shard RPC happens under it by design;
+            # bounded by the per-RPC socket timeout.
+            self._membership.rpc_primary(member, update)
             self._watermark += 1
             self._time_watermark = max(self._time_watermark, time)
             self._horizon = max(self._horizon, time + 1)
@@ -272,48 +248,11 @@ class ClusterStore(ClusterTelemetry):
             self.checkpoint()
         return watermark
 
-    def _recover_update(
-        self, member: Member, update: protocol.Update, acked_before: int,
-    ) -> protocol.UpdateReply | None:
-        """Decide whether a conflicting post-failover retry committed.
-
-        The promoted primary caught up from the dead primary's WAL, so
-        an update that was applied but never acknowledged appears in its
-        log past the pre-write acked LSN.  Returns the reply the dead
-        primary never sent when the exact record is found — the write
-        committed, and surfacing a 409 would misreport it — or ``None``
-        for a genuine conflict.  A promoted primary that already
-        checkpointed (truncating the record) conservatively reports the
-        conflict.
-        """
-        wanted = (update.update, update.subject, update.predicate,
-                  update.object, update.time)
-        try:
-            shipped = self._membership.rpc_primary(
-                member, protocol.WalSince(lsn=acked_before))
-            status = self._membership.rpc_primary(member, protocol.Status())
-        except StoreError:
-            return None
-        for record in shipped.records:
-            if (record.op, record.subject, record.predicate,
-                    record.object, record.time) == wanted:
-                _events.EVENTS.record(
-                    _EVENT_UPDATE_RECOVERED, level="warning",
-                    shard_id=member.shard_id, lsn=record.lsn,
-                    trace_id=_trace.current_trace_id(),
-                )
-                return protocol.UpdateReply(
-                    lsn=record.lsn, revision=status.revision)
-        return None
-
     # -------------------------------------------------------------- loading
 
     def load_dataset(self, graph) -> None:
-        """Bulk-load an initial dataset: partition, load every primary
-        (each checkpoints, making the load durable), then resync the
-        replicas — bulk loads bypass the WAL, so followers must adopt the
-        fresh snapshot rather than wait for records that will never ship.
-        """
+        """Bulk-load an initial dataset: partition, then load every shard
+        (each checkpoints, making the load durable)."""
         if self._closed:
             raise StoreError("store is closed")
         members = self._membership.members
@@ -322,7 +261,7 @@ class ClusterStore(ClusterTelemetry):
                 parts = self.planner.partition(graph)
                 # One thread per member, so every worker builds at once;
                 # the pool's exit joins them all, and only then does the
-                # first failed load raise or any replica resync.
+                # first failed load raise.
                 with ThreadPoolExecutor(
                     max_workers=len(members),
                     thread_name_prefix="repro-load",
@@ -337,15 +276,6 @@ class ClusterStore(ClusterTelemetry):
                     # Intentional hold: bulk load is exclusive by contract;
                     # the writer lock stays held across the shard RPCs.
                     load.result()
-                for member in members:
-                    for replica in list(member.replicas):
-                        try:
-                            # Intentional hold: replicas resync from the
-                            # just-loaded primary before writes resume.
-                            replica.rpc(protocol.Resync(), timeout=300.0)
-                        except (OSError, ProtocolError) as error:
-                            self._membership.drop_replica(
-                                member, replica, error)
             finally:
                 # A load moves no watermark: the generation bump does.
                 if self._query_cache is not None:
@@ -355,53 +285,22 @@ class ClusterStore(ClusterTelemetry):
     # ---------------------------------------------------------- maintenance
 
     def checkpoint(self) -> Path:
-        """Checkpoint every member, waiting for replicas to catch up first.
-
-        The primary's checkpoint truncates its WAL; a follower still
-        missing truncated records would hit a replication gap and pay a
-        full snapshot resync.  Waiting (bounded) for followers to reach
-        the acked LSN makes the common case gap-free; a straggler past
-        the bound resyncs, which is safe — just slower.
-        """
+        """Checkpoint every shard: each snapshots, then truncates its WAL."""
         if self._closed:
             raise StoreError("store is closed")
         with self._writer:
-            # Intentional holds below: checkpoint needs a write-quiesced
-            # cluster, so the catch-up wait and the checkpoint RPCs all
-            # run under the writer lock; each is deadline-bounded.
+            # Intentional hold: checkpoint needs a write-quiesced cluster,
+            # so the checkpoint RPCs run under the writer lock.
             for member in self._membership.members:
-                for replica in member.replicas:
-                    self._wait_for_replica(member, replica)
                 self._membership.rpc_primary(member, protocol.Checkpoint())
-                for replica in member.replicas:
-                    try:
-                        replica.rpc(protocol.Checkpoint())
-                    except (OSError, ProtocolError, StoreError) as error:
-                        _obslog.LOGGER.warning(
-                            "cluster_replica_checkpoint_failed",
-                            shard=member.shard_id, error=str(error),
-                        )
             self._since_checkpoint = 0
         return self.directory
 
-    def _wait_for_replica(self, member: Member, replica: ShardClient,
-                          timeout: float = 5.0) -> None:
-        deadline = _time.monotonic() + timeout
-        while _time.monotonic() < deadline:
-            try:
-                status = replica.rpc(protocol.Status())
-            except (OSError, ProtocolError):
-                return  # dead replica cannot catch up; checkpoint anyway
-            if status.revision >= member.acked_lsn:
-                return
-            _time.sleep(0.05)
-
     def refresh_statistics(self) -> bool:
-        """Eagerly rebuild optimizer statistics on every primary.
+        """Eagerly rebuild optimizer statistics on every shard.
 
         Dispatches the dedicated ``refresh_stats`` op — *not* a
-        checkpoint: checkpoints truncate WALs and belong behind
-        :meth:`checkpoint`'s replica catch-up wait.
+        checkpoint, which would also truncate every WAL.
         """
         if self._closed:
             raise StoreError("store is closed")

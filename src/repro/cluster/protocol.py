@@ -16,8 +16,8 @@ police.
 
 Every read, a forwarded query or a star sub-query alike, crosses as
 SPARQLT text in one op, ``query``.  This module also carries the
-serialization helpers the codec calls: result rows (temporal bindings as
-``[[start, end|null], ...]``, matching the HTTP layer) and WAL records.
+serialization helpers the codec calls for result rows (temporal bindings
+as ``[[start, end|null], ...]``, matching the HTTP layer).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ..model.time import NOW, Period, PeriodSet, encode_value
 from ..mvbt.tree import DuplicateKeyError, TimeOrderError
 from ..service.sanitizer import check_blocking
 from ..service.store import StoreError
-from ..service.wal import WalRecord
 from ..sparqlt.errors import SparqltError
 from ..sparqlt.parser import parse, unparse
 
@@ -150,19 +149,6 @@ def encode_trace_envelope(trace: Trace, *, shard_id: int, role: str,
     }
 
 
-# ------------------------------------------------------------- WAL records
-
-
-def encode_wal_record(record: WalRecord) -> list[Any]:
-    return [record.lsn, record.op, record.subject, record.predicate,
-            record.object, record.time]
-
-
-def decode_wal_record(record: list[Any]) -> WalRecord:
-    lsn, op, subject, predicate, object_, time = record
-    return WalRecord(lsn, op, subject, predicate, object_, time)
-
-
 # ------------------------------------------------------------------ queries
 #
 # A shard answers every read from its own text: the coordinator renders a
@@ -179,9 +165,8 @@ decode_query = parse
 #
 # Field names are the wire keys.  A field with a default is optional on
 # the wire — left off at its default, filled back in on decode — which is
-# how the envelope fields, ``Promote.wal_path``, ``Events.limit`` and
-# ``RevisionReply.already`` travel; every other field must be present,
-# and no key the class does not declare may be.
+# how the envelope fields and ``Events.limit`` travel; every other
+# field must be present, and no key the class does not declare may be.
 
 R = TypeVar("R", bound="Reply")
 M = TypeVar("M", bound="Request[Any] | Reply")
@@ -216,8 +201,6 @@ class Request(Generic[R]):
     reply: ClassVar[type[Reply]]
     #: the coordinator's trace id; the worker then traces its side.
     trace_id: str | None = None
-    #: reads: a replica that has applied less refuses with ``lagging``.
-    min_lsn: int = 0
     #: reads: the cluster-wide NOW horizon live periods are clipped at.
     horizon: int = 0
 
@@ -237,15 +220,13 @@ class Ack(Reply):
 
 @dataclass(frozen=True, slots=True, kw_only=True)
 class StatusReply(Reply):
-    """Where a member stands: role, applied LSN, size, horizon, lag."""
+    """Where a member stands: role, applied LSN, size, horizon."""
     role: str
     shard_id: int
     revision: int
     live_facts: int
     horizon: int
     pid: int
-    #: a replica's seconds behind its primary; None if unknown or primary.
-    lag_seconds: float | None
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -272,22 +253,9 @@ class LoadReply(Reply):
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
-class WalReply(Reply):
-    """WAL records past the requested LSN, oldest first."""
-    records: list[WalRecord] = field(
-        metadata=_via(_each(encode_wal_record), _each(decode_wal_record)))
-    #: per record, the wall-clock time it became durable on the primary
-    #: (None once pruned from the tracking window).
-    stamps: list[float | None]
-    head_lsn: int
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
 class RevisionReply(Reply):
     """Done; the member's applied LSN afterwards."""
     revision: int
-    #: a promote that found the member already primary.
-    already: bool = False
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -298,13 +266,12 @@ class RefreshStatsReply(Reply):
 
 @dataclass(frozen=True, slots=True, kw_only=True)
 class MetricsReply(Reply):
-    """A metrics registry snapshot plus the replica-lag inputs."""
+    """A metrics registry snapshot."""
     #: False (with empty ``metrics``) under REPRO_OBS=0.
     enabled: bool
     metrics: dict[str, Any]
     role: str
     revision: int
-    lag_seconds: float | None
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -321,7 +288,7 @@ class Ping(Request[Ack]):
 
 @dataclass(frozen=True, slots=True, kw_only=True)
 class Status(Request[StatusReply]):
-    """Role, applied LSN, live facts, horizon, pid, replica lag."""
+    """Role, applied LSN, live facts, horizon, pid."""
     op: ClassVar[str] = "status"
 
 
@@ -338,7 +305,7 @@ class Query(Request[RowsReply]):
 
 @dataclass(frozen=True, slots=True, kw_only=True)
 class Update(Request[UpdateReply]):
-    """Apply one insert or delete (primaries only)."""
+    """Apply one insert or delete."""
     op: ClassVar[str] = "update"
     update: str  # "insert" | "delete"
     subject: str
@@ -356,26 +323,6 @@ class Load(Request[LoadReply]):
     """Bulk-load ``[subject, predicate, object, start, end|null]`` rows."""
     op: ClassVar[str] = "load"
     rows: list[list[Any]]
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class WalSince(Request[WalReply]):
-    """Ship the WAL records past ``lsn``."""
-    op: ClassVar[str] = "wal_since"
-    lsn: int
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class Resync(Request[RevisionReply]):
-    """Rebuild this replica from its primary's snapshot."""
-    op: ClassVar[str] = "resync"
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class Promote(Request[RevisionReply]):
-    """Take over as primary, catching up from the dead one's WAL file."""
-    op: ClassVar[str] = "promote"
-    wal_path: str | None = None
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -468,10 +415,6 @@ def decode_request(wire: dict[str, Any]) -> Request[Any]:
 # ------------------------------------------------------------------- errors
 
 
-class ReplicaLagging(Exception):
-    """A replica refused a read pinned past its applied LSN."""
-
-
 #: ``(kind, raised coordinator-side, reported under it worker-side)``.
 #: A worker answers any exception listed here with an error reply of the
 #: first matching row's kind (TimeError is a ValueError; a
@@ -485,7 +428,6 @@ ERRORS: tuple[
     ("conflict_duplicate", DuplicateKeyError, (DuplicateKeyError,)),
     ("conflict_time", TimeOrderError, (TimeOrderError,)),
     ("conflict_missing", KeyError, (KeyError,)),
-    ("lagging", ReplicaLagging, (ReplicaLagging,)),
     ("internal", StoreError, (StoreError, ProtocolError, OSError)),
 )
 

@@ -1,6 +1,6 @@
-"""The shard / replica worker process.
+"""The shard worker process.
 
-One worker per topology member, a plain ``python -c`` subprocess running
+One worker per shard, a plain ``python -c`` subprocess running
 :func:`main` — never the launching script.  Its config arrives as one
 JSON line on stdin, its ready report leaves as one on stdout, and stdin
 stays open as a lifeline: EOF (a closing or dead coordinator) stops it.
@@ -9,21 +9,8 @@ Each worker owns a private directory with a full
 result cache — and answers the :mod:`repro.cluster.protocol` ops on a
 loopback TCP socket (``ThreadingTCPServer``: concurrent reads ride the
 store's readers-writer lock exactly as in the single-process server).
-
-Replicas additionally run a tail thread that polls the primary's
-``wal_since`` op and applies shipped records through
-:meth:`~repro.service.store.TemporalStore.apply_replicated`.  Two
-recovery paths keep a follower convergent:
-
-* **Resync** — on a replication gap (the primary checkpointed and
-  truncated records the follower never saw), or on an explicit ``resync``
-  op (bulk loads bypass the WAL entirely), the follower copies the
-  primary's snapshot file and reopens over it.  The copy races only with
-  the atomic snapshot rename, so it always sees a complete file.
-* **Promote** — on a ``promote`` op the follower reads the *dead*
-  primary's on-disk WAL directly (acknowledged appends are flushed to
-  the OS before the ack, so they survive a SIGKILL), applies what it is
-  missing, and flips role to ``shard``; subsequent updates route here.
+The store's own WAL and snapshot make the shard durable: a worker started
+again over the same directory recovers every acknowledged write.
 """
 
 from __future__ import annotations
@@ -37,45 +24,22 @@ _IMPORT_STARTED = _time.perf_counter()
 import contextlib
 import json
 import os
-import shutil
 import socket
 import socketserver
 import sys
 import threading
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from ..model.graph import TemporalGraph
 from ..model.time import NOW
-from ..mvbt.tree import DuplicateKeyError, TimeOrderError
 from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..service.sanitizer import sanitized_lock
-from ..service.snapshot import is_snapshot
-from ..service.store import StoreError, TemporalStore
-from ..service.wal import read_records
+from ..service.store import TemporalStore
 from . import protocol
-from .client import ShardClient
-from .protocol import (
-    FrameTooLarge,
-    ProtocolError,
-    ReplicaLagging,
-    recv_message,
-    send_message,
-)
+from .protocol import FrameTooLarge, ProtocolError, recv_message, send_message
 
 _REQUESTS = _metrics.counter("cluster.worker.requests")
-_REPLICATED = _metrics.counter("cluster.worker.replicated")
-_REPLICATED_BYTES = _metrics.counter("cluster.worker.replicated_bytes")
-_WAL_SHIPPED = _metrics.counter("cluster.worker.wal_shipped")
-_WAL_SHIPPED_BYTES = _metrics.counter("cluster.worker.wal_shipped_bytes")
-_RESYNCS = _metrics.counter("cluster.worker.resyncs")
-_EVENT_RESYNC = _events.event("cluster.event.resync")
-_EVENT_REPLICATION_GAP = _events.event("cluster.event.replication_gap")
-_EVENT_DIVERGED = _events.event("cluster.event.diverged")
-_EVENT_PROMOTE_GAP = _events.event("cluster.event.promote_gap")
-_EVENT_PROMOTED = _events.event("cluster.event.promoted")
 
 _IMPORT_MS = round((_time.perf_counter() - _IMPORT_STARTED) * 1000.0, 3)
 
@@ -85,224 +49,27 @@ class WorkerConfig:
     """Everything a launched worker needs (must survive a JSON round-trip)."""
 
     shard_id: int
-    role: str  # "shard" | "replica"
     directory: str
-    #: primary's (host, port) and directory — replicas only.
-    primary_address: tuple[str, int] | None = None
-    primary_directory: str | None = None
-    replica_index: int = 0
     use_optimizer: bool = True
     group_size: int = 32
     fsync: bool = True
-    poll_interval: float = 0.05
+
+
+#: the ``role`` a worker reports in its status, metrics and traces.
+ROLE = "shard"
 
 
 class _WorkerState:
     def __init__(self, config: WorkerConfig) -> None:
         self.config = config
-        self.role = config.role
-        self.store: TemporalStore = _open_store(config)
+        self.store = TemporalStore(
+            config.directory,
+            use_optimizer=config.use_optimizer,
+            group_size=config.group_size,
+            fsync=config.fsync,
+            query_cache_size=None,
+        )
         self.stopping = threading.Event()
-        #: serializes resync/promote against each other (queries keep
-        #: serving off whatever store object they already grabbed).
-        self.maintenance = sanitized_lock(
-            threading.Lock(), "cluster.worker.maintenance",
-            allow_blocking=True,
-        )
-        #: replication-lag telemetry (replicas only; written by the tail
-        #: thread, read lock-free by status/metrics ops).
-        self.primary_head_lsn: int | None = None
-        self.last_applied_stamp: float | None = None
-
-
-def _event_fields(state: _WorkerState, **fields) -> dict:
-    """Common correlation fields for worker-side events and log lines.
-
-    Every structured line a worker emits carries ``shard_id``/``role``/
-    ``pid`` plus the worker-local ``trace_id`` when the call happens
-    under a traced RPC — the same id the coordinator records as
-    ``remote_trace_id`` on the grafted span, so logs join stitched
-    traces.
-    """
-    fields.update(
-        shard_id=state.config.shard_id,
-        role=state.role,
-        pid=os.getpid(),
-        trace_id=_trace.current_trace_id(),
-    )
-    return fields
-
-
-def _replica_lag_seconds(state: _WorkerState) -> float | None:
-    """Seconds this replica is behind its primary, or None if unknown.
-
-    Zero when the last ``wal_since`` poll found us at the primary's head;
-    otherwise the age of the newest shipped-record stamp we applied.
-    Primaries report None.
-    """
-    if state.role != "replica":
-        return None
-    head = state.primary_head_lsn
-    if head is None:
-        return None
-    if state.store.revision >= head:
-        return 0.0
-    stamp = state.last_applied_stamp
-    if stamp is None:
-        return None
-    return max(0.0, _time.time() - stamp)
-
-
-def _open_store(config: WorkerConfig) -> TemporalStore:
-    return TemporalStore(
-        config.directory,
-        use_optimizer=config.use_optimizer,
-        group_size=config.group_size,
-        fsync=config.fsync,
-        query_cache_size=None,
-    )
-
-
-# -------------------------------------------------------------- replication
-
-
-def _resync(state: _WorkerState) -> None:
-    """Rebuild this follower from the primary's snapshot file.
-
-    Used when WAL shipping cannot bridge the follower to the primary: a
-    bulk load (which bypasses the WAL) or a replication gap (the primary
-    truncated records at checkpoint).  ``save_snapshot`` publishes via an
-    atomic rename, so the copy sees either the previous or the new
-    snapshot, never a torn one — and a stale copy merely triggers one
-    more resync round.
-    """
-    config = state.config
-    with state.maintenance:
-        state.store.close()
-        own_snap = Path(config.directory) / TemporalStore.SNAPSHOT_NAME
-        own_wal = Path(config.directory) / TemporalStore.WAL_NAME
-        primary_snap = (
-            Path(config.primary_directory) / TemporalStore.SNAPSHOT_NAME
-            if config.primary_directory else None
-        )
-        if primary_snap is not None and primary_snap.exists():
-            tmp = own_snap.with_name(own_snap.name + ".resync")
-            shutil.copyfile(primary_snap, tmp)
-            os.replace(tmp, own_snap)
-        elif own_snap.exists():
-            own_snap.unlink()
-        if own_wal.exists():
-            own_wal.unlink()
-        state.store = _open_store(config)
-        if _metrics.ENABLED:
-            _RESYNCS.inc()
-        _events.EVENTS.record(
-            _EVENT_RESYNC,
-            **_event_fields(state, revision=state.store.revision),
-        )
-
-
-def _tail_loop(state: _WorkerState) -> None:
-    """Poll the primary for WAL records past our revision and apply them."""
-    config = state.config
-    primary = ShardClient(config.primary_address, timeout=5.0)
-    try:
-        while not state.stopping.is_set() and state.role == "replica":
-            try:
-                shipped = primary.rpc(
-                    protocol.WalSince(lsn=state.store.revision))
-            except (OSError, ProtocolError, StoreError):
-                # Primary unreachable (dead, or not yet serving) or unable
-                # to read its log just now: keep polling — promotion, if
-                # any, arrives from the coordinator.
-                state.stopping.wait(config.poll_interval)
-                continue
-            state.primary_head_lsn = shipped.head_lsn
-            _apply_shipped(state, shipped)
-            if not shipped.records:
-                state.stopping.wait(config.poll_interval)
-    finally:
-        primary.close()
-
-
-def _apply_shipped(state: _WorkerState, shipped: protocol.WalReply) -> None:
-    applied = 0
-    applied_bytes = 0
-    for record, stamp in zip(shipped.records, shipped.stamps):
-        if state.stopping.is_set() or state.role != "replica":
-            break
-        try:
-            state.store.apply_replicated(record)
-            applied += 1
-        except StoreError as error:
-            _events.EVENTS.record(
-                _EVENT_REPLICATION_GAP, level="warning",
-                **_event_fields(state, lsn=record.lsn, error=str(error)),
-            )
-            _resync(state)
-            break
-        except (DuplicateKeyError, TimeOrderError, KeyError,
-                ValueError) as error:
-            # The record does not apply to our state: we diverged
-            # (e.g. raced a bulk load).  Snap back to the primary's
-            # snapshot rather than guessing.
-            _events.EVENTS.record(
-                _EVENT_DIVERGED, level="warning",
-                **_event_fields(state, lsn=record.lsn, error=str(error)),
-            )
-            _resync(state)
-            break
-        if stamp is not None:
-            state.last_applied_stamp = stamp
-        if _metrics.ENABLED:
-            applied_bytes += len(
-                json.dumps(protocol.encode_wal_record(record)))
-    if applied and _metrics.ENABLED:
-        _REPLICATED.inc(applied)
-        _REPLICATED_BYTES.inc(applied_bytes)
-
-
-def _catch_up_from_wal(state: _WorkerState, wal_path: str) -> int:
-    """Apply every record in ``wal_path`` past our revision; returns the
-    count applied.  Raises :class:`StoreError` on a replication gap."""
-    path = Path(wal_path)
-    if not path.exists():
-        return 0
-    applied = 0
-    for record in read_records(path):
-        if record.lsn <= state.store.revision:
-            continue
-        state.store.apply_replicated(record)
-        applied += 1
-    return applied
-
-
-def _promote(state: _WorkerState, wal_path: str | None) -> None:
-    """Take over as primary: final catch-up from the dead primary's log,
-    then flip role (which also stops the tail loop)."""
-    for attempt in range(2):
-        try:
-            applied = (
-                _catch_up_from_wal(state, wal_path) if wal_path else 0
-            )
-        except StoreError as error:
-            if attempt:
-                raise
-            # Gap against the dead primary's log: its snapshot holds the
-            # truncated prefix — resync onto it and replay once more.
-            _events.EVENTS.record(
-                _EVENT_PROMOTE_GAP, level="warning",
-                **_event_fields(state, error=str(error)),
-            )
-            _resync(state)
-            continue
-        break
-    state.role = "shard"
-    _events.EVENTS.record(
-        _EVENT_PROMOTED,
-        **_event_fields(state, revision=state.store.revision,
-                        caught_up=applied),
-    )
 
 
 # ------------------------------------------------------------------ op impl
@@ -320,23 +87,18 @@ def _op_status(state: _WorkerState,
                request: protocol.Status) -> protocol.StatusReply:
     store = state.store
     return protocol.StatusReply(
-        role=state.role,
+        role=ROLE,
         shard_id=state.config.shard_id,
         revision=store.revision,
         live_facts=store.live_facts,
         horizon=store.engine.horizon,
         pid=os.getpid(),
-        lag_seconds=_replica_lag_seconds(state),
     )
 
 
 def _op_query(state: _WorkerState,
               request: protocol.Query) -> protocol.RowsReply:
     store = state.store
-    if state.role == "replica" and store.revision < request.min_lsn:
-        raise ReplicaLagging(
-            f"replica at LSN {store.revision}, needs {request.min_lsn}"
-        )
     store.raise_horizon(request.horizon)
     result = store.query(request.text)
     return protocol.RowsReply(
@@ -347,8 +109,6 @@ def _op_query(state: _WorkerState,
 
 def _op_update(state: _WorkerState,
                request: protocol.Update) -> protocol.UpdateReply:
-    if state.role != "shard":
-        raise StoreError("replica is read-only")
     store = state.store
     apply = store.insert if request.update == "insert" else store.delete
     lsn = apply(request.subject, request.predicate, request.object,
@@ -365,41 +125,6 @@ def _op_load(state: _WorkerState,
     state.store.load_dataset(graph)
     return protocol.LoadReply(live_facts=state.store.live_facts,
                               horizon=state.store.engine.horizon)
-
-
-def _op_wal_since(state: _WorkerState,
-                  request: protocol.WalSince) -> protocol.WalReply:
-    records = state.store.wal_since(request.lsn)
-    if records and _metrics.ENABLED:
-        _WAL_SHIPPED.inc(len(records))
-        _WAL_SHIPPED_BYTES.inc(len(json.dumps(
-            [protocol.encode_wal_record(r) for r in records])))
-    # Stamps ride the shipping envelope, not the WAL format: each is the
-    # wall-clock time the record became durable here (None once pruned
-    # from the tracking window), and head_lsn lets a caught-up follower
-    # report zero lag without any stamp arithmetic.
-    return protocol.WalReply(
-        records=records,
-        stamps=[state.store.append_walltime(r.lsn) for r in records],
-        head_lsn=state.store.revision,
-    )
-
-
-def _op_resync(state: _WorkerState,
-               request: protocol.Resync) -> protocol.RevisionReply:
-    if state.role != "replica":
-        raise StoreError("resync only applies to replicas")
-    _resync(state)
-    return protocol.RevisionReply(revision=state.store.revision)
-
-
-def _op_promote(state: _WorkerState,
-                request: protocol.Promote) -> protocol.RevisionReply:
-    already = state.role != "replica"
-    if not already:
-        _promote(state, request.wal_path)
-    return protocol.RevisionReply(revision=state.store.revision,
-                                  already=already)
 
 
 def _op_checkpoint(state: _WorkerState,
@@ -427,9 +152,8 @@ def _op_metrics(state: _WorkerState,
     return protocol.MetricsReply(
         enabled=enabled,
         metrics=_metrics.REGISTRY.snapshot() if enabled else {},
-        role=state.role,
+        role=ROLE,
         revision=state.store.revision,
-        lag_seconds=_replica_lag_seconds(state),
     )
 
 
@@ -446,9 +170,6 @@ _HANDLERS = {
     protocol.Query: _op_query,
     protocol.Update: _op_update,
     protocol.Load: _op_load,
-    protocol.WalSince: _op_wal_since,
-    protocol.Resync: _op_resync,
-    protocol.Promote: _op_promote,
     protocol.Checkpoint: _op_checkpoint,
     protocol.RefreshStats: _op_refresh_stats,
     protocol.Metrics: _op_metrics,
@@ -484,7 +205,7 @@ def _dispatch(state: _WorkerState, wire: dict) -> dict:
             # Sampling mirrors the coordinator's by construction — an
             # unsampled request never carries a trace_id.
             reply = replace(reply, trace=protocol.encode_trace_envelope(
-                opened, shard_id=state.config.shard_id, role=state.role,
+                opened, shard_id=state.config.shard_id, role=ROLE,
                 recv_ts=recv_ts, send_ts=_time.time(),
             ))
         return protocol.to_wire(reply)
@@ -543,35 +264,18 @@ def main() -> None:
     """Entry point of a launched worker: serve until stdin closes.
 
     Reads its :class:`WorkerConfig` as one JSON line on stdin, opens the
-    store, starts the replica tail thread when applicable, binds a
-    loopback socket on an ephemeral port, and writes its ``port`` and
-    ``pid`` as one JSON line to stdout before serving — plus where its
-    start-up went: ``import_ms`` (this module and what it imports),
-    ``open_ms`` (store open to bound socket: snapshot load, WAL replay, a
-    replica's first resync) and the ``replayed`` record count.  Stdout
+    store, binds a loopback socket on an ephemeral port, and writes its
+    ``port`` and ``pid`` as one JSON line to stdout before serving — plus
+    where its start-up went: ``import_ms`` (this module and what it
+    imports), ``open_ms`` (store open to bound socket: snapshot load and
+    WAL replay) and the ``replayed`` record count.  Stdout
     carries that line alone; anything else printed goes to stderr.
     """
     ready = os.dup(1)
     os.dup2(2, 1)
-    fields = json.loads(sys.stdin.buffer.readline())
-    if fields["primary_address"] is not None:
-        fields["primary_address"] = tuple(fields["primary_address"])
-    config = WorkerConfig(**fields)
+    config = WorkerConfig(**json.loads(sys.stdin.buffer.readline()))
     entered = _time.perf_counter()
     state = _WorkerState(config)
-    if config.role == "replica":
-        if (state.store.revision == 0 and state.store.live_facts == 0
-                and config.primary_directory):
-            primary_snap = (
-                Path(config.primary_directory) / TemporalStore.SNAPSHOT_NAME
-            )
-            if primary_snap.exists() and is_snapshot(primary_snap):
-                _resync(state)
-        tail = threading.Thread(
-            target=_tail_loop, args=(state,), daemon=True,
-            name=f"repro-tail-{config.shard_id}",
-        )
-        tail.start()
     server = _WorkerServer(("127.0.0.1", 0), _Handler, state)
     report = {
         "port": server.server_address[1], "pid": os.getpid(),

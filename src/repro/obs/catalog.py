@@ -23,15 +23,11 @@ from __future__ import annotations
 
 #: Every counter name the tree is allowed to register -> its contract.
 COUNTER_HELP: dict[str, str] = {
-    "cluster.coordinator.failovers": "replica promotions after primary death",
     "cluster.coordinator.federation_errors":
         "member metrics pulls that failed",
     "cluster.coordinator.federation_pulls":
         "member metrics snapshots pulled by the federation collector",
     "cluster.coordinator.queries": "queries evaluated by the coordinator",
-    "cluster.coordinator.replica_lagging":
-        "replica reads refused behind the acked LSN",
-    "cluster.coordinator.replica_reads": "reads served by a replica",
     "cluster.coordinator.rpc_errors": "shard RPCs failed at transport level",
     "cluster.coordinator.single_shard":
         "queries that are one subject star on one shard",
@@ -40,14 +36,7 @@ COUNTER_HELP: dict[str, str] = {
     "cluster.coordinator.star_requests":
         "per-shard star sub-queries of queries joined at the coordinator",
     "cluster.coordinator.updates": "updates routed to owner shards",
-    "cluster.worker.replicated": "WAL records applied from the primary",
-    "cluster.worker.replicated_bytes":
-        "encoded WAL bytes applied from the primary",
     "cluster.worker.requests": "RPC requests served by this worker",
-    "cluster.worker.resyncs": "full snapshot resyncs performed",
-    "cluster.worker.wal_shipped": "WAL records shipped to followers",
-    "cluster.worker.wal_shipped_bytes":
-        "encoded WAL bytes shipped to followers",
     "engine.filter_rows_in": "rows entering a FILTER operator",
     "engine.filter_rows_out": "rows surviving a FILTER operator",
     "engine.hash_join_rows": "rows emitted by hash joins",
@@ -106,14 +95,6 @@ GAUGE_HELP: dict[str, str] = {
     "cluster.coordinator.shards_alive": "shards with a live primary",
     "cluster.coordinator.watermark":
         "cluster revision watermark (total applied LSNs)",
-    "cluster.lag.lsn":
-        "per-replica LSN lag: acked_lsn minus the replica's applied LSN",
-    "cluster.lag.max_lsn":
-        "worst per-replica LSN lag across the cluster at the last pull",
-    "cluster.lag.max_seconds":
-        "worst per-replica seconds-behind across the cluster at the last pull",
-    "cluster.lag.seconds":
-        "per-replica seconds behind the primary, from shipped-record stamps",
     "cluster.member.up":
         "1 when the member answered the last federation pull, else 0",
     "obs.workload.shapes": "distinct query shapes currently tracked",
@@ -141,22 +122,7 @@ HISTOGRAM_HELP: dict[str, str] = {
 #: :class:`repro.obs.events.EventLog` rings and structured log lines
 #: rather than the metrics registry.
 EVENT_HELP: dict[str, str] = {
-    "cluster.event.diverged":
-        "a replica's WAL diverged from the primary; full resync forced",
-    "cluster.event.failover": "a shard primary died; promotion started",
     "cluster.event.member_dead": "a member stopped answering RPCs",
-    "cluster.event.promote_failed":
-        "a promotion attempt failed; trying the next replica",
-    "cluster.event.promote_gap":
-        "a promoted replica had a WAL gap it could not close",
-    "cluster.event.promoted": "a replica took over as shard primary",
-    "cluster.event.replica_lagging":
-        "a pinned read fell back to the primary (replica behind acked LSN)",
-    "cluster.event.replication_gap":
-        "a replica fell behind the primary's shipped WAL window; resyncing",
-    "cluster.event.resync": "a replica completed a full snapshot resync",
-    "cluster.event.update_recovered":
-        "an update acknowledged via the shipped WAL after a mid-write failover",
     "cluster.event.worker_ready":
         "a started worker reported its port (start-up timings attached)",
     "cluster.event.worker_started":

@@ -1,16 +1,16 @@
 """Ring-buffered cluster event log.
 
-Failovers, resyncs, promotions and their kin are rare, high-signal state
+Worker start-ups, readiness and deaths are rare, high-signal state
 transitions: exactly the things an operator greps for after an incident.
 Scattered warning lines are easy to lose, so each transition is recorded
 twice — appended to a bounded in-memory ring served at ``/debug/events``,
 and mirrored as a structured log line through :mod:`repro.obs.log` so
 log shippers see the same record.
 
-Event names are dotted paths (``cluster.event.promoted``) drawn from
+Event names are dotted paths (``cluster.event.member_dead``) drawn from
 :data:`repro.obs.catalog.EVENTS`.  A recording module binds each name it
 uses once, at module level, with :func:`event`, which refuses an
-uncataloged name, so a typo fails at import rather than on the failover
+uncataloged name, so a typo fails at import rather than on the error
 path that records it; :meth:`EventLog.record` refuses one too.
 ``REPRO_OBS=0`` turns recording into a no-op.
 """
@@ -54,7 +54,7 @@ class EventLog:
                **fields: Any) -> dict[str, Any] | None:
         """Append one event and mirror it to the structured log.
 
-        ``None`` field values are dropped (a replica outside any trace has
+        ``None`` field values are dropped (an event outside any trace has
         ``trace_id=None``; serializing that noise helps nobody).  Returns
         the stored record, or ``None`` when observability is disabled.
         An uncataloged ``event`` raises ``KeyError`` either way.

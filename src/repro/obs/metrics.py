@@ -125,9 +125,7 @@ class Histogram:
     counter, quantiles are interpolated from the bucket boundaries when
     asked.  With log-spaced buckets the interpolation error is bounded by
     the bucket ratio (2-2.5x here), which is what fleet-wide p95/p99
-    dashboards tolerate by convention.  Since every histogram shares the
-    ladder, histograms merge by summing their buckets (:meth:`merge`) and
-    the sum answers what one histogram over all the samples would.
+    dashboards tolerate by convention.
     """
 
     __slots__ = ("name", "_counts", "_overflow", "_sum", "_count", "_lock")
@@ -154,25 +152,6 @@ class Histogram:
                 self._overflow += 1
             self._sum += value_ms
             self._count += 1
-
-    def merge(self, snapshot: dict) -> None:
-        """Add another histogram's :meth:`as_dict` payload bucket by bucket.
-
-        Raises ``ValueError`` for a payload on any other ladder.
-        """
-        bounds = tuple(float(bound) for bound, _ in snapshot["buckets"])
-        if bounds != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r}: foreign bucket ladder {bounds}"
-            )
-        with self._lock:
-            previous = 0
-            for index, (_, cumulative) in enumerate(snapshot["buckets"]):
-                self._counts[index] += int(cumulative) - previous
-                previous = int(cumulative)
-            self._overflow += int(snapshot["overflow"])
-            self._sum += float(snapshot["sum_ms"])
-            self._count += int(snapshot["count"])
 
     @property
     def count(self) -> int:
@@ -362,11 +341,11 @@ class Registry:
 
 
 #: Canonical label emission order; any other labels follow, sorted.
-_LABEL_ORDER = ("shard", "role", "replica")
+_LABEL_ORDER = ("shard", "role")
 
 
 def _format_labels(labels: dict[str, str], extra: str = "") -> str:
-    """``{shard="0",role="replica"}`` with deterministic key order; empty
+    """``{shard="0",role="shard"}`` with deterministic key order; empty
     for no labels."""
     parts = [
         f'{key}="{labels[key]}"' for key in _LABEL_ORDER if key in labels

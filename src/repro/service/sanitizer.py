@@ -17,11 +17,9 @@ role                            blocking ok?    guards
 ==============================  ==============  ============================
 ``store.rw``                    no              in-memory engine (RW lock)
 ``store.writer``                yes (fsync)     store update/checkpoint mutex
-``wal.handle``                  yes (file I/O)  WAL handle swap vs. tail reads
+``wal.handle``                  yes (file I/O)  WAL handle swap and close
 ``cluster.writer``              yes (RPC)       coordinator write serialization
-``cluster.member.failover``     yes (RPC)       per-shard promote/reroute
 ``cluster.client.pool``         no              shard client socket free-list
-``cluster.worker.maintenance``  yes (file I/O)  a worker's resyncs
 ``cluster.federation``          no              federated-metrics cache
 ==============================  ==============  ============================
 

@@ -38,8 +38,8 @@ Endpoints::
                         behind a coordinator (labeled per shard/role)
     GET  /debug/traces  recent request traces (?id=<trace_id> for the
                         full span tree, ?limit=N for the listing)
-    GET  /debug/events  the cluster event ring (promotions, lag,
-                        resyncs), merged across members on a coordinator
+    GET  /debug/events  the cluster event ring (worker start-ups and
+                        deaths), merged across members on a coordinator
     GET  /debug/workload  per-shape query aggregates (?limit=N)
     GET  /debug/storage   MVBT / dictionary / WAL / cache health report
     POST /query         {"query": "...", "profile": false} -> rows
@@ -166,7 +166,7 @@ class TemporalService(socketserver.ThreadingTCPServer):
         super().__init__(address, _Handler)
         self.store = store
         #: this process's place in a cluster topology, reported by
-        #: /healthz: "standalone", "coordinator", "shard" or "replica".
+        #: /healthz: "standalone", "coordinator" or "shard".
         self.role = role
         self.shard_id = shard_id
         self.max_inflight = max_inflight

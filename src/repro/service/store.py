@@ -102,12 +102,6 @@ class TemporalStore:
         self._query_cache = (
             QueryCache(query_cache_size) if query_cache_size else None
         )
-        #: wall-clock append times of recent LSNs, for replication
-        #: seconds-behind telemetry.  Bounded; mutated only under
-        #: ``_writer``, read lock-free (dict reads are atomic).  The WAL
-        #: binary format stays timestamp-free — replay determinism is
-        #: untouched.
-        self._append_times: dict[int, float] = {}
 
         snapshot_lsn = 0
         if self.snapshot_path.exists():
@@ -257,7 +251,6 @@ class TemporalStore:
         # WAL first: once append returns, the update survives a process
         # kill (and a machine crash after the group commit).
         lsn = self._wal.append(op, subject, predicate, object, time)
-        self._note_append_time(lsn)
         with self._rw.write_locked():
             self.engine.apply_update(op, subject, predicate, object, time,
                                      ids)
@@ -271,61 +264,6 @@ class TemporalStore:
         """Force the WAL's pending group to stable storage."""
         with self._writer:
             self._wal.sync()
-
-    # ---------------------------------------------------------- replication
-
-    #: How many recent LSN append times to retain for lag telemetry.
-    APPEND_TIME_WINDOW = 4096
-
-    def _note_append_time(self, lsn: int) -> None:
-        """Remember when ``lsn`` became durable here (callers hold
-        ``_writer``); prune beyond :data:`APPEND_TIME_WINDOW`."""
-        self._append_times[lsn] = _time.time()
-        while len(self._append_times) > self.APPEND_TIME_WINDOW:
-            self._append_times.pop(next(iter(self._append_times)))
-
-    def append_walltime(self, lsn: int) -> float | None:
-        """Wall-clock time ``lsn`` was appended here, if still tracked.
-
-        Shipped alongside ``wal_since`` records so replicas can report
-        seconds-behind without the WAL format carrying timestamps.
-        """
-        return self._append_times.get(lsn)
-
-    def wal_since(self, lsn: int) -> list:
-        """Durable WAL records past ``lsn`` (the log-shipping read path).
-
-        Lock-free: :meth:`WriteAheadLog.read_from` re-reads the file, and
-        a frame is only readable once its append completed — a concurrent
-        writer at worst hides its in-flight record until the next poll.
-        """
-        return self._wal.read_from(lsn)
-
-    def apply_replicated(self, record) -> None:
-        """Apply one shipped WAL record on a follower.
-
-        The follower checks the record and re-logs it into its *own* WAL
-        before applying it, as the primary did (:meth:`_commit`), so its
-        snapshot + WAL stack recovers independently and a record that
-        does not apply here is refused unlogged.  Records at or below the
-        current revision are skipped (idempotent re-delivery); a record
-        that would *skip* an LSN raises :class:`StoreError` — the
-        follower missed records (e.g. the primary checkpointed and
-        truncated its log) and must resync from a snapshot instead of
-        silently diverging.
-        """
-        with self._writer:
-            if self._closed:
-                raise StoreError("store is closed")
-            if record.lsn <= self._revision:
-                return
-            if record.lsn != self._wal.next_lsn:
-                raise StoreError(
-                    f"replication gap: expected LSN {self._wal.next_lsn}, "
-                    f"got {record.lsn}; resync from snapshot"
-                )
-            self._commit(record.op, record.subject, record.predicate,
-                         record.object, record.time)
 
     # -------------------------------------------------------------- queries
 

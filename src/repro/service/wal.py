@@ -111,8 +111,8 @@ class WriteAheadLog:
         self._pending = 0
         self.recovered: list[WalRecord] = []
         self._next_lsn = start_lsn
-        #: guards swapping or closing the append handle against the flush
-        #: of a :meth:`read_from` on another thread (it takes no other lock).
+        #: guards swapping or closing the append handle (truncate, close)
+        #: against another thread doing the same.
         self._handle_lock = sanitized_lock(
             threading.Lock(), "wal.handle", allow_blocking=True
         )
@@ -188,39 +188,13 @@ class WriteAheadLog:
             _SYNCS.inc()
             _SYNC_HIST.observe((time.perf_counter() - started) * 1000.0)
 
-    # ------------------------------------------------------------- tailing
-
-    def read_from(self, lsn: int) -> list[WalRecord]:
-        """All durable records with LSN strictly greater than ``lsn``.
-
-        This is the replication / change-feed read path: a follower that
-        has applied everything up to ``lsn`` calls ``read_from(lsn)`` to
-        fetch the tail it is missing.  The append handle is flushed first,
-        so every *acknowledged* append is visible to the read; a torn tail
-        (a crash mid-write by another process reading a live file) simply
-        ends the scan — it is never repaired here, because repair belongs
-        to the owning writer's recovery.
-
-        Records at or below ``lsn`` are skipped, which makes mid-stream
-        offsets cheap: the file is parsed once and filtered (WAL files are
-        bounded by checkpoint truncation).  An ``lsn`` past the end of the
-        log returns an empty list.
-        """
-        with self._handle_lock:
-            if not self._handle.closed:
-                self._handle.flush()
-        # Lock-free: the path always names a complete log (see truncate).
-        return [
-            record for record in read_records(self.path) if record.lsn > lsn
-        ]
-
     def truncate(self) -> None:
         """Reset the log to empty (after a checkpoint made it redundant).
 
         The in-memory LSN counter keeps counting, so records written after
         a truncation still sort after the snapshot's ``last_lsn``.  The
-        empty log is written beside the old one and renamed over it, so a
-        concurrent :meth:`read_from` never sees a file without its magic.
+        empty log is written beside the old one and renamed over it, so
+        the path always names a complete log, even across a crash.
         """
         self.sync()
         fresh = self.path.with_name(self.path.name + ".tmp")

@@ -10,8 +10,8 @@ compares the current output with it family by family.  The inputs:
   zero-valued;
 * ``recorded`` — the same after counters, gauges and one histogram (with
   an overflow observation) were recorded;
-* ``cluster`` — the cluster renderer over a fixed federated pull (two
-  merged groups, a live and a dead replica with lag and liveness).
+* ``cluster`` — the cluster renderer over a fixed federated pull (the
+  coordinator and one shard, with liveness).
 
 Every input records with instrumentation forced on, so the pins hold
 under ``REPRO_OBS=0`` as well.
@@ -72,24 +72,14 @@ def federated_fixture() -> dict:
              "metrics": {}},
             {"shard": 0, "role": "shard", "pid": 11, "alive": True,
              "enabled": True, "metrics": {}},
-            {"shard": 0, "role": "replica", "replica": 0, "pid": 12,
-             "alive": True, "enabled": True, "metrics": {},
-             "lag_lsn": 3, "lag_seconds": 0.25},
-            {"shard": 1, "role": "replica", "replica": 0, "pid": 13,
-             "alive": False, "enabled": False, "metrics": {}},
         ],
         "groups": [
-            {"labels": {"shard": "0", "role": "shard"}, "members": 1,
+            {"labels": {"shard": "0", "role": "shard"},
              "metrics": {
                  "counters": {"cluster.worker.requests": 4},
                  "gauges": {},
                  "histograms": {"cluster.coordinator.rpc_ms":
                                 hist.as_dict()},
-             }},
-            {"labels": {"shard": "0", "role": "replica"}, "members": 1,
-             "metrics": {
-                 "counters": {"cluster.worker.replicated": 6},
-                 "gauges": {}, "histograms": {},
              }},
         ],
     }

@@ -1,8 +1,8 @@
-"""End-to-end cluster tests: correctness, routing, replication, failover.
+"""End-to-end cluster tests: correctness, routing, a dead shard, reopen.
 
 These boot real worker processes, so topologies stay small and the
 dataset tiny; the properties under test — byte-identical results across
-topologies, watermark monotonicity, replica promotion — do not depend
+topologies, watermark monotonicity, recovery by reopening — do not depend
 on scale.
 """
 
@@ -23,6 +23,7 @@ from repro import io as tio
 from repro.cluster import ClusterStore, protocol, shard_of
 from repro.cluster.client import ShardClient
 from repro.cluster.executor import canonical_sort
+from repro.cluster.membership import ShardDown
 from repro.datasets.queries import (
     complex_queries,
     join_queries,
@@ -469,24 +470,23 @@ class TestCoordinatorResultCache:
             assert len(cluster.query(self.CHAIN).rows) == 2
 
     def test_no_worker_keeps_a_result_cache(self, tmp_path):
-        """Primaries and replicas answer every read they get, and look
-        none of them up: their ``service.cache`` counters stay 0."""
-        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+        """Workers answer every read they get, and look none of them up:
+        their ``service.cache`` counters stay 0."""
+        with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
             self._chain(cluster, 2)
             for text in (self.STAR, self.CHAIN, self.STAR, self.CHAIN):
                 cluster.query(text)
-            replies = [client.rpc(protocol.Metrics())
-                       for member in cluster._membership.members
-                       for _, _, client in member.processes()]
+            replies = [member.primary.rpc(protocol.Metrics())
+                       for member in cluster._membership.members]
         if not all(reply.enabled for reply in replies):
             pytest.skip("counters are off (REPRO_OBS=0)")
         counters = [reply.metrics["counters"] for reply in replies]
-        assert len(counters) == 4
+        assert len(counters) == 2
         assert sum(c["cluster.worker.requests"] for c in counters) > 0
         assert [(c.get("service.cache.hits", 0),
                  c.get("service.cache.misses", 0))
-                for c in counters] == [(0, 0)] * 4
+                for c in counters] == [(0, 0)] * 2
 
     def test_readers_beside_a_writer_see_every_write_they_count(
             self, tmp_path):
@@ -566,150 +566,77 @@ class TestCoordinatorResultCache:
             assert cluster.query(text).rows == [{"o": other}]
 
 
-class TestClusterFailover:
-    def test_sigkill_promotes_replica_and_preserves_results(
-        self, tmp_path, graph, query_mix
-    ):
-        # No result cache: the reads after the kill must reach the shards.
-        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
-                          fsync=False, query_cache_size=None) as cluster:
+class TestDeadShard:
+    """A shard is one worker.  When it dies, its shard raises
+    ``ShardDown`` and the others keep answering; a cluster reopened over
+    the same directory recovers every acknowledged write."""
+
+    def test_a_dead_shard_raises_until_the_cluster_is_reopened(
+            self, tmp_path, graph, query_mix):
+        s0 = [_subject_on_shard(0, 2, start=50_000 + 100 * i)
+              for i in range(3)]
+        s1 = [_subject_on_shard(1, 2, start=60_000 + 100 * i)
+              for i in range(3)]
+        # No result cache: every read after the kill reaches the shards.
+        with ClusterStore(tmp_path / "clu", shards=2, fsync=False,
+                          query_cache_size=None) as cluster:
             cluster.load_dataset(graph)
-            # live writes so the replica has WAL-shipped state too
-            for index in range(5):
-                cluster.insert(f"live{index}", "liveness", "yes",
-                               20_000 + index)
+            acked = []
+            for day, subject in enumerate(s0 + s1):
+                cluster.insert(subject, "liveness", f"v{day}", 20_000 + day)
+                acked.append((subject, f"v{day}"))
+            listing = "SELECT ?s ?o {?s liveness ?o ?t}"
             before = [_serialize(cluster.query(t)) for t in query_mix]
+            assert sorted((r["s"], r["o"]) for r in
+                          cluster.query(listing).rows) == sorted(acked)
+            star = f"SELECT ?o {{{s1[0]} liveness ?o ?t}}"
+            assert _serialize(cluster.query(star))["rows"] == [["v3"]]
 
+            dead = cluster._membership.members[0].primary
+            events.EVENTS.clear()
+            os.kill(dead.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                status = cluster.cluster_status()
-                if all(
-                    replica["alive"] and replica["applied_lsn"]
-                    == member["primary"]["applied_lsn"]
-                    for member in status["members"]
-                    for replica in member["replicas"]
-                ):
-                    break
-                time.sleep(0.1)
+            while _running(dead.pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
 
-            victim = cluster._membership.members[0].primary
-            os.kill(victim.pid, signal.SIGKILL)
-            time.sleep(0.3)
+            # a star whose constant subject is on shard 1 still answers
+            assert _serialize(cluster.query(star))["rows"] == [["v3"]]
+            # a read or an insert that needs shard 0 raises ShardDown
+            with pytest.raises(ShardDown, match="shard 0 is down"):
+                cluster.query(listing)
+            with pytest.raises(ShardDown):
+                cluster.query(f"SELECT ?o {{{s0[0]} liveness ?o ?t}}")
+            with pytest.raises(ShardDown):
+                cluster.insert(s0[0], "after", "kill", 30_000)
+            assert cluster.revision == len(acked)
+            assert not dead.alive
+            deaths = [e for e in cluster.cluster_events()
+                      if e["event"] == "cluster.event.member_dead"]
+            assert deaths and {e["pid"] for e in deaths} == {dead.pid}
+            status = cluster.cluster_status()["members"]
+            assert status[0]["primary"]["alive"] is False
+            assert status[1]["primary"]["alive"] is True
+            # shard 1 still takes writes (at the last chronon, so the
+            # horizon the mix was answered under stays where it was)
+            cluster.insert(s1[0], "liveness", "late", 20_005)
+            acked.append((s1[0], "late"))
 
-            # reads survive (served by the replica or the live shard)
+        with ClusterStore(tmp_path / "clu", shards=2, fsync=False,
+                          query_cache_size=None) as cluster:
+            assert cluster.revision == len(acked)
             after = [_serialize(cluster.query(t)) for t in query_mix]
             assert after == before
+            assert sorted((r["s"], r["o"]) for r in
+                          cluster.query(listing).rows) == sorted(acked)
 
-            # a write owned by the dead shard forces the promotion
-            subject = _subject_on_shard(0, 2, start=50_000)
-            cluster.insert(subject, "post_failover", "ok", 30_000)
-            status = cluster.cluster_status()
-            member = status["members"][0]
-            assert member["primary"]["alive"]
-            assert member["primary"]["pid"] != victim.pid
-            assert member["replicas"] == []
-
-            # the promoted primary serves the full pre-kill state
-            final = [_serialize(cluster.query(t)) for t in query_mix]
-            assert final == before
-            result = cluster.query(
-                f"SELECT ?o {{{subject} post_failover ?o ?t}}"
-            )
-            assert [r["o"] for r in result.rows] == ["ok"]
-
-            # the event log recorded the failover and the promotion
-            names = [e["event"] for e in cluster.cluster_events()]
-            assert "cluster.event.failover" in names
-            assert "cluster.event.promoted" in names
-
-
-    def test_failover_retry_of_committed_write_is_idempotent(
-        self, tmp_path
-    ):
-        """A write the primary applied and shipped — but never
-        acknowledged — must not surface as a conflict when retried on
-        the promoted replica."""
-        with ClusterStore(tmp_path / "clu", shards=1, replicas=1,
-                          fsync=False) as cluster:
-            member = cluster._membership.members[0]
-            subject = _subject_on_shard(0, 1)
-            # Simulate the applied-but-unacknowledged state: write
-            # straight to the primary, bypassing the coordinator's
-            # bookkeeping (acked_lsn stays 0).
-            member.primary.rpc(protocol.Update(
-                update="insert", subject=subject, predicate="p",
-                object="v", time=1000,
-            ))
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if member.replicas[0].rpc(
-                    protocol.Status()
-                ).revision >= 1:
-                    break
-                time.sleep(0.05)
-            os.kill(member.primary.pid, signal.SIGKILL)
-            time.sleep(0.2)
-            # The coordinator-level retry of the "same" write: failover
-            # promotes the replica, the retry conflicts there, and the
-            # promoted WAL proves the write committed.
-            assert cluster.insert(subject, "p", "v", 1000) == 1
-            assert member.acked_lsn == 1
-            result = cluster.query(f"SELECT ?o {{{subject} p ?o ?t}}")
-            assert [r["o"] for r in result.rows] == ["v"]
-
-    def test_failover_is_noop_when_primary_already_replaced(
-        self, tmp_path
-    ):
-        """The double-check: a thread that lost the failover race must
-        not close the freshly promoted primary or consume a replica."""
-        with ClusterStore(tmp_path / "clu", shards=1, replicas=1,
-                          fsync=False) as cluster:
-            member = cluster._membership.members[0]
-            primary, replicas = member.primary, list(member.replicas)
-            stale = object()  # what a losing thread would still hold
-            cluster._membership.failover(
-                member, stale, OSError("stale view"))
-            assert member.primary is primary
-            assert member.primary.alive
-            assert member.replicas == replicas
-
-
-    def test_a_replica_whose_read_fails_is_dropped(self, tmp_path,
-                                                   monkeypatch):
-        """A read RPC that fails on the connection drops the replica
-        (``Membership.drop_replica``): the read is answered by the
-        primary, later reads go there too, and cluster status stops
-        listing the replica."""
-        with ClusterStore(tmp_path / "clu", shards=1, replicas=1,
-                          fsync=False) as cluster:
-            member = cluster._membership.members[0]
-            (replica,) = member.replicas
-            subject = _subject_on_shard(0, 1)
-            cluster.insert(subject, "p", "v", 1000)
-            status = cluster.cluster_status()["members"][0]
-            assert [r["pid"] for r in status["replicas"]] == [replica.pid]
-            calls = []
-
-            def failing_rpc(request, timeout=None):
-                calls.append(request.op)
-                raise OSError("replica connection reset")
-
-            monkeypatch.setattr(replica, "rpc", failing_rpc)
-            query = f"SELECT ?o {{{subject} p ?o ?t}}"
-            assert [r["o"] for r in cluster.query(query).rows] == ["v"]
-            assert calls and member.replicas == []
-            assert not replica.alive
-            dead = [e for e in cluster.cluster_events()
-                    if e["event"] == "cluster.event.member_dead"]
-            assert dead and dead[-1]["role"] == "replica"
-            assert dead[-1]["pid"] == replica.pid
-            # Reads keep going to the primary, and status lists no replica.
-            tried = len(calls)
-            assert len(cluster.query(f"SELECT ?t {{{subject} p v ?t}}")) == 1
-            assert len(calls) == tried
-            status = cluster.cluster_status()["members"][0]
-            assert status["replicas"] == []
-            assert status["primary"]["alive"] is True
+    def test_replicas_other_than_zero_are_refused_before_any_worker_starts(
+            self, tmp_path):
+        events.EVENTS.clear()
+        with pytest.raises(ValueError, match="replicas must be 0, got 1"):
+            ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+                         fsync=False)
+        assert _started_pids() == []
+        assert not (tmp_path / "clu").exists()
 
 
 class TestClusterMaintenance:
@@ -731,10 +658,10 @@ class TestClusterMaintenance:
 
     def test_checkpoint_truncates_every_wal_and_survives_sigkill(
             self, tmp_path):
-        """Updates on both shards, a checkpoint (replicas caught up first),
-        more updates, then SIGKILL of every worker: a cluster reopened on
-        the directory answers every acknowledged write, from the
-        checkpoint's snapshots and the WALs written after them."""
+        """Updates on both shards, a checkpoint, more updates, then SIGKILL
+        of every worker: a cluster reopened on the directory answers every
+        acknowledged write, from the checkpoint's snapshots and the WALs
+        written after them."""
         from repro.service.wal import read_records
 
         def wal(client) -> list:
@@ -742,7 +669,7 @@ class TestClusterMaintenance:
 
         subjects = [_subject_on_shard(shard, 2) for shard in range(2)]
         acked = []
-        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+        with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
             for day, subject in enumerate(subjects * 2):
                 cluster.insert(subject, "p", f"v{day}", 1000 + day)
@@ -752,14 +679,11 @@ class TestClusterMaintenance:
             assert cluster.checkpoint() == tmp_path / "clu"
             for member in members:
                 assert wal(member.primary) == []
-                assert [wal(replica) for replica in member.replicas] == [[]]
             cluster.insert(subjects[1], "p", "after", 1100)
             acked.append((subjects[1], "after"))
-            pids = [client.pid for member in members
-                    for client in (member.primary, *member.replicas)]
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+            for member in members:
+                os.kill(member.primary.pid, signal.SIGKILL)
+        with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
             rows = cluster.query("SELECT ?s ?o {?s p ?o ?t}").rows
         assert sorted((row["s"], row["o"]) for row in rows) == sorted(acked)
@@ -794,32 +718,10 @@ class TestClusterMaintenance:
             rows = cluster.query("SELECT ?s ?o {?s p ?o ?t}").rows
         assert sorted((row["s"], row["o"]) for row in rows) == sorted(acked)
 
-    def test_replica_wait_is_bounded_by_the_clock_not_by_sleeps(self):
-        """A replica whose status RPC is slow used to stretch the wait:
-        only the 50 ms sleeps counted towards the bound."""
-        from repro.cluster.membership import Member
-
-        class _SlowReplica:
-            calls = 0
-
-            def rpc(self, request, timeout=None):
-                self.calls += 1
-                time.sleep(0.1)
-                return protocol.StatusReply(
-                    role="replica", shard_id=0, revision=0, live_facts=0,
-                    horizon=1, pid=0, lag_seconds=None)
-
-        member, replica = Member(0, primary=None), _SlowReplica()
-        member.acked_lsn = 1  # never reached
-        started = time.monotonic()
-        ClusterStore._wait_for_replica(None, member, replica, timeout=0.3)
-        assert time.monotonic() - started < 0.6
-        assert replica.calls <= 3
-
 
 class TestClusterLoad:
     """``load_dataset`` loads every shard at once: one thread per member,
-    all joined before the replicas resync or an error surfaces."""
+    all joined before an error surfaces."""
 
     @staticmethod
     def _log_rpcs(monkeypatch, fail_shard=None):
@@ -845,18 +747,14 @@ class TestClusterLoad:
         monkeypatch.setattr(ShardClient, "rpc", logged)
         return log
 
-    def test_loads_overlap_and_finish_before_the_resync(
-        self, tmp_path, graph, query_mix, monkeypatch
-    ):
-        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+    def test_loads_overlap(self, tmp_path, graph, query_mix, monkeypatch):
+        """Both loads pass the two-party barrier, so both were in flight
+        at once."""
+        with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
             log = self._log_rpcs(monkeypatch)
             cluster.load_dataset(graph)
             assert log.count(("end", "load")) == 2
-            assert log.count(("start", "resync")) == 2
-            last_load = max(
-                i for i, e in enumerate(log) if e == ("end", "load"))
-            assert last_load < log.index(("start", "resync"))
             assert len(cluster.query(query_mix[0]).rows) > 0
 
     def test_a_load_asks_for_status_and_no_predicate_inventory(
@@ -881,12 +779,12 @@ class TestClusterLoad:
         by subject needs nothing else from the shards."""
         s0 = _subject_on_shard(0, 2)
         s1 = _subject_on_shard(1, 2, start=10_000)
-        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+        with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
             cluster.insert(s0, "p", "a", 1000)
             cluster.insert(s1, "p", "b", 1001)
         log = self._log_rpcs(monkeypatch)
-        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+        with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
             started = [op for edge, op in log if edge == "start"]
             assert started == ["status", "status"]
@@ -968,71 +866,42 @@ class TestClusterObservability:
             member = cluster._membership.members[0]
             assert member.primary.rpc(protocol.Status()).trace is None
 
-    def test_federated_metrics_members_groups_and_lag(self, tmp_path):
-        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+    def test_federated_metrics_members_and_groups(self, tmp_path):
+        with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
             s0 = _subject_on_shard(0, 2)
             s1 = _subject_on_shard(1, 2, start=10_000)
             cluster.insert(s0, "p", "a", 1000)
             cluster.insert(s1, "p", "b", 1001)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                status = cluster.cluster_status()
-                if all(
-                    replica["alive"] and replica["applied_lsn"]
-                    == member["primary"]["applied_lsn"]
-                    for member in status["members"]
-                    for replica in member["replicas"]
-                ):
-                    break
-                time.sleep(0.1)
 
             federated = cluster.federated_metrics(force=True)
             assert federated["scope"] == "cluster"
             assert federated["watermark"] == 2
 
             members = federated["members"]
-            assert members[0]["role"] == "coordinator"
-            roles = sorted(m["role"] for m in members)
-            assert roles == ["coordinator", "replica", "replica",
-                             "shard", "shard"]
+            assert [m["role"] for m in members] == [
+                "coordinator", "shard", "shard"]
+            assert [m.get("shard") for m in members] == [None, 0, 1]
             for entry in members[1:]:
                 assert entry["alive"], entry
                 assert entry["enabled"], entry
-            replicas = [m for m in members if m["role"] == "replica"]
-            for entry in replicas:
-                assert entry["lag_lsn"] == 0
-                lag_seconds = entry["lag_seconds"]
-                assert lag_seconds is None or 0.0 <= lag_seconds < 60.0
 
-            groups = {
-                tuple(sorted(g["labels"].items())): g
-                for g in federated["groups"]
-            }
-            for shard in (0, 1):
-                merged = groups[(("role", "shard"),
-                                 ("shard", str(shard)))]["metrics"]
-                assert merged["counters"]["cluster.worker.requests"] > 0
+            # one group per member, holding that member's own snapshot
+            groups = federated["groups"]
+            assert [g["labels"] for g in groups] == [
+                {"role": "coordinator"},
+                {"shard": "0", "role": "shard"},
+                {"shard": "1", "role": "shard"},
+            ]
+            for group, member in zip(groups, members):
+                assert group["metrics"] is member["metrics"]
+            for group in groups[1:]:
+                assert group["metrics"]["counters"][
+                    "cluster.worker.requests"] > 0
 
             # pulls within max_age are served from the cache
             assert cluster.federated_metrics() is federated
             assert cluster.federated_metrics(force=True) is not federated
-
-    def test_cluster_status_reports_replica_lag(self, tmp_path):
-        with ClusterStore(tmp_path / "clu", shards=1, replicas=1,
-                          fsync=False) as cluster:
-            subject = _subject_on_shard(0, 1)
-            cluster.insert(subject, "p", "v", 1000)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                status = cluster.cluster_status()
-                replica = status["members"][0]["replicas"][0]
-                if replica["alive"] and replica["applied_lsn"] == 1:
-                    break
-                time.sleep(0.05)
-            assert replica["lag_lsn"] == 0
-            assert (replica["lag_seconds"] is None
-                    or replica["lag_seconds"] >= 0.0)
 
     def test_op_metrics_disabled_reports_empty(self):
         """REPRO_OBS=0 workers answer the metrics op with enabled=false
@@ -1044,7 +913,6 @@ class TestClusterObservability:
             revision = 7
 
         class _State:
-            role = "shard"
             store = _Store()
 
         metrics.set_enabled(False)
@@ -1055,7 +923,7 @@ class TestClusterObservability:
             metrics.set_enabled(True)
         assert protocol.to_wire(response) == {
             "ok": True, "enabled": False, "metrics": {},
-            "role": "shard", "revision": 7, "lag_seconds": None,
+            "role": "shard", "revision": 7,
         }
 
 
@@ -1188,8 +1056,7 @@ class TestClusterBringUp:
         monkeypatch.setattr(ShardClient, "rpc", rpc)
         events.EVENTS.clear()
         with pytest.raises(StoreError, match="status unavailable"):
-            ClusterStore(tmp_path / "clu", shards=2, replicas=1,
-                         fsync=False)
+            ClusterStore(tmp_path / "clu", shards=2, fsync=False)
         _assert_reaped(_started_pids())
 
     def test_bringup_span_attributes_each_worker(self, tmp_path):
@@ -1201,15 +1068,14 @@ class TestClusterBringUp:
         def bring_up():
             with _trace.start_trace("test.bringup") as trace:
                 cluster = ClusterStore(tmp_path / "clu", shards=2,
-                                       replicas=1, fsync=False)
+                                       fsync=False)
             (bringup,) = [s for s in _walk_spans(trace.root)
                           if s.name == "cluster.bringup"]
-            assert bringup.attrs == {"shards": 2, "replicas": 1}
+            assert bringup.attrs == {"shards": 2}
             ready = bringup.children
-            assert [s.name for s in ready] == ["cluster.worker.ready"] * 4
+            assert [s.name for s in ready] == ["cluster.worker.ready"] * 2
             assert sorted((s.attrs["shard"], s.attrs["role"])
-                          for s in ready) == [
-                (0, "replica"), (0, "shard"), (1, "replica"), (1, "shard")]
+                          for s in ready) == [(0, "shard"), (1, "shard")]
             for span in ready:
                 assert span.attrs["import_ms"] > 0
                 assert span.attrs["open_ms"] > 0
@@ -1226,23 +1092,21 @@ class TestClusterBringUp:
         cluster, ready = bring_up()
         with cluster:
             assert cluster.revision == watermark
-            assert sum(s.attrs["replayed"] for s in ready
-                       if s.attrs["role"] == "shard") == 6
+            assert sum(s.attrs["replayed"] for s in ready) == 6
 
 
 class TestClusterReporting:
     def test_status_shape_and_storage_report(self, tmp_path):
-        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
+        with ClusterStore(tmp_path / "clu", shards=2,
                           fsync=False) as cluster:
             cluster.insert("a", "p", "v", 1000)
             status = cluster.cluster_status()
             assert status["shards"] == 2
-            assert status["replicas_per_shard"] == 1
             assert len(status["members"]) == 2
             for member in status["members"]:
+                assert set(member) == {"shard", "primary"}
                 assert member["primary"]["role"] == "shard"
                 assert member["primary"]["alive"]
-                assert len(member["replicas"]) == 1
             assert cluster.storage_report()["cluster"]["shards"] == 2
             assert cluster.live_facts == 1
 

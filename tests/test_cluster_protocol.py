@@ -33,7 +33,6 @@ from repro.mvbt.tree import DuplicateKeyError, TimeOrderError
 from repro.obs import events
 from repro.service.server import serve
 from repro.service.store import StoreError
-from repro.service.wal import WalRecord
 from repro.sparqlt.errors import ParseError, SparqltError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -60,7 +59,7 @@ def _through_json(wire: dict) -> dict:
 def test_worker_registry_is_exactly_the_declared_requests():
     assert set(worker._HANDLERS) == REQUESTS
     assert set(protocol.REQUESTS.values()) == REQUESTS
-    assert len(protocol.REQUESTS) == len(REQUESTS) == 12  # op names unique
+    assert len(protocol.REQUESTS) == len(REQUESTS) == 9  # op names unique
     assert {cls.reply for cls in REQUESTS} <= REPLIES
 
 
@@ -82,26 +81,21 @@ _periods = st.builds(
     st.integers(0, 10_000), st.integers(1, 500), st.booleans(),
 )
 _values = _names | st.builds(PeriodSet, st.lists(_periods, max_size=3))
-_wal_record = st.builds(
-    WalRecord, _ints, st.sampled_from(["insert", "delete"]),
-    _names, _names, _names, _ints)
 
 #: one strategy per field annotation; a new kind of field has to be added
 #: here (KeyError below) before its message can round-trip.
 BY_ANNOTATION = {
     "str": _names, "int": _ints, "bool": st.booleans(),
-    "str | None": st.none() | _names, "float | None": st.none() | _floats,
+    "str | None": st.none() | _names,
     "list[str]": st.lists(_names, max_size=3),
     "dict[str, Any]": st.dictionaries(_names, _json, max_size=3),
     "dict[str, Any] | None":
         st.none() | st.dictionaries(_names, _json, max_size=3),
     "list[dict[str, Any]]":
         st.lists(st.dictionaries(_names, _json, max_size=3), max_size=3),
-    "list[float | None]": st.lists(st.none() | _floats, max_size=3),
     "list[list[Any]]": st.lists(
         st.tuples(_names, _names, _names, _ints, st.none() | _ints)
         .map(list), max_size=3),
-    "list[WalRecord]": st.lists(_wal_record, max_size=3),
 }
 #: fields whose declared type says less than their meaning.
 BY_FIELD = {
@@ -141,14 +135,13 @@ def test_every_message_survives_the_codec_and_json(cls, data):
 
 def test_defaults_stay_off_the_wire():
     """The frames are the ones the dict protocol sent: no envelope key
-    (or ``wal_path``, ``limit``, ``already``) unless it says something."""
+    (or ``limit``) unless it says something."""
     assert protocol.to_wire(protocol.Status()) == {"op": "status"}
-    assert protocol.to_wire(protocol.Promote()) == {"op": "promote"}
     assert protocol.to_wire(protocol.Events()) == {"op": "events"}
     assert protocol.to_wire(protocol.RevisionReply(revision=3)) == {
         "ok": True, "revision": 3}
-    assert protocol.to_wire(protocol.WalSince(lsn=0, min_lsn=4)) == {
-        "op": "wal_since", "min_lsn": 4, "lsn": 0}
+    assert protocol.to_wire(protocol.Query(text="q", horizon=4)) == {
+        "op": "query", "horizon": 4, "text": "q"}
     assert protocol.from_wire(protocol.Events, {"op": "events"}).limit == 100
 
 
@@ -172,10 +165,9 @@ def test_malformed_requests_are_value_errors(wire, complaint):
 # ------------------------------------------------- a worker, in this process
 
 
-def _state(directory: Path, role: str = "shard", **config):
+def _state(directory: Path):
     return worker._WorkerState(worker.WorkerConfig(
-        shard_id=0, role=role, directory=str(directory), fsync=False,
-        **config))
+        shard_id=0, directory=str(directory), fsync=False))
 
 
 @pytest.fixture()
@@ -200,25 +192,19 @@ def serving(tmp_path):
         state.store.close()
 
 
-def _samples(primary_dir: Path) -> list[tuple]:
-    """One request per op, with the role of the worker it is sent to."""
-    return [
-        (protocol.Ping(), "shard"),
-        (protocol.Status(), "shard"),
-        (protocol.Load(rows=[["l", "p", "o", 1, None],
-                             ["l", "q", "o", 1, 7]]), "shard"),
-        (protocol.Update(update="insert", subject="s", predicate="p",
-                         object="o", time=1000), "shard"),
-        (protocol.Query(text="SELECT ?o {s p ?o ?t}", horizon=1001,
-                        min_lsn=1), "shard"),
-        (protocol.WalSince(lsn=0), "shard"),
-        (protocol.Checkpoint(), "shard"),
-        (protocol.RefreshStats(), "shard"),
-        (protocol.Metrics(), "shard"),
-        (protocol.Events(limit=5), "shard"),
-        (protocol.Resync(), "replica"),
-        (protocol.Promote(wal_path=str(primary_dir / "store.wal")), "replica"),
-    ]
+#: one request per op.
+SAMPLES = [
+    protocol.Ping(),
+    protocol.Status(),
+    protocol.Load(rows=[["l", "p", "o", 1, None], ["l", "q", "o", 1, 7]]),
+    protocol.Update(update="insert", subject="s", predicate="p",
+                    object="o", time=1000),
+    protocol.Query(text="SELECT ?o {s p ?o ?t}", horizon=1001),
+    protocol.Checkpoint(),
+    protocol.RefreshStats(),
+    protocol.Metrics(),
+    protocol.Events(limit=5),
+]
 
 
 def test_every_op_crosses_a_real_dispatcher(tmp_path):
@@ -227,24 +213,17 @@ def test_every_op_crosses_a_real_dispatcher(tmp_path):
     decodes as the reply type the request names.  A handler reading a
     field the request does not declare, or building a reply with one its
     class lacks, fails here."""
-    samples = _samples(tmp_path / "shard")
-    assert {type(request) for request, _ in samples} == REQUESTS
-    states = {
-        "shard": _state(tmp_path / "shard"),
-        "replica": _state(tmp_path / "replica", role="replica",
-                          primary_directory=str(tmp_path / "shard")),
-    }
+    assert {type(request) for request in SAMPLES} == REQUESTS
+    state = _state(tmp_path / "shard")
     try:
-        for request, role in samples:
+        for request in SAMPLES:
             wire = worker._dispatch(
-                states[role], _through_json(protocol.to_wire(request)))
+                state, _through_json(protocol.to_wire(request)))
             assert wire.get("ok"), (request, wire)
             reply = protocol.from_wire(request.reply, _through_json(wire))
             assert type(reply) is request.reply
-        assert states["replica"].role == "shard"  # the promote took
     finally:
-        for state in states.values():
-            state.store.close()
+        state.store.close()
 
 
 def _mutated_tree(tmp_path: Path, mutate=None) -> subprocess.CompletedProcess:
@@ -310,12 +289,10 @@ CROSSING = [
     (DuplicateKeyError("already live"), DuplicateKeyError, 409),
     (TimeOrderError("before the watermark"), TimeOrderError, 409),
     (KeyError("no such live fact"), KeyError, 409),
-    (StoreError("replica is read-only"), StoreError, 409),
+    (StoreError("store is closed"), StoreError, 409),
     (protocol.FrameTooLarge("frame too large: 9 bytes"), StoreError, 409),
     (protocol.ProtocolError("undecodable"), StoreError, 409),
     (OSError("disk full"), StoreError, 409),
-    (protocol.ReplicaLagging("replica at LSN 1, needs 2"),
-     protocol.ReplicaLagging, None),
 ]
 
 
@@ -366,8 +343,6 @@ def test_errors_cross_the_wire_with_message_and_http_status(
     arrived = protocol.error_from_wire(wire)
     assert type(arrived) is raised
     assert arrived.args == error.args
-    if status is None:
-        return  # lagging never leaves the coordinator
     http_service.store.error = arrived
     conn = http.client.HTTPConnection("127.0.0.1", http_service.port,
                                       timeout=15)
@@ -411,29 +386,29 @@ def test_a_hand_built_frame_missing_a_field_is_a_bad_request(
 # ---------------------------------------------------------------- frame cap
 
 
-def _failovers() -> list[dict]:
+def _member_deaths() -> list[dict]:
     return [e for e in events.EVENTS.recent(1000)
-            if e["event"] == "cluster.event.failover"]
+            if e["event"] == "cluster.event.member_dead"]
 
 
 class TestFrameCap:
     """An over-cap frame is refused before a byte is written, so it says
-    nothing about the peer: no failover in either direction."""
+    nothing about the peer: the member keeps its client, still alive,
+    no death is recorded, and the next RPC to the shard answers."""
 
     def test_oversized_request_is_a_store_error_not_a_dead_primary(
             self, tmp_path, monkeypatch):
-        with ClusterStore(tmp_path / "clu", shards=1, replicas=1,
+        with ClusterStore(tmp_path / "clu", shards=1,
                           fsync=False) as cluster:
             member = cluster._membership.members[0]
-            primary, replicas = member.primary, list(member.replicas)
+            primary = member.primary
             events.EVENTS.clear()
             monkeypatch.setattr(protocol, "MAX_FRAME", 200)
             with pytest.raises(StoreError, match=r"frame too large: \d+"):
                 cluster.insert("s" * 500, "p", "o", 1000)
             monkeypatch.undo()
             assert member.primary is primary and primary.alive
-            assert member.replicas == replicas
-            assert _failovers() == []
+            assert _member_deaths() == []
             # same pooled connection, same worker, next request served
             assert cluster.insert("s", "p", "o", 1000) == 1
 
@@ -442,13 +417,10 @@ class TestFrameCap:
         shard = _state(tmp_path / "shard")
         for index in range(40):
             shard.store.insert(f"subject-{index}", "p", "o", 1000 + index)
-        replica = _state(tmp_path / "replica", role="replica",
-                         primary_directory=str(tmp_path / "shard"))
-        membership = Membership(tmp_path, 1, 1, {})
+        membership = Membership(tmp_path, 1, {})
         member = Member(0, ShardClient(serving(shard), directory=tmp_path))
-        member.replicas.append(ShardClient(serving(replica)))
         membership.members.append(member)
-        primary, replicas = member.primary, list(member.replicas)
+        primary = member.primary
         events.EVENTS.clear()
         listing = protocol.Query(text="SELECT ?s {?s p ?o ?t}", horizon=2000)
         try:
@@ -458,13 +430,10 @@ class TestFrameCap:
                 membership.rpc_primary(member, listing)
             monkeypatch.undo()
             assert member.primary is primary and primary.alive
-            assert member.replicas == replicas
-            assert replica.role == "replica"
-            assert _failovers() == []
+            assert _member_deaths() == []
             assert len(membership.rpc_primary(member, listing).rows) == 40
         finally:
             primary.close()
-            replicas[0].close()
 
 
 # --------------------------------------------------------------------- docs

@@ -222,20 +222,17 @@ class TestConcurrentBringUp:
         from repro.obs import events
 
         events.EVENTS.clear()
-        with ClusterStore(tmp_path / "clu", shards=2, replicas=1,
-                          fsync=False):
+        with ClusterStore(tmp_path / "clu", shards=2, fsync=False):
             log = [e for e in reversed(events.EVENTS.recent(100))
                    if e["event"] in ("cluster.event.worker_started",
                                      "cluster.event.worker_ready")]
-        # two waves of two workers: started, started, ready, ready
+        # one wave of two workers: started, started, ready, ready
         kinds = [e["event"].rsplit("_", 1)[1] for e in log]
-        assert kinds == ["started", "started", "ready", "ready"] * 2
-        assert [e["role"] for e in log] == ["shard"] * 4 + ["replica"] * 4
-        for wave in (log[:4], log[4:]):
-            assert sorted(e["shard_id"] for e in wave[:2]) == [0, 1]
-            assert ({e["pid"] for e in wave[:2]}
-                    == {e["pid"] for e in wave[2:]})
-        # both primaries' [started, ready] intervals overlap
+        assert kinds == ["started", "started", "ready", "ready"]
+        assert [e["role"] for e in log] == ["shard"] * 4
+        assert sorted(e["shard_id"] for e in log[:2]) == [0, 1]
+        assert {e["pid"] for e in log[:2]} == {e["pid"] for e in log[2:]}
+        # both workers' [started, ready] intervals overlap
         started = {e["shard_id"]: e["ts"] for e in log[:2]}
         ready = {e["shard_id"]: e["ts"] for e in log[2:4]}
         assert max(started.values()) <= min(ready.values())

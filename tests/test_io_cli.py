@@ -336,14 +336,14 @@ class TestClusterCommands:
         assert outcome == {"code": 0}
         out = capsys.readouterr().out
         assert "loaded 2 live facts across 2 shard(s)" in out
-        assert "shards:    2 (+0 replica(s) each)" in out
+        assert "shards:    2\n" in out
         assert "watermark: 1" in out
         assert out.count("  shard ") == 2
         assert "federated metrics (watermark 1):" in out
         if metrics.ENABLED:  # REPRO_OBS=0 workers report no groups
-            assert "[role=shard,shard=1] x1: " in out
+            assert "[role=shard,shard=1]: " in out
             # the coordinator's own counters: 2 queries and 1 update
-            assert (f"[role=coordinator] x1: {queries} queries, "
+            assert (f"[role=coordinator]: {queries} queries, "
                     f"{updates} updates\n") in out
 
     def test_stats_reports_the_registry_after_the_queries(self, tmp_path,

@@ -140,7 +140,6 @@ SEEDED_REGRESSIONS = {
     "RL003": (
         "src/repro/service/store.py",
         "        lsn = self._wal.append(op, subject, predicate, object, time)\n"
-        "        self._note_append_time(lsn)\n"
         "        with self._rw.write_locked():\n"
         "            self.engine.apply_update(op, subject, predicate, object, time,\n"
         "                                     ids)\n",
@@ -148,7 +147,6 @@ SEEDED_REGRESSIONS = {
         "            self.engine.apply_update(op, subject, predicate, object, time,\n"
         "                                     ids)\n"
         "        lsn = self._wal.append(op, subject, predicate, object, time)\n"
-        "        self._note_append_time(lsn)\n"
         "        with self._rw.write_locked():\n",
     ),
     # A failed restructure reopens the deleted entry (te back to NOW,

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterStore, worker
 from repro.service import sanitizer as san
 from repro.service.locks import ReadWriteLock
 from repro.service.sanitizer import (
@@ -243,39 +242,3 @@ def test_save_snapshot_under_store_rw_raises(tracker, tmp_path):
                 save_snapshot(store.engine, tmp_path / "seeded.snap")
     finally:
         store.close()
-
-
-def test_resync_records_the_maintenance_edges(tracker, tmp_path):
-    def state(role, **config):
-        return worker._WorkerState(worker.WorkerConfig(
-            shard_id=0, role=role, directory=str(tmp_path / role),
-            fsync=False, **config))
-
-    primary = state("shard")
-    primary.store.insert("s", "p", "o", 1)
-    primary.store.checkpoint()
-    replica = state("replica", primary_directory=str(tmp_path / "shard"))
-    try:
-        tracker.reset()
-        worker._resync(replica)
-        assert replica.store.query("SELECT ?o {s p ?o ?t}").rows
-    finally:
-        replica.store.close()
-        primary.store.close()
-    # The resync reopens the store under the maintenance lock; it takes
-    # no shard-client lock (it makes no RPC).
-    assert tracker.edges()["cluster.worker.maintenance"] == {
-        "store.writer", "wal.handle",
-    }
-
-
-def test_failover_then_cluster_writer_raises(tracker, tmp_path):
-    with ClusterStore(tmp_path / "cluster", shards=1) as cluster:
-        member = cluster._membership.members[0]
-        with cluster._writer:  # the order updates take on failover
-            with member.failover_lock:
-                pass
-        with member.failover_lock:
-            with pytest.raises(LockSanitizerError, match="lock-order cycle"):
-                cluster._writer.acquire()
-    assert "cluster.member.failover" in tracker.edges()["cluster.writer"]

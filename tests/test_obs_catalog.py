@@ -18,9 +18,9 @@ import repro
 from repro.obs import catalog, events, metrics
 from repro.obs.metrics import REGISTRY, Registry
 
-#: Gauges the federation renders from member pulls; no process registers
-#: them in its own registry.
-FEDERATION_ONLY = {"cluster.lag.lsn", "cluster.lag.seconds", "cluster.member.up"}
+#: The gauge the federation renders from member pulls; no process
+#: registers it in its own registry.
+FEDERATION_ONLY = {"cluster.member.up"}
 
 NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 

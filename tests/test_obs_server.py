@@ -551,17 +551,17 @@ class TestEventsAndClusterScope:
     def test_debug_events_serves_the_local_ring(self, service):
         from repro.obs import events as obs_events
 
-        obs_events.EVENTS.record("cluster.event.resync", shard_id=9)
+        obs_events.EVENTS.record("cluster.event.member_dead", shard_id=9)
         status, body = _json_request(service, "GET",
                                      "/debug/events?limit=500")
         assert status == 200
         assert body["enabled"] is True
         names = [event["event"] for event in body["events"]]
-        assert "cluster.event.resync" in names
-        assert body["counts"]["cluster.event.resync"] >= 1
+        assert "cluster.event.member_dead" in names
+        assert body["counts"]["cluster.event.member_dead"] >= 1
         (recorded,) = [
             event for event in body["events"]
-            if event["event"] == "cluster.event.resync"
+            if event["event"] == "cluster.event.member_dead"
             and event.get("shard_id") == 9
         ][:1]
         assert recorded["level"] == "info"

@@ -400,46 +400,6 @@ class TestConcurrency:
             assert revisions
             assert max(revisions) <= store.revision
 
-    def test_wal_since_across_checkpoints_never_sees_a_headerless_log(
-            self, tmp_path):
-        """A replica polls ``wal_since`` without any lock while the
-        primary checkpoints.  Truncation used to reopen the log with
-        ``"wb"``: for a moment the file was 0 bytes and the poll raised
-        ``WalError: bad magic`` (or flushed a handle being closed)."""
-        failures = []
-        done = threading.Event()
-
-        def poll(store):
-            while not done.is_set():
-                try:
-                    assert isinstance(store.wal_since(0), list)
-                except Exception as error:  # the regression: reported below
-                    failures.append(error)
-                    return
-
-        interval = sys.getswitchinterval()
-        with TemporalStore(tmp_path, fsync=False) as store:
-            pollers = [threading.Thread(target=poll, args=(store,))
-                       for _ in range(4)]
-            sys.setswitchinterval(1e-5)
-            try:
-                for poller in pollers:
-                    poller.start()
-                for i in range(200):
-                    store.insert(f"s{i}", "p", "o", D("01/01/2016") + i)
-                    store.checkpoint()
-                    if failures:
-                        break
-            finally:
-                done.set()
-                for poller in pollers:
-                    poller.join(timeout=30)
-                sys.setswitchinterval(interval)
-            assert not any(poller.is_alive() for poller in pollers)
-            assert failures == []
-            assert store.wal_since(0) == []
-            assert store.revision == 200
-
     def test_revision_pins_to_read_epoch(self, tmp_path):
         with TemporalStore(tmp_path) as store:
             store.load_dataset(fixture_graph())

@@ -137,36 +137,20 @@ class TestGroupCommit:
 
 
 class TestReadFrom:
-    """The replication / change-feed read path (read_from / tail)."""
-
-    def test_read_from_zero_returns_all(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.wal")
-        _fill(wal, 5)
-        assert [r.lsn for r in wal.read_from(0)] == [1, 2, 3, 4, 5]
-        wal.close()
-
-    def test_mid_stream_offset(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.wal")
-        _fill(wal, 10)
-        tail = wal.read_from(6)
-        assert [r.lsn for r in tail] == [7, 8, 9, 10]
-        assert tail[0].subject == "s6"
-        # At and past the end: empty, not an error.
-        assert wal.read_from(10) == []
-        assert wal.read_from(999) == []
-        wal.close()
+    """Reading a log file from outside its writer (``read_records``)."""
 
     def test_sees_unflushed_appends(self, tmp_path):
         # Records acknowledged but still inside the group-commit window
-        # must be visible: read_from flushes the append handle first.
-        wal = WriteAheadLog(tmp_path / "w.wal", group_size=1000)
+        # reach the OS before the ack, so they are in the file (and
+        # survive a process kill).
+        path = tmp_path / "w.wal"
+        wal = WriteAheadLog(path, group_size=1000)
         _fill(wal, 3)
-        assert [r.lsn for r in wal.read_from(0)] == [1, 2, 3]
+        assert [r.lsn for r in read_records(path)] == [1, 2, 3]
         wal.close()
 
     def test_foreign_reader_on_live_file(self, tmp_path):
-        # A second (read-only) handle on a WAL another process owns: the
-        # common replication topology on one box.
+        # A second (read-only) handle on a WAL another process owns.
         path = tmp_path / "w.wal"
         writer = WriteAheadLog(path)
         _fill(writer, 4)
@@ -179,7 +163,7 @@ class TestReadFrom:
 
     def test_torn_tail_stops_read_without_repair(self, tmp_path):
         # A torn frame appearing under an *open* WAL (e.g. a reader racing
-        # the writer's partial frame): read_from stops at the tear and
+        # the writer's partial frame): read_records stops at the tear and
         # must not modify the file — repair belongs to the owning
         # recovery path, not to a read.
         path = tmp_path / "w.wal"
@@ -188,23 +172,22 @@ class TestReadFrom:
         with open(path, "ab") as handle:
             handle.write(b"\x00\x00\x00\x10\xba\xad")
         size_torn = path.stat().st_size
-        assert [r.lsn for r in wal.read_from(2)] == [3, 4, 5]
+        assert [r.lsn for r in read_records(path)] == [1, 2, 3, 4, 5]
         assert path.stat().st_size == size_torn  # untouched by the read
         wal.close()
         # The next owning open *does* repair it.
         wal2 = WriteAheadLog(path)
         assert path.stat().st_size < size_torn
-        assert [r.lsn for r in wal2.read_from(0)] == [1, 2, 3, 4, 5]
+        assert [r.lsn for r in read_records(path)] == [1, 2, 3, 4, 5]
         wal2.close()
 
     def test_read_from_after_truncate_sees_only_new_records(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.wal")
+        path = tmp_path / "w.wal"
+        wal = WriteAheadLog(path)
         _fill(wal, 5)
         wal.truncate()
         _fill(wal, 2, start=5)
-        assert [r.lsn for r in wal.read_from(0)] == [6, 7]
-        # A follower that applied through 6 sees just the last record.
-        assert [r.lsn for r in wal.read_from(6)] == [7]
+        assert [r.lsn for r in read_records(path)] == [6, 7]
         wal.close()
 
     def test_read_from_bad_magic(self, tmp_path):
@@ -213,4 +196,4 @@ class TestReadFrom:
         wal.close()
         path.write_bytes(b"NOTAWAL!")
         with pytest.raises(WalError):
-            wal.read_from(0)
+            read_records(path)
