@@ -18,7 +18,10 @@ Drives the real ``repro-tx serve --shards 2`` process over HTTP:
    processes to exit on their own: EOF on their stdin lifeline,
 6. restart ``serve --shards 2`` over the same directory, and assert that
    every acknowledged write is back and that every query of the mix
-   answers byte-identically to the pre-kill run.
+   answers byte-identically to the pre-kill run,
+7. SIGKILL one worker of the restarted cluster and require ``/healthz``
+   to answer 503 with that shard ``alive: false``, and ``repro-tx
+   cluster-status`` to print it ``DOWN`` and exit 1.
 
 Run directly (no pytest needed)::
 
@@ -197,6 +200,31 @@ def check_federated_metrics():
           f"({len(federated['members'])} members)")
 
 
+def check_dead_worker(body):
+    """SIGKILL shard 1's worker: ``/healthz`` answers 503 with the
+    topology, that member ``alive: false``, and ``cluster-status`` prints
+    it ``DOWN`` and exits 1."""
+    dead = body["cluster"]["members"][1]["primary"]["pid"]
+    os.kill(dead, signal.SIGKILL)
+    deadline = time.monotonic() + 15.0
+    while running(dead) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    status, health = request_json("GET", "/healthz")
+    assert status == 503, (status, health)
+    alive = [m["primary"]["alive"] for m in health["cluster"]["members"]]
+    assert alive == [True, False], health["cluster"]
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "cluster-status",
+         f"http://127.0.0.1:{PORT}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1, (result.returncode, result.stdout,
+                                    result.stderr)
+    assert f"shard 1: pid {dead} DOWN" in result.stdout, result.stdout
+    print(f"killed worker {dead}: /healthz 503, cluster-status DOWN")
+
+
 def main() -> int:
     from repro.cluster.planner import shard_of
     from repro.datasets import wikipedia
@@ -273,6 +301,7 @@ def main() -> int:
             assert sorted(row["s"] for row in rows) == sorted(acked), rows
             print(f"restart recovered all {UPDATES} acknowledged writes; "
                   "query mix byte-identical")
+            check_dead_worker(body)
         finally:
             stop_server(server)
     print("cluster smoke passed")

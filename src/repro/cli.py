@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_status = sub.add_parser(
         "cluster-status",
         help="topology and per-member health of a running cluster "
-             "(reads /healthz)",
+             "(reads /healthz; exits 1 when a shard is down)",
     )
     cluster_status.add_argument(
         "url", nargs="?", default="http://127.0.0.1:8094",
@@ -504,14 +504,21 @@ def cmd_cluster_status(args) -> int:
 
     url = args.url.rstrip("/") + "/healthz"
     try:
-        with urllib.request.urlopen(url, timeout=10.0) as response:
-            payload = _json.loads(response.read().decode("utf-8"))
+        try:
+            with urllib.request.urlopen(url, timeout=10.0) as response:
+                raw = response.read()
+        except urllib.error.HTTPError as error:
+            if error.code != 503:
+                raise
+            raw = error.read()  # a shard is down: still the topology
+        payload = _json.loads(raw.decode("utf-8"))
     except (urllib.error.URLError, OSError, ValueError) as error:
         print(f"error: cannot read {url}: {error}", file=sys.stderr)
         return 1
+    code = 0 if payload.get("status") == "ok" else 1
     if args.json:
         print(_json.dumps(payload, indent=2))
-        return 0
+        return code
     role = payload.get("role", "standalone")
     print(f"role:      {role}")
     print(f"revision:  {payload.get('revision')}")
@@ -519,7 +526,7 @@ def cmd_cluster_status(args) -> int:
     cluster = payload.get("cluster")
     if cluster is None:
         print("(not a cluster coordinator: no topology section)")
-        return 0
+        return code
     print(f"shards:    {cluster['shards']}")
     print(f"watermark: {cluster['watermark']}")
     for member in cluster["members"]:
@@ -532,8 +539,8 @@ def cmd_cluster_status(args) -> int:
                      f"{primary.get('live_facts')} live")
         print(line)
     if args.metrics:
-        return _print_cluster_metrics(args.url)
-    return 0
+        return _print_cluster_metrics(args.url) or code
+    return code
 
 
 def _print_cluster_metrics(base_url: str) -> int:

@@ -32,9 +32,11 @@ common case the paper observes in large datasets::
 
 Byte-length codes map ``{0: 0, 1: 1, 2: 2, 3: 4}`` bytes; deltas are
 zigzag-encoded so negative neighbour deltas stay compact.  ``ts`` is always a
-delta against the node minimum in normal entries (entries arrive in
-nondecreasing start order, so the last entry has the largest ts: it is the
-append *checkpoint*, all an append encodes against, and nothing is rescanned).
+delta against the node minimum in normal entries, and a zigzag delta against
+the predecessor in compact ones, so records pack in any order: a loaded leaf
+is packed by key (``LeafNode.compress``), and appends follow in write order.
+The last record in buffer order is the append *checkpoint*, all an append
+encodes against, and nothing is rescanned.
 
 The packed buffer is also the **scan substrate**: :func:`scan_packed` walks
 it directly, evaluating the key-range and clamped-interval predicates on the
@@ -304,7 +306,7 @@ def _pack(
             ts_delta = ts - base_ts
             if ts_delta < 0:
                 raise CompressionError(
-                    "entries must arrive in nondecreasing ts"
+                    "entry starts before the node's base ts"
                 )
             if have_prev and k1 == p1 and te == NOW and pte == NOW:
                 # Compact: shares v1 with a live predecessor, itself live.

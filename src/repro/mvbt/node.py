@@ -164,9 +164,15 @@ class LeafNode(_NodeBase):
     def compress(self, memo: "MemoTable") -> None:
         """Switch to the delta-compressed byte-buffer backend, read through
         the tree's ``memo`` table (a leaf already packed, e.g. restored
-        from a snapshot, is attached to it)."""
+        from a snapshot, is attached to it).
+
+        The entries are packed stably sorted by key, so neighbours share
+        their prefix (compact headers, short key deltas) and each key's
+        own entries stay in start order: a version-split copy first."""
         if self._store is None:
-            self._store = CompressedLeafStore(self._entries or [])
+            self._store = CompressedLeafStore(
+                sorted(self._entries or (), key=_ENTRY_KEY)
+            )
             self._entries = None
             self._live = None
             if not self.is_alive:
@@ -200,7 +206,9 @@ class LeafNode(_NodeBase):
     # --------------------------------------------------------------- access
 
     def entries(self) -> Iterator[LeafEntry]:
-        """All entries in insertion (nondecreasing start-version) order.
+        """All entries in storage order: a plain leaf's as written (in
+        nondecreasing start version); a packed leaf's as packed — a loaded
+        leaf's by key, each key's own in start order — then as appended.
 
         Treat yielded entries as read-only: a plain leaf yields its own
         entry objects (a compressed one fresh copies).

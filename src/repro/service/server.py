@@ -31,7 +31,8 @@ Admission control sits on top of the transport —
 Endpoints::
 
     GET  /healthz       liveness + store revision / live fact count
-                        + process uptime / RSS
+                        + process uptime / RSS (a coordinator: its
+                        topology, and 503 while a shard is down)
     GET  /metrics       the obs registry (JSON; ?format=text for humans,
                         Prometheus text when Accept: text/plain);
                         ?scope=cluster federates every member's registry
@@ -339,13 +340,17 @@ class _Handler(socketserver.StreamRequestHandler):
         _obslog.LOGGER.debug("http_access", method="GET", path=parsed.path)
         if parsed.path == "/healthz":
             store = self.server.store
+            try:
+                live_facts = store.live_facts
+            except StoreError:  # a coordinator's shard is down
+                live_facts = None
             payload = {
                 "status": "ok",
                 "role": self.server.role,
                 "shard_id": self.server.shard_id,
                 "revision": store.revision,
                 "applied_lsn": store.revision,
-                "live_facts": store.live_facts,
+                "live_facts": live_facts,
                 "cached_results": store.cached_results,
                 "uptime_seconds": round(
                     _introspect.process_uptime_seconds(), 3
@@ -354,11 +359,17 @@ class _Handler(socketserver.StreamRequestHandler):
             }
             # A ClusterStore duck-types TemporalStore and adds a
             # topology report; surface it so `repro-tx cluster-status`
-            # needs nothing beyond /healthz.
+            # needs nothing beyond /healthz.  A dead shard makes it a 503
+            # that still carries the topology, that member `alive: false`.
             cluster_status = getattr(store, "cluster_status", None)
             if cluster_status is not None:
                 payload["cluster"] = cluster_status()
-            self._send_json(200, payload)
+                if live_facts is None or not all(
+                        member["primary"]["alive"]
+                        for member in payload["cluster"]["members"]):
+                    payload["status"] = "degraded"
+            self._send_json(200 if payload["status"] == "ok" else 503,
+                            payload)
         elif parsed.path == "/metrics":
             if _metrics.ENABLED:
                 _UPTIME.set(_introspect.process_uptime_seconds())

@@ -45,7 +45,12 @@ PROVENANCE = (
     "fig9_golden and wikipedia_4000_seed7 (every pin): re-issued by the "
     "commit that makes a canonical decimal integer its own term id; their "
     "keys now hold the integers' values, so ids, key order and nodes "
-    "moved.  govtrack_4000_seed7 has no integer terms and did not move."
+    "moved.  govtrack_4000_seed7 has no integer terms and did not move.  "
+    "Every pin of every dataset: re-issued by the commit that packs each "
+    "loaded leaf stably sorted by key; the records of a leaf packed at "
+    "load, and so its bytes, its size and the order of its entries in the "
+    "decompressed and visible trees, moved, while every node, region, "
+    "lifetime and link, and each leaf's set of clamped entries, stayed."
 )
 
 

@@ -629,6 +629,54 @@ class TestDeadShard:
             assert sorted((r["s"], r["o"]) for r in
                           cluster.query(listing).rows) == sorted(acked)
 
+    def test_healthz_answers_503_and_cluster_status_prints_the_dead_shard(
+            self, tmp_path, graph, capsys):
+        import urllib.error
+        import urllib.request
+
+        from repro import cli
+        from repro.service.server import serve
+
+        with ClusterStore(tmp_path / "clu", shards=2, fsync=False) as cluster:
+            cluster.load_dataset(graph)
+            service = serve(cluster, role="coordinator")
+            thread = threading.Thread(target=service.serve_forever,
+                                      daemon=True)
+            thread.start()
+            try:
+                url = f"http://127.0.0.1:{service.port}"
+                assert cli.main(["cluster-status", url]) == 0
+                dead = cluster._membership.members[1].primary
+                os.kill(dead.pid, signal.SIGKILL)
+                deadline = time.monotonic() + 10.0
+                while _running(dead.pid) and time.monotonic() < deadline:
+                    time.sleep(0.02)
+
+                with pytest.raises(urllib.error.HTTPError) as refused:
+                    urllib.request.urlopen(url + "/healthz", timeout=30)
+                assert refused.value.code == 503
+                body = json.loads(refused.value.read())
+                assert body["status"] == "degraded"
+                assert body["role"] == "coordinator"
+                assert body["live_facts"] is None
+                members = body["cluster"]["members"]
+                assert [m["shard"] for m in members] == [0, 1]
+                assert members[0]["primary"]["alive"] is True
+                assert members[1]["primary"]["alive"] is False
+                assert members[1]["primary"]["pid"] == dead.pid
+
+                capsys.readouterr()
+                assert cli.main(["cluster-status", url]) == 1
+                out = capsys.readouterr().out
+                assert f"  shard 1: pid {dead.pid} DOWN\n" in out
+                assert "  shard 0: pid " in out and " up, lsn " in out
+                assert cli.main(["cluster-status", url, "--json"]) == 1
+                assert json.loads(capsys.readouterr().out)["cluster"][
+                    "members"][1]["primary"]["alive"] is False
+            finally:
+                service.shutdown()
+                thread.join(timeout=10)
+
     def test_replicas_other_than_zero_are_refused_before_any_worker_starts(
             self, tmp_path):
         events.EVENTS.clear()

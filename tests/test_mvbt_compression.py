@@ -3,9 +3,10 @@
 
 import random
 import tracemalloc
+from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.model.time import MIN_TIME, NOW, Period, PeriodSet
@@ -486,9 +487,12 @@ def test_packed_tree_matches_plain_twin_under_updates(stream, regions,
     events, compress_at = stream
     reload_at = (compress_at + len(events)) // 2 if round_trip else None
     packed, twin = MVBT(SMALL), MVBT(SMALL)
+    packed_with = {}  # twin leaf -> its entry count when compress() ran
     for index, event in enumerate(events):
         if index == compress_at:
             packed.compress()
+            packed_with = {id(leaf): leaf.count
+                           for leaf in twin.leaf_nodes()}
         if index == reload_at:
             packed = MVBT.load_state(packed.dump_state())
         apply_event(packed, event)
@@ -497,7 +501,8 @@ def test_packed_tree_matches_plain_twin_under_updates(stream, regions,
     assert shape(packed) == shape(twin)
     for leaf, plain in zip(packed.leaf_nodes(), twin.leaf_nodes()):
         assert leaf.is_compressed  # live or dead, loaded or split-born
-        assert list(leaf.entries()) == list(plain.entries())
+        assert list(leaf.entries()) == packed_order(
+            list(plain.entries()), packed_with.get(id(plain), 0))
         # Packed once and edited in place since: the bytes a fresh encode
         # against the leaf's own bases would give.
         assert bytes(leaf._store._buf) == reference_store_bytes(leaf._store)
@@ -506,10 +511,157 @@ def test_packed_tree_matches_plain_twin_under_updates(stream, regions,
         for mode in (comp.PACKED_OFF, comp.PACKED_AUTO, comp.PACKED_FORCE):
             comp.set_packed_mode(mode)
             for region in regions:
-                assert (scan_pieces(packed, *region)
-                        == scan_pieces(twin, *region)), (mode, region)
+                assert (sorted(scan_pieces(packed, *region))
+                        == sorted(scan_pieces(twin, *region))), (mode, region)
     finally:
         comp.set_packed_mode(previous)
+
+
+def packed_order(entries, at_compress):
+    """A plain leaf's ``entries`` in the order its packed twin holds them:
+    the first ``at_compress`` (those it had when ``compress()`` packed it)
+    stably sorted by key, then the later appends in write order."""
+    return (sorted(entries[:at_compress], key=attrgetter("key"))
+            + entries[at_compress:])
+
+
+PROTECTED = (1, 0, 5)  # the prologue's first key: deleted only by the pair
+
+
+@st.composite
+def reordering_streams(draw):
+    """Events for a tree compressed mid-stream, built so that the key sort
+    of ``compress()`` has each key's own entries to keep in start order:
+
+    * a prologue of ten inserts at chronons 1–10, ``PROTECTED`` first and
+      the other nine in a drawn order: the ninth overflows the root leaf,
+      so the version split copies ``PROTECTED`` into a new leaf;
+    * a random part over three ``v1`` values, so leaves hold runs of
+      compact records, with ``PROTECTED`` deleted and re-inserted at one
+      chronon somewhere in it (a copied key's same-chronon pair);
+    * a ``kill`` marker last: the test deletes a live key whose packed
+      record has a compact follower, which turns that follower normal.
+
+    Returns the events and the index ``compress()`` runs at, past the
+    prologue and before the marker."""
+    keys = st.tuples(st.integers(0, 2), st.integers(1, 60),
+                     st.integers(0, 3))
+    live = [PROTECTED] + draw(st.permutations(
+        [(v1, v2, 0) for v1 in range(3) for v2 in range(3)]))
+    events = [("insert", key, time)
+              for time, key in enumerate(live, start=1)]
+    time = len(events)
+    n = draw(st.integers(min_value=0, max_value=120))
+    pair_at = draw(st.integers(0, n))
+    for step in range(n + 1):
+        time += draw(st.integers(min_value=0, max_value=3))
+        if step == pair_at:
+            time += 1
+            events += [("delete", PROTECTED, time),
+                       ("insert", PROTECTED, time)]
+        elif len(live) > 1 and draw(st.integers(0, 9)) < 4:
+            key = live.pop(draw(st.integers(1, len(live) - 1)))
+            events.append(("delete", key, time))
+        else:
+            key = draw(keys)
+            if key not in live:
+                live.append(key)
+                events.append(("insert", key, time))
+    events.append(("kill", None, time + 1))
+    return events, draw(st.integers(10, len(events) - 1))
+
+
+def kill_before_compact(packed, twin, time):
+    """Delete from both trees a live key whose record in a live leaf of
+    ``packed`` is followed by a compact record, check the follower was
+    re-encoded normal, and return the key (None: no leaf has such a
+    pair)."""
+    for leaf in packed.leaf_nodes():
+        if not leaf.is_alive:
+            continue
+        store = leaf._store
+        buf = bytes(store._buf)
+        for ordinal, (key, _, end) in enumerate(store.rows()[:-1]):
+            if end == NOW and buf[comp._skip(buf, 0, ordinal + 1)] & 0x80:
+                packed.delete(key, time)
+                twin.delete(key, time)
+                if leaf.is_alive:
+                    buf = bytes(store._buf)
+                    assert not buf[comp._skip(buf, 0, ordinal + 1)] & 0x80
+                return key
+    return None
+
+
+def visible_history(events):
+    """Every ``(key, start, end)`` the events leave, an interval ended at its
+    own start left out: what ``MVBT.history()`` must give."""
+    opened, rows = {}, []
+    for op, key, time in events:
+        if op == "insert":
+            opened[key] = time
+        elif op == "delete":
+            start = opened.pop(key)
+            if start < time:
+                rows.append((key, start, time))
+    return rows + [(key, start, NOW) for key, start in opened.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(reordering_streams(),
+       st.lists(tree_regions(), min_size=1, max_size=4))
+def test_key_ordered_packing_keeps_each_keys_entries_in_start_order(
+        stream, regions):
+    """A plain tree compressed mid-stream (its leaves packed in key order)
+    against a twin that is never compressed: both, and the packed tree's
+    snapshot round trip, give every interval of the stream once from
+    ``history()``, the true start of every live key from ``live_start()``,
+    and the same scan pieces as multisets."""
+    events, compress_at = stream
+    packed, twin = MVBT(SMALL), MVBT(SMALL)
+    applied = []
+    for index, event in enumerate(events):
+        if index == compress_at:
+            packed.compress()
+        op, key, time = event
+        if op == "kill":
+            key = kill_before_compact(packed, twin, time)
+            assume(key is not None)
+            op = "delete"
+        else:
+            if op == "delete" and key == PROTECTED:
+                # the same-chronon pair deletes a version-split copy
+                assert twin._leaf(key).start > 1
+            apply_event(packed, event)
+            apply_event(twin, event)
+        applied.append((op, key, time))
+    packed.check_invariants()
+    assert shape(packed) == shape(twin)
+    restored = MVBT.load_state(packed.dump_state())
+    restored.check_invariants()
+    expected = visible_history(applied)
+    live = {key: start for key, start, end in expected if end == NOW}
+    for tree in (packed, twin, restored):
+        assert sorted(tree.history()) == sorted(expected)
+        assert {key: tree.live_start(key) for key in live} == live
+        for region in regions:
+            assert (sorted(scan_pieces(tree, *region))
+                    == sorted(scan_pieces(twin, *region))), region
+    for leaf, back in zip(packed.leaf_nodes(), restored.leaf_nodes()):
+        assert list(leaf.entries()) == list(back.entries())
+
+
+def test_a_fresh_load_holds_every_leaf_in_key_order():
+    """``RDFTX.load`` packs each leaf stably sorted by key: the rows of
+    every leaf of every index come out in nondecreasing key order."""
+    from repro.datasets import wikipedia
+    from repro.engine import RDFTX
+
+    engine = RDFTX.from_graph(wikipedia.generate(1500, seed=7).graph)
+    for name, tree in engine.indexes.items():
+        assert tree.is_packed, name
+        for leaf in tree.leaf_nodes():
+            keys = [key for key, _, _ in leaf.rows()]
+            assert keys == sorted(keys), (name, leaf.key_low)
 
 
 # --------------------------------------------------- the walking reference
