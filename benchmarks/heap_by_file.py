@@ -177,7 +177,7 @@ def census(engine, label: str) -> str:
             [part for s in stores for part in (s._live, s._marks)]
             + [leaf._live for leaf in leaves], seen)),
         ("packed buffers", _charge(
-            [part for s in stores for part in (s, s._buf, s._base_v, s._last)],
+            [part for s in stores for part in (s, s._buf, s._last)],
             seen)),
         ("nodes", _charge(
             [part for node in nodes for part in (node, *_slots(node))],

@@ -104,9 +104,12 @@ class ShardClient:
         except OSError:
             pass  # already dead; nothing held open
 
-    def close(self) -> None:
+    def close(self) -> bool:
+        """Close the pooled connections and mark the client not alive;
+        whether it was alive until now (true for one call only)."""
         with self._lock:
             idle, self._idle = self._idle, []
+            was_alive, self.alive = self.alive, False
         for sock in idle:
             self._discard(sock)
-        self.alive = False
+        return was_alive

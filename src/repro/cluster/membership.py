@@ -203,8 +203,10 @@ class Membership:
 
         A connection failure (``OSError`` / :class:`ProtocolError`)
         closes the member's client, which health and metrics pulls then
-        report as not alive, and is raised as :class:`ShardDown`.  An
-        error reply is the worker's answer and propagates as raised.
+        report as not alive, and is raised as :class:`ShardDown`.  The
+        failure that finds the client alive records the death; later ones,
+        each refused by the dead worker, only raise.  An error reply is
+        the worker's answer and propagates as raised.
         """
         started = _time.perf_counter()
         primary = member.primary
@@ -215,15 +217,15 @@ class Membership:
         except (OSError, ProtocolError) as error:
             if _metrics.ENABLED:
                 _RPC_ERRORS.inc()
-            primary.close()
-            _events.EVENTS.record(
-                _EVENT_MEMBER_DEAD, level="warning",
-                shard_id=member.shard_id, role=ROLE, pid=primary.pid,
-                error=str(error), trace_id=_trace.current_trace_id(),
-            )
-            if _metrics.ENABLED:
-                _SHARDS_ALIVE.set(
-                    sum(1 for m in self.members if m.primary.alive))
+            if primary.close():
+                _events.EVENTS.record(
+                    _EVENT_MEMBER_DEAD, level="warning",
+                    shard_id=member.shard_id, role=ROLE, pid=primary.pid,
+                    error=str(error), trace_id=_trace.current_trace_id(),
+                )
+                if _metrics.ENABLED:
+                    _SHARDS_ALIVE.set(
+                        sum(1 for m in self.members if m.primary.alive))
             raise ShardDown(
                 f"shard {member.shard_id} is down: {error}") from error
         finally:

@@ -1,8 +1,12 @@
 """Delta compression of MVBT leaf nodes (Section 4.2, Figure 3(a)).
 
 An uncompressed MVBT entry for temporal RDF holds five values
-``(v1, v2, v3, ts, te)``.  The compressed store keeps per-node *base values*
-(the minima at compression time) and encodes each entry as:
+``(v1, v2, v3, ts, te)``.  The compressed store's per-node *base values* are
+the node header: ``key_low`` for the key parts (``0`` each for ``MIN_KEY``)
+and the lifetime start for ``ts`` and ``te``, lower bounds of every entry
+(a version-split copy starts at the split).  A ``v2``/``v3`` below
+``key_low``'s part is a negative, zigzagged delta; ids stay below ``2**30``,
+so every delta fits 4 bytes.  Each entry is encoded as:
 
 ``[header][key block][time block]``
 
@@ -12,13 +16,13 @@ An uncompressed MVBT entry for temporal RDF holds five values
     bits 14-13  l1   byte-length code of v1 delta   } 7-bit key payload
     bits 12-11  l2   byte-length code of v2 delta   }
     bits 10-9   l3   byte-length code of v3 delta   }
-    bit  8      src1 v1 delta vs predecessor (1) or node minimum (0)
+    bit  8      src1 v1 delta vs predecessor (1) or node base (0)
     bits 7-6    lts  byte-length code of ts delta   } 6-bit time payload
     bits 5-4    lte  byte-length code of te value   }
     bit  3      src2 (delta source flag of v2)
     bit  2      src3 (delta source flag of v3)
     bits 1-0    te flag: 0 = live (te empty), 1 = short interval
-                (te stored as interval length), 2 = delta vs node min te
+                (te stored as interval length), 2 = delta vs node start
 
 **Compact header** — 1 byte, used when the entry and its predecessor share
 ``v1``, both are live (te = now), and the remaining deltas are small — the
@@ -32,7 +36,7 @@ common case the paper observes in large datasets::
 
 Byte-length codes map ``{0: 0, 1: 1, 2: 2, 3: 4}`` bytes; deltas are
 zigzag-encoded so negative neighbour deltas stay compact.  ``ts`` is always a
-delta against the node minimum in normal entries, and a zigzag delta against
+delta against the node start in normal entries, and a zigzag delta against
 the predecessor in compact ones, so records pack in any order: a loaded leaf
 is packed by key (``LeafNode.compress``), and appends follow in write order.
 The last record in buffer order is the append *checkpoint*, all an append
@@ -63,9 +67,9 @@ import weakref
 from array import array
 from typing import Any, Iterable
 
-from ..model.time import NOW
+from ..model.time import MIN_TIME, NOW
 from ..obs import metrics as _metrics
-from .entry import Key, LeafEntry
+from .entry import MIN_KEY, Key, LeafEntry
 
 # Decode instrumentation: a "page decode" is one cache-miss expansion of a
 # compressed leaf buffer back into entries (no-ops under REPRO_OBS=0).
@@ -87,8 +91,12 @@ _SEEK_RECORDS = _metrics.counter("mvbt.compression.seek_records")
 #: every ratio the paper reports).
 STANDARD_ENTRY_BYTES = 48
 
-#: Per-node header: lifetime, key_low, link and bookkeeping words.
+#: Per-node header: lifetime, key_low, link and bookkeeping words (a
+#: packed leaf's delta bases).
 NODE_HEADER_BYTES = 64
+
+#: The key base of a node whose ``key_low`` is the empty ``MIN_KEY``.
+_FLOOR = (0, 0, 0)
 
 #: Interval lengths up to this bound use the "short interval" te rule.
 SHORT_INTERVAL_LIMIT = 0xFFFF
@@ -259,13 +267,13 @@ def _check_key(key: Key) -> None:
         raise CompressionError("key parts must fit 64 bits") from None
 
 
-def _end_field(start: int, end: int, base_te: int) -> tuple[int, int]:
+def _end_field(start: int, end: int, base: int) -> tuple[int, int]:
     """The ``(te flag, te value)`` of an ended entry: its interval length
-    when that is short, else the zigzagged delta against the node's base
-    end."""
+    when that is short, else the zigzagged delta against ``base``, the
+    node's start."""
     if end - start <= SHORT_INTERVAL_LIMIT:
         return 1, end - start
-    d = end - base_te
+    d = end - base
     return 2, d << 1 if d >= 0 else ~(d << 1)
 
 
@@ -277,7 +285,6 @@ def _pack(
     base_v2: int,
     base_v3: int,
     base_ts: int,
-    base_te: int,
 ) -> "tuple[Key, int, int] | None":
     """Delta-encode ``entries`` onto the end of ``buf`` — the one encoder.
 
@@ -285,8 +292,9 @@ def _pack(
     follows (``None`` at the head of a buffer); the return value is the
     same triple for the last entry written, i.e. the append checkpoint.
     An entry's bytes depend only on itself, its predecessor and the node
-    bases, so building a leaf, appending to it and re-encoding a slice of
-    it (:meth:`CompressedLeafStore.end_live`) are all this loop.  Each
+    bases (``base_ts`` is the base of ``te`` too), so building a leaf,
+    appending to it and re-encoding a slice of it
+    (:meth:`CompressedLeafStore.end_live`) are all this loop.  Each
     record is assembled as one integer and written with a single
     ``to_bytes``; a failing entry leaves ``buf`` without a partial record.
     """
@@ -305,9 +313,7 @@ def _pack(
             te = entry.end
             ts_delta = ts - base_ts
             if ts_delta < 0:
-                raise CompressionError(
-                    "entry starts before the node's base ts"
-                )
+                raise CompressionError("entry starts before its leaf")
             if have_prev and k1 == p1 and te == NOW and pte == NOW:
                 # Compact: shares v1 with a live predecessor, itself live.
                 d = k2 - p2
@@ -357,7 +363,7 @@ def _pack(
                 if te == NOW:
                     te_value = 0
                 else:
-                    flag, te_value = _end_field(ts, te, base_te)
+                    flag, te_value = _end_field(ts, te, base_ts)
                     header |= flag
                 lts = codes[ts_delta.bit_length()]
                 lte = codes[te_value.bit_length()]
@@ -395,7 +401,8 @@ def _records(
     base_te: int,
 ) -> list[tuple[int, Key, int, int]]:
     """Decode a packed buffer into ``(stop, key, start, end)`` per entry,
-    ``stop`` being the offset one past the entry's last byte.
+    ``stop`` being the offset one past the entry's last byte.  A store's
+    ``base_te`` is its ``base_ts``; snapshot formats 1 and 2 saved both.
 
     The store's own decoder: full decodes and the live-index walk ride it.
     Scans use :func:`scan_packed`, which filters inline and never builds a
@@ -469,6 +476,16 @@ def _records(
     return out
 
 
+def _clamped(records: list[tuple[int, Key, int, int]],
+             start: int) -> list[LeafEntry]:
+    """The entries of decoded ``records``, each start clamped to ``start``,
+    its leaf's: a copy a version split made before copies started at the
+    split keeps its entry's earlier start, which every read clamps to the
+    leaf's lifetime anyway and which the leaf's bases cannot encode."""
+    return [LeafEntry(key, ts if ts > start else start, end, None)
+            for _, key, ts, end in records]
+
+
 def _skip(buf: bytes, pos: int, count: int) -> int:
     """The offset ``count`` records past the record at ``pos``, by header
     lengths alone: nothing is decoded."""
@@ -511,9 +528,8 @@ def scan_packed(
     t2: int,
     node_start: int,
     node_death: int,
-    base_v: tuple[int, int, int] = (0, 0, 0),
+    base_v: tuple[int, int, int] = _FLOOR,
     base_ts: int = 0,
-    base_te: int = 0,
     out: list[tuple[Key, int, int, Any]] | None = None,
 ) -> list[tuple[Key, int, int, Any]]:
     """Range-interval scan directly over a packed leaf buffer.
@@ -589,7 +605,7 @@ def scan_packed(
             elif te_flag == 1:
                 end = start + te_raw
             else:
-                end = base_te + ((te_raw >> 1) ^ -(te_raw & 1))
+                end = base_ts + ((te_raw >> 1) ^ -(te_raw & 1))
         examined += 1
         # Clamp to the node lifetime, then test the query region.
         lo = start if start > node_start else node_start
@@ -621,14 +637,16 @@ class CompressedLeafStore:
     index is derived from the bytes: never serialized, not part of
     :meth:`sizeof`.  A hot store is charged to ``memo``, its tree's
     :class:`MemoTable` (None: standalone, never memoized).
+
+    Its delta bases are references to its leaf's header objects,
+    ``key_low`` (:data:`_FLOOR` for ``MIN_KEY``) and ``start``.
     """
 
     __slots__ = (
         "_buf",
         "count",
-        "_base_v",
-        "_base_ts",
-        "_base_te",
+        "_low",
+        "_start",
         "_last",
         "_decoded",
         "_uses",
@@ -638,7 +656,8 @@ class CompressedLeafStore:
     )
 
     def __init__(self, entries: list[LeafEntry],
-                 memo: MemoTable | None = None) -> None:
+                 memo: MemoTable | None = None,
+                 key_low: Key = MIN_KEY, start: int = MIN_TIME) -> None:
         self._buf = bytearray()
         self.count = 0
         self._decoded: tuple | None = None  # the resident flat form
@@ -651,67 +670,45 @@ class CompressedLeafStore:
         #: the block the next append opens.
         self._live: bytearray | None = None
         self._marks: array | None = None
-        self._rebase(entries)
-        #: ``(key, start, end)`` of the last entry: what the next append
-        #: delta-encodes against.
-        self._last = _pack(
-            self._buf, entries, None,
-            *self._base_v, self._base_ts, self._base_te,
-        )
-        self.count = len(entries)
-
-    def _rebase(self, entries: Iterable[LeafEntry]) -> None:
-        """Take the node bases (minima; ``base_te`` over the finite ends
-        only) from ``entries``, the first contents of an empty buffer, in
-        one pass that also bounds every key part (:func:`check_packable`)."""
-        base_v1 = base_v2 = base_v3 = base_ts = top = 0
-        base_te = NOW
-        first = True
+        self._low = key_low or _FLOOR
+        self._start = start
+        _check_key(self._low)
+        top = 0
         for entry in entries:
             # The common case inline; the call raises for the rest.
             if entry.payload is not None or len(entry.key) != 3:
                 check_packable(entry)
             k1, k2, k3 = entry.key
-            ts = entry.start
-            if first:
-                first = False
-                base_v1, base_v2, base_v3 = k1, k2, k3
-                base_ts = ts
-            else:
-                if k1 < base_v1:
-                    base_v1 = k1
-                if k2 < base_v2:
-                    base_v2 = k2
-                if k3 < base_v3:
-                    base_v3 = k3
-                if ts < base_ts:
-                    base_ts = ts
             if k1 > top or k2 > top or k3 > top:
                 top = max(k1, k2, k3)
-            if entry.end < base_te:
-                base_te = entry.end
-        _check_key((base_v1, base_v2, base_v3))
         _check_key((top, top, top))
-        self._base_v = (base_v1, base_v2, base_v3)
-        self._base_ts = base_ts
-        self._base_te = 0 if base_te == NOW else base_te
+        #: ``(key, start, end)`` of the last entry: what the next append
+        #: delta-encodes against.
+        self._last = _pack(self._buf, entries, None, *self._low, start)
+        self.count = len(entries)
+
+    def rebased(self, key_low: Key, start: int) -> "CompressedLeafStore":
+        """This store's records, in buffer order, encoded against the
+        header ``(key_low, start)`` (:func:`_clamped`); the new store's
+        live index is unbuilt, and it is charged to the same memo."""
+        return CompressedLeafStore(
+            _clamped(self._records(), start), self.memo, key_low, start)
+
+    def has_bases(self, key_low: Key, start: int) -> bool:
+        """Whether this store's delta bases are the header ``(key_low,
+        start)`` itself (``MVBT.check_invariants``)."""
+        return self._low is (key_low or _FLOOR) and self._start is start
 
     # --------------------------------------------------------------- encode
 
     def append(self, entry: LeafEntry) -> None:
-        """Delta-encode ``entry`` against the checkpoint (last) entry; the
-        first entry of an empty buffer brings the node bases with it."""
+        """Delta-encode ``entry`` against the checkpoint (last) entry, or
+        against the node bases alone in an empty buffer."""
         count = self.count
-        if count:
-            if entry.payload is not None or len(entry.key) != 3:
-                check_packable(entry)
-        else:
-            self._rebase((entry,))
+        if entry.payload is not None or len(entry.key) != 3:
+            check_packable(entry)
         buf = self._buf
-        self._last = _pack(
-            buf, (entry,), self._last,
-            *self._base_v, self._base_ts, self._base_te,
-        )
+        self._last = _pack(buf, (entry,), self._last, *self._low, self._start)
         live = self._live
         if live is not None:
             if entry.end == NOW:
@@ -729,9 +726,8 @@ class CompressedLeafStore:
         # ``bytearray`` or ``memoryview`` in the decoder's hot loop.  A
         # sealed buffer already is ``bytes`` (no copy); a live one is
         # copied, one memcpy of a buffer that is never large.
-        return _records(
-            bytes(self._buf), self._base_v, self._base_ts, self._base_te
-        )
+        start = self._start
+        return _records(bytes(self._buf), self._low, start, start)
 
     def flat(self) -> tuple:
         """The records as one flat tuple ``(key0, start0, end0, key1, …)``
@@ -806,8 +802,7 @@ class CompressedLeafStore:
         # ``bytes`` for the same reason as in :meth:`_records`.
         return scan_packed(
             bytes(self._buf), key_low, key_high, t1, t2,
-            node_start, node_death,
-            self._base_v, self._base_ts, self._base_te, out,
+            node_start, node_death, self._low, self._start, out,
         )
 
     # ------------------------------------------------------------- mutation
@@ -957,7 +952,7 @@ class CompressedLeafStore:
             return False
         k1, k2, k3, start, ordinal = _INDEX.unpack_from(self._live, found)
         buf = bytes(self._buf)
-        base_te = self._base_te
+        base_ts = self._start
         mark, skip = divmod(ordinal, MARK_EVERY)
         at = _skip(buf, self._marks[mark], skip)
         prev = ended = (key, start, end)
@@ -969,7 +964,7 @@ class CompressedLeafStore:
             redo.append(LeafEntry(key, start, end, None))
         else:
             stop = _skip(buf, at, 1)
-            flag, value = _end_field(start, end, base_te)
+            flag, value = _end_field(start, end, base_ts)
             try:
                 code = _CODE_OF_BITS[value.bit_length()]
             except IndexError:
@@ -986,7 +981,7 @@ class CompressedLeafStore:
                 LeafEntry((k1, k2 + d2, k3 + d3), start + dts, NOW, None)
             )
         if redo:
-            _pack(patch, redo, prev, *self._base_v, self._base_ts, base_te)
+            _pack(patch, redo, prev, *self._low, base_ts)
         # Nothing above mutates: an end the codec cannot hold has raised.
         if last:
             self._last = ended
@@ -1005,35 +1000,40 @@ class CompressedLeafStore:
         return True
 
     def sizeof(self) -> int:
-        """Storage-layout size: buffer plus node header and base values."""
-        return NODE_HEADER_BYTES + 5 * 8 + len(self._buf)
+        """Storage-layout size: buffer plus node header (the bases)."""
+        return NODE_HEADER_BYTES + len(self._buf)
 
     # -------------------------------------------------------- serialization
 
     def to_state(self) -> dict:
-        """Plain-data state for snapshots: the raw buffer plus the base
-        values and append checkpoint (None once sealed), so a restored
-        store encodes future appends identically to the original."""
+        """Plain-data state for snapshots: the raw buffer and the append
+        checkpoint (None once sealed); the bases are the node's header,
+        which the node's own state carries."""
         return {
             "buf": bytes(self._buf),
             "count": self.count,
-            "base_v": self._base_v,
-            "base_ts": self._base_ts,
-            "base_te": self._base_te,
             "last_entry": self._last,
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "CompressedLeafStore":
+    def from_state(cls, state: dict, key_low: Key = MIN_KEY,
+                   start: int = MIN_TIME) -> "CompressedLeafStore":
+        """The store of a saved leaf whose header is ``(key_low, start)``.
+        A leaf saved with bases of its own (snapshot formats 1 and 2) is
+        decoded against them and re-encoded against the header, its starts
+        clamped (:func:`_clamped`)."""
+        if "base_v" in state:
+            records = _records(bytes(state["buf"]), tuple(state["base_v"]),
+                               state["base_ts"], state["base_te"])
+            return cls(_clamped(records, start), None, key_low, start)
         store = cls.__new__(cls)
         store._decoded = None
         store._uses = 0
         store.memo = None  # the tree attaches its table (MVBT.compress)
         store._buf = bytearray(state["buf"])
         store.count = state["count"]
-        store._base_v = tuple(state["base_v"])
-        store._base_ts = state["base_ts"]
-        store._base_te = state["base_te"]
+        store._low = key_low or _FLOOR
+        store._start = start
         last = state["last_entry"]  # older states' "checkpoint_ts": unread
         store._last = (
             None if last is None else (tuple(last[0]), last[1], last[2])

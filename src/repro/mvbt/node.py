@@ -69,6 +69,11 @@ class _NodeBase:
         ``death`` is set.  A dead node never changes again."""
         self.death = time
 
+    def set_key_low(self, key_low: Key) -> None:
+        """Move the region's lower bound to ``key_low`` (a node that becomes
+        the root takes ``MIN_KEY``)."""
+        self.key_low = key_low
+
     def lifetime_overlaps(self, t1: int, t2: int) -> bool:
         """Whether the node's lifetime intersects ``[t1, t2)``."""
         return self.start < t2 and t1 < self.death
@@ -147,12 +152,15 @@ class LeafNode(_NodeBase):
     def packed(cls, key_low: Key, start: int, entries: list[LeafEntry],
                memo: "MemoTable") -> "LeafNode":
         """A leaf of a compressed tree, packed from birth: ``entries`` (its
-        birth set) are encoded once, bases taken from them, and the store
-        takes its live index from them too — the split that makes a leaf
-        is about to write to it."""
-        leaf = cls.plain(key_low, start, entries)
-        leaf.compress(memo)
-        leaf._store.index(entries)
+        birth set, sorted by key) are encoded once against the leaf's
+        header, and the store takes its live index from them too — the
+        split that makes a leaf is about to write to it."""
+        leaf = cls(key_low, start)
+        leaf._entries = leaf._live = None
+        leaf._live_count = len(entries)
+        store = leaf._store = CompressedLeafStore(
+            entries, memo, key_low, start)
+        store.index(entries)
         return leaf
 
     # -------------------------------------------------------------- storage
@@ -168,10 +176,13 @@ class LeafNode(_NodeBase):
 
         The entries are packed stably sorted by key, so neighbours share
         their prefix (compact headers, short key deltas) and each key's
-        own entries stay in start order: a version-split copy first."""
+        own entries stay in start order: a version-split copy first.  The
+        deltas are taken against the leaf's header (``key_low``,
+        ``start``)."""
         if self._store is None:
             self._store = CompressedLeafStore(
-                sorted(self._entries or (), key=_ENTRY_KEY)
+                sorted(self._entries or (), key=_ENTRY_KEY),
+                key_low=self.key_low, start=self.start,
             )
             self._entries = None
             self._live = None
@@ -202,6 +213,18 @@ class LeafNode(_NodeBase):
         self._live = None
         if self._store is not None:
             self._store.seal()
+
+    def set_key_low(self, key_low: Key) -> None:
+        """Move the region's lower bound to ``key_low``.  A packed leaf's
+        bases are its header, so a new bound re-encodes its records (a
+        height shrink that makes a live leaf the root: rare, one leaf)."""
+        store = self._store
+        if store is not None and key_low != self.key_low:
+            store.invalidate()
+            store = self._store = store.rebased(key_low, self.start)
+            if not self.is_alive:
+                store.seal()
+        super().set_key_low(key_low)
 
     # --------------------------------------------------------------- access
 
@@ -396,6 +419,14 @@ class LeafNode(_NodeBase):
             self._live.get(e.key) is e for e in live
         ), f"live entry map drifted: {self!r}"
 
+    def check_header(self) -> None:
+        """Assert no entry starts before the leaf and a packed leaf's
+        delta bases are its header."""
+        assert all(start >= self.start for _, start, _ in self.rows()), (
+            f"entry starts before its leaf: {self!r}")
+        assert self._store is None or self._store.has_bases(
+            self.key_low, self.start), f"bases are not the header: {self!r}"
+
     def sizeof(self) -> int:
         """Storage-layout size in bytes (see ``repro.bench.sizing``)."""
         if self._store is not None:
@@ -419,16 +450,20 @@ class LeafNode(_NodeBase):
         }
 
     def restore_entries(self, state: dict, nodes: list["_NodeBase"]) -> None:
+        """Take the saved entries; an older file's copy that starts before
+        the leaf is clamped to its start, as every read clamps it."""
         if "store" in state:
-            self._store = CompressedLeafStore.from_state(state["store"])
+            self._store = CompressedLeafStore.from_state(
+                state["store"], self.key_low, self.start)
             if not self.is_alive:
                 self._store.seal()
             self._entries = None
             self._live = None
             self._live_count = state["live_count"]
             return
+        floor = self.start
         for key, start, end, payload in state["entries"]:
-            self.append(LeafEntry(tuple(key), start, end, payload))
+            self.append(LeafEntry(tuple(key), max(start, floor), end, payload))
 
     def __repr__(self) -> str:
         state = "live" if self.is_alive else f"dead@{self.death}"

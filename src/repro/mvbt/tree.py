@@ -302,7 +302,7 @@ class MVBT:
         self._register_root(new_root, time)
 
     def _register_root(self, root: Node, time: int) -> None:
-        root.key_low = MIN_KEY
+        root.set_key_low(MIN_KEY)
         root.key_high = None
         if self._root_starts and self._root_starts[-1] == time:
             # Same-version re-split of the root: replace in place.
@@ -401,8 +401,9 @@ class MVBT:
         whose key region holds it.  The walk then follows the key back,
         one decoded leaf per split, to the entry that is not a copy.  A
         same-chronon delete and re-insert leaves a second entry behind the
-        copy and stops the walk.  Copies in trees restored from older
-        snapshots keep their raw start, which ends the walk at once.
+        copy and stops the walk.  A copy in a tree restored from an older
+        snapshot starts at its leaf too (the restore clamps it): the walk
+        reaches the copy's source there as well.
         """
         leaf = self._leaf(key)
         start = leaf.live_start(key)
@@ -444,10 +445,10 @@ class MVBT:
         entry forward with the split as its start, so the true start of
         every key live at a leaf's death is carried into the copy its
         successor holds: the key's first entry there (a same-chronon
-        delete and re-insert comes after it).  Copies in trees restored
-        from older snapshots keep their raw start, and carrying it changes
-        nothing.  Entries ended at their own true start version were never
-        visible and are skipped.
+        delete and re-insert comes after it), and so is a copy in a tree
+        restored from an older snapshot, whose start the restore clamped to
+        its leaf's.  Entries ended at their own true start version were
+        never visible and are skipped.
         """
         leaves = self._lineage()
         # Successors yet to read each dead leaf's carried starts.
@@ -597,6 +598,7 @@ class MVBT:
                     f"plain leaf in a packed tree: {node!r}" if self._packed
                     else f"packed leaf in a plain tree: {node!r}"
                 )
+                node.check_header()
 
     def _check_partition(self, node: IndexNode) -> None:
         """Live routing entries must partition the key region."""

@@ -43,11 +43,13 @@ SNAPSHOT_MAGIC = b"RTXSNAP1"
 #: Payload schema version.  Version 2 trees may hold inline integer ids
 #: (:mod:`repro.model.dictionary`), which version-1 readers would decode
 #: as unknown; version-1 files restore unchanged, their numbers keeping
-#: the table ids they were saved with.
-SNAPSHOT_VERSION = 2
+#: the table ids they were saved with.  Version 3 packed leaves store no
+#: delta bases (a leaf's bases are its header); a restore re-encodes an
+#: older packed leaf (:meth:`CompressedLeafStore.from_state`).
+SNAPSHOT_VERSION = 3
 
 #: Every version :func:`restore_engine` reads.
-_READABLE_VERSIONS = (1, 2)
+_READABLE_VERSIONS = (1, 2, 3)
 
 
 class SnapshotError(Exception):

@@ -50,7 +50,13 @@ PROVENANCE = (
     "loaded leaf stably sorted by key; the records of a leaf packed at "
     "load, and so its bytes, its size and the order of its entries in the "
     "decompressed and visible trees, moved, while every node, region, "
-    "lifetime and link, and each leaf's set of clamped entries, stayed."
+    "lifetime and link, and each leaf's set of clamped entries, stayed.  "
+    "sha256 and sizeof (every dataset, load and updates): re-issued by the "
+    "commit that makes a packed leaf's header (key_low, start) its delta "
+    "bases; a packed leaf's state no longer carries base_v, base_ts or "
+    "base_te, its records are encoded against its header, and its size "
+    "no longer counts five base words, while every logical and visible "
+    "pin stayed."
 )
 
 

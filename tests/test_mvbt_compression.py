@@ -22,10 +22,12 @@ from repro.mvbt import compression as comp
 from repro.mvbt.compression import (
     CompressedLeafStore,
     CompressionError,
+    MemoTable,
     SHORT_INTERVAL_LIMIT,
     STANDARD_ENTRY_BYTES,
 )
 from repro.mvbt.entry import LeafEntry
+from repro.mvbt.node import LeafNode
 from repro.obs import metrics
 
 SMALL = MVBTConfig(block_capacity=8, weak_min=2, epsilon=1)
@@ -50,8 +52,11 @@ def _len_code(value):
     raise CompressionError(f"delta too large to encode: {value}")
 
 
-def reference_encode(entries, base_v, base_ts, base_te):
-    """The bytes of ``entries`` against the given node bases."""
+def reference_encode(entries, key_low, start):
+    """The bytes of ``entries`` against the node header ``(key_low,
+    start)``: each key part's base is ``key_low``'s (0 for ``MIN_KEY``),
+    and ``start`` is the base of both ``ts`` and a long interval's ``te``."""
+    base_v = key_low or (0, 0, 0)
     widths = (0, 1, 2, 4)
     buf = bytearray()
     prev = None
@@ -78,8 +83,8 @@ def reference_encode(entries, base_v, base_ts, base_te):
             elif e.end - e.start <= SHORT_INTERVAL_LIMIT:
                 te_flag, te_value = 1, e.end - e.start
             else:
-                te_flag, te_value = 2, _zigzag(e.end - base_te)
-            fields += [e.start - base_ts, te_value]
+                te_flag, te_value = 2, _zigzag(e.end - start)
+            fields += [e.start - start, te_value]
             l1, l2, l3, lts, lte = (_len_code(f) for f in fields)
             header = ((l1 << 13) | (l2 << 11) | (l3 << 9) | (sources[0] << 8)
                       | (lts << 6) | (lte << 4) | (sources[1] << 3)
@@ -93,11 +98,8 @@ def reference_encode(entries, base_v, base_ts, base_te):
 
 def reference_store_bytes(store):
     """``store``'s current entries re-encoded from scratch against its
-    own bases — what its buffer must equal after any edit."""
-    state = store.to_state()
-    return reference_encode(
-        store.entries(), state["base_v"], state["base_ts"], state["base_te"]
-    )
+    header — what its buffer must equal after any edit."""
+    return reference_encode(store.entries(), store._low, store._start)
 
 
 def entry(v1, v2, v3, ts, te=NOW):
@@ -115,7 +117,7 @@ class TestCodecWidths:
     def test_key_delta_width_boundaries(self, delta, width):
         # The second entry's v3 is ``delta`` away from both candidates
         # (node base and predecessor); v1 differs, so it is a normal entry.
-        store = CompressedLeafStore([entry(1, 5, 10, 0)])
+        store = CompressedLeafStore([entry(1, 5, 10, 0)], key_low=(1, 5, 10))
         before = len(store._buf)
         store.append(entry(2, 5, 10 + delta, 0))
         # 2 header bytes + 1 byte for v1's delta + the v3 delta
@@ -180,13 +182,14 @@ class TestStoreRoundtrip:
         assert [e.key for e in store.entries()] == [(1, 2, 3), (1, 2, 4)]
 
     def test_append_below_base_value(self):
-        """Appends smaller than the node minima still roundtrip (zigzag)."""
-        store = CompressedLeafStore([entry(100, 100, 100, 50)])
+        """Appends below the header's key parts still roundtrip (zigzag)."""
+        store = CompressedLeafStore([entry(100, 100, 100, 50)],
+                                    key_low=(100, 100, 100))
         store.append(entry(1, 1, 1, 50))
         assert store.entries()[1].key == (1, 1, 1)
 
     def test_append_time_regression_rejected(self):
-        store = CompressedLeafStore([entry(1, 2, 3, 50)])
+        store = CompressedLeafStore([entry(1, 2, 3, 50)], start=50)
         with pytest.raises(CompressionError):
             store.append(entry(1, 2, 4, 10))
 
@@ -664,6 +667,98 @@ def test_a_fresh_load_holds_every_leaf_in_key_order():
             assert keys == sorted(keys), (name, leaf.key_low)
 
 
+@st.composite
+def shrink_grow_streams(draw):
+    """Inserts that grow a tree past one leaf, deletes that leave two keys
+    live (the root mostly shrinks back to one leaf), then inserts that grow
+    it again.  Returns the events, the index ``compress()`` runs at (inside
+    the first growth) and the index the shrink phase ends at."""
+    keys = st.tuples(st.integers(0, 6), st.integers(0, 300),
+                     st.integers(0, 3))
+    first = draw(st.lists(keys, min_size=20, max_size=40, unique=True))
+    events = []
+    time = 0
+    for key in first:
+        time += draw(st.integers(0, 2))
+        events.append(("insert", key, time))
+    order = draw(st.permutations(first))
+    for key in order[2:]:
+        time += draw(st.integers(0, 2))
+        events.append(("delete", key, time))
+    shrunk_at = len(events)
+    live = set(order[:2])
+    for key in draw(st.lists(keys, min_size=20, max_size=40, unique=True)):
+        if key not in live:
+            time += draw(st.integers(0, 2))
+            events.append(("insert", key, time))
+            live.add(key)
+    return events, draw(st.integers(0, len(first) - 1)), shrunk_at
+
+
+@settings(max_examples=50, deadline=None)
+@given(shrink_grow_streams(),
+       st.lists(tree_regions(), min_size=1, max_size=4))
+def test_a_packed_tree_shrinks_to_one_leaf_and_grows_again(stream, regions):
+    """A packed tree whose root goes from index to one leaf and back,
+    against a plain twin: the same shape, ``history()``, live starts and
+    scan pieces, for the tree and its snapshot round trip, and every
+    packed leaf's bases are its header (``check_invariants``)."""
+    events, compress_at, shrunk_at = stream
+    packed, twin = MVBT(SMALL), MVBT(SMALL)
+    for index, event in enumerate(events):
+        if index == compress_at:
+            packed.compress()
+        if index == shrunk_at:
+            # A root split down to one live child may stay an index node
+            # until its next restructure: only a one-leaf root counts.
+            assume(packed.live_root.is_leaf)
+            packed.check_invariants()
+        apply_event(packed, event)
+        apply_event(twin, event)
+    assert not packed.live_root.is_leaf
+    packed.check_invariants()
+    assert shape(packed) == shape(twin)
+    restored = MVBT.load_state(packed.dump_state())
+    restored.check_invariants()
+    expected = visible_history(events)
+    live = {key: start for key, start, end in expected if end == NOW}
+    for tree in (packed, twin, restored):
+        assert sorted(tree.history()) == sorted(expected)
+        assert {key: tree.live_start(key) for key in live} == live
+        for region in regions:
+            assert (sorted(scan_pieces(tree, *region))
+                    == sorted(scan_pieces(twin, *region))), region
+
+
+@pytest.mark.parametrize("alive", [True, False])
+def test_a_new_key_low_re_encodes_a_packed_leaf(alive):
+    """A packed leaf whose region's lower bound moves (as when a height
+    shrink makes it the root) is encoded again against its new header:
+    the same rows, the bytes of a fresh encode, a working live index."""
+    entries = [entry(5 + i % 3, i, 2, 10 + i) for i in range(12)]
+    entries[4].end = 40
+    leaf = LeafNode((5, 0, 0), 10)
+    for e in entries:
+        leaf.append(e)
+    leaf.compress(MemoTable())
+    if not alive:
+        leaf.kill(50)
+    rows = leaf.rows()
+    assert bytes(leaf._store._buf) == reference_encode(
+        leaf.entries(), (5, 0, 0), 10)
+    leaf.set_key_low(MIN_KEY)
+    assert leaf.rows() == rows
+    assert bytes(leaf._store._buf) == reference_encode(
+        leaf.entries(), MIN_KEY, 10)
+    leaf.check_header()
+    if alive:
+        assert leaf.live_start((6, 1, 2)) == 11
+        assert leaf.end_live((6, 1, 2), 60)
+        assert bytes(leaf._store._buf) == reference_store_bytes(leaf._store)
+    else:
+        assert type(leaf._store._buf) is bytes and leaf._store._live is None
+
+
 # --------------------------------------------------- the walking reference
 #
 # What ``has_live``/``end_live``/``append`` did before the live index: look
@@ -674,8 +769,7 @@ def test_a_fresh_load_holds_every_leaf_in_key_order():
 
 class WalkingLeaf:
     def __init__(self, store):
-        state = store.to_state()
-        self.bases = (state["base_v"], state["base_ts"], state["base_te"])
+        self.header = (store._low, store._start)
         self.entries = [e.copy() for e in store.entries()]
 
     def has_live(self, key):
@@ -692,7 +786,7 @@ class WalkingLeaf:
         self.entries.append(new.copy())
 
     def bytes(self):
-        return reference_encode(self.entries, *self.bases)
+        return reference_encode(self.entries, *self.header)
 
 
 def assert_same_leaf(store, walking):
@@ -710,7 +804,7 @@ def test_seek_edits_match_the_walking_reference(entries, steps):
     """Random kill orders with interleaved appends and duplicate checks:
     every return value and every byte equals the walking reference's."""
     if not entries:
-        entries = [entry(5, 5, 5, 0)]  # bases fixed at build, as for a leaf
+        entries = [entry(5, 5, 5, 0)]  # a leaf with one entry
     store = CompressedLeafStore(entries)
     if steps[0][1] % 2:
         # As a split hands it over; otherwise the first write walks.
@@ -953,15 +1047,19 @@ class TestPackedTreeLifecycle:
                    for leaf in born if not leaf.is_alive)
         tree.check_invariants()
 
-    def test_empty_root_takes_its_bases_from_the_first_append(self):
+    def test_empty_root_takes_its_bases_from_its_header(self):
         tree = MVBT(SMALL)
         tree.compress()
         tree.insert((70_000, 80_000, 90_000), 15_000)
         tree.insert((70_000, 80_000, 90_001), 15_001)
-        store = tree.live_root._store
-        assert store.to_state()["base_v"] == (70_000, 80_000, 90_000)
-        assert store.to_state()["base_ts"] == 15_000
-        assert len(store._buf) == 2 + 1 + 2  # a bare header, then compact
+        root = tree.live_root
+        store = root._store
+        assert (root.key_low, root.start) == (MIN_KEY, MIN_TIME)
+        assert store.has_bases(root.key_low, root.start)
+        assert "base_v" not in store.to_state()
+        # Against the floor: three 4-byte key deltas and a 2-byte ts, then
+        # a compact record.
+        assert len(store._buf) == 2 + 3 * 4 + 2 + 3
         assert bytes(store._buf) == reference_store_bytes(store)
         tree.check_invariants()
 

@@ -177,8 +177,7 @@ def test_end_live_splice_matches_reappending(entries, which):
     expected = list(store.entries())
     state = store.to_state()
     repacked = bytearray()
-    comp._pack(repacked, expected, None,
-               *state["base_v"], state["base_ts"], state["base_te"])
+    comp._pack(repacked, expected, None, *store._low, store._start)
     assert bytes(repacked) == state["buf"]
     # And the snapshot roundtrip stays byte-compatible.
     restored = CompressedLeafStore.from_state(store.to_state())

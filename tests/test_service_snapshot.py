@@ -63,7 +63,7 @@ class TestRoundTrip:
                                             scan_modes):
         path = save_snapshot(engine, tmp_path / "e.snap")
         restored, meta = load_snapshot(path)
-        assert meta["version"] == 2
+        assert meta["version"] == 3
         for mode in scan_modes():
             for text in QUERIES:
                 assert _rows(restored, text) == _rows(engine, text), mode
@@ -148,7 +148,7 @@ class TestRoundTrip:
         they still open, to the same engine, and the rows are ignored."""
         engine.insert("UC", "president", "Michael_Drake", D("08/01/2020"))
         payload = serialize_engine(engine)
-        assert payload["version"] == 2 and payload["graph"] is None
+        assert payload["version"] == 3 and payload["graph"] is None
         legacy = dict(payload, version=1,
                       graph=engine.history_rows() + [(9, 9, 9, 1, 2)])
         restored = restore_engine(pickle.loads(pickle.dumps(legacy)))
@@ -248,7 +248,7 @@ class TestFileFormat:
 
     def test_unsupported_version_raises(self, tmp_path):
         path = tmp_path / "x.snap"
-        for version in (999, 3, 0, None):
+        for version in (999, 4, 0, None):
             with open(path, "wb") as handle:
                 handle.write(SNAPSHOT_MAGIC)
                 pickle.dump({"version": version}, handle)

@@ -4,9 +4,11 @@
 :func:`write_fixtures` at the commit before that change: every copy a
 version split made in them keeps its entry's raw start.  The rows each one
 holds sit beside it in ``old_snapshot_rows.json``.  Today's trees restore
-from those files unchanged (no snapshot version bump), so their history,
-their live starts, their query answers and the updates applied on top of
-them must all still agree with the rows.
+from those files with each such copy's start clamped to its leaf's, and
+with every packed leaf re-encoded against its header (a version-3 leaf
+stores no delta bases), so their history, their live starts, their query
+answers and the updates applied on top of them must all still agree with
+the rows.
 
 They were also written while the engine kept a fourth tree, SOP.  A
 restore reads only today's three orders and drops it; the next save
@@ -35,6 +37,7 @@ import pytest
 from repro.engine import RDFTX
 from repro.model import NOW, TemporalGraph
 from repro.model.dictionary import INLINE_BASE, INLINE_LIMIT
+from repro.mvbt import compression as comp
 from repro.service.snapshot import (SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
                                     load_snapshot, save_snapshot)
 from tests.test_history import ReferenceHistory, assert_matches, decoded_rows
@@ -160,6 +163,25 @@ def index_payload(path):
     return set(payload_of(path)["indexes"])
 
 
+def saved_starts_before_birth(path):
+    """Whether a leaf of the file's SPO tree holds an entry that starts
+    before the leaf, as saved: a packed leaf decoded against the bases a
+    version-1 or -2 file stores with it."""
+    for node in payload_of(path)["indexes"]["spo"]["nodes"]:
+        if node["kind"] != "leaf":
+            continue
+        if "store" in node:
+            store = node["store"]
+            starts = [start for _, _, start, _ in comp._records(
+                store["buf"], tuple(store["base_v"]), store["base_ts"],
+                store["base_te"])]
+        else:
+            starts = [start for _, start, _, _ in node["entries"]]
+        if any(start < node["start"] for start in starts):
+            return True
+    return False
+
+
 def committed_rows(mode):
     if mode == "numeric":
         return [tuple(row) for row in json.loads(NUMERIC_ROWS.read_text())]
@@ -209,8 +231,9 @@ def test_an_older_snapshot_reads_its_rows(mode):
     spo = engine.indexes["spo"]
     assert spo.is_packed is (mode == "packed")
     # The file is of the older kind: some copy keeps a start before its
-    # leaf's birth.
-    assert any(start < leaf.start for leaf in spo.leaf_nodes()
+    # leaf's birth.  The restore clamps it to the birth.
+    assert saved_starts_before_birth(snapshot_path(mode))
+    assert all(start >= leaf.start for leaf in spo.leaf_nodes()
                for _, start, _ in leaf.rows())
     assert decoded_rows(engine) == rows
     assert_matches(engine, reference_of(rows))
@@ -314,9 +337,9 @@ def test_numbers_inserted_after_a_restore(mode, tmp_path):
     assert {row["o"] for row in engine.query(texts[2]).rows} >= {
         known, "123456"}
     saved = save_snapshot(engine, tmp_path / "resaved.snap")
-    assert payload_of(saved)["version"] == SNAPSHOT_VERSION == 2
+    assert payload_of(saved)["version"] == SNAPSHOT_VERSION == 3
     reopened, meta = load_snapshot(saved, use_optimizer=False)
-    assert meta["version"] == 2
+    assert meta["version"] == 3
     assert_matches(reopened, reference)
     assert reopened.dictionary.lookup(known) == lookup(known)
     for text in texts:
