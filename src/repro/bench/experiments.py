@@ -23,8 +23,9 @@ from ..datasets import govtrack, wikipedia, yago
 from ..datasets.queries import complex_queries, join_queries, selection_queries
 from ..datasets.wikipedia import table1_statistics
 from ..engine import RDFTX
+from ..engine.engine import DEFAULT_CONFIG
 from ..model.time import NOW
-from ..mvbt.tree import MVBT, MVBTConfig, bulk_load
+from ..mvbt.tree import MVBT, bulk_load
 from ..optimizer import Optimizer, enumerate_orders, estimate_order_cost
 from ..sparqlt.parser import parse
 from . import sizing
@@ -39,8 +40,8 @@ BASELINE_CLASSES = (
     RDBMSBaseline,
 )
 
-#: The MVBT geometry used by benchmark engines.
-BENCH_CONFIG = MVBTConfig(block_capacity=64, weak_min=12, epsilon=12)
+#: The MVBT geometry used by benchmark engines: the engine's own.
+BENCH_CONFIG = DEFAULT_CONFIG
 
 
 def _wiki(n: int, seed: int = 1):

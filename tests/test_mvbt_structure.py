@@ -5,6 +5,8 @@ the four node structure changes of the paper's Figure 2(c), the root
 registry, and the backward-link graph.
 """
 
+import random
+
 import pytest
 
 from repro.model.time import MIN_TIME, NOW
@@ -102,6 +104,29 @@ class TestRootRegistry:
         tree.check_invariants()
         # History remains intact after the shrink.
         assert len(collect_validity(tree)) == 60
+
+    def test_a_root_split_to_one_live_child_shrinks_the_height(self):
+        """300 seeded streams: insert 20-40 keys, then delete all but two.
+        A version split of the root that keeps one live child registers
+        that child, never an index root routing to it alone."""
+        for seed in range(300):
+            rng = random.Random(seed)
+            keys = [key(n) for n in range(rng.randint(20, 40))]
+            rng.shuffle(keys)
+            tree = MVBT(SMALL)
+            time = 1
+            for k in keys:
+                tree.insert(k, time)
+                time += rng.randrange(2)
+            rng.shuffle(keys)
+            for k in keys[:-2]:
+                time += rng.randrange(2)
+                tree.delete(k, time)
+            root = tree.live_root
+            assert root.is_leaf or root.live_count >= 2, (seed, root)
+            tree.check_invariants()
+            live = sorted(k for k, _, end in tree.history() if end == NOW)
+            assert live == sorted(keys[-2:]), seed
 
 
 class TestBackwardLinks:
